@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     try:
         rows = run_scenario(
             scenario,
-            workers=max(1, args.workers),
+            workers=args.workers,
             force=args.force,
             dump_records_path=args.dump_records,
             load_records_path=args.load_records,

@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RCOND = 1e-10
 DEFAULT_MU = 0.1
+FRAME_BLOCK = 32  # settings per frame-accumulation GEMM
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -33,13 +34,24 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vector).reshape(dim, dim, order="F")
 
 
-def povm_operator_columns(povm: RankOnePovm) -> np.ndarray:
-    """The (D^2, K) matrix whose k-th column is vec(u_k u_k†)."""
-    unitary = povm.unitary
-    dim = unitary.shape[0]
-    # elements[k, i, j] = (A_k)_{ij} = conj(U_{ki}) U_{kj}
-    elements = unitary.conj()[:, :, None] * unitary[:, None, :]
-    return np.reshape(elements.transpose(1, 2, 0), (dim * dim, dim), order="F")
+def povm_operator_columns(povms) -> np.ndarray:
+    """The (D^2, m*D) matrix whose columns are vec(u_k u_k†) for every
+    outcome k of every setting in ``povms``: one RankOnePovm, one (D, D)
+    unitary, or an (m, D, D) stack of unitaries."""
+    unitaries = np.asarray(povms.unitary if isinstance(povms, RankOnePovm) else povms)
+    dim = unitaries.shape[-1]
+    # rows[i, r] = U_{ri} over all outcome rows r; the column for row r
+    # holds conj(U_{ri}) U_{rj} at position i + D j.
+    rows = unitaries.reshape(-1, dim).T
+    return (rows[:, None, :] * rows.conj()[None, :, :]).reshape(dim * dim, -1)
+
+
+def accumulate_frame(total: np.ndarray, unitaries: Sequence[np.ndarray]) -> None:
+    """Add sum_mk vec(A_mk) vec(A_mk)† over the settings' (D, D) unitaries
+    to ``total`` in place, one GEMM per block of FRAME_BLOCK settings."""
+    for start in range(0, len(unitaries), FRAME_BLOCK):
+        columns = povm_operator_columns(unitaries[start:start + FRAME_BLOCK])
+        total += columns @ columns.conj().T
 
 
 @dataclass(eq=False)
@@ -47,9 +59,9 @@ class FrameOperator:
     """Dense D^2 x D^2 representation of (1/M) A†A on vectorized operators.
 
     Hermitian PSD with trace D for rank-1 orthonormal POVMs. The
-    eigendecomposition is computed once on demand and reused for every
-    pseudoinverse application and every ridge solve, across all records
-    and observables.
+    eigendecomposition behind the pseudoinverse is computed once on
+    demand and reused across records and observables; a ridge solve with
+    mu > 0 needs no eigendecomposition.
     """
 
     entries: np.ndarray
@@ -84,12 +96,10 @@ class FrameOperator:
         if shots < 1:
             raise ValueError(f"shot count must be >= 1, got {shots}")
         dim = povms[0].dim
+        if any(povm.dim != dim for povm in povms):
+            raise ValueError(f"dim-mismatch: POVM dims differ from {dim}")
         accumulator = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for povm in povms:
-            if povm.dim != dim:
-                raise ValueError(f"dim-mismatch: POVM dims {povm.dim} and {dim}")
-            columns = povm_operator_columns(povm)
-            accumulator += columns @ columns.conj().T
+        accumulate_frame(accumulator, [povm.unitary for povm in povms])
         return cls(hermitize(accumulator / len(povms)), dim, len(povms) * shots)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -108,14 +118,44 @@ class FrameOperator:
         return basis @ ((basis.conj().T @ vector) / eigenvalues[keep])
 
     def ridge_apply(self, vector: np.ndarray, mu: float) -> np.ndarray:
-        """Solve ((1/M)(A†A + mu I)) x = vector via the shared eigenbasis."""
+        """Solve ((1/M)(A†A + mu I)) x = vector for one right-hand side or
+        a (D^2, R) stack of them.
+
+        mu > 0 is a direct LU solve. mu = 0 goes through the eigensystem,
+        whose spectrum rejects a singular frame.
+        """
         if mu < 0.0:
             raise ValueError(f"ridge parameter must be >= 0, got {mu}")
+        if mu > 0.0:
+            order = self.entries.shape[0]
+            return np.linalg.solve(self.entries + (mu / self.settings) * np.eye(order), vector)
         eigenvalues, eigenvectors = self.eigensystem()
-        if mu == 0.0 and eigenvalues[0] <= DEFAULT_RCOND * max(eigenvalues[-1], 0.0):
+        if eigenvalues[0] <= DEFAULT_RCOND * max(eigenvalues[-1], 0.0):
             raise ValueError("singular-frame: mu = 0 requires an invertible frame operator")
-        shifted = eigenvalues + mu / self.settings
-        return eigenvectors @ ((eigenvectors.conj().T @ vector) / shifted)
+        return (eigenvectors / eigenvalues) @ (eigenvectors.conj().T @ vector)
+
+
+def gram_ridge_solve(
+    unitaries: Sequence[np.ndarray], frequencies: Sequence[np.ndarray], mu: float, shots: int = 1
+) -> np.ndarray:
+    """RLS average estimate of M settings from their M*D-dimensional Gram system.
+
+    With V the (M*D, D) stack of the settings' unitary rows, G = |V V†|^2
+    is the Gram matrix <A_mk, A_m'k'>. By the push-through identity
+    ((1/M) A†A + mu/(M L) I)^-1 A†(p̂)/M = A†((G + (mu/L) I)^-1 p̂),
+    so the D^2 x D^2 frame is neither formed nor solved. Below M = D the
+    frame is singular, so mu = 0 is rejected as on the primal route.
+    """
+    if mu < 0.0:
+        raise ValueError(f"ridge parameter must be >= 0, got {mu}")
+    if mu == 0.0:
+        raise ValueError("singular-frame: mu = 0 requires an invertible frame operator")
+    unitaries = np.asarray(unitaries)
+    rows = unitaries.reshape(-1, unitaries.shape[-1])
+    phat = np.asarray(frequencies, dtype=float).reshape(-1)
+    gram = np.abs(rows @ rows.conj().T) ** 2
+    weights = np.linalg.solve(gram + (mu / shots) * np.eye(len(rows)), phat)
+    return hermitize((rows.conj().T * weights) @ rows)
 
 
 def build_frame_operator(povms: Sequence[RankOnePovm]) -> FrameOperator:
@@ -232,7 +272,12 @@ def estimate(records: Sequence[MeasurementRecord], method: ShadowMethod) -> Shad
         if isinstance(method, LS):
             shadows = [ls_shadow(frame, partial, rcond=method.rcond) for partial in partials]
         elif isinstance(method, RLS):
-            shadows = [rls_shadow(frame, method.mu, partial) for partial in partials]
+            # One solve for all records' right-hand sides at once.
+            columns = np.stack([vec(partial) for partial in partials], axis=1)
+            solutions = frame.ridge_apply(columns, method.mu)
+            shadows = [
+                ShadowEstimate(hermitize(unvec(column, dim)), "RLS") for column in solutions.T
+            ]
         else:
             raise TypeError(f"unknown shadow method {type(method).__name__}")
 

@@ -39,7 +39,7 @@ from .ensembles import (
     RngStream,
     sample_sphere_vector,
 )
-from .estimators import FrameOperator, povm_operator_columns, unvec, vec
+from .estimators import FrameOperator, accumulate_frame, gram_ridge_solve, unvec, vec
 from .measurement import (
     MeasurementPlan,
     MeasurementRecord,
@@ -106,6 +106,9 @@ class Scenario:
         ):
             if len(grid) == 0:
                 raise ValueError(f"{name} must not be empty")
+        for name, grid in (("mu-grid", self.mu_grid), ("eta-grid", self.eta_grid)):
+            if not all(math.isfinite(value) for value in grid):
+                raise ValueError(f"{name} entries must be finite, got {list(grid)}")
         if min(self.m_grid) < 1 or min(self.l_grid) < 1:
             raise ValueError("m-grid and l-grid entries must be >= 1")
         if min(self.mu_grid) < 0:
@@ -352,17 +355,63 @@ def _check_estimate(matrix: np.ndarray, method: str) -> None:
         raise RuntimeError(f"{method} estimate is not Hermitian within 1e-10")
 
 
+class _FramePrefix:
+    """Frames of growing prefixes of one trial's records.
+
+    Settings enter the running frame sum only when a grid point first
+    needs the frame, one GEMM per block of settings.
+    """
+
+    def __init__(self, records: Sequence[MeasurementRecord]):
+        self.records = records
+        self._sum: np.ndarray | None = None
+        self._count = 0
+        self._frame: FrameOperator | None = None
+
+    def frame(self, settings: int) -> FrameOperator:
+        """Frame of the first ``settings`` records; calls must not go back."""
+        if self._count != settings:
+            dim = self.records[0].dim
+            if self._sum is None:
+                self._sum = np.zeros((dim * dim, dim * dim), dtype=complex)
+            added = self.records[self._count:settings]
+            accumulate_frame(self._sum, [record.povm.unitary for record in added])
+            self._count = settings
+            # Effective single-shot setting count M * L, so the ridge
+            # shift matches the expanded one-hot view of the records.
+            self._frame = FrameOperator(
+                hermitize(self._sum / settings), dim, settings * self.records[0].shots
+            )
+        return self._frame
+
+
 def _average_estimate(
-    spec: _MethodSpec, partial_mean: np.ndarray, frame: FrameOperator | None, dim: int
+    spec: _MethodSpec,
+    partial_mean: np.ndarray,
+    records: Sequence[MeasurementRecord],
+    prefix: _FramePrefix | None,
 ) -> np.ndarray:
     """Average over shadows, using linearity of the shadow map: the mean
-    shadow equals the shadow operation applied to the mean adjoint."""
+    shadow equals the shadow operation applied to the mean adjoint.
+
+    RLS below interpolation (M*D < D^2, i.e. M < D) is solved in the
+    M*D-dimensional Gram space and never forms the D^2 x D^2 frame."""
+    dim = partial_mean.shape[0]
+    settings = len(records)
     if spec.name == "CS":
         estimate = (dim + 1) * partial_mean - np.eye(dim)
+    elif spec.name == "RLS" and settings < dim:
+        estimate = gram_ridge_solve(
+            [record.povm.unitary for record in records],
+            [record.frequencies for record in records],
+            spec.mu,
+            records[0].shots,
+        )
     elif spec.name == "LS":
-        estimate = hermitize(unvec(frame.pinv_apply(vec(partial_mean)), dim))
+        estimate = hermitize(unvec(prefix.frame(settings).pinv_apply(vec(partial_mean)), dim))
     elif spec.name == "RLS":
-        estimate = hermitize(unvec(frame.ridge_apply(vec(partial_mean), spec.mu), dim))
+        solution = prefix.frame(settings).ridge_apply(vec(partial_mean), spec.mu)
+        estimate = hermitize(unvec(solution, dim))
     else:
         raise ValueError(f"unknown method {spec.name!r}")
     _check_estimate(estimate, spec.name)
@@ -440,31 +489,19 @@ def _run_trial(
                 records = run_plan(ctx.state, plan, RngStream(sc.seed, (trial, 0)))
 
             grid_set = set(settings_grid)
+            prefix = _FramePrefix(records) if needs_frame else None
             partial_sum = np.zeros((dim, dim), dtype=complex)
-            frame_sum = (
-                np.zeros((dim * dim, dim * dim), dtype=complex) if needs_frame else None
-            )
             for index, record in enumerate(records, start=1):
                 partial_sum += adjoint_map(record.povm, record.frequencies)
-                if needs_frame:
-                    columns = povm_operator_columns(record.povm)
-                    frame_sum += columns @ columns.conj().T
                 if index not in grid_set:
                     continue
                 partial_mean = partial_sum / index
-                # Effective single-shot setting count M * L, so the ridge
-                # shift matches the expanded one-hot view of the records.
-                frame = (
-                    FrameOperator(hermitize(frame_sum / index), dim, index * shots)
-                    if needs_frame
-                    else None
-                )
+                measured = records[:index]
                 for spec in ctx.methods:
-                    estimate_matrix = _average_estimate(spec, partial_mean, frame, dim)
+                    estimate_matrix = _average_estimate(spec, partial_mean, measured, prefix)
                     rows.extend(
                         _metric_rows(
-                            ctx, trial, index, shots, eta, spec, estimate_matrix,
-                            records[:index],
+                            ctx, trial, index, shots, eta, spec, estimate_matrix, measured
                         )
                     )
     return rows
@@ -556,6 +593,8 @@ def run_scenario(
     the rows are identical for any value.
     """
     scenario.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if scenario.qubits > MAX_QUBITS_WITHOUT_FORCE and not force:
         raise ValueError(
             f"resource-guard: {scenario.qubits} qubits needs a "
@@ -590,7 +629,7 @@ def run_scenario(
                 f"scenario l-grid starts at {scenario.l_grid[0]}"
             )
 
-    if workers <= 1 or scenario.trials == 1:
+    if workers == 1 or scenario.trials == 1:
         per_trial = [
             _run_trial(ctx, trial, records_override) for trial in range(scenario.trials)
         ]

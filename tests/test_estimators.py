@@ -7,6 +7,7 @@ from shadowbench.core import DensityMatrix, RankOnePovm, born_probabilities
 from shadowbench.ensembles import FixedUnitaries, GlobalHaar, RngStream, sample_global_haar
 from shadowbench.estimators import (
     CS,
+    FRAME_BLOCK,
     LS,
     RLS,
     FrameOperator,
@@ -16,6 +17,7 @@ from shadowbench.estimators import (
     cs_channel_inverse,
     cs_shadow,
     estimate,
+    gram_ridge_solve,
     ls_shadow,
     povm_operator_columns,
     rls_shadow,
@@ -37,6 +39,13 @@ from oracles import (
     random_density_matrix,
     random_hermitian,
 )
+
+
+def forbid_eigh(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ridge solve with mu > 0 called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
 
 
 def haar_povms(dim, count, seed, trial=0):
@@ -81,6 +90,17 @@ class TestFrameOperator:
 
     def test_matches_naive_construction(self):
         povms = haar_povms(4, 3, seed=4)
+        frame = build_frame_operator(povms)
+        assert np.abs(frame.entries - naive_frame_matrix(povms)).max() < 1e-13
+
+    def test_stacked_columns_concatenate_per_setting_columns(self):
+        povms = haar_povms(4, 3, seed=8)
+        stacked = povm_operator_columns(np.stack([povm.unitary for povm in povms]))
+        expected = np.concatenate([povm_operator_columns(povm) for povm in povms], axis=1)
+        assert np.array_equal(stacked, expected)
+
+    def test_blocked_accumulation_matches_naive_across_blocks(self):
+        povms = haar_povms(2, 2 * FRAME_BLOCK + 5, seed=9)
         frame = build_frame_operator(povms)
         assert np.abs(frame.entries - naive_frame_matrix(povms)).max() < 1e-13
 
@@ -210,6 +230,66 @@ class TestRlsShadow:
         frame = build_frame_operator(haar_povms(2, 4, seed=15))
         with pytest.raises(ValueError, match=">= 0"):
             rls_shadow(frame, -0.5, np.eye(2) / 2)
+
+    def test_positive_mu_needs_no_eigendecomposition(self, monkeypatch):
+        povms = haar_povms(4, 6, seed=16)
+        frame = build_frame_operator(povms)
+        partial = adjoint_map(povms[1], np.array([0.1, 0.2, 0.3, 0.4]))
+        oracle = dense_ridge_solve(povms, 0.1, partial)
+        forbid_eigh(monkeypatch)
+        shadow = rls_shadow(frame, 0.1, partial)
+        assert np.abs(shadow.matrix - oracle).max() < 1e-10
+
+    def test_estimate_solves_all_records_without_eigendecomposition(self, monkeypatch):
+        records = run_plan(
+            DensityMatrix.computational_basis_state(4),
+            MeasurementPlan(6, 3, GlobalHaar(4)),
+            RngStream(17, (0, 0)),
+        )
+        frame = FrameOperator.from_povms([record.povm for record in records], shots=3)
+        expected = [
+            rls_shadow(frame, 0.2, adjoint_map(record.povm, record.frequencies)).matrix
+            for record in records
+        ]
+        forbid_eigh(monkeypatch)
+        shadows = estimate(records, RLS(0.2)).shadows
+        for shadow, single in zip(shadows, expected):
+            assert np.abs(shadow.matrix - single).max() < 1e-12
+
+
+class TestGramRidgeSolve:
+    @pytest.mark.parametrize("qubits", [2, 3])
+    @pytest.mark.parametrize("shots", [1, 4])
+    def test_matches_dense_ridge_oracle_below_interpolation(self, qubits, shots):
+        dim = 2**qubits
+        generator = np.random.default_rng(100 + qubits)
+        state = DensityMatrix(random_density_matrix(dim, generator))
+        for settings in range(1, dim):
+            records = run_plan(
+                state,
+                MeasurementPlan(settings, shots, GlobalHaar(dim)),
+                RngStream(18, (qubits, 0)),
+            )
+            unitaries = np.stack([record.povm.unitary for record in records])
+            frequencies = np.stack([record.frequencies for record in records])
+            mean_adjoint = np.mean(
+                [adjoint_map(record.povm, record.frequencies) for record in records], axis=0
+            )
+            # Effective single-shot view: each setting counts L times.
+            povms = [record.povm for record in records] * shots
+            oracle = dense_ridge_solve(povms, 0.1, mean_adjoint)
+            solution = gram_ridge_solve(unitaries, frequencies, 0.1, shots)
+            assert np.abs(solution - oracle).max() < 1e-10
+
+    def test_zero_mu_rejected_as_singular(self):
+        unitaries = np.stack([povm.unitary for povm in haar_povms(4, 2, seed=19)])
+        with pytest.raises(ValueError, match="singular-frame"):
+            gram_ridge_solve(unitaries, np.full((2, 4), 0.25), 0.0)
+
+    def test_negative_mu_rejected(self):
+        unitaries = np.stack([povm.unitary for povm in haar_povms(4, 2, seed=19)])
+        with pytest.raises(ValueError, match=">= 0"):
+            gram_ridge_solve(unitaries, np.full((2, 4), 0.25), -1.0)
 
 
 class TestCsChannel:

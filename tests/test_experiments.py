@@ -2,22 +2,34 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shadowbench
+from shadowbench import experiments
 from shadowbench.cli import main
-from shadowbench.core import expectation
+from shadowbench.core import DensityMatrix, expectation
+from shadowbench.ensembles import GlobalHaar, RngStream
+from shadowbench.estimators import RLS, estimate
 from shadowbench.experiments import (
     AGGREGATE_TRIAL,
     CSV_HEADER,
     ResultRow,
     Scenario,
+    _average_estimate,
+    _MethodSpec,
+    _FramePrefix,
     canonical_state_and_observables,
     default_scenario,
     emit_csv,
     run_scenario,
 )
+from shadowbench.measurement import MeasurementPlan, adjoint_map, run_plan
 
 
 def tiny_scenario(kind, **overrides):
@@ -73,6 +85,24 @@ class TestScenarioValidation:
     def test_bad_eta(self):
         with pytest.raises(ValueError, match="eta"):
             tiny_scenario("mismatch", eta_grid=(0.0, 2.0)).validate()
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("mu-grid", dict(mu_grid=(float("nan"),))),
+            ("mu-grid", dict(mu_grid=(0.1, float("inf")))),
+            ("eta-grid", dict(eta_grid=(0.0, float("nan")))),
+            ("eta-grid", dict(eta_grid=(float("inf"),))),
+        ],
+    )
+    def test_non_finite_grid_rejected(self, field, overrides):
+        with pytest.raises(ValueError, match=field):
+            tiny_scenario("mismatch", **overrides).validate()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_scenario(tiny_scenario("rls-vs-cs"), workers=workers)
 
     def test_resource_guard(self):
         with pytest.raises(ValueError, match="resource-guard"):
@@ -296,6 +326,23 @@ class TestCli:
         assert code == 2
         assert "resource-guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["rls-vs-cs", "--mu", "nan"], "mu-grid"),
+            (["mismatch", "--eta-grid", "0,inf"], "eta-grid"),
+            (["rls-vs-cs", "--workers", "0"], "workers"),
+            (["rls-vs-cs", "--workers", "-1"], "workers"),
+        ],
+    )
+    def test_bad_value_exits_two_naming_field(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "x.csv"
+        code = main(flags + ["--qubits", "2", "--trials", "1", "--m-grid", "2",
+                             "--out", str(out)])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_passes(self, capsys):
         assert main(["validate"]) == 0
         output = capsys.readouterr().out
@@ -346,3 +393,57 @@ class TestCli:
         assert main(args + ["--workers", "1", "--out", str(first)]) == 0
         assert main(args + ["--workers", "4", "--out", str(second)]) == 0
         assert filecmp.cmp(first, second, shallow=False)
+
+
+class TestRlsRoutes:
+    @pytest.mark.parametrize("qubits", [2, 3])
+    @pytest.mark.parametrize("shots", [1, 4])
+    def test_kernel_matches_per_record_estimate_across_route_switch(
+        self, monkeypatch, qubits, shots
+    ):
+        dim = 2**qubits
+        records = run_plan(
+            DensityMatrix.computational_basis_state(dim),
+            MeasurementPlan(dim, shots, GlobalHaar(dim)),
+            RngStream(41, (0, 0)),
+        )
+        frame_blocks = []
+        accumulate = experiments.accumulate_frame
+
+        def counted(total, unitaries):
+            frame_blocks.append(len(unitaries))
+            accumulate(total, unitaries)
+
+        monkeypatch.setattr(experiments, "accumulate_frame", counted)
+        prefix = _FramePrefix(records)
+        # M = D - 1 takes the Gram route and forms no frame; M = D takes
+        # the primal route over all D settings.
+        for settings, blocks in ((dim - 1, []), (dim, [dim])):
+            first = records[:settings]
+            partial_mean = np.mean(
+                [adjoint_map(record.povm, record.frequencies) for record in first], axis=0
+            )
+            kernel = _average_estimate(_MethodSpec("RLS", 0.1), partial_mean, first, prefix)
+            reference = estimate(first, RLS(0.1)).average.matrix
+            assert np.abs(kernel - reference).max() < 1e-10
+            assert frame_blocks == blocks
+
+
+def test_package_does_not_import_scipy(tmp_path):
+    # scipy's own OpenBLAS adds start-up time and resident memory to
+    # every run, so neither the package nor a scenario run may load it.
+    code = (
+        "import sys\n"
+        "from shadowbench.cli import main\n"
+        "assert main(['rls-vs-cs', '--qubits', '2', '--trials', '1',\n"
+        "             '--m-grid', '2,4', '--out', sys.argv[1]]) == 0\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    source_root = str(Path(shadowbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=source_root)
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out.csv")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
