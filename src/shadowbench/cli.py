@@ -16,12 +16,13 @@ import numpy as np
 from . import __version__
 from .core import (
     DensityMatrix,
+    RankOnePovm,
     born_probabilities,
     eigenvalue_split,
     project_physical,
 )
-from .ensembles import GlobalHaar, RngStream, povm_from_unitary, sample_global_haar
-from .estimators import CS, LS, RLS, cs_channel_apply, cs_channel_inverse, cs_shadow, estimate
+from .ensembles import GlobalHaar, RngStream, sample_global_haar
+from .estimators import CS, LS, RLS, cs_channel_apply, cs_channel_inverse, estimate, shadow_map
 from .experiments import (
     SCENARIO_KINDS,
     Scenario,
@@ -31,7 +32,7 @@ from .experiments import (
     run_scenario,
     scenario_with_overrides,
 )
-from .measurement import MeasurementPlan, expand_to_single_shot, run_plan
+from .measurement import MeasurementPlan, adjoint_map, expand_to_single_shot, run_plan
 from .theory import multinomial_moments
 
 
@@ -132,7 +133,7 @@ def _validation_checks(seed: int):
                 ginibre = generator.standard_normal((dim, dim)) + 1j * generator.standard_normal((dim, dim))
                 rho = ginibre @ ginibre.conj().T
                 state = DensityMatrix(rho / rho.trace())
-                povm = povm_from_unitary(sample_global_haar(dim, generator))
+                povm = RankOnePovm(sample_global_haar(dim, generator))
                 p = born_probabilities(povm, state)
                 assert p.min() >= 0.0, "negative Born probability"
                 assert abs(p.sum() - 1.0) < 1e-10, "Born probabilities do not sum to 1"
@@ -160,7 +161,7 @@ def _validation_checks(seed: int):
         state = DensityMatrix.computational_basis_state(dim)
         plan = MeasurementPlan(50, 1, GlobalHaar(dim))
         for record in run_plan(state, plan, RngStream(seed, (4, 0))):
-            shadow = cs_shadow(record)
+            shadow = shadow_map(CS(), adjoint_map(record.povm, record.frequencies))
             assert abs(shadow.trace - 1.0) < 1e-10, "CS trace != 1"
             eigenvalues = np.linalg.eigvalsh(shadow.matrix)
             assert abs(eigenvalues[-1] - dim) < 1e-9, "CS top eigenvalue != D"

@@ -35,18 +35,14 @@ LIKELIHOOD_FLOOR = 1e-12
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
-    """Return (X + X†)/2, killing rounding-induced asymmetry."""
-    return 0.5 * (matrix + matrix.conj().T)
+    """Return (X + X†)/2, killing rounding-induced asymmetry; a stack of
+    matrices is hermitized one by one."""
+    return 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Largest entrywise deviation |X - X†|."""
     return float(np.abs(matrix - matrix.conj().T).max())
-
-
-def hermitian_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the hermitized input (ascending eigenvalues)."""
-    return np.linalg.eigh(hermitize(matrix))
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:

@@ -8,13 +8,11 @@ same unitary regardless of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
-
-from .core import RankOnePovm
 
 # Reserved stream index for scenario-level draws (random observables,
 # theory Monte Carlo); trial indices must stay below it.
@@ -41,10 +39,6 @@ class RngStream:
             sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream_id)
             self._generator = np.random.default_rng(sequence)
         return self._generator
-
-    def substream(self, trial: int, measurement: int) -> "RngStream":
-        """Fresh stream for one measurement of one trial under this seed."""
-        return RngStream(self.seed, (trial, measurement))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -132,10 +126,6 @@ class FixedUnitaries:
 EnsembleSpec = Union[GlobalHaar, LocalHaarTensor, HaarMixture, FixedUnitaries]
 
 
-def ensemble_dim(spec: EnsembleSpec) -> int:
-    return spec.dim
-
-
 def sample_global_haar_batch(dim: int, count: int, rng: RngLike) -> np.ndarray:
     """Draw ``count`` Haar-random D x D unitaries as a (count, D, D) array.
 
@@ -172,26 +162,26 @@ def sample_local_haar_tensor(qubits: int, rng: RngLike) -> np.ndarray:
     return unitary
 
 
-def sample_setting(spec: EnsembleSpec, rng: RngStream) -> tuple[np.ndarray, str]:
-    """Draw one measurement unitary and report its provenance.
+def sample_unitary(spec: EnsembleSpec, rng: RngStream) -> np.ndarray:
+    """Draw one measurement unitary from the ensemble.
 
-    Provenance is "global", "local", or "fixed"; mixtures resolve their
-    per-setting Bernoulli coin here. Fixed ensembles are indexed by the
-    stream's measurement index, so settings come out in listed order.
+    Mixtures resolve their per-setting Bernoulli coin here. Fixed
+    ensembles are indexed by the stream's measurement index, so settings
+    come out in listed order.
     """
     if isinstance(spec, GlobalHaar):
-        return sample_global_haar(spec.dim, rng), "global"
+        return sample_global_haar(spec.dim, rng)
     if isinstance(spec, LocalHaarTensor):
-        return sample_local_haar_tensor(spec.qubits, rng), "local"
+        return sample_local_haar_tensor(spec.qubits, rng)
     if isinstance(spec, HaarMixture):
         if spec.eta <= 0.0:
-            return sample_global_haar(spec.dim, rng), "global"
+            return sample_global_haar(spec.dim, rng)
         if spec.eta >= 1.0:
-            return sample_local_haar_tensor(spec.qubits, rng), "local"
+            return sample_local_haar_tensor(spec.qubits, rng)
         generator = as_generator(rng)
         if generator.random() < spec.eta:
-            return sample_local_haar_tensor(spec.qubits, generator), "local"
-        return sample_global_haar(spec.dim, generator), "global"
+            return sample_local_haar_tensor(spec.qubits, generator)
+        return sample_global_haar(spec.dim, generator)
     if isinstance(spec, FixedUnitaries):
         if not isinstance(rng, RngStream):
             raise TypeError("fixed ensembles need an RngStream to know the setting index")
@@ -201,18 +191,8 @@ def sample_setting(spec: EnsembleSpec, rng: RngStream) -> tuple[np.ndarray, str]
                 f"fixed-ensemble-exhausted: setting {index} requested, "
                 f"only {len(spec.unitaries)} listed"
             )
-        return spec.unitaries[index], "fixed"
+        return spec.unitaries[index]
     raise TypeError(f"unknown ensemble spec {type(spec).__name__}")
-
-
-def sample_unitary(spec: EnsembleSpec, rng: RngStream) -> np.ndarray:
-    """Draw one measurement unitary from the ensemble."""
-    return sample_setting(spec, rng)[0]
-
-
-def povm_from_unitary(unitary: np.ndarray) -> RankOnePovm:
-    """Wrap a unitary as the rank-1 orthonormal POVM {u_k u_k†}."""
-    return RankOnePovm(unitary)
 
 
 def sample_sphere_vector(dim: int, rng: RngLike) -> np.ndarray:
@@ -220,6 +200,55 @@ def sample_sphere_vector(dim: int, rng: RngLike) -> np.ndarray:
     generator = as_generator(rng)
     vector = generator.standard_normal(dim) + 1j * generator.standard_normal(dim)
     return vector / np.linalg.norm(vector)
+
+
+def unitary_lines(unitary: np.ndarray) -> str:
+    """A unitary as text: one row per line as "re im" pairs with 17
+    significant digits, so reading it back is exact."""
+    return "".join(
+        " ".join(f"{value.real:.17g} {value.imag:.17g}" for value in row) + "\n"
+        for row in unitary
+    )
+
+
+class BlockReader:
+    """Line cursor over a text file of unitary blocks (see
+    :func:`unitary_lines`); a missing, short, non-numeric or non-finite
+    line raises ValueError naming the path and the line."""
+
+    def __init__(self, path):
+        self.path = path
+        self.lines = Path(path).read_text(encoding="utf-8").split("\n")
+        self.cursor = 0
+
+    def values(self, kind, count: int) -> np.ndarray:
+        """The next line as exactly ``count`` finite floats (``kind`` float)
+        or 64-bit integers (``kind`` int)."""
+        where = f"{self.path}, line {self.cursor + 1}"
+        if self.cursor >= len(self.lines):
+            raise ValueError(f"truncated file: {where} is missing")
+        tokens = self.lines[self.cursor].split()
+        if len(tokens) != count:
+            raise ValueError(f"malformed file: {where} has {len(tokens)} values, expected {count}")
+        try:
+            values = np.array([kind(token) for token in tokens], dtype=kind)
+        except (ValueError, OverflowError):
+            message = f"malformed file: {where} has a non-numeric or out-of-range value"
+            raise ValueError(message) from None
+        if not np.isfinite(values).all():
+            raise ValueError(f"malformed file: {where} has a non-finite value")
+        self.cursor += 1
+        return values
+
+    def header(self, count: int, positive: int) -> list[int]:
+        """The next line as ``count`` integers, the first ``positive`` of them >= 1."""
+        values = self.values(int, count).tolist()
+        if min(values[:positive]) < 1:
+            raise ValueError(f"malformed file: {self.path}, line {self.cursor} header {values}")
+        return values
+
+    def unitary(self, dim: int) -> np.ndarray:
+        return np.stack([self.values(float, 2 * dim) for _ in range(dim)]).view(complex)
 
 
 def save_unitaries(unitaries, path) -> None:
@@ -230,30 +259,11 @@ def save_unitaries(unitaries, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{len(unitaries)} {dim}\n")
         for unitary in unitaries:
-            for row in unitary:
-                handle.write(
-                    " ".join(f"{value.real:.17g} {value.imag:.17g}" for value in row) + "\n"
-                )
-
-
-def load_unitaries(path) -> list[np.ndarray]:
-    """Read unitaries written by :func:`save_unitaries`."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    count, dim = (int(token) for token in lines[0].split())
-    unitaries = []
-    cursor = 1
-    for _ in range(count):
-        rows = []
-        for _ in range(dim):
-            tokens = [float(token) for token in lines[cursor].split()]
-            if len(tokens) != 2 * dim:
-                raise ValueError(f"malformed unitary row at line {cursor + 1} of {path}")
-            rows.append([complex(tokens[2 * j], tokens[2 * j + 1]) for j in range(dim)])
-            cursor += 1
-        unitaries.append(np.array(rows, dtype=complex))
-    return unitaries
+            handle.write(unitary_lines(unitary))
 
 
 def load_fixed_ensemble(path) -> FixedUnitaries:
     """Fixed ensemble from a unitary block file (see :func:`save_unitaries`)."""
-    return FixedUnitaries(tuple(load_unitaries(path)))
+    reader = BlockReader(path)
+    count, dim = reader.header(2, positive=2)
+    return FixedUnitaries(tuple(reader.unitary(dim) for _ in range(count)))

@@ -1,24 +1,23 @@
 """The three shadow constructions: LS, RLS, and CS.
 
-All three estimators map each measurement record to a "shadow" matrix
-and average the shadows. They differ only in how the frame operator
-(1/M) A†A is inverted: LS applies its pseudoinverse, RLS shifts it by
-mu/M before a true inverse, and CS replaces it with the analytic
-global-Haar expectation channel whose inverse is closed-form.
+All three estimators map each measurement record's adjoint A†(p̂) to a
+"shadow" matrix and average the shadows. They differ only in how the
+frame operator (1/M) A†A is inverted: LS applies its pseudoinverse, RLS
+shifts it by mu/M before a true inverse, and CS replaces it with the
+analytic global-Haar expectation channel whose inverse is closed-form.
+:func:`shadow_map` is that one map; since it is linear, the average
+estimate is the same map applied to the mean adjoint.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .core import RankOnePovm, ShadowEstimate, as_matrix, hermitize
 from .measurement import MeasurementRecord, adjoint_map
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_RCOND = 1e-10
 DEFAULT_MU = 0.1
@@ -26,12 +25,16 @@ FRAME_BLOCK = 32  # settings per frame-accumulation GEMM
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization, so <A, B> = vec(A)† vec(B)."""
-    return np.asarray(matrix).reshape(-1, order="F")
+    """Column-stacking vectorization of a (D, D) matrix, or of each matrix
+    in an (R, D, D) stack, so <A, B> = vec(A)† vec(B)."""
+    matrix = np.asarray(matrix)
+    return matrix.swapaxes(-1, -2).reshape(*matrix.shape[:-2], -1)
 
 
 def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(vector).reshape(dim, dim, order="F")
+    """Inverse of :func:`vec` for one vector or an (R, D^2) stack."""
+    vector = np.asarray(vector)
+    return vector.reshape(*vector.shape[:-1], dim, dim).swapaxes(-1, -2)
 
 
 def povm_operator_columns(povms) -> np.ndarray:
@@ -44,14 +47,6 @@ def povm_operator_columns(povms) -> np.ndarray:
     # holds conj(U_{ri}) U_{rj} at position i + D j.
     rows = unitaries.reshape(-1, dim).T
     return (rows[:, None, :] * rows.conj()[None, :, :]).reshape(dim * dim, -1)
-
-
-def accumulate_frame(total: np.ndarray, unitaries: Sequence[np.ndarray]) -> None:
-    """Add sum_mk vec(A_mk) vec(A_mk)† over the settings' (D, D) unitaries
-    to ``total`` in place, one GEMM per block of FRAME_BLOCK settings."""
-    for start in range(0, len(unitaries), FRAME_BLOCK):
-        columns = povm_operator_columns(unitaries[start:start + FRAME_BLOCK])
-        total += columns @ columns.conj().T
 
 
 @dataclass(eq=False)
@@ -81,26 +76,8 @@ class FrameOperator:
 
     @classmethod
     def from_povms(cls, povms: Sequence[RankOnePovm], shots: int = 1) -> "FrameOperator":
-        """Frame of the given settings; ``shots`` > 1 switches to the
-        effective single-shot view where each POVM counts shots times.
-
-        Probing each of M settings L times is equivalent to M*L
-        single-shot settings with duplicated POVMs; the entries are
-        unchanged (the duplication cancels in the average) but the
-        setting count becomes M*L, which is what the ridge shift mu/M
-        divides by. This keeps multishot records and their expanded
-        one-hot form producing identical RLS shadows.
-        """
-        if len(povms) == 0:
-            raise ValueError("frame operator needs at least one POVM")
-        if shots < 1:
-            raise ValueError(f"shot count must be >= 1, got {shots}")
-        dim = povms[0].dim
-        if any(povm.dim != dim for povm in povms):
-            raise ValueError(f"dim-mismatch: POVM dims differ from {dim}")
-        accumulator = np.zeros((dim * dim, dim * dim), dtype=complex)
-        accumulate_frame(accumulator, [povm.unitary for povm in povms])
-        return cls(hermitize(accumulator / len(povms)), dim, len(povms) * shots)
+        """Frame of the given settings, each probed ``shots`` times."""
+        return FramePrefix([povm.unitary for povm in povms], shots).frame(len(povms))
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eigenvalues is None:
@@ -108,14 +85,17 @@ class FrameOperator:
         return self._eigenvalues, self._eigenvectors
 
     def pinv_apply(self, vector: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-        """Apply the pseudoinverse, discarding eigenvalues <= rcond * max."""
+        """Apply the pseudoinverse to one vector or a (D^2, R) stack of them,
+        discarding eigenvalues <= rcond * max."""
         eigenvalues, eigenvectors = self.eigensystem()
         largest = eigenvalues[-1]
         if largest <= 0.0:
             raise ValueError("frame operator is identically zero")
         keep = eigenvalues > rcond * largest
         basis = eigenvectors[:, keep]
-        return basis @ ((basis.conj().T @ vector) / eigenvalues[keep])
+        # The transposes divide each column of a stack by the eigenvalues
+        # and leave a single vector's arithmetic as it is.
+        return basis @ ((basis.conj().T @ vector).T / eigenvalues[keep]).T
 
     def ridge_apply(self, vector: np.ndarray, mu: float) -> np.ndarray:
         """Solve ((1/M)(A†A + mu I)) x = vector for one right-hand side or
@@ -133,6 +113,57 @@ class FrameOperator:
         if eigenvalues[0] <= DEFAULT_RCOND * max(eigenvalues[-1], 0.0):
             raise ValueError("singular-frame: mu = 0 requires an invertible frame operator")
         return (eigenvectors / eigenvalues) @ (eigenvectors.conj().T @ vector)
+
+
+class FramePrefix:
+    """Frames of growing prefixes of one sequence of settings.
+
+    This is where every frame is built. Settings enter the running sum
+    only when a frame first needs them, one GEMM per block of
+    FRAME_BLOCK settings, and each frame is that sum divided by M.
+    """
+
+    def __init__(self, unitaries: Sequence[np.ndarray], shots: int = 1):
+        if len(unitaries) == 0:
+            raise ValueError("frame operator needs at least one POVM")
+        if shots < 1:
+            raise ValueError(f"shot count must be >= 1, got {shots}")
+        self.dim = len(unitaries[0])
+        if any(len(unitary) != self.dim for unitary in unitaries):
+            raise ValueError(f"dim-mismatch: POVM dims differ from {self.dim}")
+        self.unitaries = unitaries
+        self.shots = shots
+        self._sum: np.ndarray | None = None
+        self._count = 0
+        self._frame: FrameOperator | None = None
+
+    def frame(self, settings: int) -> FrameOperator:
+        """Frame of the first ``settings`` settings; calls must not go back."""
+        if not self._count <= settings <= len(self.unitaries):
+            raise ValueError(
+                f"frame prefix of {settings} settings after {self._count} "
+                f"of {len(self.unitaries)}"
+            )
+        if self._count != settings:
+            if self._sum is None:
+                self._sum = np.zeros((self.dim**2, self.dim**2), dtype=complex)
+            for start in range(self._count, settings, FRAME_BLOCK):
+                block = self.unitaries[start:min(start + FRAME_BLOCK, settings)]
+                columns = povm_operator_columns(block)
+                self._sum += columns @ columns.conj().T
+            # Free the last block's columns, which can outgrow the frame,
+            # before the frame below makes its frame-sized temporaries.
+            del columns
+            self._count = settings
+            # Probing each of M settings L times is equivalent to M*L
+            # single-shot settings with duplicated POVMs: the entries are
+            # unchanged, but the ridge shift mu/M divides by M*L. This keeps
+            # multishot records and their expanded one-hot form producing
+            # identical RLS shadows.
+            self._frame = FrameOperator(
+                hermitize(self._sum / settings), self.dim, settings * self.shots
+            )
+        return self._frame
 
 
 def gram_ridge_solve(
@@ -156,11 +187,6 @@ def gram_ridge_solve(
     gram = np.abs(rows @ rows.conj().T) ** 2
     weights = np.linalg.solve(gram + (mu / shots) * np.eye(len(rows)), phat)
     return hermitize((rows.conj().T * weights) @ rows)
-
-
-def build_frame_operator(povms: Sequence[RankOnePovm]) -> FrameOperator:
-    """Assemble (1/M) sum_mk vec(A_mk) vec(A_mk)† for the given settings."""
-    return FrameOperator.from_povms(povms)
 
 
 @dataclass(frozen=True)
@@ -207,22 +233,6 @@ class ShadowSet:
             raise ValueError("shadow set average disagrees with the shadow mean")
 
 
-def ls_shadow(
-    frame: FrameOperator, partial: np.ndarray, rcond: float = DEFAULT_RCOND
-) -> ShadowEstimate:
-    """Minimum-norm shadow ((1/M) A†A)^+ applied to one adjoint A_m†(p̂_m)."""
-    partial = as_matrix(partial)
-    solution = frame.pinv_apply(vec(partial), rcond=rcond)
-    return ShadowEstimate(hermitize(unvec(solution, frame.dim)), "LS")
-
-
-def rls_shadow(frame: FrameOperator, mu: float, partial: np.ndarray) -> ShadowEstimate:
-    """Ridge shadow ((1/M)(A†A + mu I))^-1 applied to one adjoint."""
-    partial = as_matrix(partial)
-    solution = frame.ridge_apply(vec(partial), mu)
-    return ShadowEstimate(hermitize(unvec(solution, frame.dim)), "RLS")
-
-
 def cs_channel_apply(op) -> np.ndarray:
     """The global-Haar measurement channel X -> (X + tr(X) I) / (D + 1)."""
     matrix = as_matrix(op)
@@ -237,23 +247,88 @@ def cs_channel_inverse(op) -> np.ndarray:
     return (dim + 1) * matrix - matrix.trace() * np.eye(dim)
 
 
-def cs_shadow(record: MeasurementRecord) -> ShadowEstimate:
-    """Classical shadow (D + 1) A†(p̂) - I of one record.
+def shadow_map(
+    method: ShadowMethod,
+    adjoint: np.ndarray,
+    frame: FrameOperator | Callable[[], FrameOperator] | None = None,
+):
+    """The shadow of one adjoint A†(p̂), or a tuple of shadows of each
+    adjoint in an (R, D, D) stack.
 
-    Uses tr(A†(p̂)) = sum(p̂) = 1 so the identity term is exact; for a
-    single shot this equals the rank-1 outer-product form
+    LS applies the frame's pseudoinverse and RLS its ridge inverse, one
+    solve for the whole stack; ``frame`` may be a callable that builds
+    the frame, which only they call. CS applies the closed-form inverse
+    channel as (D + 1) X - I, which uses tr(A†(p̂)) = sum(p̂) = 1 and
+    needs no frame; for a single shot it equals the rank-1 form
     (D + 1)(U† p̂)(U† p̂)† - I.
     """
-    partial = adjoint_map(record.povm, record.frequencies)
-    dim = record.dim
-    return ShadowEstimate((dim + 1) * partial - np.eye(dim), "CS")
+    adjoint = np.asarray(adjoint)
+    dim = adjoint.shape[-1]
+    name = type(method).__name__
+    if isinstance(method, CS):
+        matrices = (dim + 1) * adjoint - np.eye(dim)
+        traces = np.trace(matrices, axis1=-2, axis2=-1).real
+        if np.abs(traces - 1.0).max() > 1e-10:
+            raise RuntimeError("CS estimate trace deviates from 1 beyond 1e-10")
+    else:
+        if callable(frame):
+            frame = frame()
+        if frame is None:
+            raise ValueError(f"{name} shadows need the frame operator")
+        # Stacked adjoints become the columns of one (D^2, R) right-hand side.
+        columns = np.moveaxis(vec(adjoint), -1, 0)
+        if isinstance(method, LS):
+            solution = frame.pinv_apply(columns, rcond=method.rcond)
+        elif isinstance(method, RLS):
+            solution = frame.ridge_apply(columns, method.mu)
+        else:
+            raise TypeError(f"unknown shadow method {name}")
+        matrices = hermitize(unvec(np.moveaxis(solution, 0, -1), dim))
+    if matrices.ndim == 2:
+        return ShadowEstimate(matrices, name)
+    return tuple(ShadowEstimate(matrix, name) for matrix in matrices)
+
+
+def solve_route(method: ShadowMethod, settings: int, dim: int) -> str:
+    """How the average estimate of ``settings`` settings is solved.
+
+    "channel" for CS, whose inverse is closed-form; "gram" for RLS below
+    interpolation (M < D, i.e. M*D < D^2), solved in the M*D-dimensional
+    Gram space; "frame" otherwise, where the D^2 x D^2 frame is formed.
+    """
+    if isinstance(method, CS):
+        return "channel"
+    if isinstance(method, RLS) and settings < dim:
+        return "gram"
+    return "frame"
+
+
+def average_estimate(
+    method: ShadowMethod,
+    records: Sequence[MeasurementRecord],
+    mean_adjoint: np.ndarray,
+    frames: Callable[[], FramePrefix],
+) -> ShadowEstimate:
+    """Mean shadow of ``records``, the first settings of ``frames()``.
+
+    By linearity it is the shadow map of the records' mean adjoint; RLS
+    below interpolation takes the equivalent Gram solve instead.
+    ``frames`` is called only where the frame is formed.
+    """
+    settings = len(records)
+    if solve_route(method, settings, records[0].dim) == "gram":
+        unitaries = [record.povm.unitary for record in records]
+        frequencies = [record.frequencies for record in records]
+        matrix = gram_ridge_solve(unitaries, frequencies, method.mu, records[0].shots)
+        return ShadowEstimate(matrix, "RLS")
+    return shadow_map(method, mean_adjoint, lambda: frames().frame(settings))
 
 
 def estimate(records: Sequence[MeasurementRecord], method: ShadowMethod) -> ShadowSet:
     """Per-record shadows of the chosen method plus their average.
 
     LS/RLS build one frame operator from exactly these records' POVMs
-    and reuse its single factorization for every record's solve.
+    and solve every record against it at once.
     """
     if len(records) == 0:
         raise ValueError("estimate needs at least one measurement record")
@@ -264,27 +339,8 @@ def estimate(records: Sequence[MeasurementRecord], method: ShadowMethod) -> Shad
     if any(record.shots != shots for record in records):
         raise ValueError("records must share one shot count")
 
-    if isinstance(method, CS):
-        shadows = [cs_shadow(record) for record in records]
-    else:
-        frame = FrameOperator.from_povms([record.povm for record in records], shots=shots)
-        partials = [adjoint_map(record.povm, record.frequencies) for record in records]
-        if isinstance(method, LS):
-            shadows = [ls_shadow(frame, partial, rcond=method.rcond) for partial in partials]
-        elif isinstance(method, RLS):
-            # One solve for all records' right-hand sides at once.
-            columns = np.stack([vec(partial) for partial in partials], axis=1)
-            solutions = frame.ridge_apply(columns, method.mu)
-            shadows = [
-                ShadowEstimate(hermitize(unvec(column, dim)), "RLS") for column in solutions.T
-            ]
-        else:
-            raise TypeError(f"unknown shadow method {type(method).__name__}")
-
+    adjoints = np.stack([adjoint_map(record.povm, record.frequencies) for record in records])
+    povms = [record.povm for record in records]
+    shadows = shadow_map(method, adjoints, lambda: FrameOperator.from_povms(povms, shots=shots))
     mean = hermitize(np.mean([shadow.matrix for shadow in shadows], axis=0))
-    average = ShadowEstimate(mean, shadows[0].method)
-    if isinstance(method, LS):
-        # Trace 1 is only guaranteed when p̂ lies in the frame's range
-        # space; elsewhere we just log what came out.
-        logger.debug("LS average trace: %.12f", average.trace)
-    return ShadowSet(tuple(shadows), average)
+    return ShadowSet(shadows, ShadowEstimate(mean, shadows[0].method))

@@ -14,6 +14,7 @@ any worker count and rows are merged in deterministic order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +29,6 @@ from .core import (
     eigenvalue_split,
     expectation,
     frobenius_error,
-    hermitize,
     log_likelihood,
     project_physical,
 )
@@ -39,7 +39,7 @@ from .ensembles import (
     RngStream,
     sample_sphere_vector,
 )
-from .estimators import FrameOperator, accumulate_frame, gram_ridge_solve, unvec, vec
+from .estimators import CS, LS, RLS, FramePrefix, ShadowMethod, average_estimate, solve_route
 from .measurement import (
     MeasurementPlan,
     MeasurementRecord,
@@ -60,9 +60,11 @@ SCENARIO_KINDS = (
     "theorem1",
 )
 
-# Scenarios at more qubits than this need an explicit opt-in: the dense
-# frame operator is a D^2 x D^2 complex matrix (4 GiB at n = 8).
-MAX_QUBITS_WITHOUT_FORCE = 7
+# A scenario needs an explicit opt-in when some grid point solves a dense
+# system of larger order than the frame operator at 7 qubits: the frame
+# is D^2 x D^2 and complex (64 GiB at n = 8), and the Gram route's
+# system is M*D x M*D.
+MAX_ORDER_WITHOUT_FORCE = 4**7
 
 AGGREGATE_TRIAL = -1  # trial index marking rows aggregated over all trials
 
@@ -241,12 +243,6 @@ def canonical_state_and_observables(
     return state, observables
 
 
-@dataclass(frozen=True)
-class _MethodSpec:
-    name: str  # "LS" | "RLS" | "CS"
-    mu: float = 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class _Context:
     """Read-only per-scenario inputs shared by all trials."""
@@ -255,7 +251,7 @@ class _Context:
     state: DensityMatrix
     observables: tuple[Observable, ...]
     truths: tuple[float, ...]
-    methods: tuple[_MethodSpec, ...]
+    methods: tuple[ShadowMethod, ...]
     lambda_indices: tuple[int, ...] = ()
     emit_frobenius: bool = False
     emit_eigsplit: bool = False
@@ -266,14 +262,14 @@ class _Context:
     random_truths: np.ndarray | None = None
 
 
-def _methods_for(scenario: Scenario) -> tuple[_MethodSpec, ...]:
+def _methods_for(scenario: Scenario) -> tuple[ShadowMethod, ...]:
     if scenario.kind == "double-descent":
-        return (_MethodSpec("LS"),)
+        return (LS(),)
     if scenario.kind == "mu-sweep":
-        return tuple(_MethodSpec("RLS", mu) for mu in scenario.mu_grid)
+        return tuple(RLS(mu) for mu in scenario.mu_grid)
     if scenario.kind == "theorem1":
-        return (_MethodSpec("CS"),)
-    return (_MethodSpec("RLS", scenario.mu_grid[0]), _MethodSpec("CS"))
+        return (CS(),)
+    return (RLS(scenario.mu_grid[0]), CS())
 
 
 def _build_context(scenario: Scenario) -> _Context:
@@ -344,87 +340,13 @@ def _shot_plan(scenario: Scenario) -> list[tuple[int, tuple[int, ...]]]:
     return [(scenario.l_grid[0], tuple(sorted(set(scenario.m_grid))))]
 
 
-def _check_estimate(matrix: np.ndarray, method: str) -> None:
-    # In-process sanity assertions; never emitted as rows.
-    if method == "CS":
-        trace = matrix.trace().real
-        if abs(trace - 1.0) > 1e-10:
-            raise RuntimeError(f"CS estimate trace {trace} deviates from 1 beyond 1e-10")
-    defect = np.abs(matrix - matrix.conj().T).max()
-    if defect > 1e-10:
-        raise RuntimeError(f"{method} estimate is not Hermitian within 1e-10")
-
-
-class _FramePrefix:
-    """Frames of growing prefixes of one trial's records.
-
-    Settings enter the running frame sum only when a grid point first
-    needs the frame, one GEMM per block of settings.
-    """
-
-    def __init__(self, records: Sequence[MeasurementRecord]):
-        self.records = records
-        self._sum: np.ndarray | None = None
-        self._count = 0
-        self._frame: FrameOperator | None = None
-
-    def frame(self, settings: int) -> FrameOperator:
-        """Frame of the first ``settings`` records; calls must not go back."""
-        if self._count != settings:
-            dim = self.records[0].dim
-            if self._sum is None:
-                self._sum = np.zeros((dim * dim, dim * dim), dtype=complex)
-            added = self.records[self._count:settings]
-            accumulate_frame(self._sum, [record.povm.unitary for record in added])
-            self._count = settings
-            # Effective single-shot setting count M * L, so the ridge
-            # shift matches the expanded one-hot view of the records.
-            self._frame = FrameOperator(
-                hermitize(self._sum / settings), dim, settings * self.records[0].shots
-            )
-        return self._frame
-
-
-def _average_estimate(
-    spec: _MethodSpec,
-    partial_mean: np.ndarray,
-    records: Sequence[MeasurementRecord],
-    prefix: _FramePrefix | None,
-) -> np.ndarray:
-    """Average over shadows, using linearity of the shadow map: the mean
-    shadow equals the shadow operation applied to the mean adjoint.
-
-    RLS below interpolation (M*D < D^2, i.e. M < D) is solved in the
-    M*D-dimensional Gram space and never forms the D^2 x D^2 frame."""
-    dim = partial_mean.shape[0]
-    settings = len(records)
-    if spec.name == "CS":
-        estimate = (dim + 1) * partial_mean - np.eye(dim)
-    elif spec.name == "RLS" and settings < dim:
-        estimate = gram_ridge_solve(
-            [record.povm.unitary for record in records],
-            [record.frequencies for record in records],
-            spec.mu,
-            records[0].shots,
-        )
-    elif spec.name == "LS":
-        estimate = hermitize(unvec(prefix.frame(settings).pinv_apply(vec(partial_mean)), dim))
-    elif spec.name == "RLS":
-        solution = prefix.frame(settings).ridge_apply(vec(partial_mean), spec.mu)
-        estimate = hermitize(unvec(solution, dim))
-    else:
-        raise ValueError(f"unknown method {spec.name!r}")
-    _check_estimate(estimate, spec.name)
-    return estimate
-
-
 def _metric_rows(
     ctx: _Context,
     trial: int,
     settings: int,
     shots: int,
     eta: float,
-    spec: _MethodSpec,
+    method: ShadowMethod,
     estimate_matrix: np.ndarray,
     records: Sequence[MeasurementRecord],
 ) -> list[ResultRow]:
@@ -434,9 +356,9 @@ def _metric_rows(
         trial=trial,
         settings=settings,
         shots=shots,
-        mu=spec.mu if spec.name == "RLS" else 0.0,
+        mu=getattr(method, "mu", 0.0),
         eta=eta,
-        method=spec.name,
+        method=type(method).__name__,
     )
     rows = []
     if ctx.emit_frobenius:
@@ -475,7 +397,6 @@ def _run_trial(
 ) -> list[ResultRow]:
     sc = ctx.scenario
     dim = sc.dim
-    needs_frame = any(spec.name in ("LS", "RLS") for spec in ctx.methods)
     rows: list[ResultRow] = []
 
     for eta in sc.eta_grid if sc.kind == "mismatch" else (0.0,):
@@ -489,7 +410,10 @@ def _run_trial(
                 records = run_plan(ctx.state, plan, RngStream(sc.seed, (trial, 0)))
 
             grid_set = set(settings_grid)
-            prefix = _FramePrefix(records) if needs_frame else None
+            # Made on first use, so trials that form no frame never build one.
+            frames = functools.cache(
+                lambda: FramePrefix([record.povm.unitary for record in records], shots)
+            )
             partial_sum = np.zeros((dim, dim), dtype=complex)
             for index, record in enumerate(records, start=1):
                 partial_sum += adjoint_map(record.povm, record.frequencies)
@@ -497,11 +421,11 @@ def _run_trial(
                     continue
                 partial_mean = partial_sum / index
                 measured = records[:index]
-                for spec in ctx.methods:
-                    estimate_matrix = _average_estimate(spec, partial_mean, measured, prefix)
+                for method in ctx.methods:
+                    average = average_estimate(method, measured, partial_mean, frames)
                     rows.extend(
                         _metric_rows(
-                            ctx, trial, index, shots, eta, spec, estimate_matrix, measured
+                            ctx, trial, index, shots, eta, method, average.matrix, measured
                         )
                     )
     return rows
@@ -578,6 +502,20 @@ def _aggregate_rows(ctx: _Context, rows: list[ResultRow]) -> list[ResultRow]:
     return aggregated
 
 
+def _largest_system(scenario: Scenario) -> int:
+    """Order of the largest linear system any grid point's average solves:
+    M*D on the Gram route, D^2 where the frame is formed, none for CS."""
+    dim = scenario.dim
+    return max(
+        {"channel": 0, "gram": settings * dim, "frame": dim * dim}[
+            solve_route(method, settings, dim)
+        ]
+        for method in _methods_for(scenario)
+        for _, settings_grid in _shot_plan(scenario)
+        for settings in settings_grid
+    )
+
+
 def run_scenario(
     scenario: Scenario,
     *,
@@ -595,11 +533,11 @@ def run_scenario(
     scenario.validate()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if scenario.qubits > MAX_QUBITS_WITHOUT_FORCE and not force:
+    order = _largest_system(scenario)
+    if order > MAX_ORDER_WITHOUT_FORCE and not force:
         raise ValueError(
-            f"resource-guard: {scenario.qubits} qubits needs a "
-            f"{scenario.dim**2}x{scenario.dim**2} frame operator; pass force=True "
-            f"(--force) to accept the memory cost"
+            f"resource-guard: {scenario.qubits} qubits needs a dense {order}x{order} "
+            f"linear system; pass force=True (--force) to accept the memory cost"
         )
     ctx = _build_context(scenario)
 

@@ -8,13 +8,20 @@ A†(p̂) = sum_k p̂_k A_k that every estimator consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .core import DensityMatrix, RankOnePovm, born_probabilities, hermitize
-from .ensembles import EnsembleSpec, RngLike, RngStream, as_generator, sample_unitary
+from .ensembles import (
+    BlockReader,
+    EnsembleSpec,
+    RngLike,
+    RngStream,
+    as_generator,
+    sample_unitary,
+    unitary_lines,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +86,6 @@ def sample_counts(probabilities: np.ndarray, shots: int, rng: RngLike) -> np.nda
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-10")
     return as_generator(rng).multinomial(shots, probabilities / total)
-
-
-def empirical_frequencies(record: MeasurementRecord) -> np.ndarray:
-    """Observed frequencies p̂_k = f_k / L."""
-    return record.frequencies
 
 
 def adjoint_map(povm: RankOnePovm, phat: np.ndarray) -> np.ndarray:
@@ -157,28 +159,16 @@ def dump_records(records: Sequence[MeasurementRecord], path, seed: int = 0) -> N
         for record in records:
             if record.dim != dim or record.shots != shots:
                 raise ValueError("records must share one dimension and shot count")
-            for row in record.povm.unitary:
-                handle.write(
-                    " ".join(f"{value.real:.17g} {value.imag:.17g}" for value in row) + "\n"
-                )
+            handle.write(unitary_lines(record.povm.unitary))
             handle.write(" ".join(str(int(count)) for count in record.counts) + "\n")
 
 
 def load_records(path) -> tuple[list[MeasurementRecord], int]:
     """Read records written by :func:`dump_records`; returns (records, seed)."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    dim, count, shots, seed = (int(token) for token in lines[0].split())
+    reader = BlockReader(path)
+    dim, count, shots, seed = reader.header(4, positive=3)
     records = []
-    cursor = 1
     for _ in range(count):
-        rows = []
-        for _ in range(dim):
-            tokens = [float(token) for token in lines[cursor].split()]
-            if len(tokens) != 2 * dim:
-                raise ValueError(f"malformed unitary row at line {cursor + 1} of {path}")
-            rows.append([complex(tokens[2 * j], tokens[2 * j + 1]) for j in range(dim)])
-            cursor += 1
-        counts = np.array([int(token) for token in lines[cursor].split()], dtype=np.int64)
-        cursor += 1
-        records.append(MeasurementRecord(RankOnePovm(np.array(rows)), counts, shots))
+        povm = RankOnePovm(reader.unitary(dim))
+        records.append(MeasurementRecord(povm, reader.values(int, dim), shots))
     return records, seed

@@ -27,7 +27,7 @@ from shadowbench.ensembles import (
     sample_global_haar_batch,
     sample_sphere_vector,
 )
-from shadowbench.estimators import CS, LS, RLS, build_frame_operator, cs_shadow, estimate, ls_shadow
+from shadowbench.estimators import CS, LS, RLS, FrameOperator, estimate, shadow_map
 from shadowbench.experiments import (
     AGGREGATE_TRIAL,
     Scenario,
@@ -122,7 +122,7 @@ def test_criterion_02_cs_shadow_structure():
     state, _ = canonical_state_and_observables(5)
     records = run_plan(state, MeasurementPlan(1000, 1, GlobalHaar(dim)), RngStream(5150, (0, 0)))
     for record in records:
-        shadow = cs_shadow(record)
+        shadow = shadow_map(CS(), adjoint_map(record.povm, record.frequencies))
         assert abs(shadow.trace - 1.0) <= 1e-10
         eigenvalues = np.linalg.eigvalsh(shadow.matrix)
         assert abs(eigenvalues[-1] - dim) <= 1e-9
@@ -307,10 +307,10 @@ def test_criterion_11_oracle_equivalences():
     )
     povms = [RankOnePovm(unitary) for unitary in ensemble.unitaries]
     probabilities = [born_probabilities(povm, state) for povm in povms]
-    frame = build_frame_operator(povms)
+    frame = FrameOperator.from_povms(povms)
     average = np.mean(
         [
-            ls_shadow(frame, adjoint_map(povm, p)).matrix
+            shadow_map(LS(), adjoint_map(povm, p), frame).matrix
             for povm, p in zip(povms, probabilities)
         ],
         axis=0,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from shadowbench.core import DensityMatrix, RankOnePovm
 from shadowbench.ensembles import (
     FixedUnitaries,
     GlobalHaar,
@@ -11,16 +12,14 @@ from shadowbench.ensembles import (
     LocalHaarTensor,
     RngStream,
     load_fixed_ensemble,
-    load_unitaries,
-    povm_from_unitary,
     sample_global_haar,
     sample_global_haar_batch,
     sample_local_haar_tensor,
-    sample_setting,
     sample_sphere_vector,
     sample_unitary,
     save_unitaries,
 )
+from shadowbench.measurement import MeasurementPlan, run_plan
 from shadowbench.theory import random_observable_cdf
 
 from oracles import haar_entry_second_moment_qubit
@@ -57,9 +56,11 @@ class TestRngStream:
         assert not np.allclose(a, c)
 
     def test_substream_keys(self):
-        stream = RngStream(7).substream(3, 11)
-        assert stream.stream_id == (3, 11)
-        assert stream.seed == 7
+        # Setting m of trial t draws from the stream keyed (seed, (t, m)).
+        plan = MeasurementPlan(12, 1, GlobalHaar(4))
+        records = run_plan(DensityMatrix.maximally_mixed(4), plan, RngStream(7, (3, 0)))
+        expected = sample_global_haar(4, RngStream(7, (3, 11)))
+        assert np.array_equal(records[11].povm.unitary, expected)
 
 
 class TestGlobalHaar:
@@ -158,12 +159,20 @@ class TestHaarMixture:
         assert np.array_equal(mixed, pure)
 
     def test_component_fraction(self):
-        mixture = HaarMixture(qubits=1, eta=0.5)
-        tags = [
-            sample_setting(mixture, RngStream(13, (0, i)))[1] for i in range(10_000)
-        ]
-        fraction = np.mean([tag == "local" for tag in tags])
-        margin = 3 * np.sqrt(0.25 / len(tags))
+        # Two qubits, so the local and global branches draw different
+        # unitaries from the same generator.
+        mixture = HaarMixture(qubits=2, eta=0.5)
+        coins = []
+        for i in range(10_000):
+            replay = RngStream(13, (0, i)).generator
+            local = replay.random() < mixture.eta
+            branch = (
+                sample_local_haar_tensor(2, replay) if local else sample_global_haar(4, replay)
+            )
+            assert np.array_equal(sample_unitary(mixture, RngStream(13, (0, i))), branch)
+            coins.append(local)
+        fraction = np.mean(coins)
+        margin = 3 * np.sqrt(0.25 / len(coins))
         assert abs(fraction - 0.5) < margin
 
     def test_invalid_eta_rejected(self):
@@ -192,29 +201,28 @@ class TestFixedUnitaries:
         unitaries = [sample_global_haar(4, RngStream(15, (0, i))) for i in range(3)]
         path = tmp_path / "unitaries.txt"
         save_unitaries(unitaries, path)
-        loaded = load_unitaries(path)
-        assert len(loaded) == 3
-        for original, restored in zip(unitaries, loaded):
-            assert np.array_equal(original, restored)
         ensemble = load_fixed_ensemble(path)
+        assert len(ensemble.unitaries) == 3
+        for original, restored in zip(unitaries, ensemble.unitaries):
+            assert np.array_equal(original, restored)
         assert ensemble.dim == 4
 
 
 class TestPovmFromUnitary:
     def test_elements_resolve_identity(self):
-        povm = povm_from_unitary(sample_global_haar(4, RngStream(16)))
+        povm = RankOnePovm(sample_global_haar(4, RngStream(16)))
         total = sum(povm.element(k) for k in range(4))
         assert np.abs(total - np.eye(4)).max() < 1e-10
 
     def test_elements_are_rank_one_projectors(self):
-        povm = povm_from_unitary(sample_global_haar(4, RngStream(17)))
+        povm = RankOnePovm(sample_global_haar(4, RngStream(17)))
         for k in range(4):
             eigenvalues = np.linalg.eigvalsh(povm.element(k))
             assert abs(eigenvalues[-1] - 1.0) < 1e-10
             assert np.abs(eigenvalues[:-1]).max() < 1e-10
 
     def test_identity_unitary_gives_basis_projectors(self):
-        povm = povm_from_unitary(np.eye(3))
+        povm = RankOnePovm(np.eye(3))
         for k in range(3):
             expected = np.zeros((3, 3))
             expected[k, k] = 1.0
@@ -222,7 +230,7 @@ class TestPovmFromUnitary:
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="non-unitary"):
-            povm_from_unitary(np.full((2, 2), 0.9))
+            RankOnePovm(np.full((2, 2), 0.9))
 
 
 class TestSphereSampling:

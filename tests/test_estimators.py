@@ -12,15 +12,12 @@ from shadowbench.estimators import (
     RLS,
     FrameOperator,
     ShadowSet,
-    build_frame_operator,
     cs_channel_apply,
     cs_channel_inverse,
-    cs_shadow,
     estimate,
     gram_ridge_solve,
-    ls_shadow,
     povm_operator_columns,
-    rls_shadow,
+    shadow_map,
     unvec,
     vec,
 )
@@ -46,6 +43,10 @@ def forbid_eigh(monkeypatch):
         raise AssertionError("ridge solve with mu > 0 called eigh")
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
+
+
+def record_cs_shadow(record):
+    return shadow_map(CS(), adjoint_map(record.povm, record.frequencies))
 
 
 def haar_povms(dim, count, seed, trial=0):
@@ -76,7 +77,7 @@ class TestVectorization:
 
 class TestFrameOperator:
     def test_identity_povm_frame_by_hand(self):
-        frame = build_frame_operator([RankOnePovm(np.eye(2))])
+        frame = FrameOperator.from_povms([RankOnePovm(np.eye(2))])
         expected = np.diag([1.0, 0.0, 0.0, 1.0])
         assert np.abs(frame.entries - expected).max() < 1e-15
         eigenvalues = np.sort(np.linalg.eigvalsh(frame.entries))
@@ -84,13 +85,13 @@ class TestFrameOperator:
 
     def test_duplicate_settings_average_out(self):
         povm = RankOnePovm(sample_global_haar(4, RngStream(3)))
-        single = build_frame_operator([povm])
-        repeated = build_frame_operator([povm] * 5)
+        single = FrameOperator.from_povms([povm])
+        repeated = FrameOperator.from_povms([povm] * 5)
         assert np.abs(single.entries - repeated.entries).max() < 1e-14
 
     def test_matches_naive_construction(self):
         povms = haar_povms(4, 3, seed=4)
-        frame = build_frame_operator(povms)
+        frame = FrameOperator.from_povms(povms)
         assert np.abs(frame.entries - naive_frame_matrix(povms)).max() < 1e-13
 
     def test_stacked_columns_concatenate_per_setting_columns(self):
@@ -101,17 +102,17 @@ class TestFrameOperator:
 
     def test_blocked_accumulation_matches_naive_across_blocks(self):
         povms = haar_povms(2, 2 * FRAME_BLOCK + 5, seed=9)
-        frame = build_frame_operator(povms)
+        frame = FrameOperator.from_povms(povms)
         assert np.abs(frame.entries - naive_frame_matrix(povms)).max() < 1e-13
 
     def test_trace_equals_dimension(self):
         for dim in (2, 4, 8):
             povms = haar_povms(dim, 5, seed=dim)
-            frame = build_frame_operator(povms)
+            frame = FrameOperator.from_povms(povms)
             assert frame.entries.trace().real == pytest.approx(dim, abs=1e-8)
 
     def test_hermitian_psd(self):
-        frame = build_frame_operator(haar_povms(4, 6, seed=5))
+        frame = FrameOperator.from_povms(haar_povms(4, 6, seed=5))
         assert np.abs(frame.entries - frame.entries.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(frame.entries).min() > -1e-12
 
@@ -123,11 +124,11 @@ class TestFrameOperator:
         )
         errors = []
         for count in (100, 1_000, 10_000):
-            frame = build_frame_operator(haar_povms(dim, count, seed=6))
+            frame = FrameOperator.from_povms(haar_povms(dim, count, seed=6))
             errors.append(np.linalg.norm(frame.entries - channel_matrix))
         assert errors[0] > errors[1] > errors[2]
 
-        frame = build_frame_operator(haar_povms(dim, 10_000, seed=7))
+        frame = FrameOperator.from_povms(haar_povms(dim, 10_000, seed=7))
         # Entrywise agreement within 3 standard errors, estimated from
         # the per-setting spread.
         blocks = np.stack(
@@ -142,24 +143,24 @@ class TestFrameOperator:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            build_frame_operator([])
+            FrameOperator.from_povms([])
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dim-mismatch"):
-            build_frame_operator([RankOnePovm(np.eye(2)), RankOnePovm(np.eye(4))])
+            FrameOperator.from_povms([RankOnePovm(np.eye(2)), RankOnePovm(np.eye(4))])
 
 
 class TestLsShadow:
     def test_projector_frame_acts_as_identity(self):
-        frame = build_frame_operator([RankOnePovm(np.eye(2))])
+        frame = FrameOperator.from_povms([RankOnePovm(np.eye(2))])
         partial = np.diag([1.0, 0.0]).astype(complex)
-        shadow = ls_shadow(frame, partial)
+        shadow = shadow_map(LS(), partial, frame)
         assert shadow.method == "LS"
         assert np.abs(shadow.matrix - partial).max() < 1e-12
 
     def test_zero_partial_gives_zero(self):
-        frame = build_frame_operator(haar_povms(4, 3, seed=8))
-        shadow = ls_shadow(frame, np.zeros((4, 4)))
+        frame = FrameOperator.from_povms(haar_povms(4, 3, seed=8))
+        shadow = shadow_map(LS(), np.zeros((4, 4)), frame)
         assert np.abs(shadow.matrix).max() == 0.0
 
     def test_exact_probabilities_recover_state(self):
@@ -170,9 +171,9 @@ class TestLsShadow:
         povms = haar_povms(dim, 4, seed=9)
         probability_vectors = [born_probabilities(povm, state) for povm in povms]
 
-        frame = build_frame_operator(povms)
+        frame = FrameOperator.from_povms(povms)
         partials = [adjoint_map(povm, p) for povm, p in zip(povms, probability_vectors)]
-        average = np.mean([ls_shadow(frame, partial).matrix for partial in partials], axis=0)
+        average = np.mean([shadow.matrix for shadow in shadow_map(LS(), partials, frame)], axis=0)
 
         oracle = dense_ls_estimate(povms, probability_vectors)
         assert np.abs(average - oracle).max() < 1e-8
@@ -184,9 +185,9 @@ class TestLsShadow:
             MeasurementPlan(3, 1, GlobalHaar(4)),
             RngStream(10, (0, 0)),
         )
-        frame = build_frame_operator([record.povm for record in records])
+        frame = FrameOperator.from_povms([record.povm for record in records])
         for record in records:
-            shadow = ls_shadow(frame, adjoint_map(record.povm, record.frequencies))
+            shadow = shadow_map(LS(), adjoint_map(record.povm, record.frequencies), frame)
             assert np.abs(shadow.matrix - shadow.matrix.conj().T).max() < 1e-12
 
 
@@ -194,50 +195,46 @@ class TestRlsShadow:
     def test_zero_mu_matches_ls_on_invertible_frame(self):
         dim = 2
         povms = haar_povms(dim, 8, seed=11)
-        frame = build_frame_operator(povms)
+        frame = FrameOperator.from_povms(povms)
         partial = adjoint_map(povms[0], np.array([0.25, 0.75]))
-        assert (
-            np.abs(
-                rls_shadow(frame, 0.0, partial).matrix - ls_shadow(frame, partial).matrix
-            ).max()
-            < 1e-8
-        )
+        ridge = shadow_map(RLS(0.0), partial, frame).matrix
+        assert np.abs(ridge - shadow_map(LS(), partial, frame).matrix).max() < 1e-8
 
     def test_huge_mu_shrinks_to_zero(self):
-        frame = build_frame_operator(haar_povms(2, 4, seed=12))
+        frame = FrameOperator.from_povms(haar_povms(2, 4, seed=12))
         partial = adjoint_map(
             RankOnePovm(np.eye(2)), np.array([1.0, 0.0])
         )
-        shadow = rls_shadow(frame, 1e6, partial)
+        shadow = shadow_map(RLS(1e6), partial, frame)
         assert np.linalg.norm(shadow.matrix) < 1e-3
 
     def test_matches_dense_solver_oracle(self):
         dim = 2
         povms = haar_povms(dim, 5, seed=13)
-        frame = build_frame_operator(povms)
+        frame = FrameOperator.from_povms(povms)
         partial = adjoint_map(povms[2], np.array([0.4, 0.6]))
-        shadow = rls_shadow(frame, 0.1, partial)
+        shadow = shadow_map(RLS(0.1), partial, frame)
         oracle = dense_ridge_solve(povms, 0.1, partial)
         assert np.abs(shadow.matrix - oracle).max() < 1e-10
 
     def test_singular_frame_with_zero_mu_rejected(self):
-        frame = build_frame_operator(haar_povms(4, 1, seed=14))
+        frame = FrameOperator.from_povms(haar_povms(4, 1, seed=14))
         partial = np.eye(4) / 4
         with pytest.raises(ValueError, match="singular-frame"):
-            rls_shadow(frame, 0.0, partial)
+            shadow_map(RLS(0.0), partial, frame)
 
     def test_negative_mu_rejected(self):
-        frame = build_frame_operator(haar_povms(2, 4, seed=15))
+        frame = FrameOperator.from_povms(haar_povms(2, 4, seed=15))
         with pytest.raises(ValueError, match=">= 0"):
-            rls_shadow(frame, -0.5, np.eye(2) / 2)
+            frame.ridge_apply(vec(np.eye(2) / 2), -0.5)
 
     def test_positive_mu_needs_no_eigendecomposition(self, monkeypatch):
         povms = haar_povms(4, 6, seed=16)
-        frame = build_frame_operator(povms)
+        frame = FrameOperator.from_povms(povms)
         partial = adjoint_map(povms[1], np.array([0.1, 0.2, 0.3, 0.4]))
         oracle = dense_ridge_solve(povms, 0.1, partial)
         forbid_eigh(monkeypatch)
-        shadow = rls_shadow(frame, 0.1, partial)
+        shadow = shadow_map(RLS(0.1), partial, frame)
         assert np.abs(shadow.matrix - oracle).max() < 1e-10
 
     def test_estimate_solves_all_records_without_eigendecomposition(self, monkeypatch):
@@ -248,7 +245,7 @@ class TestRlsShadow:
         )
         frame = FrameOperator.from_povms([record.povm for record in records], shots=3)
         expected = [
-            rls_shadow(frame, 0.2, adjoint_map(record.povm, record.frequencies)).matrix
+            shadow_map(RLS(0.2), adjoint_map(record.povm, record.frequencies), frame).matrix
             for record in records
         ]
         forbid_eigh(monkeypatch)
@@ -322,7 +319,7 @@ class TestCsShadow:
         counts = np.zeros(dim, dtype=np.int64)
         counts[2] = 1
         record = MeasurementRecord(RankOnePovm(np.eye(dim)), counts, 1)
-        shadow = cs_shadow(record)
+        shadow = record_cs_shadow(record)
         expected = -np.eye(dim).astype(complex)
         expected[2, 2] = dim
         assert np.abs(shadow.matrix - expected).max() < 1e-12
@@ -337,7 +334,7 @@ class TestCsShadow:
             RngStream(18, (0, 0)),
         )
         for record in records:
-            assert abs(cs_shadow(record).trace - 1.0) < 1e-10
+            assert abs(record_cs_shadow(record).trace - 1.0) < 1e-10
 
     def test_single_shot_outer_product_form(self):
         records = run_plan(
@@ -348,7 +345,11 @@ class TestCsShadow:
         for record in records:
             vector = record.povm.unitary.conj().T @ record.frequencies
             outer_form = 9 * np.outer(vector, vector.conj()) - np.eye(8)
-            assert np.abs(cs_shadow(record).matrix - outer_form).max() < 1e-12
+            assert np.abs(record_cs_shadow(record).matrix - outer_form).max() < 1e-12
+
+    def test_adjoint_without_unit_trace_rejected(self):
+        with pytest.raises(RuntimeError, match="trace"):
+            shadow_map(CS(), np.eye(2))
 
     def test_unbiasedness_monte_carlo(self):
         dim, count = 2, 100_000
@@ -356,7 +357,7 @@ class TestCsShadow:
         records = run_plan(
             state, MeasurementPlan(count, 1, GlobalHaar(dim)), RngStream(20, (0, 0))
         )
-        shadows = np.stack([cs_shadow(record).matrix for record in records])
+        shadows = np.stack([record_cs_shadow(record).matrix for record in records])
         mean = shadows.mean(axis=0)
         spread_re = shadows.real.std(axis=0, ddof=1) / np.sqrt(count)
         spread_im = shadows.imag.std(axis=0, ddof=1) / np.sqrt(count)
@@ -435,8 +436,8 @@ class TestEstimate:
 
     def test_shadow_set_average_consistency_enforced(self):
         record = MeasurementRecord(RankOnePovm(np.eye(2)), [1, 0], 1)
-        shadow = cs_shadow(record)
-        wrong = cs_shadow(
+        shadow = record_cs_shadow(record)
+        wrong = record_cs_shadow(
             MeasurementRecord(RankOnePovm(np.eye(2)), [0, 1], 1)
         )
         with pytest.raises(ValueError, match="average"):

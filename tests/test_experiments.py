@@ -1,6 +1,7 @@
 """Tests for scenario execution, CSV emission, and the CLI."""
 
 import filecmp
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,19 +12,17 @@ import numpy as np
 import pytest
 
 import shadowbench
-from shadowbench import experiments
+from shadowbench import estimators
 from shadowbench.cli import main
 from shadowbench.core import DensityMatrix, expectation
 from shadowbench.ensembles import GlobalHaar, RngStream
-from shadowbench.estimators import RLS, estimate
+from shadowbench.estimators import CS, LS, RLS, FramePrefix, average_estimate, estimate
 from shadowbench.experiments import (
     AGGREGATE_TRIAL,
     CSV_HEADER,
+    SCENARIO_KINDS,
     ResultRow,
     Scenario,
-    _average_estimate,
-    _MethodSpec,
-    _FramePrefix,
     canonical_state_and_observables,
     default_scenario,
     emit_csv,
@@ -106,7 +105,7 @@ class TestScenarioValidation:
 
     def test_resource_guard(self):
         with pytest.raises(ValueError, match="resource-guard"):
-            run_scenario(tiny_scenario("rls-vs-cs", qubits=8))
+            run_scenario(tiny_scenario("double-descent", qubits=8))
 
     def test_config_round_trip(self):
         scenario = default_scenario("mismatch")
@@ -321,10 +320,32 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     def test_resource_guard_exits_two_without_force(self, tmp_path, capsys):
-        code = main(["rls-vs-cs", "--qubits", "9", "--trials", "1",
+        code = main(["double-descent", "--qubits", "9", "--trials", "1",
                      "--m-grid", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "resource-guard" in capsys.readouterr().err
+
+    def test_resource_guard_only_where_the_frame_is_formed(self, tmp_path, capsys):
+        # At 8 qubits (D = 256) RLS below M = D and CS form no frame, so
+        # no --force is needed; RLS at M = D forms it. The Gram system of
+        # RLS at M = 128 has order 32768, above the 7-qubit frame's 16384.
+        args = ["rls-vs-cs", "--qubits", "8", "--trials", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(args + ["--m-grid", "2"]) == 0
+        for grid in ("2,256", "128"):
+            capsys.readouterr()
+            assert main(args + ["--m-grid", grid]) == 2
+            assert "resource-guard" in capsys.readouterr().err
+
+    def test_truncated_record_file_exits_two(self, tmp_path, capsys):
+        args = ["rls-vs-cs", "--qubits", "2", "--trials", "1", "--m-grid", "2",
+                "--out", str(tmp_path / "x.csv")]
+        records = tmp_path / "records.txt"
+        assert main(args + ["--dump-records", str(records)]) == 0
+        lines = records.read_text().splitlines(keepends=True)
+        records.write_text("".join(lines[:-1]))
+        capsys.readouterr()
+        assert main(args + ["--load-records", str(records)]) == 2
+        assert "records.txt, line" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, field",
@@ -396,10 +417,11 @@ class TestCli:
 
 
 class TestRlsRoutes:
+    @pytest.mark.parametrize("method", [RLS(0.1), LS(), CS()], ids=["RLS", "LS", "CS"])
     @pytest.mark.parametrize("qubits", [2, 3])
     @pytest.mark.parametrize("shots", [1, 4])
     def test_kernel_matches_per_record_estimate_across_route_switch(
-        self, monkeypatch, qubits, shots
+        self, monkeypatch, qubits, shots, method
     ):
         dim = 2**qubits
         records = run_plan(
@@ -407,26 +429,57 @@ class TestRlsRoutes:
             MeasurementPlan(dim, shots, GlobalHaar(dim)),
             RngStream(41, (0, 0)),
         )
+        # estimate() builds its frame from the same columns, so its
+        # references are taken before the columns are counted.
+        references = [
+            estimate(records[:settings], method).average.matrix for settings in (dim - 1, dim)
+        ]
         frame_blocks = []
-        accumulate = experiments.accumulate_frame
+        columns = estimators.povm_operator_columns
 
-        def counted(total, unitaries):
+        def counted(unitaries):
             frame_blocks.append(len(unitaries))
-            accumulate(total, unitaries)
+            return columns(unitaries)
 
-        monkeypatch.setattr(experiments, "accumulate_frame", counted)
-        prefix = _FramePrefix(records)
-        # M = D - 1 takes the Gram route and forms no frame; M = D takes
-        # the primal route over all D settings.
-        for settings, blocks in ((dim - 1, []), (dim, [dim])):
+        monkeypatch.setattr(estimators, "povm_operator_columns", counted)
+        prefix = FramePrefix([record.povm.unitary for record in records], shots)
+        # RLS at M = D - 1 takes the Gram route and forms no frame; M = D
+        # takes the primal route over all D settings. LS forms the frame
+        # at every M and CS never does.
+        expected_blocks = {
+            "RLS": ([], [dim]),
+            "LS": ([dim - 1], [dim - 1, 1]),
+            "CS": ([], []),
+        }[type(method).__name__]
+        for settings, blocks, reference in zip((dim - 1, dim), expected_blocks, references):
             first = records[:settings]
             partial_mean = np.mean(
                 [adjoint_map(record.povm, record.frequencies) for record in first], axis=0
             )
-            kernel = _average_estimate(_MethodSpec("RLS", 0.1), partial_mean, first, prefix)
-            reference = estimate(first, RLS(0.1)).average.matrix
+            kernel = average_estimate(method, first, partial_mean, lambda: prefix).matrix
             assert np.abs(kernel - reference).max() < 1e-10
             assert frame_blocks == blocks
+
+
+def test_tracer_layers_resolve_and_run_in_every_family():
+    # The benchmark's tracer patches its layer functions by name; entering
+    # it fails if one no longer resolves, and a layer no family calls
+    # would read zero in every traced run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer() as tracer:
+        for kind in SCENARIO_KINDS:
+            overrides = dict(trials=2, ensemble_samples=50, random_observables=5)
+            if kind == "multishot":
+                overrides.update(m_grid=(8,), l_grid=(1, 2))
+            if kind == "mismatch":
+                overrides.update(eta_grid=(0.0, 0.5))
+            rows = shadowbench.run_scenario(tiny_scenario(kind, **overrides))
+            shadowbench.emit_csv(rows, os.devnull)
+    called = {name for _, _, name, _, _ in tracer.spans}
+    assert called == set(tracing.LAYER_NAMES)
 
 
 def test_package_does_not_import_scipy(tmp_path):

@@ -1,16 +1,27 @@
 """Tests for shot sampling, records, and the adjoint map."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowbench.core import DensityMatrix, RankOnePovm, born_probabilities
-from shadowbench.ensembles import FixedUnitaries, GlobalHaar, RngStream, sample_global_haar
+from shadowbench.ensembles import (
+    FixedUnitaries,
+    GlobalHaar,
+    RngStream,
+    load_fixed_ensemble,
+    sample_global_haar,
+    save_unitaries,
+)
 from shadowbench.measurement import (
     MeasurementPlan,
     MeasurementRecord,
     adjoint_map,
     dump_records,
-    empirical_frequencies,
     expand_to_single_shot,
     load_records,
     run_plan,
@@ -57,12 +68,12 @@ class TestRecords:
 
     def test_frequencies(self):
         record = MeasurementRecord(RankOnePovm(np.eye(2)), [3, 1], 4)
-        assert np.array_equal(empirical_frequencies(record), [0.75, 0.25])
-        assert empirical_frequencies(record).sum() == 1.0
+        assert np.array_equal(record.frequencies, [0.75, 0.25])
+        assert record.frequencies.sum() == 1.0
 
     def test_one_hot_frequencies(self):
         record = MeasurementRecord(RankOnePovm(np.eye(3)), [0, 0, 5], 5)
-        assert np.array_equal(empirical_frequencies(record), [0, 0, 1])
+        assert np.array_equal(record.frequencies, [0, 0, 1])
 
 
 class TestAdjointMap:
@@ -214,3 +225,44 @@ class TestRecordSerialization:
     def test_empty_dump_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             dump_records([], tmp_path / "nothing.txt")
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        plan = MeasurementPlan(2, 1, GlobalHaar(2))
+        records = run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(18, (0, 0)))
+        path = tmp_path / "records.txt"
+        dump_records(records, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = "nan" + lines[1][lines[1].index(" "):]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 2 has a non-finite value"):
+            load_records(path)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.sampled_from(["records", "unitaries"]),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.integers(1, 5),
+        st.booleans(),
+    )
+    def test_every_proper_line_prefix_is_rejected(
+        self, kind, qubits, settings_count, shots, strip_newline
+    ):
+        dim = 2**qubits
+        plan = MeasurementPlan(settings_count, shots, GlobalHaar(dim))
+        records = run_plan(DensityMatrix.maximally_mixed(dim), plan, RngStream(17, (qubits, 0)))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "blocks.txt"
+            if kind == "records":
+                dump_records(records, path, seed=17)
+                load = load_records
+            else:
+                save_unitaries([record.povm.unitary for record in records], path)
+                load = load_fixed_ensemble
+            lines = path.read_text().splitlines(keepends=True)
+            load(path)
+            for cut in range(len(lines)):
+                prefix = "".join(lines[:cut])
+                path.write_text(prefix.rstrip("\n") if strip_newline else prefix)
+                with pytest.raises(ValueError, match="line"):
+                    load(path)
