@@ -197,7 +197,8 @@ class RankOnePovm:
         if unitary.ndim != 2 or unitary.shape[0] != unitary.shape[1]:
             raise ValueError(f"POVM unitary must be square, got {unitary.shape}")
         defect = np.abs(unitary.conj().T @ unitary - np.eye(unitary.shape[0])).max()
-        if defect > POVM_UNITARITY_ATOL:
+        # Negated so that the NaN defect of a non-finite entry fails too.
+        if not defect <= POVM_UNITARITY_ATOL:
             raise ValueError(f"non-unitary POVM matrix: |U†U - I| = {defect:.3e} > 1e-8")
         unitary.setflags(write=False)
         object.__setattr__(self, "unitary", unitary)
@@ -332,14 +333,12 @@ def log_likelihood(
     """
     if len(records) == 0:
         raise ValueError("log_likelihood needs at least one measurement record")
-    total = 0.0
-    floored = 0
-    for record in records:
-        probabilities = np.einsum(
-            "ki,ij,kj->k", record.povm.unitary, rho_phy.matrix, record.povm.unitary.conj()
-        ).real
-        observed = record.counts > 0
-        clipped = np.maximum(probabilities[observed], LIKELIHOOD_FLOOR)
-        floored += int((probabilities[observed] < LIKELIHOOD_FLOOR).sum())
-        total += float(record.counts[observed] @ np.log(clipped))
+    unitaries = np.stack([record.povm.unitary for record in records])
+    counts = np.stack([record.counts for record in records])
+    # Row k of U rho times conj(U) sums to u_k† rho u_k, for every record at once.
+    probabilities = ((unitaries @ rho_phy.matrix) * unitaries.conj()).sum(axis=-1).real
+    observed = counts > 0
+    probabilities = probabilities[observed]
+    floored = int((probabilities < LIKELIHOOD_FLOOR).sum())
+    total = float(counts[observed] @ np.log(np.maximum(probabilities, LIKELIHOOD_FLOOR)))
     return LogLikelihoodResult(total / len(records), floored)

@@ -24,36 +24,53 @@ DEFAULT_MU = 0.1
 FRAME_BLOCK = 32  # settings per frame-accumulation GEMM
 
 
+def _basis_layout(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`vec` keeps a real part (i <= j) and the scale that
+    makes its basis orthonormal: 1 on the diagonal, sqrt(2) off it."""
+    i, j = np.indices((dim, dim))
+    return i <= j, np.where(i == j, 1.0, np.sqrt(2.0))
+
+
 def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a (D, D) matrix, or of each matrix
-    in an (R, D, D) stack, so <A, B> = vec(A)† vec(B)."""
+    """Real coordinates of a Hermitian (D, D) matrix, or of each matrix in
+    an (R, D, D) stack, in an orthonormal Hermitian basis: at position
+    i*D + j, X_ii on the diagonal, sqrt(2) Re X_ij for i < j and
+    sqrt(2) Im X_ij for i > j. So tr(A B) = vec(A) @ vec(B)."""
     matrix = np.asarray(matrix)
-    return matrix.swapaxes(-1, -2).reshape(*matrix.shape[:-2], -1)
+    upper, scale = _basis_layout(matrix.shape[-1])
+    coordinates = np.where(upper, matrix.real, matrix.imag)
+    coordinates *= scale
+    return coordinates.reshape(*matrix.shape[:-2], -1)
 
 
 def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec` for one vector or an (R, D^2) stack."""
+    """The Hermitian matrix of one coordinate vector or of each row of an
+    (R, D^2) stack; inverse of :func:`vec` on Hermitian matrices."""
     vector = np.asarray(vector)
-    return vector.reshape(*vector.shape[:-1], dim, dim).swapaxes(-1, -2)
+    upper, scale = _basis_layout(dim)
+    halves = vector.reshape(*vector.shape[:-1], dim, dim) / scale
+    imaginary = np.where(upper, 0.0, halves)
+    real = np.where(upper, halves, halves.swapaxes(-1, -2))
+    return real + 1j * (imaginary - imaginary.swapaxes(-1, -2))
 
 
 def povm_operator_columns(povms) -> np.ndarray:
-    """The (D^2, m*D) matrix whose columns are vec(u_k u_k†) for every
+    """The real (D^2, m*D) matrix whose columns are vec(u_k u_k†) for every
     outcome k of every setting in ``povms``: one RankOnePovm, one (D, D)
     unitary, or an (m, D, D) stack of unitaries."""
     unitaries = np.asarray(povms.unitary if isinstance(povms, RankOnePovm) else povms)
-    dim = unitaries.shape[-1]
-    # rows[i, r] = U_{ri} over all outcome rows r; the column for row r
-    # holds conj(U_{ri}) U_{rj} at position i + D j.
-    rows = unitaries.reshape(-1, dim).T
-    return (rows[:, None, :] * rows.conj()[None, :, :]).reshape(dim * dim, -1)
+    rows = unitaries.reshape(-1, unitaries.shape[-1])
+    # Row r of U gives the element u u† with entries conj(U_ri) U_rj.
+    return vec(rows.conj()[:, :, None] * rows[:, None, :]).T
 
 
 @dataclass(eq=False)
 class FrameOperator:
-    """Dense D^2 x D^2 representation of (1/M) A†A on vectorized operators.
+    """(1/M) A†A as a real symmetric D^2 x D^2 matrix on the coordinates
+    of :func:`vec`, which is all it acts on: A maps Hermitian operators
+    to real probabilities.
 
-    Hermitian PSD with trace D for rank-1 orthonormal POVMs. The
+    PSD with trace D for rank-1 orthonormal POVMs. The
     eigendecomposition behind the pseudoinverse is computed once on
     demand and reused across records and observables; a ridge solve with
     mu > 0 needs no eigendecomposition.
@@ -64,7 +81,7 @@ class FrameOperator:
     settings: int
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.asarray(self.entries, dtype=float)
         expected = self.dim * self.dim
         if entries.shape != (expected, expected):
             raise ValueError(
@@ -81,7 +98,7 @@ class FrameOperator:
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eigenvalues is None:
-            self._eigenvalues, self._eigenvectors = np.linalg.eigh(hermitize(self.entries))
+            self._eigenvalues, self._eigenvectors = np.linalg.eigh(self.entries)
         return self._eigenvalues, self._eigenvectors
 
     def pinv_apply(self, vector: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
@@ -95,7 +112,7 @@ class FrameOperator:
         basis = eigenvectors[:, keep]
         # The transposes divide each column of a stack by the eigenvalues
         # and leave a single vector's arithmetic as it is.
-        return basis @ ((basis.conj().T @ vector).T / eigenvalues[keep]).T
+        return basis @ ((basis.T @ vector).T / eigenvalues[keep]).T
 
     def ridge_apply(self, vector: np.ndarray, mu: float) -> np.ndarray:
         """Solve ((1/M)(A†A + mu I)) x = vector for one right-hand side or
@@ -107,12 +124,13 @@ class FrameOperator:
         if mu < 0.0:
             raise ValueError(f"ridge parameter must be >= 0, got {mu}")
         if mu > 0.0:
-            order = self.entries.shape[0]
-            return np.linalg.solve(self.entries + (mu / self.settings) * np.eye(order), vector)
+            shifted = self.entries.copy()
+            shifted[np.diag_indices_from(shifted)] += mu / self.settings
+            return np.linalg.solve(shifted, vector)
         eigenvalues, eigenvectors = self.eigensystem()
         if eigenvalues[0] <= DEFAULT_RCOND * max(eigenvalues[-1], 0.0):
             raise ValueError("singular-frame: mu = 0 requires an invertible frame operator")
-        return (eigenvectors / eigenvalues) @ (eigenvectors.conj().T @ vector)
+        return (eigenvectors / eigenvalues) @ (eigenvectors.T @ vector)
 
 
 class FramePrefix:
@@ -146,11 +164,11 @@ class FramePrefix:
             )
         if self._count != settings:
             if self._sum is None:
-                self._sum = np.zeros((self.dim**2, self.dim**2), dtype=complex)
+                self._sum = np.zeros((self.dim**2, self.dim**2))
             for start in range(self._count, settings, FRAME_BLOCK):
                 block = self.unitaries[start:min(start + FRAME_BLOCK, settings)]
                 columns = povm_operator_columns(block)
-                self._sum += columns @ columns.conj().T
+                self._sum += columns @ columns.T
             # Free the last block's columns, which can outgrow the frame,
             # before the frame below makes its frame-sized temporaries.
             del columns
@@ -160,9 +178,7 @@ class FramePrefix:
             # unchanged, but the ridge shift mu/M divides by M*L. This keeps
             # multishot records and their expanded one-hot form producing
             # identical RLS shadows.
-            self._frame = FrameOperator(
-                hermitize(self._sum / settings), self.dim, settings * self.shots
-            )
+            self._frame = FrameOperator(self._sum / settings, self.dim, settings * self.shots)
         return self._frame
 
 
@@ -275,7 +291,8 @@ def shadow_map(
             frame = frame()
         if frame is None:
             raise ValueError(f"{name} shadows need the frame operator")
-        # Stacked adjoints become the columns of one (D^2, R) right-hand side.
+        # Stacked adjoints become the columns of one real (D^2, R)
+        # right-hand side; unvec makes each solution Hermitian.
         columns = np.moveaxis(vec(adjoint), -1, 0)
         if isinstance(method, LS):
             solution = frame.pinv_apply(columns, rcond=method.rcond)
@@ -283,7 +300,7 @@ def shadow_map(
             solution = frame.ridge_apply(columns, method.mu)
         else:
             raise TypeError(f"unknown shadow method {name}")
-        matrices = hermitize(unvec(np.moveaxis(solution, 0, -1), dim))
+        matrices = unvec(np.moveaxis(solution, 0, -1), dim)
     if matrices.ndim == 2:
         return ShadowEstimate(matrices, name)
     return tuple(ShadowEstimate(matrix, name) for matrix in matrices)
@@ -342,5 +359,5 @@ def estimate(records: Sequence[MeasurementRecord], method: ShadowMethod) -> Shad
     adjoints = np.stack([adjoint_map(record.povm, record.frequencies) for record in records])
     povms = [record.povm for record in records]
     shadows = shadow_map(method, adjoints, lambda: FrameOperator.from_povms(povms, shots=shots))
-    mean = hermitize(np.mean([shadow.matrix for shadow in shadows], axis=0))
+    mean = np.mean([shadow.matrix for shadow in shadows], axis=0)
     return ShadowSet(shadows, ShadowEstimate(mean, shadows[0].method))

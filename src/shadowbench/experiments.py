@@ -62,7 +62,7 @@ SCENARIO_KINDS = (
 
 # A scenario needs an explicit opt-in when some grid point solves a dense
 # system of larger order than the frame operator at 7 qubits: the frame
-# is D^2 x D^2 and complex (64 GiB at n = 8), and the Gram route's
+# is D^2 x D^2, real and symmetric (32 GiB at n = 8), and the Gram route's
 # system is M*D x M*D.
 MAX_ORDER_WITHOUT_FORCE = 4**7
 

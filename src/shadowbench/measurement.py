@@ -170,5 +170,9 @@ def load_records(path) -> tuple[list[MeasurementRecord], int]:
     records = []
     for _ in range(count):
         povm = RankOnePovm(reader.unitary(dim))
-        records.append(MeasurementRecord(povm, reader.values(int, dim), shots))
+        counts = reader.values(int, dim)
+        try:
+            records.append(MeasurementRecord(povm, counts, shots))
+        except ValueError as error:
+            raise ValueError(f"malformed file: {path}, line {reader.cursor}: {error}") from None
     return records, seed

@@ -64,24 +64,47 @@ def dense_ls_estimate(povms, probability_vectors) -> np.ndarray:
     return solution.reshape(dim, dim, order="F")
 
 
+def hermitian_basis(dim: int) -> list:
+    """Orthonormal Hermitian basis, element i*D + j: E_ii on the diagonal,
+    (E_ij + E_ji)/sqrt(2) for i < j and i (E_ij - E_ji)/sqrt(2) for i > j."""
+    basis = []
+    for i in range(dim):
+        for j in range(dim):
+            element = np.zeros((dim, dim), dtype=complex)
+            if i == j:
+                element[i, i] = 1.0
+            elif i < j:
+                element[i, j] = element[j, i] = 1.0 / np.sqrt(2.0)
+            else:
+                element[i, j] = 1j / np.sqrt(2.0)
+                element[j, i] = -1j / np.sqrt(2.0)
+            basis.append(element)
+    return basis
+
+
 def naive_frame_matrix(povms) -> np.ndarray:
-    """(1/M) sum_mk vec(A_mk) vec(A_mk)† assembled entry by entry."""
-    dim = povms[0].dim
-    frame = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for povm in povms:
-        for k in range(povm.outcomes):
-            column = povm.element(k).reshape(-1, order="F")
-            frame += np.outer(column, column.conj())
+    """F[a, b] = (1/M) sum_mk tr(B_a A_mk) tr(A_mk B_b) over the basis
+    B of :func:`hermitian_basis`, assembled entry by entry."""
+    basis = hermitian_basis(povms[0].dim)
+    elements = [povm.element(k) for povm in povms for k in range(povm.outcomes)]
+    traces = np.array(
+        [[np.trace(member @ element).real for element in elements] for member in basis]
+    )
+    frame = np.zeros((len(basis), len(basis)))
+    for a in range(len(basis)):
+        for b in range(len(basis)):
+            frame[a, b] = traces[a] @ traces[b]
     return frame / len(povms)
 
 
 def dense_ridge_solve(povms, mu: float, partial: np.ndarray) -> np.ndarray:
-    """Direct dense solve of ((1/M)(A†A + mu I)) x = vec(partial)."""
-    dim = povms[0].dim
+    """Direct dense solve of ((1/M)(A†A + mu I)) X = partial in the basis
+    of :func:`hermitian_basis`."""
+    basis = hermitian_basis(povms[0].dim)
     settings = len(povms)
-    operator = naive_frame_matrix(povms) + (mu / settings) * np.eye(dim * dim)
-    solution = np.linalg.solve(operator, partial.reshape(-1, order="F"))
-    return solution.reshape(dim, dim, order="F")
+    operator = naive_frame_matrix(povms) + (mu / settings) * np.eye(len(basis))
+    solution = np.linalg.solve(operator, [np.trace(member @ partial).real for member in basis])
+    return sum(x * member for x, member in zip(solution, basis))
 
 
 def haar_entry_second_moment_qubit() -> float:

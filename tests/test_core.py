@@ -66,6 +66,10 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="non-unitary"):
             RankOnePovm(np.array([[1.0, 0.0], [0.0, 0.5]]))
 
+    def test_povm_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="non-unitary"):
+            RankOnePovm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_stored_arrays_are_readonly(self):
         state = basis_state(2)
         with pytest.raises(ValueError):
@@ -253,6 +257,32 @@ class TestLogLikelihood:
         result = log_likelihood([record], basis_state(2, 0))
         assert result.floored_terms == 1
         assert result.value == pytest.approx(np.log(1e-12), abs=1e-9)
+
+    def test_matches_per_record_traces(self):
+        dim, shots = 4, 6
+        generator = np.random.default_rng(27)
+        state = DensityMatrix(random_density_matrix(dim, generator))
+        records = [
+            MeasurementRecord(
+                RankOnePovm(sample_global_haar(dim, RngStream(27, (0, m)))),
+                generator.multinomial(shots, np.full(dim, 1.0 / dim)),
+                shots,
+            )
+            for m in range(5)
+        ]
+        expected = np.mean(
+            [
+                sum(
+                    count * np.log(np.trace(record.povm.element(k) @ state.matrix).real)
+                    for k, count in enumerate(record.counts)
+                    if count > 0
+                )
+                for record in records
+            ]
+        )
+        result = log_likelihood(records, state)
+        assert result.value == pytest.approx(expected, rel=1e-12)
+        assert result.floored_terms == 0
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

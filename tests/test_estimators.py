@@ -32,6 +32,7 @@ from shadowbench.measurement import (
 from oracles import (
     dense_ls_estimate,
     dense_ridge_solve,
+    hermitian_basis,
     naive_frame_matrix,
     random_density_matrix,
     random_hermitian,
@@ -59,18 +60,32 @@ def haar_povms(dim, count, seed, trial=0):
 class TestVectorization:
     def test_round_trip(self):
         generator = np.random.default_rng(0)
-        matrix = generator.standard_normal((3, 3)) + 1j * generator.standard_normal((3, 3))
-        assert np.array_equal(unvec(vec(matrix), 3), matrix)
+        matrix = random_hermitian(3, generator)
+        coordinates = vec(matrix)
+        assert coordinates.dtype == np.float64 and coordinates.shape == (9,)
+        restored = unvec(coordinates, 3)
+        assert np.abs(restored - matrix).max() < 1e-15
+        assert np.array_equal(restored, restored.conj().T)
+        stack = np.stack([random_hermitian(4, generator) for _ in range(5)])
+        assert vec(stack).shape == (5, 16)
+        assert np.abs(unvec(vec(stack), 4) - stack).max() < 1e-15
 
     def test_inner_product_identity(self):
         generator = np.random.default_rng(1)
         a = random_hermitian(4, generator)
         b = random_hermitian(4, generator)
-        assert np.vdot(vec(a), vec(b)) == pytest.approx(np.trace(a.conj().T @ b))
+        assert vec(a) @ vec(b) == pytest.approx(np.trace(a @ b).real)
+        assert vec(a) @ vec(a) == pytest.approx(np.linalg.norm(a) ** 2)
+
+    def test_coordinates_match_explicit_basis(self):
+        matrix = random_hermitian(3, np.random.default_rng(4))
+        expected = [np.trace(member @ matrix).real for member in hermitian_basis(3)]
+        assert np.abs(vec(matrix) - expected).max() < 1e-15
 
     def test_operator_columns_match_naive_elements(self):
         povm = RankOnePovm(sample_global_haar(4, RngStream(2)))
         columns = povm_operator_columns(povm)
+        assert columns.dtype == np.float64 and columns.shape == (16, 4)
         for k in range(4):
             assert np.abs(columns[:, k] - vec(povm.element(k))).max() < 1e-15
 
@@ -92,6 +107,7 @@ class TestFrameOperator:
     def test_matches_naive_construction(self):
         povms = haar_povms(4, 3, seed=4)
         frame = FrameOperator.from_povms(povms)
+        assert frame.entries.dtype == np.float64
         assert np.abs(frame.entries - naive_frame_matrix(povms)).max() < 1e-13
 
     def test_stacked_columns_concatenate_per_setting_columns(self):
@@ -178,6 +194,25 @@ class TestLsShadow:
         oracle = dense_ls_estimate(povms, probability_vectors)
         assert np.abs(average - oracle).max() < 1e-8
         assert np.abs(average - state.matrix).max() < 1e-8
+
+    @pytest.mark.parametrize("qubits", [2, 3])
+    def test_matches_svd_oracle_around_interpolation(self, qubits):
+        # M = D - 1, D, D + 1 settings: the frame is singular up to M = D,
+        # so the kept subspace decides the estimate at the peak.
+        dim = 2**qubits
+        state = DensityMatrix(random_density_matrix(dim, np.random.default_rng(200 + qubits)))
+        for settings in (dim - 1, dim, dim + 1):
+            records = run_plan(
+                state, MeasurementPlan(settings, 3, GlobalHaar(dim)), RngStream(26, (qubits, 0))
+            )
+            povms = [record.povm for record in records]
+            frequencies = [record.frequencies for record in records]
+            mean_adjoint = np.mean(
+                [adjoint_map(povm, phat) for povm, phat in zip(povms, frequencies)], axis=0
+            )
+            shadow = shadow_map(LS(), mean_adjoint, FrameOperator.from_povms(povms))
+            oracle = dense_ls_estimate(povms, frequencies)
+            assert np.abs(shadow.matrix - oracle).max() < 1e-8
 
     def test_hermitian_output(self):
         records = run_plan(

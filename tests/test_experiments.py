@@ -347,6 +347,19 @@ class TestCli:
         assert main(args + ["--load-records", str(records)]) == 2
         assert "records.txt, line" in capsys.readouterr().err
 
+    def test_record_file_with_wrong_counts_sum_exits_two(self, tmp_path, capsys):
+        args = ["rls-vs-cs", "--qubits", "2", "--trials", "1", "--m-grid", "2",
+                "--out", str(tmp_path / "x.csv")]
+        records = tmp_path / "records.txt"
+        assert main(args + ["--dump-records", str(records)]) == 0
+        lines = records.read_text().splitlines(keepends=True)
+        # Header, then per record four unitary rows and one counts line.
+        lines[5] = "0 0 0 0\n"
+        records.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(args + ["--load-records", str(records)]) == 2
+        assert "records.txt, line 6: counts sum 0 != shots 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags, field",
         [
