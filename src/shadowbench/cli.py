@@ -159,9 +159,8 @@ def _validation_checks(seed: int):
     def cs_shadow_structure():
         dim = 8
         state = DensityMatrix.computational_basis_state(dim)
-        plan = MeasurementPlan(50, 1, GlobalHaar(dim))
-        for record in run_plan(state, plan, RngStream(seed, (4, 0))):
-            shadow = shadow_map(CS(), adjoint_map(record.povm, record.frequencies))
+        records = run_plan(state, MeasurementPlan(50, 1, GlobalHaar(dim)), RngStream(seed, (4, 0)))
+        for shadow in shadow_map(CS(), adjoint_map(records.unitaries, records.frequencies)):
             assert abs(shadow.trace - 1.0) < 1e-10, "CS trace != 1"
             eigenvalues = np.linalg.eigvalsh(shadow.matrix)
             assert abs(eigenvalues[-1] - dim) < 1e-9, "CS top eigenvalue != D"

@@ -14,12 +14,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .measurement import MeasurementRecord
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +40,24 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Largest entrywise deviation |X - X†|."""
     return float(np.abs(matrix - matrix.conj().T).max())
+
+
+def unitarity_defect(unitaries: np.ndarray) -> np.ndarray:
+    """Largest entrywise |U†U - I| of a unitary, or of each unitary in an
+    (M, D, D) stack; NaN for a non-finite entry."""
+    unitaries = np.asarray(unitaries)
+    product = unitaries.conj().swapaxes(-1, -2) @ unitaries
+    return np.abs(product - np.eye(unitaries.shape[-1])).max(axis=(-2, -1))
+
+
+def non_unitary_message(defect: float) -> str:
+    return f"non-unitary POVM matrix: |U†U - I| = {defect:.3e} > 1e-8"
+
+
+def unitary_array(povms) -> np.ndarray:
+    """The unitary of a RankOnePovm, or a (D, D) unitary or an (M, D, D)
+    stack of unitaries as given."""
+    return povms.unitary if isinstance(povms, RankOnePovm) else np.asarray(povms)
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:
@@ -196,10 +211,10 @@ class RankOnePovm:
         unitary = np.array(self.unitary, dtype=complex)
         if unitary.ndim != 2 or unitary.shape[0] != unitary.shape[1]:
             raise ValueError(f"POVM unitary must be square, got {unitary.shape}")
-        defect = np.abs(unitary.conj().T @ unitary - np.eye(unitary.shape[0])).max()
+        defect = unitarity_defect(unitary)
         # Negated so that the NaN defect of a non-finite entry fails too.
         if not defect <= POVM_UNITARITY_ATOL:
-            raise ValueError(f"non-unitary POVM matrix: |U†U - I| = {defect:.3e} > 1e-8")
+            raise ValueError(non_unitary_message(defect))
         unitary.setflags(write=False)
         object.__setattr__(self, "unitary", unitary)
 
@@ -220,27 +235,34 @@ class RankOnePovm:
 MatrixLike = Union[DensityMatrix, ShadowEstimate, np.ndarray]
 
 
-def born_probabilities(povm: RankOnePovm, state: DensityMatrix) -> np.ndarray:
+def _outcome_probabilities(unitaries: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Unchecked u_k† rho u_k for every row k of a unitary or of each unitary
+    in a stack: row k of U rho times conj(U) sums to it. Each setting's
+    values are the same bits whether or not it is stacked."""
+    return ((unitaries @ rho) * unitaries.conj()).sum(axis=-1).real
+
+
+def born_probabilities(povms, state: DensityMatrix) -> np.ndarray:
     """Outcome probabilities p_k = u_k† rho u_k of a rank-1 POVM.
 
-    Equals the diagonal of U rho U†. Entries are clipped to [0, 1] and the
-    vector is renormalized whenever the total drifts from 1 by more than
-    1e-12, which protects the multinomial sampler from rounding.
+    ``povms`` is a RankOnePovm or a (D, D) unitary, or an (M, D, D) stack
+    of unitaries with one row of probabilities per setting. Equals the
+    diagonal of U rho U†. Entries are clipped to [0, 1] and a row is
+    renormalized whenever its total drifts from 1 by more than 1e-12,
+    which protects the multinomial sampler from rounding.
     """
-    u = povm.unitary
+    u = unitary_array(povms)
     rho = as_matrix(state)
-    if u.shape[0] != rho.shape[0]:
-        raise ValueError(f"dim-mismatch: povm dim {u.shape[0]} != state dim {rho.shape[0]}")
-    probabilities = np.einsum("ki,ij,kj->k", u, rho, u.conj()).real
-    if probabilities.min() < -PROBABILITY_DRIFT_ATOL - 1e-10:
-        raise ValueError(
-            f"born probability {probabilities.min():.3e} is negative beyond tolerance"
-        )
+    if u.shape[-1] != rho.shape[0]:
+        raise ValueError(f"dim-mismatch: povm dim {u.shape[-1]} != state dim {rho.shape[0]}")
+    probabilities = _outcome_probabilities(u, rho)
+    lowest = probabilities.min()
+    if lowest < -PROBABILITY_DRIFT_ATOL - 1e-10:
+        raise ValueError(f"born probability {lowest:.3e} is negative beyond tolerance")
     probabilities = np.clip(probabilities, 0.0, 1.0)
-    total = probabilities.sum()
-    if abs(total - 1.0) > PROBABILITY_DRIFT_ATOL:
-        probabilities = probabilities / total
-    return probabilities
+    total = probabilities.sum(axis=-1, keepdims=True)
+    drifted = np.abs(total - 1.0) > PROBABILITY_DRIFT_ATOL
+    return np.where(drifted, probabilities / total, probabilities)
 
 
 def expectation(obs: Observable, op: MatrixLike) -> float:
@@ -280,7 +302,7 @@ def eigenvalue_split(op: MatrixLike) -> tuple[float, float]:
 def project_physical(op: MatrixLike) -> DensityMatrix:
     """Project a Hermitian estimate onto the closest physical state.
 
-    Renormalizes the trace to 1, then finds the closest (Frobenius) PSD
+    Renormalizes a positive trace to 1, then finds the closest (Frobenius) PSD
     trace-1 matrix by eigenvalue truncation: eigenvalues are sorted
     descending, the negative tail is zeroed while its deficit
     accumulates, and the accumulated deficit is spread uniformly over
@@ -290,8 +312,9 @@ def project_physical(op: MatrixLike) -> DensityMatrix:
     if hermiticity_defect(matrix) > 1e-8:
         raise ValueError("non-hermitian-input: project_physical needs a Hermitian matrix")
     trace = matrix.trace().real
-    if abs(trace - 1.0) > 0.5:
-        raise ValueError(f"trace {trace:.4f} too far from 1 for physical projection")
+    # Shrinkage such as a strong ridge scales the trace down, never to 0 or below.
+    if not (np.isfinite(trace) and trace > 0.0):
+        raise ValueError(f"trace {trace:.4g} of a physical projection's input must be positive")
     matrix = hermitize(matrix) / trace
 
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
@@ -321,24 +344,21 @@ class LogLikelihoodResult(NamedTuple):
     floored_terms: int
 
 
-def log_likelihood(
-    records: Sequence["MeasurementRecord"], rho_phy: DensityMatrix
-) -> LogLikelihoodResult:
-    """Average log-likelihood (1/M) sum_mk f_mk log tr(A_mk rho) of records.
+def log_likelihood(records, rho_phy: DensityMatrix) -> LogLikelihoodResult:
+    """Average log-likelihood (1/M) sum_mk f_mk log tr(A_mk rho) of records,
+    a RecordStack or a sequence of MeasurementRecords.
 
     Outcome probabilities are floored at 1e-12 before the log so that a
     physical state assigning (numerically) zero probability to an
     observed outcome yields a finite value; the number of floored terms
     is reported as a diagnostic.
     """
-    if len(records) == 0:
-        raise ValueError("log_likelihood needs at least one measurement record")
-    unitaries = np.stack([record.povm.unitary for record in records])
-    counts = np.stack([record.counts for record in records])
-    # Row k of U rho times conj(U) sums to u_k† rho u_k, for every record at once.
-    probabilities = ((unitaries @ rho_phy.matrix) * unitaries.conj()).sum(axis=-1).real
-    observed = counts > 0
+    from .measurement import as_record_stack  # measurement imports this module
+
+    stack = as_record_stack(records)
+    probabilities = _outcome_probabilities(stack.unitaries, rho_phy.matrix)
+    observed = stack.counts > 0
     probabilities = probabilities[observed]
     floored = int((probabilities < LIKELIHOOD_FLOOR).sum())
-    total = float(counts[observed] @ np.log(np.maximum(probabilities, LIKELIHOOD_FLOOR)))
-    return LogLikelihoodResult(total / len(records), floored)
+    total = float(stack.counts[observed] @ np.log(np.maximum(probabilities, LIKELIHOOD_FLOOR)))
+    return LogLikelihoodResult(total / len(stack), floored)

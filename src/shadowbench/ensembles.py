@@ -126,24 +126,42 @@ class FixedUnitaries:
 EnsembleSpec = Union[GlobalHaar, LocalHaarTensor, HaarMixture, FixedUnitaries]
 
 
-def sample_global_haar_batch(dim: int, count: int, rng: RngLike) -> np.ndarray:
-    """Draw ``count`` Haar-random D x D unitaries as a (count, D, D) array.
+def _ginibre(parts: np.ndarray) -> np.ndarray:
+    """Standard complex normals with real parts ``parts[0]`` and imaginary
+    parts ``parts[1]``."""
+    return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
 
-    Uses the exact Ginibre + QR construction: fill a matrix with i.i.d.
-    standard complex normals, QR-factorize, and absorb the phases of
-    R's diagonal into Q so the distribution is exactly Haar rather than
-    merely uniform over QR outputs.
+
+def haar_normals(dim: int, streams) -> np.ndarray:
+    """The Ginibre draw of one Haar unitary from each stream, stacked as a
+    (len(streams), D, D) array; each stream draws what
+    :func:`sample_global_haar` draws from it."""
+    draws = [as_generator(stream).standard_normal((2, dim, dim)) for stream in streams]
+    return _ginibre(np.stack(draws, axis=1))
+
+
+def haar_from_normals(ginibre: np.ndarray) -> np.ndarray:
+    """The Haar unitary of each matrix in a (count, D, D) Ginibre stack.
+
+    QR-factorizes the stack and absorbs the phases of R's diagonal into Q,
+    so the distribution is exactly Haar rather than merely uniform over
+    QR outputs. Each unitary has the same bits whether or not it is
+    factorized in a stack.
     """
-    if dim < 2:
-        raise ValueError(f"unitary dimension must be >= 2, got {dim}")
-    generator = as_generator(rng)
-    real = generator.standard_normal((count, dim, dim))
-    imag = generator.standard_normal((count, dim, dim))
-    ginibre = (real + 1j * imag) / np.sqrt(2.0)
     q, r = np.linalg.qr(ginibre)
     diag = np.einsum("bii->bi", r)
     phases = diag / np.abs(diag)
     return q * phases[:, None, :]
+
+
+def sample_global_haar_batch(dim: int, count: int, rng: RngLike) -> np.ndarray:
+    """Draw ``count`` Haar-random D x D unitaries as a (count, D, D) array,
+    drawing the real parts of all ``count`` Ginibre matrices before their
+    imaginary parts."""
+    if dim < 2:
+        raise ValueError(f"unitary dimension must be >= 2, got {dim}")
+    normals = as_generator(rng).standard_normal((2, count, dim, dim))
+    return haar_from_normals(_ginibre(normals))
 
 
 def sample_global_haar(dim: int, rng: RngLike) -> np.ndarray:

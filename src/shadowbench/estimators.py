@@ -16,8 +16,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import RankOnePovm, ShadowEstimate, as_matrix, hermitize
-from .measurement import MeasurementRecord, adjoint_map
+from .core import RankOnePovm, ShadowEstimate, as_matrix, hermitize, unitary_array
+from .measurement import RecordStack, adjoint_map, as_record_stack
 
 DEFAULT_RCOND = 1e-10
 DEFAULT_MU = 0.1
@@ -58,7 +58,7 @@ def povm_operator_columns(povms) -> np.ndarray:
     """The real (D^2, m*D) matrix whose columns are vec(u_k u_k†) for every
     outcome k of every setting in ``povms``: one RankOnePovm, one (D, D)
     unitary, or an (m, D, D) stack of unitaries."""
-    unitaries = np.asarray(povms.unitary if isinstance(povms, RankOnePovm) else povms)
+    unitaries = unitary_array(povms)
     rows = unitaries.reshape(-1, unitaries.shape[-1])
     # Row r of U gives the element u u† with entries conj(U_ri) U_rj.
     return vec(rows.conj()[:, :, None] * rows[:, None, :]).T
@@ -94,6 +94,8 @@ class FrameOperator:
     @classmethod
     def from_povms(cls, povms: Sequence[RankOnePovm], shots: int = 1) -> "FrameOperator":
         """Frame of the given settings, each probed ``shots`` times."""
+        if len({povm.dim for povm in povms}) > 1:
+            raise ValueError("dim-mismatch: POVM dims differ")
         return FramePrefix([povm.unitary for povm in povms], shots).frame(len(povms))
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -141,15 +143,14 @@ class FramePrefix:
     FRAME_BLOCK settings, and each frame is that sum divided by M.
     """
 
-    def __init__(self, unitaries: Sequence[np.ndarray], shots: int = 1):
+    def __init__(self, unitaries: np.ndarray, shots: int = 1):
+        """``unitaries`` is an (M, D, D) stack or a list of (D, D) unitaries."""
         if len(unitaries) == 0:
             raise ValueError("frame operator needs at least one POVM")
         if shots < 1:
             raise ValueError(f"shot count must be >= 1, got {shots}")
-        self.dim = len(unitaries[0])
-        if any(len(unitary) != self.dim for unitary in unitaries):
-            raise ValueError(f"dim-mismatch: POVM dims differ from {self.dim}")
-        self.unitaries = unitaries
+        self.unitaries = np.asarray(unitaries)
+        self.dim = self.unitaries.shape[-1]
         self.shots = shots
         self._sum: np.ndarray | None = None
         self._count = 0
@@ -183,7 +184,7 @@ class FramePrefix:
 
 
 def gram_ridge_solve(
-    unitaries: Sequence[np.ndarray], frequencies: Sequence[np.ndarray], mu: float, shots: int = 1
+    unitaries: np.ndarray, frequencies: np.ndarray, mu: float, shots: int = 1
 ) -> np.ndarray:
     """RLS average estimate of M settings from their M*D-dimensional Gram system.
 
@@ -322,7 +323,7 @@ def solve_route(method: ShadowMethod, settings: int, dim: int) -> str:
 
 def average_estimate(
     method: ShadowMethod,
-    records: Sequence[MeasurementRecord],
+    records: RecordStack,
     mean_adjoint: np.ndarray,
     frames: Callable[[], FramePrefix],
 ) -> ShadowEstimate:
@@ -333,31 +334,23 @@ def average_estimate(
     ``frames`` is called only where the frame is formed.
     """
     settings = len(records)
-    if solve_route(method, settings, records[0].dim) == "gram":
-        unitaries = [record.povm.unitary for record in records]
-        frequencies = [record.frequencies for record in records]
-        matrix = gram_ridge_solve(unitaries, frequencies, method.mu, records[0].shots)
+    if solve_route(method, settings, records.dim) == "gram":
+        matrix = gram_ridge_solve(records.unitaries, records.frequencies, method.mu, records.shots)
         return ShadowEstimate(matrix, "RLS")
     return shadow_map(method, mean_adjoint, lambda: frames().frame(settings))
 
 
-def estimate(records: Sequence[MeasurementRecord], method: ShadowMethod) -> ShadowSet:
-    """Per-record shadows of the chosen method plus their average.
+def estimate(records, method: ShadowMethod) -> ShadowSet:
+    """Per-record shadows of the chosen method plus their average, for a
+    RecordStack or a sequence of MeasurementRecords.
 
     LS/RLS build one frame operator from exactly these records' POVMs
     and solve every record against it at once.
     """
-    if len(records) == 0:
-        raise ValueError("estimate needs at least one measurement record")
-    dim = records[0].dim
-    if any(record.dim != dim for record in records):
-        raise ValueError("dim-mismatch: records have inconsistent dimensions")
-    shots = records[0].shots
-    if any(record.shots != shots for record in records):
-        raise ValueError("records must share one shot count")
-
-    adjoints = np.stack([adjoint_map(record.povm, record.frequencies) for record in records])
-    povms = [record.povm for record in records]
-    shadows = shadow_map(method, adjoints, lambda: FrameOperator.from_povms(povms, shots=shots))
+    stack = as_record_stack(records)
+    adjoints = adjoint_map(stack.unitaries, stack.frequencies)
+    shadows = shadow_map(
+        method, adjoints, lambda: FramePrefix(stack.unitaries, stack.shots).frame(len(stack))
+    )
     mean = np.mean([shadow.matrix for shadow in shadows], axis=0)
     return ShadowSet(shadows, ShadowEstimate(mean, shadows[0].method))

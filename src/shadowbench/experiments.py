@@ -41,8 +41,9 @@ from .ensembles import (
 )
 from .estimators import CS, LS, RLS, FramePrefix, ShadowMethod, average_estimate, solve_route
 from .measurement import (
+    PLAN_BLOCK,
     MeasurementPlan,
-    MeasurementRecord,
+    RecordStack,
     adjoint_map,
     dump_records,
     load_records,
@@ -348,7 +349,7 @@ def _metric_rows(
     eta: float,
     method: ShadowMethod,
     estimate_matrix: np.ndarray,
-    records: Sequence[MeasurementRecord],
+    records: RecordStack,
 ) -> list[ResultRow]:
     sc = ctx.scenario
     base = dict(
@@ -393,7 +394,7 @@ def _metric_rows(
 
 
 def _run_trial(
-    ctx: _Context, trial: int, records_override: list[MeasurementRecord] | None = None
+    ctx: _Context, trial: int, records_override: RecordStack | None = None
 ) -> list[ResultRow]:
     sc = ctx.scenario
     dim = sc.dim
@@ -409,26 +410,34 @@ def _run_trial(
                 plan = MeasurementPlan(max_settings, shots, ensemble)
                 records = run_plan(ctx.state, plan, RngStream(sc.seed, (trial, 0)))
 
-            grid_set = set(settings_grid)
             # Made on first use, so trials that form no frame never build one.
-            frames = functools.cache(
-                lambda: FramePrefix([record.povm.unitary for record in records], shots)
-            )
+            frames = functools.cache(lambda: FramePrefix(records.unitaries, shots))
             partial_sum = np.zeros((dim, dim), dtype=complex)
-            for index, record in enumerate(records, start=1):
-                partial_sum += adjoint_map(record.povm, record.frequencies)
-                if index not in grid_set:
-                    continue
-                partial_mean = partial_sum / index
-                measured = records[:index]
+            done = 0
+            for settings in settings_grid:
+                partial_sum = _add_adjoints(partial_sum, records[done:settings])
+                done = settings
+                measured = records[:settings]
                 for method in ctx.methods:
-                    average = average_estimate(method, measured, partial_mean, frames)
+                    average = average_estimate(method, measured, partial_sum / settings, frames)
                     rows.extend(
                         _metric_rows(
-                            ctx, trial, index, shots, eta, method, average.matrix, measured
+                            ctx, trial, settings, shots, eta, method, average.matrix, measured
                         )
                     )
     return rows
+
+
+def _add_adjoints(partial_sum: np.ndarray, records: RecordStack) -> np.ndarray:
+    """``partial_sum`` plus the records' adjoints, added one at a time in
+    record order, so every prefix sum has the same bits for any grid.
+    The adjoints are made PLAN_BLOCK settings at a time."""
+    for start in range(0, len(records), PLAN_BLOCK):
+        block = records[start:start + PLAN_BLOCK]
+        adjoints = adjoint_map(block.unitaries, block.frequencies)
+        adjoints[0] += partial_sum
+        partial_sum = np.add.accumulate(adjoints, axis=0, out=adjoints)[-1].copy()
+    return partial_sum
 
 
 def _aggregate_rows(ctx: _Context, rows: list[ResultRow]) -> list[ResultRow]:
@@ -551,9 +560,9 @@ def run_scenario(
         if scenario.trials != 1:
             raise ValueError("load-records requires exactly one trial")
         records_override, _ = load_records(load_records_path)
-        if records_override[0].dim != scenario.dim:
+        if records_override.dim != scenario.dim:
             raise ValueError(
-                f"dim-mismatch: loaded records have dim {records_override[0].dim}, "
+                f"dim-mismatch: loaded records have dim {records_override.dim}, "
                 f"scenario needs {scenario.dim}"
             )
         if len(records_override) < max(scenario.m_grid):
@@ -561,9 +570,9 @@ def run_scenario(
                 f"loaded file has {len(records_override)} records, "
                 f"m-grid needs {max(scenario.m_grid)}"
             )
-        if records_override[0].shots != scenario.l_grid[0]:
+        if records_override.shots != scenario.l_grid[0]:
             raise ValueError(
-                f"loaded records have {records_override[0].shots} shots, "
+                f"loaded records have {records_override.shots} shots, "
                 f"scenario l-grid starts at {scenario.l_grid[0]}"
             )
 

@@ -1,27 +1,42 @@
 """Shot acquisition: multinomial outcome counts and the adjoint map.
 
 Simulates probing POVM settings with a finite number of shots, stores
-the integer outcome counts, and provides the per-setting adjoint
-A†(p̂) = sum_k p̂_k A_k that every estimator consumes.
+a plan's unitaries and integer outcome counts as stacked arrays
+(:class:`RecordStack`), and provides the adjoint A†(p̂) = sum_k p̂_k A_k
+of one setting or of each setting in a stack, which every estimator
+consumes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import DensityMatrix, RankOnePovm, born_probabilities, hermitize
+from .core import (
+    POVM_UNITARITY_ATOL,
+    DensityMatrix,
+    RankOnePovm,
+    born_probabilities,
+    hermitize,
+    non_unitary_message,
+    unitarity_defect,
+    unitary_array,
+)
 from .ensembles import (
     BlockReader,
     EnsembleSpec,
-    RngLike,
+    GlobalHaar,
     RngStream,
     as_generator,
+    haar_from_normals,
+    haar_normals,
     sample_unitary,
     unitary_lines,
 )
+
+PLAN_BLOCK = 64  # settings per batched QR, Born and counts step in run_plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +85,122 @@ class MeasurementPlan:
             raise ValueError(f"plan needs at least one shot, got {self.shots}")
 
 
-def sample_counts(probabilities: np.ndarray, shots: int, rng: RngLike) -> np.ndarray:
-    """Exact multinomial draw of outcome counts for one setting.
+class RecordError(ValueError):
+    """A setting of a record stack that fails validation: ``setting`` is
+    its index and ``part`` is "unitary" or "counts"."""
+
+    def __init__(self, setting: int, part: str, reason: str):
+        super().__init__(f"setting {setting}: {reason}")
+        self.setting = int(setting)
+        self.part = part
+        self.reason = reason
+
+
+def _check_unitaries(unitaries: np.ndarray, first: int = 0) -> None:
+    defects = unitarity_defect(unitaries)
+    # Negated so that the NaN defect of a non-finite entry fails too.
+    bad = np.flatnonzero(~(defects <= POVM_UNITARITY_ATOL))
+    if bad.size:
+        raise RecordError(first + bad[0], "unitary", non_unitary_message(defects[bad[0]]))
+
+
+def _check_counts(counts: np.ndarray, shots: int, first: int = 0) -> None:
+    negative = np.flatnonzero(counts.min(axis=1) < 0)
+    if negative.size:
+        raise RecordError(first + negative[0], "counts", "outcome counts must be nonnegative")
+    totals = counts.sum(axis=1)
+    wrong = np.flatnonzero(totals != shots)
+    if wrong.size:
+        reason = f"counts sum {totals[wrong[0]]} != shots {shots}"
+        raise RecordError(first + wrong[0], "counts", reason)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordStack(Sequence[MeasurementRecord]):
+    """M records of one dimension and shot count as stacked arrays.
+
+    ``unitaries`` is (M, D, D) and ``counts`` (M, K); both are copied on
+    construction, checked (unitarity within 1e-8, counts nonnegative and
+    summing to ``shots``, with a failure naming its setting) and marked
+    read-only. Indexing builds a MeasurementRecord on demand, and a slice
+    is a view that shares the arrays.
+    """
+
+    unitaries: np.ndarray
+    counts: np.ndarray
+    shots: int
+
+    def __post_init__(self):
+        unitaries = np.array(self.unitaries, dtype=complex)
+        counts = np.array(self.counts, dtype=np.int64)
+        if unitaries.ndim != 3 or unitaries.shape[1] != unitaries.shape[2] or len(unitaries) < 1:
+            raise ValueError(
+                f"record stack needs (M, D, D) unitaries with M >= 1, got {unitaries.shape}"
+            )
+        if counts.shape != unitaries.shape[:2]:
+            raise ValueError(
+                f"counts must have one row per setting and one entry per outcome "
+                f"{unitaries.shape[:2]}, got shape {counts.shape}"
+            )
+        if self.shots < 1:
+            raise ValueError(f"shot count must be >= 1, got {self.shots}")
+        _check_unitaries(unitaries)
+        _check_counts(counts, self.shots)
+        unitaries.setflags(write=False)
+        counts.setflags(write=False)
+        object.__setattr__(self, "unitaries", unitaries)
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _checked(cls, unitaries: np.ndarray, counts: np.ndarray, shots: int) -> "RecordStack":
+        """A stack over read-only arrays that already passed the checks,
+        without copying them."""
+        stack = object.__new__(cls)
+        for name, value in (("unitaries", unitaries), ("counts", counts), ("shots", shots)):
+            object.__setattr__(stack, name, value)
+        return stack
+
+    @property
+    def dim(self) -> int:
+        return self.unitaries.shape[-1]
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return self.counts / self.shots
+
+    def __len__(self) -> int:
+        return len(self.unitaries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordStack._checked(self.unitaries[index], self.counts[index], self.shots)
+        povm = RankOnePovm(self.unitaries[index])
+        return MeasurementRecord(povm, self.counts[index], self.shots)
+
+    def __iter__(self):
+        return (self[m] for m in range(len(self)))
+
+
+def as_record_stack(records) -> RecordStack:
+    """``records`` itself if it is a RecordStack, else its
+    MeasurementRecords stacked once."""
+    if len(records) == 0:
+        raise ValueError("need at least one measurement record")
+    if isinstance(records, RecordStack):
+        return records
+    dim, shots = records[0].dim, records[0].shots
+    if any(record.dim != dim for record in records):
+        raise ValueError("dim-mismatch: records have inconsistent dimensions")
+    if any(record.shots != shots for record in records):
+        raise ValueError("records must share one shot count")
+    unitaries = np.stack([record.povm.unitary for record in records])
+    return RecordStack(unitaries, np.stack([record.counts for record in records]), shots)
+
+
+def sample_counts(probabilities: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Exact multinomial draw of outcome counts for one setting, or for
+    each row of an (M, K) probability stack with ``rng`` a sequence of M
+    streams or generators, one per row.
 
     For a single shot the result is one-hot. Sampling is delegated to
     numpy's generator, which implements the sequential conditional
@@ -82,51 +211,72 @@ def sample_counts(probabilities: np.ndarray, shots: int, rng: RngLike) -> np.nda
         raise ValueError(f"shot count must be >= 1, got {shots}")
     if probabilities.min() < 0.0:
         raise ValueError(f"negative probability {probabilities.min():.3e}")
-    total = probabilities.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-10")
-    return as_generator(rng).multinomial(shots, probabilities / total)
+    totals = probabilities.sum(axis=-1, keepdims=True)
+    # Negated so that a NaN total fails too.
+    off = ~(np.abs(totals - 1.0) <= 1e-10)
+    if off.any():
+        raise ValueError(f"probabilities sum to {totals[off][0]}, expected 1 within 1e-10")
+    normalized = probabilities / totals
+    if normalized.ndim == 1:
+        return as_generator(rng).multinomial(shots, normalized)
+    rows = zip(rng, normalized, strict=True)
+    return np.stack([as_generator(stream).multinomial(shots, row) for stream, row in rows])
 
 
-def adjoint_map(povm: RankOnePovm, phat: np.ndarray) -> np.ndarray:
+def adjoint_map(povms, phat: np.ndarray) -> np.ndarray:
     """The weighted POVM sum A†(p̂) = sum_k p̂_k u_k u_k† = U† diag(p̂) U.
 
+    ``povms`` is a RankOnePovm or a (D, D) unitary with K frequencies, or
+    an (M, D, D) stack of unitaries with (M, K) frequencies, giving one
+    adjoint per setting with the same bits as one call per setting.
     Hermitian and PSD with trace equal to sum(p̂); for a one-hot p̂ this
     is the rank-1 projector (U† p̂)(U† p̂)†.
     """
     phat = np.asarray(phat, dtype=float)
-    unitary = povm.unitary
-    if phat.size != unitary.shape[0]:
+    unitaries = unitary_array(povms)
+    if phat.shape != unitaries.shape[:-1]:
         raise ValueError(
-            f"dim-mismatch: frequency vector length {phat.size} != POVM outcomes "
-            f"{unitary.shape[0]}"
+            f"dim-mismatch: frequency shape {phat.shape} != POVM outcomes "
+            f"{unitaries.shape[:-1]}"
         )
-    partial = np.einsum("k,ki,kj->ij", phat, unitary.conj(), unitary)
+    partial = np.einsum("...k,...ki,...kj->...ij", phat, unitaries.conj(), unitaries)
     return hermitize(partial)
 
 
-def run_plan(
-    state: DensityMatrix, plan: MeasurementPlan, rng: RngStream
-) -> list[MeasurementRecord]:
+def run_plan(state: DensityMatrix, plan: MeasurementPlan, rng: RngStream) -> RecordStack:
     """Simulate the full plan: draw settings, Born probabilities, counts.
 
     ``rng`` identifies the trial; setting m consumes the substream
     (trial, m), so records for a smaller plan are an exact prefix of
-    records for a larger plan at the same seed and trial.
+    records for a larger plan at the same seed and trial. Settings are
+    sampled PLAN_BLOCK at a time: each stream draws its setting's
+    normals (or its whole unitary, for ensembles other than GlobalHaar)
+    and later its counts, while the QR, the checks and the Born
+    probabilities run once per block.
     """
     if plan.ensemble.dim != state.dim:
         raise ValueError(
             f"dim-mismatch: ensemble dim {plan.ensemble.dim} != state dim {state.dim}"
         )
     trial = rng.stream_id[0]
-    records = []
-    for m in range(plan.settings):
-        stream = RngStream(rng.seed, (trial, m))
-        povm = RankOnePovm(sample_unitary(plan.ensemble, stream))
-        probabilities = born_probabilities(povm, state)
-        counts = sample_counts(probabilities, plan.shots, stream.generator)
-        records.append(MeasurementRecord(povm, counts, plan.shots))
-    return records
+    dim = state.dim
+    unitaries = np.empty((plan.settings, dim, dim), dtype=complex)
+    counts = np.empty((plan.settings, dim), dtype=np.int64)
+    for start in range(0, plan.settings, PLAN_BLOCK):
+        stop = min(start + PLAN_BLOCK, plan.settings)
+        streams = [RngStream(rng.seed, (trial, m)) for m in range(start, stop)]
+        if isinstance(plan.ensemble, GlobalHaar):
+            block = haar_from_normals(haar_normals(dim, streams))
+        else:
+            block = np.stack([sample_unitary(plan.ensemble, stream) for stream in streams])
+        _check_unitaries(block, start)
+        probabilities = born_probabilities(block, state)
+        counts[start:stop] = sample_counts(probabilities, plan.shots, streams)
+        _check_counts(counts[start:stop], plan.shots, start)
+        unitaries[start:stop] = block
+    unitaries.setflags(write=False)
+    counts.setflags(write=False)
+    return RecordStack._checked(unitaries, counts, plan.shots)
 
 
 def expand_to_single_shot(record: MeasurementRecord) -> list[MeasurementRecord]:
@@ -143,8 +293,9 @@ def expand_to_single_shot(record: MeasurementRecord) -> list[MeasurementRecord]:
     return expanded
 
 
-def dump_records(records: Sequence[MeasurementRecord], path, seed: int = 0) -> None:
-    """Serialize records to a line-oriented text file.
+def dump_records(records, path, seed: int = 0) -> None:
+    """Serialize a RecordStack or a sequence of records to a line-oriented
+    text file.
 
     Header line: ``D M L seed``. Then per record: D unitary rows as
     "re im" pairs (17 significant digits, round-trip exact), followed by
@@ -152,27 +303,25 @@ def dump_records(records: Sequence[MeasurementRecord], path, seed: int = 0) -> N
     """
     if len(records) == 0:
         raise ValueError("cannot dump an empty record list")
-    dim = records[0].dim
-    shots = records[0].shots
+    stack = as_record_stack(records)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{dim} {len(records)} {shots} {seed}\n")
-        for record in records:
-            if record.dim != dim or record.shots != shots:
-                raise ValueError("records must share one dimension and shot count")
-            handle.write(unitary_lines(record.povm.unitary))
-            handle.write(" ".join(str(int(count)) for count in record.counts) + "\n")
+        handle.write(f"{stack.dim} {len(stack)} {stack.shots} {seed}\n")
+        for unitary, counts in zip(stack.unitaries, stack.counts):
+            handle.write(unitary_lines(unitary))
+            handle.write(" ".join(str(int(count)) for count in counts) + "\n")
 
 
-def load_records(path) -> tuple[list[MeasurementRecord], int]:
+def load_records(path) -> tuple[RecordStack, int]:
     """Read records written by :func:`dump_records`; returns (records, seed)."""
     reader = BlockReader(path)
     dim, count, shots, seed = reader.header(4, positive=3)
-    records = []
+    unitaries, counts = [], []
     for _ in range(count):
-        povm = RankOnePovm(reader.unitary(dim))
-        counts = reader.values(int, dim)
-        try:
-            records.append(MeasurementRecord(povm, counts, shots))
-        except ValueError as error:
-            raise ValueError(f"malformed file: {path}, line {reader.cursor}: {error}") from None
-    return records, seed
+        unitaries.append(reader.unitary(dim))
+        counts.append(reader.values(int, dim))
+    try:
+        return RecordStack(np.stack(unitaries), np.stack(counts), shots), seed
+    except RecordError as error:
+        # After the header line, each record is D unitary rows and a counts line.
+        line = 2 + error.setting * (dim + 1) + (dim if error.part == "counts" else 0)
+        raise ValueError(f"malformed file: {path}, line {line}: {error.reason}") from None

@@ -15,9 +15,9 @@ from shadowbench.core import (
     log_likelihood,
     project_physical,
 )
-from shadowbench.ensembles import RngStream, sample_global_haar
+from shadowbench.ensembles import GlobalHaar, RngStream, sample_global_haar
 from shadowbench.experiments import canonical_state_and_observables
-from shadowbench.measurement import MeasurementRecord
+from shadowbench.measurement import MeasurementPlan, MeasurementRecord, run_plan
 
 from oracles import closest_physical_state_bloch, random_density_matrix, random_hermitian
 
@@ -228,8 +228,15 @@ class TestProjectPhysical:
             assert np.abs(projected.matrix - oracle).max() < 1e-6
 
     def test_trace_precondition(self):
-        with pytest.raises(ValueError, match="trace"):
-            project_physical(np.diag([2.0, 0.0]))
+        # Only a trace that cannot be renormalized to 1 is rejected.
+        for diagonal in ([1.0, -1.0], [-0.5, 0.2], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="trace"):
+                project_physical(np.diag(diagonal))
+
+    @pytest.mark.parametrize("scale", [0.002, 2.0])
+    def test_positive_trace_far_from_one_is_renormalized(self, scale):
+        projected = project_physical(np.diag([0.75, 0.25]) * scale)
+        assert np.abs(projected.matrix - np.diag([0.75, 0.25])).max() < 1e-15
 
 
 class TestLogLikelihood:
@@ -283,6 +290,11 @@ class TestLogLikelihood:
         result = log_likelihood(records, state)
         assert result.value == pytest.approx(expected, rel=1e-12)
         assert result.floored_terms == 0
+
+    def test_stack_and_record_list_agree(self):
+        state = DensityMatrix(random_density_matrix(4, np.random.default_rng(28)))
+        records = run_plan(state, MeasurementPlan(7, 3, GlobalHaar(4)), RngStream(28))
+        assert log_likelihood(records, state) == log_likelihood(list(records), state)
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

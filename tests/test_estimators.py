@@ -446,6 +446,18 @@ class TestEstimate:
             single = estimate(expanded, method).average.matrix
             assert np.abs(multi - single).max() < 1e-10
 
+    def test_stack_and_record_list_agree(self):
+        records = run_plan(
+            DensityMatrix.maximally_mixed(4), MeasurementPlan(6, 3, GlobalHaar(4)),
+            RngStream(26, (0, 0)),
+        )
+        for method in (LS(), RLS(0.1), CS()):
+            stacked = estimate(records, method)
+            listed = estimate(list(records), method)
+            assert np.array_equal(stacked.average.matrix, listed.average.matrix)
+            for a, b in zip(stacked.shadows, listed.shadows):
+                assert np.array_equal(a.matrix, b.matrix)
+
     def test_rls_norm_monotone_in_mu(self):
         records = run_plan(
             DensityMatrix.computational_basis_state(4),

@@ -360,6 +360,26 @@ class TestCli:
         assert main(args + ["--load-records", str(records)]) == 2
         assert "records.txt, line 6: counts sum 0 != shots 1" in capsys.readouterr().err
 
+    def test_record_file_with_non_unitary_block_exits_two(self, tmp_path, capsys):
+        args = ["rls-vs-cs", "--qubits", "1", "--trials", "1", "--m-grid", "2",
+                "--out", str(tmp_path / "x.csv")]
+        records = tmp_path / "records.txt"
+        assert main(args + ["--dump-records", str(records)]) == 0
+        lines = records.read_text().splitlines(keepends=True)
+        lines[1] = "2 0 0 0\n"
+        records.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(args + ["--load-records", str(records)]) == 2
+        assert "records.txt, line 2: non-unitary POVM matrix" in capsys.readouterr().err
+
+    def test_strong_ridge_runs(self, tmp_path):
+        # mu = 1000 shrinks the RLS trace to 1/(1 + mu/M), about 0.002 at M = 2.
+        out = tmp_path / "x.csv"
+        code = main(["rls-vs-cs", "--qubits", "2", "--trials", "1", "--mu", "1000",
+                     "--m-grid", "2,4,8", "--out", str(out)])
+        assert code == 0
+        assert "loglik" in out.read_text()
+
     @pytest.mark.parametrize(
         "flags, field",
         [
@@ -472,6 +492,36 @@ class TestRlsRoutes:
             kernel = average_estimate(method, first, partial_mean, lambda: prefix).matrix
             assert np.abs(kernel - reference).max() < 1e-10
             assert frame_blocks == blocks
+
+
+def test_rls_trace_is_the_ridge_shrinkage_on_both_routes():
+    # The identity is an eigenvector of the frame with eigenvalue 1 and
+    # tr A†(p̂) = 1, so the RLS trace is 1/(1 + mu/(M L)) below M = D
+    # (Gram route) and at or above it (frame route).
+    mu, shots = 3.0, 2
+    scenario = tiny_scenario("rls-vs-cs", trials=1, m_grid=(2, 4, 8), l_grid=(shots,),
+                             mu_grid=(mu,))
+    traces = {
+        row.settings: row.value
+        for row in run_scenario(scenario)
+        if row.method == "RLS" and row.metric == "trace"
+    }
+    assert sorted(traces) == [2, 4, 8]
+    for settings, trace in traces.items():
+        assert abs(trace - 1.0 / (1.0 + mu / (settings * shots))) < 1e-12
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_family_csv_matches_golden_bytes(kind, tmp_path):
+    # The golden files hold each family's CLI output at --qubits 2 --trials 3
+    # and default settings otherwise. A change that moves any value by one
+    # bit fails here; regenerate them only for an intended output change.
+    out = tmp_path / f"{kind}.csv"
+    assert main([kind, "--qubits", "2", "--trials", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"{kind}.csv").read_bytes()
 
 
 def test_tracer_layers_resolve_and_run_in_every_family():

@@ -12,14 +12,20 @@ from shadowbench.core import DensityMatrix, RankOnePovm, born_probabilities
 from shadowbench.ensembles import (
     FixedUnitaries,
     GlobalHaar,
+    HaarMixture,
+    LocalHaarTensor,
     RngStream,
     load_fixed_ensemble,
     sample_global_haar,
+    sample_global_haar_batch,
+    sample_unitary,
     save_unitaries,
 )
 from shadowbench.measurement import (
+    PLAN_BLOCK,
     MeasurementPlan,
     MeasurementRecord,
+    RecordStack,
     adjoint_map,
     dump_records,
     expand_to_single_shot,
@@ -27,6 +33,8 @@ from shadowbench.measurement import (
     run_plan,
     sample_counts,
 )
+
+from oracles import random_density_matrix
 
 
 class TestSampleCounts:
@@ -190,6 +198,147 @@ class TestRunPlan:
             run_plan(DensityMatrix.computational_basis_state(2), plan, RngStream(0, (0, 0)))
 
 
+def reference_plan(state, ensemble, settings, shots, seed, trial):
+    """run_plan's draws one setting at a time: stream (trial, m) draws the
+    unitary and then the multinomial counts."""
+    unitaries, counts = [], []
+    for m in range(settings):
+        stream = RngStream(seed, (trial, m))
+        unitary = sample_unitary(ensemble, stream)
+        probabilities = born_probabilities(unitary, state)
+        counts.append(stream.generator.multinomial(shots, probabilities / probabilities.sum()))
+        unitaries.append(unitary)
+    return np.stack(unitaries), np.stack(counts)
+
+
+STACKED_SETTINGS = PLAN_BLOCK + 5  # crosses a block edge
+STACK_ENSEMBLES = {
+    "global": GlobalHaar(4),
+    "local": LocalHaarTensor(2),
+    "mixture": HaarMixture(2, 0.3),
+    "fixed": FixedUnitaries(tuple(sample_global_haar_batch(4, STACKED_SETTINGS, RngStream(30)))),
+}
+
+
+class TestStackedSampler:
+    @pytest.mark.parametrize("shots", [1, 5])
+    @pytest.mark.parametrize("name", sorted(STACK_ENSEMBLES))
+    def test_matches_per_setting_reference(self, name, shots):
+        ensemble = STACK_ENSEMBLES[name]
+        state = DensityMatrix(random_density_matrix(4, np.random.default_rng(31)))
+        plan = MeasurementPlan(STACKED_SETTINGS, shots, ensemble)
+        records = run_plan(state, plan, RngStream(32, (3, 0)))
+        unitaries, counts = reference_plan(state, ensemble, STACKED_SETTINGS, shots, 32, 3)
+        assert np.array_equal(records.unitaries, unitaries)
+        assert np.array_equal(records.counts, counts)
+        assert records.shots == shots
+
+    def test_nested_prefix_across_block_edges(self):
+        state = DensityMatrix.maximally_mixed(4)
+        plan = MeasurementPlan(2 * PLAN_BLOCK + 1, 3, GlobalHaar(4))
+        large = run_plan(state, plan, RngStream(33))
+        for settings in (1, PLAN_BLOCK - 1, PLAN_BLOCK, PLAN_BLOCK + 1):
+            small = run_plan(state, MeasurementPlan(settings, 3, GlobalHaar(4)), RngStream(33))
+            assert np.array_equal(small.unitaries, large.unitaries[:settings])
+            assert np.array_equal(small.counts, large.counts[:settings])
+
+    def test_stacked_adjoints_and_probabilities_match_per_setting(self):
+        for dim in (2, 4, 8):
+            state = DensityMatrix(random_density_matrix(dim, np.random.default_rng(dim)))
+            records = run_plan(state, MeasurementPlan(40, 3, GlobalHaar(dim)), RngStream(34))
+            probabilities = born_probabilities(records.unitaries, state)
+            adjoints = adjoint_map(records.unitaries, records.frequencies)
+            for m, record in enumerate(records):
+                assert np.array_equal(probabilities[m], born_probabilities(record.povm, state))
+                assert np.array_equal(adjoints[m], adjoint_map(record.povm, record.frequencies))
+
+    def test_stacked_counts_use_one_generator_per_row(self):
+        probabilities = np.array([[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]])
+        stacked = sample_counts(probabilities, 7, [RngStream(35, (0, m)) for m in range(3)])
+        for m, row in enumerate(probabilities):
+            assert np.array_equal(stacked[m], sample_counts(row, 7, RngStream(35, (0, m))))
+        with pytest.raises(ValueError, match="longer"):
+            sample_counts(probabilities, 7, [RngStream(35)])
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ([0.5, 0.5], None),
+            ([1.2, -0.2], "negative"),
+            ([0.5, 0.6], "sum"),
+            ([np.nan, 1.0], "sum"),
+        ],
+    )
+    def test_stacked_probability_checks(self, row, match):
+        probabilities = np.array([[0.25, 0.75], row])
+        streams = [RngStream(36, (0, m)) for m in range(2)]
+        if match is None:
+            assert sample_counts(probabilities, 3, streams).sum(axis=1).tolist() == [3, 3]
+        else:
+            with pytest.raises(ValueError, match=match):
+                sample_counts(probabilities, 3, streams)
+
+
+class TestRecordStack:
+    def make(self, settings=4, shots=3):
+        return run_plan(
+            DensityMatrix.maximally_mixed(2), MeasurementPlan(settings, shots, GlobalHaar(2)),
+            RngStream(37),
+        )
+
+    def test_sequence_of_records(self):
+        stack = self.make()
+        assert len(stack) == 4 and stack.dim == 2 and stack.shots == 3
+        records = list(stack)
+        assert all(isinstance(record, MeasurementRecord) for record in records)
+        for m, record in enumerate(records):
+            assert np.array_equal(record.povm.unitary, stack.unitaries[m])
+            assert np.array_equal(record.counts, stack[m].counts)
+            assert np.array_equal(record.frequencies, stack.frequencies[m])
+        assert np.array_equal(stack[-1].counts, stack.counts[3])
+
+    def test_prefix_is_a_read_only_view(self):
+        stack = self.make()
+        prefix = stack[:2]
+        assert isinstance(prefix, RecordStack) and len(prefix) == 2
+        assert np.shares_memory(prefix.unitaries, stack.unitaries)
+        with pytest.raises(ValueError):
+            stack.counts[0, 0] = 1
+        with pytest.raises(ValueError):
+            prefix.unitaries[0, 0, 0] = 1
+
+    def test_construction_copies(self):
+        unitaries = np.stack([np.eye(2), np.eye(2)])
+        stack = RecordStack(unitaries, [[1, 0], [0, 1]], 1)
+        unitaries[0, 0, 0] = 5.0
+        assert stack.unitaries[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "entry, counts, match",
+        [
+            (np.nan, [[1, 0]] * 3, "setting 2: non-unitary"),
+            (0.5, [[1, 0]] * 3, "setting 2: non-unitary"),
+            (1.0, [[1, 0], [1, 0], [2, -1]], "setting 2: outcome counts must be nonnegative"),
+            (1.0, [[1, 0], [1, 0], [0, 0]], "setting 2: counts sum 0 != shots 1"),
+        ],
+    )
+    def test_rejects_bad_setting_by_index(self, entry, counts, match):
+        unitaries = np.stack([np.eye(2, dtype=complex)] * 3)
+        unitaries[2, 1, 1] = entry
+        with pytest.raises(ValueError, match=match):
+            RecordStack(unitaries, counts, 1)
+
+    def test_counts_shape_must_match(self):
+        with pytest.raises(ValueError, match="one entry per outcome"):
+            RecordStack(np.stack([np.eye(2)]), [[1, 0, 0]], 1)
+
+    def test_run_plan_names_non_unitary_fixed_setting(self):
+        unitaries = (np.eye(2), np.eye(2), np.diag([1.0, 0.5]))
+        plan = MeasurementPlan(3, 1, FixedUnitaries(unitaries))
+        with pytest.raises(ValueError, match="setting 2: non-unitary"):
+            run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(38))
+
+
 class TestExpandToSingleShot:
     def test_expansion_counts(self):
         record = MeasurementRecord(RankOnePovm(np.eye(3)), [2, 0, 3], 5)
@@ -236,6 +385,30 @@ class TestRecordSerialization:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="line 2 has a non-finite value"):
             load_records(path)
+
+    def test_non_unitary_block_names_its_line(self, tmp_path):
+        plan = MeasurementPlan(2, 1, GlobalHaar(2))
+        records = run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(19, (0, 0)))
+        path = tmp_path / "records.txt"
+        dump_records(records, path)
+        lines = path.read_text().splitlines(keepends=True)
+        # Header, then per record two unitary rows and one counts line.
+        for index in (1, 4):
+            broken = list(lines)
+            broken[index] = "2 0 0 0\n"
+            path.write_text("".join(broken))
+            with pytest.raises(ValueError, match=f"records.txt, line {index + 1}: non-unitary"):
+                load_records(path)
+
+    def test_load_returns_a_stack(self, tmp_path):
+        plan = MeasurementPlan(3, 2, GlobalHaar(2))
+        records = run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(20, (0, 0)))
+        path = tmp_path / "records.txt"
+        dump_records(list(records), path)
+        loaded, _ = load_records(path)
+        assert isinstance(loaded, RecordStack)
+        assert np.array_equal(loaded.unitaries, records.unitaries)
+        assert np.array_equal(loaded.counts, records.counts)
 
     @settings(max_examples=10, deadline=None)
     @given(
