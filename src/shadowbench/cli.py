@@ -8,6 +8,8 @@ configuration or failed validation, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 import traceback
 
@@ -28,9 +30,7 @@ from .experiments import (
     Scenario,
     default_scenario,
     emit_csv,
-    load_scenario_config,
     run_scenario,
-    scenario_with_overrides,
 )
 from .measurement import MeasurementPlan, adjoint_map, expand_to_single_shot, run_plan
 from .theory import multinomial_moments
@@ -59,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    for kind in SCENARIO_KINDS:
-        sub = subparsers.add_parser(kind, help=f"run the {kind} scenario")
+    for name in SCENARIO_KINDS:
+        sub = subparsers.add_parser(name, help=f"run the {name} scenario")
         sub.add_argument("--qubits", type=int, default=None)
         sub.add_argument("--trials", type=int, default=None)
         sub.add_argument(
@@ -93,15 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     scenario = default_scenario(args.command)
     if args.config is not None:
-        config = load_scenario_config(args.config)
-        config.setdefault("kind", args.command)
-        if config["kind"] != args.command:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            config = json.load(handle)
+        if not isinstance(config, dict):
+            raise ValueError(f"scenario config {args.config} must hold a JSON object")
+        if config.setdefault("kind", args.command) != args.command:
             raise ValueError(
                 f"config kind {config['kind']!r} does not match subcommand {args.command!r}"
             )
         scenario = Scenario.from_dict(config)
-    scenario = scenario_with_overrides(
-        scenario,
+    overrides = dict(
         qubits=args.qubits,
         trials=args.trials,
         m_grid=args.m_grid,
@@ -109,6 +110,9 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         mu_grid=args.mu,
         eta_grid=args.eta_grid,
         seed=args.seed,
+    )
+    scenario = dataclasses.replace(
+        scenario, **{key: value for key, value in overrides.items() if value is not None}
     )
     scenario.validate()
     return scenario
@@ -243,6 +247,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "validate":
+        if args.seed < 0:
+            print(f"error: seed must be >= 0, got {args.seed}", file=sys.stderr)
+            return 2
         return run_validation(seed=args.seed)
 
     try:

@@ -12,13 +12,10 @@ copied on construction and marked read-only.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Tolerances for type invariants and numerical guards.
 STATE_HERMITICITY_ATOL = 1e-12

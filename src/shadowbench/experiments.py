@@ -5,7 +5,8 @@ LS double descent over a measurement-count grid, the ridge-weight
 sweep, RLS-versus-CS comparisons (including log-likelihood of the
 physically projected estimates), Haar-random observables, ensemble
 mismatch, multishot reallocation at fixed state-copy budget, and the
-multishot MSE formula cross-check.
+multishot MSE formula cross-check. ``FAMILIES`` holds everything that
+sets one family apart from the others.
 
 Trials are the unit of parallelism; every trial reads only its own
 (seed, trial, measurement) RNG streams, so results are identical for
@@ -15,11 +16,12 @@ any worker count and rows are merged in deterministic order.
 from __future__ import annotations
 
 import functools
-import json
 import math
+import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,16 +52,6 @@ from .measurement import (
     run_plan,
 )
 from .theory import empirical_mse, mse_theorem1
-
-SCENARIO_KINDS = (
-    "double-descent",
-    "mu-sweep",
-    "rls-vs-cs",
-    "random-obs",
-    "mismatch",
-    "multishot",
-    "theorem1",
-)
 
 # A scenario needs an explicit opt-in when some grid point solves a dense
 # system of larger order than the frame operator at 7 qubits: the frame
@@ -95,20 +87,31 @@ class Scenario:
     seed: int = 1
 
     def validate(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
+        """Raise a ValueError naming the field unless every grid point
+        of this scenario can run."""
+        for f in fields(self):
+            _coerce(f.name, getattr(self, f.name), f.default)
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.qubits < 1:
             raise ValueError(f"qubit count must be >= 1, got {self.qubits}")
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name, grid in (
             ("m-grid", self.m_grid),
             ("l-grid", self.l_grid),
             ("mu-grid", self.mu_grid),
             ("eta-grid", self.eta_grid),
+            ("observables", self.observables),
         ):
             if len(grid) == 0:
                 raise ValueError(f"{name} must not be empty")
+            # Repeated m-grid entries are merged; any other repeat would
+            # emit its rows twice and count its trials twice.
+            if name != "m-grid" and len(set(grid)) < len(grid):
+                raise ValueError(f"{name} has repeated entries: {list(grid)}")
         for name, grid in (("mu-grid", self.mu_grid), ("eta-grid", self.eta_grid)):
             if not all(math.isfinite(value) for value in grid):
                 raise ValueError(f"{name} entries must be finite, got {list(grid)}")
@@ -120,12 +123,19 @@ class Scenario:
             raise ValueError("eta values must lie in [0, 1]")
         if self.trials >= AUX_STREAM_INDEX:
             raise ValueError("trial count exceeds the reserved stream index")
-        if len(self.observables) == 0 or not set(self.observables) <= {0, 1, 2}:
-            raise ValueError("observables must be a nonempty subset of {0, 1, 2}")
+        if not set(self.observables) <= {0, 1, 2}:
+            raise ValueError("observables must be a subset of {0, 1, 2}")
         if self.random_observables < 1:
             raise ValueError("random observable count must be >= 1")
         if self.ensemble_samples < 2:
             raise ValueError("ensemble sample count must be >= 2")
+        # M settings span at most M*(D-1)+1 < D^2 dimensions when M <= D,
+        # so the frame that RLS(0) inverts is singular there.
+        for method, settings in _grid_points(self):
+            if isinstance(method, RLS) and method.mu == 0 and settings <= self.dim:
+                raise ValueError(
+                    f"mu-grid: mu = 0 needs M > D = {self.dim} settings, got M = {settings}"
+                )
 
     @property
     def dim(self) -> int:
@@ -133,69 +143,151 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """A scenario from JSON-style data: lists become tuples and
+        integers widen to floats; any other type mismatch raises a
+        ValueError naming the field."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
-        coerced = dict(data)
-        for key in ("m_grid", "l_grid", "observables"):
-            if key in coerced:
-                coerced[key] = tuple(int(v) for v in coerced[key])
-        for key in ("mu_grid", "eta_grid"):
-            if key in coerced:
-                coerced[key] = tuple(float(v) for v in coerced[key])
-        return cls(**coerced)
+        return cls(**{key: _coerce(key, value, defaults[key]) for key, value in data.items()})
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "qubits": self.qubits,
-            "trials": self.trials,
-            "m_grid": list(self.m_grid),
-            "l_grid": list(self.l_grid),
-            "mu_grid": list(self.mu_grid),
-            "eta_grid": list(self.eta_grid),
-            "observables": list(self.observables),
-            "random_observables": self.random_observables,
-            "ensemble_samples": self.ensemble_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
+
+
+def _coerce(name: str, value, default):
+    """``value`` as the type of field ``name``, read from its ``default``
+    (a string where there is none): lists become tuples, and integers of
+    any type become ``int``, or ``float`` for a float field."""
+    if isinstance(default, tuple):
+        if isinstance(value, (list, tuple)):
+            return tuple(_coerce(name, item, default[0]) for item in value)
+        expected = "a list"
+    else:
+        wanted = str if default is MISSING else type(default)
+        accepted = {int: numbers.Integral, float: numbers.Real}.get(wanted, wanted)
+        if isinstance(value, accepted) and not isinstance(value, bool):
+            return wanted(value)
+        expected = wanted.__name__
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def _settings_plan(scenario: Scenario) -> list[tuple[int, tuple[int, ...]]]:
+    """One settings grid at the first l-grid value."""
+    return [(scenario.l_grid[0], tuple(sorted(set(scenario.m_grid))))]
+
+
+def _budget_plan(scenario: Scenario) -> list[tuple[int, tuple[int, ...]]]:
+    """The m-grid lists total copy budgets M*L; entries not divisible by
+    a given L are skipped for that L."""
+    plan = []
+    for shots in scenario.l_grid:
+        settings = sorted(
+            {budget // shots for budget in scenario.m_grid if budget % shots == 0 and budget >= shots}
+        )
+        if settings:
+            plan.append((shots, tuple(settings)))
+    if not plan:
+        raise ValueError("multishot m-grid has no entries divisible by any l-grid value")
+    return plan
+
+
+def _fixed_settings_plan(scenario: Scenario) -> list[tuple[int, tuple[int, ...]]]:
+    """The first m-grid value at every l-grid value."""
+    return [(shots, (scenario.m_grid[0],)) for shots in scenario.l_grid]
+
+
+def _rls_and_cs(scenario: Scenario) -> tuple[ShadowMethod, ...]:
+    return (RLS(scenario.mu_grid[0]), CS())
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything that sets one scenario family apart from the others.
+
+    ``methods`` gives a scenario's estimators and ``plan`` the
+    (shots, ascending settings grid) pairs each trial runs. ``metrics``
+    lists the per-trial metrics besides ``lambda-hat-i``, whose
+    observables ``lambdas`` picks: "configured", "first" or "none".
+    An ``eta_sweep`` family samples ``HaarMixture`` at every eta-grid
+    value, the others ``GlobalHaar`` at eta 0. ``mse_label`` names the
+    aggregated MSE of observable i, and ``theory`` adds the theorem-1
+    prediction rows. Only a ``replayable`` family takes
+    ``--load-records``. ``defaults`` are its desk-scale Scenario fields.
+    """
+
+    methods: Callable[[Scenario], tuple[ShadowMethod, ...]]
+    plan: Callable[[Scenario], list[tuple[int, tuple[int, ...]]]]
+    metrics: tuple[str, ...] = ()
+    lambdas: str = "configured"
+    eta_sweep: bool = False
+    mse_label: str = "mse-{i}"
+    theory: bool = False
+    replayable: bool = False
+    defaults: dict = field(default_factory=dict)
+
+    def ensembles(self, scenario: Scenario) -> list[tuple[float, object]]:
+        """(eta, ensemble) pairs each trial samples, in eta-grid order."""
+        if self.eta_sweep:
+            return [(eta, HaarMixture(scenario.qubits, eta)) for eta in scenario.eta_grid]
+        return [(0.0, GlobalHaar(scenario.dim))]
+
+
+# Desk-scale defaults use n = 3 for CI speed; pass --qubits 5 for the
+# full-scale configurations.
+FAMILIES: dict[str, Family] = {
+    "double-descent": Family(
+        methods=lambda scenario: (LS(),), plan=_settings_plan, replayable=True,
+        metrics=("frobenius-error", "eig-pos", "eig-neg", "trace"),
+    ),
+    "mu-sweep": Family(
+        methods=lambda scenario: tuple(RLS(mu) for mu in scenario.mu_grid),
+        plan=_settings_plan, replayable=True, metrics=("frobenius-error",),
+        defaults=dict(mu_grid=(0.01, 0.1, 1.0)),
+    ),
+    "rls-vs-cs": Family(
+        methods=_rls_and_cs, plan=_settings_plan, replayable=True,
+        metrics=("frobenius-error", "eig-pos", "eig-neg", "trace", "loglik"),
+    ),
+    "random-obs": Family(
+        methods=_rls_and_cs, plan=_settings_plan, replayable=True,
+        metrics=("mse-rand",), lambdas="none",
+    ),
+    "mismatch": Family(
+        methods=_rls_and_cs, plan=_settings_plan, eta_sweep=True,
+        defaults=dict(trials=100, m_grid=(256,), eta_grid=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
+    ),
+    "multishot": Family(
+        methods=_rls_and_cs, plan=_budget_plan, metrics=("mse-rand",),
+        defaults=dict(trials=100, m_grid=(64, 128, 256, 512, 1024, 2048, 4096), l_grid=(1, 8, 64)),
+    ),
+    "theorem1": Family(
+        methods=lambda scenario: (CS(),), plan=_fixed_settings_plan,
+        lambdas="first", mse_label="mse", theory=True,
+        defaults=dict(qubits=2, trials=10000, m_grid=(16,), l_grid=(1, 4, 16)),
+    ),
+}
+
+SCENARIO_KINDS = tuple(FAMILIES)
 
 
 def default_scenario(kind: str) -> Scenario:
-    """Desk-scale defaults for each scenario family (n = 3 for CI speed;
-    pass --qubits 5 for the full-scale configurations)."""
-    if kind == "double-descent":
-        return Scenario(kind=kind)
-    if kind == "mu-sweep":
-        return Scenario(kind=kind, mu_grid=(0.01, 0.1, 1.0))
-    if kind == "rls-vs-cs":
-        return Scenario(kind=kind)
-    if kind == "random-obs":
-        return Scenario(kind=kind)
-    if kind == "mismatch":
-        return Scenario(
-            kind=kind,
-            trials=100,
-            m_grid=(256,),
-            eta_grid=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
-        )
-    if kind == "multishot":
-        return Scenario(
-            kind=kind,
-            trials=100,
-            m_grid=(64, 128, 256, 512, 1024, 2048, 4096),
-            l_grid=(1, 8, 64),
-        )
-    if kind == "theorem1":
-        return Scenario(
-            kind=kind,
-            qubits=2,
-            trials=10000,
-            m_grid=(16,),
-            l_grid=(1, 4, 16),
-        )
-    raise ValueError(f"unknown scenario kind {kind!r}")
+    """The family's desk-scale defaults."""
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    return Scenario(kind=kind, **FAMILIES[kind].defaults)
+
+
+def _grid_points(scenario: Scenario) -> list[tuple[ShadowMethod, int]]:
+    """Every (method, settings) pair whose average estimate a trial solves."""
+    family = FAMILIES[scenario.kind]
+    return [
+        (method, settings)
+        for _, settings_grid in family.plan(scenario)
+        for settings in settings_grid
+        for method in family.methods(scenario)
+    ]
 
 
 @dataclass(frozen=True)
@@ -249,39 +341,25 @@ class _Context:
     """Read-only per-scenario inputs shared by all trials."""
 
     scenario: Scenario
+    family: Family
     state: DensityMatrix
     observables: tuple[Observable, ...]
     truths: tuple[float, ...]
     methods: tuple[ShadowMethod, ...]
-    lambda_indices: tuple[int, ...] = ()
-    emit_frobenius: bool = False
-    emit_eigsplit: bool = False
-    emit_trace: bool = False
-    emit_loglik: bool = False
-    emit_random: bool = False
+    plan: list[tuple[int, tuple[int, ...]]]
+    lambda_indices: tuple[int, ...]
     random_vectors: np.ndarray | None = None  # (D, J) columns on the sphere
     random_truths: np.ndarray | None = None
 
 
-def _methods_for(scenario: Scenario) -> tuple[ShadowMethod, ...]:
-    if scenario.kind == "double-descent":
-        return (LS(),)
-    if scenario.kind == "mu-sweep":
-        return tuple(RLS(mu) for mu in scenario.mu_grid)
-    if scenario.kind == "theorem1":
-        return (CS(),)
-    return (RLS(scenario.mu_grid[0]), CS())
-
-
 def _build_context(scenario: Scenario) -> _Context:
+    family = FAMILIES[scenario.kind]
     state, observables = canonical_state_and_observables(scenario.qubits)
     truths = tuple(expectation(obs, state) for obs in observables)
-    kind = scenario.kind
 
     random_vectors = None
     random_truths = None
-    want_random = kind in ("random-obs", "multishot")
-    if want_random:
+    if "mse-rand" in family.metrics:
         stream = RngStream(scenario.seed, (AUX_STREAM_INDEX, 0))
         columns = [
             sample_sphere_vector(scenario.dim, stream)
@@ -291,54 +369,19 @@ def _build_context(scenario: Scenario) -> _Context:
         # Ground truth tr(phi phi† rho) against rho = |0><0|.
         random_truths = np.abs(random_vectors[0, :]) ** 2
 
-    emit_lambdas = kind in (
-        "double-descent", "mu-sweep", "rls-vs-cs", "mismatch", "multishot", "theorem1"
-    )
-    lambda_indices = (0,) if kind == "theorem1" else tuple(scenario.observables)
+    lambda_indices = {"configured": scenario.observables, "first": (0,), "none": ()}
     return _Context(
         scenario=scenario,
+        family=family,
         state=state,
         observables=observables,
         truths=truths,
-        methods=_methods_for(scenario),
-        lambda_indices=lambda_indices if emit_lambdas else (),
-        emit_frobenius=kind in ("double-descent", "mu-sweep", "rls-vs-cs"),
-        emit_eigsplit=kind in ("double-descent", "rls-vs-cs"),
-        emit_trace=kind in ("double-descent", "rls-vs-cs"),
-        emit_loglik=kind == "rls-vs-cs",
-        emit_random=want_random,
+        methods=family.methods(scenario),
+        plan=family.plan(scenario),
+        lambda_indices=lambda_indices[family.lambdas],
         random_vectors=random_vectors,
         random_truths=random_truths,
     )
-
-
-def _make_ensemble(scenario: Scenario, eta: float):
-    if scenario.kind == "mismatch":
-        return HaarMixture(scenario.qubits, eta)
-    return GlobalHaar(scenario.dim)
-
-
-def _shot_plan(scenario: Scenario) -> list[tuple[int, tuple[int, ...]]]:
-    """(shots, ascending settings-grid) pairs to run per trial.
-
-    For the multishot family the configured m-grid lists total copy
-    budgets M*L; entries not divisible by a given L are skipped for
-    that L.
-    """
-    if scenario.kind == "multishot":
-        plan = []
-        for shots in scenario.l_grid:
-            settings = sorted(
-                {budget // shots for budget in scenario.m_grid if budget % shots == 0 and budget >= shots}
-            )
-            if settings:
-                plan.append((shots, tuple(settings)))
-        if not plan:
-            raise ValueError("multishot m-grid has no entries divisible by any l-grid value")
-        return plan
-    if scenario.kind == "theorem1":
-        return [(shots, (scenario.m_grid[0],)) for shots in scenario.l_grid]
-    return [(scenario.l_grid[0], tuple(sorted(set(scenario.m_grid))))]
 
 
 def _metric_rows(
@@ -351,46 +394,27 @@ def _metric_rows(
     estimate_matrix: np.ndarray,
     records: RecordStack,
 ) -> list[ResultRow]:
-    sc = ctx.scenario
-    base = dict(
-        scenario=sc.kind,
-        trial=trial,
-        settings=settings,
-        shots=shots,
-        mu=getattr(method, "mu", 0.0),
-        eta=eta,
-        method=type(method).__name__,
-    )
-    rows = []
-    if ctx.emit_frobenius:
-        rows.append(
-            ResultRow(metric="frobenius-error", value=frobenius_error(estimate_matrix, ctx.state), **base)
-        )
-    if ctx.emit_eigsplit:
-        positive, negative = eigenvalue_split(estimate_matrix)
-        rows.append(ResultRow(metric="eig-pos", value=positive, **base))
-        rows.append(ResultRow(metric="eig-neg", value=negative, **base))
-    if ctx.emit_trace:
-        rows.append(ResultRow(metric="trace", value=float(estimate_matrix.trace().real), **base))
+    metrics = ctx.family.metrics
+    values = {}
+    if "frobenius-error" in metrics:
+        values["frobenius-error"] = frobenius_error(estimate_matrix, ctx.state)
+    if "eig-pos" in metrics:
+        values["eig-pos"], values["eig-neg"] = eigenvalue_split(estimate_matrix)
+    if "trace" in metrics:
+        values["trace"] = float(estimate_matrix.trace().real)
     for i in ctx.lambda_indices:
-        rows.append(
-            ResultRow(
-                metric=f"lambda-hat-{i}",
-                value=expectation(ctx.observables[i], estimate_matrix),
-                **base,
-            )
-        )
-    if ctx.emit_random:
+        values[f"lambda-hat-{i}"] = expectation(ctx.observables[i], estimate_matrix)
+    if "mse-rand" in metrics:
         vectors = ctx.random_vectors
         lam_hat = np.einsum("aj,ab,bj->j", vectors.conj(), estimate_matrix, vectors).real
-        squared = float(np.mean((lam_hat - ctx.random_truths) ** 2))
-        rows.append(ResultRow(metric="mse-rand", value=squared, **base))
-    if ctx.emit_loglik:
-        physical = project_physical(estimate_matrix)
-        rows.append(
-            ResultRow(metric="loglik", value=log_likelihood(records, physical).value, **base)
-        )
-    return rows
+        values["mse-rand"] = float(np.mean((lam_hat - ctx.random_truths) ** 2))
+    if "loglik" in metrics:
+        values["loglik"] = log_likelihood(records, project_physical(estimate_matrix)).value
+    point = (settings, shots, getattr(method, "mu", 0.0), eta, type(method).__name__)
+    return [
+        ResultRow(ctx.scenario.kind, trial, *point, metric, value)
+        for metric, value in values.items()
+    ]
 
 
 def _run_trial(
@@ -400,9 +424,8 @@ def _run_trial(
     dim = sc.dim
     rows: list[ResultRow] = []
 
-    for eta in sc.eta_grid if sc.kind == "mismatch" else (0.0,):
-        ensemble = _make_ensemble(sc, eta)
-        for shots, settings_grid in _shot_plan(sc):
+    for eta, ensemble in ctx.family.ensembles(sc):
+        for shots, settings_grid in ctx.plan:
             max_settings = settings_grid[-1]
             if records_override is not None:
                 records = records_override[:max_settings]
@@ -450,65 +473,31 @@ def _aggregate_rows(ctx: _Context, rows: list[ResultRow]) -> list[ResultRow]:
             key = (row.settings, row.shots, row.mu, row.eta, row.method, row.metric)
             groups.setdefault(key, []).append((row.trial, row.value))
 
-    aggregated = []
+    stats: list[tuple[tuple, str, float]] = []  # (grid point, metric, value)
     for key in sorted(groups):
-        settings, shots, mu, eta, method, metric = key
+        *point, metric = key
         values = [value for _, value in sorted(groups[key])]
-        base = dict(
-            scenario=sc.kind,
-            trial=AGGREGATE_TRIAL,
-            settings=settings,
-            shots=shots,
-            mu=mu,
-            eta=eta,
-            method=method,
-        )
         if metric == "mse-rand":
             # Per-trial rows already hold squared errors averaged over
             # the random observable set.
-            mean = float(np.mean(values))
-            if len(values) > 1:
-                err = float(np.std(values, ddof=1) / np.sqrt(len(values)))
-            else:
-                err = 0.0
-            aggregated.append(ResultRow(metric="mse-rand", value=mean, **base))
-            aggregated.append(ResultRow(metric="mse-rand-se", value=err, **base))
-            continue
-        index = int(metric.rsplit("-", 1)[1])
-        if len(values) < 2:
-            continue
-        mse = empirical_mse(values, ctx.truths[index])
-        label = "mse" if sc.kind == "theorem1" else f"mse-{index}"
-        aggregated.append(ResultRow(metric=label, value=mse.value, **base))
-        aggregated.append(ResultRow(metric=f"{label}-se", value=mse.std_error, **base))
+            err = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+            stats += [(point, "mse-rand", float(np.mean(values))), (point, "mse-rand-se", err)]
+        elif len(values) > 1:
+            index = int(metric.rsplit("-", 1)[1])
+            mse = empirical_mse(values, ctx.truths[index])
+            label = ctx.family.mse_label.format(i=index)
+            stats += [(point, label, mse.value), (point, f"{label}-se", mse.std_error)]
 
-    if sc.kind == "theorem1":
+    if ctx.family.theory:
         stream = RngStream(sc.seed, (AUX_STREAM_INDEX, 1))
-        for shots in sc.l_grid:
-            settings = sc.m_grid[0]
-            predicted = mse_theorem1(
-                ctx.state,
-                ctx.observables[0],
-                GlobalHaar(sc.dim),
-                settings,
-                shots,
-                sc.ensemble_samples,
-                stream,
-            )
-            base = dict(
-                scenario=sc.kind,
-                trial=AGGREGATE_TRIAL,
-                settings=settings,
-                shots=shots,
-                mu=0.0,
-                eta=0.0,
-                method="CS",
-            )
-            aggregated.append(ResultRow(metric="mse-theory", value=predicted.value, **base))
-            aggregated.append(
-                ResultRow(metric="mse-theory-se", value=predicted.std_error, **base)
-            )
-    return aggregated
+        for shots, (settings,) in ctx.plan:
+            predicted = mse_theorem1(ctx.state, ctx.observables[0], GlobalHaar(sc.dim),
+                                     settings, shots, sc.ensemble_samples, stream)
+            point = (settings, shots, 0.0, 0.0, "CS")
+            stats += [(point, "mse-theory", predicted.value),
+                      (point, "mse-theory-se", predicted.std_error)]
+    return [ResultRow(sc.kind, AGGREGATE_TRIAL, *point, metric, value)
+            for point, metric, value in stats]
 
 
 def _largest_system(scenario: Scenario) -> int:
@@ -519,9 +508,7 @@ def _largest_system(scenario: Scenario) -> int:
         {"channel": 0, "gram": settings * dim, "frame": dim * dim}[
             solve_route(method, settings, dim)
         ]
-        for method in _methods_for(scenario)
-        for _, settings_grid in _shot_plan(scenario)
-        for settings in settings_grid
+        for method, settings in _grid_points(scenario)
     )
 
 
@@ -552,7 +539,7 @@ def run_scenario(
 
     records_override = None
     if load_records_path is not None:
-        if scenario.kind in ("multishot", "theorem1", "mismatch"):
+        if not ctx.family.replayable:
             raise ValueError(
                 f"load-records is not supported for the {scenario.kind} family "
                 f"(records vary within a trial)"
@@ -576,7 +563,8 @@ def run_scenario(
                 f"scenario l-grid starts at {scenario.l_grid[0]}"
             )
 
-    if workers == 1 or scenario.trials == 1:
+    workers = min(workers, scenario.trials, os.cpu_count() or 1)
+    if workers == 1:
         per_trial = [
             _run_trial(ctx, trial, records_override) for trial in range(scenario.trials)
         ]
@@ -595,8 +583,8 @@ def run_scenario(
     rows.extend(_aggregate_rows(ctx, rows))
 
     if dump_records_path is not None:
-        shots, settings_grid = _shot_plan(scenario)[0]
-        ensemble = _make_ensemble(scenario, scenario.eta_grid[0])
+        shots, settings_grid = ctx.plan[0]
+        _, ensemble = ctx.family.ensembles(scenario)[0]
         plan = MeasurementPlan(settings_grid[-1], shots, ensemble)
         trial_zero = run_plan(ctx.state, plan, RngStream(scenario.seed, (0, 0)))
         dump_records(trial_zero, dump_records_path, seed=scenario.seed)
@@ -639,17 +627,3 @@ def emit_csv(rows: Sequence[ResultRow], path) -> None:
     except OSError as error:
         raise RuntimeError(f"failed to write CSV to {path}: {error}") from error
 
-
-def load_scenario_config(path) -> dict:
-    """Read a scenario config dict from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"scenario config {path} must hold a JSON object")
-    return data
-
-
-def scenario_with_overrides(base: Scenario, **overrides) -> Scenario:
-    """Apply non-None overrides onto a base scenario."""
-    cleaned = {key: value for key, value in overrides.items() if value is not None}
-    return replace(base, **cleaned)

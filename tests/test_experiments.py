@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shadowbench
-from shadowbench import estimators
+from shadowbench import estimators, experiments
 from shadowbench.cli import main
 from shadowbench.core import DensityMatrix, expectation
 from shadowbench.ensembles import GlobalHaar, RngStream
@@ -76,6 +77,33 @@ class TestScenarioValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown scenario kind"):
             Scenario(kind="nope").validate()
+        with pytest.raises(ValueError, match="unknown scenario kind"):
+            default_scenario("nope")
+
+    def test_field_types_checked(self):
+        for field, overrides in (
+            ("qubits", dict(qubits=2.5)), ("m_grid", dict(m_grid=5)), ("trials", dict(trials=True))
+        ):
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                tiny_scenario("rls-vs-cs", **overrides).validate()
+        tiny_scenario("rls-vs-cs", qubits=np.int64(2), mu_grid=[np.float32(0.5)]).validate()
+
+    def test_repeated_m_grid_entries_are_merged(self):
+        scenario = tiny_scenario("rls-vs-cs", trials=1, m_grid=(4, 2, 4))
+        assert run_scenario(scenario) == run_scenario(replace(scenario, m_grid=(2, 4)))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(kind="mu-sweep", mu_grid=(0.1, 0.0), m_grid=(1,)),
+            dict(kind="mismatch", mu_grid=(0.0,), m_grid=(2,)),
+            dict(kind="multishot", mu_grid=(0.0,), m_grid=(8,), l_grid=(1, 2)),
+        ],
+    )
+    def test_ridge_free_rls_rejected_where_the_frame_is_singular(self, overrides):
+        # M settings span at most M(D-1)+1 < D^2 dimensions for M <= D = 4.
+        with pytest.raises(ValueError, match="mu-grid: mu = 0"):
+            tiny_scenario(**overrides).validate()
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="m-grid"):
@@ -110,6 +138,7 @@ class TestScenarioValidation:
     def test_config_round_trip(self):
         scenario = default_scenario("mismatch")
         assert Scenario.from_dict(scenario.to_dict()) == scenario
+        assert Scenario.from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
 
     def test_unknown_config_key(self):
         with pytest.raises(ValueError, match="unknown scenario config"):
@@ -194,6 +223,34 @@ class TestRunScenario:
             key = (row.trial, row.settings, row.method, row.metric)
             if key in reference:
                 assert abs(row.value - reference[key]) < 1e-12
+
+    def test_thread_pool_is_bounded_by_trials_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        scenario = tiny_scenario("mismatch", trials=4, m_grid=(4,))
+        serial = run_scenario(scenario)
+        assert sizes == []
+        assert run_scenario(scenario, workers=100000) == serial
+        run_scenario(replace(scenario, trials=2), workers=100000)
+        assert sizes == [3, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_scenario(scenario, workers=100000) == serial
+        assert sizes == [3, 2]
 
     def test_workers_do_not_change_rows(self):
         scenario = tiny_scenario("mismatch", trials=4, m_grid=(8,), eta_grid=(0.0, 0.25))
@@ -387,15 +444,62 @@ class TestCli:
             (["mismatch", "--eta-grid", "0,inf"], "eta-grid"),
             (["rls-vs-cs", "--workers", "0"], "workers"),
             (["rls-vs-cs", "--workers", "-1"], "workers"),
+            (["theorem1", "--l-grid", "1,1"], "l-grid"),
+            (["mu-sweep", "--mu", "0.1,0.1"], "mu-grid"),
+            (["mismatch", "--eta-grid", "0,0"], "eta-grid"),
+            (["rls-vs-cs", "--mu", "0"], "mu-grid"),
+            (["mu-sweep", "--mu", "0.1,0"], "mu-grid"),
+            (["rls-vs-cs", "--seed", "-1"], "seed"),
         ],
     )
-    def test_bad_value_exits_two_naming_field(self, tmp_path, capsys, flags, field):
+    def test_bad_value_exits_two_naming_field(self, tmp_path, capsys, monkeypatch, flags, field):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_run_trial", no_trials)
         out = tmp_path / "x.csv"
         code = main(flags + ["--qubits", "2", "--trials", "1", "--m-grid", "2",
                              "--out", str(out)])
         assert code == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"m_grid": 5}, "m_grid"),
+            ({"qubits": "2"}, "qubits"),
+            ({"qubits": 2.5}, "qubits"),
+            ({"trials": 1.5}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"mu_grid": [None]}, "mu_grid"),
+            ({"observables": [0, 0]}, "observables"),
+        ],
+    )
+    def test_bad_config_value_exits_two_naming_field(self, tmp_path, capsys, config, field):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"trials": 1, "m_grid": [2], **config}))
+        out = tmp_path / "x.csv"
+        assert main(["rls-vs-cs", "--config", str(path), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text("[1, 2]")
+        assert main(["rls-vs-cs", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_ridge_free_rls_runs_above_interpolation(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = main(["rls-vs-cs", "--qubits", "2", "--trials", "1", "--mu", "0",
+                     "--m-grid", "5,8", "--out", str(out)])
+        assert code == 0
+        assert ",RLS,trace," in out.read_text()
+
+    def test_validate_rejects_negative_seed(self, capsys):
+        assert main(["validate", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_validate_passes(self, capsys):
         assert main(["validate"]) == 0
