@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import traceback
 
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--workers", type=int, default=1)
         sub.add_argument("--dump-records", default=None, metavar="PATH")
         sub.add_argument("--load-records", default=None, metavar="PATH")
-        sub.add_argument("--force", action="store_true", help="allow > 7 qubits")
+        sub.add_argument("--force", action="store_true", help="skip the array-size resource guard")
 
     validate = subparsers.add_parser("validate", help="run the invariant suite")
     validate.add_argument("--seed", type=int, default=7)
@@ -116,6 +117,19 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     )
     scenario.validate()
     return scenario
+
+
+def _check_paths(args: argparse.Namespace, out_path: str) -> None:
+    """Reject a path flag that would fail only after every trial ran."""
+    if args.load_records is not None and not os.path.isfile(args.load_records):
+        raise ValueError(f"--load-records: no such file {args.load_records!r}")
+    for flag, path in (("--out", out_path), ("--dump-records", args.dump_records)):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"{flag}: {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag}: the directory of {path!r} does not exist")
 
 
 def _validation_checks(seed: int):
@@ -183,7 +197,7 @@ def _validation_checks(seed: int):
         state = DensityMatrix.maximally_mixed(dim)
         plan = MeasurementPlan(6, 16, GlobalHaar(dim))
         records = run_plan(state, plan, RngStream(seed, (6, 0)))
-        expanded = [one for record in records for one in expand_to_single_shot(record)]
+        expanded = expand_to_single_shot(records)
         for method in (LS(), RLS(0.1), CS()):
             multi = estimate(records, method).average.matrix
             single = estimate(expanded, method).average.matrix
@@ -252,13 +266,14 @@ def main(argv=None) -> int:
             return 2
         return run_validation(seed=args.seed)
 
+    out_path = args.out if args.out is not None else f"{args.command}.csv"
     try:
         scenario = _scenario_from_args(args)
+        _check_paths(args, out_path)
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    out_path = args.out if args.out is not None else f"{args.command}.csv"
     try:
         rows = run_scenario(
             scenario,

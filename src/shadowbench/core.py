@@ -342,20 +342,17 @@ class LogLikelihoodResult(NamedTuple):
 
 
 def log_likelihood(records, rho_phy: DensityMatrix) -> LogLikelihoodResult:
-    """Average log-likelihood (1/M) sum_mk f_mk log tr(A_mk rho) of records,
-    a RecordStack or a sequence of MeasurementRecords.
+    """Average log-likelihood (1/M) sum_mk f_mk log tr(A_mk rho) of the
+    settings in a RecordStack.
 
     Outcome probabilities are floored at 1e-12 before the log so that a
     physical state assigning (numerically) zero probability to an
     observed outcome yields a finite value; the number of floored terms
     is reported as a diagnostic.
     """
-    from .measurement import as_record_stack  # measurement imports this module
-
-    stack = as_record_stack(records)
-    probabilities = _outcome_probabilities(stack.unitaries, rho_phy.matrix)
-    observed = stack.counts > 0
+    probabilities = _outcome_probabilities(records.unitaries, rho_phy.matrix)
+    observed = records.counts > 0
     probabilities = probabilities[observed]
     floored = int((probabilities < LIKELIHOOD_FLOOR).sum())
-    total = float(stack.counts[observed] @ np.log(np.maximum(probabilities, LIKELIHOOD_FLOOR)))
-    return LogLikelihoodResult(total / len(stack), floored)
+    total = float(records.counts[observed] @ np.log(np.maximum(probabilities, LIKELIHOOD_FLOOR)))
+    return LogLikelihoodResult(total / len(records), floored)

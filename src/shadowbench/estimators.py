@@ -12,12 +12,12 @@ estimate is the same map applied to the mean adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .core import RankOnePovm, ShadowEstimate, as_matrix, hermitize, unitary_array
-from .measurement import RecordStack, adjoint_map, as_record_stack
+from .measurement import RecordStack, adjoint_map
 
 DEFAULT_RCOND = 1e-10
 DEFAULT_MU = 0.1
@@ -103,14 +103,14 @@ class FrameOperator:
             self._eigenvalues, self._eigenvectors = np.linalg.eigh(self.entries)
         return self._eigenvalues, self._eigenvectors
 
-    def pinv_apply(self, vector: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+    def pinv_apply(self, vector: np.ndarray) -> np.ndarray:
         """Apply the pseudoinverse to one vector or a (D^2, R) stack of them,
-        discarding eigenvalues <= rcond * max."""
+        discarding eigenvalues <= DEFAULT_RCOND * max."""
         eigenvalues, eigenvectors = self.eigensystem()
         largest = eigenvalues[-1]
         if largest <= 0.0:
             raise ValueError("frame operator is identically zero")
-        keep = eigenvalues > rcond * largest
+        keep = eigenvalues > DEFAULT_RCOND * largest
         basis = eigenvectors[:, keep]
         # The transposes divide each column of a stack by the eigenvalues
         # and leave a single vector's arithmetic as it is.
@@ -208,13 +208,7 @@ def gram_ridge_solve(
 
 @dataclass(frozen=True)
 class LS:
-    """Pseudoinverse (minimum-norm) shadows; rcond sets the spectral cutoff."""
-
-    rcond: float = DEFAULT_RCOND
-
-    def __post_init__(self):
-        if not 0.0 < self.rcond < 1.0:
-            raise ValueError(f"rcond must lie in (0, 1), got {self.rcond}")
+    """Pseudoinverse (minimum-norm) shadows, cut off at DEFAULT_RCOND."""
 
 
 @dataclass(frozen=True)
@@ -267,14 +261,13 @@ def cs_channel_inverse(op) -> np.ndarray:
 def shadow_map(
     method: ShadowMethod,
     adjoint: np.ndarray,
-    frame: FrameOperator | Callable[[], FrameOperator] | None = None,
+    frame: FrameOperator | None = None,
 ):
     """The shadow of one adjoint A†(p̂), or a tuple of shadows of each
     adjoint in an (R, D, D) stack.
 
     LS applies the frame's pseudoinverse and RLS its ridge inverse, one
-    solve for the whole stack; ``frame`` may be a callable that builds
-    the frame, which only they call. CS applies the closed-form inverse
+    solve for the whole stack. CS applies the closed-form inverse
     channel as (D + 1) X - I, which uses tr(A†(p̂)) = sum(p̂) = 1 and
     needs no frame; for a single shot it equals the rank-1 form
     (D + 1)(U† p̂)(U† p̂)† - I.
@@ -288,15 +281,13 @@ def shadow_map(
         if np.abs(traces - 1.0).max() > 1e-10:
             raise RuntimeError("CS estimate trace deviates from 1 beyond 1e-10")
     else:
-        if callable(frame):
-            frame = frame()
         if frame is None:
             raise ValueError(f"{name} shadows need the frame operator")
         # Stacked adjoints become the columns of one real (D^2, R)
         # right-hand side; unvec makes each solution Hermitian.
         columns = np.moveaxis(vec(adjoint), -1, 0)
         if isinstance(method, LS):
-            solution = frame.pinv_apply(columns, rcond=method.rcond)
+            solution = frame.pinv_apply(columns)
         elif isinstance(method, RLS):
             solution = frame.ridge_apply(columns, method.mu)
         else:
@@ -322,35 +313,32 @@ def solve_route(method: ShadowMethod, settings: int, dim: int) -> str:
 
 
 def average_estimate(
-    method: ShadowMethod,
-    records: RecordStack,
-    mean_adjoint: np.ndarray,
-    frames: Callable[[], FramePrefix],
+    method: ShadowMethod, records: RecordStack, mean_adjoint: np.ndarray, frames: FramePrefix
 ) -> ShadowEstimate:
-    """Mean shadow of ``records``, the first settings of ``frames()``.
+    """Mean shadow of ``records``, the first settings of ``frames``.
 
     By linearity it is the shadow map of the records' mean adjoint; RLS
-    below interpolation takes the equivalent Gram solve instead.
-    ``frames`` is called only where the frame is formed.
+    below interpolation takes the equivalent Gram solve instead. Only
+    the "frame" route asks ``frames`` for a frame.
     """
     settings = len(records)
-    if solve_route(method, settings, records.dim) == "gram":
+    route = solve_route(method, settings, records.dim)
+    if route == "gram":
         matrix = gram_ridge_solve(records.unitaries, records.frequencies, method.mu, records.shots)
         return ShadowEstimate(matrix, "RLS")
-    return shadow_map(method, mean_adjoint, lambda: frames().frame(settings))
+    return shadow_map(method, mean_adjoint, frames.frame(settings) if route == "frame" else None)
 
 
-def estimate(records, method: ShadowMethod) -> ShadowSet:
-    """Per-record shadows of the chosen method plus their average, for a
-    RecordStack or a sequence of MeasurementRecords.
+def estimate(records: RecordStack, method: ShadowMethod) -> ShadowSet:
+    """Per-setting shadows of the chosen method plus their average.
 
-    LS/RLS build one frame operator from exactly these records' POVMs
-    and solve every record against it at once.
+    LS/RLS build one frame operator from exactly these settings and
+    solve every setting against it at once.
     """
-    stack = as_record_stack(records)
-    adjoints = adjoint_map(stack.unitaries, stack.frequencies)
-    shadows = shadow_map(
-        method, adjoints, lambda: FramePrefix(stack.unitaries, stack.shots).frame(len(stack))
-    )
+    adjoints = adjoint_map(records.unitaries, records.frequencies)
+    frame = None
+    if not isinstance(method, CS):
+        frame = FramePrefix(records.unitaries, records.shots).frame(len(records))
+    shadows = shadow_map(method, adjoints, frame)
     mean = np.mean([shadow.matrix for shadow in shadows], axis=0)
     return ShadowSet(shadows, ShadowEstimate(mean, shadows[0].method))

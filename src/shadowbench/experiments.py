@@ -15,7 +15,6 @@ any worker count and rows are merged in deterministic order.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
@@ -56,8 +55,10 @@ from .theory import empirical_mse, mse_theorem1
 # A scenario needs an explicit opt-in when some grid point solves a dense
 # system of larger order than the frame operator at 7 qubits: the frame
 # is D^2 x D^2, real and symmetric (32 GiB at n = 8), and the Gram route's
-# system is M*D x M*D.
+# system is M*D x M*D. It needs one too when a plan entry samples more
+# setting-unitary entries M*D^2 than that frame holds (2 GiB complex).
 MAX_ORDER_WITHOUT_FORCE = 4**7
+MAX_UNITARY_ENTRIES_WITHOUT_FORCE = 2**27
 
 AGGREGATE_TRIAL = -1  # trial index marking rows aggregated over all trials
 
@@ -150,6 +151,8 @@ class Scenario:
         unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
+        if "kind" not in data:
+            raise ValueError("scenario config needs a kind")
         return cls(**{key: _coerce(key, value, defaults[key]) for key, value in data.items()})
 
     def to_dict(self) -> dict:
@@ -433,8 +436,7 @@ def _run_trial(
                 plan = MeasurementPlan(max_settings, shots, ensemble)
                 records = run_plan(ctx.state, plan, RngStream(sc.seed, (trial, 0)))
 
-            # Made on first use, so trials that form no frame never build one.
-            frames = functools.cache(lambda: FramePrefix(records.unitaries, shots))
+            frames = FramePrefix(records.unitaries, shots)
             partial_sum = np.zeros((dim, dim), dtype=complex)
             done = 0
             for settings in settings_grid:
@@ -500,16 +502,24 @@ def _aggregate_rows(ctx: _Context, rows: list[ResultRow]) -> list[ResultRow]:
             for point, metric, value in stats]
 
 
-def _largest_system(scenario: Scenario) -> int:
-    """Order of the largest linear system any grid point's average solves:
-    M*D on the Gram route, D^2 where the frame is formed, none for CS."""
+def _resource_guard(scenario: Scenario) -> None:
+    """Refuse a scenario whose largest dense linear system (M*D on the
+    Gram route, D^2 where the frame is formed, none for CS) or largest
+    sampled plan entry (M*D^2 unitary entries) exceeds its bound."""
     dim = scenario.dim
-    return max(
+    order = max(
         {"channel": 0, "gram": settings * dim, "frame": dim * dim}[
             solve_route(method, settings, dim)
         ]
         for method, settings in _grid_points(scenario)
     )
+    entries = dim * dim * max(grid[-1] for _, grid in FAMILIES[scenario.kind].plan(scenario))
+    if order > MAX_ORDER_WITHOUT_FORCE or entries > MAX_UNITARY_ENTRIES_WITHOUT_FORCE:
+        raise ValueError(
+            f"resource-guard: {scenario.qubits} qubits needs a linear system of order {order} "
+            f"(bound {MAX_ORDER_WITHOUT_FORCE}) and {entries} sampled unitary entries M*D^2 "
+            f"(bound {MAX_UNITARY_ENTRIES_WITHOUT_FORCE}); force=True (--force) accepts the cost"
+        )
 
 
 def run_scenario(
@@ -529,12 +539,8 @@ def run_scenario(
     scenario.validate()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    order = _largest_system(scenario)
-    if order > MAX_ORDER_WITHOUT_FORCE and not force:
-        raise ValueError(
-            f"resource-guard: {scenario.qubits} qubits needs a dense {order}x{order} "
-            f"linear system; pass force=True (--force) to accept the memory cost"
-        )
+    if not force:
+        _resource_guard(scenario)
     ctx = _build_context(scenario)
 
     records_override = None

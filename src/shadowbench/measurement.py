@@ -9,7 +9,6 @@ consumes.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .core import (
     POVM_UNITARITY_ATOL,
     DensityMatrix,
-    RankOnePovm,
     born_probabilities,
     hermitize,
     non_unitary_message,
@@ -37,37 +35,6 @@ from .ensembles import (
 )
 
 PLAN_BLOCK = 64  # settings per batched QR, Born and counts step in run_plan
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
-    """Outcome counts of one POVM setting probed with ``shots`` shots."""
-
-    povm: RankOnePovm
-    counts: np.ndarray
-    shots: int
-
-    def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size != self.povm.outcomes:
-            raise ValueError(
-                f"counts must have one entry per outcome ({self.povm.outcomes}), "
-                f"got shape {counts.shape}"
-            )
-        if counts.min() < 0:
-            raise ValueError("outcome counts must be nonnegative")
-        if counts.sum() != self.shots:
-            raise ValueError(f"counts sum {counts.sum()} != shots {self.shots}")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def dim(self) -> int:
-        return self.povm.dim
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.shots
 
 
 @dataclass(frozen=True)
@@ -116,14 +83,14 @@ def _check_counts(counts: np.ndarray, shots: int, first: int = 0) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class RecordStack(Sequence[MeasurementRecord]):
-    """M records of one dimension and shot count as stacked arrays.
+class RecordStack:
+    """M settings of one dimension and shot count as stacked arrays.
 
     ``unitaries`` is (M, D, D) and ``counts`` (M, K); both are copied on
     construction, checked (unitarity within 1e-8, counts nonnegative and
     summing to ``shots``, with a failure naming its setting) and marked
-    read-only. Indexing builds a MeasurementRecord on demand, and a slice
-    is a view that shares the arrays.
+    read-only. Setting m is ``unitaries[m]`` and ``counts[m]``; the stack
+    itself takes only slices, each a view that shares the arrays.
     """
 
     unitaries: np.ndarray
@@ -171,30 +138,12 @@ class RecordStack(Sequence[MeasurementRecord]):
     def __len__(self) -> int:
         return len(self.unitaries)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RecordStack._checked(self.unitaries[index], self.counts[index], self.shots)
-        povm = RankOnePovm(self.unitaries[index])
-        return MeasurementRecord(povm, self.counts[index], self.shots)
+    def __getitem__(self, index: slice) -> "RecordStack":
+        if not isinstance(index, slice):
+            raise TypeError("a record stack takes slices; setting m is unitaries[m], counts[m]")
+        return RecordStack._checked(self.unitaries[index], self.counts[index], self.shots)
 
-    def __iter__(self):
-        return (self[m] for m in range(len(self)))
-
-
-def as_record_stack(records) -> RecordStack:
-    """``records`` itself if it is a RecordStack, else its
-    MeasurementRecords stacked once."""
-    if len(records) == 0:
-        raise ValueError("need at least one measurement record")
-    if isinstance(records, RecordStack):
-        return records
-    dim, shots = records[0].dim, records[0].shots
-    if any(record.dim != dim for record in records):
-        raise ValueError("dim-mismatch: records have inconsistent dimensions")
-    if any(record.shots != shots for record in records):
-        raise ValueError("records must share one shot count")
-    unitaries = np.stack([record.povm.unitary for record in records])
-    return RecordStack(unitaries, np.stack([record.counts for record in records]), shots)
+    __iter__ = None  # a stack is not a sequence of per-setting objects
 
 
 def sample_counts(probabilities: np.ndarray, shots: int, rng) -> np.ndarray:
@@ -279,34 +228,25 @@ def run_plan(state: DensityMatrix, plan: MeasurementPlan, rng: RngStream) -> Rec
     return RecordStack._checked(unitaries, counts, plan.shots)
 
 
-def expand_to_single_shot(record: MeasurementRecord) -> list[MeasurementRecord]:
-    """Rewrite an L-shot record as L one-hot records with the same POVM."""
-    expanded = []
-    for k, count in enumerate(record.counts):
-        if count == 0:
-            continue
-        one_hot = np.zeros(record.povm.outcomes, dtype=np.int64)
-        one_hot[k] = 1
-        expanded.extend(
-            MeasurementRecord(record.povm, one_hot, 1) for _ in range(int(count))
-        )
-    return expanded
+def expand_to_single_shot(records: RecordStack) -> RecordStack:
+    """Rewrite M L-shot settings as M*L one-hot single-shot settings with
+    the same unitaries: setting by setting, then outcome by outcome."""
+    outcomes = records.counts.shape[1]
+    flat = np.repeat(np.arange(records.counts.size), records.counts.ravel())
+    settings, hits = np.divmod(flat, outcomes)
+    return RecordStack(records.unitaries[settings], np.eye(outcomes, dtype=np.int64)[hits], 1)
 
 
-def dump_records(records, path, seed: int = 0) -> None:
-    """Serialize a RecordStack or a sequence of records to a line-oriented
-    text file.
+def dump_records(records: RecordStack, path, seed: int = 0) -> None:
+    """Serialize a RecordStack to a line-oriented text file.
 
-    Header line: ``D M L seed``. Then per record: D unitary rows as
+    Header line: ``D M L seed``. Then per setting: D unitary rows as
     "re im" pairs (17 significant digits, round-trip exact), followed by
     one line of K integer counts.
     """
-    if len(records) == 0:
-        raise ValueError("cannot dump an empty record list")
-    stack = as_record_stack(records)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{stack.dim} {len(stack)} {stack.shots} {seed}\n")
-        for unitary, counts in zip(stack.unitaries, stack.counts):
+        handle.write(f"{records.dim} {len(records)} {records.shots} {seed}\n")
+        for unitary, counts in zip(records.unitaries, records.counts):
             handle.write(unitary_lines(unitary))
             handle.write(" ".join(str(int(count)) for count in counts) + "\n")
 

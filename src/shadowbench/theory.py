@@ -15,6 +15,10 @@ import numpy as np
 from .core import DensityMatrix, Observable, expectation
 from .ensembles import EnsembleSpec, GlobalHaar, RngLike, as_generator, sample_global_haar_batch
 
+# Unitaries per Monte Carlo batch in mse_theorem1. The Ginibre draw is laid
+# out per batch, so another value changes the estimate's bits.
+THEOREM1_BATCH = 4096
+
 
 @dataclass(frozen=True)
 class MseEstimate:
@@ -57,7 +61,6 @@ def mse_theorem1(
     shots: int,
     ensemble_samples: int,
     rng: RngLike,
-    batch_size: int = 4096,
 ) -> MseEstimate:
     """MSE of the CS estimate of tr(Lambda rho) for M settings x L shots.
 
@@ -99,7 +102,7 @@ def mse_theorem1(
     values = np.empty(ensemble_samples)
     filled = 0
     while filled < ensemble_samples:
-        batch = min(batch_size, ensemble_samples - filled)
+        batch = min(THEOREM1_BATCH, ensemble_samples - filled)
         unitaries = sample_global_haar_batch(dim, batch, generator)
         conj = unitaries.conj()
         p = np.einsum("bki,ij,bkj->bk", unitaries, rho, conj).real

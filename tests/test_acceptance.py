@@ -121,8 +121,8 @@ def test_criterion_02_cs_shadow_structure():
     dim = 32
     state, _ = canonical_state_and_observables(5)
     records = run_plan(state, MeasurementPlan(1000, 1, GlobalHaar(dim)), RngStream(5150, (0, 0)))
-    for record in records:
-        shadow = shadow_map(CS(), adjoint_map(record.povm, record.frequencies))
+    for unitary, frequencies in zip(records.unitaries, records.frequencies):
+        shadow = shadow_map(CS(), adjoint_map(unitary, frequencies))
         assert abs(shadow.trace - 1.0) <= 1e-10
         eigenvalues = np.linalg.eigvalsh(shadow.matrix)
         assert abs(eigenvalues[-1] - dim) <= 1e-9
@@ -336,7 +336,7 @@ def test_criterion_11_oracle_equivalences():
         MeasurementPlan(6, 16, GlobalHaar(4)),
         RngStream(1918, (0, 0)),
     )
-    expanded = [one for record in records for one in expand_to_single_shot(record)]
+    expanded = expand_to_single_shot(records)
     for method in (LS(), RLS(0.1), CS()):
         multi = estimate(records, method).average.matrix
         single = estimate(expanded, method).average.matrix

@@ -15,9 +15,9 @@ from shadowbench.core import (
     log_likelihood,
     project_physical,
 )
-from shadowbench.ensembles import GlobalHaar, RngStream, sample_global_haar
+from shadowbench.ensembles import RngStream, sample_global_haar
 from shadowbench.experiments import canonical_state_and_observables
-from shadowbench.measurement import MeasurementPlan, MeasurementRecord, run_plan
+from shadowbench.measurement import RecordStack
 
 from oracles import closest_physical_state_bloch, random_density_matrix, random_hermitian
 
@@ -241,27 +241,26 @@ class TestProjectPhysical:
 
 class TestLogLikelihood:
     def test_certain_outcome_gives_zero(self):
-        record = MeasurementRecord(RankOnePovm(np.eye(4)), [5, 0, 0, 0], 5)
-        result = log_likelihood([record], basis_state(4))
+        records = RecordStack([np.eye(4)], [[5, 0, 0, 0]], 5)
+        result = log_likelihood(records, basis_state(4))
         assert result.value == pytest.approx(0.0, abs=1e-12)
         assert result.floored_terms == 0
 
     def test_maximally_mixed_value(self):
         dim, shots = 4, 7
-        record = MeasurementRecord(RankOnePovm(np.eye(dim)), [shots, 0, 0, 0], shots)
-        result = log_likelihood([record], DensityMatrix.maximally_mixed(dim))
+        records = RecordStack([np.eye(dim)], [[shots, 0, 0, 0]], shots)
+        result = log_likelihood(records, DensityMatrix.maximally_mixed(dim))
         assert result.value == pytest.approx(shots * np.log(1.0 / dim), abs=1e-12)
 
     def test_average_over_identical_records(self):
-        record = MeasurementRecord(RankOnePovm(np.eye(2)), [3, 1], 4)
         state = DensityMatrix(np.diag([0.8, 0.2]))
-        single = log_likelihood([record], state)
-        double = log_likelihood([record, record], state)
+        single = log_likelihood(RecordStack([np.eye(2)], [[3, 1]], 4), state)
+        double = log_likelihood(RecordStack([np.eye(2)] * 2, [[3, 1]] * 2, 4), state)
         assert double.value == pytest.approx(single.value, abs=1e-12)
 
     def test_floor_applies_to_impossible_outcome(self):
-        record = MeasurementRecord(RankOnePovm(np.eye(2)), [0, 1], 1)
-        result = log_likelihood([record], basis_state(2, 0))
+        records = RecordStack([np.eye(2)], [[0, 1]], 1)
+        result = log_likelihood(records, basis_state(2, 0))
         assert result.floored_terms == 1
         assert result.value == pytest.approx(np.log(1e-12), abs=1e-9)
 
@@ -269,33 +268,21 @@ class TestLogLikelihood:
         dim, shots = 4, 6
         generator = np.random.default_rng(27)
         state = DensityMatrix(random_density_matrix(dim, generator))
-        records = [
-            MeasurementRecord(
-                RankOnePovm(sample_global_haar(dim, RngStream(27, (0, m)))),
-                generator.multinomial(shots, np.full(dim, 1.0 / dim)),
-                shots,
-            )
-            for m in range(5)
-        ]
+        records = RecordStack(
+            [sample_global_haar(dim, RngStream(27, (0, m))) for m in range(5)],
+            [generator.multinomial(shots, np.full(dim, 1.0 / dim)) for _ in range(5)],
+            shots,
+        )
         expected = np.mean(
             [
                 sum(
-                    count * np.log(np.trace(record.povm.element(k) @ state.matrix).real)
-                    for k, count in enumerate(record.counts)
+                    count * np.log(np.trace(RankOnePovm(unitary).element(k) @ state.matrix).real)
+                    for k, count in enumerate(counts)
                     if count > 0
                 )
-                for record in records
+                for unitary, counts in zip(records.unitaries, records.counts)
             ]
         )
         result = log_likelihood(records, state)
         assert result.value == pytest.approx(expected, rel=1e-12)
         assert result.floored_terms == 0
-
-    def test_stack_and_record_list_agree(self):
-        state = DensityMatrix(random_density_matrix(4, np.random.default_rng(28)))
-        records = run_plan(state, MeasurementPlan(7, 3, GlobalHaar(4)), RngStream(28))
-        assert log_likelihood(records, state) == log_likelihood(list(records), state)
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            log_likelihood([], basis_state(2))

@@ -60,7 +60,7 @@ class TestRngStream:
         plan = MeasurementPlan(12, 1, GlobalHaar(4))
         records = run_plan(DensityMatrix.maximally_mixed(4), plan, RngStream(7, (3, 0)))
         expected = sample_global_haar(4, RngStream(7, (3, 11)))
-        assert np.array_equal(records[11].povm.unitary, expected)
+        assert np.array_equal(records.unitaries[11], expected)
 
 
 class TestGlobalHaar:

@@ -23,7 +23,7 @@ from shadowbench.estimators import (
 )
 from shadowbench.measurement import (
     MeasurementPlan,
-    MeasurementRecord,
+    RecordStack,
     adjoint_map,
     expand_to_single_shot,
     run_plan,
@@ -46,8 +46,16 @@ def forbid_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
 
 
-def record_cs_shadow(record):
-    return shadow_map(CS(), adjoint_map(record.povm, record.frequencies))
+def setting_cs_shadows(records):
+    """The CS shadow of each setting, one setting at a time."""
+    return [
+        shadow_map(CS(), adjoint_map(RankOnePovm(unitary), frequencies))
+        for unitary, frequencies in zip(records.unitaries, records.frequencies)
+    ]
+
+
+def setting_povms(records):
+    return [RankOnePovm(unitary) for unitary in records.unitaries]
 
 
 def haar_povms(dim, count, seed, trial=0):
@@ -205,8 +213,8 @@ class TestLsShadow:
             records = run_plan(
                 state, MeasurementPlan(settings, 3, GlobalHaar(dim)), RngStream(26, (qubits, 0))
             )
-            povms = [record.povm for record in records]
-            frequencies = [record.frequencies for record in records]
+            povms = setting_povms(records)
+            frequencies = list(records.frequencies)
             mean_adjoint = np.mean(
                 [adjoint_map(povm, phat) for povm, phat in zip(povms, frequencies)], axis=0
             )
@@ -220,9 +228,10 @@ class TestLsShadow:
             MeasurementPlan(3, 1, GlobalHaar(4)),
             RngStream(10, (0, 0)),
         )
-        frame = FrameOperator.from_povms([record.povm for record in records])
-        for record in records:
-            shadow = shadow_map(LS(), adjoint_map(record.povm, record.frequencies), frame)
+        povms = setting_povms(records)
+        frame = FrameOperator.from_povms(povms)
+        for povm, frequencies in zip(povms, records.frequencies):
+            shadow = shadow_map(LS(), adjoint_map(povm, frequencies), frame)
             assert np.abs(shadow.matrix - shadow.matrix.conj().T).max() < 1e-12
 
 
@@ -278,10 +287,11 @@ class TestRlsShadow:
             MeasurementPlan(6, 3, GlobalHaar(4)),
             RngStream(17, (0, 0)),
         )
-        frame = FrameOperator.from_povms([record.povm for record in records], shots=3)
+        povms = setting_povms(records)
+        frame = FrameOperator.from_povms(povms, shots=3)
         expected = [
-            shadow_map(RLS(0.2), adjoint_map(record.povm, record.frequencies), frame).matrix
-            for record in records
+            shadow_map(RLS(0.2), adjoint_map(povm, frequencies), frame).matrix
+            for povm, frequencies in zip(povms, records.frequencies)
         ]
         forbid_eigh(monkeypatch)
         shadows = estimate(records, RLS(0.2)).shadows
@@ -302,15 +312,14 @@ class TestGramRidgeSolve:
                 MeasurementPlan(settings, shots, GlobalHaar(dim)),
                 RngStream(18, (qubits, 0)),
             )
-            unitaries = np.stack([record.povm.unitary for record in records])
-            frequencies = np.stack([record.frequencies for record in records])
+            povms = setting_povms(records)
             mean_adjoint = np.mean(
-                [adjoint_map(record.povm, record.frequencies) for record in records], axis=0
+                [adjoint_map(povm, phat) for povm, phat in zip(povms, records.frequencies)],
+                axis=0,
             )
             # Effective single-shot view: each setting counts L times.
-            povms = [record.povm for record in records] * shots
-            oracle = dense_ridge_solve(povms, 0.1, mean_adjoint)
-            solution = gram_ridge_solve(unitaries, frequencies, 0.1, shots)
+            oracle = dense_ridge_solve(povms * shots, 0.1, mean_adjoint)
+            solution = gram_ridge_solve(records.unitaries, records.frequencies, 0.1, shots)
             assert np.abs(solution - oracle).max() < 1e-10
 
     def test_zero_mu_rejected_as_singular(self):
@@ -353,8 +362,7 @@ class TestCsShadow:
         dim = 4
         counts = np.zeros(dim, dtype=np.int64)
         counts[2] = 1
-        record = MeasurementRecord(RankOnePovm(np.eye(dim)), counts, 1)
-        shadow = record_cs_shadow(record)
+        (shadow,) = setting_cs_shadows(RecordStack([np.eye(dim)], [counts], 1))
         expected = -np.eye(dim).astype(complex)
         expected[2, 2] = dim
         assert np.abs(shadow.matrix - expected).max() < 1e-12
@@ -368,8 +376,8 @@ class TestCsShadow:
             MeasurementPlan(20, 3, GlobalHaar(8)),
             RngStream(18, (0, 0)),
         )
-        for record in records:
-            assert abs(record_cs_shadow(record).trace - 1.0) < 1e-10
+        for shadow in setting_cs_shadows(records):
+            assert abs(shadow.trace - 1.0) < 1e-10
 
     def test_single_shot_outer_product_form(self):
         records = run_plan(
@@ -377,10 +385,11 @@ class TestCsShadow:
             MeasurementPlan(10, 1, GlobalHaar(8)),
             RngStream(19, (0, 0)),
         )
-        for record in records:
-            vector = record.povm.unitary.conj().T @ record.frequencies
+        shadows = setting_cs_shadows(records)
+        for unitary, frequencies, shadow in zip(records.unitaries, records.frequencies, shadows):
+            vector = unitary.conj().T @ frequencies
             outer_form = 9 * np.outer(vector, vector.conj()) - np.eye(8)
-            assert np.abs(record_cs_shadow(record).matrix - outer_form).max() < 1e-12
+            assert np.abs(shadow.matrix - outer_form).max() < 1e-12
 
     def test_adjoint_without_unit_trace_rejected(self):
         with pytest.raises(RuntimeError, match="trace"):
@@ -392,7 +401,7 @@ class TestCsShadow:
         records = run_plan(
             state, MeasurementPlan(count, 1, GlobalHaar(dim)), RngStream(20, (0, 0))
         )
-        shadows = np.stack([record_cs_shadow(record).matrix for record in records])
+        shadows = np.stack([shadow.matrix for shadow in setting_cs_shadows(records)])
         mean = shadows.mean(axis=0)
         spread_re = shadows.real.std(axis=0, ddof=1) / np.sqrt(count)
         spread_im = shadows.imag.std(axis=0, ddof=1) / np.sqrt(count)
@@ -402,9 +411,7 @@ class TestCsShadow:
 
 class TestEstimate:
     def test_identical_records_average(self):
-        counts = np.array([1, 0], dtype=np.int64)
-        record = MeasurementRecord(RankOnePovm(np.eye(2)), counts, 1)
-        result = estimate([record] * 4, CS())
+        result = estimate(RecordStack([np.eye(2)] * 4, [[1, 0]] * 4, 1), CS())
         for shadow in result.shadows:
             assert np.abs(shadow.matrix - result.average.matrix).max() < 1e-14
 
@@ -440,23 +447,11 @@ class TestEstimate:
             MeasurementPlan(5, 12, GlobalHaar(dim)),
             RngStream(23, (0, 0)),
         )
-        expanded = [one for record in records for one in expand_to_single_shot(record)]
+        expanded = expand_to_single_shot(records)
         for method in (LS(), RLS(0.1), CS()):
             multi = estimate(records, method).average.matrix
             single = estimate(expanded, method).average.matrix
             assert np.abs(multi - single).max() < 1e-10
-
-    def test_stack_and_record_list_agree(self):
-        records = run_plan(
-            DensityMatrix.maximally_mixed(4), MeasurementPlan(6, 3, GlobalHaar(4)),
-            RngStream(26, (0, 0)),
-        )
-        for method in (LS(), RLS(0.1), CS()):
-            stacked = estimate(records, method)
-            listed = estimate(list(records), method)
-            assert np.array_equal(stacked.average.matrix, listed.average.matrix)
-            for a, b in zip(stacked.shadows, listed.shadows):
-                assert np.array_equal(a.matrix, b.matrix)
 
     def test_rls_norm_monotone_in_mu(self):
         records = run_plan(
@@ -471,22 +466,8 @@ class TestEstimate:
         for smaller_mu, larger_mu in zip(norms, norms[1:]):
             assert larger_mu <= smaller_mu + 1e-10
 
-    def test_mixed_shot_counts_rejected(self):
-        first = MeasurementRecord(RankOnePovm(np.eye(2)), [1, 0], 1)
-        second = MeasurementRecord(RankOnePovm(np.eye(2)), [1, 1], 2)
-        with pytest.raises(ValueError, match="shot count"):
-            estimate([first, second], CS())
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            estimate([], CS())
-
     def test_shadow_set_average_consistency_enforced(self):
-        record = MeasurementRecord(RankOnePovm(np.eye(2)), [1, 0], 1)
-        shadow = record_cs_shadow(record)
-        wrong = record_cs_shadow(
-            MeasurementRecord(RankOnePovm(np.eye(2)), [0, 1], 1)
-        )
+        shadow, wrong = setting_cs_shadows(RecordStack([np.eye(2)] * 2, [[1, 0], [0, 1]], 1))
         with pytest.raises(ValueError, match="average"):
             ShadowSet((shadow,), wrong)
 

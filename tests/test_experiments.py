@@ -135,10 +135,31 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="resource-guard"):
             run_scenario(tiny_scenario("double-descent", qubits=8))
 
+    def test_resource_guard_counts_sampled_unitaries(self, monkeypatch):
+        # CS solves no system, but 16 unitaries of 8192 x 8192 are 16 GiB.
+        def no_context(*args):
+            raise AssertionError("the guard let the scenario through")
+
+        monkeypatch.setattr(experiments, "_build_context", no_context)
+        with pytest.raises(ValueError, match="resource-guard: 13 qubits .* 1073741824 sampled"):
+            run_scenario(Scenario(kind="theorem1", qubits=13, trials=1, m_grid=(16,)))
+
+    def test_resource_guard_bounds_are_inclusive(self):
+        # 32 * (2^11)^2 = 2^27 unitary entries pass and 33 settings do not;
+        # 8 qubits with M <= 64 needs neither a large system nor many entries.
+        experiments._resource_guard(Scenario(kind="theorem1", qubits=11, m_grid=(32,)))
+        with pytest.raises(ValueError, match="resource-guard"):
+            experiments._resource_guard(Scenario(kind="theorem1", qubits=11, m_grid=(33,)))
+        experiments._resource_guard(Scenario(kind="rls-vs-cs", qubits=8, m_grid=(2, 64)))
+
     def test_config_round_trip(self):
         scenario = default_scenario("mismatch")
         assert Scenario.from_dict(scenario.to_dict()) == scenario
         assert Scenario.from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
+
+    def test_config_without_kind_names_it(self):
+        with pytest.raises(ValueError, match="kind"):
+            Scenario.from_dict({"qubits": 2})
 
     def test_unknown_config_key(self):
         with pytest.raises(ValueError, match="unknown scenario config"):
@@ -450,6 +471,11 @@ class TestCli:
             (["rls-vs-cs", "--mu", "0"], "mu-grid"),
             (["mu-sweep", "--mu", "0.1,0"], "mu-grid"),
             (["rls-vs-cs", "--seed", "-1"], "seed"),
+            (["rls-vs-cs", "--load-records", "{tmp}/missing.txt"], "--load-records"),
+            (["rls-vs-cs", "--out", "{tmp}"], "--out"),
+            (["rls-vs-cs", "--out", "{tmp}/missing/x.csv"], "--out"),
+            (["rls-vs-cs", "--dump-records", "{tmp}"], "--dump-records"),
+            (["rls-vs-cs", "--dump-records", "{tmp}/missing/records.txt"], "--dump-records"),
         ],
     )
     def test_bad_value_exits_two_naming_field(self, tmp_path, capsys, monkeypatch, flags, field):
@@ -458,8 +484,10 @@ class TestCli:
 
         monkeypatch.setattr(experiments, "_run_trial", no_trials)
         out = tmp_path / "x.csv"
-        code = main(flags + ["--qubits", "2", "--trials", "1", "--m-grid", "2",
-                             "--out", str(out)])
+        command, *rest = [flag.format(tmp=tmp_path) for flag in flags]
+        # The case's own flags come last, so its --out replaces the default one.
+        code = main([command, "--qubits", "2", "--trials", "1", "--m-grid", "2",
+                     "--out", str(out), *rest])
         assert code == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
@@ -579,7 +607,7 @@ class TestRlsRoutes:
             return columns(unitaries)
 
         monkeypatch.setattr(estimators, "povm_operator_columns", counted)
-        prefix = FramePrefix([record.povm.unitary for record in records], shots)
+        prefix = FramePrefix(records.unitaries, shots)
         # RLS at M = D - 1 takes the Gram route and forms no frame; M = D
         # takes the primal route over all D settings. LS forms the frame
         # at every M and CS never does.
@@ -591,9 +619,10 @@ class TestRlsRoutes:
         for settings, blocks, reference in zip((dim - 1, dim), expected_blocks, references):
             first = records[:settings]
             partial_mean = np.mean(
-                [adjoint_map(record.povm, record.frequencies) for record in first], axis=0
+                [adjoint_map(u, phat) for u, phat in zip(first.unitaries, first.frequencies)],
+                axis=0,
             )
-            kernel = average_estimate(method, first, partial_mean, lambda: prefix).matrix
+            kernel = average_estimate(method, first, partial_mean, prefix).matrix
             assert np.abs(kernel - reference).max() < 1e-10
             assert frame_blocks == blocks
 

@@ -1,6 +1,7 @@
 """Tests for shot sampling, records, and the adjoint map."""
 
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from shadowbench.ensembles import (
 from shadowbench.measurement import (
     PLAN_BLOCK,
     MeasurementPlan,
-    MeasurementRecord,
     RecordStack,
     adjoint_map,
     dump_records,
@@ -68,20 +68,20 @@ class TestSampleCounts:
 class TestRecords:
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError, match="sum"):
-            MeasurementRecord(RankOnePovm(np.eye(2)), [1, 1], 3)
+            RecordStack([np.eye(2)], [[1, 1]], 3)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            MeasurementRecord(RankOnePovm(np.eye(2)), [3, -1], 2)
+            RecordStack([np.eye(2)], [[3, -1]], 2)
 
     def test_frequencies(self):
-        record = MeasurementRecord(RankOnePovm(np.eye(2)), [3, 1], 4)
-        assert np.array_equal(record.frequencies, [0.75, 0.25])
+        record = RecordStack([np.eye(2)], [[3, 1]], 4)
+        assert np.array_equal(record.frequencies, [[0.75, 0.25]])
         assert record.frequencies.sum() == 1.0
 
     def test_one_hot_frequencies(self):
-        record = MeasurementRecord(RankOnePovm(np.eye(3)), [0, 0, 5], 5)
-        assert np.array_equal(record.frequencies, [0, 0, 1])
+        record = RecordStack([np.eye(3)], [[0, 0, 5]], 5)
+        assert np.array_equal(record.frequencies, [[0, 0, 1]])
 
 
 class TestAdjointMap:
@@ -168,29 +168,27 @@ class TestRunPlan:
         plan = MeasurementPlan(1, 1, FixedUnitaries((np.eye(2),)))
         records = run_plan(DensityMatrix.computational_basis_state(2), plan, RngStream(11, (0, 0)))
         assert len(records) == 1
-        assert np.array_equal(records[0].counts, [1, 0])
+        assert np.array_equal(records.counts[0], [1, 0])
 
     def test_record_count_and_totals(self):
         plan = MeasurementPlan(4, 7, GlobalHaar(4))
         records = run_plan(DensityMatrix.maximally_mixed(4), plan, RngStream(12, (0, 0)))
         assert len(records) == 4
-        for record in records:
-            assert record.counts.sum() == 7
+        assert records.counts.sum(axis=1).tolist() == [7] * 4
 
     def test_prefix_property(self):
         state = DensityMatrix.maximally_mixed(4)
         small = run_plan(state, MeasurementPlan(3, 2, GlobalHaar(4)), RngStream(13, (5, 0)))
         large = run_plan(state, MeasurementPlan(6, 2, GlobalHaar(4)), RngStream(13, (5, 0)))
-        for a, b in zip(small, large):
-            assert np.array_equal(a.povm.unitary, b.povm.unitary)
-            assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(small.unitaries, large.unitaries[:3])
+        assert np.array_equal(small.counts, large.counts[:3])
 
     def test_mixed_state_frequencies(self):
         shots = 100_000
         plan = MeasurementPlan(1, shots, FixedUnitaries((np.eye(2),)))
         records = run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(14, (0, 0)))
         margin = 3 * np.sqrt(0.25 / shots)
-        assert abs(records[0].frequencies[0] - 0.5) < margin
+        assert abs(records.frequencies[0, 0] - 0.5) < margin
 
     def test_dim_mismatch(self):
         plan = MeasurementPlan(1, 1, GlobalHaar(4))
@@ -248,9 +246,10 @@ class TestStackedSampler:
             records = run_plan(state, MeasurementPlan(40, 3, GlobalHaar(dim)), RngStream(34))
             probabilities = born_probabilities(records.unitaries, state)
             adjoints = adjoint_map(records.unitaries, records.frequencies)
-            for m, record in enumerate(records):
-                assert np.array_equal(probabilities[m], born_probabilities(record.povm, state))
-                assert np.array_equal(adjoints[m], adjoint_map(record.povm, record.frequencies))
+            for m in range(len(records)):
+                povm = RankOnePovm(records.unitaries[m])
+                assert np.array_equal(probabilities[m], born_probabilities(povm, state))
+                assert np.array_equal(adjoints[m], adjoint_map(povm, records.frequencies[m]))
 
     def test_stacked_counts_use_one_generator_per_row(self):
         probabilities = np.array([[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]])
@@ -286,16 +285,25 @@ class TestRecordStack:
             RngStream(37),
         )
 
-    def test_sequence_of_records(self):
+    def test_slices_only_and_no_iteration(self):
         stack = self.make()
         assert len(stack) == 4 and stack.dim == 2 and stack.shots == 3
-        records = list(stack)
-        assert all(isinstance(record, MeasurementRecord) for record in records)
-        for m, record in enumerate(records):
-            assert np.array_equal(record.povm.unitary, stack.unitaries[m])
-            assert np.array_equal(record.counts, stack[m].counts)
-            assert np.array_equal(record.frequencies, stack.frequencies[m])
-        assert np.array_equal(stack[-1].counts, stack.counts[3])
+        assert not isinstance(stack, Sequence)
+        for index in (3, -1, np.int64(0)):
+            with pytest.raises(TypeError, match="slices"):
+                stack[index]
+        with pytest.raises(TypeError):
+            iter(stack)
+        with pytest.raises(TypeError):
+            list(stack)
+        one = stack[3:4]
+        assert isinstance(one, RecordStack) and len(one) == 1
+        assert np.array_equal(one.unitaries[0], stack.unitaries[3])
+        assert np.array_equal(one.frequencies[0], stack.frequencies[3])
+
+    def test_needs_at_least_one_setting(self):
+        with pytest.raises(ValueError, match="M >= 1"):
+            RecordStack(np.zeros((0, 2, 2)), np.zeros((0, 2)), 1)
 
     def test_prefix_is_a_read_only_view(self):
         stack = self.make()
@@ -339,14 +347,35 @@ class TestRecordStack:
             run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(38))
 
 
+def loop_expanded(records):
+    """One-hot single-shot settings built one outcome hit at a time:
+    setting by setting, then outcome by outcome."""
+    unitaries, counts = [], []
+    for unitary, row in zip(records.unitaries, records.counts):
+        for k, count in enumerate(row):
+            for _ in range(count):
+                unitaries.append(unitary)
+                counts.append(np.eye(len(row), dtype=np.int64)[k])
+    return np.stack(unitaries), np.stack(counts)
+
+
 class TestExpandToSingleShot:
     def test_expansion_counts(self):
-        record = MeasurementRecord(RankOnePovm(np.eye(3)), [2, 0, 3], 5)
+        record = RecordStack([np.eye(3)], [[2, 0, 3]], 5)
         expanded = expand_to_single_shot(record)
-        assert len(expanded) == 5
-        assert all(one.shots == 1 for one in expanded)
-        totals = sum(one.counts for one in expanded)
-        assert np.array_equal(totals, record.counts)
+        assert isinstance(expanded, RecordStack)
+        assert len(expanded) == 5 and expanded.shots == 1
+        assert np.array_equal(expanded.counts.sum(axis=0), record.counts[0])
+
+    @pytest.mark.parametrize("shots", [1, 3, 16])
+    def test_matches_loop_reference_in_order(self, shots):
+        plan = MeasurementPlan(7, shots, GlobalHaar(4))
+        records = run_plan(DensityMatrix.maximally_mixed(4), plan, RngStream(39))
+        expanded = expand_to_single_shot(records)
+        unitaries, counts = loop_expanded(records)
+        assert len(expanded) == 7 * shots
+        assert np.array_equal(expanded.unitaries, unitaries)
+        assert np.array_equal(expanded.counts, counts)
 
 
 class TestRecordSerialization:
@@ -357,11 +386,9 @@ class TestRecordSerialization:
         dump_records(records, path, seed=15)
         loaded, seed = load_records(path)
         assert seed == 15
-        assert len(loaded) == len(records)
-        for original, restored in zip(records, loaded):
-            assert np.array_equal(original.povm.unitary, restored.povm.unitary)
-            assert np.array_equal(original.counts, restored.counts)
-            assert original.shots == restored.shots
+        assert np.array_equal(loaded.unitaries, records.unitaries)
+        assert np.array_equal(loaded.counts, records.counts)
+        assert loaded.shots == records.shots
 
     def test_header_contents(self, tmp_path):
         plan = MeasurementPlan(2, 3, GlobalHaar(2))
@@ -370,10 +397,6 @@ class TestRecordSerialization:
         dump_records(records, path, seed=99)
         header = path.read_text().splitlines()[0]
         assert header == "2 2 3 99"
-
-    def test_empty_dump_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="empty"):
-            dump_records([], tmp_path / "nothing.txt")
 
     def test_non_finite_value_rejected(self, tmp_path):
         plan = MeasurementPlan(2, 1, GlobalHaar(2))
@@ -404,7 +427,7 @@ class TestRecordSerialization:
         plan = MeasurementPlan(3, 2, GlobalHaar(2))
         records = run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(20, (0, 0)))
         path = tmp_path / "records.txt"
-        dump_records(list(records), path)
+        dump_records(records, path)
         loaded, _ = load_records(path)
         assert isinstance(loaded, RecordStack)
         assert np.array_equal(loaded.unitaries, records.unitaries)
@@ -430,7 +453,7 @@ class TestRecordSerialization:
                 dump_records(records, path, seed=17)
                 load = load_records
             else:
-                save_unitaries([record.povm.unitary for record in records], path)
+                save_unitaries(records.unitaries, path)
                 load = load_fixed_ensemble
             lines = path.read_text().splitlines(keepends=True)
             load(path)
