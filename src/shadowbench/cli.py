@@ -130,6 +130,10 @@ def _check_paths(args: argparse.Namespace, out_path: str) -> None:
             raise ValueError(f"{flag}: {path!r} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag}: the directory of {path!r} does not exist")
+    dump = args.dump_records
+    if dump is not None and os.path.realpath(dump) == os.path.realpath(out_path):
+        raise ValueError(f"--out and --dump-records both name {out_path!r}; "
+                         "the CSV would overwrite the records")
 
 
 def _validation_checks(seed: int):

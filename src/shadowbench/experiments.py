@@ -428,14 +428,14 @@ def _run_trial(
     rows: list[ResultRow] = []
 
     for eta, ensemble in ctx.family.ensembles(sc):
-        for shots, settings_grid in ctx.plan:
-            max_settings = settings_grid[-1]
-            if records_override is not None:
-                records = records_override[:max_settings]
-            else:
-                plan = MeasurementPlan(max_settings, shots, ensemble)
-                records = run_plan(ctx.state, plan, RngStream(sc.seed, (trial, 0)))
-
+        if records_override is not None:
+            stacks = [records_override[:grid[-1]] for _, grid in ctx.plan]
+        else:
+            # One call for every shot count: each setting is drawn once
+            # and feeds the counts of every plan entry that holds it.
+            plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
+            stacks = run_plan(ctx.state, plans, RngStream(sc.seed, (trial, 0)))
+        for (shots, settings_grid), records in zip(ctx.plan, stacks):
             frames = FramePrefix(records.unitaries, shots)
             partial_sum = np.zeros((dim, dim), dtype=complex)
             done = 0

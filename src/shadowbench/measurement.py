@@ -2,9 +2,10 @@
 
 Simulates probing POVM settings with a finite number of shots, stores
 a plan's unitaries and integer outcome counts as stacked arrays
-(:class:`RecordStack`), and provides the adjoint A†(p̂) = sum_k p̂_k A_k
-of one setting or of each setting in a stack, which every estimator
-consumes.
+(:class:`RecordStack`), and samples several plans over one ensemble
+(different shot counts, say) from a single draw of their settings. It
+also provides the adjoint A†(p̂) = sum_k p̂_k A_k of one setting or of
+each setting in a stack, which every estimator consumes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .ensembles import (
     unitary_lines,
 )
 
-PLAN_BLOCK = 64  # settings per batched QR, Born and counts step in run_plan
+PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step in run_plan
 
 
 @dataclass(frozen=True)
@@ -192,40 +193,74 @@ def adjoint_map(povms, phat: np.ndarray) -> np.ndarray:
     return hermitize(partial)
 
 
-def run_plan(state: DensityMatrix, plan: MeasurementPlan, rng: RngStream) -> RecordStack:
-    """Simulate the full plan: draw settings, Born probabilities, counts.
+def _plan_sequence(plans, state: DensityMatrix) -> tuple[MeasurementPlan, ...]:
+    """``plans`` as a non-empty tuple of plans over one ensemble of the
+    state's dimension, or a ValueError naming what is wrong."""
+    plans = (plans,) if isinstance(plans, MeasurementPlan) else tuple(plans)
+    if not plans:
+        raise ValueError("run_plan needs at least one plan")
+    ensemble = plans[0].ensemble
+    if any(plan.ensemble != ensemble for plan in plans):
+        raise ValueError("plans of one run_plan call must share one ensemble")
+    if ensemble.dim != state.dim:
+        raise ValueError(f"dim-mismatch: ensemble dim {ensemble.dim} != state dim {state.dim}")
+    return plans
 
+
+def run_plan(state: DensityMatrix, plans, rng: RngStream) -> RecordStack | list[RecordStack]:
+    """Simulate a plan: draw settings, Born probabilities, counts.
+
+    ``plans`` is one MeasurementPlan, giving one RecordStack, or a
+    sequence of plans over one ensemble, giving one stack per plan.
     ``rng`` identifies the trial; setting m consumes the substream
     (trial, m), so records for a smaller plan are an exact prefix of
     records for a larger plan at the same seed and trial. Settings are
     sampled PLAN_BLOCK at a time: each stream draws its setting's
     normals (or its whole unitary, for ensembles other than GlobalHaar)
-    and later its counts, while the QR, the checks and the Born
-    probabilities run once per block.
+    once, and the QR, the checks and the Born probabilities run once
+    per block. Then each plan that holds setting m draws its counts
+    from the stream's state right after that setting's draw, so every
+    stack has the same bits as a separate call with its plan alone. The
+    stacks share one read-only unitary array.
     """
-    if plan.ensemble.dim != state.dim:
-        raise ValueError(
-            f"dim-mismatch: ensemble dim {plan.ensemble.dim} != state dim {state.dim}"
-        )
+    sequence = _plan_sequence(plans, state)
+    sizes = sorted((plan.settings for plan in sequence), reverse=True)
+    total = sizes[0]
+    shared = sizes[1] if len(sizes) > 1 else 0  # settings held by two plans or more
     trial = rng.stream_id[0]
     dim = state.dim
-    unitaries = np.empty((plan.settings, dim, dim), dtype=complex)
-    counts = np.empty((plan.settings, dim), dtype=np.int64)
-    for start in range(0, plan.settings, PLAN_BLOCK):
-        stop = min(start + PLAN_BLOCK, plan.settings)
+    ensemble = sequence[0].ensemble
+    unitaries = np.empty((total, dim, dim), dtype=complex)
+    counts = [np.empty((plan.settings, dim), dtype=np.int64) for plan in sequence]
+    for start in range(0, total, PLAN_BLOCK):
+        stop = min(start + PLAN_BLOCK, total)
         streams = [RngStream(rng.seed, (trial, m)) for m in range(start, stop)]
-        if isinstance(plan.ensemble, GlobalHaar):
+        if isinstance(ensemble, GlobalHaar):
             block = haar_from_normals(haar_normals(dim, streams))
         else:
-            block = np.stack([sample_unitary(plan.ensemble, stream) for stream in streams])
+            block = np.stack([sample_unitary(ensemble, stream) for stream in streams])
         _check_unitaries(block, start)
         probabilities = born_probabilities(block, state)
-        counts[start:stop] = sample_counts(probabilities, plan.shots, streams)
-        _check_counts(counts[start:stop], plan.shots, start)
+        generators = [stream.generator for stream in streams[: max(shared - start, 0)]]
+        snapshots = [generator.bit_generator.state for generator in generators]
+        drawn = 0  # leading streams of the block whose counts were drawn
+        for plan, plan_counts in zip(sequence, counts):
+            rows = min(stop, plan.settings) - start
+            if rows <= 0:
+                continue
+            for generator, snapshot in zip(generators[: min(drawn, rows)], snapshots):
+                generator.bit_generator.state = snapshot
+            drawn = max(drawn, rows)
+            block_counts = sample_counts(probabilities[:rows], plan.shots, streams[:rows])
+            _check_counts(block_counts, plan.shots, start)
+            plan_counts[start:start + rows] = block_counts
         unitaries[start:stop] = block
     unitaries.setflags(write=False)
-    counts.setflags(write=False)
-    return RecordStack._checked(unitaries, counts, plan.shots)
+    stacks = []
+    for plan, plan_counts in zip(sequence, counts):
+        plan_counts.setflags(write=False)
+        stacks.append(RecordStack._checked(unitaries[: plan.settings], plan_counts, plan.shots))
+    return stacks[0] if isinstance(plans, MeasurementPlan) else stacks
 
 
 def expand_to_single_shot(records: RecordStack) -> RecordStack:

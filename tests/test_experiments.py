@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import shadowbench
-from shadowbench import estimators, experiments
+from shadowbench import estimators, experiments, measurement
 from shadowbench.cli import main
 from shadowbench.core import DensityMatrix, expectation
 from shadowbench.ensembles import GlobalHaar, RngStream
@@ -29,7 +29,7 @@ from shadowbench.experiments import (
     emit_csv,
     run_scenario,
 )
-from shadowbench.measurement import MeasurementPlan, adjoint_map, run_plan
+from shadowbench.measurement import PLAN_BLOCK, MeasurementPlan, adjoint_map, run_plan
 
 
 def tiny_scenario(kind, **overrides):
@@ -186,6 +186,30 @@ class TestRunScenario:
             assert expected in metrics
         trials = {row.trial for row in rows if row.trial != AGGREGATE_TRIAL}
         assert trials == {0, 1, 2}
+
+    @pytest.mark.parametrize("kind, eta_grid", [("theorem1", (0.0,)), ("mismatch", (0.0, 0.5))])
+    def test_one_sampler_call_per_trial_and_eta(self, monkeypatch, kind, eta_grid):
+        # Every shot count of a trial shares one draw of its settings, so
+        # the Born probabilities run once per block, not once per L.
+        calls = {"run_plan": 0, "born_probabilities": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(experiments, "run_plan")
+        counted(measurement, "born_probabilities")
+        trials, settings = 3, PLAN_BLOCK + 1  # two blocks per draw
+        scenario = tiny_scenario(kind, trials=trials, m_grid=(settings,), l_grid=(1, 4, 16),
+                                 eta_grid=eta_grid, ensemble_samples=50)
+        run_scenario(scenario)
+        assert calls == {"run_plan": trials * len(eta_grid),
+                         "born_probabilities": 2 * trials * len(eta_grid)}
 
     def test_cs_trace_rows_are_one(self):
         rows = run_scenario(tiny_scenario("rls-vs-cs"))
@@ -491,6 +515,19 @@ class TestCli:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_and_dump_records_naming_one_file_exit_two(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_run_trial", no_trials)
+        monkeypatch.chdir(tmp_path)
+        code = main(["rls-vs-cs", "--qubits", "2", "--trials", "1", "--m-grid", "2",
+                     "--out", "./x.csv", "--dump-records", "x.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "--dump-records" in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "config, field",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowbench import measurement
 from shadowbench.core import DensityMatrix, RankOnePovm, born_probabilities
 from shadowbench.ensembles import (
     FixedUnitaries,
@@ -276,6 +277,67 @@ class TestStackedSampler:
         else:
             with pytest.raises(ValueError, match=match):
                 sample_counts(probabilities, 3, streams)
+
+
+SEQUENCE_SETTINGS = 2 * PLAN_BLOCK + 2  # plan sizes end on both sides of block edges
+SEQUENCE_ENSEMBLES = {
+    "global": GlobalHaar(4),
+    "local": LocalHaarTensor(2),
+    "mixture-0": HaarMixture(2, 0.0),
+    "mixture-0.5": HaarMixture(2, 0.5),
+    "mixture-1": HaarMixture(2, 1.0),
+    "fixed": FixedUnitaries(tuple(sample_global_haar_batch(4, SEQUENCE_SETTINGS, RngStream(40)))),
+}
+SEQUENCES = [
+    ((3, 1), (SEQUENCE_SETTINGS, 4), (PLAN_BLOCK, 16), (PLAN_BLOCK + 1, 4)),
+    ((PLAN_BLOCK + 1, 16), (PLAN_BLOCK, 4), (3, 1)),
+    ((SEQUENCE_SETTINGS, 1), (SEQUENCE_SETTINGS, 16)),
+]
+
+
+class TestPlanSequence:
+    @pytest.mark.parametrize("sizes", SEQUENCES)
+    @pytest.mark.parametrize("name", sorted(SEQUENCE_ENSEMBLES))
+    def test_each_plan_matches_a_single_plan_call(self, name, sizes):
+        ensemble = SEQUENCE_ENSEMBLES[name]
+        state = DensityMatrix(random_density_matrix(4, np.random.default_rng(41)))
+        plans = [MeasurementPlan(settings, shots, ensemble) for settings, shots in sizes]
+        stacks = run_plan(state, plans, RngStream(42, (5, 0)))
+        assert len(stacks) == len(plans)
+        for plan, stack in zip(plans, stacks):
+            alone = run_plan(state, plan, RngStream(42, (5, 0)))
+            assert np.array_equal(stack.unitaries, alone.unitaries)
+            assert np.array_equal(stack.counts, alone.counts)
+            assert stack.shots == plan.shots
+            assert not stack.unitaries.flags.writeable and not stack.counts.flags.writeable
+        assert all(np.shares_memory(stacks[0].unitaries, stack.unitaries) for stack in stacks)
+
+    def test_one_plan_sequence_gives_a_list(self):
+        plan = MeasurementPlan(5, 2, GlobalHaar(2))
+        state = DensityMatrix.maximally_mixed(2)
+        (stack,) = run_plan(state, [plan], RngStream(43))
+        alone = run_plan(state, plan, RngStream(43))
+        assert isinstance(alone, RecordStack)
+        assert np.array_equal(stack.counts, alone.counts)
+
+    @pytest.mark.parametrize(
+        "plans, match",
+        [
+            ([], "at least one plan"),
+            ([MeasurementPlan(2, 1, GlobalHaar(4)), MeasurementPlan(2, 4, LocalHaarTensor(2))],
+             "share one ensemble"),
+            ([MeasurementPlan(2, 1, GlobalHaar(2)), MeasurementPlan(3, 4, GlobalHaar(2))],
+             "dim-mismatch"),
+        ],
+    )
+    def test_bad_sequence_rejected_before_any_draw(self, monkeypatch, plans, match):
+        def no_draw(*args):
+            raise AssertionError("a setting was drawn")
+
+        monkeypatch.setattr(measurement, "haar_normals", no_draw)
+        monkeypatch.setattr(measurement, "sample_unitary", no_draw)
+        with pytest.raises(ValueError, match=match):
+            run_plan(DensityMatrix.maximally_mixed(4), plans, RngStream(44))
 
 
 class TestRecordStack:
