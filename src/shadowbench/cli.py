@@ -246,8 +246,9 @@ def _validation_checks(seed: int):
 
 def run_validation(seed: int = 7, out=None) -> int:
     out = sys.stdout if out is None else out
+    checks = _validation_checks(seed)
     failures = 0
-    for name, check in _validation_checks(seed):
+    for name, check in checks:
         try:
             check()
         except AssertionError as error:
@@ -255,8 +256,7 @@ def run_validation(seed: int = 7, out=None) -> int:
             print(f"FAIL  {name}: {error}", file=out)
         else:
             print(f"ok    {name}", file=out)
-    total = len(_validation_checks(seed))
-    print(f"{total - failures}/{total} checks passed", file=out)
+    print(f"{len(checks) - failures}/{len(checks)} checks passed", file=out)
     return 0 if failures == 0 else 2
 
 

@@ -8,6 +8,8 @@ same unitary regardless of execution order.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -268,20 +270,58 @@ class BlockReader:
     def unitary(self, dim: int) -> np.ndarray:
         return np.stack([self.values(float, 2 * dim) for _ in range(dim)]).view(complex)
 
+    def finish(self) -> None:
+        """Refuse any non-blank line after the last block."""
+        for index in range(self.cursor, len(self.lines)):
+            if self.lines[index].strip():
+                raise ValueError(
+                    f"malformed file: {self.path}, line {index + 1}: "
+                    "unexpected content after the last block"
+                )
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, overwriting the file in place.
+
+    The file is opened without ``O_TRUNC`` and a regular file is cut to
+    the new length after the write: on ext4, truncating an existing file
+    to zero on open stalls for tens of milliseconds, while writing over it
+    and cutting the tail does not. A write that fails part-way leaves a
+    regular file empty, never new bytes followed by an old tail. Devices
+    and FIFOs (``os.devnull``, a pipe) are written without truncation,
+    since they cannot be truncated.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        except OSError:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
 
 def save_unitaries(unitaries, path) -> None:
     """Write unitaries as text blocks: a count/dim header line, then one
     row per line as "re im" pairs, row-major within each block."""
     unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
     dim = unitaries[0].shape[0]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{len(unitaries)} {dim}\n")
-        for unitary in unitaries:
-            handle.write(unitary_lines(unitary))
+    blocks = "".join(unitary_lines(unitary) for unitary in unitaries)
+    write_text(path, f"{len(unitaries)} {dim}\n{blocks}")
 
 
 def load_fixed_ensemble(path) -> FixedUnitaries:
     """Fixed ensemble from a unitary block file (see :func:`save_unitaries`)."""
     reader = BlockReader(path)
     count, dim = reader.header(2, positive=2)
-    return FixedUnitaries(tuple(reader.unitary(dim) for _ in range(count)))
+    unitaries = tuple(reader.unitary(dim) for _ in range(count))
+    reader.finish()
+    return FixedUnitaries(unitaries)

@@ -39,6 +39,7 @@ from .ensembles import (
     HaarMixture,
     RngStream,
     sample_sphere_vector,
+    write_text,
 )
 from .estimators import CS, LS, RLS, FramePrefix, ShadowMethod, average_estimate, solve_route
 from .measurement import (
@@ -628,8 +629,7 @@ def emit_csv(rows: Sequence[ResultRow], path) -> None:
             f"{row.method},{row.metric},{_format_value(row.value)}"
         )
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
     except OSError as error:
         raise RuntimeError(f"failed to write CSV to {path}: {error}") from error
 

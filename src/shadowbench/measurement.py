@@ -33,6 +33,7 @@ from .ensembles import (
     haar_normals,
     sample_unitary,
     unitary_lines,
+    write_text,
 )
 
 PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step in run_plan
@@ -279,11 +280,11 @@ def dump_records(records: RecordStack, path, seed: int = 0) -> None:
     "re im" pairs (17 significant digits, round-trip exact), followed by
     one line of K integer counts.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{records.dim} {len(records)} {records.shots} {seed}\n")
-        for unitary, counts in zip(records.unitaries, records.counts):
-            handle.write(unitary_lines(unitary))
-            handle.write(" ".join(str(int(count)) for count in counts) + "\n")
+    blocks = "".join(
+        unitary_lines(unitary) + " ".join(str(int(count)) for count in counts) + "\n"
+        for unitary, counts in zip(records.unitaries, records.counts)
+    )
+    write_text(path, f"{records.dim} {len(records)} {records.shots} {seed}\n{blocks}")
 
 
 def load_records(path) -> tuple[RecordStack, int]:
@@ -294,6 +295,7 @@ def load_records(path) -> tuple[RecordStack, int]:
     for _ in range(count):
         unitaries.append(reader.unitary(dim))
         counts.append(reader.values(int, dim))
+    reader.finish()
     try:
         return RecordStack(np.stack(unitaries), np.stack(counts), shots), seed
     except RecordError as error:

@@ -1,11 +1,13 @@
 """Tests for scenario execution, CSV emission, and the CLI."""
 
+import errno
 import filecmp
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -342,6 +344,58 @@ class TestEmitCsv:
         emit_csv(run_scenario(scenario), second)
         assert filecmp.cmp(first, second, shallow=False)
 
+    @staticmethod
+    def _rows(count):
+        return [ResultRow("x", t, 4, 1, 0.1, 0.0, "CS", "trace", 1.0 / 3) for t in range(count)]
+
+    @pytest.mark.parametrize("old_rows", [500, 1])
+    def test_overwrite_matches_a_fresh_file(self, tmp_path, old_rows):
+        # A longer old file must lose its tail; a shorter one grows.
+        fresh = tmp_path / "fresh.csv"
+        emit_csv(self._rows(20), fresh)
+        path = tmp_path / "rerun.csv"
+        emit_csv(self._rows(old_rows), path)
+        emit_csv(self._rows(20), path)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_devnull(self):
+        emit_csv(self._rows(3), os.devnull)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_reader_gets_exact_bytes(self, tmp_path):
+        rows = self._rows(2000)  # more than a pipe buffer
+        expected = tmp_path / "expected.csv"
+        emit_csv(rows, expected)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        emit_csv(rows, fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [expected.read_bytes()]
+
+    def test_part_way_write_failure_leaves_an_empty_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "partial.csv"
+        emit_csv(self._rows(500), path)
+        real_write = os.write
+
+        def half_then_full_disk(fd, data):
+            real_write(fd, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", half_then_full_disk)
+        with pytest.raises(RuntimeError, match="partial.csv"):
+            emit_csv(self._rows(20), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == b""
+
     def test_unwritable_path_raises_with_context(self, tmp_path):
         with pytest.raises(RuntimeError, match="no/such"):
             emit_csv([], tmp_path / "no" / "such" / "dir.csv")
@@ -461,6 +515,18 @@ class TestCli:
         capsys.readouterr()
         assert main(args + ["--load-records", str(records)]) == 2
         assert "records.txt, line 6: counts sum 0 != shots 1" in capsys.readouterr().err
+
+    def test_record_file_with_trailing_content_exits_two(self, tmp_path, capsys):
+        args = ["rls-vs-cs", "--qubits", "1", "--trials", "1", "--m-grid", "3",
+                "--out", str(tmp_path / "x.csv")]
+        records = tmp_path / "records.txt"
+        assert main(args + ["--dump-records", str(records)]) == 0
+        lines = records.read_text().count("\n")
+        with open(records, "a", encoding="utf-8") as handle:
+            handle.write("0.1 0.2 0.3 0.4\nGARBAGE here\n")
+        capsys.readouterr()
+        assert main(args + ["--load-records", str(records)]) == 2
+        assert f"records.txt, line {lines + 1}: unexpected content" in capsys.readouterr().err
 
     def test_record_file_with_non_unitary_block_exits_two(self, tmp_path, capsys):
         args = ["rls-vs-cs", "--qubits", "1", "--trials", "1", "--m-grid", "2",

@@ -1,5 +1,6 @@
 """Tests for shot sampling, records, and the adjoint map."""
 
+import os
 import tempfile
 from collections.abc import Sequence
 from pathlib import Path
@@ -23,6 +24,7 @@ from shadowbench.ensembles import (
     sample_unitary,
     save_unitaries,
 )
+from shadowbench.experiments import ResultRow, emit_csv
 from shadowbench.measurement import (
     PLAN_BLOCK,
     MeasurementPlan,
@@ -494,6 +496,72 @@ class TestRecordSerialization:
         assert isinstance(loaded, RecordStack)
         assert np.array_equal(loaded.unitaries, records.unitaries)
         assert np.array_equal(loaded.counts, records.counts)
+
+    @pytest.mark.parametrize("kind", ["records", "unitaries"])
+    def test_trailing_content_rejected(self, tmp_path, kind):
+        records = run_plan(
+            DensityMatrix.maximally_mixed(2), MeasurementPlan(3, 1, GlobalHaar(2)), RngStream(21)
+        )
+        path = tmp_path / "blocks.txt"
+        if kind == "records":
+            dump_records(records, path)
+            load = load_records
+        else:
+            save_unitaries(records.unitaries, path)
+            load = load_fixed_ensemble
+        text = path.read_text()
+        lines = text.count("\n")
+        # Blank lines after the last block are harmless.
+        path.write_text(text + "\n  \n")
+        load(path)
+        path.write_text(text + "\n0.1 0.2 0.3 0.4\nGARBAGE here\n")
+        with pytest.raises(ValueError, match=f"blocks.txt, line {lines + 2}: unexpected content"):
+            load(path)
+
+    def test_overwriting_a_larger_dump_round_trips(self, tmp_path):
+        state = DensityMatrix.maximally_mixed(4)
+        large = run_plan(state, MeasurementPlan(20, 3, GlobalHaar(4)), RngStream(22))
+        small = run_plan(state, MeasurementPlan(2, 5, GlobalHaar(4)), RngStream(23))
+        path = tmp_path / "records.txt"
+        dump_records(large, path, seed=22)
+        dump_records(small, path, seed=23)
+        loaded, seed = load_records(path)
+        assert seed == 23
+        assert np.array_equal(loaded.unitaries, small.unitaries)
+        assert np.array_equal(loaded.counts, small.counts)
+
+    @pytest.mark.parametrize("writer", ["emit_csv", "dump_records", "save_unitaries"])
+    def test_writers_open_without_truncation(self, tmp_path, monkeypatch, writer):
+        # Opening an existing file with O_TRUNC stalls for tens of
+        # milliseconds on ext4; the writers overwrite in place instead.
+        records = run_plan(
+            DensityMatrix.maximally_mixed(2), MeasurementPlan(2, 1, GlobalHaar(2)), RngStream(24)
+        )
+        write = {
+            "emit_csv": lambda path: emit_csv(
+                [ResultRow("x", 0, 2, 1, 0.0, 0.0, "CS", "trace", 1.0)], path
+            ),
+            "dump_records": lambda path: dump_records(records, path),
+            "save_unitaries": lambda path: save_unitaries(records.unitaries, path),
+        }[writer]
+        expected = tmp_path / "expected.txt"
+        write(expected)
+        path = tmp_path / "out.txt"
+        path.write_text("stale line\n" * 1000)
+        opened = []
+        real_open = os.open
+
+        def spy(file, flags, *args, **kwargs):
+            opened.append((os.fspath(file), flags))
+            return real_open(file, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        write(path)
+        monkeypatch.undo()
+        flags = [flag for file, flag in opened if file == str(path)]
+        assert len(flags) == 1
+        assert not flags[0] & os.O_TRUNC
+        assert path.read_bytes() == expected.read_bytes()
 
     @settings(max_examples=10, deadline=None)
     @given(
