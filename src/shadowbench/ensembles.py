@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -280,31 +281,42 @@ class BlockReader:
                 )
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path``, overwriting the file in place.
+@contextmanager
+def open_overwrite(path):
+    """A UTF-8 text handle that overwrites ``path`` in place.
 
-    The file is opened without ``O_TRUNC`` and a regular file is cut to
-    the new length after the write: on ext4, truncating an existing file
-    to zero on open stalls for tens of milliseconds, while writing over it
-    and cutting the tail does not. A write that fails part-way leaves a
-    regular file empty, never new bytes followed by an old tail. Devices
-    and FIFOs (``os.devnull``, a pipe) are written without truncation,
-    since they cannot be truncated.
+    The file is opened without ``O_TRUNC``; on leaving the block a regular
+    file is cut at the handle's final position. On the ext4 volume this
+    was measured on, truncating a file whose old blocks are already on
+    disk stalled for tens of milliseconds. A rerun into an existing output
+    finds it so once writeback has run, so a rerun that writes the same
+    length no longer pays it. A shorter rewrite still frees blocks when it
+    is cut.
+
+    If the file held data when opened, it is fdatasynced after the cut:
+    an in-place write lacks the ordering that ext4's ``auto_da_alloc``
+    gives truncate-and-rewrite, so without the sync a crash could leave
+    old and new blocks mixed. New and empty files are not synced. An
+    exception from the block, the cut or the sync (a failed write, an
+    interrupt) cuts a regular file to length 0 before it propagates, so
+    no new bytes are left followed by an old tail. Devices and FIFOs
+    (``os.devnull``, a pipe) are written without a cut or a sync.
     """
-    data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
         try:
-            written = 0
-            while written < len(data):
-                written += os.write(fd, data[written:])
-        except OSError:
+            with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as handle:
+                yield handle
+            if regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                if info.st_size:
+                    os.fdatasync(fd)
+        except BaseException:
             if regular:
                 os.ftruncate(fd, 0)
             raise
-        if regular:
-            os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
 
@@ -314,8 +326,10 @@ def save_unitaries(unitaries, path) -> None:
     row per line as "re im" pairs, row-major within each block."""
     unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
     dim = unitaries[0].shape[0]
-    blocks = "".join(unitary_lines(unitary) for unitary in unitaries)
-    write_text(path, f"{len(unitaries)} {dim}\n{blocks}")
+    with open_overwrite(path) as handle:
+        handle.write(f"{len(unitaries)} {dim}\n")
+        for unitary in unitaries:
+            handle.write(unitary_lines(unitary))
 
 
 def load_fixed_ensemble(path) -> FixedUnitaries:

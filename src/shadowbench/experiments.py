@@ -38,8 +38,8 @@ from .ensembles import (
     GlobalHaar,
     HaarMixture,
     RngStream,
+    open_overwrite,
     sample_sphere_vector,
-    write_text,
 )
 from .estimators import CS, LS, RLS, FramePrefix, ShadowMethod, average_estimate, solve_route
 from .measurement import (
@@ -629,7 +629,8 @@ def emit_csv(rows: Sequence[ResultRow], path) -> None:
             f"{row.method},{row.metric},{_format_value(row.value)}"
         )
     try:
-        write_text(path, "\n".join(lines) + "\n")
+        with open_overwrite(path) as handle:
+            handle.write("\n".join(lines) + "\n")
     except OSError as error:
         raise RuntimeError(f"failed to write CSV to {path}: {error}") from error
 

@@ -31,9 +31,9 @@ from .ensembles import (
     as_generator,
     haar_from_normals,
     haar_normals,
+    open_overwrite,
     sample_unitary,
     unitary_lines,
-    write_text,
 )
 
 PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step in run_plan
@@ -280,11 +280,11 @@ def dump_records(records: RecordStack, path, seed: int = 0) -> None:
     "re im" pairs (17 significant digits, round-trip exact), followed by
     one line of K integer counts.
     """
-    blocks = "".join(
-        unitary_lines(unitary) + " ".join(str(int(count)) for count in counts) + "\n"
-        for unitary, counts in zip(records.unitaries, records.counts)
-    )
-    write_text(path, f"{records.dim} {len(records)} {records.shots} {seed}\n{blocks}")
+    with open_overwrite(path) as handle:
+        handle.write(f"{records.dim} {len(records)} {records.shots} {seed}\n")
+        for unitary, counts in zip(records.unitaries, records.counts):
+            handle.write(unitary_lines(unitary))
+            handle.write(" ".join(str(int(count)) for count in counts) + "\n")
 
 
 def load_records(path) -> tuple[RecordStack, int]:

@@ -1,10 +1,10 @@
 """Tests for scenario execution, CSV emission, and the CLI."""
 
-import errno
 import filecmp
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -381,19 +381,23 @@ class TestEmitCsv:
         assert not reader.is_alive()
         assert received == [expected.read_bytes()]
 
-    def test_part_way_write_failure_leaves_an_empty_file(self, tmp_path, monkeypatch):
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file-size limit")
+    def test_part_way_write_failure_leaves_an_empty_file(self, tmp_path):
+        # A file-size limit below the new CSV's length makes the kernel
+        # refuse the write part-way with EFBIG (Python ignores SIGXFSZ),
+        # after the first bytes have already overwritten the old file.
+        resource = pytest.importorskip("resource")
+        expected = tmp_path / "expected.csv"
+        emit_csv(self._rows(1000), expected)
         path = tmp_path / "partial.csv"
-        emit_csv(self._rows(500), path)
-        real_write = os.write
-
-        def half_then_full_disk(fd, data):
-            real_write(fd, data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        monkeypatch.setattr(os, "write", half_then_full_disk)
-        with pytest.raises(RuntimeError, match="partial.csv"):
-            emit_csv(self._rows(20), path)
-        monkeypatch.undo()
+        emit_csv(self._rows(2000), path)
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (expected.stat().st_size // 2, hard))
+        try:
+            with pytest.raises(RuntimeError, match="partial.csv.*File too large"):
+                emit_csv(self._rows(1000), path)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
         assert path.read_bytes() == b""
 
     def test_unwritable_path_raises_with_context(self, tmp_path):

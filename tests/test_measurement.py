@@ -19,6 +19,7 @@ from shadowbench.ensembles import (
     LocalHaarTensor,
     RngStream,
     load_fixed_ensemble,
+    open_overwrite,
     sample_global_haar,
     sample_global_haar_batch,
     sample_unitary,
@@ -562,6 +563,55 @@ class TestRecordSerialization:
         assert len(flags) == 1
         assert not flags[0] & os.O_TRUNC
         assert path.read_bytes() == expected.read_bytes()
+
+    def test_interrupt_before_the_cut_leaves_an_empty_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old line\n" * 1000)
+        with pytest.raises(KeyboardInterrupt):
+            with open_overwrite(path) as handle:
+                handle.write("new line\n" * 2000)  # spans several buffer flushes
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b""
+
+    def test_failed_cut_leaves_an_empty_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("old line\n" * 1000)
+        real_ftruncate = os.ftruncate
+        lengths = []
+
+        def fail_unless_emptying(fd, length):
+            lengths.append(length)
+            if length:
+                raise OSError("cut failed")
+            real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", fail_unless_emptying)
+        with pytest.raises(OSError, match="cut failed"):
+            with open_overwrite(path) as handle:
+                handle.write("new line\n")
+        monkeypatch.undo()
+        assert lengths == [len("new line\n"), 0]
+        assert path.read_bytes() == b""
+
+    def test_only_a_rewrite_of_existing_data_is_synced(self, tmp_path, monkeypatch):
+        # Writing over old data in place can mix old and new blocks after a
+        # crash unless the result is synced; a new or empty file cannot.
+        synced_sizes = []
+        real_fdatasync = os.fdatasync
+
+        def spy(fd):
+            synced_sizes.append(os.fstat(fd).st_size)
+            real_fdatasync(fd)
+
+        monkeypatch.setattr(os, "fdatasync", spy)
+        path = tmp_path / "out.txt"
+        for target, text in [(path, "new file\n"), (path, "rewrite\n"), (os.devnull, "device\n")]:
+            with open_overwrite(target) as handle:
+                handle.write(text)
+        path.write_bytes(b"")
+        with open_overwrite(path) as handle:
+            handle.write("empty file\n")
+        assert synced_sizes == [len("rewrite\n")]
 
     @settings(max_examples=10, deadline=None)
     @given(
