@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -81,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=None)
         sub.add_argument("--out", default=None, help="output CSV path (default <kind>.csv)")
         sub.add_argument("--config", default=None, help="JSON file with scenario fields")
-        sub.add_argument("--workers", type=int, default=1)
+        sub.add_argument("--workers", type=int, default=1, help="accepted for compatibility "
+                         "(>= 1) but no effect: trials run in order in one thread, since a "
+                         "thread pool ran slower (the GIL serializes the sampling)")
         sub.add_argument("--dump-records", default=None, metavar="PATH")
         sub.add_argument("--load-records", default=None, metavar="PATH")
         sub.add_argument("--force", action="store_true", help="skip the array-size resource guard")
@@ -120,7 +123,8 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 
 def _check_paths(args: argparse.Namespace, out_path: str) -> None:
-    """Reject a path flag that would fail only after every trial ran."""
+    """Reject, before any trial runs, a path flag that would fail only
+    after every trial ran, or two flags naming one file."""
     if args.load_records is not None and not os.path.isfile(args.load_records):
         raise ValueError(f"--load-records: no such file {args.load_records!r}")
     for flag, path in (("--out", out_path), ("--dump-records", args.dump_records)):
@@ -130,10 +134,13 @@ def _check_paths(args: argparse.Namespace, out_path: str) -> None:
             raise ValueError(f"{flag}: {path!r} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag}: the directory of {path!r} does not exist")
-    dump = args.dump_records
-    if dump is not None and os.path.realpath(dump) == os.path.realpath(out_path):
-        raise ValueError(f"--out and --dump-records both name {out_path!r}; "
-                         "the CSV would overwrite the records")
+    paths = {"--out": out_path, "--dump-records": args.dump_records,
+             "--load-records": args.load_records}
+    named = [(flag, path) for flag, path in paths.items() if path is not None]
+    for (flag, path), (other, other_path) in itertools.combinations(named, 2):
+        if os.path.realpath(path) == os.path.realpath(other_path):
+            raise ValueError(f"{flag} and {other} both name {path!r}; "
+                             "the run would overwrite it")
 
 
 def _validation_checks(seed: int):

@@ -7,18 +7,12 @@ physically projected estimates), Haar-random observables, ensemble
 mismatch, multishot reallocation at fixed state-copy budget, and the
 multishot MSE formula cross-check. ``FAMILIES`` holds everything that
 sets one family apart from the others.
-
-Trials are the unit of parallelism; every trial reads only its own
-(seed, trial, measurement) RNG streams, so results are identical for
-any worker count and rows are merged in deterministic order.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -421,21 +415,27 @@ def _metric_rows(
     ]
 
 
+def _trial_records(
+    ctx: _Context, trial: int, ensemble, records_override: RecordStack | None
+) -> list[RecordStack]:
+    """The records ``trial`` measures on ``ensemble``, one stack per plan
+    entry holding its largest M: sampled, or cut from the loaded stack."""
+    if records_override is not None:
+        return [records_override[:grid[-1]] for _, grid in ctx.plan]
+    # One call for every shot count: each setting is drawn once and
+    # feeds the counts of every plan entry that holds it.
+    plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
+    return run_plan(ctx.state, plans, RngStream(ctx.scenario.seed, (trial, 0)))
+
+
 def _run_trial(
     ctx: _Context, trial: int, records_override: RecordStack | None = None
 ) -> list[ResultRow]:
-    sc = ctx.scenario
-    dim = sc.dim
+    dim = ctx.scenario.dim
     rows: list[ResultRow] = []
 
-    for eta, ensemble in ctx.family.ensembles(sc):
-        if records_override is not None:
-            stacks = [records_override[:grid[-1]] for _, grid in ctx.plan]
-        else:
-            # One call for every shot count: each setting is drawn once
-            # and feeds the counts of every plan entry that holds it.
-            plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
-            stacks = run_plan(ctx.state, plans, RngStream(sc.seed, (trial, 0)))
+    for eta, ensemble in ctx.family.ensembles(ctx.scenario):
+        stacks = _trial_records(ctx, trial, ensemble, records_override)
         for (shots, settings_grid), records in zip(ctx.plan, stacks):
             frames = FramePrefix(records.unitaries, shots)
             partial_sum = np.zeros((dim, dim), dtype=complex)
@@ -534,8 +534,13 @@ def run_scenario(
     """Run all trials of a scenario and return its result rows.
 
     Rows comprise per-trial metrics plus trial-aggregated MSE rows
-    (marked with trial index -1). Worker count affects scheduling only;
-    the rows are identical for any value.
+    (marked with trial index -1). Trials run in order in the calling
+    thread. ``workers`` must be >= 1 but has no effect: it is kept for
+    compatibility, and a thread pool over trials ran slower, because the
+    GIL serializes the per-setting generator and multinomial calls.
+    ``dump_records_path`` receives the records trial 0 measured at the
+    first plan entry (first L, first eta) at its largest M: on a replay
+    the loaded ones, under the loaded file's seed.
     """
     scenario.validate()
     if workers < 1:
@@ -545,6 +550,7 @@ def run_scenario(
     ctx = _build_context(scenario)
 
     records_override = None
+    dump_seed = scenario.seed
     if load_records_path is not None:
         if not ctx.family.replayable:
             raise ValueError(
@@ -553,7 +559,7 @@ def run_scenario(
             )
         if scenario.trials != 1:
             raise ValueError("load-records requires exactly one trial")
-        records_override, _ = load_records(load_records_path)
+        records_override, dump_seed = load_records(load_records_path)
         if records_override.dim != scenario.dim:
             raise ValueError(
                 f"dim-mismatch: loaded records have dim {records_override.dim}, "
@@ -570,31 +576,15 @@ def run_scenario(
                 f"scenario l-grid starts at {scenario.l_grid[0]}"
             )
 
-    workers = min(workers, scenario.trials, os.cpu_count() or 1)
-    if workers == 1:
-        per_trial = [
-            _run_trial(ctx, trial, records_override) for trial in range(scenario.trials)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(
-                pool.map(
-                    lambda trial: _run_trial(ctx, trial, records_override),
-                    range(scenario.trials),
-                )
-            )
-
     rows: list[ResultRow] = []
-    for trial_rows in per_trial:
-        rows.extend(trial_rows)
+    for trial in range(scenario.trials):
+        rows.extend(_run_trial(ctx, trial, records_override))
     rows.extend(_aggregate_rows(ctx, rows))
 
     if dump_records_path is not None:
-        shots, settings_grid = ctx.plan[0]
         _, ensemble = ctx.family.ensembles(scenario)[0]
-        plan = MeasurementPlan(settings_grid[-1], shots, ensemble)
-        trial_zero = run_plan(ctx.state, plan, RngStream(scenario.seed, (0, 0)))
-        dump_records(trial_zero, dump_records_path, seed=scenario.seed)
+        trial_zero = _trial_records(ctx, 0, ensemble, records_override)[0]
+        dump_records(trial_zero, dump_records_path, seed=dump_seed)
     return rows
 
 

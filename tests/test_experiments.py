@@ -271,41 +271,23 @@ class TestRunScenario:
             if key in reference:
                 assert abs(row.value - reference[key]) < 1e-12
 
-    def test_thread_pool_is_bounded_by_trials_and_cpus(self, monkeypatch):
-        sizes = []
+    def test_trials_run_in_order_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        run_trial = experiments._run_trial
+        calls = []
 
-        class SerialExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording(ctx, trial, *rest):
+            calls.append((trial, threading.current_thread() is threading.main_thread()))
+            return run_trial(ctx, trial, *rest)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        scenario = tiny_scenario("mismatch", trials=4, m_grid=(4,))
-        serial = run_scenario(scenario)
-        assert sizes == []
-        assert run_scenario(scenario, workers=100000) == serial
-        run_scenario(replace(scenario, trials=2), workers=100000)
-        assert sizes == [3, 2]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert run_scenario(scenario, workers=100000) == serial
-        assert sizes == [3, 2]
-
-    def test_workers_do_not_change_rows(self):
+        monkeypatch.setattr(experiments, "_run_trial", recording)
         scenario = tiny_scenario("mismatch", trials=4, m_grid=(8,), eta_grid=(0.0, 0.25))
-        serial = run_scenario(scenario, workers=1)
-        threaded = run_scenario(scenario, workers=3)
-        assert len(serial) == len(threaded)
-        for a, b in zip(serial, threaded):
-            assert a == b
+        results = []
+        for workers in (1, 3, 100000):
+            calls.clear()
+            results.append(run_scenario(scenario, workers=workers))
+            assert calls == [(trial, True) for trial in range(4)]
+        assert results[1] == results[0] and results[2] == results[0]
 
 
 class TestEmitCsv:
@@ -586,18 +568,41 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
-    def test_out_and_dump_records_naming_one_file_exit_two(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--m-grid", "2", "--out", "./x.csv", "--dump-records", "x.csv"],
+             ("--out", "--dump-records")),
+            (["--m-grid", "8", "--out", "x.csv", "--load-records", "./x.csv"],
+             ("--out", "--load-records")),
+            (["--m-grid", "4", "--dump-records", "x.csv", "--load-records", "x.csv",
+              "--out", "y.csv"], ("--dump-records", "--load-records")),
+        ],
+    )
+    def test_out_and_dump_records_naming_one_file_exit_two(
+        self, tmp_path, capsys, monkeypatch, flags, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        args = ["rls-vs-cs", "--qubits", "2", "--trials", "1"]
+        before = None
+        if "--load-records" in flags:
+            assert main(args + ["--m-grid", "8", "--dump-records", "x.csv",
+                                "--out", "first.csv"]) == 0
+            before = (tmp_path / "x.csv").read_bytes()
+            capsys.readouterr()
+
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(experiments, "_run_trial", no_trials)
-        monkeypatch.chdir(tmp_path)
-        code = main(["rls-vs-cs", "--qubits", "2", "--trials", "1", "--m-grid", "2",
-                     "--out", "./x.csv", "--dump-records", "x.csv"])
-        assert code == 2
+        assert main(args + flags) == 2
         err = capsys.readouterr().err
-        assert "--out" in err and "--dump-records" in err
-        assert not (tmp_path / "x.csv").exists()
+        assert all(flag in err for flag in named)
+        if before is None:
+            assert not (tmp_path / "x.csv").exists()
+        else:
+            assert (tmp_path / "x.csv").read_bytes() == before
+        assert not (tmp_path / "y.csv").exists()
 
     @pytest.mark.parametrize(
         "config, field",
@@ -652,12 +657,19 @@ class TestCli:
         ]
         first = tmp_path / "direct.csv"
         second = tmp_path / "replayed.csv"
+        third = tmp_path / "rereplayed.csv"
+        redumped = tmp_path / "redumped.txt"
         code = main(args + ["--dump-records", str(records), "--out", str(first)])
         assert code == 0
         assert records.exists()
-        code = main(args + ["--load-records", str(records), "--out", str(second)])
+        # A replay dumps the records it loaded, whatever the seed flag says.
+        code = main(args + ["--seed", "99", "--load-records", str(records),
+                            "--dump-records", str(redumped), "--out", str(second)])
         assert code == 0
         assert filecmp.cmp(first, second, shallow=False)
+        assert redumped.read_bytes() == records.read_bytes()
+        assert main(args + ["--load-records", str(redumped), "--out", str(third)]) == 0
+        assert filecmp.cmp(first, third, shallow=False)
 
     def test_observables_subset_via_config(self, tmp_path):
         config = tmp_path / "scenario.json"
