@@ -262,16 +262,21 @@ def born_probabilities(povms, state: DensityMatrix) -> np.ndarray:
     return np.where(drifted, probabilities / total, probabilities)
 
 
-def expectation(obs: Observable, op: MatrixLike) -> float:
-    """Real expectation value tr(Lambda op) of a Hermitian observable."""
-    matrix = as_matrix(op)
-    _check_same_dim(obs.matrix, matrix)
-    value = complex(np.einsum("ij,ji->", obs.matrix, matrix))
-    if abs(value.imag) >= EXPECTATION_IMAG_ATOL:
+def expectation(obs: Observable, op: MatrixLike):
+    """Real expectation value tr(Lambda op) of a Hermitian observable, or
+    an array of them, one per matrix of an (..., D, D) stack, each with
+    the same bits as its own call."""
+    matrix = np.asarray(getattr(op, "matrix", op))
+    if matrix.shape[-2:] != obs.matrix.shape:
         raise ValueError(
-            f"non-hermitian-input: expectation has imaginary part {value.imag:.3e}"
+            f"dim-mismatch: operands have shapes {obs.matrix.shape} and {matrix.shape}"
         )
-    return value.real
+    values = np.einsum("ij,...ji->...", obs.matrix, matrix)
+    imaginary = np.abs(values.imag)
+    if (imaginary >= EXPECTATION_IMAG_ATOL).any():
+        worst = values.imag.flat[np.argmax(imaginary)]
+        raise ValueError(f"non-hermitian-input: expectation has imaginary part {worst:.3e}")
+    return float(values.real) if values.ndim == 0 else values.real
 
 
 def frobenius_error(a: MatrixLike, b: MatrixLike) -> float:

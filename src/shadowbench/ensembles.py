@@ -16,25 +16,133 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Reserved stream index for scenario-level draws (random observables,
 # theory Monte Carlo); trial indices must stay below it.
 AUX_STREAM_INDEX = 2**31 - 1
+
+# numpy's SeedSequence hash (NEP 19 keeps it stream-compatible). Its
+# entropy pool has four 32-bit words; hash step k xors a word with the
+# k-th running constant and multiplies it by the next one.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _running_constants(init: int, mult: int, steps: int) -> list[int]:
+    constants = [init]
+    for _ in range(steps):
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants
+
+
+def _hashmix(value, xor, mul):
+    """One hash step of a 32-bit word, as an int or elementwise on uint32
+    arrays (one step per entry of the constants' first axis)."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _hash_steps(constants: list[int], first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``count`` hash steps from
+    ``first``, along the first of three axes (step, trial, setting)."""
+    steps = np.array(constants[first:first + count + 1], dtype=np.uint32).reshape(-1, 1, 1)
+    return steps[:-1], steps[1:]
+
+
+# Pool hash steps 0-3 take the seed and its zero padding, 4-15 mix the
+# pool words together, and 16-19 and 20-23 mix the trial and the setting
+# word into each pool word. generate_state takes 8 steps for PCG64's four
+# 64-bit seed words.
+_POOL_CONSTANTS = _running_constants(0x43B0D7E5, 0x931E8875, 24)
+_TRIAL_STEPS = _hash_steps(_POOL_CONSTANTS, 16, _POOL_SIZE)
+_SETTING_STEPS = _hash_steps(_POOL_CONSTANTS, 20, _POOL_SIZE)
+_STATE_STEPS = _hash_steps(_running_constants(0x8B51F9DD, 0x58F38DED, 8), 0, 8)
+
+
+class _StateWords(ISeedSequence):
+    """The four 64-bit words that ``SeedSequence.generate_state(4, uint64)``
+    returns, computed in advance: all that PCG64 asks of its seed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"precomputed seed words cannot give {n_words} of {dtype}")
+        return self.words
+
+
+def stream_generators(seed: int, trials, settings) -> list[np.random.Generator]:
+    """Generators of the streams (seed, (t, m)) for t in ``trials`` and m
+    in ``settings``, trial-major: each has the state of
+    ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, m)))``.
+
+    When the seed and every key fit in one 32-bit word, SeedSequence's
+    hash runs once for all streams: the pool words that depend only on
+    the seed, then the two key words of every stream and the PCG64 seed
+    words on uint32 arrays. Otherwise each stream takes a plain
+    SeedSequence.
+    """
+    trials, settings = [int(t) for t in trials], [int(m) for m in settings]
+    if not all(0 <= word <= _MASK32 for word in (seed, *trials, *settings)):
+        return [
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, m)))
+            for t in trials
+            for m in settings
+        ]
+    # The seed is zero-padded to the pool size because a spawn key follows.
+    constants = _POOL_CONSTANTS
+    pool = [
+        _hashmix(word, constants[step], constants[step + 1])
+        for step, word in enumerate((seed,) + (0,) * (_POOL_SIZE - 1))
+    ]
+    step = _POOL_SIZE
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                hashed = _hashmix(pool[source], constants[step], constants[step + 1])
+                pool[target] = _mix(pool[target], hashed)
+                step += 1
+    # Pool words, trials and settings lie along three axes.
+    pool = np.array(pool, dtype=np.uint32).reshape(-1, 1, 1)
+    pool = _mix(pool, _hashmix(np.array(trials, dtype=np.uint32)[:, None], *_TRIAL_STEPS))
+    pool = _mix(pool, _hashmix(np.array(settings, dtype=np.uint32), *_SETTING_STEPS))
+    # PCG64's four 64-bit words are eight 32-bit ones, little-endian pairs.
+    words = _hashmix(pool[np.arange(8) % _POOL_SIZE], *_STATE_STEPS).reshape(8, -1)
+    state = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 
 
 class RngStream:
     """A reproducible random stream keyed by (seed, trial, measurement).
 
     The key pair is folded into a ``numpy.random.SeedSequence`` spawn
-    key, so identical keys give bitwise-identical draws on any thread
-    schedule. The underlying generator is created lazily and consumed
-    sequentially by whoever holds the stream.
+    key, so identical keys give bitwise-identical draws in any order.
+    The underlying generator is created lazily, or for a whole block of
+    streams at once by :meth:`block`, and consumed sequentially by
+    whoever holds the stream.
     """
 
     def __init__(self, seed: int, stream_id: tuple[int, int] = (0, 0)):
         self.seed = int(seed)
         self.stream_id = (int(stream_id[0]), int(stream_id[1]))
         self._generator: np.random.Generator | None = None
+
+    @classmethod
+    def block(cls, seed: int, trials, settings) -> list["RngStream"]:
+        """Streams (seed, (t, m)) for t in ``trials`` and m in ``settings``,
+        trial-major, with generators from :func:`stream_generators`."""
+        streams = [cls(seed, (trial, setting)) for trial in trials for setting in settings]
+        for stream, generator in zip(streams, stream_generators(seed, trials, settings)):
+            stream._generator = generator
+        return streams
 
     @property
     def generator(self) -> np.random.Generator:
@@ -139,8 +247,10 @@ def haar_normals(dim: int, streams) -> np.ndarray:
     """The Ginibre draw of one Haar unitary from each stream, stacked as a
     (len(streams), D, D) array; each stream draws what
     :func:`sample_global_haar` draws from it."""
-    draws = [as_generator(stream).standard_normal((2, dim, dim)) for stream in streams]
-    return _ginibre(np.stack(draws, axis=1))
+    draws = np.empty((len(streams), 2, dim, dim))
+    for stream, draw in zip(streams, draws):
+        as_generator(stream).standard_normal(out=draw)
+    return _ginibre(draws.swapaxes(0, 1))
 
 
 def haar_from_normals(ginibre: np.ndarray) -> np.ndarray:
@@ -285,22 +395,15 @@ class BlockReader:
 def open_overwrite(path):
     """A UTF-8 text handle that overwrites ``path`` in place.
 
-    The file is opened without ``O_TRUNC``; on leaving the block a regular
-    file is cut at the handle's final position. On the ext4 volume this
-    was measured on, truncating a file whose old blocks are already on
-    disk stalled for tens of milliseconds. A rerun into an existing output
-    finds it so once writeback has run, so a rerun that writes the same
-    length no longer pays it. A shorter rewrite still frees blocks when it
-    is cut.
-
-    If the file held data when opened, it is fdatasynced after the cut:
-    an in-place write lacks the ordering that ext4's ``auto_da_alloc``
-    gives truncate-and-rewrite, so without the sync a crash could leave
-    old and new blocks mixed. New and empty files are not synced. An
-    exception from the block, the cut or the sync (a failed write, an
-    interrupt) cuts a regular file to length 0 before it propagates, so
-    no new bytes are left followed by an old tail. Devices and FIFOs
-    (``os.devnull``, a pipe) are written without a cut or a sync.
+    The file is opened without ``O_TRUNC``, and on leaving the block a
+    regular file is cut at the handle's final position, so a rewrite
+    leaves no stale tail. A file that held data when opened is
+    fdatasynced after the cut, since an in-place write lacks the crash
+    ordering that truncate-and-rewrite gets on ext4; new and empty files
+    are not. An exception from the block, the cut or the sync cuts a
+    regular file to length 0 before it propagates. Devices and FIFOs
+    (``os.devnull``, a pipe) are written without a cut or a sync. README
+    "CSV output" gives the measurements behind this.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:

@@ -35,7 +35,16 @@ from .ensembles import (
     open_overwrite,
     sample_sphere_vector,
 )
-from .estimators import CS, LS, RLS, FramePrefix, ShadowMethod, average_estimate, solve_route
+from .estimators import (
+    CS,
+    LS,
+    RLS,
+    FramePrefix,
+    ShadowMethod,
+    average_estimate,
+    shadow_map,
+    solve_route,
+)
 from .measurement import (
     PLAN_BLOCK,
     MeasurementPlan,
@@ -54,6 +63,10 @@ from .theory import empirical_mse, mse_theorem1
 # setting-unitary entries M*D^2 than that frame holds (2 GiB complex).
 MAX_ORDER_WITHOUT_FORCE = 4**7
 MAX_UNITARY_ENTRIES_WITHOUT_FORCE = 2**27
+
+# Trials are sampled and processed in chunks of at most this many settings
+# of one draw (one trial, when a trial alone draws more).
+TRIAL_CHUNK_SETTINGS = 2048
 
 AGGREGATE_TRIAL = -1  # trial index marking rows aggregated over all trials
 
@@ -125,13 +138,18 @@ class Scenario:
             raise ValueError("random observable count must be >= 1")
         if self.ensemble_samples < 2:
             raise ValueError("ensemble sample count must be >= 2")
-        # M settings span at most M*(D-1)+1 < D^2 dimensions when M <= D,
-        # so the frame that RLS(0) inverts is singular there.
+        # M global settings span at most M*(D-1)+1 < D^2 dimensions when
+        # M <= D, so the frame that RLS(0) inverts is singular there. Local
+        # tensor-product settings span fewer: their frame first reaches
+        # full rank at M = 3^n, the only bound that holds for any coin draw
+        # of a mixture.
+        if FAMILIES[self.kind].eta_sweep and max(self.eta_grid) > 0:
+            fewest, rule = 3**self.qubits, f"M >= 3^n = {3**self.qubits} settings when eta > 0"
+        else:
+            fewest, rule = self.dim + 1, f"M > D = {self.dim} settings"
         for method, settings in _grid_points(self):
-            if isinstance(method, RLS) and method.mu == 0 and settings <= self.dim:
-                raise ValueError(
-                    f"mu-grid: mu = 0 needs M > D = {self.dim} settings, got M = {settings}"
-                )
+            if isinstance(method, RLS) and method.mu == 0 and settings < fewest:
+                raise ValueError(f"mu-grid: mu = 0 needs {rule}, got M = {settings}")
 
     @property
     def dim(self) -> int:
@@ -384,86 +402,128 @@ def _build_context(scenario: Scenario) -> _Context:
 
 def _metric_rows(
     ctx: _Context,
-    trial: int,
+    trials: range,
     settings: int,
     shots: int,
     eta: float,
     method: ShadowMethod,
-    estimate_matrix: np.ndarray,
-    records: RecordStack,
-) -> list[ResultRow]:
+    estimates: np.ndarray,
+    records: list[RecordStack],
+) -> list[list[ResultRow]]:
+    """The rows of one grid point for each trial of a chunk, from its
+    estimate in the (T, D, D) ``estimates`` and its records."""
     metrics = ctx.family.metrics
-    values = {}
+    values = {}  # metric -> one value per trial
     if "frobenius-error" in metrics:
-        values["frobenius-error"] = frobenius_error(estimate_matrix, ctx.state)
+        values["frobenius-error"] = [frobenius_error(matrix, ctx.state) for matrix in estimates]
     if "eig-pos" in metrics:
-        values["eig-pos"], values["eig-neg"] = eigenvalue_split(estimate_matrix)
+        values["eig-pos"], values["eig-neg"] = zip(*map(eigenvalue_split, estimates))
     if "trace" in metrics:
-        values["trace"] = float(estimate_matrix.trace().real)
+        values["trace"] = [float(matrix.trace().real) for matrix in estimates]
     for i in ctx.lambda_indices:
-        values[f"lambda-hat-{i}"] = expectation(ctx.observables[i], estimate_matrix)
+        values[f"lambda-hat-{i}"] = expectation(ctx.observables[i], estimates).tolist()
     if "mse-rand" in metrics:
         vectors = ctx.random_vectors
-        lam_hat = np.einsum("aj,ab,bj->j", vectors.conj(), estimate_matrix, vectors).real
-        values["mse-rand"] = float(np.mean((lam_hat - ctx.random_truths) ** 2))
+        values["mse-rand"] = [
+            float(np.mean((lam_hat.real - ctx.random_truths) ** 2))
+            for lam_hat in (
+                np.einsum("aj,ab,bj->j", vectors.conj(), matrix, vectors) for matrix in estimates
+            )
+        ]
     if "loglik" in metrics:
-        values["loglik"] = log_likelihood(records, project_physical(estimate_matrix)).value
+        values["loglik"] = [
+            log_likelihood(measured, project_physical(matrix)).value
+            for matrix, measured in zip(estimates, records)
+        ]
     point = (settings, shots, getattr(method, "mu", 0.0), eta, type(method).__name__)
     return [
-        ResultRow(ctx.scenario.kind, trial, *point, metric, value)
-        for metric, value in values.items()
+        [ResultRow(ctx.scenario.kind, trial, *point, metric, column[index])
+         for metric, column in values.items()]
+        for index, trial in enumerate(trials)
     ]
 
 
+def _trial_chunks(ctx: _Context) -> list[range]:
+    """Consecutive ranges of trials, as many per chunk as fit in
+    TRIAL_CHUNK_SETTINGS settings of one draw, and at least one."""
+    per_trial = max(grid[-1] for _, grid in ctx.plan)
+    size = max(1, TRIAL_CHUNK_SETTINGS // per_trial)
+    trials = ctx.scenario.trials
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
 def _trial_records(
-    ctx: _Context, trial: int, ensemble, records_override: RecordStack | None
-) -> list[RecordStack]:
-    """The records ``trial`` measures on ``ensemble``, one stack per plan
-    entry holding its largest M: sampled, or cut from the loaded stack."""
+    ctx: _Context, trials: range, ensemble, records_override: RecordStack | None
+) -> list[list[RecordStack]]:
+    """The records each of ``trials`` measures on ``ensemble``, one stack
+    per plan entry holding its largest M: sampled for the whole chunk in
+    one call, or cut from the loaded stack."""
     if records_override is not None:
-        return [records_override[:grid[-1]] for _, grid in ctx.plan]
+        return [[records_override[:grid[-1]] for _, grid in ctx.plan] for _ in trials]
     # One call for every shot count: each setting is drawn once and
     # feeds the counts of every plan entry that holds it.
     plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
-    return run_plan(ctx.state, plans, RngStream(ctx.scenario.seed, (trial, 0)))
+    streams = [RngStream(ctx.scenario.seed, (trial, 0)) for trial in trials]
+    return run_plan(ctx.state, plans, streams)
 
 
-def _run_trial(
-    ctx: _Context, trial: int, records_override: RecordStack | None = None
+def _run_chunk(
+    ctx: _Context, trials: range, records_override: RecordStack | None = None
 ) -> list[ResultRow]:
-    dim = ctx.scenario.dim
-    rows: list[ResultRow] = []
-
+    """The rows of a chunk of trials, trial by trial, each in the order a
+    run of that trial alone gives. Sampling, adjoint sums, CS estimates
+    and lambda-hat values are computed for the chunk at once; LS and RLS
+    solve each trial's frame or Gram system on its own."""
+    rows_of: list[list[ResultRow]] = [[] for _ in trials]
     for eta, ensemble in ctx.family.ensembles(ctx.scenario):
-        stacks = _trial_records(ctx, trial, ensemble, records_override)
-        for (shots, settings_grid), records in zip(ctx.plan, stacks):
-            frames = FramePrefix(records.unitaries, shots)
-            partial_sum = np.zeros((dim, dim), dtype=complex)
-            done = 0
-            for settings in settings_grid:
-                partial_sum = _add_adjoints(partial_sum, records[done:settings])
-                done = settings
-                measured = records[:settings]
+        chunk = _trial_records(ctx, trials, ensemble, records_override)
+        for entry, (shots, settings_grid) in enumerate(ctx.plan):
+            stacks = [records[entry] for records in chunk]
+            frames = [FramePrefix(records.unitaries, shots) for records in stacks]
+            sums = _prefix_adjoint_sums(stacks, settings_grid)
+            for point, settings in enumerate(settings_grid):
+                measured = [records[:settings] for records in stacks]
+                means = sums[:, point] / settings
                 for method in ctx.methods:
-                    average = average_estimate(method, measured, partial_sum / settings, frames)
-                    rows.extend(
-                        _metric_rows(
-                            ctx, trial, settings, shots, eta, method, average.matrix, measured
-                        )
+                    if isinstance(method, CS):
+                        estimates = shadow_map(method, means)
+                    else:
+                        estimates = [
+                            average_estimate(method, records, mean, frame)
+                            for records, mean, frame in zip(measured, means, frames)
+                        ]
+                    matrices = np.stack([estimate.matrix for estimate in estimates])
+                    point_rows = _metric_rows(
+                        ctx, trials, settings, shots, eta, method, matrices, measured
                     )
-    return rows
+                    for rows, trial_rows in zip(rows_of, point_rows):
+                        rows.extend(trial_rows)
+    return [row for rows in rows_of for row in rows]
 
 
-def _add_adjoints(partial_sum: np.ndarray, records: RecordStack) -> np.ndarray:
-    """``partial_sum`` plus the records' adjoints, added one at a time in
-    record order, so every prefix sum has the same bits for any grid.
-    The adjoints are made PLAN_BLOCK settings at a time."""
-    for start in range(0, len(records), PLAN_BLOCK):
-        block = records[start:start + PLAN_BLOCK]
-        adjoints = adjoint_map(block.unitaries, block.frequencies)
-        adjoints[0] += partial_sum
-        partial_sum = np.add.accumulate(adjoints, axis=0, out=adjoints)[-1].copy()
-    return partial_sum
+def _prefix_adjoint_sums(stacks: list[RecordStack], settings_grid) -> np.ndarray:
+    """(T, G, D, D): for each of T equally long stacks and each M of the
+    G-point grid, the sum of the adjoints of its first M settings, added
+    one at a time in setting order, so every sum has the same bits for
+    any grid and any chunk. The adjoints are made PLAN_BLOCK settings at
+    a time for all stacks at once."""
+    dim = stacks[0].dim
+    sums = np.empty((len(stacks), len(settings_grid), dim, dim), dtype=complex)
+    partial_sums = np.zeros((len(stacks), dim, dim), dtype=complex)
+    for start in range(0, settings_grid[-1], PLAN_BLOCK):
+        stop = min(start + PLAN_BLOCK, settings_grid[-1])
+        blocks = [records[start:stop] for records in stacks]
+        adjoints = adjoint_map(
+            np.stack([block.unitaries for block in blocks]),
+            np.stack([block.frequencies for block in blocks]),
+        )
+        adjoints[:, 0] += partial_sums
+        np.add.accumulate(adjoints, axis=1, out=adjoints)
+        for point, settings in enumerate(settings_grid):
+            if start < settings <= stop:
+                sums[:, point] = adjoints[:, settings - start - 1]
+        partial_sums = adjoints[:, -1]
+    return sums
 
 
 def _aggregate_rows(ctx: _Context, rows: list[ResultRow]) -> list[ResultRow]:
@@ -535,9 +595,13 @@ def run_scenario(
 
     Rows comprise per-trial metrics plus trial-aggregated MSE rows
     (marked with trial index -1). Trials run in order in the calling
-    thread. ``workers`` must be >= 1 but has no effect: it is kept for
-    compatibility, and a thread pool over trials ran slower, because the
-    GIL serializes the per-setting generator and multinomial calls.
+    thread, in chunks of consecutive trials that draw at most
+    TRIAL_CHUNK_SETTINGS settings together (one trial when it draws
+    more); every setting keeps its stream (seed, (trial, m)), so the rows
+    are the same for any chunking. ``workers`` must be >= 1 but has no
+    effect: it is kept for compatibility, and a thread pool over trials
+    ran slower, because the GIL serializes the per-setting generator and
+    multinomial calls.
     ``dump_records_path`` receives the records trial 0 measured at the
     first plan entry (first L, first eta) at its largest M: on a replay
     the loaded ones, under the loaded file's seed.
@@ -577,13 +641,13 @@ def run_scenario(
             )
 
     rows: list[ResultRow] = []
-    for trial in range(scenario.trials):
-        rows.extend(_run_trial(ctx, trial, records_override))
+    for trials in _trial_chunks(ctx):
+        rows.extend(_run_chunk(ctx, trials, records_override))
     rows.extend(_aggregate_rows(ctx, rows))
 
     if dump_records_path is not None:
         _, ensemble = ctx.family.ensembles(scenario)[0]
-        trial_zero = _trial_records(ctx, 0, ensemble, records_override)[0]
+        trial_zero = _trial_records(ctx, range(1), ensemble, records_override)[0][0]
         dump_records(trial_zero, dump_records_path, seed=dump_seed)
     return rows
 

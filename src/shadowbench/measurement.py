@@ -11,6 +11,7 @@ each setting in a stack, which every estimator consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .ensembles import (
     haar_normals,
     open_overwrite,
     sample_unitary,
+    stream_generators,
     unitary_lines,
 )
 
@@ -66,22 +68,25 @@ class RecordError(ValueError):
 
 
 def _check_unitaries(unitaries: np.ndarray, first: int = 0) -> None:
+    """Check an (..., M, D, D) stack of settings first..first+M-1."""
     defects = unitarity_defect(unitaries)
     # Negated so that the NaN defect of a non-finite entry fails too.
-    bad = np.flatnonzero(~(defects <= POVM_UNITARITY_ATOL))
+    bad = np.argwhere(~(defects <= POVM_UNITARITY_ATOL))
     if bad.size:
-        raise RecordError(first + bad[0], "unitary", non_unitary_message(defects[bad[0]]))
+        defect = defects[tuple(bad[0])]
+        raise RecordError(first + bad[0][-1], "unitary", non_unitary_message(defect))
 
 
 def _check_counts(counts: np.ndarray, shots: int, first: int = 0) -> None:
-    negative = np.flatnonzero(counts.min(axis=1) < 0)
+    """Check the (..., M, K) counts of settings first..first+M-1."""
+    negative = np.argwhere(counts.min(axis=-1) < 0)
     if negative.size:
-        raise RecordError(first + negative[0], "counts", "outcome counts must be nonnegative")
-    totals = counts.sum(axis=1)
-    wrong = np.flatnonzero(totals != shots)
+        raise RecordError(first + negative[0][-1], "counts", "outcome counts must be nonnegative")
+    totals = counts.sum(axis=-1)
+    wrong = np.argwhere(totals != shots)
     if wrong.size:
-        reason = f"counts sum {totals[wrong[0]]} != shots {shots}"
-        raise RecordError(first + wrong[0], "counts", reason)
+        reason = f"counts sum {totals[tuple(wrong[0])]} != shots {shots}"
+        raise RecordError(first + wrong[0][-1], "counts", reason)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +175,10 @@ def sample_counts(probabilities: np.ndarray, shots: int, rng) -> np.ndarray:
     normalized = probabilities / totals
     if normalized.ndim == 1:
         return as_generator(rng).multinomial(shots, normalized)
-    rows = zip(rng, normalized, strict=True)
-    return np.stack([as_generator(stream).multinomial(shots, row) for stream, row in rows])
+    counts = np.empty(normalized.shape, dtype=np.int64)
+    for stream, row, out in zip(rng, normalized, counts, strict=True):
+        out[...] = as_generator(stream).multinomial(shots, row)
+    return counts
 
 
 def adjoint_map(povms, phat: np.ndarray) -> np.ndarray:
@@ -208,60 +215,89 @@ def _plan_sequence(plans, state: DensityMatrix) -> tuple[MeasurementPlan, ...]:
     return plans
 
 
-def run_plan(state: DensityMatrix, plans, rng: RngStream) -> RecordStack | list[RecordStack]:
+def run_plan(state: DensityMatrix, plans, rng: RngStream | Sequence[RngStream]):
     """Simulate a plan: draw settings, Born probabilities, counts.
 
     ``plans`` is one MeasurementPlan, giving one RecordStack, or a
     sequence of plans over one ensemble, giving one stack per plan.
-    ``rng`` identifies the trial; setting m consumes the substream
-    (trial, m), so records for a smaller plan are an exact prefix of
-    records for a larger plan at the same seed and trial. Settings are
-    sampled PLAN_BLOCK at a time: each stream draws its setting's
-    normals (or its whole unitary, for ensembles other than GlobalHaar)
-    once, and the QR, the checks and the Born probabilities run once
-    per block. Then each plan that holds setting m draws its counts
-    from the stream's state right after that setting's draw, so every
-    stack has the same bits as a separate call with its plan alone. The
+    ``rng`` identifies the trial, or is a sequence of trial streams on
+    one seed (a chunk of trials), giving a list with that result for
+    each trial in order. Setting m of trial t consumes the substream
+    (t, m), so no draw depends on the chunk, and records for a smaller
+    plan are an exact prefix of records for a larger plan at the same
+    seed and trial.
+
+    Settings are sampled PLAN_BLOCK at a time for every trial of the
+    chunk at once. The block's streams are seeded in one pass
+    (:func:`stream_generators`), and each draws its setting's normals (or
+    its whole unitary, for ensembles other than GlobalHaar). The QR,
+    the checks and the Born probabilities then run once for the block.
+    Each plan that holds setting m draws its counts from the stream's
+    state right after that setting's draw, so every stack has the same
+    bits as a separate call with its plan and trial alone. A trial's
     stacks share one read-only unitary array.
     """
     sequence = _plan_sequence(plans, state)
+    trial_streams = [rng] if isinstance(rng, RngStream) else list(rng)
+    if not trial_streams:
+        raise ValueError("run_plan needs at least one trial stream")
+    seed = trial_streams[0].seed
+    if any(stream.seed != seed for stream in trial_streams):
+        raise ValueError("trial streams of one run_plan call must share one seed")
+    trials = [stream.stream_id[0] for stream in trial_streams]
     sizes = sorted((plan.settings for plan in sequence), reverse=True)
     total = sizes[0]
     shared = sizes[1] if len(sizes) > 1 else 0  # settings held by two plans or more
-    trial = rng.stream_id[0]
     dim = state.dim
     ensemble = sequence[0].ensemble
-    unitaries = np.empty((total, dim, dim), dtype=complex)
-    counts = [np.empty((plan.settings, dim), dtype=np.int64) for plan in sequence]
+    unitaries = np.empty((len(trials), total, dim, dim), dtype=complex)
+    counts = [np.empty((len(trials), plan.settings, dim), dtype=np.int64) for plan in sequence]
     for start in range(0, total, PLAN_BLOCK):
         stop = min(start + PLAN_BLOCK, total)
-        streams = [RngStream(rng.seed, (trial, m)) for m in range(start, stop)]
+        width = stop - start
         if isinstance(ensemble, GlobalHaar):
-            block = haar_from_normals(haar_normals(dim, streams))
+            generators = stream_generators(seed, trials, range(start, stop))
+            block = haar_from_normals(haar_normals(dim, generators))
         else:
+            streams = RngStream.block(seed, trials, range(start, stop))
+            generators = [stream.generator for stream in streams]
             block = np.stack([sample_unitary(ensemble, stream) for stream in streams])
+        block = block.reshape(len(trials), width, dim, dim)
         _check_unitaries(block, start)
         probabilities = born_probabilities(block, state)
-        generators = [stream.generator for stream in streams[: max(shared - start, 0)]]
-        snapshots = [generator.bit_generator.state for generator in generators]
-        drawn = 0  # leading streams of the block whose counts were drawn
+        # One row of generators per trial; the first ``held`` settings of
+        # the block are in two plans or more.
+        rows_of = [generators[index:index + width] for index in range(0, len(generators), width)]
+        held = max(min(shared, stop) - start, 0)
+        snapshots = [[generator.bit_generator.state for generator in row[:held]]
+                     for row in rows_of]
+        drawn = 0  # leading settings of the block whose counts were drawn
         for plan, plan_counts in zip(sequence, counts):
             rows = min(stop, plan.settings) - start
             if rows <= 0:
                 continue
-            for generator, snapshot in zip(generators[: min(drawn, rows)], snapshots):
-                generator.bit_generator.state = snapshot
+            for row, states in zip(rows_of, snapshots):
+                for generator, snapshot in zip(row[: min(drawn, rows)], states):
+                    generator.bit_generator.state = snapshot
             drawn = max(drawn, rows)
-            block_counts = sample_counts(probabilities[:rows], plan.shots, streams[:rows])
+            drawing = [generator for row in rows_of for generator in row[:rows]]
+            block_counts = sample_counts(
+                probabilities[:, :rows].reshape(-1, dim), plan.shots, drawing
+            ).reshape(len(trials), rows, dim)
             _check_counts(block_counts, plan.shots, start)
-            plan_counts[start:start + rows] = block_counts
-        unitaries[start:stop] = block
+            plan_counts[:, start:start + rows] = block_counts
+        unitaries[:, start:stop] = block
     unitaries.setflags(write=False)
-    stacks = []
-    for plan, plan_counts in zip(sequence, counts):
+    for plan_counts in counts:
         plan_counts.setflags(write=False)
-        stacks.append(RecordStack._checked(unitaries[: plan.settings], plan_counts, plan.shots))
-    return stacks[0] if isinstance(plans, MeasurementPlan) else stacks
+    results = []
+    for index in range(len(trials)):
+        stacks = [
+            RecordStack._checked(unitaries[index, : plan.settings], plan_counts[index], plan.shots)
+            for plan, plan_counts in zip(sequence, counts)
+        ]
+        results.append(stacks[0] if isinstance(plans, MeasurementPlan) else stacks)
+    return results[0] if isinstance(rng, RngStream) else results
 
 
 def expand_to_single_shot(records: RecordStack) -> RecordStack:

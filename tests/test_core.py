@@ -147,6 +147,21 @@ class TestExpectation:
         with pytest.raises(ValueError, match="dim-mismatch"):
             expectation(Observable(np.eye(2)), basis_state(4))
 
+    def test_stack_gives_each_matrix_its_own_bits(self):
+        rng = np.random.default_rng(3)
+        obs = Observable(random_hermitian(4, rng))
+        stack = np.stack([random_hermitian(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        values = expectation(obs, stack)
+        assert values.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            assert values[index] == expectation(obs, stack[index])
+
+    def test_stack_keeps_the_imaginary_part_check(self):
+        obs = Observable(np.array([[0, 1], [1, 0]], dtype=complex))
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]) * 1j]).astype(complex)
+        with pytest.raises(ValueError, match="non-hermitian-input"):
+            expectation(obs, stack)
+
 
 class TestFrobeniusError:
     def test_zero_for_equal(self):

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from shadowbench.core import DensityMatrix, RankOnePovm
 from shadowbench.ensembles import (
+    AUX_STREAM_INDEX,
     FixedUnitaries,
     GlobalHaar,
     HaarMixture,
@@ -18,6 +21,7 @@ from shadowbench.ensembles import (
     sample_sphere_vector,
     sample_unitary,
     save_unitaries,
+    stream_generators,
 )
 from shadowbench.measurement import MeasurementPlan, run_plan
 from shadowbench.theory import random_observable_cdf
@@ -61,6 +65,67 @@ class TestRngStream:
         records = run_plan(DensityMatrix.maximally_mixed(4), plan, RngStream(7, (3, 0)))
         expected = sample_global_haar(4, RngStream(7, (3, 11)))
         assert np.array_equal(records.unitaries[11], expected)
+
+
+def seed_sequence_state(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).bit_generator.state
+
+
+WORD = 2**32
+ONE_WORD_SEEDS = st.sampled_from([0, 1, WORD - 1]) | st.integers(0, WORD - 1)
+TRIALS = st.sampled_from([0, 1, AUX_STREAM_INDEX]) | st.integers(0, AUX_STREAM_INDEX)
+
+
+class TestBatchedSeeding:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ONE_WORD_SEEDS,
+        st.lists(TRIALS, min_size=1, max_size=3),
+        st.lists(st.sampled_from([0, 1, WORD - 1]) | st.integers(0, WORD - 1), min_size=1,
+                 max_size=3),
+    )
+    def test_states_match_seed_sequence(self, seed, trials, setting_keys):
+        generators = stream_generators(seed, trials, setting_keys)
+        keys = [(trial, setting) for trial in trials for setting in setting_keys]
+        assert len(generators) == len(keys)
+        for generator, key in zip(generators, keys):
+            assert generator.bit_generator.state == seed_sequence_state(seed, key)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([0, 1, WORD - 1, WORD]) | st.integers(0, 2**70),
+        TRIALS,
+        st.sampled_from([0, WORD - 1, WORD]) | st.integers(0, 2**40),
+    )
+    def test_multi_word_seeds_and_keys_take_the_seed_sequence_fallback(
+        self, seed, trial, setting
+    ):
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append((args, kwargs))
+            return seed_sequence(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "SeedSequence", counted)
+            (generator,) = stream_generators(seed, [trial], [setting])
+        one_word = max(seed, trial, setting) < WORD
+        assert len(built) == (0 if one_word else 1)
+        assert generator.bit_generator.state == seed_sequence_state(seed, (trial, setting))
+
+    def test_block_streams_carry_their_keys_and_generators(self):
+        streams = RngStream.block(5, [2, 7], range(3, 5))
+        assert [stream.stream_id for stream in streams] == [(2, 3), (2, 4), (7, 3), (7, 4)]
+        for stream in streams:
+            assert stream.seed == 5
+            assert stream.generator.bit_generator.state == seed_sequence_state(5, stream.stream_id)
+        alone = RngStream(5, (7, 4)).generator
+        assert alone.bit_generator.state == streams[-1].generator.bit_generator.state
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError):
+            stream_generators(-1, [0], [0])
 
 
 class TestGlobalHaar:

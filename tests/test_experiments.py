@@ -4,6 +4,7 @@ import filecmp
 import importlib.util
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from shadowbench.estimators import CS, LS, RLS, FramePrefix, average_estimate, e
 from shadowbench.experiments import (
     AGGREGATE_TRIAL,
     CSV_HEADER,
+    FAMILIES,
     SCENARIO_KINDS,
     ResultRow,
     Scenario,
@@ -107,6 +109,26 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="mu-grid: mu = 0"):
             tiny_scenario(**overrides).validate()
 
+    @pytest.mark.parametrize(
+        "qubits, eta_grid, fewest, rule",
+        [
+            (1, (1.0,), 3, "M >= 3^n = 3"),
+            (2, (1.0,), 9, "M >= 3^n = 9"),
+            (2, (0.0, 0.5), 9, "M >= 3^n = 9"),
+            (3, (0.25,), 27, "M >= 3^n = 27"),
+            (2, (0.0,), 5, "M > D = 4"),
+        ],
+    )
+    def test_ridge_free_rls_needs_full_rank_of_the_sampled_ensemble(
+        self, qubits, eta_grid, fewest, rule
+    ):
+        # Local tensor-product frames reach full rank only at M = 3^n,
+        # global ones at M = D + 1.
+        scenario = tiny_scenario("mismatch", qubits=qubits, mu_grid=(0.0,), eta_grid=eta_grid)
+        with pytest.raises(ValueError, match=re.escape(f"mu-grid: mu = 0 needs {rule}")):
+            replace(scenario, m_grid=(fewest - 1,)).validate()
+        replace(scenario, m_grid=(fewest,)).validate()
+
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="m-grid"):
             tiny_scenario("rls-vs-cs", m_grid=()).validate()
@@ -189,10 +211,14 @@ class TestRunScenario:
         trials = {row.trial for row in rows if row.trial != AGGREGATE_TRIAL}
         assert trials == {0, 1, 2}
 
+    @pytest.mark.parametrize("chunk_trials, chunks", [(1, 3), (2, 2), (3, 1)])
     @pytest.mark.parametrize("kind, eta_grid", [("theorem1", (0.0,)), ("mismatch", (0.0, 0.5))])
-    def test_one_sampler_call_per_trial_and_eta(self, monkeypatch, kind, eta_grid):
-        # Every shot count of a trial shares one draw of its settings, so
-        # the Born probabilities run once per block, not once per L.
+    def test_one_sampler_call_per_chunk_and_eta(
+        self, monkeypatch, kind, eta_grid, chunk_trials, chunks
+    ):
+        # Every shot count of every trial in a chunk shares one draw of
+        # their settings, so the Born probabilities run once per block of
+        # the chunk, not once per L or per trial.
         calls = {"run_plan": 0, "born_probabilities": 0}
 
         def counted(module, name):
@@ -207,11 +233,12 @@ class TestRunScenario:
         counted(experiments, "run_plan")
         counted(measurement, "born_probabilities")
         trials, settings = 3, PLAN_BLOCK + 1  # two blocks per draw
+        monkeypatch.setattr(experiments, "TRIAL_CHUNK_SETTINGS", chunk_trials * settings)
         scenario = tiny_scenario(kind, trials=trials, m_grid=(settings,), l_grid=(1, 4, 16),
                                  eta_grid=eta_grid, ensemble_samples=50)
         run_scenario(scenario)
-        assert calls == {"run_plan": trials * len(eta_grid),
-                         "born_probabilities": 2 * trials * len(eta_grid)}
+        assert calls == {"run_plan": chunks * len(eta_grid),
+                         "born_probabilities": 2 * chunks * len(eta_grid)}
 
     def test_cs_trace_rows_are_one(self):
         rows = run_scenario(tiny_scenario("rls-vs-cs"))
@@ -273,21 +300,62 @@ class TestRunScenario:
 
     def test_trials_run_in_order_in_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        run_trial = experiments._run_trial
+        monkeypatch.setattr(experiments, "TRIAL_CHUNK_SETTINGS", 3 * 8)  # three trials a chunk
+        run_chunk = experiments._run_chunk
         calls = []
 
-        def recording(ctx, trial, *rest):
-            calls.append((trial, threading.current_thread() is threading.main_thread()))
-            return run_trial(ctx, trial, *rest)
+        def recording(ctx, trials, *rest):
+            calls.append((trials, threading.current_thread() is threading.main_thread()))
+            return run_chunk(ctx, trials, *rest)
 
-        monkeypatch.setattr(experiments, "_run_trial", recording)
+        monkeypatch.setattr(experiments, "_run_chunk", recording)
         scenario = tiny_scenario("mismatch", trials=4, m_grid=(8,), eta_grid=(0.0, 0.25))
         results = []
         for workers in (1, 3, 100000):
             calls.clear()
             results.append(run_scenario(scenario, workers=workers))
-            assert calls == [(trial, True) for trial in range(4)]
+            assert calls == [(range(0, 3), True), (range(3, 4), True)]
         assert results[1] == results[0] and results[2] == results[0]
+
+
+class TestTrialChunks:
+    """Rows and CSV bytes do not depend on how many trials a chunk holds."""
+
+    SCENARIOS = {
+        "theorem1": dict(kind="theorem1", m_grid=(16,), l_grid=(1, 4, 16), ensemble_samples=50),
+        "multishot": dict(kind="multishot", m_grid=(8, 16, 64), l_grid=(1, 4, 8)),
+        "mismatch": dict(kind="mismatch", m_grid=(8, 70), eta_grid=(0.0, 0.5, 1.0)),
+        "rls-vs-cs": dict(kind="rls-vs-cs", m_grid=(2, 5, 9)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_chunks_of_one_seven_and_all_trials_agree(self, monkeypatch, tmp_path, name):
+        scenario = tiny_scenario(trials=10, **self.SCENARIOS[name])
+        per_trial = max(grid[-1] for _, grid in FAMILIES[scenario.kind].plan(scenario))
+        outputs = []
+        for chunk_trials in (1, 7, scenario.trials):
+            monkeypatch.setattr(experiments, "TRIAL_CHUNK_SETTINGS", chunk_trials * per_trial)
+            rows = run_scenario(scenario)
+            path = tmp_path / f"{chunk_trials}.csv"
+            emit_csv(rows, path)
+            outputs.append((rows, path.read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_chunk_bound_counts_settings_of_one_draw(self, monkeypatch):
+        chunks = []
+
+        def recording(ctx, trials, *rest):
+            chunks.append(trials)
+            return []
+
+        monkeypatch.setattr(experiments, "_run_chunk", recording)
+        monkeypatch.setattr(experiments, "_aggregate_rows", lambda ctx, rows: [])
+        monkeypatch.setattr(experiments, "TRIAL_CHUNK_SETTINGS", 100)
+        run_scenario(tiny_scenario("multishot", trials=9, m_grid=(8, 32), l_grid=(1, 4)))
+        assert chunks == [range(0, 3), range(3, 6), range(6, 9)]  # 32 settings a trial
+        chunks.clear()
+        run_scenario(tiny_scenario("rls-vs-cs", trials=2, m_grid=(2, 130)))
+        assert chunks == [range(0, 1), range(1, 2)]  # a trial alone exceeds the bound
 
 
 class TestEmitCsv:
@@ -558,7 +626,7 @@ class TestCli:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(experiments, "_run_trial", no_trials)
+        monkeypatch.setattr(experiments, "_run_chunk", no_trials)
         out = tmp_path / "x.csv"
         command, *rest = [flag.format(tmp=tmp_path) for flag in flags]
         # The case's own flags come last, so its --out replaces the default one.
@@ -594,7 +662,7 @@ class TestCli:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(experiments, "_run_trial", no_trials)
+        monkeypatch.setattr(experiments, "_run_chunk", no_trials)
         assert main(args + flags) == 2
         err = capsys.readouterr().err
         assert all(flag in err for flag in named)
@@ -629,6 +697,27 @@ class TestCli:
         path.write_text("[1, 2]")
         assert main(["rls-vs-cs", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+    def test_ridge_free_rls_below_local_full_rank_exits_two_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_run_chunk", no_trials)
+        out = tmp_path / "x.csv"
+        code = main(["mismatch", "--qubits", "2", "--trials", "1", "--m-grid", "5", "--mu", "0",
+                     "--eta-grid", "1", "--out", str(out)])
+        assert code == 2
+        assert "mu-grid: mu = 0 needs M >= 3^n = 9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ridge_free_rls_runs_at_local_full_rank(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = main(["mismatch", "--qubits", "2", "--trials", "2", "--m-grid", "9", "--mu", "0",
+                     "--eta-grid", "0,0.5,1", "--out", str(out)])
+        assert code == 0
+        assert ",RLS,lambda-hat-0," in out.read_text()
 
     def test_ridge_free_rls_runs_above_interpolation(self, tmp_path):
         out = tmp_path / "x.csv"

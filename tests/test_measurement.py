@@ -29,6 +29,7 @@ from shadowbench.experiments import ResultRow, emit_csv
 from shadowbench.measurement import (
     PLAN_BLOCK,
     MeasurementPlan,
+    RecordError,
     RecordStack,
     adjoint_map,
     dump_records,
@@ -341,6 +342,47 @@ class TestPlanSequence:
         monkeypatch.setattr(measurement, "sample_unitary", no_draw)
         with pytest.raises(ValueError, match=match):
             run_plan(DensityMatrix.maximally_mixed(4), plans, RngStream(44))
+
+
+class TestTrialChunk:
+    @pytest.mark.parametrize("name", sorted(SEQUENCE_ENSEMBLES))
+    def test_each_trial_matches_a_call_of_its_own(self, name):
+        ensemble = SEQUENCE_ENSEMBLES[name]
+        state = DensityMatrix(random_density_matrix(4, np.random.default_rng(45)))
+        plans = [MeasurementPlan(PLAN_BLOCK + 2, 3, ensemble), MeasurementPlan(5, 1, ensemble)]
+        trials = [4, 0, 9]
+        chunk = run_plan(state, plans, [RngStream(46, (trial, 0)) for trial in trials])
+        assert len(chunk) == len(trials)
+        for trial, stacks in zip(trials, chunk):
+            for stack, alone in zip(stacks, run_plan(state, plans, RngStream(46, (trial, 0)))):
+                assert np.array_equal(stack.unitaries, alone.unitaries)
+                assert np.array_equal(stack.counts, alone.counts)
+                assert not stack.unitaries.flags.writeable and not stack.counts.flags.writeable
+
+    def test_single_plan_gives_one_stack_per_trial(self):
+        plan = MeasurementPlan(3, 2, GlobalHaar(2))
+        state = DensityMatrix.maximally_mixed(2)
+        chunk = run_plan(state, plan, [RngStream(47, (trial, 0)) for trial in range(2)])
+        assert [type(stack) for stack in chunk] == [RecordStack, RecordStack]
+        assert np.array_equal(chunk[1].counts, run_plan(state, plan, RngStream(47, (1, 0))).counts)
+
+    @pytest.mark.parametrize(
+        "streams, match",
+        [([], "at least one trial stream"), ([RngStream(1), RngStream(2, (1, 0))], "one seed")],
+    )
+    def test_bad_trial_streams_rejected(self, streams, match):
+        with pytest.raises(ValueError, match=match):
+            run_plan(DensityMatrix.maximally_mixed(2), MeasurementPlan(2, 1, GlobalHaar(2)),
+                     streams)
+
+    def test_failed_check_names_the_setting_within_its_trial(self):
+        bad = np.eye(2, dtype=complex)
+        bad[0, 0] = 2.0
+        ensemble = FixedUnitaries((np.eye(2), np.eye(2), bad))
+        plan = MeasurementPlan(3, 1, ensemble)
+        streams = [RngStream(48, (trial, 0)) for trial in range(3)]
+        with pytest.raises(RecordError, match="setting 2: non-unitary"):
+            run_plan(DensityMatrix.maximally_mixed(2), plan, streams)
 
 
 class TestRecordStack:
