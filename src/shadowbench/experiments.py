@@ -64,9 +64,11 @@ from .theory import empirical_mse, mse_theorem1
 MAX_ORDER_WITHOUT_FORCE = 4**7
 MAX_UNITARY_ENTRIES_WITHOUT_FORCE = 2**27
 
-# Trials are sampled and processed in chunks of at most this many settings
-# of one draw (one trial, when a trial alone draws more).
-TRIAL_CHUNK_SETTINGS = 2048
+# Trials are sampled and processed in chunks of at most this many
+# setting-unitary entries M*D^2 of one draw (one trial, when a trial alone
+# draws more): 2048 settings at D = 4, 512 at D = 8, 32 at D = 32. So a
+# chunk of several trials holds at most 512 KiB of sampled unitaries.
+TRIAL_CHUNK_ENTRIES = 2048 * 4**2
 
 AGGREGATE_TRIAL = -1  # trial index marking rows aggregated over all trials
 
@@ -445,9 +447,9 @@ def _metric_rows(
 
 def _trial_chunks(ctx: _Context) -> list[range]:
     """Consecutive ranges of trials, as many per chunk as fit in
-    TRIAL_CHUNK_SETTINGS settings of one draw, and at least one."""
-    per_trial = max(grid[-1] for _, grid in ctx.plan)
-    size = max(1, TRIAL_CHUNK_SETTINGS // per_trial)
+    TRIAL_CHUNK_ENTRIES unitary entries of one draw, and at least one."""
+    per_trial = max(grid[-1] for _, grid in ctx.plan) * ctx.scenario.dim**2
+    size = max(1, TRIAL_CHUNK_ENTRIES // per_trial)
     trials = ctx.scenario.trials
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
 
@@ -473,32 +475,48 @@ def _run_chunk(
     """The rows of a chunk of trials, trial by trial, each in the order a
     run of that trial alone gives. Sampling, adjoint sums, CS estimates
     and lambda-hat values are computed for the chunk at once; LS and RLS
-    solve each trial's frame or Gram system on its own."""
+    solve each trial's frame or Gram systems on its own."""
     rows_of: list[list[ResultRow]] = [[] for _ in trials]
+    solved = [method for method in ctx.methods if not isinstance(method, CS)]
     for eta, ensemble in ctx.family.ensembles(ctx.scenario):
         chunk = _trial_records(ctx, trials, ensemble, records_override)
         for entry, (shots, settings_grid) in enumerate(ctx.plan):
             stacks = [records[entry] for records in chunk]
-            frames = [FramePrefix(records.unitaries, shots) for records in stacks]
-            sums = _prefix_adjoint_sums(stacks, settings_grid)
+            means = _prefix_adjoint_sums(stacks, settings_grid)
+            for point, settings in enumerate(settings_grid):
+                means[:, point] /= settings
+            solutions = _solve_trials(solved, stacks, means, settings_grid)
             for point, settings in enumerate(settings_grid):
                 measured = [records[:settings] for records in stacks]
-                means = sums[:, point] / settings
                 for method in ctx.methods:
                     if isinstance(method, CS):
-                        estimates = shadow_map(method, means)
+                        estimates = shadow_map(method, means[:, point])
+                        matrices = np.stack([estimate.matrix for estimate in estimates])
                     else:
-                        estimates = [
-                            average_estimate(method, records, mean, frame)
-                            for records, mean, frame in zip(measured, means, frames)
-                        ]
-                    matrices = np.stack([estimate.matrix for estimate in estimates])
+                        matrices = solutions[method][:, point]
                     point_rows = _metric_rows(
                         ctx, trials, settings, shots, eta, method, matrices, measured
                     )
                     for rows, trial_rows in zip(rows_of, point_rows):
                         rows.extend(trial_rows)
     return [row for rows in rows_of for row in rows]
+
+
+def _solve_trials(methods, stacks: list[RecordStack], means: np.ndarray, settings_grid):
+    """For each LS or RLS method, the (T, G, D, D) estimates of each of
+    T stacks at each M of the G-point grid, from their (T, G, D, D) mean
+    adjoints. A trial's frames are built, used across its grid and
+    dropped before the next trial's are built, so the D^2 x D^2 frame
+    and eigensystem of one trial at a time are alive."""
+    solutions = {method: np.empty_like(means) for method in methods}
+    for trial, records in enumerate(stacks):
+        frames = FramePrefix(records.unitaries, records.shots)
+        for point, settings in enumerate(settings_grid):
+            for method in methods:
+                estimate = average_estimate(method, records[:settings], means[trial, point], frames)
+                solutions[method][trial, point] = estimate.matrix
+        del frames
+    return solutions
 
 
 def _prefix_adjoint_sums(stacks: list[RecordStack], settings_grid) -> np.ndarray:
@@ -596,8 +614,8 @@ def run_scenario(
     Rows comprise per-trial metrics plus trial-aggregated MSE rows
     (marked with trial index -1). Trials run in order in the calling
     thread, in chunks of consecutive trials that draw at most
-    TRIAL_CHUNK_SETTINGS settings together (one trial when it draws
-    more); every setting keeps its stream (seed, (trial, m)), so the rows
+    TRIAL_CHUNK_ENTRIES unitary entries M*D^2 together (one trial when
+    it draws more); every setting keeps its stream (seed, (trial, m)), so the rows
     are the same for any chunking. ``workers`` must be >= 1 but has no
     effect: it is kept for compatibility, and a thread pool over trials
     ran slower, because the GIL serializes the per-setting generator and

@@ -34,7 +34,6 @@ from .ensembles import (
     haar_normals,
     open_overwrite,
     sample_unitary,
-    stream_generators,
     unitary_lines,
 )
 
@@ -229,7 +228,7 @@ def run_plan(state: DensityMatrix, plans, rng: RngStream | Sequence[RngStream]):
 
     Settings are sampled PLAN_BLOCK at a time for every trial of the
     chunk at once. The block's streams are seeded in one pass
-    (:func:`stream_generators`), and each draws its setting's normals (or
+    (:meth:`RngStream.block`), and each draws its setting's normals (or
     its whole unitary, for ensembles other than GlobalHaar). The QR,
     the checks and the Born probabilities then run once for the block.
     Each plan that holds setting m draws its counts from the stream's
@@ -255,12 +254,11 @@ def run_plan(state: DensityMatrix, plans, rng: RngStream | Sequence[RngStream]):
     for start in range(0, total, PLAN_BLOCK):
         stop = min(start + PLAN_BLOCK, total)
         width = stop - start
+        streams = RngStream.block(seed, trials, range(start, stop))
+        generators = [stream.generator for stream in streams]
         if isinstance(ensemble, GlobalHaar):
-            generators = stream_generators(seed, trials, range(start, stop))
-            block = haar_from_normals(haar_normals(dim, generators))
+            block = haar_from_normals(haar_normals(dim, streams))
         else:
-            streams = RngStream.block(seed, trials, range(start, stop))
-            generators = [stream.generator for stream in streams]
             block = np.stack([sample_unitary(ensemble, stream) for stream in streams])
         block = block.reshape(len(trials), width, dim, dim)
         _check_unitaries(block, start)

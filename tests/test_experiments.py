@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,9 +234,10 @@ class TestRunScenario:
         counted(experiments, "run_plan")
         counted(measurement, "born_probabilities")
         trials, settings = 3, PLAN_BLOCK + 1  # two blocks per draw
-        monkeypatch.setattr(experiments, "TRIAL_CHUNK_SETTINGS", chunk_trials * settings)
         scenario = tiny_scenario(kind, trials=trials, m_grid=(settings,), l_grid=(1, 4, 16),
                                  eta_grid=eta_grid, ensemble_samples=50)
+        monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES",
+                            chunk_trials * settings * scenario.dim**2)
         run_scenario(scenario)
         assert calls == {"run_plan": chunks * len(eta_grid),
                          "born_probabilities": 2 * chunks * len(eta_grid)}
@@ -300,7 +302,7 @@ class TestRunScenario:
 
     def test_trials_run_in_order_in_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(experiments, "TRIAL_CHUNK_SETTINGS", 3 * 8)  # three trials a chunk
+        monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES", 3 * 8 * 4**2)  # three trials a chunk
         run_chunk = experiments._run_chunk
         calls = []
 
@@ -331,17 +333,18 @@ class TestTrialChunks:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_chunks_of_one_seven_and_all_trials_agree(self, monkeypatch, tmp_path, name):
         scenario = tiny_scenario(trials=10, **self.SCENARIOS[name])
-        per_trial = max(grid[-1] for _, grid in FAMILIES[scenario.kind].plan(scenario))
+        settings = max(grid[-1] for _, grid in FAMILIES[scenario.kind].plan(scenario))
+        per_trial = settings * scenario.dim**2
         outputs = []
         for chunk_trials in (1, 7, scenario.trials):
-            monkeypatch.setattr(experiments, "TRIAL_CHUNK_SETTINGS", chunk_trials * per_trial)
+            monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES", chunk_trials * per_trial)
             rows = run_scenario(scenario)
             path = tmp_path / f"{chunk_trials}.csv"
             emit_csv(rows, path)
             outputs.append((rows, path.read_bytes()))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_chunk_bound_counts_settings_of_one_draw(self, monkeypatch):
+    def test_chunk_bound_counts_unitary_entries_of_one_draw(self, monkeypatch):
         chunks = []
 
         def recording(ctx, trials, *rest):
@@ -350,12 +353,33 @@ class TestTrialChunks:
 
         monkeypatch.setattr(experiments, "_run_chunk", recording)
         monkeypatch.setattr(experiments, "_aggregate_rows", lambda ctx, rows: [])
-        monkeypatch.setattr(experiments, "TRIAL_CHUNK_SETTINGS", 100)
+        monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES", 100 * 4**2)
         run_scenario(tiny_scenario("multishot", trials=9, m_grid=(8, 32), l_grid=(1, 4)))
         assert chunks == [range(0, 3), range(3, 6), range(6, 9)]  # 32 settings a trial
         chunks.clear()
         run_scenario(tiny_scenario("rls-vs-cs", trials=2, m_grid=(2, 130)))
         assert chunks == [range(0, 1), range(1, 2)]  # a trial alone exceeds the bound
+        chunks.clear()
+        run_scenario(tiny_scenario("multishot", qubits=3, trials=9, m_grid=(8, 32), l_grid=(1, 4)))
+        assert chunks == [range(trial, trial + 1) for trial in range(9)]  # 32 * 8^2 > 1600
+
+    def test_one_trial_of_frames_is_alive_at_a_time(self, monkeypatch):
+        # LS and RLS solve each trial of a chunk on its own, and its
+        # D^2 x D^2 frames are dropped before the next trial's are built.
+        alive, peak = [0], [0]
+
+        class CountedPrefix(FramePrefix):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+                weakref.finalize(self, lambda: alive.__setitem__(0, alive[0] - 1))
+
+        monkeypatch.setattr(experiments, "FramePrefix", CountedPrefix)
+        scenario = tiny_scenario("rls-vs-cs", trials=6, m_grid=(2, 17, 32))
+        assert len(experiments._trial_chunks(experiments._build_context(scenario))) == 1
+        run_scenario(scenario)
+        assert peak[0] == 1 and alive[0] == 0
 
 
 class TestEmitCsv:
