@@ -1,20 +1,26 @@
 """Tests for scenario execution, CSV emission, and the CLI."""
 
+import contextlib
 import filecmp
 import importlib.util
+import io
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shadowbench
 from shadowbench import estimators, experiments, measurement
@@ -64,6 +70,52 @@ class TestCanonicalStateAndObservables:
     def test_invalid_qubits(self):
         with pytest.raises(ValueError, match=">= 1"):
             canonical_state_and_observables(0)
+
+
+# How validate's messages name each Scenario field, and one out-of-range
+# value per field.
+FIELD_NAMES = {
+    "qubits": r"\bqubit", "trials": r"\btrial", "seed": r"\bseed\b", "m_grid": r"\bm-grid\b",
+    "l_grid": r"\bl-grid\b", "mu_grid": r"\bmu\b", "eta_grid": r"\beta\b",
+    "observables": r"\bobservables\b", "random_observables": r"\brandom observable",
+    "ensemble_samples": r"\bensemble sample",
+}
+BROKEN_VALUES = {
+    "qubits": 0, "trials": 0, "seed": -1, "m_grid": (0,), "l_grid": (1, 1),
+    "mu_grid": (-0.5,), "eta_grid": (1.5,), "observables": (3,),
+    "random_observables": 0, "ensemble_samples": 1,
+}
+
+
+@st.composite
+def tiny_configs(draw):
+    """A config of any family at n <= 3 and trials <= 3 whose m-grid
+    entries sit at the rank edges M = D, D + 1, 3^n - 1 and 3^n, with at
+    most one field set out of range; returns (config, that field or None)."""
+    qubits = draw(st.integers(1, 3))
+    dim = 2**qubits
+
+    def grid(values, unique=True):
+        return tuple(draw(st.lists(st.sampled_from(values), min_size=1, max_size=3,
+                                   unique=unique)))
+
+    config = dict(
+        kind=draw(st.sampled_from(SCENARIO_KINDS)),
+        qubits=qubits,
+        trials=draw(st.integers(1, 3)),
+        m_grid=grid(sorted({1, dim, dim + 1, 3**qubits - 1, 3**qubits}), unique=False),
+        l_grid=grid((1, 2, 3)),
+        mu_grid=grid((0.0, 1e-12, 0.1)),
+        eta_grid=grid((0.0, 0.5, 1.0)),
+        observables=grid((0, 1, 2)),
+        random_observables=draw(st.integers(1, 3)),
+        ensemble_samples=draw(st.integers(2, 20)),
+        seed=draw(st.integers(0, 2**32 + 5)),
+    )
+    broken = draw(st.one_of(st.none(), st.sampled_from(sorted(BROKEN_VALUES))))
+    if broken is not None:
+        config[broken] = BROKEN_VALUES[broken]
+    return config, broken
 
 
 class TestScenarioValidation:
@@ -189,6 +241,39 @@ class TestScenarioValidation:
     def test_unknown_config_key(self):
         with pytest.raises(ValueError, match="unknown scenario config"):
             Scenario.from_dict({"kind": "mismatch", "bogus": 1})
+
+    # The pinned examples sit between the global (M > D) and local (M >= 3^n)
+    # rank thresholds, where an RLS(0) solve on a local-setting frame fails.
+    @settings(max_examples=200, deadline=None)
+    @given(tiny_configs())
+    @example((dict(kind="mismatch", qubits=2, trials=1, m_grid=(5,), mu_grid=(0.0,),
+                   eta_grid=(1.0,)), None))
+    @example((dict(kind="mismatch", qubits=3, trials=2, m_grid=(26,), mu_grid=(0.0, 0.1),
+                   eta_grid=(0.0, 1.0)), None))
+    def test_validate_admits_exactly_the_configs_that_run(self, case):
+        config, broken = case
+        scenario = Scenario(**config)
+        try:
+            scenario.validate()
+        except ValueError as error:
+            message = str(error)
+        else:
+            assert broken is None
+            emit_csv(run_scenario(scenario), os.devnull)
+            return
+        named = [field for field, name in FIELD_NAMES.items() if re.search(name, message)]
+        assert named and (broken is None or broken in named), message
+        # The CLI refuses the same config with exit code 2 before any trial.
+        trial_ran = AssertionError("a trial ran")
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err, \
+                mock.patch.object(experiments, "_run_chunk", side_effect=trial_ran) as run_chunk:
+            path, out = os.path.join(tmp, "scenario.json"), os.path.join(tmp, "x.csv")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(config, handle)
+            assert main([config["kind"], "--config", path, "--out", out]) == 2
+            assert not os.path.exists(out)
+        assert message in err.getvalue()
+        assert not run_chunk.called
 
 
 class TestRunScenario:

@@ -12,11 +12,16 @@ from shadowbench.ensembles import (
     GlobalHaar,
     LocalHaarTensor,
     RngStream,
+    haar_from_normals,
     sample_global_haar_batch,
 )
 from shadowbench.estimators import CS, estimate
+from shadowbench.experiments import canonical_state_and_observables
 from shadowbench.measurement import MeasurementPlan, run_plan
 from shadowbench.theory import (
+    GRAM_SCHMIDT_MAX_DIM,
+    THEOREM1_BATCH,
+    _gram_schmidt_unitaries,
     empirical_mse,
     mse_theorem1,
     multinomial_moments,
@@ -156,6 +161,106 @@ class TestMseTheorem1:
         obs = Observable.rank_one([1.0, 0.0])
         with pytest.raises(ValueError, match=">= 2"):
             mse_theorem1(state, obs, GlobalHaar(2), 4, 1, 1, RngStream(9))
+
+
+def _unitarity_error(unitaries):
+    dim = unitaries.shape[-1]
+    gram = np.einsum("bki,bkj->bij", unitaries.conj(), unitaries)
+    return np.abs(gram - np.eye(dim)).max()
+
+
+class TestGramSchmidtUnitaries:
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_matches_lapack_route_on_the_same_normals(self, dim):
+        # sample_global_haar_batch draws these normals from the same stream.
+        normals = RngStream(12, (0, dim)).generator.standard_normal((2, 2000, dim, dim))
+        lapack = sample_global_haar_batch(dim, 2000, RngStream(12, (0, dim)))
+        kernel = _gram_schmidt_unitaries(normals).transpose(2, 0, 1)
+        assert np.abs(kernel - lapack).max() <= 1e-13
+        assert _unitarity_error(kernel) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_nearly_rank_deficient_draw_stays_unitary(self, dim):
+        # A = Q0 R0 with R0 = I except a last column of ones above the
+        # diagonal entry delta: the last column of A lies within delta of
+        # the span of the others, and cond(A) = cond(R0) is about 1e8. One
+        # Gram-Schmidt pass would leave it orthogonal to about 1e-8 only.
+        delta = dim * 1e-8
+        r0 = np.eye(dim)
+        r0[:, -1] = 1.0
+        r0[-1, -1] = delta
+        assert 5e7 < np.linalg.cond(r0) < 2e8
+        q0 = sample_global_haar_batch(dim, 64, RngStream(13, (0, dim)))
+        matrices = q0 @ r0
+        kernel = _gram_schmidt_unitaries(np.stack([matrices.real, matrices.imag]))
+        kernel = kernel.transpose(2, 0, 1)
+        lapack = haar_from_normals(matrices)
+        assert _unitarity_error(kernel) <= 1e-14
+        assert np.abs(kernel[..., :-1] - lapack[..., :-1]).max() <= 1e-13
+        # The last column is fixed by the others up to its phase, and that
+        # phase only to about cond * eps, by either route: both stay that
+        # close to the exact factor Q0.
+        phase_overlap = np.abs(np.einsum("bk,bk->b", kernel[..., -1].conj(), lapack[..., -1]))
+        assert np.abs(phase_overlap - 1.0).max() <= 1e-13
+        assert np.abs(kernel - q0).max() <= 1e-7
+        assert np.abs(lapack - q0).max() <= 1e-7
+
+    @pytest.mark.parametrize("dim, qr_calls", [(GRAM_SCHMIDT_MAX_DIM, 0), (16, 1)])
+    def test_lapack_qr_runs_only_above_the_cut_off(self, dim, qr_calls, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counted_qr(matrices, *args, **kwargs):
+            calls.append(matrices.shape)
+            return qr(matrices, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        state, observables = canonical_state_and_observables(dim.bit_length() - 1)
+        mse_theorem1(state, observables[0], GlobalHaar(dim), 4, 1, 10, RngStream(14))
+        assert len(calls) == qr_calls
+
+
+def _theorem1_oracle(state, obs, settings, shots_grid, samples, stream):
+    """mse_theorem1 for each L from sample_global_haar_batch draws and the
+    unfolded sum t^T E[p̂ p̂^T] t over every pair (k, k')."""
+    dim = state.dim
+    truth = expectation(obs, state)
+    generator = stream.generator
+    p_parts, t_parts = [], []
+    for start in range(0, samples, THEOREM1_BATCH):
+        unitaries = sample_global_haar_batch(dim, min(THEOREM1_BATCH, samples - start), generator)
+        conj = unitaries.conj()
+        p_parts.append(np.einsum("bki,ij,bkj->bk", unitaries, state.matrix, conj).real)
+        overlap = np.einsum("bki,ij,bkj->bk", unitaries, obs.matrix, conj).real
+        t_parts.append((dim + 1) * overlap - obs.matrix.trace().real)
+    p, t = np.concatenate(p_parts), np.concatenate(t_parts)
+    results = {}
+    for shots in shots_grid:
+        moments = (1.0 - 1.0 / shots) * p[:, :, None] * p[:, None, :]
+        diagonal = np.arange(dim)
+        moments[:, diagonal, diagonal] = (p + (shots - 1) * p * p) / shots
+        values = (np.einsum("bk,bkl,bl->b", t, moments, t) - truth * truth) / settings
+        results[shots] = (values.mean(), values.std(ddof=1) / np.sqrt(samples))
+    return results
+
+
+class TestMseTheorem1Oracle:
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_matches_lapack_oracle_across_the_cut_off(self, qubits):
+        # D = 16 is above the Gram-Schmidt cut-off; the extra 7 samples
+        # make a partial last batch.
+        state, observables = canonical_state_and_observables(qubits)
+        samples, shots_grid = THEOREM1_BATCH + 7, (1, 4, 16)
+        oracle = _theorem1_oracle(
+            state, observables[0], 16, shots_grid, samples, RngStream(15, (0, qubits))
+        )
+        for shots in shots_grid:
+            result = mse_theorem1(state, observables[0], GlobalHaar(state.dim), 16, shots,
+                                  samples, RngStream(15, (0, qubits)))
+            value, std_error = oracle[shots]
+            assert result.samples == samples
+            assert result.value == pytest.approx(value, rel=1e-12)
+            assert result.std_error == pytest.approx(std_error, rel=1e-12)
 
 
 class TestRandomObservablePdf:
