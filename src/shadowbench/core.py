@@ -233,9 +233,10 @@ MatrixLike = Union[DensityMatrix, ShadowEstimate, np.ndarray]
 
 
 def _outcome_probabilities(unitaries: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Unchecked u_k† rho u_k for every row k of a unitary or of each unitary
-    in a stack: row k of U rho times conj(U) sums to it. Each setting's
-    values are the same bits whether or not it is stacked."""
+    """Unchecked u_k† rho u_k for every row k of a unitary, of each unitary
+    in a stack, or of an (R, D) array of rows: row k of U rho times
+    conj(U) sums to it. Each setting's values are the same bits whether
+    or not it is stacked."""
     return ((unitaries @ rho) * unitaries.conj()).sum(axis=-1).real
 
 
@@ -355,9 +356,10 @@ def log_likelihood(records, rho_phy: DensityMatrix) -> LogLikelihoodResult:
     observed outcome yields a finite value; the number of floored terms
     is reported as a diagnostic.
     """
-    probabilities = _outcome_probabilities(records.unitaries, rho_phy.matrix)
     observed = records.counts > 0
-    probabilities = probabilities[observed]
+    # Only the rows of observed outcomes enter the Born product: at L = 1
+    # that is one row per setting, M*D^2 work rather than M*D^3.
+    probabilities = _outcome_probabilities(records.unitaries[observed], rho_phy.matrix)
     floored = int((probabilities < LIKELIHOOD_FLOOR).sum())
     total = float(records.counts[observed] @ np.log(np.maximum(probabilities, LIKELIHOOD_FLOOR)))
     return LogLikelihoodResult(total / len(records), floored)

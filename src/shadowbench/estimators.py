@@ -11,24 +11,43 @@ estimate is the same map applied to the mean adjoint.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import RankOnePovm, ShadowEstimate, as_matrix, hermitize, unitary_array
+from .core import RankOnePovm, ShadowEstimate, as_matrix, unitary_array
 from .measurement import RecordStack, adjoint_map
 
 DEFAULT_RCOND = 1e-10
 DEFAULT_MU = 0.1
 FRAME_BLOCK = 32  # settings per frame-accumulation GEMM
+# Complex outer-product entries per chunk of povm_operator_columns: 64 rows
+# at D = 32, a 1 MiB temporary. A whole block's outer products would hold
+# 16 MiB at D = 32 and 128 MiB at D = 64 beside the real result.
+FRAME_CHUNK_ENTRIES = 2**16
 
 
+@functools.lru_cache(maxsize=8)
 def _basis_layout(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Where :func:`vec` keeps a real part (i <= j) and the scale that
-    makes its basis orthonormal: 1 on the diagonal, sqrt(2) off it."""
+    makes its basis orthonormal: 1 on the diagonal, sqrt(2) off it.
+    Cached per dimension, so both arrays are read-only."""
     i, j = np.indices((dim, dim))
-    return i <= j, np.where(i == j, 1.0, np.sqrt(2.0))
+    upper, scale = i <= j, np.where(i == j, 1.0, np.sqrt(2.0))
+    upper.setflags(write=False)
+    scale.setflags(write=False)
+    return upper, scale
+
+
+def _vec_into(matrix: np.ndarray, out: np.ndarray) -> None:
+    """Write the coordinates of :func:`vec` of an (..., D, D) stack into
+    the real (..., D, D) array ``out``, with no temporary of its size."""
+    upper, scale = _basis_layout(matrix.shape[-1])
+    np.copyto(out, matrix.imag)
+    np.copyto(out, matrix.real, where=upper)
+    out *= scale
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -37,9 +56,8 @@ def vec(matrix: np.ndarray) -> np.ndarray:
     i*D + j, X_ii on the diagonal, sqrt(2) Re X_ij for i < j and
     sqrt(2) Im X_ij for i > j. So tr(A B) = vec(A) @ vec(B)."""
     matrix = np.asarray(matrix)
-    upper, scale = _basis_layout(matrix.shape[-1])
-    coordinates = np.where(upper, matrix.real, matrix.imag)
-    coordinates *= scale
+    coordinates = np.empty(matrix.shape)
+    _vec_into(matrix, coordinates)
     return coordinates.reshape(*matrix.shape[:-2], -1)
 
 
@@ -57,11 +75,24 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
 def povm_operator_columns(povms) -> np.ndarray:
     """The real (D^2, m*D) matrix whose columns are vec(u_k u_k†) for every
     outcome k of every setting in ``povms``: one RankOnePovm, one (D, D)
-    unitary, or an (m, D, D) stack of unitaries."""
+    unitary, or an (m, D, D) stack of unitaries.
+
+    The result is a transposed view of one (m*D, D^2) array, filled
+    FRAME_CHUNK_ENTRIES outer-product entries at a time, so the complex
+    outer products held beside it stay near 1 MiB at any D rather than
+    twice the result's size. Each column has the same bits whether its
+    setting is stacked or not.
+    """
     unitaries = unitary_array(povms)
-    rows = unitaries.reshape(-1, unitaries.shape[-1])
-    # Row r of U gives the element u u† with entries conj(U_ri) U_rj.
-    return vec(rows.conj()[:, :, None] * rows[:, None, :]).T
+    dim = unitaries.shape[-1]
+    rows = unitaries.reshape(-1, dim)
+    columns = np.empty((len(rows), dim, dim))
+    step = max(1, FRAME_CHUNK_ENTRIES // (dim * dim))
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        # Row r of U gives the element u u† with entries conj(U_ri) U_rj.
+        _vec_into(chunk.conj()[:, :, None] * chunk[:, None, :], columns[start:start + step])
+    return columns.reshape(len(rows), -1).T
 
 
 @dataclass(eq=False)
@@ -203,7 +234,7 @@ def gram_ridge_solve(
     phat = np.asarray(frequencies, dtype=float).reshape(-1)
     gram = np.abs(rows @ rows.conj().T) ** 2
     weights = np.linalg.solve(gram + (mu / shots) * np.eye(len(rows)), phat)
-    return hermitize((rows.conj().T * weights) @ rows)
+    return adjoint_map(rows, weights)
 
 
 @dataclass(frozen=True)

@@ -185,9 +185,13 @@ def adjoint_map(povms, phat: np.ndarray) -> np.ndarray:
 
     ``povms`` is a RankOnePovm or a (D, D) unitary with K frequencies, or
     an (M, D, D) stack of unitaries with (M, K) frequencies, giving one
-    adjoint per setting with the same bits as one call per setting.
-    Hermitian and PSD with trace equal to sum(p̂); for a one-hot p̂ this
-    is the rank-1 projector (U† p̂)(U† p̂)†.
+    adjoint per setting; any (R, D) array of rows u_k† with R weights
+    gives their weighted sum too. It is one batched matrix product, (U† scaled by
+    p̂ column-wise) @ U, which numpy runs as one BLAS product per
+    setting, so a stacked setting has the same bits as its own call; a
+    three-operand ``einsum`` would instead loop over D^3 scalar triple
+    products per setting. Hermitian and PSD with trace equal to sum(p̂);
+    for a one-hot p̂ this is the rank-1 projector (U† p̂)(U† p̂)†.
     """
     phat = np.asarray(phat, dtype=float)
     unitaries = unitary_array(povms)
@@ -196,8 +200,8 @@ def adjoint_map(povms, phat: np.ndarray) -> np.ndarray:
             f"dim-mismatch: frequency shape {phat.shape} != POVM outcomes "
             f"{unitaries.shape[:-1]}"
         )
-    partial = np.einsum("...k,...ki,...kj->...ij", phat, unitaries.conj(), unitaries)
-    return hermitize(partial)
+    weighted = unitaries.conj().swapaxes(-1, -2) * phat[..., None, :]
+    return hermitize(weighted @ unitaries)
 
 
 def _plan_sequence(plans, state: DensityMatrix) -> tuple[MeasurementPlan, ...]:

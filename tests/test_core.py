@@ -280,24 +280,29 @@ class TestLogLikelihood:
         assert result.value == pytest.approx(np.log(1e-12), abs=1e-9)
 
     def test_matches_per_record_traces(self):
-        dim, shots = 4, 6
-        generator = np.random.default_rng(27)
-        state = DensityMatrix(random_density_matrix(dim, generator))
-        records = RecordStack(
-            [sample_global_haar(dim, RngStream(27, (0, m))) for m in range(5)],
-            [generator.multinomial(shots, np.full(dim, 1.0 / dim)) for _ in range(5)],
-            shots,
-        )
-        expected = np.mean(
-            [
-                sum(
-                    count * np.log(np.trace(RankOnePovm(unitary).element(k) @ state.matrix).real)
-                    for k, count in enumerate(counts)
-                    if count > 0
-                )
-                for unitary, counts in zip(records.unitaries, records.counts)
+        # (D, L): multi-shot counts on a mixed state, and one-hot counts on
+        # a pure state with an identity setting whose observed outcome has
+        # probability 0, so one term is floored.
+        for dim, shots, seed in ((4, 6, 27), (8, 1, 28)):
+            generator = np.random.default_rng(seed)
+            if shots == 1:
+                state = basis_state(dim, 0)
+            else:
+                state = DensityMatrix(random_density_matrix(dim, generator))
+            unitaries = [sample_global_haar(dim, RngStream(seed, (0, m))) for m in range(5)]
+            counts = [generator.multinomial(shots, np.full(dim, 1.0 / dim)) for _ in range(5)]
+            if shots == 1:
+                unitaries.append(np.eye(dim))
+                counts.append(np.eye(dim, dtype=int)[3])
+            records = RecordStack(unitaries, counts, shots)
+            terms = [
+                (count, np.trace(RankOnePovm(unitary).element(k) @ state.matrix).real)
+                for unitary, row in zip(records.unitaries, records.counts)
+                for k, count in enumerate(row)
+                if count > 0
             ]
-        )
-        result = log_likelihood(records, state)
-        assert result.value == pytest.approx(expected, rel=1e-12)
-        assert result.floored_terms == 0
+            expected = sum(count * np.log(max(p, 1e-12)) for count, p in terms) / len(records)
+            result = log_likelihood(records, state)
+            assert result.value == pytest.approx(expected, rel=1e-12)
+            assert result.floored_terms == sum(p < 1e-12 for _, p in terms)
+            assert result.floored_terms == (1 if shots == 1 else 0)

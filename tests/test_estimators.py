@@ -1,5 +1,7 @@
 """Tests for the LS, RLS, and CS shadow constructions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,30 @@ class TestFrameOperator:
         stacked = povm_operator_columns(np.stack([povm.unitary for povm in povms]))
         expected = np.concatenate([povm_operator_columns(povm) for povm in povms], axis=1)
         assert np.array_equal(stacked, expected)
+
+    def test_chunked_columns_match_per_setting_columns_at_d32(self):
+        # 5 settings at D = 32 are 160 rows: two full chunks of 64 rows and
+        # a partial one, against one chunk per setting.
+        unitaries = np.stack([sample_global_haar(32, RngStream(10, (0, m))) for m in range(5)])
+        stacked = povm_operator_columns(unitaries)
+        expected = np.concatenate([povm_operator_columns(unitary) for unitary in unitaries], axis=1)
+        assert stacked.shape == (32 * 32, 5 * 32)
+        assert np.array_equal(stacked, expected)
+
+    def test_column_temporaries_stay_small_beside_the_result(self):
+        # A frame block at D = 32: the 8 MiB real result plus chunked
+        # temporaries, not the block's 16 MiB of complex outer products.
+        unitaries = np.stack(
+            [sample_global_haar(32, RngStream(11, (0, m))) for m in range(FRAME_BLOCK)]
+        )
+        tracemalloc.start()
+        try:
+            columns = povm_operator_columns(unitaries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert columns.nbytes == 8 * 2**20
+        assert peak <= 1.25 * columns.nbytes
 
     def test_blocked_accumulation_matches_naive_across_blocks(self):
         povms = haar_povms(2, 2 * FRAME_BLOCK + 5, seed=9)

@@ -143,6 +143,18 @@ class TestAdjointMap:
         margin = 3 * np.sqrt(np.maximum(variance, 0.0) / trials) + 1e-12
         assert np.all(np.abs(mean - exact) <= margin)
 
+    @pytest.mark.parametrize("dim", [2, 4, 8, 32])
+    @pytest.mark.parametrize("shots", [1, 6])
+    def test_matches_einsum_reference(self, dim, shots):
+        # sum_k p̂_k conj(U_ki) U_kj as a three-operand contraction, for
+        # one-hot (L = 1) and multi-shot (L = 6) frequencies.
+        generator = np.random.default_rng(dim + shots)
+        unitaries = sample_global_haar_batch(dim, 5, generator)
+        counts = np.stack([generator.multinomial(shots, np.full(dim, 1.0 / dim)) for _ in range(5)])
+        phat = counts / shots
+        reference = np.einsum("mk,mki,mkj->mij", phat, unitaries.conj(), unitaries)
+        assert np.abs(adjoint_map(unitaries, phat) - reference).max() <= 1e-15
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim-mismatch"):
             adjoint_map(RankOnePovm(np.eye(4)), np.array([1.0, 0.0]))
@@ -246,7 +258,7 @@ class TestStackedSampler:
             assert np.array_equal(small.counts, large.counts[:settings])
 
     def test_stacked_adjoints_and_probabilities_match_per_setting(self):
-        for dim in (2, 4, 8):
+        for dim in (2, 4, 8, 32):
             state = DensityMatrix(random_density_matrix(dim, np.random.default_rng(dim)))
             records = run_plan(state, MeasurementPlan(40, 3, GlobalHaar(dim)), RngStream(34))
             probabilities = born_probabilities(records.unitaries, state)
