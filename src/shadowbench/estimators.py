@@ -222,8 +222,8 @@ def gram_ridge_solve(
     With V the (M*D, D) stack of the settings' unitary rows, G = |V V†|^2
     is the Gram matrix <A_mk, A_m'k'>. By the push-through identity
     ((1/M) A†A + mu/(M L) I)^-1 A†(p̂)/M = A†((G + (mu/L) I)^-1 p̂),
-    so the D^2 x D^2 frame is neither formed nor solved. Below M = D the
-    frame is singular, so mu = 0 is rejected as on the primal route.
+    so the D^2 x D^2 frame is neither formed nor solved. At or below M = D
+    the frame is singular, so mu = 0 is rejected as on the primal route.
     """
     if mu < 0.0:
         raise ValueError(f"ridge parameter must be >= 0, got {mu}")
@@ -332,13 +332,15 @@ def shadow_map(
 def solve_route(method: ShadowMethod, settings: int, dim: int) -> str:
     """How the average estimate of ``settings`` settings is solved.
 
-    "channel" for CS, whose inverse is closed-form; "gram" for RLS below
-    interpolation (M < D, i.e. M*D < D^2), solved in the M*D-dimensional
-    Gram space; "frame" otherwise, where the D^2 x D^2 frame is formed.
+    "channel" for CS, whose inverse is closed-form; "gram" for RLS at or
+    below interpolation (M <= D, where the frame is singular), solved in
+    the M*D-dimensional Gram space; "frame" otherwise, where the D^2 x D^2
+    frame is formed. A ridge below rounding leaves the singular frame
+    unsolvable, while A† maps the Gram system's null space to zero.
     """
     if isinstance(method, CS):
         return "channel"
-    if isinstance(method, RLS) and settings < dim:
+    if isinstance(method, RLS) and settings <= dim:
         return "gram"
     return "frame"
 
@@ -349,7 +351,7 @@ def average_estimate(
     """Mean shadow of ``records``, the first settings of ``frames``.
 
     By linearity it is the shadow map of the records' mean adjoint; RLS
-    below interpolation takes the equivalent Gram solve instead. Only
+    at or below interpolation takes the equivalent Gram solve. Only
     the "frame" route asks ``frames`` for a frame.
     """
     settings = len(records)

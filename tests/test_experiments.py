@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 import shadowbench
 from shadowbench import estimators, experiments, measurement
-from shadowbench.cli import main
+from shadowbench.cli import build_parser, main
 from shadowbench.core import DensityMatrix, expectation
 from shadowbench.ensembles import GlobalHaar, RngStream
 from shadowbench.estimators import CS, LS, RLS, FramePrefix, average_estimate, estimate
@@ -645,9 +646,10 @@ class TestCli:
         assert "resource-guard" in capsys.readouterr().err
 
     def test_resource_guard_only_where_the_frame_is_formed(self, tmp_path, capsys):
-        # At 8 qubits (D = 256) RLS below M = D and CS form no frame, so
-        # no --force is needed; RLS at M = D forms it. The Gram system of
-        # RLS at M = 128 has order 32768, above the 7-qubit frame's 16384.
+        # At 8 qubits (D = 256) RLS at or below M = D and CS form no frame,
+        # so no --force is needed at M = 2. The Gram systems of RLS at
+        # M = 128 and M = 256 have orders 32768 and 65536, above the
+        # 7-qubit frame's 16384.
         args = ["rls-vs-cs", "--qubits", "8", "--trials", "1", "--out", str(tmp_path / "x.csv")]
         assert main(args + ["--m-grid", "2"]) == 0
         for grid in ("2,256", "128"):
@@ -835,14 +837,25 @@ class TestCli:
         assert code == 0
         assert ",RLS,trace," in out.read_text()
 
-    def test_validate_rejects_negative_seed(self, capsys):
-        assert main(["validate", "--seed", "-1"]) == 2
-        assert "seed" in capsys.readouterr().err
+    def test_validate_subcommand_is_refused(self, capsys):
+        # The invariant checks live in the test suite; the CLI only runs
+        # scenario families.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'validate'" in capsys.readouterr().err
 
-    def test_validate_passes(self, capsys):
-        assert main(["validate"]) == 0
-        output = capsys.readouterr().out
-        assert "10/10 checks passed" in output
+    def test_readme_command_lines_parse(self):
+        # Every `shadowbench ...` line of README's sh blocks must parse, so
+        # the README cannot advertise a removed subcommand or flag.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+        lines = [line.split("#", 1)[0] for block in blocks for line in block.splitlines()]
+        commands = [shlex.split(line) for line in lines if line.startswith("shadowbench")]
+        assert commands
+        parser = build_parser()
+        for command in commands:
+            parser.parse_args(command[1:])
 
     def test_dump_and_load_records_flags(self, tmp_path):
         records = tmp_path / "records.txt"
@@ -908,14 +921,22 @@ class TestRlsRoutes:
         dim = 2**qubits
         records = run_plan(
             DensityMatrix.computational_basis_state(dim),
-            MeasurementPlan(dim, shots, GlobalHaar(dim)),
+            MeasurementPlan(dim + 1, shots, GlobalHaar(dim)),
             RngStream(41, (0, 0)),
         )
+        # RLS at M = D takes the Gram route and forms no frame; M = D + 1
+        # takes the primal route over all D + 1 settings. LS forms the
+        # frame at every M and CS never does. Both keep M in {D - 1, D}:
+        # at M = D + 1 LS sits on the double-descent peak, where another
+        # summation order moves its entries (about 17) by 2e-10.
+        grid, expected_blocks = {
+            "RLS": ((dim, dim + 1), ([], [dim + 1])),
+            "LS": ((dim - 1, dim), ([dim - 1], [dim - 1, 1])),
+            "CS": ((dim - 1, dim), ([], [])),
+        }[type(method).__name__]
         # estimate() builds its frame from the same columns, so its
         # references are taken before the columns are counted.
-        references = [
-            estimate(records[:settings], method).average.matrix for settings in (dim - 1, dim)
-        ]
+        references = [estimate(records[:settings], method).average.matrix for settings in grid]
         frame_blocks = []
         columns = estimators.povm_operator_columns
 
@@ -925,15 +946,7 @@ class TestRlsRoutes:
 
         monkeypatch.setattr(estimators, "povm_operator_columns", counted)
         prefix = FramePrefix(records.unitaries, shots)
-        # RLS at M = D - 1 takes the Gram route and forms no frame; M = D
-        # takes the primal route over all D settings. LS forms the frame
-        # at every M and CS never does.
-        expected_blocks = {
-            "RLS": ([], [dim]),
-            "LS": ([dim - 1], [dim - 1, 1]),
-            "CS": ([], []),
-        }[type(method).__name__]
-        for settings, blocks, reference in zip((dim - 1, dim), expected_blocks, references):
+        for settings, blocks, reference in zip(grid, expected_blocks, references):
             first = records[:settings]
             partial_mean = np.mean(
                 [adjoint_map(u, phat) for u, phat in zip(first.unitaries, first.frequencies)],
@@ -944,10 +957,27 @@ class TestRlsRoutes:
             assert frame_blocks == blocks
 
 
+@pytest.mark.parametrize("mu", [1e-16, 1e-300])
+@pytest.mark.parametrize("qubits", [2, 3])
+def test_rls_with_vanishing_ridge_matches_ls_at_interpolation(qubits, mu):
+    # M = D settings give a singular frame. A ridge below rounding must
+    # not leave RLS solving it: the Gram route gives the LS estimate.
+    dim = 2**qubits
+    rows = {}
+    for kind in ("double-descent", "rls-vs-cs"):
+        scenario = tiny_scenario(kind, qubits=qubits, trials=2, m_grid=(dim,), mu_grid=(mu,))
+        rows[kind] = {(row.trial, row.metric): row.value for row in run_scenario(scenario)
+                      if row.method in ("LS", "RLS") and row.trial != AGGREGATE_TRIAL}
+    shared = rows["double-descent"].keys() & rows["rls-vs-cs"].keys()
+    assert {metric for _, metric in shared} >= {"frobenius-error", "trace", "lambda-hat-0"}
+    for key in shared:
+        assert abs(rows["rls-vs-cs"][key] - rows["double-descent"][key]) < 1e-8, key
+
+
 def test_rls_trace_is_the_ridge_shrinkage_on_both_routes():
     # The identity is an eigenvector of the frame with eigenvalue 1 and
-    # tr A†(p̂) = 1, so the RLS trace is 1/(1 + mu/(M L)) below M = D
-    # (Gram route) and at or above it (frame route).
+    # tr A†(p̂) = 1, so the RLS trace is 1/(1 + mu/(M L)) at or below
+    # M = D (Gram route) and above it (frame route).
     mu, shots = 3.0, 2
     scenario = tiny_scenario("rls-vs-cs", trials=1, m_grid=(2, 4, 8), l_grid=(shots,),
                              mu_grid=(mu,))
