@@ -2,9 +2,9 @@
 
 All three estimators map each measurement record's adjoint A†(p̂) to a
 "shadow" matrix and average the shadows. They differ only in how the
-frame operator (1/M) A†A is inverted: LS applies its pseudoinverse, RLS
-shifts it by mu/M before a true inverse, and CS replaces it with the
-analytic global-Haar expectation channel whose inverse is closed-form.
+frame operator (1/M) A†A is inverted: RLS shifts it by mu/M, LS is its
+mu = 0 end (the pseudoinverse), and CS replaces it with the analytic
+global-Haar expectation channel whose inverse is closed-form.
 :func:`shadow_map` is that one map; since it is linear, the average
 estimate is the same map applied to the mean adjoint.
 """
@@ -12,6 +12,7 @@ estimate is the same map applied to the mean adjoint.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -103,8 +104,8 @@ class FrameOperator:
 
     PSD with trace D for rank-1 orthonormal POVMs. The
     eigendecomposition behind the pseudoinverse is computed once on
-    demand and reused across records and observables; a ridge solve with
-    mu > 0 needs no eigendecomposition.
+    demand and reused across records and observables; a ridge solve whose
+    shift is above DEFAULT_RCOND needs no eigendecomposition.
     """
 
     entries: np.ndarray
@@ -135,35 +136,38 @@ class FrameOperator:
         return self._eigenvalues, self._eigenvectors
 
     def pinv_apply(self, vector: np.ndarray) -> np.ndarray:
-        """Apply the pseudoinverse to one vector or a (D^2, R) stack of them,
-        discarding eigenvalues <= DEFAULT_RCOND * max."""
-        eigenvalues, eigenvectors = self.eigensystem()
-        largest = eigenvalues[-1]
-        if largest <= 0.0:
-            raise ValueError("frame operator is identically zero")
-        keep = eigenvalues > DEFAULT_RCOND * largest
-        basis = eigenvectors[:, keep]
-        # The transposes divide each column of a stack by the eigenvalues
-        # and leave a single vector's arithmetic as it is.
-        return basis @ ((basis.T @ vector).T / eigenvalues[keep]).T
+        """Apply the pseudoinverse to one vector or a (D^2, R) stack of them."""
+        return _pinv_solve(*self.eigensystem(), vector)
 
     def ridge_apply(self, vector: np.ndarray, mu: float) -> np.ndarray:
         """Solve ((1/M)(A†A + mu I)) x = vector for one right-hand side or
         a (D^2, R) stack of them.
 
-        mu > 0 is a direct LU solve. mu = 0 goes through the eigensystem,
-        whose spectrum rejects a singular frame.
+        The frame averages projectors and fixes vec(I), so its largest
+        eigenvalue is 1: a shift mu/M at or below DEFAULT_RCOND applies
+        the pseudoinverse, and a larger one is a direct LU solve.
         """
         if mu < 0.0:
             raise ValueError(f"ridge parameter must be >= 0, got {mu}")
-        if mu > 0.0:
-            shifted = self.entries.copy()
-            shifted[np.diag_indices_from(shifted)] += mu / self.settings
-            return np.linalg.solve(shifted, vector)
-        eigenvalues, eigenvectors = self.eigensystem()
-        if eigenvalues[0] <= DEFAULT_RCOND * max(eigenvalues[-1], 0.0):
-            raise ValueError("singular-frame: mu = 0 requires an invertible frame operator")
-        return (eigenvectors / eigenvalues) @ (eigenvectors.T @ vector)
+        if mu / self.settings <= DEFAULT_RCOND:
+            return self.pinv_apply(vector)
+        shifted = self.entries.copy()
+        shifted[np.diag_indices_from(shifted)] += mu / self.settings
+        return np.linalg.solve(shifted, vector)
+
+
+def _pinv_solve(eigenvalues, eigenvectors, vector: np.ndarray) -> np.ndarray:
+    """Apply the pseudoinverse of a PSD matrix, given its ascending
+    eigensystem, to one vector or a stack of column vectors, discarding
+    eigenvalues <= DEFAULT_RCOND * max."""
+    largest = eigenvalues[-1]
+    if largest <= 0.0:
+        raise ValueError("frame operator is identically zero")
+    keep = eigenvalues > DEFAULT_RCOND * largest
+    basis = eigenvectors[:, keep]
+    # The transposes divide each column of a stack by the eigenvalues
+    # and leave a single vector's arithmetic as it is.
+    return basis @ ((basis.T @ vector).T / eigenvalues[keep]).T
 
 
 class FramePrefix:
@@ -217,23 +221,27 @@ class FramePrefix:
 def gram_ridge_solve(
     unitaries: np.ndarray, frequencies: np.ndarray, mu: float, shots: int = 1
 ) -> np.ndarray:
-    """RLS average estimate of M settings from their M*D-dimensional Gram system.
+    """RLS average estimate (LS at mu = 0) of M settings from their
+    M*D-dimensional Gram system.
 
     With V the (M*D, D) stack of the settings' unitary rows, G = |V V†|^2
     is the Gram matrix <A_mk, A_m'k'>. By the push-through identity
     ((1/M) A†A + mu/(M L) I)^-1 A†(p̂)/M = A†((G + (mu/L) I)^-1 p̂),
-    so the D^2 x D^2 frame is neither formed nor solved. At or below M = D
-    the frame is singular, so mu = 0 is rejected as on the primal route.
+    so the D^2 x D^2 frame is neither formed nor solved. G shares the
+    nonzero spectrum of A†A, whose largest eigenvalue is M, so its shift
+    is mu/(M L) of that, as on the frame; at or below DEFAULT_RCOND the
+    pseudoinverse of G is applied.
     """
     if mu < 0.0:
         raise ValueError(f"ridge parameter must be >= 0, got {mu}")
-    if mu == 0.0:
-        raise ValueError("singular-frame: mu = 0 requires an invertible frame operator")
     unitaries = np.asarray(unitaries)
     rows = unitaries.reshape(-1, unitaries.shape[-1])
     phat = np.asarray(frequencies, dtype=float).reshape(-1)
     gram = np.abs(rows @ rows.conj().T) ** 2
-    weights = np.linalg.solve(gram + (mu / shots) * np.eye(len(rows)), phat)
+    if mu / (len(unitaries) * shots) <= DEFAULT_RCOND:
+        weights = _pinv_solve(*np.linalg.eigh(gram), phat)
+    else:
+        weights = np.linalg.solve(gram + (mu / shots) * np.eye(len(rows)), phat)
     return adjoint_map(rows, weights)
 
 
@@ -249,8 +257,8 @@ class RLS:
     mu: float = DEFAULT_MU
 
     def __post_init__(self):
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -297,8 +305,8 @@ def shadow_map(
     """The shadow of one adjoint A†(p̂), or a tuple of shadows of each
     adjoint in an (R, D, D) stack.
 
-    LS applies the frame's pseudoinverse and RLS its ridge inverse, one
-    solve for the whole stack. CS applies the closed-form inverse
+    LS and RLS apply the frame's ridge inverse, LS at mu = 0, one solve
+    for the whole stack. CS applies the closed-form inverse
     channel as (D + 1) X - I, which uses tr(A†(p̂)) = sum(p̂) = 1 and
     needs no frame; for a single shot it equals the rank-1 form
     (D + 1)(U† p̂)(U† p̂)† - I.
@@ -312,37 +320,39 @@ def shadow_map(
         if np.abs(traces - 1.0).max() > 1e-10:
             raise RuntimeError("CS estimate trace deviates from 1 beyond 1e-10")
     else:
+        mu = _ridge_weight(method)
         if frame is None:
             raise ValueError(f"{name} shadows need the frame operator")
         # Stacked adjoints become the columns of one real (D^2, R)
         # right-hand side; unvec makes each solution Hermitian.
         columns = np.moveaxis(vec(adjoint), -1, 0)
-        if isinstance(method, LS):
-            solution = frame.pinv_apply(columns)
-        elif isinstance(method, RLS):
-            solution = frame.ridge_apply(columns, method.mu)
-        else:
-            raise TypeError(f"unknown shadow method {name}")
+        solution = frame.ridge_apply(columns, mu)
         matrices = unvec(np.moveaxis(solution, 0, -1), dim)
     if matrices.ndim == 2:
         return ShadowEstimate(matrices, name)
     return tuple(ShadowEstimate(matrix, name) for matrix in matrices)
 
 
+def _ridge_weight(method: ShadowMethod) -> float:
+    """The ridge weight of an LS or RLS method: LS is RLS at mu = 0."""
+    if isinstance(method, RLS):
+        return method.mu
+    if isinstance(method, LS):
+        return 0.0
+    raise TypeError(f"unknown shadow method {type(method).__name__}")
+
+
 def solve_route(method: ShadowMethod, settings: int, dim: int) -> str:
     """How the average estimate of ``settings`` settings is solved.
 
-    "channel" for CS, whose inverse is closed-form; "gram" for RLS at or
-    below interpolation (M <= D, where the frame is singular), solved in
-    the M*D-dimensional Gram space; "frame" otherwise, where the D^2 x D^2
-    frame is formed. A ridge below rounding leaves the singular frame
-    unsolvable, while A† maps the Gram system's null space to zero.
+    "channel" for CS, whose inverse is closed-form; "gram" for LS and RLS
+    at or below interpolation (M <= D, where the frame is singular),
+    solved in the M*D-dimensional Gram space; "frame" otherwise, where
+    the D^2 x D^2 frame is formed.
     """
     if isinstance(method, CS):
         return "channel"
-    if isinstance(method, RLS) and settings <= dim:
-        return "gram"
-    return "frame"
+    return "gram" if settings <= dim else "frame"
 
 
 def average_estimate(
@@ -350,15 +360,17 @@ def average_estimate(
 ) -> ShadowEstimate:
     """Mean shadow of ``records``, the first settings of ``frames``.
 
-    By linearity it is the shadow map of the records' mean adjoint; RLS
-    at or below interpolation takes the equivalent Gram solve. Only
-    the "frame" route asks ``frames`` for a frame.
+    By linearity it is the shadow map of the records' mean adjoint; at
+    or below interpolation it is the equivalent Gram solve. Only the
+    "frame" route asks ``frames`` for a frame.
     """
     settings = len(records)
     route = solve_route(method, settings, records.dim)
     if route == "gram":
-        matrix = gram_ridge_solve(records.unitaries, records.frequencies, method.mu, records.shots)
-        return ShadowEstimate(matrix, "RLS")
+        matrix = gram_ridge_solve(
+            records.unitaries, records.frequencies, _ridge_weight(method), records.shots
+        )
+        return ShadowEstimate(matrix, type(method).__name__)
     return shadow_map(method, mean_adjoint, frames.frame(settings) if route == "frame" else None)
 
 

@@ -140,18 +140,7 @@ class Scenario:
             raise ValueError("random observable count must be >= 1")
         if self.ensemble_samples < 2:
             raise ValueError("ensemble sample count must be >= 2")
-        # M global settings span at most M*(D-1)+1 < D^2 dimensions when
-        # M <= D, so the frame that RLS(0) inverts is singular there. Local
-        # tensor-product settings span fewer: their frame first reaches
-        # full rank at M = 3^n, the only bound that holds for any coin draw
-        # of a mixture.
-        if FAMILIES[self.kind].eta_sweep and max(self.eta_grid) > 0:
-            fewest, rule = 3**self.qubits, f"M >= 3^n = {3**self.qubits} settings when eta > 0"
-        else:
-            fewest, rule = self.dim + 1, f"M > D = {self.dim} settings"
-        for method, settings in _grid_points(self):
-            if isinstance(method, RLS) and method.mu == 0 and settings < fewest:
-                raise ValueError(f"mu-grid: mu = 0 needs {rule}, got M = {settings}")
+        FAMILIES[self.kind].plan(self)  # refuses multishot budgets no l-grid value divides
 
     @property
     def dim(self) -> int:
@@ -295,17 +284,6 @@ def default_scenario(kind: str) -> Scenario:
     if kind not in FAMILIES:
         raise ValueError(f"unknown scenario kind {kind!r}")
     return Scenario(kind=kind, **FAMILIES[kind].defaults)
-
-
-def _grid_points(scenario: Scenario) -> list[tuple[ShadowMethod, int]]:
-    """Every (method, settings) pair whose average estimate a trial solves."""
-    family = FAMILIES[scenario.kind]
-    return [
-        (method, settings)
-        for _, settings_grid in family.plan(scenario)
-        for settings in settings_grid
-        for method in family.methods(scenario)
-    ]
 
 
 @dataclass(frozen=True)
@@ -585,14 +563,15 @@ def _resource_guard(scenario: Scenario) -> None:
     """Refuse a scenario whose largest dense linear system (M*D on the
     Gram route, D^2 where the frame is formed, none for CS) or largest
     sampled plan entry (M*D^2 unitary entries) exceeds its bound."""
-    dim = scenario.dim
+    dim, family = scenario.dim, FAMILIES[scenario.kind]
+    plan = family.plan(scenario)
     order = max(
         {"channel": 0, "gram": settings * dim, "frame": dim * dim}[
             solve_route(method, settings, dim)
         ]
-        for method, settings in _grid_points(scenario)
+        for _, grid in plan for settings in grid for method in family.methods(scenario)
     )
-    entries = dim * dim * max(grid[-1] for _, grid in FAMILIES[scenario.kind].plan(scenario))
+    entries = dim * dim * max(grid[-1] for _, grid in plan)
     if order > MAX_ORDER_WITHOUT_FORCE or entries > MAX_UNITARY_ENTRIES_WITHOUT_FORCE:
         raise ValueError(
             f"resource-guard: {scenario.qubits} qubits needs a linear system of order {order} "

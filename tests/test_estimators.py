@@ -9,11 +9,14 @@ from shadowbench.core import DensityMatrix, RankOnePovm, born_probabilities
 from shadowbench.ensembles import FixedUnitaries, GlobalHaar, RngStream, sample_global_haar
 from shadowbench.estimators import (
     CS,
+    DEFAULT_RCOND,
     FRAME_BLOCK,
     LS,
     RLS,
     FrameOperator,
+    FramePrefix,
     ShadowSet,
+    average_estimate,
     cs_channel_apply,
     cs_channel_inverse,
     estimate,
@@ -43,7 +46,7 @@ from oracles import (
 
 def forbid_eigh(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("ridge solve with mu > 0 called eigh")
+        raise AssertionError("ridge solve with a shift above the cutoff called eigh")
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
 
@@ -287,18 +290,40 @@ class TestRlsShadow:
         oracle = dense_ridge_solve(povms, 0.1, partial)
         assert np.abs(shadow.matrix - oracle).max() < 1e-10
 
-    def test_singular_frame_with_zero_mu_rejected(self):
-        frame = FrameOperator.from_povms(haar_povms(4, 1, seed=14))
-        partial = np.eye(4) / 4
-        with pytest.raises(ValueError, match="singular-frame"):
-            shadow_map(RLS(0.0), partial, frame)
+    def test_zero_mu_is_ls_on_a_singular_frame(self):
+        # One setting spans 4 of 16 dimensions at D = 4; RLS(0) applies the
+        # same pseudoinverse as LS.
+        povms = haar_povms(4, 1, seed=14)
+        frame = FrameOperator.from_povms(povms)
+        partial = adjoint_map(povms[0], np.array([0.1, 0.2, 0.3, 0.4]))
+        ridge = shadow_map(RLS(0.0), partial, frame).matrix
+        assert np.array_equal(ridge, shadow_map(LS(), partial, frame).matrix)
+        assert np.abs(ridge - dense_ls_estimate(povms, [[0.1, 0.2, 0.3, 0.4]])).max() < 1e-10
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf"), -1e-3])
+    def test_non_finite_or_negative_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite and >= 0"):
+            RLS(mu)
+
+    def test_shift_at_the_cutoff_takes_the_pseudoinverse(self, monkeypatch):
+        # mu/(M L) at or below DEFAULT_RCOND is the pseudoinverse, bit for
+        # bit; just above it is an LU solve that calls no eigh.
+        povms = haar_povms(4, 6, seed=20)
+        frame = FrameOperator.from_povms(povms, shots=2)
+        partial = vec(adjoint_map(povms[1], np.array([0.1, 0.2, 0.3, 0.4])))
+        at_cutoff = 12 * DEFAULT_RCOND
+        assert np.array_equal(frame.ridge_apply(partial, at_cutoff), frame.pinv_apply(partial))
+        pinv = frame.pinv_apply(partial)
+        forbid_eigh(monkeypatch)
+        above = frame.ridge_apply(partial, 2 * at_cutoff)
+        assert np.abs(above - pinv).max() < 1e-6
 
     def test_negative_mu_rejected(self):
         frame = FrameOperator.from_povms(haar_povms(2, 4, seed=15))
         with pytest.raises(ValueError, match=">= 0"):
             frame.ridge_apply(vec(np.eye(2) / 2), -0.5)
 
-    def test_positive_mu_needs_no_eigendecomposition(self, monkeypatch):
+    def test_shift_above_the_cutoff_needs_no_eigendecomposition(self, monkeypatch):
         povms = haar_povms(4, 6, seed=16)
         frame = FrameOperator.from_povms(povms)
         partial = adjoint_map(povms[1], np.array([0.1, 0.2, 0.3, 0.4]))
@@ -325,6 +350,24 @@ class TestRlsShadow:
             assert np.abs(shadow.matrix - single).max() < 1e-12
 
 
+@pytest.mark.parametrize("settings", [2, 5])
+def test_unknown_method_type_rejected_on_both_routes(settings):
+    # M = 2 takes the Gram route at D = 4 and M = 5 the frame route.
+    class Unknown:
+        pass
+
+    records = run_plan(
+        DensityMatrix.maximally_mixed(4), MeasurementPlan(settings, 1, GlobalHaar(4)),
+        RngStream(21, (0, 0)),
+    )
+    frames = FramePrefix(records.unitaries)
+    mean = np.mean(adjoint_map(records.unitaries, records.frequencies), axis=0)
+    with pytest.raises(TypeError, match="unknown shadow method Unknown"):
+        average_estimate(Unknown(), records, mean, frames)
+    with pytest.raises(TypeError, match="unknown shadow method Unknown"):
+        shadow_map(Unknown(), mean, frames.frame(settings))
+
+
 class TestGramRidgeSolve:
     @pytest.mark.parametrize("qubits", [2, 3])
     @pytest.mark.parametrize("shots", [1, 4])
@@ -348,10 +391,31 @@ class TestGramRidgeSolve:
             solution = gram_ridge_solve(records.unitaries, records.frequencies, 0.1, shots)
             assert np.abs(solution - oracle).max() < 1e-10
 
-    def test_zero_mu_rejected_as_singular(self):
+    @pytest.mark.parametrize("qubits", [2, 3])
+    @pytest.mark.parametrize("shots", [1, 4])
+    def test_zero_mu_matches_svd_ls_oracle_at_and_below_interpolation(self, qubits, shots):
+        # The Gram route of LS: A† G⁺ p̂ is the minimum-norm least-squares
+        # state for every M <= D, where the frame is singular.
+        dim = 2**qubits
+        state = DensityMatrix(random_density_matrix(dim, np.random.default_rng(110 + qubits)))
+        for settings in range(1, dim + 1):
+            records = run_plan(
+                state, MeasurementPlan(settings, shots, GlobalHaar(dim)), RngStream(19, (qubits, 0))
+            )
+            solution = gram_ridge_solve(records.unitaries, records.frequencies, 0.0, shots)
+            oracle = dense_ls_estimate(setting_povms(records), list(records.frequencies))
+            assert np.abs(solution - oracle).max() < 1e-10
+
+    def test_shift_above_the_cutoff_needs_no_eigendecomposition(self, monkeypatch):
+        # Two settings of four shots: the shift mu/(M L) crosses
+        # DEFAULT_RCOND at mu = 8e-10.
         unitaries = np.stack([povm.unitary for povm in haar_povms(4, 2, seed=19)])
-        with pytest.raises(ValueError, match="singular-frame"):
-            gram_ridge_solve(unitaries, np.full((2, 4), 0.25), 0.0)
+        frequencies = np.full((2, 4), 0.25)
+        ls = gram_ridge_solve(unitaries, frequencies, 0.0, 4)
+        assert np.array_equal(gram_ridge_solve(unitaries, frequencies, 8 * DEFAULT_RCOND, 4), ls)
+        forbid_eigh(monkeypatch)
+        ridge = gram_ridge_solve(unitaries, frequencies, 16 * DEFAULT_RCOND, 4)
+        assert np.abs(ridge - ls).max() < 1e-8
 
     def test_negative_mu_rejected(self):
         unitaries = np.stack([povm.unitary for povm in haar_povms(4, 2, seed=19)])

@@ -50,6 +50,28 @@ def tiny_scenario(kind, **overrides):
     return Scenario(**defaults)
 
 
+def ridge_free_rls_and_ls_rows(rows):
+    """The RLS rows at mu = 0 and the LS rows of a run, each keyed by
+    grid point and metric without the method and mu columns."""
+    keyed = {"RLS": {}, "LS": {}}
+    for row in rows:
+        if row.method in keyed and row.mu == 0.0:
+            key = (row.trial, row.settings, row.shots, row.eta, row.metric)
+            keyed[row.method][key] = row.value
+    return keyed["RLS"], keyed["LS"]
+
+
+def assert_ridge_free_rls_rows_are_ls_rows(monkeypatch, scenario):
+    # The same records solved by LS instead: methods do not change what
+    # a trial samples.
+    rls, _ = ridge_free_rls_and_ls_rows(run_scenario(scenario))
+    family = FAMILIES[scenario.kind]
+    monkeypatch.setitem(FAMILIES, scenario.kind, replace(family, methods=lambda _: (LS(),)))
+    _, ls = ridge_free_rls_and_ls_rows(run_scenario(scenario))
+    assert rls and rls == ls
+    return {settings for _, settings, *_ in rls}
+
+
 class TestCanonicalStateAndObservables:
     @pytest.mark.parametrize("qubits", [1, 2, 3, 5])
     def test_ground_truth_values(self, qubits):
@@ -153,35 +175,29 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(kind="mu-sweep", mu_grid=(0.1, 0.0), m_grid=(1,)),
-            dict(kind="mismatch", mu_grid=(0.0,), m_grid=(2,)),
+            dict(kind="mu-sweep", mu_grid=(0.1, 0.0), m_grid=(1, 5)),
+            dict(kind="mismatch", mu_grid=(0.0,), m_grid=(2, 6)),
             dict(kind="multishot", mu_grid=(0.0,), m_grid=(8,), l_grid=(1, 2)),
         ],
     )
-    def test_ridge_free_rls_rejected_where_the_frame_is_singular(self, overrides):
-        # M settings span at most M(D-1)+1 < D^2 dimensions for M <= D = 4.
-        with pytest.raises(ValueError, match="mu-grid: mu = 0"):
-            tiny_scenario(**overrides).validate()
+    def test_ridge_free_rls_is_ls_where_the_frame_is_singular(self, monkeypatch, overrides):
+        # M settings span at most M(D-1)+1 < D^2 dimensions for M <= D = 4;
+        # each config also has a point above D, on the frame route.
+        settings = assert_ridge_free_rls_rows_are_ls_rows(monkeypatch, tiny_scenario(**overrides))
+        assert min(settings) <= 4 < max(settings)
 
     @pytest.mark.parametrize(
-        "qubits, eta_grid, fewest, rule",
-        [
-            (1, (1.0,), 3, "M >= 3^n = 3"),
-            (2, (1.0,), 9, "M >= 3^n = 9"),
-            (2, (0.0, 0.5), 9, "M >= 3^n = 9"),
-            (3, (0.25,), 27, "M >= 3^n = 27"),
-            (2, (0.0,), 5, "M > D = 4"),
-        ],
+        "qubits, eta_grid, fewest",
+        [(1, (1.0,), 3), (2, (1.0,), 9), (2, (0.0, 0.5), 9), (3, (0.25,), 27), (2, (0.0,), 5)],
     )
-    def test_ridge_free_rls_needs_full_rank_of_the_sampled_ensemble(
-        self, qubits, eta_grid, fewest, rule
+    def test_ridge_free_rls_is_ls_around_full_rank_of_the_sampled_ensemble(
+        self, monkeypatch, qubits, eta_grid, fewest
     ):
         # Local tensor-product frames reach full rank only at M = 3^n,
         # global ones at M = D + 1.
-        scenario = tiny_scenario("mismatch", qubits=qubits, mu_grid=(0.0,), eta_grid=eta_grid)
-        with pytest.raises(ValueError, match=re.escape(f"mu-grid: mu = 0 needs {rule}")):
-            replace(scenario, m_grid=(fewest - 1,)).validate()
-        replace(scenario, m_grid=(fewest,)).validate()
+        scenario = tiny_scenario("mismatch", qubits=qubits, mu_grid=(0.0,), eta_grid=eta_grid,
+                                 m_grid=(fewest - 1, fewest))
+        assert_ridge_free_rls_rows_are_ls_rows(monkeypatch, scenario)
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="m-grid"):
@@ -210,8 +226,10 @@ class TestScenarioValidation:
             run_scenario(tiny_scenario("rls-vs-cs"), workers=workers)
 
     def test_resource_guard(self):
+        # LS at 8 qubits (D = 256) and M = 128 needs a Gram system of order
+        # 32768, above the 7-qubit frame's 16384.
         with pytest.raises(ValueError, match="resource-guard"):
-            run_scenario(tiny_scenario("double-descent", qubits=8))
+            run_scenario(tiny_scenario("double-descent", qubits=8, m_grid=(2, 128)))
 
     def test_resource_guard_counts_sampled_unitaries(self, monkeypatch):
         # CS solves no system, but 16 unitaries of 8192 x 8192 are 16 GiB.
@@ -229,6 +247,7 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="resource-guard"):
             experiments._resource_guard(Scenario(kind="theorem1", qubits=11, m_grid=(33,)))
         experiments._resource_guard(Scenario(kind="rls-vs-cs", qubits=8, m_grid=(2, 64)))
+        experiments._resource_guard(Scenario(kind="double-descent", qubits=8, m_grid=(2, 64)))
 
     def test_config_round_trip(self):
         scenario = default_scenario("mismatch")
@@ -641,16 +660,17 @@ class TestCli:
 
     def test_resource_guard_exits_two_without_force(self, tmp_path, capsys):
         code = main(["double-descent", "--qubits", "9", "--trials", "1",
-                     "--m-grid", "2", "--out", str(tmp_path / "x.csv")])
+                     "--m-grid", "2,64", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "resource-guard" in capsys.readouterr().err
 
-    def test_resource_guard_only_where_the_frame_is_formed(self, tmp_path, capsys):
-        # At 8 qubits (D = 256) RLS at or below M = D and CS form no frame,
-        # so no --force is needed at M = 2. The Gram systems of RLS at
+    @pytest.mark.parametrize("kind", ["rls-vs-cs", "double-descent"])
+    def test_resource_guard_only_where_the_frame_is_formed(self, tmp_path, capsys, kind):
+        # At 8 qubits (D = 256) LS and RLS at or below M = D and CS form no
+        # frame, so no --force is needed at M = 2. The Gram systems at
         # M = 128 and M = 256 have orders 32768 and 65536, above the
         # 7-qubit frame's 16384.
-        args = ["rls-vs-cs", "--qubits", "8", "--trials", "1", "--out", str(tmp_path / "x.csv")]
+        args = [kind, "--qubits", "8", "--trials", "1", "--out", str(tmp_path / "x.csv")]
         assert main(args + ["--m-grid", "2"]) == 0
         for grid in ("2,256", "128"):
             capsys.readouterr()
@@ -723,8 +743,6 @@ class TestCli:
             (["theorem1", "--l-grid", "1,1"], "l-grid"),
             (["mu-sweep", "--mu", "0.1,0.1"], "mu-grid"),
             (["mismatch", "--eta-grid", "0,0"], "eta-grid"),
-            (["rls-vs-cs", "--mu", "0"], "mu-grid"),
-            (["mu-sweep", "--mu", "0.1,0"], "mu-grid"),
             (["rls-vs-cs", "--seed", "-1"], "seed"),
             (["rls-vs-cs", "--load-records", "{tmp}/missing.txt"], "--load-records"),
             (["rls-vs-cs", "--out", "{tmp}"], "--out"),
@@ -809,19 +827,37 @@ class TestCli:
         assert main(["rls-vs-cs", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "JSON object" in capsys.readouterr().err
 
-    def test_ridge_free_rls_below_local_full_rank_exits_two_before_any_trial(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        def no_trials(*args):
-            raise AssertionError("a trial ran")
+    def test_ridge_free_rls_below_local_full_rank_is_ls(self, tmp_path, monkeypatch):
+        # Below M = 3^n local settings leave the frame singular; RLS at
+        # mu = 0 gives the LS rows on the Gram (M = 4) and frame (M = 5) routes.
+        args = ["mismatch", "--qubits", "2", "--trials", "1", "--m-grid", "4,5", "--mu", "0",
+                "--eta-grid", "1"]
+        assert main(args + ["--out", str(tmp_path / "rls.csv")]) == 0
+        family = FAMILIES["mismatch"]
+        monkeypatch.setitem(FAMILIES, "mismatch", replace(family, methods=lambda _: (LS(),)))
+        assert main(args + ["--out", str(tmp_path / "ls.csv")]) == 0
+        rls, ls = ([line.split(",") for line in (tmp_path / f"{name}.csv").read_text().splitlines()
+                    if f",{name.upper()}," in line] for name in ("rls", "ls"))
+        assert {row[2] for row in rls} == {"4", "5"}
+        assert [row[:6] + row[7:] for row in rls] == [row[:6] + row[7:] for row in ls]
 
-        monkeypatch.setattr(experiments, "_run_chunk", no_trials)
-        out = tmp_path / "x.csv"
-        code = main(["mismatch", "--qubits", "2", "--trials", "1", "--m-grid", "5", "--mu", "0",
-                     "--eta-grid", "1", "--out", str(out)])
-        assert code == 2
-        assert "mu-grid: mu = 0 needs M >= 3^n = 9" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("kind, mu", [("rls-vs-cs", "0"), ("mu-sweep", "0.1,0")])
+    def test_ridge_free_rls_flag_gives_the_ls_rows(self, tmp_path, kind, mu):
+        # Global Haar records depend only on the seed, so double-descent's
+        # LS rows are the same solves as RLS at mu = 0, on both routes.
+        args = ["--qubits", "2", "--trials", "1", "--m-grid", "2,5"]
+        assert main([kind, *args, "--mu", mu, "--out", str(tmp_path / "rls.csv")]) == 0
+        assert main(["double-descent", *args, "--out", str(tmp_path / "ls.csv")]) == 0
+        rows = {}
+        for name, method in (("rls", "RLS"), ("ls", "LS")):
+            for line in (tmp_path / f"{name}.csv").read_text().splitlines()[1:]:
+                _, trial, settings, shots, row_mu, eta, row_method, metric, value = line.split(",")
+                if row_method == method and row_mu == "0":
+                    rows.setdefault(method, {})[trial, settings, shots, eta, metric] = value
+        shared = rows["RLS"].keys() & rows["LS"].keys()
+        assert {metric for *_, metric in shared} >= {"frobenius-error", "lambda-hat-0"}
+        assert {settings for _, settings, *_ in shared} == {"2", "5"}
+        assert all(rows["RLS"][key] == rows["LS"][key] for key in shared)
 
     def test_ridge_free_rls_runs_at_local_full_rank(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -924,14 +960,12 @@ class TestRlsRoutes:
             MeasurementPlan(dim + 1, shots, GlobalHaar(dim)),
             RngStream(41, (0, 0)),
         )
-        # RLS at M = D takes the Gram route and forms no frame; M = D + 1
-        # takes the primal route over all D + 1 settings. LS forms the
-        # frame at every M and CS never does. Both keep M in {D - 1, D}:
-        # at M = D + 1 LS sits on the double-descent peak, where another
-        # summation order moves its entries (about 17) by 2e-10.
+        # LS and RLS at M = D take the Gram route and form no frame; M = D + 1
+        # takes the primal route over all D + 1 settings in one block, the
+        # summation order of estimate()'s own frame. CS never forms one.
         grid, expected_blocks = {
             "RLS": ((dim, dim + 1), ([], [dim + 1])),
-            "LS": ((dim - 1, dim), ([dim - 1], [dim - 1, 1])),
+            "LS": ((dim, dim + 1), ([], [dim + 1])),
             "CS": ((dim - 1, dim), ([], [])),
         }[type(method).__name__]
         # estimate() builds its frame from the same columns, so its
@@ -972,6 +1006,22 @@ def test_rls_with_vanishing_ridge_matches_ls_at_interpolation(qubits, mu):
     assert {metric for _, metric in shared} >= {"frobenius-error", "trace", "lambda-hat-0"}
     for key in shared:
         assert abs(rows["rls-vs-cs"][key] - rows["double-descent"][key]) < 1e-8, key
+
+
+def test_ridge_below_rounding_gives_the_ls_value_on_a_singular_local_frame():
+    # Six local tensor-product settings at n = 2 leave the frame singular
+    # above M = D. A shift mu/M at or below the cutoff is the pseudoinverse;
+    # mu = 1e-9 is an LU solve that stays within 1e-6 of it.
+    values = {}
+    for mu in (0.0, 1e-20, 1e-12, 1e-9):
+        scenario = Scenario(kind="mismatch", qubits=2, trials=1, m_grid=(6,), eta_grid=(1.0,),
+                            mu_grid=(mu,))
+        (values[mu],) = [row.value for row in run_scenario(scenario)
+                         if row.method == "RLS" and row.metric == "lambda-hat-0"]
+    assert values[0.0] == values[1e-20] == values[1e-12]
+    assert abs(values[1e-9] - values[0.0]) < 1e-6
+    # The CS value of the same records is 1.0787.
+    assert abs(values[0.0] - 1.081) < 1e-3
 
 
 def test_rls_trace_is_the_ridge_shrinkage_on_both_routes():
@@ -1019,6 +1069,9 @@ def test_tracer_layers_resolve_and_run_in_every_family():
                 overrides.update(m_grid=(8,), l_grid=(1, 2))
             if kind == "mismatch":
                 overrides.update(eta_grid=(0.0, 0.5))
+            if kind == "double-descent":
+                # LS forms and diagonalizes the frame only above M = D = 4.
+                overrides.update(m_grid=(2, 4, 5))
             rows = shadowbench.run_scenario(tiny_scenario(kind, **overrides))
             shadowbench.emit_csv(rows, os.devnull)
     called = {name for _, _, name, _, _ in tracer.spans}
