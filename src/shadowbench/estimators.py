@@ -23,10 +23,16 @@ from .measurement import RecordStack, adjoint_map
 
 DEFAULT_RCOND = 1e-10
 DEFAULT_MU = 0.1
-FRAME_BLOCK = 32  # settings per frame-accumulation GEMM
+# Outcome columns per frame-accumulation syrk: FRAME_COLUMNS // D settings
+# per block. numpy mirrors each syrk result into its lower triangle, an
+# O(D^4) copy against the O(D^4 k) product, so a fixed column count k keeps
+# the copy's share fixed at any D. On 2 vCPUs (OpenBLAS 0.3.31) one order-1024
+# syrk took 24 ms at 1024 columns and 41 ms at 2048; 4096 columns raised the
+# peak RSS of rls-vs-cs --qubits 5 from 85 to 117 MiB.
+FRAME_COLUMNS = 2048
 # Complex outer-product entries per chunk of povm_operator_columns: 64 rows
 # at D = 32, a 1 MiB temporary. A whole block's outer products would hold
-# 16 MiB at D = 32 and 128 MiB at D = 64 beside the real result.
+# 32 MiB at D = 32 and 128 MiB at D = 64 beside the real result.
 FRAME_CHUNK_ENTRIES = 2**16
 
 
@@ -73,27 +79,34 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return real + 1j * (imaginary - imaginary.swapaxes(-1, -2))
 
 
-def povm_operator_columns(povms) -> np.ndarray:
+def povm_operator_columns(povms, out: np.ndarray | None = None) -> np.ndarray:
     """The real (D^2, m*D) matrix whose columns are vec(u_k u_k†) for every
     outcome k of every setting in ``povms``: one RankOnePovm, one (D, D)
     unitary, or an (m, D, D) stack of unitaries.
 
-    The result is a transposed view of one (m*D, D^2) array, filled
-    FRAME_CHUNK_ENTRIES outer-product entries at a time, so the complex
-    outer products held beside it stay near 1 MiB at any D rather than
-    twice the result's size. Each column has the same bits whether its
-    setting is stacked or not.
+    The result is a transposed view of one (m*D, D^2) array: ``out`` if
+    given, which must be C-contiguous of that shape, else a new one. It
+    is filled FRAME_CHUNK_ENTRIES outer-product entries at a time, so the
+    complex outer products held beside it stay near 1 MiB at any D rather
+    than twice the result's size. Each column has the same bits whether
+    its setting is stacked or not.
     """
     unitaries = unitary_array(povms)
     dim = unitaries.shape[-1]
     rows = unitaries.reshape(-1, dim)
-    columns = np.empty((len(rows), dim, dim))
+    if out is None:
+        out = np.empty((len(rows), dim * dim))
+    elif out.shape != (len(rows), dim * dim) or not out.flags.c_contiguous:
+        raise ValueError(
+            f"columns buffer must be C-contiguous {(len(rows), dim * dim)}, got {out.shape}"
+        )
+    columns = out.reshape(len(rows), dim, dim)
     step = max(1, FRAME_CHUNK_ENTRIES // (dim * dim))
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
         # Row r of U gives the element u u† with entries conj(U_ri) U_rj.
         _vec_into(chunk.conj()[:, :, None] * chunk[:, None, :], columns[start:start + step])
-    return columns.reshape(len(rows), -1).T
+    return out.T
 
 
 @dataclass(eq=False)
@@ -153,7 +166,10 @@ class FrameOperator:
             return self.pinv_apply(vector)
         shifted = self.entries.copy()
         shifted[np.diag_indices_from(shifted)] += mu / self.settings
-        return np.linalg.solve(shifted, vector)
+        # The frame is symmetric bit for bit (numpy mirrors each syrk), so
+        # its transpose is the same matrix in LAPACK's column-major order,
+        # which solve copies without transposing.
+        return np.linalg.solve(shifted.T, vector)
 
 
 def _pinv_solve(eigenvalues, eigenvectors, vector: np.ndarray) -> np.ndarray:
@@ -174,8 +190,8 @@ class FramePrefix:
     """Frames of growing prefixes of one sequence of settings.
 
     This is where every frame is built. Settings enter the running sum
-    only when a frame first needs them, one GEMM per block of
-    FRAME_BLOCK settings, and each frame is that sum divided by M.
+    only when a frame first needs them, one syrk per block of
+    FRAME_COLUMNS // D settings, and each frame is that sum divided by M.
     """
 
     def __init__(self, unitaries: np.ndarray, shots: int = 1):
@@ -193,21 +209,30 @@ class FramePrefix:
 
     def frame(self, settings: int) -> FrameOperator:
         """Frame of the first ``settings`` settings; calls must not go back."""
+        if settings < 1:
+            raise ValueError(f"frame prefix needs at least one setting, got {settings}")
         if not self._count <= settings <= len(self.unitaries):
             raise ValueError(
                 f"frame prefix of {settings} settings after {self._count} "
                 f"of {len(self.unitaries)}"
             )
         if self._count != settings:
+            # The previous frame goes before this call's buffers are made.
+            self._frame = None
             if self._sum is None:
                 self._sum = np.zeros((self.dim**2, self.dim**2))
-            for start in range(self._count, settings, FRAME_BLOCK):
-                block = self.unitaries[start:min(start + FRAME_BLOCK, settings)]
-                columns = povm_operator_columns(block)
-                self._sum += columns @ columns.T
-            # Free the last block's columns, which can outgrow the frame,
-            # before the frame below makes its frame-sized temporaries.
-            del columns
+            step = max(1, FRAME_COLUMNS // self.dim)
+            # One columns buffer and one product buffer serve every block.
+            buffer = np.empty((min(step, settings - self._count) * self.dim, self.dim**2))
+            product = np.empty_like(self._sum)
+            for start in range(self._count, settings, step):
+                block = self.unitaries[start:min(start + step, settings)]
+                columns = povm_operator_columns(block, out=buffer[:len(block) * self.dim])
+                np.matmul(columns, columns.T, out=product)
+                self._sum += product
+            # Free the buffers, which can outgrow the frame, before the
+            # frame below is made.
+            del buffer, product, columns
             self._count = settings
             # Probing each of M settings L times is equivalent to M*L
             # single-shot settings with duplicated POVMs: the entries are
@@ -241,7 +266,11 @@ def gram_ridge_solve(
     if mu / (len(unitaries) * shots) <= DEFAULT_RCOND:
         weights = _pinv_solve(*np.linalg.eigh(gram), phat)
     else:
-        weights = np.linalg.solve(gram + (mu / shots) * np.eye(len(rows)), phat)
+        gram[np.diag_indices_from(gram)] += mu / shots
+        # G is symmetric (bit for bit in almost every draw, to rounding in
+        # all), so G.T is G in LAPACK's column-major order, which solve
+        # copies without transposing.
+        weights = np.linalg.solve(gram.T, phat)
     return adjoint_map(rows, weights)
 
 

@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from shadowbench.core import DensityMatrix, RankOnePovm, born_probabilities
-from shadowbench.ensembles import FixedUnitaries, GlobalHaar, RngStream, sample_global_haar
+from shadowbench.ensembles import (
+    FixedUnitaries,
+    GlobalHaar,
+    RngStream,
+    sample_global_haar,
+    sample_global_haar_batch,
+)
 from shadowbench.estimators import (
     CS,
     DEFAULT_RCOND,
-    FRAME_BLOCK,
+    FRAME_COLUMNS,
     LS,
     RLS,
     FrameOperator,
@@ -139,10 +145,10 @@ class TestFrameOperator:
         assert np.array_equal(stacked, expected)
 
     def test_column_temporaries_stay_small_beside_the_result(self):
-        # A frame block at D = 32: the 8 MiB real result plus chunked
-        # temporaries, not the block's 16 MiB of complex outer products.
+        # A frame block at D = 32: the 16 MiB real result plus chunked
+        # temporaries, not the block's 32 MiB of complex outer products.
         unitaries = np.stack(
-            [sample_global_haar(32, RngStream(11, (0, m))) for m in range(FRAME_BLOCK)]
+            [sample_global_haar(32, RngStream(11, (0, m))) for m in range(FRAME_COLUMNS // 32)]
         )
         tracemalloc.start()
         try:
@@ -150,13 +156,82 @@ class TestFrameOperator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert columns.nbytes == 8 * 2**20
+        assert columns.nbytes == 16 * 2**20
         assert peak <= 1.25 * columns.nbytes
 
+    def test_columns_fill_a_given_buffer_in_place(self):
+        # With out= the columns are a view of the caller's buffer, with the
+        # same bits, and only the 1 MiB chunk temporaries are allocated.
+        unitaries = np.stack([sample_global_haar(32, RngStream(12, (0, m))) for m in range(5)])
+        expected = povm_operator_columns(unitaries)
+        buffer = np.full((5 * 32, 32 * 32), np.nan)
+        tracemalloc.start()
+        try:
+            columns = povm_operator_columns(unitaries, out=buffer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert columns.base is buffer
+        assert np.array_equal(columns, expected)
+        assert peak <= 1.5 * 2**20
+        with pytest.raises(ValueError, match="columns buffer"):
+            povm_operator_columns(unitaries, out=buffer[:-1])
+        with pytest.raises(ValueError, match="columns buffer"):
+            povm_operator_columns(unitaries, out=np.empty((32 * 32, 5 * 32)).T)
+
     def test_blocked_accumulation_matches_naive_across_blocks(self):
-        povms = haar_povms(2, 2 * FRAME_BLOCK + 5, seed=9)
+        # Two full blocks of FRAME_COLUMNS // D settings at D = 2 and a
+        # partial third.
+        povms = haar_povms(2, 2 * (FRAME_COLUMNS // 2) + 5, seed=9)
         frame = FrameOperator.from_povms(povms)
         assert np.abs(frame.entries - naive_frame_matrix(povms)).max() < 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 4, 32])
+    def test_frame_is_symmetric_bit_for_bit_across_blocks(self, dim):
+        # ridge_apply hands LAPACK the frame's transpose as the same matrix.
+        settings = 2 * (FRAME_COLUMNS // dim) + 3
+        unitaries = sample_global_haar_batch(dim, settings, np.random.default_rng(dim))
+        prefix = FramePrefix(unitaries)
+        for count in (FRAME_COLUMNS // dim - 1, settings):
+            entries = prefix.frame(count).entries
+            assert np.array_equal(entries, entries.T)
+
+    def test_ridge_solve_matches_solve_on_the_c_ordered_shifted_frame(self):
+        povms = haar_povms(4, 20, seed=13)
+        frame = FrameOperator.from_povms(povms, shots=2)
+        vector = np.random.default_rng(14).standard_normal((16, 3))
+        shifted = frame.entries.copy()
+        shifted[np.diag_indices_from(shifted)] += 0.1 / 40
+        assert shifted.flags.c_contiguous
+        assert np.array_equal(frame.ridge_apply(vector, 0.1), np.linalg.solve(shifted, vector))
+
+    def test_growing_prefix_reuses_one_buffer_per_call(self):
+        # Growing a D = 32 prefix from 32 to 128 settings makes two blocks
+        # in one call. Its peak holds the running sum, one product buffer,
+        # one columns buffer reused by both blocks, and under 2 MiB of
+        # chunk temporaries. Keeping the frame of 32 settings, a columns
+        # array per block, or the buffers while the new frame is made
+        # would each add at least 7 MiB.
+        dim, step = 32, FRAME_COLUMNS // 32
+        unitaries = sample_global_haar_batch(dim, 128, np.random.default_rng(15))
+        prefix = FramePrefix(unitaries)
+        square = dim**4 * 8
+        tracemalloc.start()
+        try:
+            prefix.frame(32)
+            tracemalloc.reset_peak()
+            frame = prefix.frame(128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frame.settings == 128
+        columns = step * dim * dim**2 * 8
+        assert peak <= square + square + columns + 2 * 2**20
+
+    def test_empty_prefix_rejected(self):
+        prefix = FramePrefix(sample_global_haar_batch(2, 3, np.random.default_rng(16)))
+        with pytest.raises(ValueError, match="at least one setting, got 0"):
+            prefix.frame(0)
 
     def test_trace_equals_dimension(self):
         for dim in (2, 4, 8):

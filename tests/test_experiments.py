@@ -974,9 +974,9 @@ class TestRlsRoutes:
         frame_blocks = []
         columns = estimators.povm_operator_columns
 
-        def counted(unitaries):
+        def counted(unitaries, out=None):
             frame_blocks.append(len(unitaries))
-            return columns(unitaries)
+            return columns(unitaries, out=out)
 
         monkeypatch.setattr(estimators, "povm_operator_columns", counted)
         prefix = FramePrefix(records.unitaries, shots)
