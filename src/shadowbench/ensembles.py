@@ -237,93 +237,81 @@ class FixedUnitaries:
 EnsembleSpec = Union[GlobalHaar, LocalHaarTensor, HaarMixture, FixedUnitaries]
 
 
-def _ginibre(parts: np.ndarray) -> np.ndarray:
-    """Standard complex normals with real parts ``parts[0]`` and imaginary
-    parts ``parts[1]``."""
-    return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
-
-
-def haar_normals(dim: int, streams) -> np.ndarray:
-    """The Ginibre draw of one Haar unitary from each stream, stacked as a
-    (len(streams), D, D) array; each stream draws what
-    :func:`sample_global_haar` draws from it."""
-    draws = np.empty((len(streams), 2, dim, dim))
-    for stream, draw in zip(streams, draws):
-        as_generator(stream).standard_normal(out=draw)
-    return _ginibre(draws.swapaxes(0, 1))
-
-
-def haar_from_normals(ginibre: np.ndarray) -> np.ndarray:
-    """The Haar unitary of each matrix in a (count, D, D) Ginibre stack.
+def haar_from_normals(normals: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a (2, count, D, D) standard normal draw, whose
+    halves are the real and imaginary parts of ``count`` Ginibre
+    matrices, as a (count, D, D) array.
 
     QR-factorizes the stack and absorbs the phases of R's diagonal into Q,
     so the distribution is exactly Haar rather than merely uniform over
     QR outputs. Each unitary has the same bits whether or not it is
     factorized in a stack.
     """
-    q, r = np.linalg.qr(ginibre)
+    q, r = np.linalg.qr((normals[0] + 1j * normals[1]) / np.sqrt(2.0))
     diag = np.einsum("bii->bi", r)
     phases = diag / np.abs(diag)
     return q * phases[:, None, :]
 
 
-def sample_global_haar_batch(dim: int, count: int, rng: RngLike) -> np.ndarray:
-    """Draw ``count`` Haar-random D x D unitaries as a (count, D, D) array,
-    drawing the real parts of all ``count`` Ginibre matrices before their
-    imaginary parts."""
-    if dim < 2:
-        raise ValueError(f"unitary dimension must be >= 2, got {dim}")
-    normals = as_generator(rng).standard_normal((2, count, dim, dim))
-    return haar_from_normals(_ginibre(normals))
+def sample_unitary(spec: EnsembleSpec, streams) -> np.ndarray:
+    """The measurement unitaries of a block of settings, one per stream,
+    as a (len(streams), D, D) array. A stream is an RngStream, or for the
+    random ensembles also a generator.
 
-
-def sample_global_haar(dim: int, rng: RngLike) -> np.ndarray:
-    """One Haar-random D x D unitary."""
-    return sample_global_haar_batch(dim, 1, rng)[0]
-
-
-def sample_local_haar_tensor(qubits: int, rng: RngLike) -> np.ndarray:
-    """Kronecker product of ``qubits`` independent 2x2 Haar unitaries."""
-    if qubits < 1:
-        raise ValueError(f"qubit count must be >= 1, got {qubits}")
-    generator = as_generator(rng)
-    unitary = sample_global_haar(2, generator)
-    for _ in range(qubits - 1):
-        unitary = np.kron(unitary, sample_global_haar(2, generator))
-    return unitary
-
-
-def sample_unitary(spec: EnsembleSpec, rng: RngStream) -> np.ndarray:
-    """Draw one measurement unitary from the ensemble.
-
-    Mixtures resolve their per-setting Bernoulli coin here. Fixed
-    ensembles are indexed by the stream's measurement index, so settings
-    come out in listed order.
+    Each stream draws its own setting: a mixture's Bernoulli coin first,
+    only when 0 < eta < 1, then all of its normals in one call, (2, D, D)
+    for a global setting and (n, 2, 2, 2) for a local one, with real
+    parts before imaginary parts. The block then factorizes its global
+    settings as one QR stack and the n 2x2 factors of its local settings
+    as another, and joins each local setting's factors by broadcast
+    Kronecker products, so every unitary has the same bits as in a block
+    of its own. Fixed ensembles draw nothing: they are indexed by each
+    stream's measurement index, so settings come out in listed order.
     """
-    if isinstance(spec, GlobalHaar):
-        return sample_global_haar(spec.dim, rng)
-    if isinstance(spec, LocalHaarTensor):
-        return sample_local_haar_tensor(spec.qubits, rng)
-    if isinstance(spec, HaarMixture):
-        if spec.eta <= 0.0:
-            return sample_global_haar(spec.dim, rng)
-        if spec.eta >= 1.0:
-            return sample_local_haar_tensor(spec.qubits, rng)
-        generator = as_generator(rng)
-        if generator.random() < spec.eta:
-            return sample_local_haar_tensor(spec.qubits, generator)
-        return sample_global_haar(spec.dim, generator)
     if isinstance(spec, FixedUnitaries):
-        if not isinstance(rng, RngStream):
-            raise TypeError("fixed ensembles need an RngStream to know the setting index")
-        index = rng.stream_id[1]
-        if index >= len(spec.unitaries):
+        indices = [stream.stream_id[1] for stream in streams]
+        if max(indices) >= len(spec.unitaries):
             raise ValueError(
-                f"fixed-ensemble-exhausted: setting {index} requested, "
+                f"fixed-ensemble-exhausted: setting {max(indices)} requested, "
                 f"only {len(spec.unitaries)} listed"
             )
-        return spec.unitaries[index]
-    raise TypeError(f"unknown ensemble spec {type(spec).__name__}")
+        return np.stack([spec.unitaries[index] for index in indices])
+    if isinstance(spec, GlobalHaar):
+        eta = 0.0
+    elif isinstance(spec, LocalHaarTensor):
+        eta = 1.0
+    elif isinstance(spec, HaarMixture):
+        eta = spec.eta
+    else:
+        raise TypeError(f"unknown ensemble spec {type(spec).__name__}")
+    dim, count = spec.dim, len(streams)
+    qubits = spec.qubits if eta > 0.0 else 0
+    local = np.empty(count, dtype=bool)
+    # Global and local normals, each packed in draw order.
+    normals = (np.empty((count, 2, dim, dim)), np.empty((count, qubits, 2, 2, 2)))
+    drawn = [0, 0]
+    for index, stream in enumerate(streams):
+        generator = as_generator(stream)
+        kind = local[index] = eta >= 1.0 or (eta > 0.0 and generator.random() < eta)
+        generator.standard_normal(out=normals[kind][drawn[kind]])
+        drawn[kind] += 1
+    parts = [None, None]
+    if drawn[0]:
+        parts[0] = haar_from_normals(normals[0][: drawn[0]].swapaxes(0, 1))
+    if drawn[1]:
+        factors = haar_from_normals(normals[1][: drawn[1]].reshape(-1, 2, 2, 2).swapaxes(0, 1))
+        factors = factors.reshape(-1, qubits, 2, 2)
+        product = factors[:, 0]
+        for qubit in range(1, qubits):
+            size = 2 * product.shape[-1]
+            product = product[:, :, None, :, None] * factors[:, qubit, None, :, None, :]
+            product = product.reshape(-1, size, size)
+        parts[1] = product
+    if drawn[0] and drawn[1]:
+        unitaries = np.empty((count, dim, dim), dtype=complex)
+        unitaries[~local], unitaries[local] = parts
+        return unitaries
+    return parts[0] if drawn[0] else parts[1]
 
 
 def sample_sphere_vector(dim: int, rng: RngLike) -> np.ndarray:
@@ -422,23 +410,3 @@ def open_overwrite(path):
             raise
     finally:
         os.close(fd)
-
-
-def save_unitaries(unitaries, path) -> None:
-    """Write unitaries as text blocks: a count/dim header line, then one
-    row per line as "re im" pairs, row-major within each block."""
-    unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
-    dim = unitaries[0].shape[0]
-    with open_overwrite(path) as handle:
-        handle.write(f"{len(unitaries)} {dim}\n")
-        for unitary in unitaries:
-            handle.write(unitary_lines(unitary))
-
-
-def load_fixed_ensemble(path) -> FixedUnitaries:
-    """Fixed ensemble from a unitary block file (see :func:`save_unitaries`)."""
-    reader = BlockReader(path)
-    count, dim = reader.header(2, positive=2)
-    unitaries = tuple(reader.unitary(dim) for _ in range(count))
-    reader.finish()
-    return FixedUnitaries(unitaries)

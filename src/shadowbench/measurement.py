@@ -27,11 +27,8 @@ from .core import (
 from .ensembles import (
     BlockReader,
     EnsembleSpec,
-    GlobalHaar,
     RngStream,
     as_generator,
-    haar_from_normals,
-    haar_normals,
     open_overwrite,
     sample_unitary,
     unitary_lines,
@@ -232,9 +229,9 @@ def run_plan(state: DensityMatrix, plans, rng: RngStream | Sequence[RngStream]):
 
     Settings are sampled PLAN_BLOCK at a time for every trial of the
     chunk at once. The block's streams are seeded in one pass
-    (:meth:`RngStream.block`), and each draws its setting's normals (or
-    its whole unitary, for ensembles other than GlobalHaar). The QR,
-    the checks and the Born probabilities then run once for the block.
+    (:meth:`RngStream.block`), and one :func:`sample_unitary` call draws
+    and factorizes the block's settings for any ensemble. The checks and
+    the Born probabilities then run once for the block.
     Each plan that holds setting m draws its counts from the stream's
     state right after that setting's draw, so every stack has the same
     bits as a separate call with its plan and trial alone. A trial's
@@ -260,11 +257,7 @@ def run_plan(state: DensityMatrix, plans, rng: RngStream | Sequence[RngStream]):
         width = stop - start
         streams = RngStream.block(seed, trials, range(start, stop))
         generators = [stream.generator for stream in streams]
-        if isinstance(ensemble, GlobalHaar):
-            block = haar_from_normals(haar_normals(dim, streams))
-        else:
-            block = np.stack([sample_unitary(ensemble, stream) for stream in streams])
-        block = block.reshape(len(trials), width, dim, dim)
+        block = sample_unitary(ensemble, streams).reshape(len(trials), width, dim, dim)
         _check_unitaries(block, start)
         probabilities = born_probabilities(block, state)
         # One row of generators per trial; the first ``held`` settings of

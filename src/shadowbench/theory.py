@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, Observable, expectation
-from .ensembles import EnsembleSpec, GlobalHaar, RngLike, as_generator, sample_global_haar_batch
+from .ensembles import EnsembleSpec, GlobalHaar, RngLike, as_generator, haar_from_normals
 
-# Unitaries per Monte Carlo batch in mse_theorem1. Each batch draws the
-# normals of sample_global_haar_batch, real parts of the whole batch before
-# imaginary parts, so another value changes the estimate's bits.
+# Unitaries per Monte Carlo batch in mse_theorem1. Each batch draws its
+# normals in one call, real parts of the whole batch before imaginary
+# parts, so another value changes the estimate's bits.
 THEOREM1_BATCH = 4096
 
 # Largest D at which mse_theorem1 orthonormalizes a batch by Gram-Schmidt
@@ -84,13 +84,15 @@ def mse_theorem1(
     reporting the standard error of that ensemble average. The k != k'
     double sum is folded into (sum p t)^2 - sum p^2 t^2 for O(K) cost.
 
-    The unitaries are those of :func:`sample_global_haar_batch`, drawn
-    in batches of ``THEOREM1_BATCH`` with the same normals, so the
-    estimate is fixed by the stream and the batch size. Up to D =
-    ``GRAM_SCHMIDT_MAX_DIM`` each batch is orthonormalized by a
-    Gram-Schmidt kernel that makes no BLAS call and agrees with the
-    LAPACK QR route to rounding; it is several times faster there than
-    LAPACK's per-matrix calls, while LAPACK wins above that size.
+    Each batch of ``THEOREM1_BATCH`` unitaries comes from one draw of
+    (2, batch, D, D) normals, real parts of the whole batch before
+    imaginary parts, so the estimate is fixed by the stream and the
+    batch size. Up to D = ``GRAM_SCHMIDT_MAX_DIM`` each batch is
+    orthonormalized by a Gram-Schmidt kernel that makes no BLAS call and
+    agrees to rounding with the LAPACK QR of
+    :func:`ensembles.haar_from_normals`, which takes the batch above that
+    size; the kernel is several times faster than LAPACK's per-matrix
+    calls up to that size, while LAPACK wins above it.
 
     Only global-Haar ensembles are supported: the analytic channel
     inverse baked into t_k is specific to that ensemble.
@@ -120,13 +122,12 @@ def mse_theorem1(
     filled = 0
     while filled < ensemble_samples:
         batch = min(THEOREM1_BATCH, ensemble_samples - filled)
+        normals = generator.standard_normal((2, batch, dim, dim))
         if dim <= GRAM_SCHMIDT_MAX_DIM:
-            # The normals sample_global_haar_batch draws for this batch.
-            normals = generator.standard_normal((2, batch, dim, dim))
             unitaries = _gram_schmidt_unitaries(normals)
             diagonals = _diagonals
         else:
-            unitaries = sample_global_haar_batch(dim, batch, generator)
+            unitaries = haar_from_normals(normals)
             diagonals = _batch_diagonals
         p = diagonals(unitaries, rho)
         t = (dim + 1) * diagonals(unitaries, lam_matrix) - trace_lam

@@ -3,12 +3,15 @@
 Everything here is deliberately written along a different mathematical
 route than the code under test: Bloch-vector optimization instead of
 eigenvalue truncation, SVD-based least squares instead of the frame
-pseudoinverse, and naive loop constructions instead of vectorized
-einsum kernels.
+pseudoinverse, naive loop constructions instead of vectorized
+einsum kernels, and one setting at a time with ``np.kron`` instead of
+the batched ensemble sampler.
 """
 
 import numpy as np
 from scipy.optimize import minimize
+
+from shadowbench.ensembles import FixedUnitaries, GlobalHaar, LocalHaarTensor, as_generator
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -127,3 +130,35 @@ def random_density_matrix(dim: int, generator, rank: int | None = None) -> np.nd
 def random_hermitian(dim: int, generator, scale: float = 1.0) -> np.ndarray:
     raw = generator.standard_normal((dim, dim)) + 1j * generator.standard_normal((dim, dim))
     return scale * (raw + raw.conj().T) / 2.0
+
+
+def haar_unitaries(dim: int, count: int, rng) -> np.ndarray:
+    """``count`` Haar unitaries from one (2, count, D, D) normal draw of a
+    stream or generator, real parts before imaginary parts: the QR factor
+    of each Ginibre matrix, times the phases of R's diagonal."""
+    normals = as_generator(rng).standard_normal((2, count, dim, dim))
+    q, r = np.linalg.qr((normals[0] + 1j * normals[1]) / np.sqrt(2.0))
+    diagonal = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diagonal / np.abs(diagonal))[:, None, :]
+
+
+def reference_unitary(ensemble, stream) -> np.ndarray:
+    """One setting's unitary, drawn the per-setting way: a mixture's coin
+    first (only for 0 < eta < 1), then a global Haar unitary, or one
+    2x2 Haar unitary per qubit joined by ``np.kron``. A fixed ensemble
+    gives the entry at the stream's measurement index."""
+    if isinstance(ensemble, FixedUnitaries):
+        return ensemble.unitaries[stream.stream_id[1]]
+    generator = as_generator(stream)
+    if isinstance(ensemble, GlobalHaar):
+        local = False
+    elif isinstance(ensemble, LocalHaarTensor) or ensemble.eta >= 1.0:
+        local = True
+    else:
+        local = ensemble.eta > 0.0 and generator.random() < ensemble.eta
+    if not local:
+        return haar_unitaries(ensemble.dim, 1, generator)[0]
+    unitary = haar_unitaries(2, 1, generator)[0]
+    for _ in range(ensemble.qubits - 1):
+        unitary = np.kron(unitary, haar_unitaries(2, 1, generator)[0])
+    return unitary

@@ -23,8 +23,7 @@ from shadowbench.ensembles import (
     FixedUnitaries,
     GlobalHaar,
     RngStream,
-    sample_global_haar,
-    sample_global_haar_batch,
+    haar_from_normals,
     sample_sphere_vector,
 )
 from shadowbench.estimators import CS, LS, RLS, FrameOperator, estimate, shadow_map
@@ -46,6 +45,7 @@ from shadowbench.theory import empirical_mse, mse_theorem1, random_observable_cd
 from oracles import (
     closest_physical_state_bloch,
     dense_ls_estimate,
+    haar_unitaries,
     random_density_matrix,
     random_hermitian,
 )
@@ -99,7 +99,7 @@ def test_criterion_01_channel_identity():
     done = 0
     while done < total:
         size = min(chunk, total - done)
-        unitaries = sample_global_haar_batch(dim, size, stream)
+        unitaries = haar_from_normals(stream.generator.standard_normal((2, size, dim, dim)))
         p = np.einsum("bki,ij,bkj->bk", unitaries, rho, unitaries.conj()).real
         samples = np.einsum("bk,bki,bkj->bij", p, unitaries.conj(), unitaries)
         mean += samples.sum(axis=0)
@@ -303,7 +303,7 @@ def test_criterion_11_oracle_equivalences():
     dim = 2
     state = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
     ensemble = FixedUnitaries(
-        tuple(sample_global_haar(dim, RngStream(1453, (0, m))) for m in range(4))
+        tuple(haar_unitaries(dim, 1, RngStream(1453, (0, m)))[0] for m in range(4))
     )
     povms = [RankOnePovm(unitary) for unitary in ensemble.unitaries]
     probabilities = [born_probabilities(povm, state) for povm in povms]

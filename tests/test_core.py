@@ -15,11 +15,16 @@ from shadowbench.core import (
     log_likelihood,
     project_physical,
 )
-from shadowbench.ensembles import RngStream, sample_global_haar
+from shadowbench.ensembles import RngStream
 from shadowbench.experiments import canonical_state_and_observables
 from shadowbench.measurement import RecordStack
 
-from oracles import closest_physical_state_bloch, random_density_matrix, random_hermitian
+from oracles import (
+    closest_physical_state_bloch,
+    haar_unitaries,
+    random_density_matrix,
+    random_hermitian,
+)
 
 
 def basis_state(dim, index=0):
@@ -84,7 +89,7 @@ class TestBornProbabilities:
 
     def test_maximally_mixed_is_isotropic(self):
         dim = 8
-        povm = RankOnePovm(sample_global_haar(dim, RngStream(3, (0, 0))))
+        povm = RankOnePovm(haar_unitaries(dim, 1, RngStream(3, (0, 0)))[0])
         p = born_probabilities(povm, DensityMatrix.maximally_mixed(dim))
         assert np.allclose(p, np.full(dim, 1.0 / dim), atol=1e-12)
 
@@ -106,7 +111,7 @@ class TestBornProbabilities:
         for dim in (2, 4, 8):
             for _ in range(20):
                 state = DensityMatrix(random_density_matrix(dim, generator))
-                povm = RankOnePovm(sample_global_haar(dim, generator))
+                povm = RankOnePovm(haar_unitaries(dim, 1, generator)[0])
                 p = born_probabilities(povm, state)
                 assert p.min() >= 0.0
                 assert abs(p.sum() - 1.0) <= 1e-10
@@ -289,7 +294,7 @@ class TestLogLikelihood:
                 state = basis_state(dim, 0)
             else:
                 state = DensityMatrix(random_density_matrix(dim, generator))
-            unitaries = [sample_global_haar(dim, RngStream(seed, (0, m))) for m in range(5)]
+            unitaries = [haar_unitaries(dim, 1, RngStream(seed, (0, m)))[0] for m in range(5)]
             counts = [generator.multinomial(shots, np.full(dim, 1.0 / dim)) for _ in range(5)]
             if shots == 1:
                 unitaries.append(np.eye(dim))

@@ -14,19 +14,15 @@ from shadowbench.ensembles import (
     HaarMixture,
     LocalHaarTensor,
     RngStream,
-    load_fixed_ensemble,
-    sample_global_haar,
-    sample_global_haar_batch,
-    sample_local_haar_tensor,
+    haar_from_normals,
     sample_sphere_vector,
     sample_unitary,
-    save_unitaries,
     stream_generators,
 )
 from shadowbench.measurement import MeasurementPlan, run_plan
 from shadowbench.theory import random_observable_cdf
 
-from oracles import haar_entry_second_moment_qubit
+from oracles import haar_entry_second_moment_qubit, haar_unitaries, reference_unitary
 
 
 def unitarity_defect(unitary):
@@ -40,7 +36,7 @@ def corner_overlap_samples(dim, count, stream, chunk=10_000):
     filled = 0
     while filled < count:
         size = min(chunk, count - filled)
-        batch = sample_global_haar_batch(dim, size, stream)
+        batch = haar_from_normals(stream.generator.standard_normal((2, size, dim, dim)))
         values[filled : filled + size] = np.abs(batch[:, 0, 0]) ** 2
         filled += size
     return values
@@ -48,14 +44,13 @@ def corner_overlap_samples(dim, count, stream, chunk=10_000):
 
 class TestRngStream:
     def test_identical_keys_reproduce_bitwise(self):
-        first = sample_global_haar(8, RngStream(123, (4, 9)))
-        second = sample_global_haar(8, RngStream(123, (4, 9)))
+        first = sample_unitary(GlobalHaar(8), [RngStream(123, (4, 9))])
+        second = sample_unitary(GlobalHaar(8), [RngStream(123, (4, 9))])
         assert np.array_equal(first, second)
 
     def test_distinct_keys_differ(self):
-        a = sample_global_haar(4, RngStream(123, (0, 0)))
-        b = sample_global_haar(4, RngStream(123, (0, 1)))
-        c = sample_global_haar(4, RngStream(124, (0, 0)))
+        a, b = sample_unitary(GlobalHaar(4), [RngStream(123, (0, 0)), RngStream(123, (0, 1))])
+        c = sample_unitary(GlobalHaar(4), [RngStream(124, (0, 0))])[0]
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
 
@@ -63,7 +58,7 @@ class TestRngStream:
         # Setting m of trial t draws from the stream keyed (seed, (t, m)).
         plan = MeasurementPlan(12, 1, GlobalHaar(4))
         records = run_plan(DensityMatrix.maximally_mixed(4), plan, RngStream(7, (3, 0)))
-        expected = sample_global_haar(4, RngStream(7, (3, 11)))
+        expected = reference_unitary(GlobalHaar(4), RngStream(7, (3, 11)))
         assert np.array_equal(records.unitaries[11], expected)
 
 
@@ -131,18 +126,18 @@ class TestBatchedSeeding:
 class TestGlobalHaar:
     def test_unitarity(self):
         for dim in (2, 3, 8, 32):
-            unitary = sample_global_haar(dim, RngStream(1, (0, dim)))
+            (unitary,) = sample_unitary(GlobalHaar(dim), [RngStream(1, (0, dim))])
             assert unitarity_defect(unitary) < 1e-10
 
     def test_batch_matches_dimension(self):
-        batch = sample_global_haar_batch(4, 10, RngStream(2))
+        batch = sample_unitary(GlobalHaar(4), RngStream.block(2, [0], range(10)))
         assert batch.shape == (10, 4, 4)
         for unitary in batch:
             assert unitarity_defect(unitary) < 1e-10
 
     def test_dimension_below_two_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
-            sample_global_haar(1, RngStream(0))
+            GlobalHaar(1)
 
     def test_qubit_entry_second_moment(self):
         # Independent oracle: direct integration over the D=2 Haar
@@ -162,14 +157,14 @@ class TestGlobalHaar:
     def test_left_invariance(self):
         dim = 8
         count = 100_000
-        fixed = sample_global_haar(dim, RngStream(5, (0, 0)))
+        (fixed,) = sample_unitary(GlobalHaar(dim), [RngStream(5, (0, 0))])
         plain = np.empty(count)
         rotated = np.empty(count)
         stream = RngStream(6)
         filled = 0
         while filled < count:
             size = min(20_000, count - filled)
-            batch = sample_global_haar_batch(dim, size, stream)
+            batch = haar_from_normals(stream.generator.standard_normal((2, size, dim, dim)))
             plain[filled : filled + size] = np.abs(batch[:, 0, 0]) ** 2
             rotated[filled : filled + size] = (
                 np.abs(np.einsum("ij,bjk->bik", fixed, batch)[:, 0, 0]) ** 2
@@ -181,46 +176,42 @@ class TestGlobalHaar:
 
 class TestLocalHaarTensor:
     def test_single_qubit_equals_global(self):
-        local = sample_local_haar_tensor(1, RngStream(7, (0, 0)))
-        globl = sample_global_haar(2, RngStream(7, (0, 0)))
+        local = sample_unitary(LocalHaarTensor(1), [RngStream(7, (0, 0))])
+        globl = sample_unitary(GlobalHaar(2), [RngStream(7, (0, 0))])
         assert np.array_equal(local, globl)
 
     def test_unitarity(self):
-        unitary = sample_local_haar_tensor(3, RngStream(8))
+        (unitary,) = sample_unitary(LocalHaarTensor(3), [RngStream(8)])
         assert unitary.shape == (8, 8)
         assert unitarity_defect(unitary) < 1e-10
 
     def test_two_qubit_entry_second_moment(self):
         # Product of independent qubit factors: 1/2 * 1/2, cross-checked
         # by a Monte Carlo oracle on a single factor.
-        factor = sample_global_haar_batch(2, 200_000, RngStream(9))
+        factor = haar_from_normals(RngStream(9).generator.standard_normal((2, 200_000, 2, 2)))
         factor_mean = (np.abs(factor[:, 0, 0]) ** 2).mean()
-        values = np.array(
-            [
-                abs(sample_local_haar_tensor(2, RngStream(10, (0, i)))[0, 0]) ** 2
-                for i in range(20_000)
-            ]
-        )
+        streams = RngStream.block(10, [0], range(20_000))
+        values = np.abs(sample_unitary(LocalHaarTensor(2), streams)[:, 0, 0]) ** 2
         margin = 3 * values.std(ddof=1) / np.sqrt(values.size)
         assert abs(values.mean() - factor_mean**2) < margin
         assert abs(values.mean() - 0.25) < margin + 0.01
 
     def test_qubit_count_below_one_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
-            sample_local_haar_tensor(0, RngStream(0))
+            LocalHaarTensor(0)
 
 
 class TestHaarMixture:
     def test_degenerate_global_is_bitwise_identical(self):
         mixture = HaarMixture(qubits=2, eta=0.0)
-        mixed = sample_unitary(mixture, RngStream(11, (2, 5)))
-        pure = sample_unitary(GlobalHaar(4), RngStream(11, (2, 5)))
+        mixed = sample_unitary(mixture, RngStream.block(11, [2], range(5, 9)))
+        pure = sample_unitary(GlobalHaar(4), RngStream.block(11, [2], range(5, 9)))
         assert np.array_equal(mixed, pure)
 
     def test_degenerate_local_is_bitwise_identical(self):
         mixture = HaarMixture(qubits=2, eta=1.0)
-        mixed = sample_unitary(mixture, RngStream(12, (1, 3)))
-        pure = sample_unitary(LocalHaarTensor(2), RngStream(12, (1, 3)))
+        mixed = sample_unitary(mixture, RngStream.block(12, [1], range(3, 7)))
+        pure = sample_unitary(LocalHaarTensor(2), RngStream.block(12, [1], range(3, 7)))
         assert np.array_equal(mixed, pure)
 
     def test_component_fraction(self):
@@ -228,13 +219,12 @@ class TestHaarMixture:
         # unitaries from the same generator.
         mixture = HaarMixture(qubits=2, eta=0.5)
         coins = []
+        mixed = sample_unitary(mixture, RngStream.block(13, [0], range(10_000)))
         for i in range(10_000):
             replay = RngStream(13, (0, i)).generator
             local = replay.random() < mixture.eta
-            branch = (
-                sample_local_haar_tensor(2, replay) if local else sample_global_haar(4, replay)
-            )
-            assert np.array_equal(sample_unitary(mixture, RngStream(13, (0, i))), branch)
+            (branch,) = sample_unitary(LocalHaarTensor(2) if local else GlobalHaar(4), [replay])
+            assert np.array_equal(mixed[i], branch)
             coins.append(local)
         fraction = np.mean(coins)
         margin = 3 * np.sqrt(0.25 / len(coins))
@@ -247,40 +237,63 @@ class TestHaarMixture:
 
 class TestFixedUnitaries:
     def test_consumed_in_listed_order(self):
-        unitaries = [sample_global_haar(2, RngStream(14, (0, i))) for i in range(3)]
+        unitaries = haar_unitaries(2, 3, RngStream(14))
         spec = FixedUnitaries(tuple(unitaries))
-        for index in range(3):
-            drawn = sample_unitary(spec, RngStream(0, (0, index)))
-            assert np.array_equal(drawn, unitaries[index])
+        drawn = sample_unitary(spec, RngStream.block(0, [0, 5], range(3)))
+        assert np.array_equal(drawn, np.concatenate([unitaries, unitaries]))
 
-    def test_exhausted_list_raises(self):
-        spec = FixedUnitaries((np.eye(2),))
-        with pytest.raises(ValueError, match="fixed-ensemble-exhausted"):
-            sample_unitary(spec, RngStream(0, (0, 1)))
+    def test_exhausted_block_raises_before_any_draw(self):
+        spec = FixedUnitaries((np.eye(2), np.eye(2)))
+        streams = RngStream.block(0, [0, 1], range(3))
+        states = [stream.generator.bit_generator.state for stream in streams]
+        with pytest.raises(ValueError, match="fixed-ensemble-exhausted: setting 2"):
+            sample_unitary(spec, streams)
+        assert [stream.generator.bit_generator.state for stream in streams] == states
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             FixedUnitaries(())
 
-    def test_save_load_round_trip(self, tmp_path):
-        unitaries = [sample_global_haar(4, RngStream(15, (0, i))) for i in range(3)]
-        path = tmp_path / "unitaries.txt"
-        save_unitaries(unitaries, path)
-        ensemble = load_fixed_ensemble(path)
-        assert len(ensemble.unitaries) == 3
-        for original, restored in zip(unitaries, ensemble.unitaries):
-            assert np.array_equal(original, restored)
-        assert ensemble.dim == 4
+
+BLOCK_ENSEMBLES = {
+    **{f"global-{qubits}": GlobalHaar(2**qubits) for qubits in (1, 2, 3)},
+    **{f"local-{qubits}": LocalHaarTensor(qubits) for qubits in (1, 2, 3)},
+    **{
+        f"mixture-{qubits}-{eta}": HaarMixture(qubits, eta)
+        for qubits in (1, 2, 3)
+        for eta in (0.0, 0.3, 1.0)
+    },
+    "fixed": FixedUnitaries(tuple(haar_unitaries(4, 40, RngStream(19)))),
+}
+
+
+class TestSampleUnitary:
+    @pytest.mark.parametrize("name", sorted(BLOCK_ENSEMBLES))
+    def test_block_matches_per_setting_oracle(self, name):
+        ensemble = BLOCK_ENSEMBLES[name]
+        streams = RngStream.block(20, [0, 6], range(3, 33))
+        unitaries = sample_unitary(ensemble, streams)
+        assert unitaries.shape == (len(streams), ensemble.dim, ensemble.dim)
+        for stream, unitary in zip(streams, unitaries):
+            alone = RngStream(stream.seed, stream.stream_id)
+            assert np.array_equal(unitary, reference_unitary(ensemble, alone))
+            assert stream.generator.random() == alone.generator.random()
+        if isinstance(ensemble, HaarMixture) and 0.0 < ensemble.eta < 1.0:
+            coins = [
+                RngStream(stream.seed, stream.stream_id).generator.random() < ensemble.eta
+                for stream in streams
+            ]
+            assert 0 < sum(coins) < len(streams)  # the block mixes local and global settings
 
 
 class TestPovmFromUnitary:
     def test_elements_resolve_identity(self):
-        povm = RankOnePovm(sample_global_haar(4, RngStream(16)))
+        povm = RankOnePovm(haar_unitaries(4, 1, RngStream(16))[0])
         total = sum(povm.element(k) for k in range(4))
         assert np.abs(total - np.eye(4)).max() < 1e-10
 
     def test_elements_are_rank_one_projectors(self):
-        povm = RankOnePovm(sample_global_haar(4, RngStream(17)))
+        povm = RankOnePovm(haar_unitaries(4, 1, RngStream(17))[0])
         for k in range(4):
             eigenvalues = np.linalg.eigvalsh(povm.element(k))
             assert abs(eigenvalues[-1] - 1.0) < 1e-10

@@ -10,8 +10,6 @@ from shadowbench.ensembles import (
     FixedUnitaries,
     GlobalHaar,
     RngStream,
-    sample_global_haar,
-    sample_global_haar_batch,
 )
 from shadowbench.estimators import (
     CS,
@@ -43,6 +41,7 @@ from shadowbench.measurement import (
 from oracles import (
     dense_ls_estimate,
     dense_ridge_solve,
+    haar_unitaries,
     hermitian_basis,
     naive_frame_matrix,
     random_density_matrix,
@@ -71,7 +70,7 @@ def setting_povms(records):
 
 def haar_povms(dim, count, seed, trial=0):
     return [
-        RankOnePovm(sample_global_haar(dim, RngStream(seed, (trial, m))))
+        RankOnePovm(haar_unitaries(dim, 1, RngStream(seed, (trial, m)))[0])
         for m in range(count)
     ]
 
@@ -102,7 +101,7 @@ class TestVectorization:
         assert np.abs(vec(matrix) - expected).max() < 1e-15
 
     def test_operator_columns_match_naive_elements(self):
-        povm = RankOnePovm(sample_global_haar(4, RngStream(2)))
+        povm = RankOnePovm(haar_unitaries(4, 1, RngStream(2))[0])
         columns = povm_operator_columns(povm)
         assert columns.dtype == np.float64 and columns.shape == (16, 4)
         for k in range(4):
@@ -118,7 +117,7 @@ class TestFrameOperator:
         assert np.allclose(eigenvalues, [0, 0, 1, 1], atol=1e-12)
 
     def test_duplicate_settings_average_out(self):
-        povm = RankOnePovm(sample_global_haar(4, RngStream(3)))
+        povm = RankOnePovm(haar_unitaries(4, 1, RngStream(3))[0])
         single = FrameOperator.from_povms([povm])
         repeated = FrameOperator.from_povms([povm] * 5)
         assert np.abs(single.entries - repeated.entries).max() < 1e-14
@@ -138,7 +137,7 @@ class TestFrameOperator:
     def test_chunked_columns_match_per_setting_columns_at_d32(self):
         # 5 settings at D = 32 are 160 rows: two full chunks of 64 rows and
         # a partial one, against one chunk per setting.
-        unitaries = np.stack([sample_global_haar(32, RngStream(10, (0, m))) for m in range(5)])
+        unitaries = np.stack([haar_unitaries(32, 1, RngStream(10, (0, m)))[0] for m in range(5)])
         stacked = povm_operator_columns(unitaries)
         expected = np.concatenate([povm_operator_columns(unitary) for unitary in unitaries], axis=1)
         assert stacked.shape == (32 * 32, 5 * 32)
@@ -148,7 +147,7 @@ class TestFrameOperator:
         # A frame block at D = 32: the 16 MiB real result plus chunked
         # temporaries, not the block's 32 MiB of complex outer products.
         unitaries = np.stack(
-            [sample_global_haar(32, RngStream(11, (0, m))) for m in range(FRAME_COLUMNS // 32)]
+            [haar_unitaries(32, 1, RngStream(11, (0, m)))[0] for m in range(FRAME_COLUMNS // 32)]
         )
         tracemalloc.start()
         try:
@@ -162,7 +161,7 @@ class TestFrameOperator:
     def test_columns_fill_a_given_buffer_in_place(self):
         # With out= the columns are a view of the caller's buffer, with the
         # same bits, and only the 1 MiB chunk temporaries are allocated.
-        unitaries = np.stack([sample_global_haar(32, RngStream(12, (0, m))) for m in range(5)])
+        unitaries = np.stack([haar_unitaries(32, 1, RngStream(12, (0, m)))[0] for m in range(5)])
         expected = povm_operator_columns(unitaries)
         buffer = np.full((5 * 32, 32 * 32), np.nan)
         tracemalloc.start()
@@ -190,7 +189,7 @@ class TestFrameOperator:
     def test_frame_is_symmetric_bit_for_bit_across_blocks(self, dim):
         # ridge_apply hands LAPACK the frame's transpose as the same matrix.
         settings = 2 * (FRAME_COLUMNS // dim) + 3
-        unitaries = sample_global_haar_batch(dim, settings, np.random.default_rng(dim))
+        unitaries = haar_unitaries(dim, settings, np.random.default_rng(dim))
         prefix = FramePrefix(unitaries)
         for count in (FRAME_COLUMNS // dim - 1, settings):
             entries = prefix.frame(count).entries
@@ -213,7 +212,7 @@ class TestFrameOperator:
         # array per block, or the buffers while the new frame is made
         # would each add at least 7 MiB.
         dim, step = 32, FRAME_COLUMNS // 32
-        unitaries = sample_global_haar_batch(dim, 128, np.random.default_rng(15))
+        unitaries = haar_unitaries(dim, 128, np.random.default_rng(15))
         prefix = FramePrefix(unitaries)
         square = dim**4 * 8
         tracemalloc.start()
@@ -229,7 +228,7 @@ class TestFrameOperator:
         assert peak <= square + square + columns + 2 * 2**20
 
     def test_empty_prefix_rejected(self):
-        prefix = FramePrefix(sample_global_haar_batch(2, 3, np.random.default_rng(16)))
+        prefix = FramePrefix(haar_unitaries(2, 3, np.random.default_rng(16)))
         with pytest.raises(ValueError, match="at least one setting, got 0"):
             prefix.frame(0)
 

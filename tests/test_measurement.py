@@ -18,12 +18,7 @@ from shadowbench.ensembles import (
     HaarMixture,
     LocalHaarTensor,
     RngStream,
-    load_fixed_ensemble,
     open_overwrite,
-    sample_global_haar,
-    sample_global_haar_batch,
-    sample_unitary,
-    save_unitaries,
 )
 from shadowbench.experiments import ResultRow, emit_csv
 from shadowbench.measurement import (
@@ -39,7 +34,7 @@ from shadowbench.measurement import (
     sample_counts,
 )
 
-from oracles import random_density_matrix
+from oracles import haar_unitaries, random_density_matrix, reference_unitary
 
 
 class TestSampleCounts:
@@ -98,7 +93,7 @@ class TestAdjointMap:
         assert np.abs(adjoint_map(povm, phat) - expected).max() < 1e-15
 
     def test_uniform_frequencies_give_mixed_state(self):
-        povm = RankOnePovm(sample_global_haar(4, RngStream(5)))
+        povm = RankOnePovm(haar_unitaries(4, 1, RngStream(5))[0])
         partial = adjoint_map(povm, np.full(4, 0.25))
         assert np.abs(partial - np.eye(4) / 4).max() < 1e-12
 
@@ -106,7 +101,7 @@ class TestAdjointMap:
         # Independent code path: the rank-1 simplification
         # (U† p̂)(U† p̂)† for one-hot frequencies.
         for index in range(6):
-            povm = RankOnePovm(sample_global_haar(8, RngStream(6, (0, index))))
+            povm = RankOnePovm(haar_unitaries(8, 1, RngStream(6, (0, index)))[0])
             phat = np.zeros(8)
             phat[index] = 1.0
             general = adjoint_map(povm, phat)
@@ -117,7 +112,7 @@ class TestAdjointMap:
     def test_psd_with_unit_trace(self):
         generator = RngStream(7).generator
         for _ in range(50):
-            povm = RankOnePovm(sample_global_haar(4, generator))
+            povm = RankOnePovm(haar_unitaries(4, 1, generator)[0])
             phat = generator.dirichlet(np.ones(4))
             partial = adjoint_map(povm, phat)
             assert np.abs(partial - partial.conj().T).max() < 1e-14
@@ -127,7 +122,7 @@ class TestAdjointMap:
     def test_sampled_mean_converges_to_exact(self):
         dim, trials = 2, 10_000
         state = DensityMatrix(np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]]))
-        povm = RankOnePovm(sample_global_haar(dim, RngStream(8)))
+        povm = RankOnePovm(haar_unitaries(dim, 1, RngStream(8))[0])
         p = born_probabilities(povm, state)
         exact = adjoint_map(povm, p)
         generator = RngStream(9).generator
@@ -149,7 +144,7 @@ class TestAdjointMap:
         # sum_k p̂_k conj(U_ki) U_kj as a three-operand contraction, for
         # one-hot (L = 1) and multi-shot (L = 6) frequencies.
         generator = np.random.default_rng(dim + shots)
-        unitaries = sample_global_haar_batch(dim, 5, generator)
+        unitaries = haar_unitaries(dim, 5, generator)
         counts = np.stack([generator.multinomial(shots, np.full(dim, 1.0 / dim)) for _ in range(5)])
         phat = counts / shots
         reference = np.einsum("mk,mki,mkj->mij", phat, unitaries.conj(), unitaries)
@@ -215,11 +210,11 @@ class TestRunPlan:
 
 def reference_plan(state, ensemble, settings, shots, seed, trial):
     """run_plan's draws one setting at a time: stream (trial, m) draws the
-    unitary and then the multinomial counts."""
+    unitary (the per-setting oracle) and then the multinomial counts."""
     unitaries, counts = [], []
     for m in range(settings):
         stream = RngStream(seed, (trial, m))
-        unitary = sample_unitary(ensemble, stream)
+        unitary = reference_unitary(ensemble, stream)
         probabilities = born_probabilities(unitary, state)
         counts.append(stream.generator.multinomial(shots, probabilities / probabilities.sum()))
         unitaries.append(unitary)
@@ -231,7 +226,7 @@ STACK_ENSEMBLES = {
     "global": GlobalHaar(4),
     "local": LocalHaarTensor(2),
     "mixture": HaarMixture(2, 0.3),
-    "fixed": FixedUnitaries(tuple(sample_global_haar_batch(4, STACKED_SETTINGS, RngStream(30)))),
+    "fixed": FixedUnitaries(tuple(haar_unitaries(4, STACKED_SETTINGS, RngStream(30)))),
 }
 
 
@@ -247,6 +242,21 @@ class TestStackedSampler:
         assert np.array_equal(records.unitaries, unitaries)
         assert np.array_equal(records.counts, counts)
         assert records.shots == shots
+
+    @pytest.mark.parametrize("name", sorted(STACK_ENSEMBLES))
+    def test_one_sample_unitary_call_per_block(self, name, monkeypatch):
+        blocks = []
+        sample = measurement.sample_unitary
+
+        def counted(spec, streams):
+            blocks.append(len(streams))
+            return sample(spec, streams)
+
+        monkeypatch.setattr(measurement, "sample_unitary", counted)
+        plan = MeasurementPlan(STACKED_SETTINGS, 1, STACK_ENSEMBLES[name])
+        trials = [RngStream(37, (trial, 0)) for trial in range(2)]
+        run_plan(DensityMatrix.maximally_mixed(4), plan, trials)
+        assert blocks == [2 * PLAN_BLOCK, 2 * (STACKED_SETTINGS - PLAN_BLOCK)]
 
     def test_nested_prefix_across_block_edges(self):
         state = DensityMatrix.maximally_mixed(4)
@@ -302,7 +312,7 @@ SEQUENCE_ENSEMBLES = {
     "mixture-0": HaarMixture(2, 0.0),
     "mixture-0.5": HaarMixture(2, 0.5),
     "mixture-1": HaarMixture(2, 1.0),
-    "fixed": FixedUnitaries(tuple(sample_global_haar_batch(4, SEQUENCE_SETTINGS, RngStream(40)))),
+    "fixed": FixedUnitaries(tuple(haar_unitaries(4, SEQUENCE_SETTINGS, RngStream(40)))),
 }
 SEQUENCES = [
     ((3, 1), (SEQUENCE_SETTINGS, 4), (PLAN_BLOCK, 16), (PLAN_BLOCK + 1, 4)),
@@ -350,7 +360,6 @@ class TestPlanSequence:
         def no_draw(*args):
             raise AssertionError("a setting was drawn")
 
-        monkeypatch.setattr(measurement, "haar_normals", no_draw)
         monkeypatch.setattr(measurement, "sample_unitary", no_draw)
         with pytest.raises(ValueError, match=match):
             run_plan(DensityMatrix.maximally_mixed(4), plans, RngStream(44))
@@ -552,26 +561,20 @@ class TestRecordSerialization:
         assert np.array_equal(loaded.unitaries, records.unitaries)
         assert np.array_equal(loaded.counts, records.counts)
 
-    @pytest.mark.parametrize("kind", ["records", "unitaries"])
-    def test_trailing_content_rejected(self, tmp_path, kind):
+    def test_trailing_content_rejected(self, tmp_path):
         records = run_plan(
             DensityMatrix.maximally_mixed(2), MeasurementPlan(3, 1, GlobalHaar(2)), RngStream(21)
         )
         path = tmp_path / "blocks.txt"
-        if kind == "records":
-            dump_records(records, path)
-            load = load_records
-        else:
-            save_unitaries(records.unitaries, path)
-            load = load_fixed_ensemble
+        dump_records(records, path)
         text = path.read_text()
         lines = text.count("\n")
         # Blank lines after the last block are harmless.
         path.write_text(text + "\n  \n")
-        load(path)
+        load_records(path)
         path.write_text(text + "\n0.1 0.2 0.3 0.4\nGARBAGE here\n")
         with pytest.raises(ValueError, match=f"blocks.txt, line {lines + 2}: unexpected content"):
-            load(path)
+            load_records(path)
 
     def test_overwriting_a_larger_dump_round_trips(self, tmp_path):
         state = DensityMatrix.maximally_mixed(4)
@@ -585,7 +588,7 @@ class TestRecordSerialization:
         assert np.array_equal(loaded.unitaries, small.unitaries)
         assert np.array_equal(loaded.counts, small.counts)
 
-    @pytest.mark.parametrize("writer", ["emit_csv", "dump_records", "save_unitaries"])
+    @pytest.mark.parametrize("writer", ["emit_csv", "dump_records"])
     def test_writers_open_without_truncation(self, tmp_path, monkeypatch, writer):
         # Opening an existing file with O_TRUNC stalls for tens of
         # milliseconds on ext4; the writers overwrite in place instead.
@@ -597,7 +600,6 @@ class TestRecordSerialization:
                 [ResultRow("x", 0, 2, 1, 0.0, 0.0, "CS", "trace", 1.0)], path
             ),
             "dump_records": lambda path: dump_records(records, path),
-            "save_unitaries": lambda path: save_unitaries(records.unitaries, path),
         }[writer]
         expected = tmp_path / "expected.txt"
         write(expected)
@@ -668,31 +670,20 @@ class TestRecordSerialization:
         assert synced_sizes == [len("rewrite\n")]
 
     @settings(max_examples=10, deadline=None)
-    @given(
-        st.sampled_from(["records", "unitaries"]),
-        st.integers(1, 2),
-        st.integers(1, 2),
-        st.integers(1, 5),
-        st.booleans(),
-    )
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 5), st.booleans())
     def test_every_proper_line_prefix_is_rejected(
-        self, kind, qubits, settings_count, shots, strip_newline
+        self, qubits, settings_count, shots, strip_newline
     ):
         dim = 2**qubits
         plan = MeasurementPlan(settings_count, shots, GlobalHaar(dim))
         records = run_plan(DensityMatrix.maximally_mixed(dim), plan, RngStream(17, (qubits, 0)))
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "blocks.txt"
-            if kind == "records":
-                dump_records(records, path, seed=17)
-                load = load_records
-            else:
-                save_unitaries(records.unitaries, path)
-                load = load_fixed_ensemble
+            dump_records(records, path, seed=17)
             lines = path.read_text().splitlines(keepends=True)
-            load(path)
+            load_records(path)
             for cut in range(len(lines)):
                 prefix = "".join(lines[:cut])
                 path.write_text(prefix.rstrip("\n") if strip_newline else prefix)
                 with pytest.raises(ValueError, match="line"):
-                    load(path)
+                    load_records(path)

@@ -13,7 +13,6 @@ from shadowbench.ensembles import (
     LocalHaarTensor,
     RngStream,
     haar_from_normals,
-    sample_global_haar_batch,
 )
 from shadowbench.estimators import CS, estimate
 from shadowbench.experiments import canonical_state_and_observables
@@ -28,6 +27,8 @@ from shadowbench.theory import (
     random_observable_cdf,
     random_observable_pdf,
 )
+
+from oracles import haar_unitaries
 
 
 class TestMultinomialMoments:
@@ -77,7 +78,7 @@ def _single_shot_reduction_oracle(state, obs, settings, samples, stream):
     (1/M) E[sum_k p_k t_k^2] - (1/M) lambda^2."""
     dim = state.dim
     truth = expectation(obs, state)
-    unitaries = sample_global_haar_batch(dim, samples, stream)
+    unitaries = haar_unitaries(dim, samples, stream)
     p = np.einsum("bki,ij,bkj->bk", unitaries, state.matrix, unitaries.conj()).real
     overlap = np.einsum("bki,ij,bkj->bk", unitaries, obs.matrix, unitaries.conj()).real
     t = (dim + 1) * overlap - obs.matrix.trace().real
@@ -172,9 +173,8 @@ def _unitarity_error(unitaries):
 class TestGramSchmidtUnitaries:
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_matches_lapack_route_on_the_same_normals(self, dim):
-        # sample_global_haar_batch draws these normals from the same stream.
         normals = RngStream(12, (0, dim)).generator.standard_normal((2, 2000, dim, dim))
-        lapack = sample_global_haar_batch(dim, 2000, RngStream(12, (0, dim)))
+        lapack = haar_from_normals(normals)
         kernel = _gram_schmidt_unitaries(normals).transpose(2, 0, 1)
         assert np.abs(kernel - lapack).max() <= 1e-13
         assert _unitarity_error(kernel) <= 1e-14
@@ -190,11 +190,11 @@ class TestGramSchmidtUnitaries:
         r0[:, -1] = 1.0
         r0[-1, -1] = delta
         assert 5e7 < np.linalg.cond(r0) < 2e8
-        q0 = sample_global_haar_batch(dim, 64, RngStream(13, (0, dim)))
+        q0 = haar_unitaries(dim, 64, RngStream(13, (0, dim)))
         matrices = q0 @ r0
-        kernel = _gram_schmidt_unitaries(np.stack([matrices.real, matrices.imag]))
-        kernel = kernel.transpose(2, 0, 1)
-        lapack = haar_from_normals(matrices)
+        normals = np.stack([matrices.real, matrices.imag])
+        kernel = _gram_schmidt_unitaries(normals).transpose(2, 0, 1)
+        lapack = haar_from_normals(normals)
         assert _unitarity_error(kernel) <= 1e-14
         assert np.abs(kernel[..., :-1] - lapack[..., :-1]).max() <= 1e-13
         # The last column is fixed by the others up to its phase, and that
@@ -221,14 +221,14 @@ class TestGramSchmidtUnitaries:
 
 
 def _theorem1_oracle(state, obs, settings, shots_grid, samples, stream):
-    """mse_theorem1 for each L from sample_global_haar_batch draws and the
+    """mse_theorem1 for each L from haar_unitaries draws and the
     unfolded sum t^T E[p̂ p̂^T] t over every pair (k, k')."""
     dim = state.dim
     truth = expectation(obs, state)
     generator = stream.generator
     p_parts, t_parts = [], []
     for start in range(0, samples, THEOREM1_BATCH):
-        unitaries = sample_global_haar_batch(dim, min(THEOREM1_BATCH, samples - start), generator)
+        unitaries = haar_unitaries(dim, min(THEOREM1_BATCH, samples - start), generator)
         conj = unitaries.conj()
         p_parts.append(np.einsum("bki,ij,bkj->bk", unitaries, state.matrix, conj).real)
         overlap = np.einsum("bki,ij,bkj->bk", unitaries, obs.matrix, conj).real
