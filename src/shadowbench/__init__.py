@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+import types
+
 from .core import (
     DensityMatrix,
     LogLikelihoodResult,
@@ -60,50 +62,9 @@ from .theory import (
     random_observable_pdf,
 )
 
-__all__ = [
-    "CS",
-    "DensityMatrix",
-    "EnsembleSpec",
-    "FixedUnitaries",
-    "FrameOperator",
-    "GlobalHaar",
-    "HaarMixture",
-    "LS",
-    "LocalHaarTensor",
-    "LogLikelihoodResult",
-    "MeasurementPlan",
-    "MseEstimate",
-    "Observable",
-    "RLS",
-    "RankOnePovm",
-    "RecordStack",
-    "ResultRow",
-    "RngStream",
-    "Scenario",
-    "ShadowEstimate",
-    "ShadowSet",
-    "adjoint_map",
-    "born_probabilities",
-    "canonical_state_and_observables",
-    "cs_channel_apply",
-    "cs_channel_inverse",
-    "default_scenario",
-    "dump_records",
-    "eigenvalue_split",
-    "emit_csv",
-    "empirical_mse",
-    "estimate",
-    "expectation",
-    "frobenius_error",
-    "load_records",
-    "log_likelihood",
-    "mse_theorem1",
-    "multinomial_moments",
-    "project_physical",
-    "random_observable_pdf",
-    "run_plan",
-    "run_scenario",
-    "sample_counts",
-    "sample_unitary",
-    "shadow_map",
-]
+# The public names are the classes and functions imported above.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -70,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", default=None, help="output CSV path (default <kind>.csv)")
         sub.add_argument("--config", default=None, help="JSON file with scenario fields")
         sub.add_argument("--workers", type=int, default=1, help="accepted for compatibility "
-                         "(>= 1) but no effect: trials run in order in one thread, since a "
-                         "thread pool ran slower (the GIL serializes the sampling)")
+                         "(>= 1) but no effect: trials run in order in one thread; a large "
+                         "theorem1 run forks one child for its theory rows either way")
         sub.add_argument("--dump-records", default=None, metavar="PATH")
         sub.add_argument("--load-records", default=None, metavar="PATH")
         sub.add_argument("--force", action="store_true", help="skip the array-size resource guard")

@@ -11,8 +11,10 @@ sets one family apart from the others.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -69,6 +71,16 @@ MAX_UNITARY_ENTRIES_WITHOUT_FORCE = 2**27
 # draws more): 2048 settings at D = 4, 512 at D = 8, 32 at D = 32. So a
 # chunk of several trials holds at most 512 KiB of sampled unitaries.
 TRIAL_CHUNK_ENTRIES = 2048 * 4**2
+
+# A theory family computes its theorem-1 Monte Carlo in a forked child
+# beside the trials only when the trials draw at least this many settings
+# (trials * largest M) and the Monte Carlo at least this many unitaries
+# (ensemble samples * plan entries). On 2 vCPUs a fork with its pipe and
+# join costs 7-12 ms, against about 50 us per trial setting and 3 us per
+# Haar draw at D = 4: a theorem1 run of 2 trials of 16 settings ran about
+# 10 ms slower forked, and theorem1-d4 (1,600 settings, 30,000 draws)
+# about a quarter faster.
+THEORY_FORK_DRAWS = 1024
 
 AGGREGATE_TRIAL = -1  # trial index marking rows aggregated over all trials
 
@@ -523,9 +535,7 @@ def _prefix_adjoint_sums(stacks: list[RecordStack], settings_grid) -> np.ndarray
 
 
 def _aggregate_rows(ctx: _Context, rows: list[ResultRow]) -> list[ResultRow]:
-    """Trial-aggregated MSE rows (trial index -1), plus the semi-analytic
-    MSE (with its standard error) for the theorem1 family."""
-    sc = ctx.scenario
+    """Trial-aggregated MSE rows (trial index -1)."""
     groups: dict[tuple, list[tuple[int, float]]] = {}
     for row in rows:
         if row.metric.startswith("lambda-hat-") or row.metric == "mse-rand":
@@ -546,17 +556,86 @@ def _aggregate_rows(ctx: _Context, rows: list[ResultRow]) -> list[ResultRow]:
             mse = empirical_mse(values, ctx.truths[index])
             label = ctx.family.mse_label.format(i=index)
             stats += [(point, label, mse.value), (point, f"{label}-se", mse.std_error)]
-
-    if ctx.family.theory:
-        stream = RngStream(sc.seed, (AUX_STREAM_INDEX, 1))
-        for shots, (settings,) in ctx.plan:
-            predicted = mse_theorem1(ctx.state, ctx.observables[0], GlobalHaar(sc.dim),
-                                     settings, shots, sc.ensemble_samples, stream)
-            point = (settings, shots, 0.0, 0.0, "CS")
-            stats += [(point, "mse-theory", predicted.value),
-                      (point, "mse-theory-se", predicted.std_error)]
-    return [ResultRow(sc.kind, AGGREGATE_TRIAL, *point, metric, value)
+    return [ResultRow(ctx.scenario.kind, AGGREGATE_TRIAL, *point, metric, value)
             for point, metric, value in stats]
+
+
+def _theory_rows(ctx: _Context) -> list[ResultRow]:
+    """The semi-analytic theorem-1 MSE rows (with standard errors) of a
+    theory family, from the stream (AUX, 1), which no trial draws from."""
+    if not ctx.family.theory:
+        return []
+    sc, rows = ctx.scenario, []
+    stream = RngStream(sc.seed, (AUX_STREAM_INDEX, 1))
+    for shots, (settings,) in ctx.plan:
+        predicted = mse_theorem1(ctx.state, ctx.observables[0], GlobalHaar(sc.dim),
+                                 settings, shots, sc.ensemble_samples, stream)
+        point = (sc.kind, AGGREGATE_TRIAL, settings, shots, 0.0, 0.0, "CS")
+        rows += [ResultRow(*point, "mse-theory", predicted.value),
+                 ResultRow(*point, "mse-theory-se", predicted.std_error)]
+    return rows
+
+
+@contextlib.contextmanager
+def _theory_beside_trials(ctx: _Context):
+    """Yield a function returning ``_theory_rows(ctx)``. A family with
+    theory rows, whose trials and Monte Carlo both reach THEORY_FORK_DRAWS,
+    on a platform with the fork start method and two or more usable CPUs,
+    forks one child that computes them while the caller runs the trials;
+    the function then waits for the child's rows or raises its exception.
+    The child is terminated if the caller raises, and joined in any case,
+    so it never outlives the block. Otherwise the function computes the
+    rows when called."""
+    sc = ctx.scenario
+    settings = sc.trials * max(grid[-1] for _, grid in ctx.plan)
+    draws = sc.ensemble_samples * len(ctx.plan)
+    usable_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    if not (ctx.family.theory and min(settings, draws) >= THEORY_FORK_DRAWS
+            and usable_cpus >= 2):
+        yield lambda: _theory_rows(ctx)
+        return
+    import multiprocessing
+
+    # Not spawn: a fresh interpreter imports numpy and the package
+    # (about 0.2 s), more than the Monte Carlo takes at desk scale. A
+    # daemonic process may not start children.
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        yield lambda: _theory_rows(ctx)
+        return
+    context = multiprocessing.get_context("fork")
+
+    def send(sender):
+        try:
+            message = (False, _theory_rows(ctx))
+        except Exception as error:
+            message = (True, error)
+        sender.send(message)
+
+    def receive() -> list[ResultRow]:
+        try:
+            failed, payload = receiver.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(f"theorem-1 process exited with code {child.exitcode} "
+                               f"before sending its rows") from None
+        if failed:
+            raise payload
+        return payload
+
+    receiver, sender = context.Pipe(duplex=False)
+    with receiver:
+        with sender:  # the child keeps its own copy of the sending end
+            child = context.Process(target=send, args=(sender,))
+            child.start()
+        try:
+            yield receive
+        except BaseException:
+            child.terminate()
+            raise
+        finally:
+            child.join()
 
 
 def _resource_guard(scenario: Scenario) -> None:
@@ -595,10 +674,15 @@ def run_scenario(
     thread, in chunks of consecutive trials that draw at most
     TRIAL_CHUNK_ENTRIES unitary entries M*D^2 together (one trial when
     it draws more); every setting keeps its stream (seed, (trial, m)), so the rows
-    are the same for any chunking. ``workers`` must be >= 1 but has no
-    effect: it is kept for compatibility, and a thread pool over trials
-    ran slower, because the GIL serializes the per-setting generator and
-    multinomial calls.
+    are the same for any chunking. A theory family computes its
+    theorem-1 rows in one forked child while the trials run, when both
+    are large enough to pay for the fork (THEORY_FORK_DRAWS), the
+    platform has the fork start method and two or more CPUs are usable;
+    the child is joined before this returns or raises, and its exception
+    is raised here. ``workers`` must be >= 1 but has no effect: the rows
+    are the same either way, and trial chunks stay serial, because worker
+    processes with one BLAS thread change CSV bytes and with the
+    caller's BLAS threads they oversubscribe the CPUs.
     ``dump_records_path`` receives the records trial 0 measured at the
     first plan entry (first L, first eta) at its largest M: on a replay
     the loaded ones, under the loaded file's seed.
@@ -638,9 +722,11 @@ def run_scenario(
             )
 
     rows: list[ResultRow] = []
-    for trials in _trial_chunks(ctx):
-        rows.extend(_run_chunk(ctx, trials, records_override))
-    rows.extend(_aggregate_rows(ctx, rows))
+    with _theory_beside_trials(ctx) as theory_rows:
+        for trials in _trial_chunks(ctx):
+            rows.extend(_run_chunk(ctx, trials, records_override))
+        rows.extend(_aggregate_rows(ctx, rows))
+        rows.extend(theory_rows())
 
     if dump_records_path is not None:
         _, ensemble = ctx.family.ensembles(scenario)[0]

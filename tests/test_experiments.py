@@ -5,6 +5,7 @@ import filecmp
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -13,9 +14,11 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -42,6 +45,7 @@ from shadowbench.experiments import (
     run_scenario,
 )
 from shadowbench.measurement import PLAN_BLOCK, MeasurementPlan, adjoint_map, run_plan
+from shadowbench.theory import GRAM_SCHMIDT_MAX_DIM, mse_theorem1
 
 
 def tiny_scenario(kind, **overrides):
@@ -407,6 +411,7 @@ class TestRunScenario:
 
     def test_trials_run_in_order_in_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden_fork)
         monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES", 3 * 8 * 4**2)  # three trials a chunk
         run_chunk = experiments._run_chunk
         calls = []
@@ -423,6 +428,142 @@ class TestRunScenario:
             results.append(run_scenario(scenario, workers=workers))
             assert calls == [(range(0, 3), True), (range(3, 4), True)]
         assert results[1] == results[0] and results[2] == results[0]
+
+
+def forbidden_fork(*args):
+    raise AssertionError("forked a theorem-1 child")
+
+
+def assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+class TestTheoryBesideTrials:
+    """Given trials and a Monte Carlo of THEORY_FORK_DRAWS, two usable
+    CPUs and the fork start method, one forked child computes a theorem1
+    run's mse-theory rows while the trials run; it never outlives the
+    run, and ``workers`` changes nothing."""
+
+    @staticmethod
+    def counted_forks(monkeypatch, fork_draws=1):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "THEORY_FORK_DRAWS", fork_draws)
+        forks = []
+        get_context = multiprocessing.get_context
+
+        def recording(method):
+            forks.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording)
+        return forks
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("qubits, ensemble_samples", [(2, 500), (4, 60)])
+    def test_rows_and_bytes_do_not_depend_on_the_fork(
+        self, monkeypatch, tmp_path, qubits, ensemble_samples, workers
+    ):
+        # D = 4 draws its unitaries by Gram-Schmidt, D = 16 by LAPACK's QR.
+        assert (2**qubits <= GRAM_SCHMIDT_MAX_DIM) == (qubits == 2)
+        scenario = tiny_scenario("theorem1", qubits=qubits, trials=4, m_grid=(16,),
+                                 l_grid=(1, 4, 16), ensemble_samples=ensemble_samples)
+        with monkeypatch.context() as serial_run:
+            serial_run.setattr(multiprocessing, "get_context", forbidden_fork)
+            serial = run_scenario(scenario)  # below THEORY_FORK_DRAWS
+        emit_csv(serial, tmp_path / "serial.csv")
+        forks = self.counted_forks(monkeypatch)
+        parent_calls = []
+        monkeypatch.setattr(experiments, "mse_theorem1",
+                            lambda *args: parent_calls.append(args) or mse_theorem1(*args))
+        forked = run_scenario(scenario, workers=workers)
+        emit_csv(forked, tmp_path / "forked.csv")
+        assert forks == ["fork"] and parent_calls == []  # the child made all three calls
+        assert forked == serial
+        assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_raising_mid_run_stops_the_child(self, monkeypatch, error):
+        forks = self.counted_forks(monkeypatch)
+
+        def failing(*args):
+            raise error("chunk failed")
+
+        monkeypatch.setattr(experiments, "_run_chunk", failing)
+        # A child still computing is terminated, not waited for.
+        monkeypatch.setattr(experiments, "mse_theorem1", lambda *args: time.sleep(60))
+        started = time.monotonic()
+        with pytest.raises(error, match="chunk failed"):
+            run_scenario(tiny_scenario("theorem1", m_grid=(16,)))
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @staticmethod
+    def refuse_theory(monkeypatch):
+        def failing(*args):
+            raise ValueError("theory refused")
+
+        monkeypatch.setattr(experiments, "mse_theorem1", failing)  # the fork inherits it
+
+    def test_child_error_is_raised_in_the_caller(self, monkeypatch):
+        forks = self.counted_forks(monkeypatch)
+        self.refuse_theory(monkeypatch)
+        with pytest.raises(ValueError, match="^theory refused$"):
+            run_scenario(tiny_scenario("theorem1", m_grid=(16,)))
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_child_value_error_exits_two(self, monkeypatch, tmp_path, capsys):
+        forks = self.counted_forks(monkeypatch)
+        self.refuse_theory(monkeypatch)
+        args = ["theorem1", "--qubits", "2", "--trials", "2", "--out", str(tmp_path / "out.csv")]
+        assert main(args) == 2
+        assert "error: theory refused" in capsys.readouterr().err
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("trials, ensemble_samples, forked", [
+        (64, 512, True),  # 64 * 16 settings, 512 * 2 draws
+        (63, 512, False),
+        (64, 511, False),
+    ])
+    def test_forks_when_trials_and_monte_carlo_reach_the_bound(
+        self, monkeypatch, trials, ensemble_samples, forked
+    ):
+        forks = self.counted_forks(monkeypatch, experiments.THEORY_FORK_DRAWS)
+        assert experiments.THEORY_FORK_DRAWS == 1024
+        run_scenario(tiny_scenario("theorem1", trials=trials, m_grid=(16,), l_grid=(1, 2),
+                                   ensemble_samples=ensemble_samples))
+        assert forks == (["fork"] if forked else [])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_forks_only_for_theory_rows_on_two_usable_cpus(self, monkeypatch, kind):
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden_fork)
+        monkeypatch.setattr(experiments, "THEORY_FORK_DRAWS", 1)
+        overrides = dict(trials=2, m_grid=(8,), l_grid=(1, 2), ensemble_samples=50,
+                         random_observables=5)
+        if kind == "theorem1":
+            usable_cpus(monkeypatch, 1)
+            run_scenario(tiny_scenario(kind, **overrides), workers=8)
+            # os.cpu_count counts the host's CPUs, not the ones this process may use.
+            monkeypatch.setattr(os, "cpu_count", lambda: 8)
+            run_scenario(tiny_scenario(kind, **overrides), workers=8)
+            usable_cpus(monkeypatch, 8)
+            daemon = SimpleNamespace(daemon=True)
+            monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+        else:
+            usable_cpus(monkeypatch, 8)
+        run_scenario(tiny_scenario(kind, **overrides), workers=8)
+        assert_no_child_left()
 
 
 class TestTrialChunks:
@@ -1088,6 +1229,8 @@ def test_package_does_not_import_scipy(tmp_path):
         "             '--m-grid', '2,4', '--out', sys.argv[1]]) == 0\n"
         "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
+        # Only a run that forks its theorem-1 child imports multiprocessing.
+        "assert 'multiprocessing' not in sys.modules\n"
     )
     source_root = str(Path(shadowbench.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=source_root)
@@ -1096,3 +1239,23 @@ def test_package_does_not_import_scipy(tmp_path):
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_public_names_are_the_exported_set():
+    exported = {
+        "CS", "DensityMatrix", "EnsembleSpec", "FixedUnitaries", "FrameOperator",
+        "GlobalHaar", "HaarMixture", "LS", "LocalHaarTensor", "LogLikelihoodResult",
+        "MeasurementPlan", "MseEstimate", "Observable", "RLS", "RankOnePovm",
+        "RecordStack", "ResultRow", "RngStream", "Scenario", "ShadowEstimate",
+        "ShadowSet", "adjoint_map", "born_probabilities", "canonical_state_and_observables",
+        "cs_channel_apply", "cs_channel_inverse", "default_scenario", "dump_records",
+        "eigenvalue_split", "emit_csv", "empirical_mse", "estimate", "expectation",
+        "frobenius_error", "load_records", "log_likelihood", "mse_theorem1",
+        "multinomial_moments", "project_physical", "random_observable_pdf", "run_plan",
+        "run_scenario", "sample_counts", "sample_unitary", "shadow_map",
+    }
+    assert len(exported) == 45
+    assert sorted(shadowbench.__all__) == sorted(exported)
+    namespace = {}
+    exec("from shadowbench import *", namespace)  # resolves every exported name
+    assert set(namespace) - {"__builtins__"} == exported
