@@ -8,7 +8,6 @@ from .core import (
     DensityMatrix,
     LogLikelihoodResult,
     Observable,
-    RankOnePovm,
     ShadowEstimate,
     born_probabilities,
     eigenvalue_split,
@@ -19,10 +18,8 @@ from .core import (
 )
 from .ensembles import (
     EnsembleSpec,
-    FixedUnitaries,
     GlobalHaar,
     HaarMixture,
-    LocalHaarTensor,
     RngStream,
     sample_unitary,
 )

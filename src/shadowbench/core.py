@@ -1,10 +1,10 @@
 """Quantum state primitives and estimator diagnostics.
 
 Defines the basic immutable value types (density matrices, observables,
-rank-1 POVMs, shadow estimates) plus the pure functions that operate on
-them: Born-rule probabilities, expectation values, Frobenius error,
-positive/negative eigenvalue sums, projection onto physical states, and
-the average log-likelihood of a record set.
+shadow estimates) plus the pure functions that operate on them and on
+measurement unitaries: Born-rule probabilities, expectation values,
+Frobenius error, positive/negative eigenvalue sums, projection onto
+physical states, and the average log-likelihood of a record set.
 
 All functions are pure and safe for concurrent use; stored arrays are
 copied on construction and marked read-only.
@@ -22,7 +22,6 @@ STATE_HERMITICITY_ATOL = 1e-12
 STATE_TRACE_ATOL = 1e-12
 STATE_EIGENVALUE_ATOL = 1e-10
 SHADOW_HERMITICITY_ATOL = 1e-10
-POVM_UNITARITY_ATOL = 1e-8
 EXPECTATION_IMAG_ATOL = 1e-9
 PROBABILITY_DRIFT_ATOL = 1e-12
 LIKELIHOOD_FLOOR = 1e-12
@@ -37,24 +36,6 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Largest entrywise deviation |X - X†|."""
     return float(np.abs(matrix - matrix.conj().T).max())
-
-
-def unitarity_defect(unitaries: np.ndarray) -> np.ndarray:
-    """Largest entrywise |U†U - I| of a unitary, or of each unitary in an
-    (M, D, D) stack; NaN for a non-finite entry."""
-    unitaries = np.asarray(unitaries)
-    product = unitaries.conj().swapaxes(-1, -2) @ unitaries
-    return np.abs(product - np.eye(unitaries.shape[-1])).max(axis=(-2, -1))
-
-
-def non_unitary_message(defect: float) -> str:
-    return f"non-unitary POVM matrix: |U†U - I| = {defect:.3e} > 1e-8"
-
-
-def unitary_array(povms) -> np.ndarray:
-    """The unitary of a RankOnePovm, or a (D, D) unitary or an (M, D, D)
-    stack of unitaries as given."""
-    return povms.unitary if isinstance(povms, RankOnePovm) else np.asarray(povms)
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:
@@ -193,42 +174,6 @@ class Observable:
         return cls(np.outer(v, v.conj()), vector=v)
 
 
-@dataclass(frozen=True, eq=False)
-class RankOnePovm:
-    """A K=D outcome rank-1 orthonormal POVM defined by a unitary U.
-
-    The k-th POVM element is u_k u_k† where u_k† is the k-th row of U,
-    so measuring it equals rotating the state by U and reading out in
-    the computational basis.
-    """
-
-    unitary: np.ndarray
-
-    def __post_init__(self):
-        unitary = np.array(self.unitary, dtype=complex)
-        if unitary.ndim != 2 or unitary.shape[0] != unitary.shape[1]:
-            raise ValueError(f"POVM unitary must be square, got {unitary.shape}")
-        defect = unitarity_defect(unitary)
-        # Negated so that the NaN defect of a non-finite entry fails too.
-        if not defect <= POVM_UNITARITY_ATOL:
-            raise ValueError(non_unitary_message(defect))
-        unitary.setflags(write=False)
-        object.__setattr__(self, "unitary", unitary)
-
-    @property
-    def dim(self) -> int:
-        return self.unitary.shape[0]
-
-    @property
-    def outcomes(self) -> int:
-        return self.unitary.shape[0]
-
-    def element(self, k: int) -> np.ndarray:
-        """The k-th POVM element u_k u_k†."""
-        u = self.unitary[k].conj()
-        return np.outer(u, u.conj())
-
-
 MatrixLike = Union[DensityMatrix, ShadowEstimate, np.ndarray]
 
 
@@ -240,16 +185,17 @@ def _outcome_probabilities(unitaries: np.ndarray, rho: np.ndarray) -> np.ndarray
     return ((unitaries @ rho) * unitaries.conj()).sum(axis=-1).real
 
 
-def born_probabilities(povms, state: DensityMatrix) -> np.ndarray:
-    """Outcome probabilities p_k = u_k† rho u_k of a rank-1 POVM.
+def born_probabilities(unitaries, state: DensityMatrix) -> np.ndarray:
+    """Outcome probabilities p_k = u_k† rho u_k of the rank-1 POVM whose
+    elements u_k u_k† come from the rows u_k† of a setting's unitary.
 
-    ``povms`` is a RankOnePovm or a (D, D) unitary, or an (M, D, D) stack
-    of unitaries with one row of probabilities per setting. Equals the
+    ``unitaries`` is a (D, D) unitary, or an (M, D, D) stack of unitaries
+    with one row of probabilities per setting. Equals the
     diagonal of U rho U†. Entries are clipped to [0, 1] and a row is
     renormalized whenever its total drifts from 1 by more than 1e-12,
     which protects the multinomial sampler from rounding.
     """
-    u = unitary_array(povms)
+    u = np.asarray(unitaries)
     rho = as_matrix(state)
     if u.shape[-1] != rho.shape[0]:
         raise ValueError(f"dim-mismatch: povm dim {u.shape[-1]} != state dim {rho.shape[0]}")

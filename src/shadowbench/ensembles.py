@@ -1,9 +1,9 @@
 """Random measurement-setting ensembles.
 
-Haar-random unitaries (global and local tensor-product), mixtures of the
-two, and deterministic fixed lists, all driven by counter-based RNG
-streams so that every (seed, trial, measurement) triple reproduces the
-same unitary regardless of execution order.
+Haar-random unitaries, global or local tensor-product, and mixtures of
+the two, drawn as (M, D, D) arrays from counter-based RNG streams so
+that every (seed, trial, measurement) triple reproduces the same
+unitary regardless of execution order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import os
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -125,24 +124,15 @@ class RngStream:
 
     The key pair is folded into a ``numpy.random.SeedSequence`` spawn
     key, so identical keys give bitwise-identical draws in any order.
-    The underlying generator is created lazily, or for a whole block of
-    streams at once by :meth:`block`, and consumed sequentially by
-    whoever holds the stream.
+    The underlying generator is created lazily and consumed sequentially
+    by whoever holds the stream; :func:`stream_generators` seeds the
+    generators of a whole block of keys at once.
     """
 
     def __init__(self, seed: int, stream_id: tuple[int, int] = (0, 0)):
         self.seed = int(seed)
         self.stream_id = (int(stream_id[0]), int(stream_id[1]))
         self._generator: np.random.Generator | None = None
-
-    @classmethod
-    def block(cls, seed: int, trials, settings) -> list["RngStream"]:
-        """Streams (seed, (t, m)) for t in ``trials`` and m in ``settings``,
-        trial-major, with generators from :func:`stream_generators`."""
-        streams = [cls(seed, (trial, setting)) for trial in trials for setting in settings]
-        for stream, generator in zip(streams, stream_generators(seed, trials, settings)):
-            stream._generator = generator
-        return streams
 
     @property
     def generator(self) -> np.random.Generator:
@@ -176,27 +166,15 @@ class GlobalHaar:
 
 
 @dataclass(frozen=True)
-class LocalHaarTensor:
-    """Tensor products of independent single-qubit Haar unitaries."""
-
-    qubits: int
-
-    def __post_init__(self):
-        if self.qubits < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.qubits}")
-
-    @property
-    def dim(self) -> int:
-        return 2**self.qubits
-
-
-@dataclass(frozen=True)
 class HaarMixture:
     """Mixture drawing local settings with probability eta, global otherwise.
 
-    The Bernoulli coin is drawn once per measurement setting. Degenerate
-    mixtures (eta exactly 0 or 1) skip the coin entirely so that their
-    draws are bitwise identical to the corresponding pure ensemble.
+    A local setting is a tensor product of independent single-qubit Haar
+    unitaries, so ``HaarMixture(n, 1.0)`` is the local tensor-product
+    ensemble. The Bernoulli coin is drawn once per measurement setting.
+    Degenerate mixtures (eta exactly 0 or 1) skip the coin entirely so
+    that their draws are bitwise identical to the corresponding pure
+    ensemble.
     """
 
     qubits: int
@@ -213,28 +191,7 @@ class HaarMixture:
         return 2**self.qubits
 
 
-@dataclass(frozen=True, eq=False)
-class FixedUnitaries:
-    """A deterministic list of settings, consumed in measurement order."""
-
-    unitaries: tuple
-
-    def __post_init__(self):
-        if len(self.unitaries) == 0:
-            raise ValueError("fixed ensemble needs at least one unitary")
-        frozen = []
-        for u in self.unitaries:
-            arr = np.array(u, dtype=complex)
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "unitaries", tuple(frozen))
-
-    @property
-    def dim(self) -> int:
-        return self.unitaries[0].shape[0]
-
-
-EnsembleSpec = Union[GlobalHaar, LocalHaarTensor, HaarMixture, FixedUnitaries]
+EnsembleSpec = Union[GlobalHaar, HaarMixture]
 
 
 def haar_from_normals(normals: np.ndarray) -> np.ndarray:
@@ -255,8 +212,8 @@ def haar_from_normals(normals: np.ndarray) -> np.ndarray:
 
 def sample_unitary(spec: EnsembleSpec, streams) -> np.ndarray:
     """The measurement unitaries of a block of settings, one per stream,
-    as a (len(streams), D, D) array. A stream is an RngStream, or for the
-    random ensembles also a generator.
+    as a (len(streams), D, D) array. A stream is an RngStream or a
+    generator; an empty block is refused.
 
     Each stream draws its own setting: a mixture's Bernoulli coin first,
     only when 0 < eta < 1, then all of its normals in one call, (2, D, D)
@@ -265,26 +222,17 @@ def sample_unitary(spec: EnsembleSpec, streams) -> np.ndarray:
     settings as one QR stack and the n 2x2 factors of its local settings
     as another, and joins each local setting's factors by broadcast
     Kronecker products, so every unitary has the same bits as in a block
-    of its own. Fixed ensembles draw nothing: they are indexed by each
-    stream's measurement index, so settings come out in listed order.
+    of its own.
     """
-    if isinstance(spec, FixedUnitaries):
-        indices = [stream.stream_id[1] for stream in streams]
-        if max(indices) >= len(spec.unitaries):
-            raise ValueError(
-                f"fixed-ensemble-exhausted: setting {max(indices)} requested, "
-                f"only {len(spec.unitaries)} listed"
-            )
-        return np.stack([spec.unitaries[index] for index in indices])
     if isinstance(spec, GlobalHaar):
         eta = 0.0
-    elif isinstance(spec, LocalHaarTensor):
-        eta = 1.0
     elif isinstance(spec, HaarMixture):
         eta = spec.eta
     else:
         raise TypeError(f"unknown ensemble spec {type(spec).__name__}")
     dim, count = spec.dim, len(streams)
+    if count == 0:
+        raise ValueError("sample_unitary needs at least one stream")
     qubits = spec.qubits if eta > 0.0 else 0
     local = np.empty(count, dtype=bool)
     # Global and local normals, each packed in draw order.
@@ -319,64 +267,6 @@ def sample_sphere_vector(dim: int, rng: RngLike) -> np.ndarray:
     generator = as_generator(rng)
     vector = generator.standard_normal(dim) + 1j * generator.standard_normal(dim)
     return vector / np.linalg.norm(vector)
-
-
-def unitary_lines(unitary: np.ndarray) -> str:
-    """A unitary as text: one row per line as "re im" pairs with 17
-    significant digits, so reading it back is exact."""
-    return "".join(
-        " ".join(f"{value.real:.17g} {value.imag:.17g}" for value in row) + "\n"
-        for row in unitary
-    )
-
-
-class BlockReader:
-    """Line cursor over a text file of unitary blocks (see
-    :func:`unitary_lines`); a missing, short, non-numeric or non-finite
-    line raises ValueError naming the path and the line."""
-
-    def __init__(self, path):
-        self.path = path
-        self.lines = Path(path).read_text(encoding="utf-8").split("\n")
-        self.cursor = 0
-
-    def values(self, kind, count: int) -> np.ndarray:
-        """The next line as exactly ``count`` finite floats (``kind`` float)
-        or 64-bit integers (``kind`` int)."""
-        where = f"{self.path}, line {self.cursor + 1}"
-        if self.cursor >= len(self.lines):
-            raise ValueError(f"truncated file: {where} is missing")
-        tokens = self.lines[self.cursor].split()
-        if len(tokens) != count:
-            raise ValueError(f"malformed file: {where} has {len(tokens)} values, expected {count}")
-        try:
-            values = np.array([kind(token) for token in tokens], dtype=kind)
-        except (ValueError, OverflowError):
-            message = f"malformed file: {where} has a non-numeric or out-of-range value"
-            raise ValueError(message) from None
-        if not np.isfinite(values).all():
-            raise ValueError(f"malformed file: {where} has a non-finite value")
-        self.cursor += 1
-        return values
-
-    def header(self, count: int, positive: int) -> list[int]:
-        """The next line as ``count`` integers, the first ``positive`` of them >= 1."""
-        values = self.values(int, count).tolist()
-        if min(values[:positive]) < 1:
-            raise ValueError(f"malformed file: {self.path}, line {self.cursor} header {values}")
-        return values
-
-    def unitary(self, dim: int) -> np.ndarray:
-        return np.stack([self.values(float, 2 * dim) for _ in range(dim)]).view(complex)
-
-    def finish(self) -> None:
-        """Refuse any non-blank line after the last block."""
-        for index in range(self.cursor, len(self.lines)):
-            if self.lines[index].strip():
-                raise ValueError(
-                    f"malformed file: {self.path}, line {index + 1}: "
-                    "unexpected content after the last block"
-                )
 
 
 @contextmanager

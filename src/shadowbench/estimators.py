@@ -14,11 +14,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .core import RankOnePovm, ShadowEstimate, as_matrix, unitary_array
+from .core import ShadowEstimate, as_matrix
 from .measurement import RecordStack, adjoint_map
 
 DEFAULT_RCOND = 1e-10
@@ -79,10 +79,10 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return real + 1j * (imaginary - imaginary.swapaxes(-1, -2))
 
 
-def povm_operator_columns(povms, out: np.ndarray | None = None) -> np.ndarray:
+def povm_operator_columns(unitaries, out: np.ndarray | None = None) -> np.ndarray:
     """The real (D^2, m*D) matrix whose columns are vec(u_k u_k†) for every
-    outcome k of every setting in ``povms``: one RankOnePovm, one (D, D)
-    unitary, or an (m, D, D) stack of unitaries.
+    outcome k of every setting in ``unitaries``: one (D, D) unitary, or an
+    (m, D, D) stack of unitaries.
 
     The result is a transposed view of one (m*D, D^2) array: ``out`` if
     given, which must be C-contiguous of that shape, else a new one. It
@@ -91,7 +91,7 @@ def povm_operator_columns(povms, out: np.ndarray | None = None) -> np.ndarray:
     than twice the result's size. Each column has the same bits whether
     its setting is stacked or not.
     """
-    unitaries = unitary_array(povms)
+    unitaries = np.asarray(unitaries)
     dim = unitaries.shape[-1]
     rows = unitaries.reshape(-1, dim)
     if out is None:
@@ -135,13 +135,6 @@ class FrameOperator:
         self.entries = entries
         self._eigenvalues: np.ndarray | None = None
         self._eigenvectors: np.ndarray | None = None
-
-    @classmethod
-    def from_povms(cls, povms: Sequence[RankOnePovm], shots: int = 1) -> "FrameOperator":
-        """Frame of the given settings, each probed ``shots`` times."""
-        if len({povm.dim for povm in povms}) > 1:
-            raise ValueError("dim-mismatch: POVM dims differ")
-        return FramePrefix([povm.unitary for povm in povms], shots).frame(len(povms))
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eigenvalues is None:
@@ -201,6 +194,8 @@ class FramePrefix:
         if shots < 1:
             raise ValueError(f"shot count must be >= 1, got {shots}")
         self.unitaries = np.asarray(unitaries)
+        if self.unitaries.ndim != 3 or self.unitaries.shape[1] != self.unitaries.shape[2]:
+            raise ValueError(f"dim-mismatch: settings of shape {self.unitaries.shape[1:]}")
         self.dim = self.unitaries.shape[-1]
         self.shots = shots
         self._sum: np.ndarray | None = None

@@ -5,36 +5,30 @@ a plan's unitaries and integer outcome counts as stacked arrays
 (:class:`RecordStack`), and samples several plans over one ensemble
 (different shot counts, say) from a single draw of their settings. It
 also provides the adjoint A†(p̂) = sum_k p̂_k A_k of one setting or of
-each setting in a stack, which every estimator consumes.
+each setting in a stack, which every estimator consumes, and the text
+file format of a record stack (:func:`dump_records`, :func:`load_records`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    POVM_UNITARITY_ATOL,
-    DensityMatrix,
-    born_probabilities,
-    hermitize,
-    non_unitary_message,
-    unitarity_defect,
-    unitary_array,
-)
+from .core import DensityMatrix, born_probabilities, hermitize
 from .ensembles import (
-    BlockReader,
     EnsembleSpec,
     RngStream,
     as_generator,
     open_overwrite,
     sample_unitary,
-    unitary_lines,
+    stream_generators,
 )
 
 PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step in run_plan
+POVM_UNITARITY_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,13 +58,15 @@ class RecordError(ValueError):
 
 
 def _check_unitaries(unitaries: np.ndarray, first: int = 0) -> None:
-    """Check an (..., M, D, D) stack of settings first..first+M-1."""
-    defects = unitarity_defect(unitaries)
+    """Check an (..., M, D, D) stack of settings first..first+M-1: the
+    largest entrywise |U†U - I| of each, NaN for a non-finite entry."""
+    product = unitaries.conj().swapaxes(-1, -2) @ unitaries
+    defects = np.abs(product - np.eye(unitaries.shape[-1])).max(axis=(-2, -1))
     # Negated so that the NaN defect of a non-finite entry fails too.
     bad = np.argwhere(~(defects <= POVM_UNITARITY_ATOL))
     if bad.size:
-        defect = defects[tuple(bad[0])]
-        raise RecordError(first + bad[0][-1], "unitary", non_unitary_message(defect))
+        reason = f"non-unitary POVM matrix: |U†U - I| = {defects[tuple(bad[0])]:.3e} > 1e-8"
+        raise RecordError(first + bad[0][-1], "unitary", reason)
 
 
 def _check_counts(counts: np.ndarray, shots: int, first: int = 0) -> None:
@@ -144,6 +140,8 @@ class RecordStack:
     def __getitem__(self, index: slice) -> "RecordStack":
         if not isinstance(index, slice):
             raise TypeError("a record stack takes slices; setting m is unitaries[m], counts[m]")
+        if not len(range(*index.indices(len(self)))):
+            raise ValueError(f"slice {index} of a {len(self)}-setting record stack is empty")
         return RecordStack._checked(self.unitaries[index], self.counts[index], self.shots)
 
     __iter__ = None  # a stack is not a sequence of per-setting objects
@@ -177,11 +175,11 @@ def sample_counts(probabilities: np.ndarray, shots: int, rng) -> np.ndarray:
     return counts
 
 
-def adjoint_map(povms, phat: np.ndarray) -> np.ndarray:
+def adjoint_map(unitaries, phat: np.ndarray) -> np.ndarray:
     """The weighted POVM sum A†(p̂) = sum_k p̂_k u_k u_k† = U† diag(p̂) U.
 
-    ``povms`` is a RankOnePovm or a (D, D) unitary with K frequencies, or
-    an (M, D, D) stack of unitaries with (M, K) frequencies, giving one
+    ``unitaries`` is a (D, D) unitary with K frequencies, or an
+    (M, D, D) stack of unitaries with (M, K) frequencies, giving one
     adjoint per setting; any (R, D) array of rows u_k† with R weights
     gives their weighted sum too. It is one batched matrix product, (U† scaled by
     p̂ column-wise) @ U, which numpy runs as one BLAS product per
@@ -191,7 +189,7 @@ def adjoint_map(povms, phat: np.ndarray) -> np.ndarray:
     for a one-hot p̂ this is the rank-1 projector (U† p̂)(U† p̂)†.
     """
     phat = np.asarray(phat, dtype=float)
-    unitaries = unitary_array(povms)
+    unitaries = np.asarray(unitaries)
     if phat.shape != unitaries.shape[:-1]:
         raise ValueError(
             f"dim-mismatch: frequency shape {phat.shape} != POVM outcomes "
@@ -228,8 +226,8 @@ def run_plan(state: DensityMatrix, plans, rng: RngStream | Sequence[RngStream]):
     seed and trial.
 
     Settings are sampled PLAN_BLOCK at a time for every trial of the
-    chunk at once. The block's streams are seeded in one pass
-    (:meth:`RngStream.block`), and one :func:`sample_unitary` call draws
+    chunk at once. The block's generators are seeded in one pass
+    (:func:`stream_generators`), and one :func:`sample_unitary` call draws
     and factorizes the block's settings for any ensemble. The checks and
     the Born probabilities then run once for the block.
     Each plan that holds setting m draws its counts from the stream's
@@ -255,9 +253,8 @@ def run_plan(state: DensityMatrix, plans, rng: RngStream | Sequence[RngStream]):
     for start in range(0, total, PLAN_BLOCK):
         stop = min(start + PLAN_BLOCK, total)
         width = stop - start
-        streams = RngStream.block(seed, trials, range(start, stop))
-        generators = [stream.generator for stream in streams]
-        block = sample_unitary(ensemble, streams).reshape(len(trials), width, dim, dim)
+        generators = stream_generators(seed, trials, range(start, stop))
+        block = sample_unitary(ensemble, generators).reshape(len(trials), width, dim, dim)
         _check_unitaries(block, start)
         probabilities = born_probabilities(block, state)
         # One row of generators per trial; the first ``held`` settings of
@@ -314,22 +311,54 @@ def dump_records(records: RecordStack, path, seed: int = 0) -> None:
     with open_overwrite(path) as handle:
         handle.write(f"{records.dim} {len(records)} {records.shots} {seed}\n")
         for unitary, counts in zip(records.unitaries, records.counts):
-            handle.write(unitary_lines(unitary))
+            for row in unitary:
+                pairs = (f"{value.real:.17g} {value.imag:.17g}" for value in row)
+                handle.write(" ".join(pairs) + "\n")
             handle.write(" ".join(str(int(count)) for count in counts) + "\n")
+
+
+def _line_values(path, lines: list[str], index: int, kind, count: int) -> np.ndarray:
+    """Line ``index`` (from 0) of a record file as exactly ``count`` finite
+    floats (``kind`` float) or 64-bit integers (``kind`` int); a missing,
+    short, non-numeric or non-finite line raises ValueError naming the
+    path and the line."""
+    where = f"{path}, line {index + 1}"
+    if index >= len(lines):
+        raise ValueError(f"truncated file: {where} is missing")
+    tokens = lines[index].split()
+    if len(tokens) != count:
+        raise ValueError(f"malformed file: {where} has {len(tokens)} values, expected {count}")
+    try:
+        values = np.array([kind(token) for token in tokens], dtype=kind)
+    except (ValueError, OverflowError):
+        raise ValueError(
+            f"malformed file: {where} has a non-numeric or out-of-range value"
+        ) from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"malformed file: {where} has a non-finite value")
+    return values
 
 
 def load_records(path) -> tuple[RecordStack, int]:
     """Read records written by :func:`dump_records`; returns (records, seed)."""
-    reader = BlockReader(path)
-    dim, count, shots, seed = reader.header(4, positive=3)
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    header = _line_values(path, lines, 0, int, 4).tolist()
+    if min(header[:3]) < 1:
+        raise ValueError(f"malformed file: {path}, line 1 header {header}")
+    dim, count, shots, seed = header
     unitaries, counts = [], []
-    for _ in range(count):
-        unitaries.append(reader.unitary(dim))
-        counts.append(reader.values(int, dim))
-    reader.finish()
+    # After the header line, each record is D unitary rows and a counts line.
+    for first in range(1, 1 + count * (dim + 1), dim + 1):
+        rows = [_line_values(path, lines, first + row, float, 2 * dim) for row in range(dim)]
+        unitaries.append(np.stack(rows).view(complex))
+        counts.append(_line_values(path, lines, first + dim, int, dim))
+    for index in range(1 + count * (dim + 1), len(lines)):
+        if lines[index].strip():
+            raise ValueError(
+                f"malformed file: {path}, line {index + 1}: unexpected content after the last block"
+            )
     try:
         return RecordStack(np.stack(unitaries), np.stack(counts), shots), seed
     except RecordError as error:
-        # After the header line, each record is D unitary rows and a counts line.
         line = 2 + error.setting * (dim + 1) + (dim if error.part == "counts" else 0)
         raise ValueError(f"malformed file: {path}, line {line}: {error.reason}") from None

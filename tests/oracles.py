@@ -11,7 +11,7 @@ the batched ensemble sampler.
 import numpy as np
 from scipy.optimize import minimize
 
-from shadowbench.ensembles import FixedUnitaries, GlobalHaar, LocalHaarTensor, as_generator
+from shadowbench.ensembles import GlobalHaar, as_generator
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -52,18 +52,19 @@ def closest_physical_state_bloch(matrix: np.ndarray) -> np.ndarray:
     return bloch_state(best.x)
 
 
-def dense_ls_estimate(povms, probability_vectors) -> np.ndarray:
+def dense_ls_estimate(unitaries, probability_vectors) -> np.ndarray:
     """Minimum-norm least squares state via SVD on the stacked design
-    matrix (rows vec(A_mk)†), independent of the frame-operator path."""
+    matrix (rows vec(A_mk)†, A_mk = u_k u_k† for the rows u_k† of the
+    m-th unitary), independent of the frame-operator path."""
     rows = []
     targets = []
-    for povm, probabilities in zip(povms, probability_vectors):
-        for k in range(povm.outcomes):
-            rows.append(povm.element(k).reshape(-1, order="F").conj())
+    for u, probabilities in zip(unitaries, probability_vectors):
+        for k in range(len(u)):
+            rows.append(np.outer(u[k].conj(), u[k]).reshape(-1, order="F").conj())
             targets.append(probabilities[k])
     design = np.array(rows)
     solution = np.linalg.lstsq(design, np.array(targets), rcond=None)[0]
-    dim = povms[0].dim
+    dim = len(unitaries[0])
     return solution.reshape(dim, dim, order="F")
 
 
@@ -85,11 +86,11 @@ def hermitian_basis(dim: int) -> list:
     return basis
 
 
-def naive_frame_matrix(povms) -> np.ndarray:
+def naive_frame_matrix(unitaries) -> np.ndarray:
     """F[a, b] = (1/M) sum_mk tr(B_a A_mk) tr(A_mk B_b) over the basis
     B of :func:`hermitian_basis`, assembled entry by entry."""
-    basis = hermitian_basis(povms[0].dim)
-    elements = [povm.element(k) for povm in povms for k in range(povm.outcomes)]
+    basis = hermitian_basis(len(unitaries[0]))
+    elements = [np.outer(u[k].conj(), u[k]) for u in unitaries for k in range(len(u))]
     traces = np.array(
         [[np.trace(member @ element).real for element in elements] for member in basis]
     )
@@ -97,15 +98,15 @@ def naive_frame_matrix(povms) -> np.ndarray:
     for a in range(len(basis)):
         for b in range(len(basis)):
             frame[a, b] = traces[a] @ traces[b]
-    return frame / len(povms)
+    return frame / len(unitaries)
 
 
-def dense_ridge_solve(povms, mu: float, partial: np.ndarray) -> np.ndarray:
+def dense_ridge_solve(unitaries, mu: float, partial: np.ndarray) -> np.ndarray:
     """Direct dense solve of ((1/M)(A†A + mu I)) X = partial in the basis
     of :func:`hermitian_basis`."""
-    basis = hermitian_basis(povms[0].dim)
-    settings = len(povms)
-    operator = naive_frame_matrix(povms) + (mu / settings) * np.eye(len(basis))
+    basis = hermitian_basis(len(unitaries[0]))
+    settings = len(unitaries)
+    operator = naive_frame_matrix(unitaries) + (mu / settings) * np.eye(len(basis))
     solution = np.linalg.solve(operator, [np.trace(member @ partial).real for member in basis])
     return sum(x * member for x, member in zip(solution, basis))
 
@@ -145,17 +146,10 @@ def haar_unitaries(dim: int, count: int, rng) -> np.ndarray:
 def reference_unitary(ensemble, stream) -> np.ndarray:
     """One setting's unitary, drawn the per-setting way: a mixture's coin
     first (only for 0 < eta < 1), then a global Haar unitary, or one
-    2x2 Haar unitary per qubit joined by ``np.kron``. A fixed ensemble
-    gives the entry at the stream's measurement index."""
-    if isinstance(ensemble, FixedUnitaries):
-        return ensemble.unitaries[stream.stream_id[1]]
+    2x2 Haar unitary per qubit joined by ``np.kron``."""
     generator = as_generator(stream)
-    if isinstance(ensemble, GlobalHaar):
-        local = False
-    elif isinstance(ensemble, LocalHaarTensor) or ensemble.eta >= 1.0:
-        local = True
-    else:
-        local = ensemble.eta > 0.0 and generator.random() < ensemble.eta
+    eta = 0.0 if isinstance(ensemble, GlobalHaar) else ensemble.eta
+    local = eta >= 1.0 or (eta > 0.0 and generator.random() < eta)
     if not local:
         return haar_unitaries(ensemble.dim, 1, generator)[0]
     unitary = haar_unitaries(2, 1, generator)[0]

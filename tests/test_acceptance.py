@@ -15,18 +15,16 @@ from scipy import stats
 
 from shadowbench.core import (
     DensityMatrix,
-    RankOnePovm,
     born_probabilities,
     project_physical,
 )
 from shadowbench.ensembles import (
-    FixedUnitaries,
     GlobalHaar,
     RngStream,
     haar_from_normals,
     sample_sphere_vector,
 )
-from shadowbench.estimators import CS, LS, RLS, FrameOperator, estimate, shadow_map
+from shadowbench.estimators import CS, LS, RLS, FramePrefix, estimate, shadow_map
 from shadowbench.experiments import (
     AGGREGATE_TRIAL,
     Scenario,
@@ -298,24 +296,21 @@ def test_criterion_10_random_observable_density():
 
 def test_criterion_11_oracle_equivalences():
     # (a) LS from exact probabilities with an informationally complete
-    # fixed ensemble recovers a known D=2 mixed state within 1e-8 of the
-    # dense-solve oracle.
+    # fixed set of settings recovers a known D=2 mixed state within 1e-8
+    # of the dense-solve oracle.
     dim = 2
     state = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-    ensemble = FixedUnitaries(
-        tuple(haar_unitaries(dim, 1, RngStream(1453, (0, m)))[0] for m in range(4))
-    )
-    povms = [RankOnePovm(unitary) for unitary in ensemble.unitaries]
-    probabilities = [born_probabilities(povm, state) for povm in povms]
-    frame = FrameOperator.from_povms(povms)
+    unitaries = [haar_unitaries(dim, 1, RngStream(1453, (0, m)))[0] for m in range(4)]
+    probabilities = [born_probabilities(unitary, state) for unitary in unitaries]
+    frame = FramePrefix(np.stack(unitaries)).frame(len(unitaries))
     average = np.mean(
         [
-            shadow_map(LS(), adjoint_map(povm, p), frame).matrix
-            for povm, p in zip(povms, probabilities)
+            shadow_map(LS(), adjoint_map(unitary, p), frame).matrix
+            for unitary, p in zip(unitaries, probabilities)
         ],
         axis=0,
     )
-    oracle = dense_ls_estimate(povms, probabilities)
+    oracle = dense_ls_estimate(unitaries, probabilities)
     assert np.abs(average - oracle).max() <= 1e-8
     assert np.abs(average - state.matrix).max() <= 1e-8
 

@@ -6,7 +6,6 @@ import pytest
 from shadowbench.core import (
     DensityMatrix,
     Observable,
-    RankOnePovm,
     ShadowEstimate,
     born_probabilities,
     eigenvalue_split,
@@ -16,8 +15,9 @@ from shadowbench.core import (
     project_physical,
 )
 from shadowbench.ensembles import RngStream
+from shadowbench.estimators import povm_operator_columns
 from shadowbench.experiments import canonical_state_and_observables
-from shadowbench.measurement import RecordStack
+from shadowbench.measurement import RecordStack, adjoint_map
 
 from oracles import (
     closest_physical_state_bloch,
@@ -67,14 +67,6 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="v v"):
             Observable(np.diag([1.0, 0.0]), vector=np.array([0.0, 1.0]))
 
-    def test_povm_rejects_nonunitary(self):
-        with pytest.raises(ValueError, match="non-unitary"):
-            RankOnePovm(np.array([[1.0, 0.0], [0.0, 0.5]]))
-
-    def test_povm_rejects_nan_entry(self):
-        with pytest.raises(ValueError, match="non-unitary"):
-            RankOnePovm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
     def test_stored_arrays_are_readonly(self):
         state = basis_state(2)
         with pytest.raises(ValueError):
@@ -83,14 +75,13 @@ class TestTypeInvariants:
 
 class TestBornProbabilities:
     def test_identity_povm_on_own_basis_state(self):
-        povm = RankOnePovm(np.eye(4))
-        p = born_probabilities(povm, basis_state(4))
+        p = born_probabilities(np.eye(4), basis_state(4))
         assert np.allclose(p, [1, 0, 0, 0], atol=1e-14)
 
     def test_maximally_mixed_is_isotropic(self):
         dim = 8
-        povm = RankOnePovm(haar_unitaries(dim, 1, RngStream(3, (0, 0)))[0])
-        p = born_probabilities(povm, DensityMatrix.maximally_mixed(dim))
+        unitary = haar_unitaries(dim, 1, RngStream(3, (0, 0)))[0]
+        p = born_probabilities(unitary, DensityMatrix.maximally_mixed(dim))
         assert np.allclose(p, np.full(dim, 1.0 / dim), atol=1e-12)
 
     def test_balanced_probe_row_gives_half_overlap(self):
@@ -98,23 +89,48 @@ class TestBornProbabilities:
         # ground state then lands on that outcome with probability 1/2.
         _, observables = canonical_state_and_observables(5)
         phi1 = observables[1].vector
-        povm = RankOnePovm(unitary_with_first_row(phi1))
-        p = born_probabilities(povm, basis_state(32))
+        p = born_probabilities(unitary_with_first_row(phi1), basis_state(32))
         assert p[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim-mismatch"):
-            born_probabilities(RankOnePovm(np.eye(4)), basis_state(2))
+            born_probabilities(np.eye(4), basis_state(2))
+
+    def test_stack_dim_mismatch(self):
+        with pytest.raises(ValueError, match="dim-mismatch"):
+            born_probabilities(np.stack([np.eye(4)] * 3), basis_state(2))
 
     def test_normalized_and_nonnegative_on_random_inputs(self):
         generator = np.random.default_rng(11)
         for dim in (2, 4, 8):
             for _ in range(20):
                 state = DensityMatrix(random_density_matrix(dim, generator))
-                povm = RankOnePovm(haar_unitaries(dim, 1, generator)[0])
-                p = born_probabilities(povm, state)
+                p = born_probabilities(haar_unitaries(dim, 1, generator)[0], state)
                 assert p.min() >= 0.0
                 assert abs(p.sum() - 1.0) <= 1e-10
+
+
+SETTING_FUNCTIONS = {
+    "born_probabilities": lambda unitaries: born_probabilities(unitaries, basis_state(4)),
+    "adjoint_map": lambda unitaries: adjoint_map(
+        unitaries, np.full(np.shape(unitaries)[:-1], 0.25)
+    ),
+    "povm_operator_columns": povm_operator_columns,
+}
+
+
+class TestUnitaryInputs:
+    """A setting is a (D, D) unitary and a block of them an (M, D, D)
+    stack; anything np.asarray turns into one is taken as it."""
+
+    @pytest.mark.parametrize("form", ["single", "stack"])
+    @pytest.mark.parametrize("name", sorted(SETTING_FUNCTIONS))
+    def test_nested_lists_match_arrays(self, name, form):
+        unitaries = haar_unitaries(4, 3, RngStream(12))
+        if form == "single":
+            unitaries = unitaries[1]
+        function = SETTING_FUNCTIONS[name]
+        assert np.array_equal(function(unitaries.tolist()), function(unitaries))
 
 
 class TestExpectation:
@@ -301,7 +317,7 @@ class TestLogLikelihood:
                 counts.append(np.eye(dim, dtype=int)[3])
             records = RecordStack(unitaries, counts, shots)
             terms = [
-                (count, np.trace(RankOnePovm(unitary).element(k) @ state.matrix).real)
+                (count, np.trace(np.outer(unitary[k].conj(), unitary[k]) @ state.matrix).real)
                 for unitary, row in zip(records.unitaries, records.counts)
                 for k, count in enumerate(row)
                 if count > 0

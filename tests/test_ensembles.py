@@ -6,20 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from shadowbench.core import DensityMatrix, RankOnePovm
+from shadowbench.core import DensityMatrix
 from shadowbench.ensembles import (
     AUX_STREAM_INDEX,
-    FixedUnitaries,
     GlobalHaar,
     HaarMixture,
-    LocalHaarTensor,
     RngStream,
     haar_from_normals,
     sample_sphere_vector,
     sample_unitary,
     stream_generators,
 )
-from shadowbench.measurement import MeasurementPlan, run_plan
+from shadowbench.measurement import MeasurementPlan, adjoint_map, run_plan
 from shadowbench.theory import random_observable_cdf
 
 from oracles import haar_entry_second_moment_qubit, haar_unitaries, reference_unitary
@@ -109,14 +107,19 @@ class TestBatchedSeeding:
         assert len(built) == (0 if one_word else 1)
         assert generator.bit_generator.state == seed_sequence_state(seed, (trial, setting))
 
-    def test_block_streams_carry_their_keys_and_generators(self):
-        streams = RngStream.block(5, [2, 7], range(3, 5))
-        assert [stream.stream_id for stream in streams] == [(2, 3), (2, 4), (7, 3), (7, 4)]
-        for stream in streams:
-            assert stream.seed == 5
-            assert stream.generator.bit_generator.state == seed_sequence_state(5, stream.stream_id)
-        alone = RngStream(5, (7, 4)).generator
-        assert alone.bit_generator.state == streams[-1].generator.bit_generator.state
+    def test_block_generators_match_the_streams_of_their_keys(self):
+        generators = stream_generators(5, [2, 7], range(3, 5))
+        for generator, key in zip(generators, [(2, 3), (2, 4), (7, 3), (7, 4)], strict=True):
+            alone = RngStream(5, key).generator
+            assert generator.bit_generator.state == alone.bit_generator.state
+
+    def test_longer_setting_range_extends_each_trial(self):
+        # The nested-prefix property: a plan of fewer settings draws the
+        # first settings of a longer one.
+        short = stream_generators(6, [3, 8], range(2))
+        long = stream_generators(6, [3, 8], range(5))
+        for generator, position in zip(short, [0, 1, 5, 6], strict=True):
+            assert generator.bit_generator.state == long[position].bit_generator.state
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +133,7 @@ class TestGlobalHaar:
             assert unitarity_defect(unitary) < 1e-10
 
     def test_batch_matches_dimension(self):
-        batch = sample_unitary(GlobalHaar(4), RngStream.block(2, [0], range(10)))
+        batch = sample_unitary(GlobalHaar(4), stream_generators(2, [0], range(10)))
         assert batch.shape == (10, 4, 4)
         for unitary in batch:
             assert unitarity_defect(unitary) < 1e-10
@@ -175,13 +178,15 @@ class TestGlobalHaar:
 
 
 class TestLocalHaarTensor:
+    """The local tensor-product ensemble, HaarMixture(n, 1.0)."""
+
     def test_single_qubit_equals_global(self):
-        local = sample_unitary(LocalHaarTensor(1), [RngStream(7, (0, 0))])
+        local = sample_unitary(HaarMixture(1, 1.0), [RngStream(7, (0, 0))])
         globl = sample_unitary(GlobalHaar(2), [RngStream(7, (0, 0))])
         assert np.array_equal(local, globl)
 
     def test_unitarity(self):
-        (unitary,) = sample_unitary(LocalHaarTensor(3), [RngStream(8)])
+        (unitary,) = sample_unitary(HaarMixture(3, 1.0), [RngStream(8)])
         assert unitary.shape == (8, 8)
         assert unitarity_defect(unitary) < 1e-10
 
@@ -190,40 +195,43 @@ class TestLocalHaarTensor:
         # by a Monte Carlo oracle on a single factor.
         factor = haar_from_normals(RngStream(9).generator.standard_normal((2, 200_000, 2, 2)))
         factor_mean = (np.abs(factor[:, 0, 0]) ** 2).mean()
-        streams = RngStream.block(10, [0], range(20_000))
-        values = np.abs(sample_unitary(LocalHaarTensor(2), streams)[:, 0, 0]) ** 2
+        generators = stream_generators(10, [0], range(20_000))
+        values = np.abs(sample_unitary(HaarMixture(2, 1.0), generators)[:, 0, 0]) ** 2
         margin = 3 * values.std(ddof=1) / np.sqrt(values.size)
         assert abs(values.mean() - factor_mean**2) < margin
         assert abs(values.mean() - 0.25) < margin + 0.01
 
     def test_qubit_count_below_one_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
-            LocalHaarTensor(0)
+            HaarMixture(0, 1.0)
 
 
 class TestHaarMixture:
     def test_degenerate_global_is_bitwise_identical(self):
         mixture = HaarMixture(qubits=2, eta=0.0)
-        mixed = sample_unitary(mixture, RngStream.block(11, [2], range(5, 9)))
-        pure = sample_unitary(GlobalHaar(4), RngStream.block(11, [2], range(5, 9)))
+        mixed = sample_unitary(mixture, stream_generators(11, [2], range(5, 9)))
+        pure = sample_unitary(GlobalHaar(4), stream_generators(11, [2], range(5, 9)))
         assert np.array_equal(mixed, pure)
 
     def test_degenerate_local_is_bitwise_identical(self):
         mixture = HaarMixture(qubits=2, eta=1.0)
-        mixed = sample_unitary(mixture, RngStream.block(12, [1], range(3, 7)))
-        pure = sample_unitary(LocalHaarTensor(2), RngStream.block(12, [1], range(3, 7)))
-        assert np.array_equal(mixed, pure)
+        mixed = sample_unitary(mixture, stream_generators(12, [1], range(3, 7)))
+        # No coin: each setting is the product of the stream's first two
+        # qubit factors.
+        for unitary, generator in zip(mixed, stream_generators(12, [1], range(3, 7))):
+            first, second = haar_unitaries(2, 1, generator)[0], haar_unitaries(2, 1, generator)[0]
+            assert np.array_equal(unitary, np.kron(first, second))
 
     def test_component_fraction(self):
         # Two qubits, so the local and global branches draw different
         # unitaries from the same generator.
         mixture = HaarMixture(qubits=2, eta=0.5)
         coins = []
-        mixed = sample_unitary(mixture, RngStream.block(13, [0], range(10_000)))
+        mixed = sample_unitary(mixture, stream_generators(13, [0], range(10_000)))
         for i in range(10_000):
             replay = RngStream(13, (0, i)).generator
             local = replay.random() < mixture.eta
-            (branch,) = sample_unitary(LocalHaarTensor(2) if local else GlobalHaar(4), [replay])
+            (branch,) = sample_unitary(HaarMixture(2, 1.0) if local else GlobalHaar(4), [replay])
             assert np.array_equal(mixed[i], branch)
             coins.append(local)
         fraction = np.mean(coins)
@@ -235,35 +243,13 @@ class TestHaarMixture:
             HaarMixture(qubits=1, eta=1.5)
 
 
-class TestFixedUnitaries:
-    def test_consumed_in_listed_order(self):
-        unitaries = haar_unitaries(2, 3, RngStream(14))
-        spec = FixedUnitaries(tuple(unitaries))
-        drawn = sample_unitary(spec, RngStream.block(0, [0, 5], range(3)))
-        assert np.array_equal(drawn, np.concatenate([unitaries, unitaries]))
-
-    def test_exhausted_block_raises_before_any_draw(self):
-        spec = FixedUnitaries((np.eye(2), np.eye(2)))
-        streams = RngStream.block(0, [0, 1], range(3))
-        states = [stream.generator.bit_generator.state for stream in streams]
-        with pytest.raises(ValueError, match="fixed-ensemble-exhausted: setting 2"):
-            sample_unitary(spec, streams)
-        assert [stream.generator.bit_generator.state for stream in streams] == states
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            FixedUnitaries(())
-
-
 BLOCK_ENSEMBLES = {
     **{f"global-{qubits}": GlobalHaar(2**qubits) for qubits in (1, 2, 3)},
-    **{f"local-{qubits}": LocalHaarTensor(qubits) for qubits in (1, 2, 3)},
     **{
         f"mixture-{qubits}-{eta}": HaarMixture(qubits, eta)
         for qubits in (1, 2, 3)
         for eta in (0.0, 0.3, 1.0)
     },
-    "fixed": FixedUnitaries(tuple(haar_unitaries(4, 40, RngStream(19)))),
 }
 
 
@@ -271,44 +257,65 @@ class TestSampleUnitary:
     @pytest.mark.parametrize("name", sorted(BLOCK_ENSEMBLES))
     def test_block_matches_per_setting_oracle(self, name):
         ensemble = BLOCK_ENSEMBLES[name]
-        streams = RngStream.block(20, [0, 6], range(3, 33))
-        unitaries = sample_unitary(ensemble, streams)
-        assert unitaries.shape == (len(streams), ensemble.dim, ensemble.dim)
-        for stream, unitary in zip(streams, unitaries):
-            alone = RngStream(stream.seed, stream.stream_id)
+        keys = [(trial, setting) for trial in (0, 6) for setting in range(3, 33)]
+        generators = stream_generators(20, [0, 6], range(3, 33))
+        unitaries = sample_unitary(ensemble, generators)
+        assert unitaries.shape == (len(keys), ensemble.dim, ensemble.dim)
+        for key, generator, unitary in zip(keys, generators, unitaries):
+            alone = RngStream(20, key)
             assert np.array_equal(unitary, reference_unitary(ensemble, alone))
-            assert stream.generator.random() == alone.generator.random()
+            assert generator.random() == alone.generator.random()
         if isinstance(ensemble, HaarMixture) and 0.0 < ensemble.eta < 1.0:
-            coins = [
-                RngStream(stream.seed, stream.stream_id).generator.random() < ensemble.eta
-                for stream in streams
-            ]
-            assert 0 < sum(coins) < len(streams)  # the block mixes local and global settings
+            coins = [RngStream(20, key).generator.random() < ensemble.eta for key in keys]
+            assert 0 < sum(coins) < len(keys)  # the block mixes local and global settings
+
+    @pytest.mark.parametrize(
+        "streams",
+        [[], (), stream_generators(1, [0], range(0)), stream_generators(1, [], range(3))],
+        ids=["list", "tuple", "no-settings", "no-trials"],
+    )
+    def test_empty_block_rejected(self, streams):
+        with pytest.raises(ValueError, match="at least one stream"):
+            sample_unitary(GlobalHaar(4), streams)
+
+    def test_streams_and_generators_draw_the_same_block(self):
+        keys = [(1, m) for m in range(4)]
+        mixed = [RngStream(21, key) if m % 2 else RngStream(21, key).generator
+                 for m, key in enumerate(keys)]
+        ensemble = HaarMixture(2, 0.5)
+        assert np.array_equal(
+            sample_unitary(ensemble, mixed),
+            sample_unitary(ensemble, [RngStream(21, key) for key in keys]),
+        )
+
+    def test_unitaries_are_not_an_ensemble(self):
+        # A setting list is passed as an array, never as an ensemble.
+        with pytest.raises(TypeError, match="unknown ensemble spec tuple"):
+            sample_unitary((np.eye(2),), [RngStream(22)])
+
+
+def povm_elements(unitary):
+    """The elements u_k u_k† of a setting: its adjoint at each one-hot p̂."""
+    dim = len(unitary)
+    return adjoint_map(np.broadcast_to(unitary, (dim, dim, dim)), np.eye(dim))
 
 
 class TestPovmFromUnitary:
     def test_elements_resolve_identity(self):
-        povm = RankOnePovm(haar_unitaries(4, 1, RngStream(16))[0])
-        total = sum(povm.element(k) for k in range(4))
+        total = povm_elements(haar_unitaries(4, 1, RngStream(16))[0]).sum(axis=0)
         assert np.abs(total - np.eye(4)).max() < 1e-10
 
     def test_elements_are_rank_one_projectors(self):
-        povm = RankOnePovm(haar_unitaries(4, 1, RngStream(17))[0])
-        for k in range(4):
-            eigenvalues = np.linalg.eigvalsh(povm.element(k))
+        for element in povm_elements(haar_unitaries(4, 1, RngStream(17))[0]):
+            eigenvalues = np.linalg.eigvalsh(element)
             assert abs(eigenvalues[-1] - 1.0) < 1e-10
             assert np.abs(eigenvalues[:-1]).max() < 1e-10
 
     def test_identity_unitary_gives_basis_projectors(self):
-        povm = RankOnePovm(np.eye(3))
-        for k in range(3):
+        for k, element in enumerate(povm_elements(np.eye(3))):
             expected = np.zeros((3, 3))
             expected[k, k] = 1.0
-            assert np.array_equal(povm.element(k), expected)
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="non-unitary"):
-            RankOnePovm(np.full((2, 2), 0.9))
+            assert np.array_equal(element, expected)
 
 
 class TestSphereSampling:

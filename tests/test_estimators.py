@@ -5,19 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shadowbench.core import DensityMatrix, RankOnePovm, born_probabilities
-from shadowbench.ensembles import (
-    FixedUnitaries,
-    GlobalHaar,
-    RngStream,
-)
+from shadowbench.core import DensityMatrix, born_probabilities
+from shadowbench.ensembles import GlobalHaar, RngStream
 from shadowbench.estimators import (
     CS,
     DEFAULT_RCOND,
     FRAME_COLUMNS,
     LS,
     RLS,
-    FrameOperator,
     FramePrefix,
     ShadowSet,
     average_estimate,
@@ -59,20 +54,17 @@ def forbid_eigh(monkeypatch):
 def setting_cs_shadows(records):
     """The CS shadow of each setting, one setting at a time."""
     return [
-        shadow_map(CS(), adjoint_map(RankOnePovm(unitary), frequencies))
+        shadow_map(CS(), adjoint_map(unitary, frequencies))
         for unitary, frequencies in zip(records.unitaries, records.frequencies)
     ]
 
 
-def setting_povms(records):
-    return [RankOnePovm(unitary) for unitary in records.unitaries]
+def frame_of(unitaries, shots=1):
+    return FramePrefix(np.stack(unitaries), shots).frame(len(unitaries))
 
 
-def haar_povms(dim, count, seed, trial=0):
-    return [
-        RankOnePovm(haar_unitaries(dim, 1, RngStream(seed, (trial, m)))[0])
-        for m in range(count)
-    ]
+def haar_settings(dim, count, seed, trial=0):
+    return [haar_unitaries(dim, 1, RngStream(seed, (trial, m)))[0] for m in range(count)]
 
 
 class TestVectorization:
@@ -101,37 +93,38 @@ class TestVectorization:
         assert np.abs(vec(matrix) - expected).max() < 1e-15
 
     def test_operator_columns_match_naive_elements(self):
-        povm = RankOnePovm(haar_unitaries(4, 1, RngStream(2))[0])
-        columns = povm_operator_columns(povm)
+        unitary = haar_unitaries(4, 1, RngStream(2))[0]
+        columns = povm_operator_columns(unitary)
         assert columns.dtype == np.float64 and columns.shape == (16, 4)
         for k in range(4):
-            assert np.abs(columns[:, k] - vec(povm.element(k))).max() < 1e-15
+            element = np.outer(unitary[k].conj(), unitary[k])
+            assert np.abs(columns[:, k] - vec(element)).max() < 1e-15
 
 
 class TestFrameOperator:
     def test_identity_povm_frame_by_hand(self):
-        frame = FrameOperator.from_povms([RankOnePovm(np.eye(2))])
+        frame = frame_of([np.eye(2)])
         expected = np.diag([1.0, 0.0, 0.0, 1.0])
         assert np.abs(frame.entries - expected).max() < 1e-15
         eigenvalues = np.sort(np.linalg.eigvalsh(frame.entries))
         assert np.allclose(eigenvalues, [0, 0, 1, 1], atol=1e-12)
 
     def test_duplicate_settings_average_out(self):
-        povm = RankOnePovm(haar_unitaries(4, 1, RngStream(3))[0])
-        single = FrameOperator.from_povms([povm])
-        repeated = FrameOperator.from_povms([povm] * 5)
+        unitary = haar_unitaries(4, 1, RngStream(3))[0]
+        single = frame_of([unitary])
+        repeated = frame_of([unitary] * 5)
         assert np.abs(single.entries - repeated.entries).max() < 1e-14
 
     def test_matches_naive_construction(self):
-        povms = haar_povms(4, 3, seed=4)
-        frame = FrameOperator.from_povms(povms)
+        unitaries = haar_settings(4, 3, seed=4)
+        frame = frame_of(unitaries)
         assert frame.entries.dtype == np.float64
-        assert np.abs(frame.entries - naive_frame_matrix(povms)).max() < 1e-13
+        assert np.abs(frame.entries - naive_frame_matrix(unitaries)).max() < 1e-13
 
     def test_stacked_columns_concatenate_per_setting_columns(self):
-        povms = haar_povms(4, 3, seed=8)
-        stacked = povm_operator_columns(np.stack([povm.unitary for povm in povms]))
-        expected = np.concatenate([povm_operator_columns(povm) for povm in povms], axis=1)
+        unitaries = haar_settings(4, 3, seed=8)
+        stacked = povm_operator_columns(np.stack(unitaries))
+        expected = np.concatenate([povm_operator_columns(unitary) for unitary in unitaries], axis=1)
         assert np.array_equal(stacked, expected)
 
     def test_chunked_columns_match_per_setting_columns_at_d32(self):
@@ -181,9 +174,9 @@ class TestFrameOperator:
     def test_blocked_accumulation_matches_naive_across_blocks(self):
         # Two full blocks of FRAME_COLUMNS // D settings at D = 2 and a
         # partial third.
-        povms = haar_povms(2, 2 * (FRAME_COLUMNS // 2) + 5, seed=9)
-        frame = FrameOperator.from_povms(povms)
-        assert np.abs(frame.entries - naive_frame_matrix(povms)).max() < 1e-13
+        unitaries = haar_settings(2, 2 * (FRAME_COLUMNS // 2) + 5, seed=9)
+        frame = frame_of(unitaries)
+        assert np.abs(frame.entries - naive_frame_matrix(unitaries)).max() < 1e-13
 
     @pytest.mark.parametrize("dim", [2, 4, 32])
     def test_frame_is_symmetric_bit_for_bit_across_blocks(self, dim):
@@ -196,8 +189,8 @@ class TestFrameOperator:
             assert np.array_equal(entries, entries.T)
 
     def test_ridge_solve_matches_solve_on_the_c_ordered_shifted_frame(self):
-        povms = haar_povms(4, 20, seed=13)
-        frame = FrameOperator.from_povms(povms, shots=2)
+        unitaries = haar_settings(4, 20, seed=13)
+        frame = frame_of(unitaries, shots=2)
         vector = np.random.default_rng(14).standard_normal((16, 3))
         shifted = frame.entries.copy()
         shifted[np.diag_indices_from(shifted)] += 0.1 / 40
@@ -234,12 +227,12 @@ class TestFrameOperator:
 
     def test_trace_equals_dimension(self):
         for dim in (2, 4, 8):
-            povms = haar_povms(dim, 5, seed=dim)
-            frame = FrameOperator.from_povms(povms)
+            unitaries = haar_settings(dim, 5, seed=dim)
+            frame = frame_of(unitaries)
             assert frame.entries.trace().real == pytest.approx(dim, abs=1e-8)
 
     def test_hermitian_psd(self):
-        frame = FrameOperator.from_povms(haar_povms(4, 6, seed=5))
+        frame = frame_of(haar_settings(4, 6, seed=5))
         assert np.abs(frame.entries - frame.entries.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(frame.entries).min() > -1e-12
 
@@ -251,17 +244,17 @@ class TestFrameOperator:
         )
         errors = []
         for count in (100, 1_000, 10_000):
-            frame = FrameOperator.from_povms(haar_povms(dim, count, seed=6))
+            frame = frame_of(haar_settings(dim, count, seed=6))
             errors.append(np.linalg.norm(frame.entries - channel_matrix))
         assert errors[0] > errors[1] > errors[2]
 
-        frame = FrameOperator.from_povms(haar_povms(dim, 10_000, seed=7))
+        frame = frame_of(haar_settings(dim, 10_000, seed=7))
         # Entrywise agreement within 3 standard errors, estimated from
         # the per-setting spread.
         blocks = np.stack(
             [
-                povm_operator_columns(povm) @ povm_operator_columns(povm).conj().T
-                for povm in haar_povms(dim, 10_000, seed=7)
+                povm_operator_columns(unitary) @ povm_operator_columns(unitary).conj().T
+                for unitary in haar_settings(dim, 10_000, seed=7)
             ]
         )
         spread = blocks.std(axis=0, ddof=1) / np.sqrt(blocks.shape[0])
@@ -270,23 +263,33 @@ class TestFrameOperator:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            FrameOperator.from_povms([])
+            FramePrefix(np.empty((0, 2, 2)))
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dim-mismatch"):
-            FrameOperator.from_povms([RankOnePovm(np.eye(2)), RankOnePovm(np.eye(4))])
+            FramePrefix(np.zeros((2, 2, 4)))
+        with pytest.raises(ValueError, match="dim-mismatch"):
+            FramePrefix(np.eye(4))  # one setting, not a stack of them
+        with pytest.raises(ValueError):
+            FramePrefix([np.eye(2), np.eye(4)])
+
+    def test_list_of_unitaries_matches_stack(self):
+        unitaries = haar_settings(4, 3, seed=10)
+        listed = FramePrefix(unitaries, shots=2).frame(3)
+        stacked = FramePrefix(np.stack(unitaries), shots=2).frame(3)
+        assert np.array_equal(listed.entries, stacked.entries)
 
 
 class TestLsShadow:
     def test_projector_frame_acts_as_identity(self):
-        frame = FrameOperator.from_povms([RankOnePovm(np.eye(2))])
+        frame = frame_of([np.eye(2)])
         partial = np.diag([1.0, 0.0]).astype(complex)
         shadow = shadow_map(LS(), partial, frame)
         assert shadow.method == "LS"
         assert np.abs(shadow.matrix - partial).max() < 1e-12
 
     def test_zero_partial_gives_zero(self):
-        frame = FrameOperator.from_povms(haar_povms(4, 3, seed=8))
+        frame = frame_of(haar_settings(4, 3, seed=8))
         shadow = shadow_map(LS(), np.zeros((4, 4)), frame)
         assert np.abs(shadow.matrix).max() == 0.0
 
@@ -295,14 +298,14 @@ class TestLsShadow:
         # probabilities; the dense SVD solve is the independent oracle.
         dim = 2
         state = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        povms = haar_povms(dim, 4, seed=9)
-        probability_vectors = [born_probabilities(povm, state) for povm in povms]
+        unitaries = haar_settings(dim, 4, seed=9)
+        probability_vectors = [born_probabilities(unitary, state) for unitary in unitaries]
 
-        frame = FrameOperator.from_povms(povms)
-        partials = [adjoint_map(povm, p) for povm, p in zip(povms, probability_vectors)]
+        frame = frame_of(unitaries)
+        partials = [adjoint_map(unitary, p) for unitary, p in zip(unitaries, probability_vectors)]
         average = np.mean([shadow.matrix for shadow in shadow_map(LS(), partials, frame)], axis=0)
 
-        oracle = dense_ls_estimate(povms, probability_vectors)
+        oracle = dense_ls_estimate(unitaries, probability_vectors)
         assert np.abs(average - oracle).max() < 1e-8
         assert np.abs(average - state.matrix).max() < 1e-8
 
@@ -316,13 +319,14 @@ class TestLsShadow:
             records = run_plan(
                 state, MeasurementPlan(settings, 3, GlobalHaar(dim)), RngStream(26, (qubits, 0))
             )
-            povms = setting_povms(records)
+            unitaries = list(records.unitaries)
             frequencies = list(records.frequencies)
             mean_adjoint = np.mean(
-                [adjoint_map(povm, phat) for povm, phat in zip(povms, frequencies)], axis=0
+                [adjoint_map(unitary, phat) for unitary, phat in zip(unitaries, frequencies)],
+                axis=0,
             )
-            shadow = shadow_map(LS(), mean_adjoint, FrameOperator.from_povms(povms))
-            oracle = dense_ls_estimate(povms, frequencies)
+            shadow = shadow_map(LS(), mean_adjoint, frame_of(unitaries))
+            oracle = dense_ls_estimate(unitaries, frequencies)
             assert np.abs(shadow.matrix - oracle).max() < 1e-8
 
     def test_hermitian_output(self):
@@ -331,48 +335,48 @@ class TestLsShadow:
             MeasurementPlan(3, 1, GlobalHaar(4)),
             RngStream(10, (0, 0)),
         )
-        povms = setting_povms(records)
-        frame = FrameOperator.from_povms(povms)
-        for povm, frequencies in zip(povms, records.frequencies):
-            shadow = shadow_map(LS(), adjoint_map(povm, frequencies), frame)
+        unitaries = list(records.unitaries)
+        frame = frame_of(unitaries)
+        for unitary, frequencies in zip(unitaries, records.frequencies):
+            shadow = shadow_map(LS(), adjoint_map(unitary, frequencies), frame)
             assert np.abs(shadow.matrix - shadow.matrix.conj().T).max() < 1e-12
 
 
 class TestRlsShadow:
     def test_zero_mu_matches_ls_on_invertible_frame(self):
         dim = 2
-        povms = haar_povms(dim, 8, seed=11)
-        frame = FrameOperator.from_povms(povms)
-        partial = adjoint_map(povms[0], np.array([0.25, 0.75]))
+        unitaries = haar_settings(dim, 8, seed=11)
+        frame = frame_of(unitaries)
+        partial = adjoint_map(unitaries[0], np.array([0.25, 0.75]))
         ridge = shadow_map(RLS(0.0), partial, frame).matrix
         assert np.abs(ridge - shadow_map(LS(), partial, frame).matrix).max() < 1e-8
 
     def test_huge_mu_shrinks_to_zero(self):
-        frame = FrameOperator.from_povms(haar_povms(2, 4, seed=12))
+        frame = frame_of(haar_settings(2, 4, seed=12))
         partial = adjoint_map(
-            RankOnePovm(np.eye(2)), np.array([1.0, 0.0])
+            np.eye(2), np.array([1.0, 0.0])
         )
         shadow = shadow_map(RLS(1e6), partial, frame)
         assert np.linalg.norm(shadow.matrix) < 1e-3
 
     def test_matches_dense_solver_oracle(self):
         dim = 2
-        povms = haar_povms(dim, 5, seed=13)
-        frame = FrameOperator.from_povms(povms)
-        partial = adjoint_map(povms[2], np.array([0.4, 0.6]))
+        unitaries = haar_settings(dim, 5, seed=13)
+        frame = frame_of(unitaries)
+        partial = adjoint_map(unitaries[2], np.array([0.4, 0.6]))
         shadow = shadow_map(RLS(0.1), partial, frame)
-        oracle = dense_ridge_solve(povms, 0.1, partial)
+        oracle = dense_ridge_solve(unitaries, 0.1, partial)
         assert np.abs(shadow.matrix - oracle).max() < 1e-10
 
     def test_zero_mu_is_ls_on_a_singular_frame(self):
         # One setting spans 4 of 16 dimensions at D = 4; RLS(0) applies the
         # same pseudoinverse as LS.
-        povms = haar_povms(4, 1, seed=14)
-        frame = FrameOperator.from_povms(povms)
-        partial = adjoint_map(povms[0], np.array([0.1, 0.2, 0.3, 0.4]))
+        unitaries = haar_settings(4, 1, seed=14)
+        frame = frame_of(unitaries)
+        partial = adjoint_map(unitaries[0], np.array([0.1, 0.2, 0.3, 0.4]))
         ridge = shadow_map(RLS(0.0), partial, frame).matrix
         assert np.array_equal(ridge, shadow_map(LS(), partial, frame).matrix)
-        assert np.abs(ridge - dense_ls_estimate(povms, [[0.1, 0.2, 0.3, 0.4]])).max() < 1e-10
+        assert np.abs(ridge - dense_ls_estimate(unitaries, [[0.1, 0.2, 0.3, 0.4]])).max() < 1e-10
 
     @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf"), -1e-3])
     def test_non_finite_or_negative_mu_rejected(self, mu):
@@ -382,9 +386,9 @@ class TestRlsShadow:
     def test_shift_at_the_cutoff_takes_the_pseudoinverse(self, monkeypatch):
         # mu/(M L) at or below DEFAULT_RCOND is the pseudoinverse, bit for
         # bit; just above it is an LU solve that calls no eigh.
-        povms = haar_povms(4, 6, seed=20)
-        frame = FrameOperator.from_povms(povms, shots=2)
-        partial = vec(adjoint_map(povms[1], np.array([0.1, 0.2, 0.3, 0.4])))
+        unitaries = haar_settings(4, 6, seed=20)
+        frame = frame_of(unitaries, shots=2)
+        partial = vec(adjoint_map(unitaries[1], np.array([0.1, 0.2, 0.3, 0.4])))
         at_cutoff = 12 * DEFAULT_RCOND
         assert np.array_equal(frame.ridge_apply(partial, at_cutoff), frame.pinv_apply(partial))
         pinv = frame.pinv_apply(partial)
@@ -393,15 +397,15 @@ class TestRlsShadow:
         assert np.abs(above - pinv).max() < 1e-6
 
     def test_negative_mu_rejected(self):
-        frame = FrameOperator.from_povms(haar_povms(2, 4, seed=15))
+        frame = frame_of(haar_settings(2, 4, seed=15))
         with pytest.raises(ValueError, match=">= 0"):
             frame.ridge_apply(vec(np.eye(2) / 2), -0.5)
 
     def test_shift_above_the_cutoff_needs_no_eigendecomposition(self, monkeypatch):
-        povms = haar_povms(4, 6, seed=16)
-        frame = FrameOperator.from_povms(povms)
-        partial = adjoint_map(povms[1], np.array([0.1, 0.2, 0.3, 0.4]))
-        oracle = dense_ridge_solve(povms, 0.1, partial)
+        unitaries = haar_settings(4, 6, seed=16)
+        frame = frame_of(unitaries)
+        partial = adjoint_map(unitaries[1], np.array([0.1, 0.2, 0.3, 0.4]))
+        oracle = dense_ridge_solve(unitaries, 0.1, partial)
         forbid_eigh(monkeypatch)
         shadow = shadow_map(RLS(0.1), partial, frame)
         assert np.abs(shadow.matrix - oracle).max() < 1e-10
@@ -412,11 +416,11 @@ class TestRlsShadow:
             MeasurementPlan(6, 3, GlobalHaar(4)),
             RngStream(17, (0, 0)),
         )
-        povms = setting_povms(records)
-        frame = FrameOperator.from_povms(povms, shots=3)
+        unitaries = list(records.unitaries)
+        frame = frame_of(unitaries, shots=3)
         expected = [
-            shadow_map(RLS(0.2), adjoint_map(povm, frequencies), frame).matrix
-            for povm, frequencies in zip(povms, records.frequencies)
+            shadow_map(RLS(0.2), adjoint_map(unitary, frequencies), frame).matrix
+            for unitary, frequencies in zip(unitaries, records.frequencies)
         ]
         forbid_eigh(monkeypatch)
         shadows = estimate(records, RLS(0.2)).shadows
@@ -455,13 +459,16 @@ class TestGramRidgeSolve:
                 MeasurementPlan(settings, shots, GlobalHaar(dim)),
                 RngStream(18, (qubits, 0)),
             )
-            povms = setting_povms(records)
+            unitaries = list(records.unitaries)
             mean_adjoint = np.mean(
-                [adjoint_map(povm, phat) for povm, phat in zip(povms, records.frequencies)],
+                [
+                    adjoint_map(unitary, phat)
+                    for unitary, phat in zip(unitaries, records.frequencies)
+                ],
                 axis=0,
             )
             # Effective single-shot view: each setting counts L times.
-            oracle = dense_ridge_solve(povms * shots, 0.1, mean_adjoint)
+            oracle = dense_ridge_solve(unitaries * shots, 0.1, mean_adjoint)
             solution = gram_ridge_solve(records.unitaries, records.frequencies, 0.1, shots)
             assert np.abs(solution - oracle).max() < 1e-10
 
@@ -477,13 +484,13 @@ class TestGramRidgeSolve:
                 state, MeasurementPlan(settings, shots, GlobalHaar(dim)), RngStream(19, (qubits, 0))
             )
             solution = gram_ridge_solve(records.unitaries, records.frequencies, 0.0, shots)
-            oracle = dense_ls_estimate(setting_povms(records), list(records.frequencies))
+            oracle = dense_ls_estimate(list(records.unitaries), list(records.frequencies))
             assert np.abs(solution - oracle).max() < 1e-10
 
     def test_shift_above_the_cutoff_needs_no_eigendecomposition(self, monkeypatch):
         # Two settings of four shots: the shift mu/(M L) crosses
         # DEFAULT_RCOND at mu = 8e-10.
-        unitaries = np.stack([povm.unitary for povm in haar_povms(4, 2, seed=19)])
+        unitaries = np.stack(haar_settings(4, 2, seed=19))
         frequencies = np.full((2, 4), 0.25)
         ls = gram_ridge_solve(unitaries, frequencies, 0.0, 4)
         assert np.array_equal(gram_ridge_solve(unitaries, frequencies, 8 * DEFAULT_RCOND, 4), ls)
@@ -492,7 +499,7 @@ class TestGramRidgeSolve:
         assert np.abs(ridge - ls).max() < 1e-8
 
     def test_negative_mu_rejected(self):
-        unitaries = np.stack([povm.unitary for povm in haar_povms(4, 2, seed=19)])
+        unitaries = np.stack(haar_settings(4, 2, seed=19))
         with pytest.raises(ValueError, match=">= 0"):
             gram_ridge_solve(unitaries, np.full((2, 4), 0.25), -1.0)
 
@@ -638,8 +645,8 @@ class TestEstimate:
 
 class TestFrameShotScaling:
     def test_effective_settings_count(self):
-        povms = haar_povms(2, 3, seed=25)
-        frame = FrameOperator.from_povms(povms, shots=4)
+        unitaries = haar_settings(2, 3, seed=25)
+        frame = frame_of(unitaries, shots=4)
         assert frame.settings == 12
-        plain = FrameOperator.from_povms(povms)
+        plain = frame_of(unitaries)
         assert np.abs(frame.entries - plain.entries).max() < 1e-15

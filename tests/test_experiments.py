@@ -1196,13 +1196,19 @@ def test_family_csv_matches_golden_bytes(kind, tmp_path):
 
 
 def test_tracer_layers_resolve_and_run_in_every_family():
-    # The benchmark's tracer patches its layer functions by name; entering
-    # it fails if one no longer resolves, and a layer no family calls
-    # would read zero in every traced run.
+    # The benchmark's tracer patches its layer functions and
+    # FrameOperator.__post_init__ by name. A deleted or renamed one fails
+    # here, named, and not only in a traced benchmark run; a layer no
+    # family calls would read zero in every traced run.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    for module, name in [*tracing.LAYER_FUNCTIONS, ("estimators", "FrameOperator.__post_init__")]:
+        owner = importlib.import_module(f"shadowbench.{module}")
+        for part in name.split("."):
+            assert hasattr(owner, part), f"shadowbench.{module}.{name} does not resolve"
+            owner = getattr(owner, part)
     with tracing.Tracer() as tracer:
         for kind in SCENARIO_KINDS:
             overrides = dict(trials=2, ensemble_samples=50, random_observables=5)
@@ -1243,18 +1249,17 @@ def test_package_does_not_import_scipy(tmp_path):
 
 def test_public_names_are_the_exported_set():
     exported = {
-        "CS", "DensityMatrix", "EnsembleSpec", "FixedUnitaries", "FrameOperator",
-        "GlobalHaar", "HaarMixture", "LS", "LocalHaarTensor", "LogLikelihoodResult",
-        "MeasurementPlan", "MseEstimate", "Observable", "RLS", "RankOnePovm",
-        "RecordStack", "ResultRow", "RngStream", "Scenario", "ShadowEstimate",
-        "ShadowSet", "adjoint_map", "born_probabilities", "canonical_state_and_observables",
+        "CS", "DensityMatrix", "EnsembleSpec", "FrameOperator", "GlobalHaar",
+        "HaarMixture", "LS", "LogLikelihoodResult", "MeasurementPlan", "MseEstimate",
+        "Observable", "RLS", "RecordStack", "ResultRow", "RngStream", "Scenario",
+        "ShadowEstimate", "ShadowSet", "adjoint_map", "born_probabilities", "canonical_state_and_observables",
         "cs_channel_apply", "cs_channel_inverse", "default_scenario", "dump_records",
         "eigenvalue_split", "emit_csv", "empirical_mse", "estimate", "expectation",
         "frobenius_error", "load_records", "log_likelihood", "mse_theorem1",
         "multinomial_moments", "project_physical", "random_observable_pdf", "run_plan",
         "run_scenario", "sample_counts", "sample_unitary", "shadow_map",
     }
-    assert len(exported) == 45
+    assert len(exported) == 42
     assert sorted(shadowbench.__all__) == sorted(exported)
     namespace = {}
     exec("from shadowbench import *", namespace)  # resolves every exported name

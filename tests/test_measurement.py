@@ -11,15 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowbench import measurement
-from shadowbench.core import DensityMatrix, RankOnePovm, born_probabilities
-from shadowbench.ensembles import (
-    FixedUnitaries,
-    GlobalHaar,
-    HaarMixture,
-    LocalHaarTensor,
-    RngStream,
-    open_overwrite,
-)
+from shadowbench.core import DensityMatrix, born_probabilities
+from shadowbench.ensembles import GlobalHaar, HaarMixture, RngStream, open_overwrite
 from shadowbench.experiments import ResultRow, emit_csv
 from shadowbench.measurement import (
     PLAN_BLOCK,
@@ -86,35 +79,34 @@ class TestRecords:
 
 class TestAdjointMap:
     def test_identity_povm_one_hot(self):
-        povm = RankOnePovm(np.eye(4))
         phat = np.array([0.0, 0.0, 1.0, 0.0])
         expected = np.zeros((4, 4))
         expected[2, 2] = 1.0
-        assert np.abs(adjoint_map(povm, phat) - expected).max() < 1e-15
+        assert np.abs(adjoint_map(np.eye(4), phat) - expected).max() < 1e-15
 
     def test_uniform_frequencies_give_mixed_state(self):
-        povm = RankOnePovm(haar_unitaries(4, 1, RngStream(5))[0])
-        partial = adjoint_map(povm, np.full(4, 0.25))
+        unitary = haar_unitaries(4, 1, RngStream(5))[0]
+        partial = adjoint_map(unitary, np.full(4, 0.25))
         assert np.abs(partial - np.eye(4) / 4).max() < 1e-12
 
     def test_one_hot_matches_outer_product_form(self):
         # Independent code path: the rank-1 simplification
         # (U† p̂)(U† p̂)† for one-hot frequencies.
         for index in range(6):
-            povm = RankOnePovm(haar_unitaries(8, 1, RngStream(6, (0, index)))[0])
+            unitary = haar_unitaries(8, 1, RngStream(6, (0, index)))[0]
             phat = np.zeros(8)
             phat[index] = 1.0
-            general = adjoint_map(povm, phat)
-            vector = povm.unitary.conj().T @ phat
+            general = adjoint_map(unitary, phat)
+            vector = unitary.conj().T @ phat
             outer = np.outer(vector, vector.conj())
             assert np.abs(general - outer).max() < 1e-12
 
     def test_psd_with_unit_trace(self):
         generator = RngStream(7).generator
         for _ in range(50):
-            povm = RankOnePovm(haar_unitaries(4, 1, generator)[0])
+            unitary = haar_unitaries(4, 1, generator)[0]
             phat = generator.dirichlet(np.ones(4))
-            partial = adjoint_map(povm, phat)
+            partial = adjoint_map(unitary, phat)
             assert np.abs(partial - partial.conj().T).max() < 1e-14
             assert partial.trace().real == pytest.approx(phat.sum(), abs=1e-12)
             assert np.linalg.eigvalsh(partial).min() > -1e-12
@@ -122,15 +114,15 @@ class TestAdjointMap:
     def test_sampled_mean_converges_to_exact(self):
         dim, trials = 2, 10_000
         state = DensityMatrix(np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]]))
-        povm = RankOnePovm(haar_unitaries(dim, 1, RngStream(8))[0])
-        p = born_probabilities(povm, state)
-        exact = adjoint_map(povm, p)
+        unitary = haar_unitaries(dim, 1, RngStream(8))[0]
+        p = born_probabilities(unitary, state)
+        exact = adjoint_map(unitary, p)
         generator = RngStream(9).generator
         sampled = np.zeros((dim, dim), dtype=complex)
         squared = np.zeros((dim, dim))
         for _ in range(trials):
             phat = sample_counts(p, 1, generator)
-            partial = adjoint_map(povm, phat.astype(float))
+            partial = adjoint_map(unitary, phat.astype(float))
             sampled += partial
             squared += np.abs(partial) ** 2
         mean = sampled / trials
@@ -152,7 +144,14 @@ class TestAdjointMap:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim-mismatch"):
-            adjoint_map(RankOnePovm(np.eye(4)), np.array([1.0, 0.0]))
+            adjoint_map(np.eye(4), np.array([1.0, 0.0]))
+
+    def test_stack_dim_mismatch(self):
+        stack = np.stack([np.eye(4)] * 3)
+        with pytest.raises(ValueError, match="dim-mismatch"):
+            adjoint_map(stack, np.full((2, 4), 0.25))
+        with pytest.raises(ValueError, match="dim-mismatch"):
+            adjoint_map(stack, np.full(4, 0.25))
 
 
 class TestMultinomialMomentsEmpirically:
@@ -176,11 +175,10 @@ class TestMultinomialMomentsEmpirically:
 
 
 class TestRunPlan:
-    def test_deterministic_fixed_plan(self):
-        plan = MeasurementPlan(1, 1, FixedUnitaries((np.eye(2),)))
-        records = run_plan(DensityMatrix.computational_basis_state(2), plan, RngStream(11, (0, 0)))
-        assert len(records) == 1
-        assert np.array_equal(records.counts[0], [1, 0])
+    def test_deterministic_identity_setting(self):
+        probabilities = born_probabilities(np.eye(2), DensityMatrix.computational_basis_state(2))
+        counts = sample_counts(probabilities, 1, RngStream(11, (0, 0)))
+        assert np.array_equal(counts, [1, 0])
 
     def test_record_count_and_totals(self):
         plan = MeasurementPlan(4, 7, GlobalHaar(4))
@@ -197,10 +195,10 @@ class TestRunPlan:
 
     def test_mixed_state_frequencies(self):
         shots = 100_000
-        plan = MeasurementPlan(1, shots, FixedUnitaries((np.eye(2),)))
-        records = run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(14, (0, 0)))
+        probabilities = born_probabilities(np.eye(2), DensityMatrix.maximally_mixed(2))
+        counts = sample_counts(probabilities, shots, RngStream(14, (0, 0)))
         margin = 3 * np.sqrt(0.25 / shots)
-        assert abs(records.frequencies[0, 0] - 0.5) < margin
+        assert abs(counts[0] / shots - 0.5) < margin
 
     def test_dim_mismatch(self):
         plan = MeasurementPlan(1, 1, GlobalHaar(4))
@@ -224,9 +222,8 @@ def reference_plan(state, ensemble, settings, shots, seed, trial):
 STACKED_SETTINGS = PLAN_BLOCK + 5  # crosses a block edge
 STACK_ENSEMBLES = {
     "global": GlobalHaar(4),
-    "local": LocalHaarTensor(2),
+    "local": HaarMixture(2, 1.0),
     "mixture": HaarMixture(2, 0.3),
-    "fixed": FixedUnitaries(tuple(haar_unitaries(4, STACKED_SETTINGS, RngStream(30)))),
 }
 
 
@@ -274,9 +271,9 @@ class TestStackedSampler:
             probabilities = born_probabilities(records.unitaries, state)
             adjoints = adjoint_map(records.unitaries, records.frequencies)
             for m in range(len(records)):
-                povm = RankOnePovm(records.unitaries[m])
-                assert np.array_equal(probabilities[m], born_probabilities(povm, state))
-                assert np.array_equal(adjoints[m], adjoint_map(povm, records.frequencies[m]))
+                unitary = records.unitaries[m]
+                assert np.array_equal(probabilities[m], born_probabilities(unitary, state))
+                assert np.array_equal(adjoints[m], adjoint_map(unitary, records.frequencies[m]))
 
     def test_stacked_counts_use_one_generator_per_row(self):
         probabilities = np.array([[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]])
@@ -308,11 +305,9 @@ class TestStackedSampler:
 SEQUENCE_SETTINGS = 2 * PLAN_BLOCK + 2  # plan sizes end on both sides of block edges
 SEQUENCE_ENSEMBLES = {
     "global": GlobalHaar(4),
-    "local": LocalHaarTensor(2),
     "mixture-0": HaarMixture(2, 0.0),
     "mixture-0.5": HaarMixture(2, 0.5),
     "mixture-1": HaarMixture(2, 1.0),
-    "fixed": FixedUnitaries(tuple(haar_unitaries(4, SEQUENCE_SETTINGS, RngStream(40)))),
 }
 SEQUENCES = [
     ((3, 1), (SEQUENCE_SETTINGS, 4), (PLAN_BLOCK, 16), (PLAN_BLOCK + 1, 4)),
@@ -350,7 +345,7 @@ class TestPlanSequence:
         "plans, match",
         [
             ([], "at least one plan"),
-            ([MeasurementPlan(2, 1, GlobalHaar(4)), MeasurementPlan(2, 4, LocalHaarTensor(2))],
+            ([MeasurementPlan(2, 1, GlobalHaar(4)), MeasurementPlan(2, 4, HaarMixture(2, 1.0))],
              "share one ensemble"),
             ([MeasurementPlan(2, 1, GlobalHaar(2)), MeasurementPlan(3, 4, GlobalHaar(2))],
              "dim-mismatch"),
@@ -396,11 +391,13 @@ class TestTrialChunk:
             run_plan(DensityMatrix.maximally_mixed(2), MeasurementPlan(2, 1, GlobalHaar(2)),
                      streams)
 
-    def test_failed_check_names_the_setting_within_its_trial(self):
+    def test_failed_check_names_the_setting_within_its_trial(self, monkeypatch):
         bad = np.eye(2, dtype=complex)
         bad[0, 0] = 2.0
-        ensemble = FixedUnitaries((np.eye(2), np.eye(2), bad))
-        plan = MeasurementPlan(3, 1, ensemble)
+        settings = [np.eye(2), np.eye(2), bad]
+        monkeypatch.setattr(measurement, "sample_unitary",
+                            lambda spec, streams: np.stack(settings * (len(streams) // 3)))
+        plan = MeasurementPlan(3, 1, GlobalHaar(2))
         streams = [RngStream(48, (trial, 0)) for trial in range(3)]
         with pytest.raises(RecordError, match="setting 2: non-unitary"):
             run_plan(DensityMatrix.maximally_mixed(2), plan, streams)
@@ -432,6 +429,22 @@ class TestRecordStack:
     def test_needs_at_least_one_setting(self):
         with pytest.raises(ValueError, match="M >= 1"):
             RecordStack(np.zeros((0, 2, 2)), np.zeros((0, 2)), 1)
+
+    @pytest.mark.parametrize(
+        "index",
+        [slice(3, None), slice(1, 1), slice(None, 0), slice(5, 9), slice(2, 0)],
+        ids=["past-the-end", "empty-range", "zero-stop", "out-of-range", "reversed-bounds"],
+    )
+    def test_empty_slice_rejected(self, index):
+        # An empty view would break the M >= 1 invariant that the
+        # estimators, the log-likelihood and the record file rely on.
+        with pytest.raises(ValueError, match="empty"):
+            self.make(settings=3)[index]
+
+    def test_reversed_and_negative_slices_keep_their_settings(self):
+        stack = self.make(settings=3)
+        assert np.array_equal(stack[::-1].counts, stack.counts[::-1])
+        assert np.array_equal(stack[-1:].unitaries, stack.unitaries[2:])
 
     def test_prefix_is_a_read_only_view(self):
         stack = self.make()
@@ -468,10 +481,11 @@ class TestRecordStack:
         with pytest.raises(ValueError, match="one entry per outcome"):
             RecordStack(np.stack([np.eye(2)]), [[1, 0, 0]], 1)
 
-    def test_run_plan_names_non_unitary_fixed_setting(self):
-        unitaries = (np.eye(2), np.eye(2), np.diag([1.0, 0.5]))
-        plan = MeasurementPlan(3, 1, FixedUnitaries(unitaries))
-        with pytest.raises(ValueError, match="setting 2: non-unitary"):
+    def test_run_plan_names_non_unitary_fixed_setting(self, monkeypatch):
+        unitaries = np.stack([np.eye(2), np.eye(2), np.diag([1.0, 0.5])])
+        monkeypatch.setattr(measurement, "sample_unitary", lambda spec, streams: unitaries)
+        plan = MeasurementPlan(3, 1, GlobalHaar(2))
+        with pytest.raises(RecordError, match="setting 2: non-unitary"):
             run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(38))
 
 

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from shadowbench.core import DensityMatrix, Observable, expectation
 from shadowbench.ensembles import (
     GlobalHaar,
-    LocalHaarTensor,
+    HaarMixture,
     RngStream,
     haar_from_normals,
 )
@@ -155,7 +155,7 @@ class TestMseTheorem1:
         state = DensityMatrix.computational_basis_state(4)
         obs = Observable.rank_one([1.0, 0, 0, 0])
         with pytest.raises(ValueError, match="unsupported-ensemble"):
-            mse_theorem1(state, obs, LocalHaarTensor(2), 4, 1, 100, RngStream(8))
+            mse_theorem1(state, obs, HaarMixture(2, 1.0), 4, 1, 100, RngStream(8))
 
     def test_too_few_samples_rejected(self):
         state = DensityMatrix.computational_basis_state(2)
