@@ -20,8 +20,8 @@ from .ensembles import (
     EnsembleSpec,
     GlobalHaar,
     HaarMixture,
-    RngStream,
     sample_unitary,
+    stream_generators,
 )
 from .estimators import (
     CS,

@@ -8,6 +8,7 @@ unitary regardless of execution order.
 
 from __future__ import annotations
 
+import operator
 import os
 import stat
 from contextlib import contextmanager
@@ -82,6 +83,9 @@ def stream_generators(seed: int, trials, settings) -> list[np.random.Generator]:
     """Generators of the streams (seed, (t, m)) for t in ``trials`` and m
     in ``settings``, trial-major: each has the state of
     ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, m)))``.
+    This is the only place a stream is seeded, so identical keys give
+    bitwise-identical draws in any order. A seed or key that is not an
+    integer raises TypeError, a negative one ValueError.
 
     When the seed and every key fit in one 32-bit word, SeedSequence's
     hash runs once for all streams: the pool words that depend only on
@@ -89,7 +93,8 @@ def stream_generators(seed: int, trials, settings) -> list[np.random.Generator]:
     words on uint32 arrays. Otherwise each stream takes a plain
     SeedSequence.
     """
-    trials, settings = [int(t) for t in trials], [int(m) for m in settings]
+    seed = operator.index(seed)
+    trials, settings = [operator.index(t) for t in trials], [operator.index(m) for m in settings]
     if not all(0 <= word <= _MASK32 for word in (seed, *trials, *settings)):
         return [
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, m)))
@@ -117,41 +122,6 @@ def stream_generators(seed: int, trials, settings) -> list[np.random.Generator]:
     words = _hashmix(pool[np.arange(8) % _POOL_SIZE], *_STATE_STEPS).reshape(8, -1)
     state = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
-
-
-class RngStream:
-    """A reproducible random stream keyed by (seed, trial, measurement).
-
-    The key pair is folded into a ``numpy.random.SeedSequence`` spawn
-    key, so identical keys give bitwise-identical draws in any order.
-    The underlying generator is created lazily and consumed sequentially
-    by whoever holds the stream; :func:`stream_generators` seeds the
-    generators of a whole block of keys at once.
-    """
-
-    def __init__(self, seed: int, stream_id: tuple[int, int] = (0, 0)):
-        self.seed = int(seed)
-        self.stream_id = (int(stream_id[0]), int(stream_id[1]))
-        self._generator: np.random.Generator | None = None
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream_id)
-            self._generator = np.random.default_rng(sequence)
-        return self._generator
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-RngLike = Union[RngStream, np.random.Generator]
-
-
-def as_generator(rng: RngLike) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator
-    return rng
 
 
 @dataclass(frozen=True)
@@ -210,12 +180,12 @@ def haar_from_normals(normals: np.ndarray) -> np.ndarray:
     return q * phases[:, None, :]
 
 
-def sample_unitary(spec: EnsembleSpec, streams) -> np.ndarray:
-    """The measurement unitaries of a block of settings, one per stream,
-    as a (len(streams), D, D) array. A stream is an RngStream or a
-    generator; an empty block is refused.
+def sample_unitary(spec: EnsembleSpec, generators) -> np.ndarray:
+    """The measurement unitaries of a block of settings, one per
+    generator, as a (len(generators), D, D) array; an empty block is
+    refused.
 
-    Each stream draws its own setting: a mixture's Bernoulli coin first,
+    Each generator draws its own setting: a mixture's Bernoulli coin first,
     only when 0 < eta < 1, then all of its normals in one call, (2, D, D)
     for a global setting and (n, 2, 2, 2) for a local one, with real
     parts before imaginary parts. The block then factorizes its global
@@ -230,16 +200,15 @@ def sample_unitary(spec: EnsembleSpec, streams) -> np.ndarray:
         eta = spec.eta
     else:
         raise TypeError(f"unknown ensemble spec {type(spec).__name__}")
-    dim, count = spec.dim, len(streams)
+    dim, count = spec.dim, len(generators)
     if count == 0:
-        raise ValueError("sample_unitary needs at least one stream")
+        raise ValueError("sample_unitary needs at least one generator")
     qubits = spec.qubits if eta > 0.0 else 0
     local = np.empty(count, dtype=bool)
     # Global and local normals, each packed in draw order.
     normals = (np.empty((count, 2, dim, dim)), np.empty((count, qubits, 2, 2, 2)))
     drawn = [0, 0]
-    for index, stream in enumerate(streams):
-        generator = as_generator(stream)
+    for index, generator in enumerate(generators):
         kind = local[index] = eta >= 1.0 or (eta > 0.0 and generator.random() < eta)
         generator.standard_normal(out=normals[kind][drawn[kind]])
         drawn[kind] += 1
@@ -262,9 +231,8 @@ def sample_unitary(spec: EnsembleSpec, streams) -> np.ndarray:
     return parts[0] if drawn[0] else parts[1]
 
 
-def sample_sphere_vector(dim: int, rng: RngLike) -> np.ndarray:
+def sample_sphere_vector(dim: int, generator: np.random.Generator) -> np.ndarray:
     """Uniform random unit vector on the complex D-sphere."""
-    generator = as_generator(rng)
     vector = generator.standard_normal(dim) + 1j * generator.standard_normal(dim)
     return vector / np.linalg.norm(vector)
 

@@ -33,9 +33,9 @@ from .ensembles import (
     AUX_STREAM_INDEX,
     GlobalHaar,
     HaarMixture,
-    RngStream,
     open_overwrite,
     sample_sphere_vector,
+    stream_generators,
 )
 from .estimators import (
     CS,
@@ -368,9 +368,9 @@ def _build_context(scenario: Scenario) -> _Context:
     random_vectors = None
     random_truths = None
     if "mse-rand" in family.metrics:
-        stream = RngStream(scenario.seed, (AUX_STREAM_INDEX, 0))
+        (generator,) = stream_generators(scenario.seed, [AUX_STREAM_INDEX], [0])
         columns = [
-            sample_sphere_vector(scenario.dim, stream)
+            sample_sphere_vector(scenario.dim, generator)
             for _ in range(scenario.random_observables)
         ]
         random_vectors = np.stack(columns, axis=1)
@@ -455,8 +455,7 @@ def _trial_records(
     # One call for every shot count: each setting is drawn once and
     # feeds the counts of every plan entry that holds it.
     plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
-    streams = [RngStream(ctx.scenario.seed, (trial, 0)) for trial in trials]
-    return run_plan(ctx.state, plans, streams)
+    return run_plan(ctx.state, plans, ctx.scenario.seed, trials)
 
 
 def _run_chunk(
@@ -566,10 +565,10 @@ def _theory_rows(ctx: _Context) -> list[ResultRow]:
     if not ctx.family.theory:
         return []
     sc, rows = ctx.scenario, []
-    stream = RngStream(sc.seed, (AUX_STREAM_INDEX, 1))
+    (generator,) = stream_generators(sc.seed, [AUX_STREAM_INDEX], [1])
     for shots, (settings,) in ctx.plan:
         predicted = mse_theorem1(ctx.state, ctx.observables[0], GlobalHaar(sc.dim),
-                                 settings, shots, sc.ensemble_samples, stream)
+                                 settings, shots, sc.ensemble_samples, generator)
         point = (sc.kind, AGGREGATE_TRIAL, settings, shots, 0.0, 0.0, "CS")
         rows += [ResultRow(*point, "mse-theory", predicted.value),
                  ResultRow(*point, "mse-theory-se", predicted.std_error)]

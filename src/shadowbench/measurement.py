@@ -11,21 +11,14 @@ file format of a record stack (:func:`dump_records`, :func:`load_records`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .core import DensityMatrix, born_probabilities, hermitize
-from .ensembles import (
-    EnsembleSpec,
-    RngStream,
-    as_generator,
-    open_overwrite,
-    sample_unitary,
-    stream_generators,
-)
+from .ensembles import EnsembleSpec, open_overwrite, sample_unitary, stream_generators
 
 PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step in run_plan
 POVM_UNITARITY_ATOL = 1e-8
@@ -148,9 +141,9 @@ class RecordStack:
 
 
 def sample_counts(probabilities: np.ndarray, shots: int, rng) -> np.ndarray:
-    """Exact multinomial draw of outcome counts for one setting, or for
-    each row of an (M, K) probability stack with ``rng`` a sequence of M
-    streams or generators, one per row.
+    """Exact multinomial draw of outcome counts for one setting from the
+    generator ``rng``, or for each row of an (M, K) probability stack
+    with ``rng`` a sequence of M generators, one per row.
 
     For a single shot the result is one-hot. Sampling is delegated to
     numpy's generator, which implements the sequential conditional
@@ -168,10 +161,10 @@ def sample_counts(probabilities: np.ndarray, shots: int, rng) -> np.ndarray:
         raise ValueError(f"probabilities sum to {totals[off][0]}, expected 1 within 1e-10")
     normalized = probabilities / totals
     if normalized.ndim == 1:
-        return as_generator(rng).multinomial(shots, normalized)
+        return rng.multinomial(shots, normalized)
     counts = np.empty(normalized.shape, dtype=np.int64)
-    for stream, row, out in zip(rng, normalized, counts, strict=True):
-        out[...] = as_generator(stream).multinomial(shots, row)
+    for generator, row, out in zip(rng, normalized, counts, strict=True):
+        out[...] = generator.multinomial(shots, row)
     return counts
 
 
@@ -213,17 +206,17 @@ def _plan_sequence(plans, state: DensityMatrix) -> tuple[MeasurementPlan, ...]:
     return plans
 
 
-def run_plan(state: DensityMatrix, plans, rng: RngStream | Sequence[RngStream]):
+def run_plan(state: DensityMatrix, plans, seed: int, trials):
     """Simulate a plan: draw settings, Born probabilities, counts.
 
     ``plans`` is one MeasurementPlan, giving one RecordStack, or a
     sequence of plans over one ensemble, giving one stack per plan.
-    ``rng`` identifies the trial, or is a sequence of trial streams on
-    one seed (a chunk of trials), giving a list with that result for
-    each trial in order. Setting m of trial t consumes the substream
-    (t, m), so no draw depends on the chunk, and records for a smaller
-    plan are an exact prefix of records for a larger plan at the same
-    seed and trial.
+    ``trials`` is one trial index, giving that trial's result, or a
+    non-empty sequence of them (a chunk of trials), giving a list with
+    the result of each in order. Setting m of trial t is drawn from the
+    stream (seed, (t, m)) and no other, so no draw depends on the chunk,
+    and records for a smaller plan are an exact prefix of records for a
+    larger plan at the same seed and trial.
 
     Settings are sampled PLAN_BLOCK at a time for every trial of the
     chunk at once. The block's generators are seeded in one pass
@@ -236,13 +229,10 @@ def run_plan(state: DensityMatrix, plans, rng: RngStream | Sequence[RngStream]):
     stacks share one read-only unitary array.
     """
     sequence = _plan_sequence(plans, state)
-    trial_streams = [rng] if isinstance(rng, RngStream) else list(rng)
-    if not trial_streams:
-        raise ValueError("run_plan needs at least one trial stream")
-    seed = trial_streams[0].seed
-    if any(stream.seed != seed for stream in trial_streams):
-        raise ValueError("trial streams of one run_plan call must share one seed")
-    trials = [stream.stream_id[0] for stream in trial_streams]
+    single = not isinstance(trials, Iterable)
+    trials = [trials] if single else list(trials)
+    if not trials:
+        raise ValueError("run_plan needs at least one trial")
     sizes = sorted((plan.settings for plan in sequence), reverse=True)
     total = sizes[0]
     shared = sizes[1] if len(sizes) > 1 else 0  # settings held by two plans or more
@@ -289,7 +279,7 @@ def run_plan(state: DensityMatrix, plans, rng: RngStream | Sequence[RngStream]):
             for plan, plan_counts in zip(sequence, counts)
         ]
         results.append(stacks[0] if isinstance(plans, MeasurementPlan) else stacks)
-    return results[0] if isinstance(rng, RngStream) else results
+    return results[0] if single else results
 
 
 def expand_to_single_shot(records: RecordStack) -> RecordStack:

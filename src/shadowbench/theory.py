@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, Observable, expectation
-from .ensembles import EnsembleSpec, GlobalHaar, RngLike, as_generator, haar_from_normals
+from .ensembles import EnsembleSpec, GlobalHaar, haar_from_normals
 
 # Unitaries per Monte Carlo batch in mse_theorem1. Each batch draws its
 # normals in one call, real parts of the whole batch before imaginary
@@ -69,7 +69,7 @@ def mse_theorem1(
     settings: int,
     shots: int,
     ensemble_samples: int,
-    rng: RngLike,
+    rng: np.random.Generator,
 ) -> MseEstimate:
     """MSE of the CS estimate of tr(Lambda rho) for M settings x L shots.
 
@@ -116,13 +116,12 @@ def mse_theorem1(
     lam_matrix = obs.matrix
     trace_lam = float(lam_matrix.trace().real)
     truth = expectation(obs, state)
-    generator = as_generator(rng)
 
     values = np.empty(ensemble_samples)
     filled = 0
     while filled < ensemble_samples:
         batch = min(THEOREM1_BATCH, ensemble_samples - filled)
-        normals = generator.standard_normal((2, batch, dim, dim))
+        normals = rng.standard_normal((2, batch, dim, dim))
         if dim <= GRAM_SCHMIDT_MAX_DIM:
             unitaries = _gram_schmidt_unitaries(normals)
             diagonals = _diagonals

@@ -11,7 +11,7 @@ the batched ensemble sampler.
 import numpy as np
 from scipy.optimize import minimize
 
-from shadowbench.ensembles import GlobalHaar, as_generator
+from shadowbench.ensembles import GlobalHaar, stream_generators
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -133,21 +133,26 @@ def random_hermitian(dim: int, generator, scale: float = 1.0) -> np.ndarray:
     return scale * (raw + raw.conj().T) / 2.0
 
 
-def haar_unitaries(dim: int, count: int, rng) -> np.ndarray:
+def stream(seed: int, key: tuple[int, int] = (0, 0)) -> np.random.Generator:
+    """The generator of the stream (seed, key)."""
+    (generator,) = stream_generators(seed, [key[0]], [key[1]])
+    return generator
+
+
+def haar_unitaries(dim: int, count: int, generator) -> np.ndarray:
     """``count`` Haar unitaries from one (2, count, D, D) normal draw of a
-    stream or generator, real parts before imaginary parts: the QR factor
-    of each Ginibre matrix, times the phases of R's diagonal."""
-    normals = as_generator(rng).standard_normal((2, count, dim, dim))
+    generator, real parts before imaginary parts: the QR factor of each
+    Ginibre matrix, times the phases of R's diagonal."""
+    normals = generator.standard_normal((2, count, dim, dim))
     q, r = np.linalg.qr((normals[0] + 1j * normals[1]) / np.sqrt(2.0))
     diagonal = np.diagonal(r, axis1=1, axis2=2)
     return q * (diagonal / np.abs(diagonal))[:, None, :]
 
 
-def reference_unitary(ensemble, stream) -> np.ndarray:
+def reference_unitary(ensemble, generator) -> np.ndarray:
     """One setting's unitary, drawn the per-setting way: a mixture's coin
     first (only for 0 < eta < 1), then a global Haar unitary, or one
     2x2 Haar unitary per qubit joined by ``np.kron``."""
-    generator = as_generator(stream)
     eta = 0.0 if isinstance(ensemble, GlobalHaar) else ensemble.eta
     local = eta >= 1.0 or (eta > 0.0 and generator.random() < eta)
     if not local:

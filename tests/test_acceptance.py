@@ -20,7 +20,6 @@ from shadowbench.core import (
 )
 from shadowbench.ensembles import (
     GlobalHaar,
-    RngStream,
     haar_from_normals,
     sample_sphere_vector,
 )
@@ -46,6 +45,7 @@ from oracles import (
     haar_unitaries,
     random_density_matrix,
     random_hermitian,
+    stream,
 )
 
 
@@ -90,14 +90,14 @@ def test_criterion_01_channel_identity():
     rho = random_density_matrix(dim, generator)
     target = (rho + rho.trace() * np.eye(dim)) / (dim + 1)
 
-    stream = RngStream(888)
+    generator = stream(888)
     mean = np.zeros((dim, dim), dtype=complex)
     square_re = np.zeros((dim, dim))
     square_im = np.zeros((dim, dim))
     done = 0
     while done < total:
         size = min(chunk, total - done)
-        unitaries = haar_from_normals(stream.generator.standard_normal((2, size, dim, dim)))
+        unitaries = haar_from_normals(generator.standard_normal((2, size, dim, dim)))
         p = np.einsum("bki,ij,bkj->bk", unitaries, rho, unitaries.conj()).real
         samples = np.einsum("bk,bki,bkj->bij", p, unitaries.conj(), unitaries)
         mean += samples.sum(axis=0)
@@ -118,7 +118,7 @@ def test_criterion_02_cs_shadow_structure():
     # spectrum {32, -1 x 31} within 1e-9.
     dim = 32
     state, _ = canonical_state_and_observables(5)
-    records = run_plan(state, MeasurementPlan(1000, 1, GlobalHaar(dim)), RngStream(5150, (0, 0)))
+    records = run_plan(state, MeasurementPlan(1000, 1, GlobalHaar(dim)), 5150, 0)
     for unitary, frequencies in zip(records.unitaries, records.frequencies):
         shadow = shadow_map(CS(), adjoint_map(unitary, frequencies))
         assert abs(shadow.trace - 1.0) <= 1e-10
@@ -139,7 +139,7 @@ def test_criterion_03_cs_unbiasedness():
     estimates = np.empty((trials, 3))
     for trial in range(trials):
         records = run_plan(
-            state, MeasurementPlan(settings, 1, GlobalHaar(dim)), RngStream(1984, (trial, 0))
+            state, MeasurementPlan(settings, 1, GlobalHaar(dim)), 1984, trial
         )
         average = estimate(records, CS()).average.matrix
         estimates[trial] = np.einsum("aj,ab,bj->j", vectors.conj(), average, vectors).real
@@ -159,7 +159,7 @@ def test_criterion_04_lemma1_hermitian_trace_one():
         for repeat in range(50):
             settings = 1 + repeat % dim
             records = run_plan(
-                state, MeasurementPlan(settings, 1, GlobalHaar(dim)), RngStream(1066, (run, 0))
+                state, MeasurementPlan(settings, 1, GlobalHaar(dim)), 1066, run
             )
             average = estimate(records, LS()).average
             defect = np.abs(average.matrix - average.matrix.conj().T).max()
@@ -282,10 +282,10 @@ def test_criterion_10_random_observable_density():
     # 1e5 overlaps |phi† e0|^2 at D=32: KS test against
     # (D-1)(1-x)^(D-2) passes at p > 0.01; mean within 3 SE of 1/32.
     dim, count = 32, 100_000
-    stream = RngStream(1899)
+    generator = stream(1899)
     overlaps = np.empty(count)
     for i in range(count):
-        overlaps[i] = abs(sample_sphere_vector(dim, stream)[0]) ** 2
+        overlaps[i] = abs(sample_sphere_vector(dim, generator)[0]) ** 2
 
     result = stats.kstest(overlaps, lambda x: random_observable_cdf(x, dim))
     assert result.pvalue > 0.01
@@ -300,7 +300,7 @@ def test_criterion_11_oracle_equivalences():
     # of the dense-solve oracle.
     dim = 2
     state = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-    unitaries = [haar_unitaries(dim, 1, RngStream(1453, (0, m)))[0] for m in range(4)]
+    unitaries = [haar_unitaries(dim, 1, stream(1453, (0, m)))[0] for m in range(4)]
     probabilities = [born_probabilities(unitary, state) for unitary in unitaries]
     frame = FramePrefix(np.stack(unitaries)).frame(len(unitaries))
     average = np.mean(
@@ -329,7 +329,7 @@ def test_criterion_11_oracle_equivalences():
     records = run_plan(
         DensityMatrix.maximally_mixed(4),
         MeasurementPlan(6, 16, GlobalHaar(4)),
-        RngStream(1918, (0, 0)),
+        1918, 0,
     )
     expanded = expand_to_single_shot(records)
     for method in (LS(), RLS(0.1), CS()):

@@ -14,7 +14,6 @@ from shadowbench.core import (
     log_likelihood,
     project_physical,
 )
-from shadowbench.ensembles import RngStream
 from shadowbench.estimators import povm_operator_columns
 from shadowbench.experiments import canonical_state_and_observables
 from shadowbench.measurement import RecordStack, adjoint_map
@@ -24,6 +23,7 @@ from oracles import (
     haar_unitaries,
     random_density_matrix,
     random_hermitian,
+    stream,
 )
 
 
@@ -80,7 +80,7 @@ class TestBornProbabilities:
 
     def test_maximally_mixed_is_isotropic(self):
         dim = 8
-        unitary = haar_unitaries(dim, 1, RngStream(3, (0, 0)))[0]
+        unitary = haar_unitaries(dim, 1, stream(3, (0, 0)))[0]
         p = born_probabilities(unitary, DensityMatrix.maximally_mixed(dim))
         assert np.allclose(p, np.full(dim, 1.0 / dim), atol=1e-12)
 
@@ -126,7 +126,7 @@ class TestUnitaryInputs:
     @pytest.mark.parametrize("form", ["single", "stack"])
     @pytest.mark.parametrize("name", sorted(SETTING_FUNCTIONS))
     def test_nested_lists_match_arrays(self, name, form):
-        unitaries = haar_unitaries(4, 3, RngStream(12))
+        unitaries = haar_unitaries(4, 3, stream(12))
         if form == "single":
             unitaries = unitaries[1]
         function = SETTING_FUNCTIONS[name]
@@ -310,7 +310,7 @@ class TestLogLikelihood:
                 state = basis_state(dim, 0)
             else:
                 state = DensityMatrix(random_density_matrix(dim, generator))
-            unitaries = [haar_unitaries(dim, 1, RngStream(seed, (0, m)))[0] for m in range(5)]
+            unitaries = [haar_unitaries(dim, 1, stream(seed, (0, m)))[0] for m in range(5)]
             counts = [generator.multinomial(shots, np.full(dim, 1.0 / dim)) for _ in range(5)]
             if shots == 1:
                 unitaries.append(np.eye(dim))

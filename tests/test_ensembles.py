@@ -11,7 +11,6 @@ from shadowbench.ensembles import (
     AUX_STREAM_INDEX,
     GlobalHaar,
     HaarMixture,
-    RngStream,
     haar_from_normals,
     sample_sphere_vector,
     sample_unitary,
@@ -20,7 +19,7 @@ from shadowbench.ensembles import (
 from shadowbench.measurement import MeasurementPlan, adjoint_map, run_plan
 from shadowbench.theory import random_observable_cdf
 
-from oracles import haar_entry_second_moment_qubit, haar_unitaries, reference_unitary
+from oracles import haar_entry_second_moment_qubit, haar_unitaries, reference_unitary, stream
 
 
 def unitarity_defect(unitary):
@@ -28,35 +27,35 @@ def unitarity_defect(unitary):
     return np.linalg.norm(unitary.conj().T @ unitary - np.eye(dim))
 
 
-def corner_overlap_samples(dim, count, stream, chunk=10_000):
+def corner_overlap_samples(dim, count, generator, chunk=10_000):
     """|U_00|^2 over ``count`` Haar draws, generated in memory-bounded chunks."""
     values = np.empty(count)
     filled = 0
     while filled < count:
         size = min(chunk, count - filled)
-        batch = haar_from_normals(stream.generator.standard_normal((2, size, dim, dim)))
+        batch = haar_from_normals(generator.standard_normal((2, size, dim, dim)))
         values[filled : filled + size] = np.abs(batch[:, 0, 0]) ** 2
         filled += size
     return values
 
 
-class TestRngStream:
+class TestStreamKeys:
     def test_identical_keys_reproduce_bitwise(self):
-        first = sample_unitary(GlobalHaar(8), [RngStream(123, (4, 9))])
-        second = sample_unitary(GlobalHaar(8), [RngStream(123, (4, 9))])
+        first = sample_unitary(GlobalHaar(8), [stream(123, (4, 9))])
+        second = sample_unitary(GlobalHaar(8), [stream(123, (4, 9))])
         assert np.array_equal(first, second)
 
     def test_distinct_keys_differ(self):
-        a, b = sample_unitary(GlobalHaar(4), [RngStream(123, (0, 0)), RngStream(123, (0, 1))])
-        c = sample_unitary(GlobalHaar(4), [RngStream(124, (0, 0))])[0]
+        a, b = sample_unitary(GlobalHaar(4), [stream(123, (0, 0)), stream(123, (0, 1))])
+        c = sample_unitary(GlobalHaar(4), [stream(124, (0, 0))])[0]
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
 
     def test_substream_keys(self):
         # Setting m of trial t draws from the stream keyed (seed, (t, m)).
         plan = MeasurementPlan(12, 1, GlobalHaar(4))
-        records = run_plan(DensityMatrix.maximally_mixed(4), plan, RngStream(7, (3, 0)))
-        expected = reference_unitary(GlobalHaar(4), RngStream(7, (3, 11)))
+        records = run_plan(DensityMatrix.maximally_mixed(4), plan, 7, 3)
+        expected = reference_unitary(GlobalHaar(4), stream(7, (3, 11)))
         assert np.array_equal(records.unitaries[11], expected)
 
 
@@ -110,8 +109,7 @@ class TestBatchedSeeding:
     def test_block_generators_match_the_streams_of_their_keys(self):
         generators = stream_generators(5, [2, 7], range(3, 5))
         for generator, key in zip(generators, [(2, 3), (2, 4), (7, 3), (7, 4)], strict=True):
-            alone = RngStream(5, key).generator
-            assert generator.bit_generator.state == alone.bit_generator.state
+            assert generator.bit_generator.state == seed_sequence_state(5, key)
 
     def test_longer_setting_range_extends_each_trial(self):
         # The nested-prefix property: a plan of fewer settings draws the
@@ -125,11 +123,30 @@ class TestBatchedSeeding:
         with pytest.raises(ValueError):
             stream_generators(-1, [0], [0])
 
+    @pytest.mark.parametrize("trial, setting", [(-1, 0), (0, -1)], ids=["trial", "setting"])
+    def test_negative_key_is_rejected(self, trial, setting):
+        with pytest.raises(ValueError):
+            stream_generators(1, [trial], [setting])
+
+    @pytest.mark.parametrize(
+        "seed, trial, setting",
+        [(1.0, 0, 0), (1, 1.5, 0), (1, 0, np.float64(2.0)), (1, "1", 0)],
+        ids=["seed", "trial", "setting", "string"],
+    )
+    def test_non_integral_key_is_rejected(self, seed, trial, setting):
+        # int() would have truncated 1.5 to trial 1 and read "1" as 1.
+        with pytest.raises(TypeError):
+            stream_generators(seed, [trial], [setting])
+
+    def test_numpy_integer_keys_name_the_same_stream(self):
+        (generator,) = stream_generators(np.int64(3), [np.uint32(7)], [np.int16(2)])
+        assert generator.bit_generator.state == seed_sequence_state(3, (7, 2))
+
 
 class TestGlobalHaar:
     def test_unitarity(self):
         for dim in (2, 3, 8, 32):
-            (unitary,) = sample_unitary(GlobalHaar(dim), [RngStream(1, (0, dim))])
+            (unitary,) = sample_unitary(GlobalHaar(dim), [stream(1, (0, dim))])
             assert unitarity_defect(unitary) < 1e-10
 
     def test_batch_matches_dimension(self):
@@ -147,27 +164,27 @@ class TestGlobalHaar:
         # parameterization gives E|U_00|^2 = 1/2.
         expected = haar_entry_second_moment_qubit()
         assert expected == pytest.approx(0.5, abs=1e-10)
-        values = corner_overlap_samples(2, 100_000, RngStream(3))
+        values = corner_overlap_samples(2, 100_000, stream(3))
         margin = 3 * values.std(ddof=1) / np.sqrt(values.size)
         assert abs(values.mean() - expected) < margin
 
     def test_entry_distribution_matches_overlap_density(self):
         dim = 32
-        values = corner_overlap_samples(dim, 100_000, RngStream(4))
+        values = corner_overlap_samples(dim, 100_000, stream(4))
         result = stats.kstest(values, lambda x: random_observable_cdf(x, dim))
         assert result.pvalue > 0.01
 
     def test_left_invariance(self):
         dim = 8
         count = 100_000
-        (fixed,) = sample_unitary(GlobalHaar(dim), [RngStream(5, (0, 0))])
+        (fixed,) = sample_unitary(GlobalHaar(dim), [stream(5, (0, 0))])
         plain = np.empty(count)
         rotated = np.empty(count)
-        stream = RngStream(6)
+        generator = stream(6)
         filled = 0
         while filled < count:
             size = min(20_000, count - filled)
-            batch = haar_from_normals(stream.generator.standard_normal((2, size, dim, dim)))
+            batch = haar_from_normals(generator.standard_normal((2, size, dim, dim)))
             plain[filled : filled + size] = np.abs(batch[:, 0, 0]) ** 2
             rotated[filled : filled + size] = (
                 np.abs(np.einsum("ij,bjk->bik", fixed, batch)[:, 0, 0]) ** 2
@@ -181,19 +198,19 @@ class TestLocalHaarTensor:
     """The local tensor-product ensemble, HaarMixture(n, 1.0)."""
 
     def test_single_qubit_equals_global(self):
-        local = sample_unitary(HaarMixture(1, 1.0), [RngStream(7, (0, 0))])
-        globl = sample_unitary(GlobalHaar(2), [RngStream(7, (0, 0))])
+        local = sample_unitary(HaarMixture(1, 1.0), [stream(7, (0, 0))])
+        globl = sample_unitary(GlobalHaar(2), [stream(7, (0, 0))])
         assert np.array_equal(local, globl)
 
     def test_unitarity(self):
-        (unitary,) = sample_unitary(HaarMixture(3, 1.0), [RngStream(8)])
+        (unitary,) = sample_unitary(HaarMixture(3, 1.0), [stream(8)])
         assert unitary.shape == (8, 8)
         assert unitarity_defect(unitary) < 1e-10
 
     def test_two_qubit_entry_second_moment(self):
         # Product of independent qubit factors: 1/2 * 1/2, cross-checked
         # by a Monte Carlo oracle on a single factor.
-        factor = haar_from_normals(RngStream(9).generator.standard_normal((2, 200_000, 2, 2)))
+        factor = haar_from_normals(stream(9).standard_normal((2, 200_000, 2, 2)))
         factor_mean = (np.abs(factor[:, 0, 0]) ** 2).mean()
         generators = stream_generators(10, [0], range(20_000))
         values = np.abs(sample_unitary(HaarMixture(2, 1.0), generators)[:, 0, 0]) ** 2
@@ -229,7 +246,7 @@ class TestHaarMixture:
         coins = []
         mixed = sample_unitary(mixture, stream_generators(13, [0], range(10_000)))
         for i in range(10_000):
-            replay = RngStream(13, (0, i)).generator
+            replay = stream(13, (0, i))
             local = replay.random() < mixture.eta
             (branch,) = sample_unitary(HaarMixture(2, 1.0) if local else GlobalHaar(4), [replay])
             assert np.array_equal(mixed[i], branch)
@@ -262,36 +279,26 @@ class TestSampleUnitary:
         unitaries = sample_unitary(ensemble, generators)
         assert unitaries.shape == (len(keys), ensemble.dim, ensemble.dim)
         for key, generator, unitary in zip(keys, generators, unitaries):
-            alone = RngStream(20, key)
+            alone = stream(20, key)
             assert np.array_equal(unitary, reference_unitary(ensemble, alone))
-            assert generator.random() == alone.generator.random()
+            assert generator.random() == alone.random()
         if isinstance(ensemble, HaarMixture) and 0.0 < ensemble.eta < 1.0:
-            coins = [RngStream(20, key).generator.random() < ensemble.eta for key in keys]
+            coins = [stream(20, key).random() < ensemble.eta for key in keys]
             assert 0 < sum(coins) < len(keys)  # the block mixes local and global settings
 
     @pytest.mark.parametrize(
-        "streams",
+        "generators",
         [[], (), stream_generators(1, [0], range(0)), stream_generators(1, [], range(3))],
         ids=["list", "tuple", "no-settings", "no-trials"],
     )
-    def test_empty_block_rejected(self, streams):
-        with pytest.raises(ValueError, match="at least one stream"):
-            sample_unitary(GlobalHaar(4), streams)
-
-    def test_streams_and_generators_draw_the_same_block(self):
-        keys = [(1, m) for m in range(4)]
-        mixed = [RngStream(21, key) if m % 2 else RngStream(21, key).generator
-                 for m, key in enumerate(keys)]
-        ensemble = HaarMixture(2, 0.5)
-        assert np.array_equal(
-            sample_unitary(ensemble, mixed),
-            sample_unitary(ensemble, [RngStream(21, key) for key in keys]),
-        )
+    def test_empty_block_rejected(self, generators):
+        with pytest.raises(ValueError, match="at least one generator"):
+            sample_unitary(GlobalHaar(4), generators)
 
     def test_unitaries_are_not_an_ensemble(self):
         # A setting list is passed as an array, never as an ensemble.
         with pytest.raises(TypeError, match="unknown ensemble spec tuple"):
-            sample_unitary((np.eye(2),), [RngStream(22)])
+            sample_unitary((np.eye(2),), [stream(22)])
 
 
 def povm_elements(unitary):
@@ -302,11 +309,11 @@ def povm_elements(unitary):
 
 class TestPovmFromUnitary:
     def test_elements_resolve_identity(self):
-        total = povm_elements(haar_unitaries(4, 1, RngStream(16))[0]).sum(axis=0)
+        total = povm_elements(haar_unitaries(4, 1, stream(16))[0]).sum(axis=0)
         assert np.abs(total - np.eye(4)).max() < 1e-10
 
     def test_elements_are_rank_one_projectors(self):
-        for element in povm_elements(haar_unitaries(4, 1, RngStream(17))[0]):
+        for element in povm_elements(haar_unitaries(4, 1, stream(17))[0]):
             eigenvalues = np.linalg.eigvalsh(element)
             assert abs(eigenvalues[-1] - 1.0) < 1e-10
             assert np.abs(eigenvalues[:-1]).max() < 1e-10
@@ -320,5 +327,5 @@ class TestPovmFromUnitary:
 
 class TestSphereSampling:
     def test_unit_norm(self):
-        vector = sample_sphere_vector(32, RngStream(18))
+        vector = sample_sphere_vector(32, stream(18))
         assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shadowbench.core import DensityMatrix, born_probabilities
-from shadowbench.ensembles import GlobalHaar, RngStream
+from shadowbench.ensembles import GlobalHaar
 from shadowbench.estimators import (
     CS,
     DEFAULT_RCOND,
@@ -41,6 +41,7 @@ from oracles import (
     naive_frame_matrix,
     random_density_matrix,
     random_hermitian,
+    stream,
 )
 
 
@@ -64,7 +65,7 @@ def frame_of(unitaries, shots=1):
 
 
 def haar_settings(dim, count, seed, trial=0):
-    return [haar_unitaries(dim, 1, RngStream(seed, (trial, m)))[0] for m in range(count)]
+    return [haar_unitaries(dim, 1, stream(seed, (trial, m)))[0] for m in range(count)]
 
 
 class TestVectorization:
@@ -93,7 +94,7 @@ class TestVectorization:
         assert np.abs(vec(matrix) - expected).max() < 1e-15
 
     def test_operator_columns_match_naive_elements(self):
-        unitary = haar_unitaries(4, 1, RngStream(2))[0]
+        unitary = haar_unitaries(4, 1, stream(2))[0]
         columns = povm_operator_columns(unitary)
         assert columns.dtype == np.float64 and columns.shape == (16, 4)
         for k in range(4):
@@ -110,7 +111,7 @@ class TestFrameOperator:
         assert np.allclose(eigenvalues, [0, 0, 1, 1], atol=1e-12)
 
     def test_duplicate_settings_average_out(self):
-        unitary = haar_unitaries(4, 1, RngStream(3))[0]
+        unitary = haar_unitaries(4, 1, stream(3))[0]
         single = frame_of([unitary])
         repeated = frame_of([unitary] * 5)
         assert np.abs(single.entries - repeated.entries).max() < 1e-14
@@ -130,7 +131,7 @@ class TestFrameOperator:
     def test_chunked_columns_match_per_setting_columns_at_d32(self):
         # 5 settings at D = 32 are 160 rows: two full chunks of 64 rows and
         # a partial one, against one chunk per setting.
-        unitaries = np.stack([haar_unitaries(32, 1, RngStream(10, (0, m)))[0] for m in range(5)])
+        unitaries = np.stack([haar_unitaries(32, 1, stream(10, (0, m)))[0] for m in range(5)])
         stacked = povm_operator_columns(unitaries)
         expected = np.concatenate([povm_operator_columns(unitary) for unitary in unitaries], axis=1)
         assert stacked.shape == (32 * 32, 5 * 32)
@@ -140,7 +141,7 @@ class TestFrameOperator:
         # A frame block at D = 32: the 16 MiB real result plus chunked
         # temporaries, not the block's 32 MiB of complex outer products.
         unitaries = np.stack(
-            [haar_unitaries(32, 1, RngStream(11, (0, m)))[0] for m in range(FRAME_COLUMNS // 32)]
+            [haar_unitaries(32, 1, stream(11, (0, m)))[0] for m in range(FRAME_COLUMNS // 32)]
         )
         tracemalloc.start()
         try:
@@ -154,7 +155,7 @@ class TestFrameOperator:
     def test_columns_fill_a_given_buffer_in_place(self):
         # With out= the columns are a view of the caller's buffer, with the
         # same bits, and only the 1 MiB chunk temporaries are allocated.
-        unitaries = np.stack([haar_unitaries(32, 1, RngStream(12, (0, m)))[0] for m in range(5)])
+        unitaries = np.stack([haar_unitaries(32, 1, stream(12, (0, m)))[0] for m in range(5)])
         expected = povm_operator_columns(unitaries)
         buffer = np.full((5 * 32, 32 * 32), np.nan)
         tracemalloc.start()
@@ -317,7 +318,7 @@ class TestLsShadow:
         state = DensityMatrix(random_density_matrix(dim, np.random.default_rng(200 + qubits)))
         for settings in (dim - 1, dim, dim + 1):
             records = run_plan(
-                state, MeasurementPlan(settings, 3, GlobalHaar(dim)), RngStream(26, (qubits, 0))
+                state, MeasurementPlan(settings, 3, GlobalHaar(dim)), 26, qubits
             )
             unitaries = list(records.unitaries)
             frequencies = list(records.frequencies)
@@ -333,7 +334,7 @@ class TestLsShadow:
         records = run_plan(
             DensityMatrix.maximally_mixed(4),
             MeasurementPlan(3, 1, GlobalHaar(4)),
-            RngStream(10, (0, 0)),
+            10, 0,
         )
         unitaries = list(records.unitaries)
         frame = frame_of(unitaries)
@@ -414,7 +415,7 @@ class TestRlsShadow:
         records = run_plan(
             DensityMatrix.computational_basis_state(4),
             MeasurementPlan(6, 3, GlobalHaar(4)),
-            RngStream(17, (0, 0)),
+            17, 0,
         )
         unitaries = list(records.unitaries)
         frame = frame_of(unitaries, shots=3)
@@ -436,7 +437,7 @@ def test_unknown_method_type_rejected_on_both_routes(settings):
 
     records = run_plan(
         DensityMatrix.maximally_mixed(4), MeasurementPlan(settings, 1, GlobalHaar(4)),
-        RngStream(21, (0, 0)),
+        21, 0,
     )
     frames = FramePrefix(records.unitaries)
     mean = np.mean(adjoint_map(records.unitaries, records.frequencies), axis=0)
@@ -457,7 +458,7 @@ class TestGramRidgeSolve:
             records = run_plan(
                 state,
                 MeasurementPlan(settings, shots, GlobalHaar(dim)),
-                RngStream(18, (qubits, 0)),
+                18, qubits,
             )
             unitaries = list(records.unitaries)
             mean_adjoint = np.mean(
@@ -481,7 +482,7 @@ class TestGramRidgeSolve:
         state = DensityMatrix(random_density_matrix(dim, np.random.default_rng(110 + qubits)))
         for settings in range(1, dim + 1):
             records = run_plan(
-                state, MeasurementPlan(settings, shots, GlobalHaar(dim)), RngStream(19, (qubits, 0))
+                state, MeasurementPlan(settings, shots, GlobalHaar(dim)), 19, qubits
             )
             solution = gram_ridge_solve(records.unitaries, records.frequencies, 0.0, shots)
             oracle = dense_ls_estimate(list(records.unitaries), list(records.frequencies))
@@ -545,7 +546,7 @@ class TestCsShadow:
         records = run_plan(
             DensityMatrix.maximally_mixed(8),
             MeasurementPlan(20, 3, GlobalHaar(8)),
-            RngStream(18, (0, 0)),
+            18, 0,
         )
         for shadow in setting_cs_shadows(records):
             assert abs(shadow.trace - 1.0) < 1e-10
@@ -554,7 +555,7 @@ class TestCsShadow:
         records = run_plan(
             DensityMatrix.computational_basis_state(8),
             MeasurementPlan(10, 1, GlobalHaar(8)),
-            RngStream(19, (0, 0)),
+            19, 0,
         )
         shadows = setting_cs_shadows(records)
         for unitary, frequencies, shadow in zip(records.unitaries, records.frequencies, shadows):
@@ -570,7 +571,7 @@ class TestCsShadow:
         dim, count = 2, 100_000
         state = DensityMatrix(np.array([[0.75, 0.25 - 0.2j], [0.25 + 0.2j, 0.25]]))
         records = run_plan(
-            state, MeasurementPlan(count, 1, GlobalHaar(dim)), RngStream(20, (0, 0))
+            state, MeasurementPlan(count, 1, GlobalHaar(dim)), 20, 0
         )
         shadows = np.stack([shadow.matrix for shadow in setting_cs_shadows(records)])
         mean = shadows.mean(axis=0)
@@ -590,7 +591,7 @@ class TestEstimate:
         records = run_plan(
             DensityMatrix.computational_basis_state(4),
             MeasurementPlan(12, 1, GlobalHaar(4)),
-            RngStream(21, (0, 0)),
+            21, 0,
         )
         result = estimate(records, CS())
         assert result.average.trace == pytest.approx(1.0, abs=1e-10)
@@ -604,7 +605,7 @@ class TestEstimate:
             records = run_plan(
                 DensityMatrix.maximally_mixed(dim),
                 MeasurementPlan(settings, 1, GlobalHaar(dim)),
-                RngStream(22, (trial, 0)),
+                22, trial,
             )
             result = estimate(records, LS())
             assert abs(result.average.trace - 1.0) < 1e-8
@@ -616,7 +617,7 @@ class TestEstimate:
         records = run_plan(
             DensityMatrix.maximally_mixed(dim),
             MeasurementPlan(5, 12, GlobalHaar(dim)),
-            RngStream(23, (0, 0)),
+            23, 0,
         )
         expanded = expand_to_single_shot(records)
         for method in (LS(), RLS(0.1), CS()):
@@ -628,7 +629,7 @@ class TestEstimate:
         records = run_plan(
             DensityMatrix.computational_basis_state(4),
             MeasurementPlan(6, 1, GlobalHaar(4)),
-            RngStream(24, (0, 0)),
+            24, 0,
         )
         norms = [
             np.linalg.norm(estimate(records, RLS(mu)).average.matrix)

@@ -30,7 +30,7 @@ import shadowbench
 from shadowbench import estimators, experiments, measurement
 from shadowbench.cli import build_parser, main
 from shadowbench.core import DensityMatrix, expectation
-from shadowbench.ensembles import GlobalHaar, RngStream
+from shadowbench.ensembles import GlobalHaar
 from shadowbench.estimators import CS, LS, RLS, FramePrefix, average_estimate, estimate
 from shadowbench.experiments import (
     AGGREGATE_TRIAL,
@@ -1034,6 +1034,19 @@ class TestCli:
         for command in commands:
             parser.parse_args(command[1:])
 
+    def test_readme_library_block_runs(self, capsys):
+        # The README's one python block is the library example; it must
+        # run as written against the exported names.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert isinstance(namespace["records"], shadowbench.RecordStack)
+        assert np.isfinite(namespace["predicted"].value)
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == [
+            "LS", "RLS", "CS"
+        ]
+
     def test_dump_and_load_records_flags(self, tmp_path):
         records = tmp_path / "records.txt"
         args = [
@@ -1099,7 +1112,7 @@ class TestRlsRoutes:
         records = run_plan(
             DensityMatrix.computational_basis_state(dim),
             MeasurementPlan(dim + 1, shots, GlobalHaar(dim)),
-            RngStream(41, (0, 0)),
+            41, 0,
         )
         # LS and RLS at M = D take the Gram route and form no frame; M = D + 1
         # takes the primal route over all D + 1 settings in one block, the
@@ -1251,13 +1264,13 @@ def test_public_names_are_the_exported_set():
     exported = {
         "CS", "DensityMatrix", "EnsembleSpec", "FrameOperator", "GlobalHaar",
         "HaarMixture", "LS", "LogLikelihoodResult", "MeasurementPlan", "MseEstimate",
-        "Observable", "RLS", "RecordStack", "ResultRow", "RngStream", "Scenario",
+        "Observable", "RLS", "RecordStack", "ResultRow", "Scenario",
         "ShadowEstimate", "ShadowSet", "adjoint_map", "born_probabilities", "canonical_state_and_observables",
         "cs_channel_apply", "cs_channel_inverse", "default_scenario", "dump_records",
         "eigenvalue_split", "emit_csv", "empirical_mse", "estimate", "expectation",
         "frobenius_error", "load_records", "log_likelihood", "mse_theorem1",
         "multinomial_moments", "project_physical", "random_observable_pdf", "run_plan",
-        "run_scenario", "sample_counts", "sample_unitary", "shadow_map",
+        "run_scenario", "sample_counts", "sample_unitary", "shadow_map", "stream_generators",
     }
     assert len(exported) == 42
     assert sorted(shadowbench.__all__) == sorted(exported)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from shadowbench import measurement
 from shadowbench.core import DensityMatrix, born_probabilities
-from shadowbench.ensembles import GlobalHaar, HaarMixture, RngStream, open_overwrite
+from shadowbench.ensembles import GlobalHaar, HaarMixture, open_overwrite
 from shadowbench.experiments import ResultRow, emit_csv
 from shadowbench.measurement import (
     PLAN_BLOCK,
@@ -27,16 +27,16 @@ from shadowbench.measurement import (
     sample_counts,
 )
 
-from oracles import haar_unitaries, random_density_matrix, reference_unitary
+from oracles import haar_unitaries, random_density_matrix, reference_unitary, stream
 
 
 class TestSampleCounts:
     def test_deterministic_distribution(self):
-        counts = sample_counts(np.array([1.0, 0.0, 0.0]), 50, RngStream(1))
+        counts = sample_counts(np.array([1.0, 0.0, 0.0]), 50, stream(1))
         assert np.array_equal(counts, [50, 0, 0])
 
     def test_single_shot_is_one_hot(self):
-        generator = RngStream(2).generator
+        generator = stream(2)
         for _ in range(200):
             p = generator.dirichlet(np.ones(5))
             counts = sample_counts(p, 1, generator)
@@ -45,17 +45,17 @@ class TestSampleCounts:
 
     def test_binomial_standard_error(self):
         shots = 1_000_000
-        counts = sample_counts(np.array([0.5, 0.5]), shots, RngStream(3))
+        counts = sample_counts(np.array([0.5, 0.5]), shots, stream(3))
         margin = 3 * np.sqrt(0.25 / shots)
         assert abs(counts[0] / shots - 0.5) < margin
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            sample_counts(np.array([1.1, -0.1]), 1, RngStream(0))
+            sample_counts(np.array([1.1, -0.1]), 1, stream(0))
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="sum"):
-            sample_counts(np.array([0.5, 0.6]), 1, RngStream(0))
+            sample_counts(np.array([0.5, 0.6]), 1, stream(0))
 
 
 class TestRecords:
@@ -85,7 +85,7 @@ class TestAdjointMap:
         assert np.abs(adjoint_map(np.eye(4), phat) - expected).max() < 1e-15
 
     def test_uniform_frequencies_give_mixed_state(self):
-        unitary = haar_unitaries(4, 1, RngStream(5))[0]
+        unitary = haar_unitaries(4, 1, stream(5))[0]
         partial = adjoint_map(unitary, np.full(4, 0.25))
         assert np.abs(partial - np.eye(4) / 4).max() < 1e-12
 
@@ -93,7 +93,7 @@ class TestAdjointMap:
         # Independent code path: the rank-1 simplification
         # (U† p̂)(U† p̂)† for one-hot frequencies.
         for index in range(6):
-            unitary = haar_unitaries(8, 1, RngStream(6, (0, index)))[0]
+            unitary = haar_unitaries(8, 1, stream(6, (0, index)))[0]
             phat = np.zeros(8)
             phat[index] = 1.0
             general = adjoint_map(unitary, phat)
@@ -102,7 +102,7 @@ class TestAdjointMap:
             assert np.abs(general - outer).max() < 1e-12
 
     def test_psd_with_unit_trace(self):
-        generator = RngStream(7).generator
+        generator = stream(7)
         for _ in range(50):
             unitary = haar_unitaries(4, 1, generator)[0]
             phat = generator.dirichlet(np.ones(4))
@@ -114,10 +114,10 @@ class TestAdjointMap:
     def test_sampled_mean_converges_to_exact(self):
         dim, trials = 2, 10_000
         state = DensityMatrix(np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]]))
-        unitary = haar_unitaries(dim, 1, RngStream(8))[0]
+        unitary = haar_unitaries(dim, 1, stream(8))[0]
         p = born_probabilities(unitary, state)
         exact = adjoint_map(unitary, p)
-        generator = RngStream(9).generator
+        generator = stream(9)
         sampled = np.zeros((dim, dim), dtype=complex)
         squared = np.zeros((dim, dim))
         for _ in range(trials):
@@ -161,7 +161,7 @@ class TestMultinomialMomentsEmpirically:
         p = np.array([0.2, 0.5, 0.3])
         shots = 4
         draws = 100_000
-        generator = RngStream(10).generator
+        generator = stream(10)
         samples = generator.multinomial(shots, p, size=draws) / shots
         second_hat = (samples**2).mean(axis=0)
         cross_hat = (samples[:, 0] * samples[:, 1]).mean()
@@ -177,33 +177,33 @@ class TestMultinomialMomentsEmpirically:
 class TestRunPlan:
     def test_deterministic_identity_setting(self):
         probabilities = born_probabilities(np.eye(2), DensityMatrix.computational_basis_state(2))
-        counts = sample_counts(probabilities, 1, RngStream(11, (0, 0)))
+        counts = sample_counts(probabilities, 1, stream(11, (0, 0)))
         assert np.array_equal(counts, [1, 0])
 
     def test_record_count_and_totals(self):
         plan = MeasurementPlan(4, 7, GlobalHaar(4))
-        records = run_plan(DensityMatrix.maximally_mixed(4), plan, RngStream(12, (0, 0)))
+        records = run_plan(DensityMatrix.maximally_mixed(4), plan, 12, 0)
         assert len(records) == 4
         assert records.counts.sum(axis=1).tolist() == [7] * 4
 
     def test_prefix_property(self):
         state = DensityMatrix.maximally_mixed(4)
-        small = run_plan(state, MeasurementPlan(3, 2, GlobalHaar(4)), RngStream(13, (5, 0)))
-        large = run_plan(state, MeasurementPlan(6, 2, GlobalHaar(4)), RngStream(13, (5, 0)))
+        small = run_plan(state, MeasurementPlan(3, 2, GlobalHaar(4)), 13, 5)
+        large = run_plan(state, MeasurementPlan(6, 2, GlobalHaar(4)), 13, 5)
         assert np.array_equal(small.unitaries, large.unitaries[:3])
         assert np.array_equal(small.counts, large.counts[:3])
 
     def test_mixed_state_frequencies(self):
         shots = 100_000
         probabilities = born_probabilities(np.eye(2), DensityMatrix.maximally_mixed(2))
-        counts = sample_counts(probabilities, shots, RngStream(14, (0, 0)))
+        counts = sample_counts(probabilities, shots, stream(14, (0, 0)))
         margin = 3 * np.sqrt(0.25 / shots)
         assert abs(counts[0] / shots - 0.5) < margin
 
     def test_dim_mismatch(self):
         plan = MeasurementPlan(1, 1, GlobalHaar(4))
         with pytest.raises(ValueError, match="dim-mismatch"):
-            run_plan(DensityMatrix.computational_basis_state(2), plan, RngStream(0, (0, 0)))
+            run_plan(DensityMatrix.computational_basis_state(2), plan, 0, 0)
 
 
 def reference_plan(state, ensemble, settings, shots, seed, trial):
@@ -211,10 +211,10 @@ def reference_plan(state, ensemble, settings, shots, seed, trial):
     unitary (the per-setting oracle) and then the multinomial counts."""
     unitaries, counts = [], []
     for m in range(settings):
-        stream = RngStream(seed, (trial, m))
-        unitary = reference_unitary(ensemble, stream)
+        generator = stream(seed, (trial, m))
+        unitary = reference_unitary(ensemble, generator)
         probabilities = born_probabilities(unitary, state)
-        counts.append(stream.generator.multinomial(shots, probabilities / probabilities.sum()))
+        counts.append(generator.multinomial(shots, probabilities / probabilities.sum()))
         unitaries.append(unitary)
     return np.stack(unitaries), np.stack(counts)
 
@@ -234,7 +234,7 @@ class TestStackedSampler:
         ensemble = STACK_ENSEMBLES[name]
         state = DensityMatrix(random_density_matrix(4, np.random.default_rng(31)))
         plan = MeasurementPlan(STACKED_SETTINGS, shots, ensemble)
-        records = run_plan(state, plan, RngStream(32, (3, 0)))
+        records = run_plan(state, plan, 32, 3)
         unitaries, counts = reference_plan(state, ensemble, STACKED_SETTINGS, shots, 32, 3)
         assert np.array_equal(records.unitaries, unitaries)
         assert np.array_equal(records.counts, counts)
@@ -245,29 +245,28 @@ class TestStackedSampler:
         blocks = []
         sample = measurement.sample_unitary
 
-        def counted(spec, streams):
-            blocks.append(len(streams))
-            return sample(spec, streams)
+        def counted(spec, generators):
+            blocks.append(len(generators))
+            return sample(spec, generators)
 
         monkeypatch.setattr(measurement, "sample_unitary", counted)
         plan = MeasurementPlan(STACKED_SETTINGS, 1, STACK_ENSEMBLES[name])
-        trials = [RngStream(37, (trial, 0)) for trial in range(2)]
-        run_plan(DensityMatrix.maximally_mixed(4), plan, trials)
+        run_plan(DensityMatrix.maximally_mixed(4), plan, 37, range(2))
         assert blocks == [2 * PLAN_BLOCK, 2 * (STACKED_SETTINGS - PLAN_BLOCK)]
 
     def test_nested_prefix_across_block_edges(self):
         state = DensityMatrix.maximally_mixed(4)
         plan = MeasurementPlan(2 * PLAN_BLOCK + 1, 3, GlobalHaar(4))
-        large = run_plan(state, plan, RngStream(33))
+        large = run_plan(state, plan, 33, 0)
         for settings in (1, PLAN_BLOCK - 1, PLAN_BLOCK, PLAN_BLOCK + 1):
-            small = run_plan(state, MeasurementPlan(settings, 3, GlobalHaar(4)), RngStream(33))
+            small = run_plan(state, MeasurementPlan(settings, 3, GlobalHaar(4)), 33, 0)
             assert np.array_equal(small.unitaries, large.unitaries[:settings])
             assert np.array_equal(small.counts, large.counts[:settings])
 
     def test_stacked_adjoints_and_probabilities_match_per_setting(self):
         for dim in (2, 4, 8, 32):
             state = DensityMatrix(random_density_matrix(dim, np.random.default_rng(dim)))
-            records = run_plan(state, MeasurementPlan(40, 3, GlobalHaar(dim)), RngStream(34))
+            records = run_plan(state, MeasurementPlan(40, 3, GlobalHaar(dim)), 34, 0)
             probabilities = born_probabilities(records.unitaries, state)
             adjoints = adjoint_map(records.unitaries, records.frequencies)
             for m in range(len(records)):
@@ -277,11 +276,11 @@ class TestStackedSampler:
 
     def test_stacked_counts_use_one_generator_per_row(self):
         probabilities = np.array([[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]])
-        stacked = sample_counts(probabilities, 7, [RngStream(35, (0, m)) for m in range(3)])
+        stacked = sample_counts(probabilities, 7, [stream(35, (0, m)) for m in range(3)])
         for m, row in enumerate(probabilities):
-            assert np.array_equal(stacked[m], sample_counts(row, 7, RngStream(35, (0, m))))
+            assert np.array_equal(stacked[m], sample_counts(row, 7, stream(35, (0, m))))
         with pytest.raises(ValueError, match="longer"):
-            sample_counts(probabilities, 7, [RngStream(35)])
+            sample_counts(probabilities, 7, [stream(35)])
 
     @pytest.mark.parametrize(
         "row, match",
@@ -294,12 +293,12 @@ class TestStackedSampler:
     )
     def test_stacked_probability_checks(self, row, match):
         probabilities = np.array([[0.25, 0.75], row])
-        streams = [RngStream(36, (0, m)) for m in range(2)]
+        generators = [stream(36, (0, m)) for m in range(2)]
         if match is None:
-            assert sample_counts(probabilities, 3, streams).sum(axis=1).tolist() == [3, 3]
+            assert sample_counts(probabilities, 3, generators).sum(axis=1).tolist() == [3, 3]
         else:
             with pytest.raises(ValueError, match=match):
-                sample_counts(probabilities, 3, streams)
+                sample_counts(probabilities, 3, generators)
 
 
 SEQUENCE_SETTINGS = 2 * PLAN_BLOCK + 2  # plan sizes end on both sides of block edges
@@ -323,10 +322,10 @@ class TestPlanSequence:
         ensemble = SEQUENCE_ENSEMBLES[name]
         state = DensityMatrix(random_density_matrix(4, np.random.default_rng(41)))
         plans = [MeasurementPlan(settings, shots, ensemble) for settings, shots in sizes]
-        stacks = run_plan(state, plans, RngStream(42, (5, 0)))
+        stacks = run_plan(state, plans, 42, 5)
         assert len(stacks) == len(plans)
         for plan, stack in zip(plans, stacks):
-            alone = run_plan(state, plan, RngStream(42, (5, 0)))
+            alone = run_plan(state, plan, 42, 5)
             assert np.array_equal(stack.unitaries, alone.unitaries)
             assert np.array_equal(stack.counts, alone.counts)
             assert stack.shots == plan.shots
@@ -336,8 +335,8 @@ class TestPlanSequence:
     def test_one_plan_sequence_gives_a_list(self):
         plan = MeasurementPlan(5, 2, GlobalHaar(2))
         state = DensityMatrix.maximally_mixed(2)
-        (stack,) = run_plan(state, [plan], RngStream(43))
-        alone = run_plan(state, plan, RngStream(43))
+        (stack,) = run_plan(state, [plan], 43, 0)
+        alone = run_plan(state, plan, 43, 0)
         assert isinstance(alone, RecordStack)
         assert np.array_equal(stack.counts, alone.counts)
 
@@ -357,7 +356,7 @@ class TestPlanSequence:
 
         monkeypatch.setattr(measurement, "sample_unitary", no_draw)
         with pytest.raises(ValueError, match=match):
-            run_plan(DensityMatrix.maximally_mixed(4), plans, RngStream(44))
+            run_plan(DensityMatrix.maximally_mixed(4), plans, 44, 0)
 
 
 class TestTrialChunk:
@@ -367,10 +366,10 @@ class TestTrialChunk:
         state = DensityMatrix(random_density_matrix(4, np.random.default_rng(45)))
         plans = [MeasurementPlan(PLAN_BLOCK + 2, 3, ensemble), MeasurementPlan(5, 1, ensemble)]
         trials = [4, 0, 9]
-        chunk = run_plan(state, plans, [RngStream(46, (trial, 0)) for trial in trials])
+        chunk = run_plan(state, plans, 46, trials)
         assert len(chunk) == len(trials)
         for trial, stacks in zip(trials, chunk):
-            for stack, alone in zip(stacks, run_plan(state, plans, RngStream(46, (trial, 0)))):
+            for stack, alone in zip(stacks, run_plan(state, plans, 46, trial)):
                 assert np.array_equal(stack.unitaries, alone.unitaries)
                 assert np.array_equal(stack.counts, alone.counts)
                 assert not stack.unitaries.flags.writeable and not stack.counts.flags.writeable
@@ -378,36 +377,47 @@ class TestTrialChunk:
     def test_single_plan_gives_one_stack_per_trial(self):
         plan = MeasurementPlan(3, 2, GlobalHaar(2))
         state = DensityMatrix.maximally_mixed(2)
-        chunk = run_plan(state, plan, [RngStream(47, (trial, 0)) for trial in range(2)])
+        chunk = run_plan(state, plan, 47, range(2))
         assert [type(stack) for stack in chunk] == [RecordStack, RecordStack]
-        assert np.array_equal(chunk[1].counts, run_plan(state, plan, RngStream(47, (1, 0))).counts)
+        assert np.array_equal(chunk[1].counts, run_plan(state, plan, 47, 1).counts)
+
+    def test_numpy_integer_trial_gives_one_stack(self):
+        plan = MeasurementPlan(3, 2, GlobalHaar(2))
+        state = DensityMatrix.maximally_mixed(2)
+        stack = run_plan(state, plan, 47, np.int64(1))
+        assert isinstance(stack, RecordStack)
+        assert np.array_equal(stack.counts, run_plan(state, plan, 47, [1])[0].counts)
 
     @pytest.mark.parametrize(
-        "streams, match",
-        [([], "at least one trial stream"), ([RngStream(1), RngStream(2, (1, 0))], "one seed")],
+        "trials, error",
+        [([], ValueError), ((), ValueError), (range(0), ValueError), (1.5, TypeError),
+         ([0, 1.5], TypeError)],
+        ids=["list", "tuple", "range", "float", "float-in-list"],
     )
-    def test_bad_trial_streams_rejected(self, streams, match):
-        with pytest.raises(ValueError, match=match):
+    def test_bad_trials_rejected_before_any_draw(self, trials, error, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(measurement, "sample_unitary", lambda *args: drawn.append(args))
+        with pytest.raises(error):
             run_plan(DensityMatrix.maximally_mixed(2), MeasurementPlan(2, 1, GlobalHaar(2)),
-                     streams)
+                     1, trials)
+        assert drawn == []
 
     def test_failed_check_names_the_setting_within_its_trial(self, monkeypatch):
         bad = np.eye(2, dtype=complex)
         bad[0, 0] = 2.0
         settings = [np.eye(2), np.eye(2), bad]
         monkeypatch.setattr(measurement, "sample_unitary",
-                            lambda spec, streams: np.stack(settings * (len(streams) // 3)))
+                            lambda spec, generators: np.stack(settings * (len(generators) // 3)))
         plan = MeasurementPlan(3, 1, GlobalHaar(2))
-        streams = [RngStream(48, (trial, 0)) for trial in range(3)]
         with pytest.raises(RecordError, match="setting 2: non-unitary"):
-            run_plan(DensityMatrix.maximally_mixed(2), plan, streams)
+            run_plan(DensityMatrix.maximally_mixed(2), plan, 48, range(3))
 
 
 class TestRecordStack:
     def make(self, settings=4, shots=3):
         return run_plan(
             DensityMatrix.maximally_mixed(2), MeasurementPlan(settings, shots, GlobalHaar(2)),
-            RngStream(37),
+            37, 0,
         )
 
     def test_slices_only_and_no_iteration(self):
@@ -483,10 +493,10 @@ class TestRecordStack:
 
     def test_run_plan_names_non_unitary_fixed_setting(self, monkeypatch):
         unitaries = np.stack([np.eye(2), np.eye(2), np.diag([1.0, 0.5])])
-        monkeypatch.setattr(measurement, "sample_unitary", lambda spec, streams: unitaries)
+        monkeypatch.setattr(measurement, "sample_unitary", lambda spec, generators: unitaries)
         plan = MeasurementPlan(3, 1, GlobalHaar(2))
         with pytest.raises(RecordError, match="setting 2: non-unitary"):
-            run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(38))
+            run_plan(DensityMatrix.maximally_mixed(2), plan, 38, 0)
 
 
 def loop_expanded(records):
@@ -512,7 +522,7 @@ class TestExpandToSingleShot:
     @pytest.mark.parametrize("shots", [1, 3, 16])
     def test_matches_loop_reference_in_order(self, shots):
         plan = MeasurementPlan(7, shots, GlobalHaar(4))
-        records = run_plan(DensityMatrix.maximally_mixed(4), plan, RngStream(39))
+        records = run_plan(DensityMatrix.maximally_mixed(4), plan, 39, 0)
         expanded = expand_to_single_shot(records)
         unitaries, counts = loop_expanded(records)
         assert len(expanded) == 7 * shots
@@ -523,7 +533,7 @@ class TestExpandToSingleShot:
 class TestRecordSerialization:
     def test_round_trip_is_bitwise(self, tmp_path):
         plan = MeasurementPlan(3, 4, GlobalHaar(4))
-        records = run_plan(DensityMatrix.maximally_mixed(4), plan, RngStream(15, (0, 0)))
+        records = run_plan(DensityMatrix.maximally_mixed(4), plan, 15, 0)
         path = tmp_path / "records.txt"
         dump_records(records, path, seed=15)
         loaded, seed = load_records(path)
@@ -534,7 +544,7 @@ class TestRecordSerialization:
 
     def test_header_contents(self, tmp_path):
         plan = MeasurementPlan(2, 3, GlobalHaar(2))
-        records = run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(16, (0, 0)))
+        records = run_plan(DensityMatrix.maximally_mixed(2), plan, 16, 0)
         path = tmp_path / "records.txt"
         dump_records(records, path, seed=99)
         header = path.read_text().splitlines()[0]
@@ -542,7 +552,7 @@ class TestRecordSerialization:
 
     def test_non_finite_value_rejected(self, tmp_path):
         plan = MeasurementPlan(2, 1, GlobalHaar(2))
-        records = run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(18, (0, 0)))
+        records = run_plan(DensityMatrix.maximally_mixed(2), plan, 18, 0)
         path = tmp_path / "records.txt"
         dump_records(records, path)
         lines = path.read_text().splitlines(keepends=True)
@@ -553,7 +563,7 @@ class TestRecordSerialization:
 
     def test_non_unitary_block_names_its_line(self, tmp_path):
         plan = MeasurementPlan(2, 1, GlobalHaar(2))
-        records = run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(19, (0, 0)))
+        records = run_plan(DensityMatrix.maximally_mixed(2), plan, 19, 0)
         path = tmp_path / "records.txt"
         dump_records(records, path)
         lines = path.read_text().splitlines(keepends=True)
@@ -567,7 +577,7 @@ class TestRecordSerialization:
 
     def test_load_returns_a_stack(self, tmp_path):
         plan = MeasurementPlan(3, 2, GlobalHaar(2))
-        records = run_plan(DensityMatrix.maximally_mixed(2), plan, RngStream(20, (0, 0)))
+        records = run_plan(DensityMatrix.maximally_mixed(2), plan, 20, 0)
         path = tmp_path / "records.txt"
         dump_records(records, path)
         loaded, _ = load_records(path)
@@ -577,7 +587,7 @@ class TestRecordSerialization:
 
     def test_trailing_content_rejected(self, tmp_path):
         records = run_plan(
-            DensityMatrix.maximally_mixed(2), MeasurementPlan(3, 1, GlobalHaar(2)), RngStream(21)
+            DensityMatrix.maximally_mixed(2), MeasurementPlan(3, 1, GlobalHaar(2)), 21, 0
         )
         path = tmp_path / "blocks.txt"
         dump_records(records, path)
@@ -592,8 +602,8 @@ class TestRecordSerialization:
 
     def test_overwriting_a_larger_dump_round_trips(self, tmp_path):
         state = DensityMatrix.maximally_mixed(4)
-        large = run_plan(state, MeasurementPlan(20, 3, GlobalHaar(4)), RngStream(22))
-        small = run_plan(state, MeasurementPlan(2, 5, GlobalHaar(4)), RngStream(23))
+        large = run_plan(state, MeasurementPlan(20, 3, GlobalHaar(4)), 22, 0)
+        small = run_plan(state, MeasurementPlan(2, 5, GlobalHaar(4)), 23, 0)
         path = tmp_path / "records.txt"
         dump_records(large, path, seed=22)
         dump_records(small, path, seed=23)
@@ -607,7 +617,7 @@ class TestRecordSerialization:
         # Opening an existing file with O_TRUNC stalls for tens of
         # milliseconds on ext4; the writers overwrite in place instead.
         records = run_plan(
-            DensityMatrix.maximally_mixed(2), MeasurementPlan(2, 1, GlobalHaar(2)), RngStream(24)
+            DensityMatrix.maximally_mixed(2), MeasurementPlan(2, 1, GlobalHaar(2)), 24, 0
         )
         write = {
             "emit_csv": lambda path: emit_csv(
@@ -690,7 +700,7 @@ class TestRecordSerialization:
     ):
         dim = 2**qubits
         plan = MeasurementPlan(settings_count, shots, GlobalHaar(dim))
-        records = run_plan(DensityMatrix.maximally_mixed(dim), plan, RngStream(17, (qubits, 0)))
+        records = run_plan(DensityMatrix.maximally_mixed(dim), plan, 17, qubits)
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "blocks.txt"
             dump_records(records, path, seed=17)

@@ -11,7 +11,6 @@ from shadowbench.core import DensityMatrix, Observable, expectation
 from shadowbench.ensembles import (
     GlobalHaar,
     HaarMixture,
-    RngStream,
     haar_from_normals,
 )
 from shadowbench.estimators import CS, estimate
@@ -28,7 +27,7 @@ from shadowbench.theory import (
     random_observable_pdf,
 )
 
-from oracles import haar_unitaries
+from oracles import haar_unitaries, stream
 
 
 class TestMultinomialMoments:
@@ -52,7 +51,7 @@ class TestMultinomialMoments:
     def test_monte_carlo_agreement(self):
         p = np.array([0.5, 0.5])
         draws = 1_000_000
-        samples = RngStream(1).generator.multinomial(4, p, size=draws) / 4
+        samples = stream(1).multinomial(4, p, size=draws) / 4
         squared = samples[:, 0] ** 2
         margin = 3 * squared.std(ddof=1) / np.sqrt(draws)
         assert abs(squared.mean() - 0.3125) <= margin
@@ -73,12 +72,12 @@ class TestMultinomialMoments:
             multinomial_moments(np.array([1.0]), 0)
 
 
-def _single_shot_reduction_oracle(state, obs, settings, samples, stream):
+def _single_shot_reduction_oracle(state, obs, settings, samples, generator):
     """Independently coded L = 1 special case:
     (1/M) E[sum_k p_k t_k^2] - (1/M) lambda^2."""
     dim = state.dim
     truth = expectation(obs, state)
-    unitaries = haar_unitaries(dim, samples, stream)
+    unitaries = haar_unitaries(dim, samples, generator)
     p = np.einsum("bki,ij,bkj->bk", unitaries, state.matrix, unitaries.conj()).real
     overlap = np.einsum("bki,ij,bkj->bk", unitaries, obs.matrix, unitaries.conj()).real
     t = (dim + 1) * overlap - obs.matrix.trace().real
@@ -90,9 +89,9 @@ class TestMseTheorem1:
     def test_single_shot_reduces_to_simple_form(self):
         state = DensityMatrix.computational_basis_state(4)
         obs = Observable.rank_one([1.0, 0, 0, 0])
-        full = mse_theorem1(state, obs, GlobalHaar(4), 8, 1, 4000, RngStream(2, (0, 0)))
+        full = mse_theorem1(state, obs, GlobalHaar(4), 8, 1, 4000, stream(2, (0, 0)))
         reduced_value, _ = _single_shot_reduction_oracle(
-            state, obs, 8, 4000, RngStream(2, (0, 0))
+            state, obs, 8, 4000, stream(2, (0, 0))
         )
         # Same seed, same draws: the reduction is algebraic, not statistical.
         assert full.value == pytest.approx(reduced_value, abs=1e-12)
@@ -106,12 +105,12 @@ class TestMseTheorem1:
         estimates = []
         for trial in range(trials):
             records = run_plan(
-                state, MeasurementPlan(settings, 1, GlobalHaar(dim)), RngStream(3, (trial, 0))
+                state, MeasurementPlan(settings, 1, GlobalHaar(dim)), 3, trial
             )
             estimates.append(expectation(obs, estimate(records, CS()).average))
         empirical = empirical_mse(estimates, truth)
         predicted = mse_theorem1(
-            state, obs, GlobalHaar(dim), settings, 1, 10_000, RngStream(4)
+            state, obs, GlobalHaar(dim), settings, 1, 10_000, stream(4)
         )
         combined = np.hypot(empirical.std_error, predicted.std_error)
         assert abs(empirical.value - predicted.value) < 3 * combined
@@ -119,15 +118,15 @@ class TestMseTheorem1:
     def test_inverse_scaling_in_settings(self):
         state = DensityMatrix.computational_basis_state(4)
         obs = Observable.rank_one([0.0, 1.0, 0.0, 0.0])
-        small = mse_theorem1(state, obs, GlobalHaar(4), 8, 2, 2000, RngStream(5, (0, 0)))
-        large = mse_theorem1(state, obs, GlobalHaar(4), 16, 2, 2000, RngStream(5, (0, 0)))
+        small = mse_theorem1(state, obs, GlobalHaar(4), 8, 2, 2000, stream(5, (0, 0)))
+        large = mse_theorem1(state, obs, GlobalHaar(4), 16, 2, 2000, stream(5, (0, 0)))
         # Same draws: every term carries exactly 1/M.
         assert large.value == pytest.approx(small.value / 2, rel=1e-12)
 
     def test_nonnegative_when_resolved(self):
         state = DensityMatrix.computational_basis_state(4)
         obs = Observable.rank_one([1.0, 0, 0, 0])
-        result = mse_theorem1(state, obs, GlobalHaar(4), 4, 2, 20_000, RngStream(6))
+        result = mse_theorem1(state, obs, GlobalHaar(4), 4, 2, 20_000, stream(6))
         assert result.value > 3 * result.std_error
         assert result.value > 0.0
 
@@ -143,7 +142,7 @@ class TestMseTheorem1:
                 budget // shots,
                 shots,
                 40_000,
-                RngStream(7, (0, shots)),
+                stream(7, (0, shots)),
             )
             for shots in (1, 8, 64)
         }
@@ -155,13 +154,13 @@ class TestMseTheorem1:
         state = DensityMatrix.computational_basis_state(4)
         obs = Observable.rank_one([1.0, 0, 0, 0])
         with pytest.raises(ValueError, match="unsupported-ensemble"):
-            mse_theorem1(state, obs, HaarMixture(2, 1.0), 4, 1, 100, RngStream(8))
+            mse_theorem1(state, obs, HaarMixture(2, 1.0), 4, 1, 100, stream(8))
 
     def test_too_few_samples_rejected(self):
         state = DensityMatrix.computational_basis_state(2)
         obs = Observable.rank_one([1.0, 0.0])
         with pytest.raises(ValueError, match=">= 2"):
-            mse_theorem1(state, obs, GlobalHaar(2), 4, 1, 1, RngStream(9))
+            mse_theorem1(state, obs, GlobalHaar(2), 4, 1, 1, stream(9))
 
 
 def _unitarity_error(unitaries):
@@ -173,7 +172,7 @@ def _unitarity_error(unitaries):
 class TestGramSchmidtUnitaries:
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_matches_lapack_route_on_the_same_normals(self, dim):
-        normals = RngStream(12, (0, dim)).generator.standard_normal((2, 2000, dim, dim))
+        normals = stream(12, (0, dim)).standard_normal((2, 2000, dim, dim))
         lapack = haar_from_normals(normals)
         kernel = _gram_schmidt_unitaries(normals).transpose(2, 0, 1)
         assert np.abs(kernel - lapack).max() <= 1e-13
@@ -190,7 +189,7 @@ class TestGramSchmidtUnitaries:
         r0[:, -1] = 1.0
         r0[-1, -1] = delta
         assert 5e7 < np.linalg.cond(r0) < 2e8
-        q0 = haar_unitaries(dim, 64, RngStream(13, (0, dim)))
+        q0 = haar_unitaries(dim, 64, stream(13, (0, dim)))
         matrices = q0 @ r0
         normals = np.stack([matrices.real, matrices.imag])
         kernel = _gram_schmidt_unitaries(normals).transpose(2, 0, 1)
@@ -216,16 +215,15 @@ class TestGramSchmidtUnitaries:
 
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
         state, observables = canonical_state_and_observables(dim.bit_length() - 1)
-        mse_theorem1(state, observables[0], GlobalHaar(dim), 4, 1, 10, RngStream(14))
+        mse_theorem1(state, observables[0], GlobalHaar(dim), 4, 1, 10, stream(14))
         assert len(calls) == qr_calls
 
 
-def _theorem1_oracle(state, obs, settings, shots_grid, samples, stream):
+def _theorem1_oracle(state, obs, settings, shots_grid, samples, generator):
     """mse_theorem1 for each L from haar_unitaries draws and the
     unfolded sum t^T E[p̂ p̂^T] t over every pair (k, k')."""
     dim = state.dim
     truth = expectation(obs, state)
-    generator = stream.generator
     p_parts, t_parts = [], []
     for start in range(0, samples, THEOREM1_BATCH):
         unitaries = haar_unitaries(dim, min(THEOREM1_BATCH, samples - start), generator)
@@ -252,11 +250,11 @@ class TestMseTheorem1Oracle:
         state, observables = canonical_state_and_observables(qubits)
         samples, shots_grid = THEOREM1_BATCH + 7, (1, 4, 16)
         oracle = _theorem1_oracle(
-            state, observables[0], 16, shots_grid, samples, RngStream(15, (0, qubits))
+            state, observables[0], 16, shots_grid, samples, stream(15, (0, qubits))
         )
         for shots in shots_grid:
             result = mse_theorem1(state, observables[0], GlobalHaar(state.dim), 16, shots,
-                                  samples, RngStream(15, (0, qubits)))
+                                  samples, stream(15, (0, qubits)))
             value, std_error = oracle[shots]
             assert result.samples == samples
             assert result.value == pytest.approx(value, rel=1e-12)
@@ -289,7 +287,7 @@ class TestRandomObservablePdf:
         # Monte Carlo oracle: overlaps |phi† e0|^2 for uniform sphere
         # vectors phi, generated directly from normalized Gaussians.
         count = 100_000
-        generator = RngStream(11, (0, dim)).generator
+        generator = stream(11, (0, dim))
         vectors = generator.standard_normal((count, dim)) + 1j * generator.standard_normal(
             (count, dim)
         )
@@ -316,7 +314,7 @@ class TestEmpiricalMse:
         assert result.value == pytest.approx(1.0)
 
     def test_standard_normal_deviations(self):
-        deviations = RngStream(10).generator.standard_normal(10_000)
+        deviations = stream(10).standard_normal(10_000)
         result = empirical_mse(5.0 + deviations, 5.0)
         assert abs(result.value - 1.0) <= 3 * result.std_error
 
