@@ -8,7 +8,6 @@ from .core import (
     DensityMatrix,
     LogLikelihoodResult,
     Observable,
-    ShadowEstimate,
     born_probabilities,
     eigenvalue_split,
     expectation,
@@ -28,9 +27,6 @@ from .estimators import (
     LS,
     RLS,
     FrameOperator,
-    ShadowSet,
-    cs_channel_apply,
-    cs_channel_inverse,
     estimate,
     shadow_map,
 )
@@ -55,8 +51,6 @@ from .theory import (
     MseEstimate,
     empirical_mse,
     mse_theorem1,
-    multinomial_moments,
-    random_observable_pdf,
 )
 
 # The public names are the classes and functions imported above.

@@ -1,7 +1,7 @@
 """Quantum state primitives and estimator diagnostics.
 
-Defines the basic immutable value types (density matrices, observables,
-shadow estimates) plus the pure functions that operate on them and on
+Defines the two immutable value types, density matrices and observables,
+plus the pure functions that operate on them, on shadow arrays and on
 measurement unitaries: Born-rule probabilities, expectation values,
 Frobenius error, positive/negative eigenvalue sums, projection onto
 physical states, and the average log-likelihood of a record set.
@@ -21,7 +21,6 @@ import numpy as np
 STATE_HERMITICITY_ATOL = 1e-12
 STATE_TRACE_ATOL = 1e-12
 STATE_EIGENVALUE_ATOL = 1e-10
-SHADOW_HERMITICITY_ATOL = 1e-10
 EXPECTATION_IMAG_ATOL = 1e-9
 PROBABILITY_DRIFT_ATOL = 1e-12
 LIKELIHOOD_FLOOR = 1e-12
@@ -36,12 +35,6 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Largest entrywise deviation |X - X†|."""
     return float(np.abs(matrix - matrix.conj().T).max())
-
-
-def _frozen_array(values, dtype=complex) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 def as_matrix(op) -> np.ndarray:
@@ -59,6 +52,32 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> int:
     return a.shape[0]
 
 
+def _frozen_hermitian(values, name: str) -> np.ndarray:
+    """A read-only complex copy of a square matrix with finite entries
+    that is Hermitian within 1e-12. Finiteness is checked first: a NaN
+    compares false against every tolerance."""
+    matrix = np.array(values, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{name} must be square, got {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if hermiticity_defect(matrix) > STATE_HERMITICITY_ATOL:
+        raise ValueError(f"{name} is not Hermitian within 1e-12")
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _unit_vector(vector) -> np.ndarray:
+    """A finite nonzero vector, flattened and scaled to unit norm."""
+    v = np.asarray(vector, dtype=complex).ravel()
+    if not np.isfinite(v).all():
+        raise ValueError("vector has non-finite entries")
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return v / norm
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A physical quantum state: Hermitian, PSD, unit-trace D x D matrix."""
@@ -66,11 +85,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"density matrix must be square, got {matrix.shape}")
-        if hermiticity_defect(matrix) > STATE_HERMITICITY_ATOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
+        matrix = _frozen_hermitian(self.matrix, "density matrix")
         trace = matrix.trace()
         if abs(trace - 1.0) > STATE_TRACE_ATOL:
             raise ValueError(f"density matrix trace {trace} is not 1 within 1e-12")
@@ -79,7 +94,6 @@ class DensityMatrix:
             raise ValueError(
                 f"density matrix has eigenvalue {eigenvalues.min():.3e} below -1e-10"
             )
-        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
     @property
@@ -88,9 +102,8 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
-        """Rank-1 state |v><v| from a (normalized) state vector."""
-        v = np.asarray(vector, dtype=complex).ravel()
-        v = v / np.linalg.norm(v)
+        """Rank-1 state |v><v| from a state vector, normalized here."""
+        v = _unit_vector(vector)
         return cls(np.outer(v, v.conj()))
 
     @classmethod
@@ -105,63 +118,13 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class ShadowEstimate:
-    """A point estimate of a state produced by one of the shadow methods.
-
-    Hermitian by construction but generally indefinite: negative
-    eigenvalues are allowed by design and are essential to the methods'
-    behavior, so no positivity is enforced here.
-    """
-
-    matrix: np.ndarray
-    method: str  # "LS" | "RLS" | "CS"
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"shadow estimate must be square, got {matrix.shape}")
-        if self.method not in ("LS", "RLS", "CS"):
-            raise ValueError(f"unknown shadow method tag {self.method!r}")
-        if hermiticity_defect(matrix) > SHADOW_HERMITICITY_ATOL:
-            raise ValueError("shadow estimate is not Hermitian within 1e-10")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
-
-
-@dataclass(frozen=True, eq=False)
 class Observable:
-    """A Hermitian observable, optionally with its rank-1 vector.
-
-    When ``vector`` is supplied the matrix must equal the projector
-    v v†; keeping the vector around lets downstream code use O(D)
-    overlap formulas instead of O(D^2) traces.
-    """
+    """A Hermitian observable."""
 
     matrix: np.ndarray
-    vector: np.ndarray | None = None
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"observable must be square, got {matrix.shape}")
-        if hermiticity_defect(matrix) > STATE_HERMITICITY_ATOL:
-            raise ValueError("observable is not Hermitian within 1e-12")
-        object.__setattr__(self, "matrix", _frozen_array(matrix))
-        if self.vector is not None:
-            vector = np.array(self.vector, dtype=complex).ravel()
-            if abs(np.linalg.norm(vector) - 1.0) > STATE_HERMITICITY_ATOL:
-                raise ValueError("rank-1 observable vector is not unit norm within 1e-12")
-            if np.abs(matrix - np.outer(vector, vector.conj())).max() > STATE_HERMITICITY_ATOL:
-                raise ValueError("observable matrix does not equal v v† of its vector")
-            object.__setattr__(self, "vector", _frozen_array(vector))
+        object.__setattr__(self, "matrix", _frozen_hermitian(self.matrix, "observable"))
 
     @property
     def dim(self) -> int:
@@ -169,12 +132,12 @@ class Observable:
 
     @classmethod
     def rank_one(cls, vector) -> "Observable":
-        v = np.asarray(vector, dtype=complex).ravel()
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()), vector=v)
+        """The projector v v† of a vector, normalized here."""
+        v = _unit_vector(vector)
+        return cls(np.outer(v, v.conj()))
 
 
-MatrixLike = Union[DensityMatrix, ShadowEstimate, np.ndarray]
+MatrixLike = Union[DensityMatrix, np.ndarray]
 
 
 def _outcome_probabilities(unitaries: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The three shadow constructions: LS, RLS, and CS.
 
 All three estimators map each measurement record's adjoint A†(p̂) to a
-"shadow" matrix and average the shadows. They differ only in how the
-frame operator (1/M) A†A is inverted: RLS shifts it by mu/M, LS is its
-mu = 0 end (the pseudoinverse), and CS replaces it with the analytic
-global-Haar expectation channel whose inverse is closed-form.
+"shadow", a Hermitian (D, D) array, and average the shadows. They
+differ only in how the frame operator (1/M) A†A is inverted: RLS shifts
+it by mu/M, LS is its mu = 0 end (the pseudoinverse), and CS replaces
+it with the analytic global-Haar expectation channel whose inverse is
+closed-form.
 :func:`shadow_map` is that one map; since it is linear, the average
 estimate is the same map applied to the mean adjoint.
 """
@@ -18,7 +19,6 @@ from typing import Union
 
 import numpy as np
 
-from .core import ShadowEstimate, as_matrix
 from .measurement import RecordStack, adjoint_map
 
 DEFAULT_RCOND = 1e-10
@@ -293,68 +293,40 @@ class CS:
 ShadowMethod = Union[LS, RLS, CS]
 
 
-@dataclass(frozen=True, eq=False)
-class ShadowSet:
-    """Per-record shadows and their arithmetic mean."""
-
-    shadows: tuple
-    average: ShadowEstimate
-
-    def __post_init__(self):
-        object.__setattr__(self, "shadows", tuple(self.shadows))
-        stack = np.mean([shadow.matrix for shadow in self.shadows], axis=0)
-        if np.abs(stack - self.average.matrix).max() > 1e-10:
-            raise ValueError("shadow set average disagrees with the shadow mean")
-
-
-def cs_channel_apply(op) -> np.ndarray:
-    """The global-Haar measurement channel X -> (X + tr(X) I) / (D + 1)."""
-    matrix = as_matrix(op)
-    dim = matrix.shape[0]
-    return (matrix + matrix.trace() * np.eye(dim)) / (dim + 1)
-
-
-def cs_channel_inverse(op) -> np.ndarray:
-    """Inverse channel X -> (D + 1) X - tr(X) I."""
-    matrix = as_matrix(op)
-    dim = matrix.shape[0]
-    return (dim + 1) * matrix - matrix.trace() * np.eye(dim)
-
-
 def shadow_map(
     method: ShadowMethod,
     adjoint: np.ndarray,
     frame: FrameOperator | None = None,
-):
-    """The shadow of one adjoint A†(p̂), or a tuple of shadows of each
-    adjoint in an (R, D, D) stack.
+) -> np.ndarray:
+    """The (D, D) shadow of one adjoint A†(p̂), or the (R, D, D) stack of
+    the shadows of each adjoint in an (R, D, D) stack.
 
     LS and RLS apply the frame's ridge inverse, LS at mu = 0, one solve
     for the whole stack. CS applies the closed-form inverse
     channel as (D + 1) X - I, which uses tr(A†(p̂)) = sum(p̂) = 1 and
     needs no frame; for a single shot it equals the rank-1 form
-    (D + 1)(U† p̂)(U† p̂)† - I.
+    (D + 1)(U† p̂)(U† p̂)† - I. Every shadow is Hermitian bit for bit:
+    the CS form scales a Hermitian adjoint, and :func:`unvec` assembles
+    the LS and RLS solutions as Hermitian matrices.
     """
     adjoint = np.asarray(adjoint)
     dim = adjoint.shape[-1]
-    name = type(method).__name__
     if isinstance(method, CS):
-        matrices = (dim + 1) * adjoint - np.eye(dim)
-        traces = np.trace(matrices, axis1=-2, axis2=-1).real
+        shadows = (dim + 1) * adjoint - np.eye(dim)
+        traces = np.trace(shadows, axis1=-2, axis2=-1).real
         if np.abs(traces - 1.0).max() > 1e-10:
             raise RuntimeError("CS estimate trace deviates from 1 beyond 1e-10")
-    else:
-        mu = _ridge_weight(method)
-        if frame is None:
-            raise ValueError(f"{name} shadows need the frame operator")
-        # Stacked adjoints become the columns of one real (D^2, R)
-        # right-hand side; unvec makes each solution Hermitian.
-        columns = np.moveaxis(vec(adjoint), -1, 0)
-        solution = frame.ridge_apply(columns, mu)
-        matrices = unvec(np.moveaxis(solution, 0, -1), dim)
-    if matrices.ndim == 2:
-        return ShadowEstimate(matrices, name)
-    return tuple(ShadowEstimate(matrix, name) for matrix in matrices)
+        return shadows
+    mu = _ridge_weight(method)
+    if frame is None:
+        raise ValueError(f"{type(method).__name__} shadows need the frame operator")
+    # Stacked adjoints become the columns of one real (D^2, R)
+    # right-hand side; unvec makes each solution Hermitian. Its rows are
+    # made contiguous so that the stack is C-ordered, one (D, D) block
+    # per shadow, as the CS branch's is.
+    columns = np.moveaxis(vec(adjoint), -1, 0)
+    solution = frame.ridge_apply(columns, mu)
+    return unvec(np.ascontiguousarray(np.moveaxis(solution, 0, -1)), dim)
 
 
 def _ridge_weight(method: ShadowMethod) -> float:
@@ -381,7 +353,7 @@ def solve_route(method: ShadowMethod, settings: int, dim: int) -> str:
 
 def average_estimate(
     method: ShadowMethod, records: RecordStack, mean_adjoint: np.ndarray, frames: FramePrefix
-) -> ShadowEstimate:
+) -> np.ndarray:
     """Mean shadow of ``records``, the first settings of ``frames``.
 
     By linearity it is the shadow map of the records' mean adjoint; at
@@ -391,15 +363,15 @@ def average_estimate(
     settings = len(records)
     route = solve_route(method, settings, records.dim)
     if route == "gram":
-        matrix = gram_ridge_solve(
+        return gram_ridge_solve(
             records.unitaries, records.frequencies, _ridge_weight(method), records.shots
         )
-        return ShadowEstimate(matrix, type(method).__name__)
     return shadow_map(method, mean_adjoint, frames.frame(settings) if route == "frame" else None)
 
 
-def estimate(records: RecordStack, method: ShadowMethod) -> ShadowSet:
-    """Per-setting shadows of the chosen method plus their average.
+def estimate(records: RecordStack, method: ShadowMethod) -> np.ndarray:
+    """The (M, D, D) stack of the per-setting shadows of the chosen
+    method; their mean over the first axis is the estimate.
 
     LS/RLS build one frame operator from exactly these settings and
     solve every setting against it at once.
@@ -408,6 +380,4 @@ def estimate(records: RecordStack, method: ShadowMethod) -> ShadowSet:
     frame = None
     if not isinstance(method, CS):
         frame = FramePrefix(records.unitaries, records.shots).frame(len(records))
-    shadows = shadow_map(method, adjoints, frame)
-    mean = np.mean([shadow.matrix for shadow in shadows], axis=0)
-    return ShadowSet(shadows, ShadowEstimate(mean, shadows[0].method))
+    return shadow_map(method, adjoints, frame)

@@ -479,8 +479,7 @@ def _run_chunk(
                 measured = [records[:settings] for records in stacks]
                 for method in ctx.methods:
                     if isinstance(method, CS):
-                        estimates = shadow_map(method, means[:, point])
-                        matrices = np.stack([estimate.matrix for estimate in estimates])
+                        matrices = shadow_map(method, means[:, point])
                     else:
                         matrices = solutions[method][:, point]
                     point_rows = _metric_rows(
@@ -502,8 +501,9 @@ def _solve_trials(methods, stacks: list[RecordStack], means: np.ndarray, setting
         frames = FramePrefix(records.unitaries, records.shots)
         for point, settings in enumerate(settings_grid):
             for method in methods:
-                estimate = average_estimate(method, records[:settings], means[trial, point], frames)
-                solutions[method][trial, point] = estimate.matrix
+                solutions[method][trial, point] = average_estimate(
+                    method, records[:settings], means[trial, point], frames
+                )
         del frames
     return solutions
 

@@ -1,9 +1,7 @@
 """Closed-form and semi-analytic verification tools.
 
-Multinomial moment identities, the proved multishot MSE formula for
-classical shadows (evaluated by Monte Carlo over the unitary ensemble),
-the density of Haar-random rank-1 observable overlaps, and empirical
-MSE aggregation.
+The proved multishot MSE formula for classical shadows (evaluated by
+Monte Carlo over the unitary ensemble) and empirical MSE aggregation.
 """
 
 from __future__ import annotations
@@ -42,24 +40,6 @@ class MseEstimate:
             raise ValueError(f"sample count must be >= 1, got {self.samples}")
         if self.std_error < 0.0:
             raise ValueError(f"standard error must be >= 0, got {self.std_error}")
-
-
-def multinomial_moments(
-    probabilities: np.ndarray, shots: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact second moments of multinomial frequencies p̂ = f / L.
-
-    Returns the vector E[p̂_k^2] = (p_k + (L-1) p_k^2) / L and the matrix
-    E[p̂_k p̂_k'] = (1 - 1/L) p_k p_k' for k != k'; the matrix diagonal is
-    filled with the second moments so the matrix is E[p̂ p̂ᵀ] in full.
-    """
-    p = np.asarray(probabilities, dtype=float)
-    if shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {shots}")
-    second = (p + (shots - 1) * p * p) / shots
-    cross = (1.0 - 1.0 / shots) * np.outer(p, p)
-    np.fill_diagonal(cross, second)
-    return second, cross
 
 
 def mse_theorem1(
@@ -183,27 +163,6 @@ def _batch_diagonals(unitaries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     product = unitaries @ matrix
     return (np.einsum("bkj,bkj->kb", product.real, unitaries.real)
             + np.einsum("bkj,bkj->kb", product.imag, unitaries.imag))
-
-
-def random_observable_pdf(lam, dim: int):
-    """Density (D-1)(1-lam)^(D-2) of tr(Lambda rho) for a Haar-random
-    rank-1 observable against a fixed pure state."""
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    values = np.asarray(lam, dtype=float)
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise ValueError("overlap values must lie in [0, 1]")
-    density = (dim - 1) * (1.0 - values) ** (dim - 2)
-    return float(density) if np.isscalar(lam) else density
-
-
-def random_observable_cdf(lam, dim: int):
-    """CDF 1 - (1-lam)^(D-1) matching :func:`random_observable_pdf`."""
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    values = np.asarray(lam, dtype=float)
-    cdf = 1.0 - (1.0 - values) ** (dim - 1)
-    return float(cdf) if np.isscalar(lam) else cdf
 
 
 def empirical_mse(estimates, truth: float) -> MseEstimate:

@@ -5,7 +5,9 @@ route than the code under test: Bloch-vector optimization instead of
 eigenvalue truncation, SVD-based least squares instead of the frame
 pseudoinverse, naive loop constructions instead of vectorized
 einsum kernels, and one setting at a time with ``np.kron`` instead of
-the batched ensemble sampler.
+the batched ensemble sampler. The closed-form multinomial moments and
+Haar overlap density are what sampled counts and overlaps are tested
+against.
 """
 
 import numpy as np
@@ -161,3 +163,54 @@ def reference_unitary(ensemble, generator) -> np.ndarray:
     for _ in range(ensemble.qubits - 1):
         unitary = np.kron(unitary, haar_unitaries(2, 1, generator)[0])
     return unitary
+
+
+def canonical_vectors(dim: int) -> np.ndarray:
+    """(D, 3) columns: the vectors of the three canonical probe
+    observables, |0>, |0>/sqrt(2) plus the uniform superposition of the
+    other basis states at weight 1/sqrt(2), and |1>."""
+    vectors = np.zeros((dim, 3), dtype=complex)
+    vectors[0, 0] = 1.0
+    vectors[1:, 1] = 1.0 / np.sqrt(2.0 * (dim - 1))
+    vectors[0, 1] = 1.0 / np.sqrt(2.0)
+    vectors[1, 2] = 1.0
+    return vectors
+
+
+def multinomial_moments(
+    probabilities: np.ndarray, shots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact second moments of multinomial frequencies p̂ = f / L.
+
+    Returns the vector E[p̂_k^2] = (p_k + (L-1) p_k^2) / L and the matrix
+    E[p̂_k p̂_k'] = (1 - 1/L) p_k p_k' for k != k'; the matrix diagonal is
+    filled with the second moments so the matrix is E[p̂ p̂ᵀ] in full.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    if shots < 1:
+        raise ValueError(f"shot count must be >= 1, got {shots}")
+    second = (p + (shots - 1) * p * p) / shots
+    cross = (1.0 - 1.0 / shots) * np.outer(p, p)
+    np.fill_diagonal(cross, second)
+    return second, cross
+
+
+def random_observable_pdf(lam, dim: int):
+    """Density (D-1)(1-lam)^(D-2) of tr(Lambda rho) for a Haar-random
+    rank-1 observable against a fixed pure state."""
+    if dim < 2:
+        raise ValueError(f"dimension must be >= 2, got {dim}")
+    values = np.asarray(lam, dtype=float)
+    if values.min() < 0.0 or values.max() > 1.0:
+        raise ValueError("overlap values must lie in [0, 1]")
+    density = (dim - 1) * (1.0 - values) ** (dim - 2)
+    return float(density) if np.isscalar(lam) else density
+
+
+def random_observable_cdf(lam, dim: int):
+    """CDF 1 - (1-lam)^(D-1) matching :func:`random_observable_pdf`."""
+    if dim < 2:
+        raise ValueError(f"dimension must be >= 2, got {dim}")
+    values = np.asarray(lam, dtype=float)
+    cdf = 1.0 - (1.0 - values) ** (dim - 1)
+    return float(cdf) if np.isscalar(lam) else cdf

@@ -6,7 +6,6 @@ import pytest
 from shadowbench.core import (
     DensityMatrix,
     Observable,
-    ShadowEstimate,
     born_probabilities,
     eigenvalue_split,
     expectation,
@@ -19,6 +18,7 @@ from shadowbench.experiments import canonical_state_and_observables
 from shadowbench.measurement import RecordStack, adjoint_map
 
 from oracles import (
+    canonical_vectors,
     closest_physical_state_bloch,
     haar_unitaries,
     random_density_matrix,
@@ -55,17 +55,25 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
-    def test_shadow_estimate_allows_indefinite(self):
-        shadow = ShadowEstimate(np.diag([2.0, -1.0]), "CS")
-        assert shadow.trace == pytest.approx(1.0)
+    @pytest.mark.parametrize("kind", [DensityMatrix, Observable])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            kind(np.full((2, 2), bad))
 
-    def test_shadow_estimate_rejects_nonhermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            ShadowEstimate(np.array([[0.0, 1.0], [0.0, 0.0]]), "LS")
-
-    def test_observable_vector_must_match_matrix(self):
-        with pytest.raises(ValueError, match="v v"):
-            Observable(np.diag([1.0, 0.0]), vector=np.array([0.0, 1.0]))
+    @pytest.mark.parametrize("build", [DensityMatrix.pure, Observable.rank_one])
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            (np.zeros(2), "zero vector"),
+            (np.array([np.nan, 1.0]), "non-finite"),
+            (np.array([np.inf, 1.0]), "non-finite"),
+        ],
+        ids=["zero", "nan", "inf"],
+    )
+    def test_zero_or_non_finite_vector_rejected(self, build, vector, message):
+        with pytest.raises(ValueError, match=message):
+            build(vector)
 
     def test_stored_arrays_are_readonly(self):
         state = basis_state(2)
@@ -87,8 +95,7 @@ class TestBornProbabilities:
     def test_balanced_probe_row_gives_half_overlap(self):
         # First POVM row set to the balanced canonical probe vector; the
         # ground state then lands on that outcome with probability 1/2.
-        _, observables = canonical_state_and_observables(5)
-        phi1 = observables[1].vector
+        phi1 = canonical_vectors(32)[:, 1]
         p = born_probabilities(unitary_with_first_row(phi1), basis_state(32))
         assert p[0] == pytest.approx(0.5, abs=1e-12)
 

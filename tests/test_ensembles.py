@@ -17,9 +17,14 @@ from shadowbench.ensembles import (
     stream_generators,
 )
 from shadowbench.measurement import MeasurementPlan, adjoint_map, run_plan
-from shadowbench.theory import random_observable_cdf
 
-from oracles import haar_entry_second_moment_qubit, haar_unitaries, reference_unitary, stream
+from oracles import (
+    haar_entry_second_moment_qubit,
+    haar_unitaries,
+    random_observable_cdf,
+    reference_unitary,
+    stream,
+)
 
 
 def unitarity_defect(unitary):

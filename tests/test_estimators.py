@@ -14,10 +14,7 @@ from shadowbench.estimators import (
     LS,
     RLS,
     FramePrefix,
-    ShadowSet,
     average_estimate,
-    cs_channel_apply,
-    cs_channel_inverse,
     estimate,
     gram_ridge_solve,
     povm_operator_columns,
@@ -286,13 +283,12 @@ class TestLsShadow:
         frame = frame_of([np.eye(2)])
         partial = np.diag([1.0, 0.0]).astype(complex)
         shadow = shadow_map(LS(), partial, frame)
-        assert shadow.method == "LS"
-        assert np.abs(shadow.matrix - partial).max() < 1e-12
+        assert np.abs(shadow - partial).max() < 1e-12
 
     def test_zero_partial_gives_zero(self):
         frame = frame_of(haar_settings(4, 3, seed=8))
         shadow = shadow_map(LS(), np.zeros((4, 4)), frame)
-        assert np.abs(shadow.matrix).max() == 0.0
+        assert np.abs(shadow).max() == 0.0
 
     def test_exact_probabilities_recover_state(self):
         # Informationally complete fixed settings with exact Born
@@ -304,7 +300,7 @@ class TestLsShadow:
 
         frame = frame_of(unitaries)
         partials = [adjoint_map(unitary, p) for unitary, p in zip(unitaries, probability_vectors)]
-        average = np.mean([shadow.matrix for shadow in shadow_map(LS(), partials, frame)], axis=0)
+        average = shadow_map(LS(), partials, frame).mean(axis=0)
 
         oracle = dense_ls_estimate(unitaries, probability_vectors)
         assert np.abs(average - oracle).max() < 1e-8
@@ -328,7 +324,7 @@ class TestLsShadow:
             )
             shadow = shadow_map(LS(), mean_adjoint, frame_of(unitaries))
             oracle = dense_ls_estimate(unitaries, frequencies)
-            assert np.abs(shadow.matrix - oracle).max() < 1e-8
+            assert np.abs(shadow - oracle).max() < 1e-8
 
     def test_hermitian_output(self):
         records = run_plan(
@@ -340,7 +336,7 @@ class TestLsShadow:
         frame = frame_of(unitaries)
         for unitary, frequencies in zip(unitaries, records.frequencies):
             shadow = shadow_map(LS(), adjoint_map(unitary, frequencies), frame)
-            assert np.abs(shadow.matrix - shadow.matrix.conj().T).max() < 1e-12
+            assert np.abs(shadow - shadow.conj().T).max() < 1e-12
 
 
 class TestRlsShadow:
@@ -349,8 +345,8 @@ class TestRlsShadow:
         unitaries = haar_settings(dim, 8, seed=11)
         frame = frame_of(unitaries)
         partial = adjoint_map(unitaries[0], np.array([0.25, 0.75]))
-        ridge = shadow_map(RLS(0.0), partial, frame).matrix
-        assert np.abs(ridge - shadow_map(LS(), partial, frame).matrix).max() < 1e-8
+        ridge = shadow_map(RLS(0.0), partial, frame)
+        assert np.abs(ridge - shadow_map(LS(), partial, frame)).max() < 1e-8
 
     def test_huge_mu_shrinks_to_zero(self):
         frame = frame_of(haar_settings(2, 4, seed=12))
@@ -358,7 +354,7 @@ class TestRlsShadow:
             np.eye(2), np.array([1.0, 0.0])
         )
         shadow = shadow_map(RLS(1e6), partial, frame)
-        assert np.linalg.norm(shadow.matrix) < 1e-3
+        assert np.linalg.norm(shadow) < 1e-3
 
     def test_matches_dense_solver_oracle(self):
         dim = 2
@@ -367,7 +363,7 @@ class TestRlsShadow:
         partial = adjoint_map(unitaries[2], np.array([0.4, 0.6]))
         shadow = shadow_map(RLS(0.1), partial, frame)
         oracle = dense_ridge_solve(unitaries, 0.1, partial)
-        assert np.abs(shadow.matrix - oracle).max() < 1e-10
+        assert np.abs(shadow - oracle).max() < 1e-10
 
     def test_zero_mu_is_ls_on_a_singular_frame(self):
         # One setting spans 4 of 16 dimensions at D = 4; RLS(0) applies the
@@ -375,8 +371,8 @@ class TestRlsShadow:
         unitaries = haar_settings(4, 1, seed=14)
         frame = frame_of(unitaries)
         partial = adjoint_map(unitaries[0], np.array([0.1, 0.2, 0.3, 0.4]))
-        ridge = shadow_map(RLS(0.0), partial, frame).matrix
-        assert np.array_equal(ridge, shadow_map(LS(), partial, frame).matrix)
+        ridge = shadow_map(RLS(0.0), partial, frame)
+        assert np.array_equal(ridge, shadow_map(LS(), partial, frame))
         assert np.abs(ridge - dense_ls_estimate(unitaries, [[0.1, 0.2, 0.3, 0.4]])).max() < 1e-10
 
     @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf"), -1e-3])
@@ -409,7 +405,7 @@ class TestRlsShadow:
         oracle = dense_ridge_solve(unitaries, 0.1, partial)
         forbid_eigh(monkeypatch)
         shadow = shadow_map(RLS(0.1), partial, frame)
-        assert np.abs(shadow.matrix - oracle).max() < 1e-10
+        assert np.abs(shadow - oracle).max() < 1e-10
 
     def test_estimate_solves_all_records_without_eigendecomposition(self, monkeypatch):
         records = run_plan(
@@ -420,13 +416,13 @@ class TestRlsShadow:
         unitaries = list(records.unitaries)
         frame = frame_of(unitaries, shots=3)
         expected = [
-            shadow_map(RLS(0.2), adjoint_map(unitary, frequencies), frame).matrix
+            shadow_map(RLS(0.2), adjoint_map(unitary, frequencies), frame)
             for unitary, frequencies in zip(unitaries, records.frequencies)
         ]
         forbid_eigh(monkeypatch)
-        shadows = estimate(records, RLS(0.2)).shadows
+        shadows = estimate(records, RLS(0.2))
         for shadow, single in zip(shadows, expected):
-            assert np.abs(shadow.matrix - single).max() < 1e-12
+            assert np.abs(shadow - single).max() < 1e-12
 
 
 @pytest.mark.parametrize("settings", [2, 5])
@@ -505,30 +501,6 @@ class TestGramRidgeSolve:
             gram_ridge_solve(unitaries, np.full((2, 4), 0.25), -1.0)
 
 
-class TestCsChannel:
-    def test_maximally_mixed_fixed_point(self):
-        mixed = np.eye(4) / 4
-        assert np.abs(cs_channel_apply(mixed) - mixed).max() < 1e-15
-        assert np.abs(cs_channel_inverse(mixed) - mixed).max() < 1e-15
-
-    def test_pure_state_examples(self):
-        pure = np.diag([1.0, 0.0]).astype(complex)
-        assert np.allclose(cs_channel_apply(pure), np.diag([2 / 3, 1 / 3]), atol=1e-15)
-        assert np.allclose(cs_channel_inverse(pure), np.diag([2.0, -1.0]), atol=1e-15)
-
-    def test_trace_preservation(self):
-        generator = np.random.default_rng(16)
-        matrix = random_hermitian(8, generator)
-        assert cs_channel_apply(matrix).trace() == pytest.approx(matrix.trace(), abs=1e-12)
-
-    def test_inverse_composition_is_identity(self):
-        generator = np.random.default_rng(17)
-        for _ in range(100):
-            matrix = random_hermitian(4, generator)
-            roundtrip = cs_channel_inverse(cs_channel_apply(matrix))
-            assert np.abs(roundtrip - matrix).max() < 1e-12
-
-
 class TestCsShadow:
     def test_identity_povm_single_shot(self):
         dim = 4
@@ -537,8 +509,8 @@ class TestCsShadow:
         (shadow,) = setting_cs_shadows(RecordStack([np.eye(dim)], [counts], 1))
         expected = -np.eye(dim).astype(complex)
         expected[2, 2] = dim
-        assert np.abs(shadow.matrix - expected).max() < 1e-12
-        eigenvalues = np.linalg.eigvalsh(shadow.matrix)
+        assert np.abs(shadow - expected).max() < 1e-12
+        eigenvalues = np.linalg.eigvalsh(shadow)
         assert eigenvalues[-1] == pytest.approx(dim, abs=1e-9)
         assert np.abs(eigenvalues[:-1] + 1).max() < 1e-9
 
@@ -549,7 +521,7 @@ class TestCsShadow:
             18, 0,
         )
         for shadow in setting_cs_shadows(records):
-            assert abs(shadow.trace - 1.0) < 1e-10
+            assert abs(shadow.trace().real - 1.0) < 1e-10
 
     def test_single_shot_outer_product_form(self):
         records = run_plan(
@@ -561,7 +533,7 @@ class TestCsShadow:
         for unitary, frequencies, shadow in zip(records.unitaries, records.frequencies, shadows):
             vector = unitary.conj().T @ frequencies
             outer_form = 9 * np.outer(vector, vector.conj()) - np.eye(8)
-            assert np.abs(shadow.matrix - outer_form).max() < 1e-12
+            assert np.abs(shadow - outer_form).max() < 1e-12
 
     def test_adjoint_without_unit_trace_rejected(self):
         with pytest.raises(RuntimeError, match="trace"):
@@ -573,7 +545,7 @@ class TestCsShadow:
         records = run_plan(
             state, MeasurementPlan(count, 1, GlobalHaar(dim)), 20, 0
         )
-        shadows = np.stack([shadow.matrix for shadow in setting_cs_shadows(records)])
+        shadows = np.stack(setting_cs_shadows(records))
         mean = shadows.mean(axis=0)
         spread_re = shadows.real.std(axis=0, ddof=1) / np.sqrt(count)
         spread_im = shadows.imag.std(axis=0, ddof=1) / np.sqrt(count)
@@ -583,9 +555,9 @@ class TestCsShadow:
 
 class TestEstimate:
     def test_identical_records_average(self):
-        result = estimate(RecordStack([np.eye(2)] * 4, [[1, 0]] * 4, 1), CS())
-        for shadow in result.shadows:
-            assert np.abs(shadow.matrix - result.average.matrix).max() < 1e-14
+        shadows = estimate(RecordStack([np.eye(2)] * 4, [[1, 0]] * 4, 1), CS())
+        for shadow in shadows:
+            assert np.abs(shadow - shadows.mean(axis=0)).max() < 1e-14
 
     def test_cs_average_trace(self):
         records = run_plan(
@@ -593,8 +565,8 @@ class TestEstimate:
             MeasurementPlan(12, 1, GlobalHaar(4)),
             21, 0,
         )
-        result = estimate(records, CS())
-        assert result.average.trace == pytest.approx(1.0, abs=1e-10)
+        average = estimate(records, CS()).mean(axis=0)
+        assert average.trace().real == pytest.approx(1.0, abs=1e-10)
 
     def test_ls_trace_one_in_range_space(self):
         # M*K <= D^2 with generic Haar settings: linearly independent
@@ -607,9 +579,9 @@ class TestEstimate:
                 MeasurementPlan(settings, 1, GlobalHaar(dim)),
                 22, trial,
             )
-            result = estimate(records, LS())
-            assert abs(result.average.trace - 1.0) < 1e-8
-            defect = np.abs(result.average.matrix - result.average.matrix.conj().T).max()
+            average = estimate(records, LS()).mean(axis=0)
+            assert abs(average.trace().real - 1.0) < 1e-8
+            defect = np.abs(average - average.conj().T).max()
             assert defect < 1e-10
 
     def test_multishot_equivalence(self):
@@ -621,8 +593,8 @@ class TestEstimate:
         )
         expanded = expand_to_single_shot(records)
         for method in (LS(), RLS(0.1), CS()):
-            multi = estimate(records, method).average.matrix
-            single = estimate(expanded, method).average.matrix
+            multi = estimate(records, method).mean(axis=0)
+            single = estimate(expanded, method).mean(axis=0)
             assert np.abs(multi - single).max() < 1e-10
 
     def test_rls_norm_monotone_in_mu(self):
@@ -632,16 +604,11 @@ class TestEstimate:
             24, 0,
         )
         norms = [
-            np.linalg.norm(estimate(records, RLS(mu)).average.matrix)
+            np.linalg.norm(estimate(records, RLS(mu)).mean(axis=0))
             for mu in (0.01, 0.1, 1.0, 10.0)
         ]
         for smaller_mu, larger_mu in zip(norms, norms[1:]):
             assert larger_mu <= smaller_mu + 1e-10
-
-    def test_shadow_set_average_consistency_enforced(self):
-        shadow, wrong = setting_cs_shadows(RecordStack([np.eye(2)] * 2, [[1, 0], [0, 1]], 1))
-        with pytest.raises(ValueError, match="average"):
-            ShadowSet((shadow,), wrong)
 
 
 class TestFrameShotScaling:

@@ -87,12 +87,13 @@ class TestCanonicalStateAndObservables:
 
     def test_balanced_probe_is_normalized(self):
         _, observables = canonical_state_and_observables(5)
-        assert np.linalg.norm(observables[1].vector) == pytest.approx(1.0, abs=1e-12)
+        # tr(v v†) = |v|^2
+        assert observables[1].matrix.trace().real == pytest.approx(1.0, abs=1e-12)
 
     def test_single_qubit_edge_case(self):
         _, observables = canonical_state_and_observables(1)
         expected = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert np.allclose(observables[1].vector, expected, atol=1e-12)
+        assert np.allclose(observables[1].matrix, np.outer(expected, expected), atol=1e-12)
 
     def test_invalid_qubits(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -1124,7 +1125,13 @@ class TestRlsRoutes:
         }[type(method).__name__]
         # estimate() builds its frame from the same columns, so its
         # references are taken before the columns are counted.
-        references = [estimate(records[:settings], method).average.matrix for settings in grid]
+        references = []
+        for settings in grid:
+            shadows = estimate(records[:settings], method)
+            # Every route builds each shadow Hermitian bit for bit.
+            assert np.array_equal(shadows, shadows.conj().swapaxes(-1, -2))
+            assert shadows.flags.c_contiguous
+            references.append(shadows.mean(axis=0))
         frame_blocks = []
         columns = estimators.povm_operator_columns
 
@@ -1140,7 +1147,8 @@ class TestRlsRoutes:
                 [adjoint_map(u, phat) for u, phat in zip(first.unitaries, first.frequencies)],
                 axis=0,
             )
-            kernel = average_estimate(method, first, partial_mean, prefix).matrix
+            kernel = average_estimate(method, first, partial_mean, prefix)
+            assert np.array_equal(kernel, kernel.conj().T)
             assert np.abs(kernel - reference).max() < 1e-10
             assert frame_blocks == blocks
 
@@ -1265,14 +1273,13 @@ def test_public_names_are_the_exported_set():
         "CS", "DensityMatrix", "EnsembleSpec", "FrameOperator", "GlobalHaar",
         "HaarMixture", "LS", "LogLikelihoodResult", "MeasurementPlan", "MseEstimate",
         "Observable", "RLS", "RecordStack", "ResultRow", "Scenario",
-        "ShadowEstimate", "ShadowSet", "adjoint_map", "born_probabilities", "canonical_state_and_observables",
-        "cs_channel_apply", "cs_channel_inverse", "default_scenario", "dump_records",
-        "eigenvalue_split", "emit_csv", "empirical_mse", "estimate", "expectation",
-        "frobenius_error", "load_records", "log_likelihood", "mse_theorem1",
-        "multinomial_moments", "project_physical", "random_observable_pdf", "run_plan",
+        "adjoint_map", "born_probabilities", "canonical_state_and_observables",
+        "default_scenario", "dump_records", "eigenvalue_split", "emit_csv",
+        "empirical_mse", "estimate", "expectation", "frobenius_error", "load_records",
+        "log_likelihood", "mse_theorem1", "project_physical", "run_plan",
         "run_scenario", "sample_counts", "sample_unitary", "shadow_map", "stream_generators",
     }
-    assert len(exported) == 42
+    assert len(exported) == 36
     assert sorted(shadowbench.__all__) == sorted(exported)
     namespace = {}
     exec("from shadowbench import *", namespace)  # resolves every exported name

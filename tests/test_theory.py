@@ -22,12 +22,15 @@ from shadowbench.theory import (
     _gram_schmidt_unitaries,
     empirical_mse,
     mse_theorem1,
+)
+
+from oracles import (
+    haar_unitaries,
     multinomial_moments,
     random_observable_cdf,
     random_observable_pdf,
+    stream,
 )
-
-from oracles import haar_unitaries, stream
 
 
 class TestMultinomialMoments:
@@ -107,7 +110,7 @@ class TestMseTheorem1:
             records = run_plan(
                 state, MeasurementPlan(settings, 1, GlobalHaar(dim)), 3, trial
             )
-            estimates.append(expectation(obs, estimate(records, CS()).average))
+            estimates.append(expectation(obs, estimate(records, CS()).mean(axis=0)))
         empirical = empirical_mse(estimates, truth)
         predicted = mse_theorem1(
             state, obs, GlobalHaar(dim), settings, 1, 10_000, stream(4)
