@@ -203,7 +203,7 @@ def eigenvalue_split(op: MatrixLike) -> tuple[float, float]:
     result is (1, 0).
     """
     matrix = as_matrix(op)
-    if hermiticity_defect(matrix) > 1e-8:
+    if not hermiticity_defect(matrix) <= 1e-8:  # NaN fails too
         raise ValueError("non-hermitian-input: eigenvalue_split needs a Hermitian matrix")
     eigenvalues = np.linalg.eigvalsh(hermitize(matrix))
     positive = float(eigenvalues[eigenvalues > 0].sum())
@@ -221,12 +221,12 @@ def project_physical(op: MatrixLike) -> DensityMatrix:
     the surviving eigenvalues.
     """
     matrix = as_matrix(op)
-    if hermiticity_defect(matrix) > 1e-8:
-        raise ValueError("non-hermitian-input: project_physical needs a Hermitian matrix")
     trace = matrix.trace().real
     # Shrinkage such as a strong ridge scales the trace down, never to 0 or below.
     if not (np.isfinite(trace) and trace > 0.0):
         raise ValueError(f"trace {trace:.4g} of a physical projection's input must be positive")
+    if not hermiticity_defect(matrix) <= 1e-8:  # NaN fails too
+        raise ValueError("non-hermitian-input: project_physical needs a Hermitian matrix")
     matrix = hermitize(matrix) / trace
 
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)

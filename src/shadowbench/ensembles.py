@@ -167,7 +167,8 @@ EnsembleSpec = Union[GlobalHaar, HaarMixture]
 def haar_from_normals(normals: np.ndarray) -> np.ndarray:
     """The Haar unitaries of a (2, count, D, D) standard normal draw, whose
     halves are the real and imaginary parts of ``count`` Ginibre
-    matrices, as a (count, D, D) array.
+    matrices, as a (count, D, D) array; given only the first J columns,
+    a (2, count, D, J) draw, the first J columns of those unitaries.
 
     QR-factorizes the stack and absorbs the phases of R's diagonal into Q,
     so the distribution is exactly Haar rather than merely uniform over

@@ -73,14 +73,17 @@ MAX_UNITARY_ENTRIES_WITHOUT_FORCE = 2**27
 TRIAL_CHUNK_ENTRIES = 2048 * 4**2
 
 # A theory family computes its theorem-1 Monte Carlo in a forked child
-# beside the trials only when the trials draw at least this many settings
-# (trials * largest M) and the Monte Carlo at least this many unitaries
-# (ensemble samples * plan entries). On 2 vCPUs a fork with its pipe and
-# join costs 7-12 ms, against about 50 us per trial setting and 3 us per
-# Haar draw at D = 4: a theorem1 run of 2 trials of 16 settings ran about
-# 10 ms slower forked, and theorem1-d4 (1,600 settings, 30,000 draws)
-# about a quarter faster.
-THEORY_FORK_DRAWS = 1024
+# beside the trials only when the trials draw at least THEORY_FORK_SETTINGS
+# settings (trials * largest M) and the Monte Carlo at least
+# THEORY_FORK_DRAWS unitaries (ensemble samples * plan entries). On 2
+# vCPUs a fork with its pipe and join costs 7-12 ms, against about 50 us
+# per trial setting and 1 us per Haar draw at D = 4: a theorem1 run of 2
+# trials of 16 settings ran about 10 ms slower forked. At 100 trials of
+# 16 settings (median of 31 runs each way) the fork lost 2-6 ms at
+# 3 x 1,000 and 3 x 2,000 draws, won 2-4 ms at 3 x 3,000 and 3 x 4,000,
+# and about 20 ms at 3 x 10,000 (theorem1-d4).
+THEORY_FORK_SETTINGS = 1024
+THEORY_FORK_DRAWS = 8192
 
 AGGREGATE_TRIAL = -1  # trial index marking rows aggregated over all trials
 
@@ -578,20 +581,20 @@ def _theory_rows(ctx: _Context) -> list[ResultRow]:
 @contextlib.contextmanager
 def _theory_beside_trials(ctx: _Context):
     """Yield a function returning ``_theory_rows(ctx)``. A family with
-    theory rows, whose trials and Monte Carlo both reach THEORY_FORK_DRAWS,
-    on a platform with the fork start method and two or more usable CPUs,
-    forks one child that computes them while the caller runs the trials;
-    the function then waits for the child's rows or raises its exception.
-    The child is terminated if the caller raises, and joined in any case,
-    so it never outlives the block. Otherwise the function computes the
-    rows when called."""
+    theory rows, whose trials reach THEORY_FORK_SETTINGS and whose Monte
+    Carlo reaches THEORY_FORK_DRAWS, on a platform with the fork start
+    method and two or more usable CPUs, forks one child that computes
+    them while the caller runs the trials; the function then waits for
+    the child's rows or raises its exception. The child is terminated if
+    the caller raises, and joined in any case, so it never outlives the
+    block. Otherwise the function computes the rows when called."""
     sc = ctx.scenario
     settings = sc.trials * max(grid[-1] for _, grid in ctx.plan)
     draws = sc.ensemble_samples * len(ctx.plan)
     usable_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    if not (ctx.family.theory and min(settings, draws) >= THEORY_FORK_DRAWS
-            and usable_cpus >= 2):
+    if not (ctx.family.theory and settings >= THEORY_FORK_SETTINGS
+            and draws >= THEORY_FORK_DRAWS and usable_cpus >= 2):
         yield lambda: _theory_rows(ctx)
         return
     import multiprocessing
@@ -675,10 +678,10 @@ def run_scenario(
     it draws more); every setting keeps its stream (seed, (trial, m)), so the rows
     are the same for any chunking. A theory family computes its
     theorem-1 rows in one forked child while the trials run, when both
-    are large enough to pay for the fork (THEORY_FORK_DRAWS), the
-    platform has the fork start method and two or more CPUs are usable;
-    the child is joined before this returns or raises, and its exception
-    is raised here. ``workers`` must be >= 1 but has no effect: the rows
+    are large enough to pay for the fork (THEORY_FORK_SETTINGS and
+    THEORY_FORK_DRAWS), the platform has the fork start method and two
+    or more CPUs are usable; the child is joined before this returns or
+    raises, and its exception is raised here. ``workers`` must be >= 1 but has no effect: the rows
     are the same either way, and trial chunks stay serial, because worker
     processes with one BLAS thread change CSV bytes and with the
     caller's BLAS threads they oversubscribe the CPUs.

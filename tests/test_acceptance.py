@@ -139,10 +139,8 @@ def test_criterion_03_cs_unbiasedness():
     vectors = canonical_vectors(dim)
 
     estimates = np.empty((trials, 3))
-    for trial in range(trials):
-        records = run_plan(
-            state, MeasurementPlan(settings, 1, GlobalHaar(dim)), 1984, trial
-        )
+    stacks = run_plan(state, MeasurementPlan(settings, 1, GlobalHaar(dim)), 1984, range(trials))
+    for trial, records in enumerate(stacks):
         average = estimate(records, CS()).mean(axis=0)
         estimates[trial] = np.einsum("aj,ab,bj->j", vectors.conj(), average, vectors).real
 

@@ -235,6 +235,14 @@ class TestEigenvalueSplit:
         with pytest.raises(ValueError, match="non-hermitian"):
             eigenvalue_split(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_nan_input_rejected(self):
+        # NaN compares false with any tolerance, so a guard "defect > tol"
+        # would let it through.
+        with pytest.raises(ValueError, match="non-hermitian"):
+            eigenvalue_split(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="non-hermitian"):
+            eigenvalue_split(np.array([[0.5, np.nan], [0.5, 0.5]]))
+
 
 class TestProjectPhysical:
     def test_physical_input_is_fixed_point(self):
@@ -275,6 +283,12 @@ class TestProjectPhysical:
         for diagonal in ([1.0, -1.0], [-0.5, 0.2], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="trace"):
                 project_physical(np.diag(diagonal))
+
+    def test_nan_input_rejected(self):
+        with pytest.raises(ValueError, match="trace"):
+            project_physical(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="non-hermitian"):
+            project_physical(np.array([[0.5, np.nan], [0.5, 0.5]]))
 
     @pytest.mark.parametrize("scale", [0.002, 2.0])
     def test_positive_trace_far_from_one_is_renormalized(self, scale):

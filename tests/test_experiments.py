@@ -447,14 +447,16 @@ def usable_cpus(monkeypatch, count):
 
 
 class TestTheoryBesideTrials:
-    """Given trials and a Monte Carlo of THEORY_FORK_DRAWS, two usable
-    CPUs and the fork start method, one forked child computes a theorem1
-    run's mse-theory rows while the trials run; it never outlives the
-    run, and ``workers`` changes nothing."""
+    """Given trials of THEORY_FORK_SETTINGS and a Monte Carlo of
+    THEORY_FORK_DRAWS, two usable CPUs and the fork start method, one
+    forked child computes a theorem1 run's mse-theory rows while the
+    trials run; it never outlives the run, and ``workers`` changes
+    nothing."""
 
     @staticmethod
-    def counted_forks(monkeypatch, fork_draws=1):
+    def counted_forks(monkeypatch, fork_settings=1, fork_draws=1):
         usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "THEORY_FORK_SETTINGS", fork_settings)
         monkeypatch.setattr(experiments, "THEORY_FORK_DRAWS", fork_draws)
         forks = []
         get_context = multiprocessing.get_context
@@ -477,7 +479,7 @@ class TestTheoryBesideTrials:
                                  l_grid=(1, 4, 16), ensemble_samples=ensemble_samples)
         with monkeypatch.context() as serial_run:
             serial_run.setattr(multiprocessing, "get_context", forbidden_fork)
-            serial = run_scenario(scenario)  # below THEORY_FORK_DRAWS
+            serial = run_scenario(scenario)  # below both fork bounds
         emit_csv(serial, tmp_path / "serial.csv")
         forks = self.counted_forks(monkeypatch)
         parent_calls = []
@@ -532,15 +534,16 @@ class TestTheoryBesideTrials:
         assert_no_child_left()
 
     @pytest.mark.parametrize("trials, ensemble_samples, forked", [
-        (64, 512, True),  # 64 * 16 settings, 512 * 2 draws
-        (63, 512, False),
-        (64, 511, False),
+        (64, 4096, True),  # 64 * 16 settings, 4096 * 2 draws
+        (63, 4096, False),
+        (64, 4095, False),
     ])
     def test_forks_when_trials_and_monte_carlo_reach_the_bound(
         self, monkeypatch, trials, ensemble_samples, forked
     ):
-        forks = self.counted_forks(monkeypatch, experiments.THEORY_FORK_DRAWS)
-        assert experiments.THEORY_FORK_DRAWS == 1024
+        forks = self.counted_forks(monkeypatch, experiments.THEORY_FORK_SETTINGS,
+                                   experiments.THEORY_FORK_DRAWS)
+        assert (experiments.THEORY_FORK_SETTINGS, experiments.THEORY_FORK_DRAWS) == (1024, 8192)
         run_scenario(tiny_scenario("theorem1", trials=trials, m_grid=(16,), l_grid=(1, 2),
                                    ensemble_samples=ensemble_samples))
         assert forks == (["fork"] if forked else [])
@@ -549,6 +552,7 @@ class TestTheoryBesideTrials:
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     def test_forks_only_for_theory_rows_on_two_usable_cpus(self, monkeypatch, kind):
         monkeypatch.setattr(multiprocessing, "get_context", forbidden_fork)
+        monkeypatch.setattr(experiments, "THEORY_FORK_SETTINGS", 1)
         monkeypatch.setattr(experiments, "THEORY_FORK_DRAWS", 1)
         overrides = dict(trials=2, m_grid=(8,), l_grid=(1, 2), ensemble_samples=50,
                          random_observables=5)

@@ -16,6 +16,7 @@ from shadowbench.ensembles import (
 from shadowbench.estimators import CS, estimate
 from shadowbench.experiments import canonical_state_and_observables
 from shadowbench.measurement import MeasurementPlan, run_plan
+from shadowbench import theory
 from shadowbench.theory import (
     GRAM_SCHMIDT_MAX_DIM,
     THEOREM1_BATCH,
@@ -27,6 +28,7 @@ from shadowbench.theory import (
 from oracles import (
     haar_unitaries,
     multinomial_moments,
+    random_density_matrix,
     random_observable_cdf,
     random_observable_pdf,
     stream,
@@ -105,12 +107,8 @@ class TestMseTheorem1:
         obs = Observable.rank_one(np.array([1.0, 0.0]))
         truth = expectation(obs, state)
 
-        estimates = []
-        for trial in range(trials):
-            records = run_plan(
-                state, MeasurementPlan(settings, 1, GlobalHaar(dim)), 3, trial
-            )
-            estimates.append(expectation(obs, estimate(records, CS()).mean(axis=0)))
+        stacks = run_plan(state, MeasurementPlan(settings, 1, GlobalHaar(dim)), 3, range(trials))
+        estimates = [expectation(obs, estimate(records, CS()).mean(axis=0)) for records in stacks]
         empirical = empirical_mse(estimates, truth)
         predicted = mse_theorem1(
             state, obs, GlobalHaar(dim), settings, 1, 10_000, stream(4)
@@ -207,19 +205,45 @@ class TestGramSchmidtUnitaries:
         assert np.abs(kernel - q0).max() <= 1e-7
         assert np.abs(lapack - q0).max() <= 1e-7
 
-    @pytest.mark.parametrize("dim, qr_calls", [(GRAM_SCHMIDT_MAX_DIM, 0), (16, 1)])
-    def test_lapack_qr_runs_only_above_the_cut_off(self, dim, qr_calls, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_leading_columns_have_the_bits_of_the_full_unitaries(self, dim):
+        normals = stream(16, (0, dim)).standard_normal((2, 300, dim, dim))
+        if dim <= GRAM_SCHMIDT_MAX_DIM:
+            def orthonormalize(draw):
+                return _gram_schmidt_unitaries(draw).transpose(2, 0, 1)
+        else:
+            orthonormalize = haar_from_normals
+        full = orthonormalize(normals)
+        for cut in range(1, dim + 1):
+            assert np.array_equal(orthonormalize(normals[..., :cut]), full[..., :cut])
+
+    @pytest.mark.parametrize("dim, kernel_shapes, qr_shapes", [
+        (4, [(2, 10, 4, 1)], []),
+        (GRAM_SCHMIDT_MAX_DIM, [(2, 10, GRAM_SCHMIDT_MAX_DIM, 1)], []),
+        (16, [], [(10, 16, 1)]),
+    ])
+    def test_lapack_qr_runs_only_above_the_cut_off(
+        self, dim, kernel_shapes, qr_shapes, monkeypatch
+    ):
+        # rho = Lambda = |0><0| touches the first column of U only, so
+        # either route orthonormalizes that column alone.
+        kernel_calls, qr_calls = [], []
         qr = np.linalg.qr
 
         def counted_qr(matrices, *args, **kwargs):
-            calls.append(matrices.shape)
+            qr_calls.append(matrices.shape)
             return qr(matrices, *args, **kwargs)
 
+        def counted_kernel(normals):
+            kernel_calls.append(normals.shape)
+            return _gram_schmidt_unitaries(normals)
+
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(theory, "_gram_schmidt_unitaries", counted_kernel)
         state, observables = canonical_state_and_observables(dim.bit_length() - 1)
         mse_theorem1(state, observables[0], GlobalHaar(dim), 4, 1, 10, stream(14))
-        assert len(calls) == qr_calls
+        assert kernel_calls == kernel_shapes
+        assert qr_calls == qr_shapes
 
 
 def _theorem1_oracle(state, obs, settings, shots_grid, samples, generator):
@@ -260,6 +284,29 @@ class TestMseTheorem1Oracle:
                                   samples, stream(15, (0, qubits)))
             value, std_error = oracle[shots]
             assert result.samples == samples
+            assert result.value == pytest.approx(value, rel=1e-12)
+            assert result.std_error == pytest.approx(std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    @pytest.mark.parametrize("state_index, obs_index", [(2, 1), (1, 2), (None, 0)])
+    def test_matches_oracle_when_rho_or_lambda_reach_later_columns(
+        self, dim, state_index, obs_index
+    ):
+        # mse_theorem1 orthonormalizes only the columns up to the last one
+        # at which rho or Lambda has a nonzero row or column: the third
+        # for |1><1| and |2><2| either way round, every column for a
+        # full-rank mixed state (state_index None).
+        if state_index is None:
+            state = DensityMatrix(random_density_matrix(dim, np.random.default_rng(dim)))
+        else:
+            state = DensityMatrix.computational_basis_state(dim, state_index)
+        obs = Observable.rank_one(np.eye(dim)[obs_index])
+        samples, shots_grid = 600, (1, 4)
+        oracle = _theorem1_oracle(state, obs, 8, shots_grid, samples, stream(17, (0, dim)))
+        for shots in shots_grid:
+            result = mse_theorem1(state, obs, GlobalHaar(dim), 8, shots, samples,
+                                  stream(17, (0, dim)))
+            value, std_error = oracle[shots]
             assert result.value == pytest.approx(value, rel=1e-12)
             assert result.std_error == pytest.approx(std_error, rel=1e-12)
 
