@@ -79,6 +79,15 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``, so numpy integers pass;
+    any other value (2.5, say) raises a TypeError that names ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def stream_generators(seed: int, trials, settings) -> list[np.random.Generator]:
     """Generators of the streams (seed, (t, m)) for t in ``trials`` and m
     in ``settings``, trial-major: each has the state of
@@ -167,8 +176,7 @@ EnsembleSpec = Union[GlobalHaar, HaarMixture]
 def haar_from_normals(normals: np.ndarray) -> np.ndarray:
     """The Haar unitaries of a (2, count, D, D) standard normal draw, whose
     halves are the real and imaginary parts of ``count`` Ginibre
-    matrices, as a (count, D, D) array; given only the first J columns,
-    a (2, count, D, J) draw, the first J columns of those unitaries.
+    matrices, as a (count, D, D) array.
 
     QR-factorizes the stack and absorbs the phases of R's diagonal into Q,
     so the distribution is exactly Haar rather than merely uniform over

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DensityMatrix, born_probabilities, hermitize
-from .ensembles import EnsembleSpec, open_overwrite, sample_unitary, stream_generators
+from .ensembles import EnsembleSpec, as_integer, open_overwrite, sample_unitary, stream_generators
 
 PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step in run_plan
 POVM_UNITARITY_ATOL = 1e-8
@@ -33,9 +33,9 @@ class MeasurementPlan:
     ensemble: EnsembleSpec
 
     def __post_init__(self):
-        if self.settings < 1:
+        if as_integer("settings", self.settings) < 1:
             raise ValueError(f"plan needs at least one setting, got {self.settings}")
-        if self.shots < 1:
+        if as_integer("shots", self.shots) < 1:
             raise ValueError(f"plan needs at least one shot, got {self.shots}")
 
 
@@ -150,7 +150,7 @@ def sample_counts(probabilities: np.ndarray, shots: int, rng) -> np.ndarray:
     binomial scheme (exact, O(K), robust for tiny probabilities).
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    if shots < 1:
+    if as_integer("shots", shots) < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
     if probabilities.min() < 0.0:
         raise ValueError(f"negative probability {probabilities.min():.3e}")

@@ -11,20 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, Observable, expectation
-from .ensembles import EnsembleSpec, GlobalHaar, haar_from_normals
+from .ensembles import EnsembleSpec, GlobalHaar, as_integer
 
 # Unitaries per Monte Carlo batch in mse_theorem1. Each batch draws its
 # normals in one call, real parts of the whole batch before imaginary
 # parts, so another value changes the estimate's bits.
 THEOREM1_BATCH = 4096
-
-# Largest D at which mse_theorem1 orthonormalizes a batch by Gram-Schmidt
-# (_gram_schmidt_unitaries) instead of LAPACK's stacked QR, which makes two
-# LAPACK calls per matrix. Per 4096-matrix batch on 2 vCPUs (numpy 2.4,
-# OpenBLAS at 2 threads), Gram-Schmidt against LAPACK took 4.1 against
-# 12.1 ms at D = 4 and 27 against 35 ms at D = 8, but 199 against 126 ms
-# at D = 16 and 1.73 against 0.35 s at D = 32.
-GRAM_SCHMIDT_MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -69,15 +61,11 @@ def mse_theorem1(
     imaginary parts, so the estimate is fixed by the stream and the
     batch size. p and t read only the first J columns of U, where J - 1
     is the last basis index at which rho or Lambda has a nonzero row or
-    column (J = 1 for |0><0|), and both orthonormalizations below fix
-    column j from columns 0..j alone; so only ``normals[..., :J]`` is
-    orthonormalized, with the bits of the full unitaries' first J
-    columns. Up to D = ``GRAM_SCHMIDT_MAX_DIM`` each batch is
-    orthonormalized by a Gram-Schmidt kernel that makes no BLAS call and
-    agrees to rounding with the LAPACK QR of
-    :func:`ensembles.haar_from_normals`, which takes the batch above that
-    size; the kernel is several times faster than LAPACK's per-matrix
-    calls up to that size, while LAPACK wins above it.
+    column (J = 1 for |0><0|), and Gram-Schmidt fixes column j from
+    columns 0..j alone; so only ``normals[..., :J]`` is orthonormalized,
+    with the bits of the full unitaries' first J columns, by a kernel
+    that makes no BLAS call and agrees to rounding with the LAPACK QR of
+    :func:`ensembles.haar_from_normals`.
 
     Only global-Haar ensembles are supported: the analytic channel
     inverse baked into t_k is specific to that ensemble.
@@ -91,7 +79,8 @@ def mse_theorem1(
         raise ValueError(
             f"dim-mismatch: ensemble {spec.dim}, state {state.dim}, observable {obs.dim}"
         )
-    if ensemble_samples < 2:
+    settings, shots = as_integer("settings", settings), as_integer("shots", shots)
+    if as_integer("ensemble_samples", ensemble_samples) < 2:
         raise ValueError(f"need >= 2 ensemble samples, got {ensemble_samples}")
     if settings < 1 or shots < 1:
         raise ValueError("settings and shots must both be >= 1")
@@ -111,14 +100,9 @@ def mse_theorem1(
         batch = min(THEOREM1_BATCH, ensemble_samples - filled)
         # A copy, so that the full draw is freed before the next one.
         normals = rng.standard_normal((2, batch, dim, dim))[..., :cut].copy()
-        if dim <= GRAM_SCHMIDT_MAX_DIM:
-            unitaries = _gram_schmidt_unitaries(normals)
-            diagonals = _diagonals
-        else:
-            unitaries = haar_from_normals(normals)
-            diagonals = _batch_diagonals
-        p = diagonals(unitaries, rho)
-        t = (dim + 1) * diagonals(unitaries, lam_matrix) - trace_lam
+        unitaries = _gram_schmidt_unitaries(normals)
+        p = _diagonals(unitaries, rho)
+        t = (dim + 1) * _diagonals(unitaries, lam_matrix) - trace_lam
 
         weighted = (p + (shots - 1) * p * p) * t * t
         first = weighted.sum(axis=0) / (settings * shots)
@@ -163,15 +147,6 @@ def _diagonals(unitaries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     product = np.einsum("ij,kib->kjb", matrix, unitaries)
     return (np.einsum("kjb,kjb->kb", product.real, unitaries.real)
             + np.einsum("kjb,kjb->kb", product.imag, unitaries.imag))
-
-
-def _batch_diagonals(unitaries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """:func:`_diagonals` of a (B, D, J) stack: one batched BLAS
-    product, where the LAPACK route has woken OpenBLAS already. At D = 32
-    and B = 4096 it took 0.08 s against the einsum's 0.58 s on 2 vCPUs."""
-    product = unitaries @ matrix
-    return (np.einsum("bkj,bkj->kb", product.real, unitaries.real)
-            + np.einsum("bkj,bkj->kb", product.imag, unitaries.imag))
 
 
 def empirical_mse(estimates, truth: float) -> MseEstimate:

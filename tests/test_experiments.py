@@ -45,7 +45,7 @@ from shadowbench.experiments import (
     run_scenario,
 )
 from shadowbench.measurement import PLAN_BLOCK, MeasurementPlan, adjoint_map, run_plan
-from shadowbench.theory import GRAM_SCHMIDT_MAX_DIM, mse_theorem1
+from shadowbench.theory import mse_theorem1
 
 
 def tiny_scenario(kind, **overrides):
@@ -246,13 +246,34 @@ class TestScenarioValidation:
             run_scenario(Scenario(kind="theorem1", qubits=13, trials=1, m_grid=(16,)))
 
     def test_resource_guard_bounds_are_inclusive(self):
-        # 32 * (2^11)^2 = 2^27 unitary entries pass and 33 settings do not;
-        # 8 qubits with M <= 64 needs neither a large system nor many entries.
-        experiments._resource_guard(Scenario(kind="theorem1", qubits=11, m_grid=(32,)))
+        # 32 * (2^11)^2 = 2^27 unitary entries pass and 33 settings do not,
+        # with a Monte Carlo of 2 draws; 2048 * (2^8)^2 = 2^27 Monte Carlo
+        # normals per batch part pass and 2049 draws do not. 8 qubits with
+        # M <= 64 needs neither a large system nor many entries.
+        experiments._resource_guard(
+            Scenario(kind="theorem1", qubits=11, m_grid=(32,), ensemble_samples=2))
         with pytest.raises(ValueError, match="resource-guard"):
-            experiments._resource_guard(Scenario(kind="theorem1", qubits=11, m_grid=(33,)))
+            experiments._resource_guard(
+                Scenario(kind="theorem1", qubits=11, m_grid=(33,), ensemble_samples=2))
+        experiments._resource_guard(Scenario(kind="theorem1", qubits=8, ensemble_samples=2048))
+        with pytest.raises(ValueError, match="resource-guard: .* 134283264 theorem-1 Monte"):
+            experiments._resource_guard(
+                Scenario(kind="theorem1", qubits=8, ensemble_samples=2049))
         experiments._resource_guard(Scenario(kind="rls-vs-cs", qubits=8, m_grid=(2, 64)))
         experiments._resource_guard(Scenario(kind="double-descent", qubits=8, m_grid=(2, 64)))
+
+    def test_resource_guard_counts_the_theorem1_monte_carlo(self, monkeypatch, tmp_path, capsys):
+        # 16 settings at 8 qubits are 2^20 unitary entries, but a Monte
+        # Carlo batch of 4096 draws is 2^28 normals of each part (4 GiB).
+        def no_context(*args):
+            raise AssertionError("the guard let the scenario through")
+
+        monkeypatch.setattr(experiments, "_build_context", no_context)
+        code = main(["theorem1", "--qubits", "8", "--trials", "1", "--m-grid", "16",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "268435456 theorem-1 Monte Carlo" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_config_round_trip(self):
         scenario = default_scenario("mismatch")
@@ -473,8 +494,6 @@ class TestTheoryBesideTrials:
     def test_rows_and_bytes_do_not_depend_on_the_fork(
         self, monkeypatch, tmp_path, qubits, ensemble_samples, workers
     ):
-        # D = 4 draws its unitaries by Gram-Schmidt, D = 16 by LAPACK's QR.
-        assert (2**qubits <= GRAM_SCHMIDT_MAX_DIM) == (qubits == 2)
         scenario = tiny_scenario("theorem1", qubits=qubits, trials=4, m_grid=(16,),
                                  l_grid=(1, 4, 16), ensemble_samples=ensemble_samples)
         with monkeypatch.context() as serial_run:

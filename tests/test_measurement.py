@@ -57,6 +57,12 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="sum"):
             sample_counts(np.array([0.5, 0.6]), 1, stream(0))
 
+    def test_non_integral_shots_rejected(self):
+        # numpy's multinomial would truncate 2.5 shots to 2.
+        with pytest.raises(TypeError, match="shots must be an integer, got 2.5"):
+            sample_counts(np.array([0.5, 0.5]), 2.5, stream(0))
+        assert sample_counts(np.array([0.5, 0.5]), np.int64(3), stream(0)).sum() == 3
+
 
 class TestRecords:
     def test_counts_must_sum_to_shots(self):
@@ -339,6 +345,13 @@ class TestPlanSequence:
         alone = run_plan(state, plan, 43, 0)
         assert isinstance(alone, RecordStack)
         assert np.array_equal(stack.counts, alone.counts)
+
+    @pytest.mark.parametrize("settings, shots, name", [(2.5, 1, "settings"), (2, 2.5, "shots")])
+    def test_non_integral_plan_rejected(self, settings, shots, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got 2.5"):
+            MeasurementPlan(settings, shots, GlobalHaar(2))
+        plan = MeasurementPlan(np.int64(2), np.int64(3), GlobalHaar(2))
+        assert run_plan(DensityMatrix.maximally_mixed(2), plan, 45, 0).counts.sum() == 6
 
     @pytest.mark.parametrize(
         "plans, match",

@@ -18,7 +18,6 @@ from shadowbench.experiments import canonical_state_and_observables
 from shadowbench.measurement import MeasurementPlan, run_plan
 from shadowbench import theory
 from shadowbench.theory import (
-    GRAM_SCHMIDT_MAX_DIM,
     THEOREM1_BATCH,
     _gram_schmidt_unitaries,
     empirical_mse,
@@ -163,6 +162,18 @@ class TestMseTheorem1:
         with pytest.raises(ValueError, match=">= 2"):
             mse_theorem1(state, obs, GlobalHaar(2), 4, 1, 1, stream(9))
 
+    @pytest.mark.parametrize("name, counts", [
+        ("settings", (1.5, 1, 100)), ("shots", (4, 1.5, 100)), ("ensemble_samples", (4, 1, 1.5)),
+    ])
+    def test_non_integral_counts_rejected(self, name, counts):
+        state = DensityMatrix.computational_basis_state(2)
+        obs = Observable.rank_one([1.0, 0.0])
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got 1.5"):
+            mse_theorem1(state, obs, GlobalHaar(2), *counts, stream(9))
+        numpy_counts = [np.int64(count) for count in (4, 1, 100)]
+        assert mse_theorem1(state, obs, GlobalHaar(2), *numpy_counts, stream(9)) == \
+            mse_theorem1(state, obs, GlobalHaar(2), 4, 1, 100, stream(9))
+
 
 def _unitarity_error(unitaries):
     dim = unitaries.shape[-1]
@@ -171,9 +182,12 @@ def _unitarity_error(unitaries):
 
 
 class TestGramSchmidtUnitaries:
-    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
     def test_matches_lapack_route_on_the_same_normals(self, dim):
-        normals = stream(12, (0, dim)).standard_normal((2, 2000, dim, dim))
+        # The kernel's cost per full matrix grows as D^3, so 200 matrices
+        # above D = 8.
+        count = 2000 if dim <= 8 else 200
+        normals = stream(12, (0, dim)).standard_normal((2, count, dim, dim))
         lapack = haar_from_normals(normals)
         kernel = _gram_schmidt_unitaries(normals).transpose(2, 0, 1)
         assert np.abs(kernel - lapack).max() <= 1e-13
@@ -205,28 +219,17 @@ class TestGramSchmidtUnitaries:
         assert np.abs(kernel - q0).max() <= 1e-7
         assert np.abs(lapack - q0).max() <= 1e-7
 
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
     def test_leading_columns_have_the_bits_of_the_full_unitaries(self, dim):
-        normals = stream(16, (0, dim)).standard_normal((2, 300, dim, dim))
-        if dim <= GRAM_SCHMIDT_MAX_DIM:
-            def orthonormalize(draw):
-                return _gram_schmidt_unitaries(draw).transpose(2, 0, 1)
-        else:
-            orthonormalize = haar_from_normals
-        full = orthonormalize(normals)
+        normals = stream(16, (0, dim)).standard_normal((2, 300 if dim <= 16 else 200, dim, dim))
+        full = _gram_schmidt_unitaries(normals)
         for cut in range(1, dim + 1):
-            assert np.array_equal(orthonormalize(normals[..., :cut]), full[..., :cut])
+            assert np.array_equal(_gram_schmidt_unitaries(normals[..., :cut]), full[:, :cut])
 
-    @pytest.mark.parametrize("dim, kernel_shapes, qr_shapes", [
-        (4, [(2, 10, 4, 1)], []),
-        (GRAM_SCHMIDT_MAX_DIM, [(2, 10, GRAM_SCHMIDT_MAX_DIM, 1)], []),
-        (16, [], [(10, 16, 1)]),
-    ])
-    def test_lapack_qr_runs_only_above_the_cut_off(
-        self, dim, kernel_shapes, qr_shapes, monkeypatch
-    ):
-        # rho = Lambda = |0><0| touches the first column of U only, so
-        # either route orthonormalizes that column alone.
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32])
+    def test_kernel_alone_orthonormalizes_at_every_dimension(self, dim, monkeypatch):
+        # rho = Lambda = |0><0| touches the first column of U only, so the
+        # kernel orthonormalizes that column alone and LAPACK is not called.
         kernel_calls, qr_calls = [], []
         qr = np.linalg.qr
 
@@ -242,8 +245,8 @@ class TestGramSchmidtUnitaries:
         monkeypatch.setattr(theory, "_gram_schmidt_unitaries", counted_kernel)
         state, observables = canonical_state_and_observables(dim.bit_length() - 1)
         mse_theorem1(state, observables[0], GlobalHaar(dim), 4, 1, 10, stream(14))
-        assert kernel_calls == kernel_shapes
-        assert qr_calls == qr_shapes
+        assert kernel_calls == [(2, 10, dim, 1)]
+        assert qr_calls == []
 
 
 def _theorem1_oracle(state, obs, settings, shots_grid, samples, generator):
@@ -270,10 +273,9 @@ def _theorem1_oracle(state, obs, settings, shots_grid, samples, generator):
 
 
 class TestMseTheorem1Oracle:
-    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
-    def test_matches_lapack_oracle_across_the_cut_off(self, qubits):
-        # D = 16 is above the Gram-Schmidt cut-off; the extra 7 samples
-        # make a partial last batch.
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+    def test_matches_lapack_oracle_at_every_dimension(self, qubits):
+        # The extra 7 samples make a partial last batch.
         state, observables = canonical_state_and_observables(qubits)
         samples, shots_grid = THEOREM1_BATCH + 7, (1, 4, 16)
         oracle = _theorem1_oracle(
