@@ -56,14 +56,13 @@ from .measurement import (
     load_records,
     run_plan,
 )
-from .theory import THEOREM1_BATCH, empirical_mse, mse_theorem1
+from .theory import empirical_mse, mse_theorem1
 
 # A scenario needs an explicit opt-in when some grid point solves a dense
 # system of larger order than the frame operator at 7 qubits: the frame
 # is D^2 x D^2, real and symmetric (32 GiB at n = 8), and the Gram route's
 # system is M*D x M*D. It needs one too when a plan entry samples more
-# setting-unitary entries M*D^2 than that frame holds (2 GiB complex), or
-# when a theorem-1 Monte Carlo batch draws more normals per part.
+# setting-unitary entries M*D^2 than that frame holds (2 GiB complex).
 MAX_ORDER_WITHOUT_FORCE = 4**7
 MAX_UNITARY_ENTRIES_WITHOUT_FORCE = 2**27
 
@@ -643,10 +642,8 @@ def _theory_beside_trials(ctx: _Context):
 
 def _resource_guard(scenario: Scenario) -> None:
     """Refuse a scenario whose largest dense linear system (M*D on the
-    Gram route, D^2 where the frame is formed, none for CS), largest
-    sampled plan entry (M*D^2 unitary entries) or theorem-1 Monte Carlo
-    batch (min(THEOREM1_BATCH, ensemble samples) * D^2 normals of each
-    part) exceeds its bound."""
+    Gram route, D^2 where the frame is formed, none for CS) or largest
+    sampled plan entry (M*D^2 unitary entries) exceeds its bound."""
     dim, family = scenario.dim, FAMILIES[scenario.kind]
     plan = family.plan(scenario)
     order = max(
@@ -656,14 +653,11 @@ def _resource_guard(scenario: Scenario) -> None:
         for _, grid in plan for settings in grid for method in family.methods(scenario)
     )
     entries = dim * dim * max(grid[-1] for _, grid in plan)
-    normals = dim * dim * min(THEOREM1_BATCH, scenario.ensemble_samples) if family.theory else 0
-    if (order > MAX_ORDER_WITHOUT_FORCE
-            or max(entries, normals) > MAX_UNITARY_ENTRIES_WITHOUT_FORCE):
+    if order > MAX_ORDER_WITHOUT_FORCE or entries > MAX_UNITARY_ENTRIES_WITHOUT_FORCE:
         raise ValueError(
             f"resource-guard: {scenario.qubits} qubits needs a linear system of order {order} "
-            f"(bound {MAX_ORDER_WITHOUT_FORCE}), {entries} sampled unitary entries M*D^2 and "
-            f"{normals} theorem-1 Monte Carlo normals per batch part (bound "
-            f"{MAX_UNITARY_ENTRIES_WITHOUT_FORCE} each); force=True (--force) accepts the cost"
+            f"(bound {MAX_ORDER_WITHOUT_FORCE}) and {entries} sampled unitary entries M*D^2 "
+            f"(bound {MAX_UNITARY_ENTRIES_WITHOUT_FORCE}); force=True (--force) accepts the cost"
         )
 
 

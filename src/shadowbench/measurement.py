@@ -21,6 +21,7 @@ from .core import DensityMatrix, born_probabilities, hermitize
 from .ensembles import EnsembleSpec, as_integer, open_overwrite, sample_unitary, stream_generators
 
 PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step in run_plan
+PLAN_STREAMS = 4 * PLAN_BLOCK  # random streams (trial, setting) alive at once in run_plan
 POVM_UNITARITY_ATOL = 1e-8
 
 
@@ -218,11 +219,13 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
     and records for a smaller plan are an exact prefix of records for a
     larger plan at the same seed and trial.
 
-    Settings are sampled PLAN_BLOCK at a time for every trial of the
-    chunk at once. The block's generators are seeded in one pass
+    A block of at most PLAN_BLOCK settings and of as many trials as keep
+    its streams within PLAN_STREAMS (one trial at least) is sampled at a
+    time. The block's generators are seeded in one pass
     (:func:`stream_generators`), and one :func:`sample_unitary` call draws
     and factorizes the block's settings for any ensemble. The checks and
-    the Born probabilities then run once for the block.
+    the Born probabilities then run once for the block, and its
+    generators are released before the next block's are seeded.
     Each plan that holds setting m draws its counts from the stream's
     state right after that setting's draw, so every stack has the same
     bits as a separate call with its plan and trial alone. A trial's
@@ -237,38 +240,15 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
     total = sizes[0]
     shared = sizes[1] if len(sizes) > 1 else 0  # settings held by two plans or more
     dim = state.dim
-    ensemble = sequence[0].ensemble
     unitaries = np.empty((len(trials), total, dim, dim), dtype=complex)
     counts = [np.empty((len(trials), plan.settings, dim), dtype=np.int64) for plan in sequence]
-    for start in range(0, total, PLAN_BLOCK):
-        stop = min(start + PLAN_BLOCK, total)
-        width = stop - start
-        generators = stream_generators(seed, trials, range(start, stop))
-        block = sample_unitary(ensemble, generators).reshape(len(trials), width, dim, dim)
-        _check_unitaries(block, start)
-        probabilities = born_probabilities(block, state)
-        # One row of generators per trial; the first ``held`` settings of
-        # the block are in two plans or more.
-        rows_of = [generators[index:index + width] for index in range(0, len(generators), width)]
-        held = max(min(shared, stop) - start, 0)
-        snapshots = [[generator.bit_generator.state for generator in row[:held]]
-                     for row in rows_of]
-        drawn = 0  # leading settings of the block whose counts were drawn
-        for plan, plan_counts in zip(sequence, counts):
-            rows = min(stop, plan.settings) - start
-            if rows <= 0:
-                continue
-            for row, states in zip(rows_of, snapshots):
-                for generator, snapshot in zip(row[: min(drawn, rows)], states):
-                    generator.bit_generator.state = snapshot
-            drawn = max(drawn, rows)
-            drawing = [generator for row in rows_of for generator in row[:rows]]
-            block_counts = sample_counts(
-                probabilities[:, :rows].reshape(-1, dim), plan.shots, drawing
-            ).reshape(len(trials), rows, dim)
-            _check_counts(block_counts, plan.shots, start)
-            plan_counts[:, start:start + rows] = block_counts
-        unitaries[:, start:stop] = block
+    per_block = max(1, PLAN_STREAMS // min(PLAN_BLOCK, total))  # trials per block
+    for first in range(0, len(trials), per_block):
+        rows = slice(first, first + per_block)
+        for start in range(0, total, PLAN_BLOCK):
+            settings = range(start, min(start + PLAN_BLOCK, total))
+            _sample_block(state, sequence, shared, seed, trials[rows], settings,
+                          unitaries[rows], [plan_counts[rows] for plan_counts in counts])
     unitaries.setflags(write=False)
     for plan_counts in counts:
         plan_counts.setflags(write=False)
@@ -280,6 +260,41 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
         ]
         results.append(stacks[0] if isinstance(plans, MeasurementPlan) else stacks)
     return results[0] if single else results
+
+
+def _sample_block(state, sequence, shared: int, seed: int, trials, settings: range,
+                  unitaries: np.ndarray, counts: list[np.ndarray]) -> None:
+    """Draw ``settings`` of ``trials`` into the same settings of the
+    (T, M, D, D) ``unitaries`` and of each plan's (T, M_plan, D)
+    ``counts``, whose rows are those trials; the first ``shared``
+    settings are held by two plans or more. Its generators, snapshots and
+    probabilities go when it returns."""
+    start, stop, width, dim = settings.start, settings.stop, len(settings), state.dim
+    generators = stream_generators(seed, trials, settings)
+    block = sample_unitary(sequence[0].ensemble, generators).reshape(len(trials), width, dim, dim)
+    _check_unitaries(block, start)
+    probabilities = born_probabilities(block, state)
+    # One row of generators per trial; the first ``held`` settings of
+    # the block are in two plans or more.
+    rows_of = [generators[index:index + width] for index in range(0, len(generators), width)]
+    held = max(min(shared, stop) - start, 0)
+    snapshots = [[generator.bit_generator.state for generator in row[:held]] for row in rows_of]
+    drawn = 0  # leading settings of the block whose counts were drawn
+    for plan, plan_counts in zip(sequence, counts):
+        rows = min(stop, plan.settings) - start
+        if rows <= 0:
+            continue
+        for row, states in zip(rows_of, snapshots):
+            for generator, snapshot in zip(row[: min(drawn, rows)], states):
+                generator.bit_generator.state = snapshot
+        drawn = max(drawn, rows)
+        drawing = [generator for row in rows_of for generator in row[:rows]]
+        block_counts = sample_counts(
+            probabilities[:, :rows].reshape(-1, dim), plan.shots, drawing
+        ).reshape(len(trials), rows, dim)
+        _check_counts(block_counts, plan.shots, start)
+        plan_counts[:, start:start + rows] = block_counts
+    unitaries[:, start:stop] = block
 
 
 def expand_to_single_shot(records: RecordStack) -> RecordStack:

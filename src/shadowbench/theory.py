@@ -14,9 +14,12 @@ from .core import DensityMatrix, Observable, expectation
 from .ensembles import EnsembleSpec, GlobalHaar, as_integer
 
 # Unitaries per Monte Carlo batch in mse_theorem1. Each batch draws its
-# normals in one call, real parts of the whole batch before imaginary
+# normals as one stream, real parts of the whole batch before imaginary
 # parts, so another value changes the estimate's bits.
 THEOREM1_BATCH = 4096
+# Normals per draw call in mse_theorem1, in whole rows of D: a batch holds
+# only its kept columns and one such chunk. Any value gives the same bits.
+THEOREM1_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -56,14 +59,15 @@ def mse_theorem1(
     reporting the standard error of that ensemble average. The k != k'
     double sum is folded into (sum p t)^2 - sum p^2 t^2 for O(K) cost.
 
-    Each batch of ``THEOREM1_BATCH`` unitaries comes from one draw of
-    (2, batch, D, D) normals, real parts of the whole batch before
-    imaginary parts, so the estimate is fixed by the stream and the
-    batch size. p and t read only the first J columns of U, where J - 1
-    is the last basis index at which rho or Lambda has a nonzero row or
-    column (J = 1 for |0><0|), and Gram-Schmidt fixes column j from
-    columns 0..j alone; so only ``normals[..., :J]`` is orthonormalized,
-    with the bits of the full unitaries' first J columns, by a kernel
+    Each batch of ``THEOREM1_BATCH`` unitaries comes from the normals of
+    ``rng.standard_normal((2, batch, D, D))``, real parts of the whole
+    batch before imaginary parts, so the estimate is fixed by the stream
+    and the batch size. p and t read only the first J columns of U, where
+    J - 1 is the last basis index at which rho or Lambda has a nonzero
+    row or column (J = 1 for |0><0|), and Gram-Schmidt fixes column j
+    from columns 0..j alone; so only ``normals[..., :J]`` is kept (see
+    :func:`_leading_normals`) and orthonormalized, with the bits of the
+    full unitaries' first J columns, by a kernel
     that makes no BLAS call and agrees to rounding with the LAPACK QR of
     :func:`ensembles.haar_from_normals`.
 
@@ -98,9 +102,7 @@ def mse_theorem1(
     filled = 0
     while filled < ensemble_samples:
         batch = min(THEOREM1_BATCH, ensemble_samples - filled)
-        # A copy, so that the full draw is freed before the next one.
-        normals = rng.standard_normal((2, batch, dim, dim))[..., :cut].copy()
-        unitaries = _gram_schmidt_unitaries(normals)
+        unitaries = _gram_schmidt_unitaries(_leading_normals(rng, batch, dim, cut))
         p = _diagonals(unitaries, rho)
         t = (dim + 1) * _diagonals(unitaries, lam_matrix) - trace_lam
 
@@ -113,6 +115,22 @@ def mse_theorem1(
 
     std_error = float(values.std(ddof=1) / np.sqrt(ensemble_samples))
     return MseEstimate(float(values.mean()), std_error, ensemble_samples)
+
+
+def _leading_normals(rng: np.random.Generator, batch: int, dim: int, cut: int) -> np.ndarray:
+    """``rng.standard_normal((2, batch, dim, dim))[..., :cut]`` with the
+    same bits, drawn in chunks of whole rows of at most THEOREM1_CHUNK
+    normals (one row at least): the same stream in the same order, of
+    which only the (2, batch, dim, cut) kept entries and one chunk are
+    held at a time."""
+    normals = np.empty((2, batch * dim, cut))
+    chunk = np.empty((max(1, THEOREM1_CHUNK // dim), dim))
+    for part in normals:
+        for start in range(0, len(part), len(chunk)):
+            rows = chunk[: len(part) - start]
+            rng.standard_normal(out=rows)
+            part[start : start + len(rows)] = rows[:, :cut]
+    return normals.reshape(2, batch, dim, cut)
 
 
 def _gram_schmidt_unitaries(normals: np.ndarray) -> np.ndarray:

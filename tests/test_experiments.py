@@ -246,33 +246,35 @@ class TestScenarioValidation:
             run_scenario(Scenario(kind="theorem1", qubits=13, trials=1, m_grid=(16,)))
 
     def test_resource_guard_bounds_are_inclusive(self):
-        # 32 * (2^11)^2 = 2^27 unitary entries pass and 33 settings do not,
-        # with a Monte Carlo of 2 draws; 2048 * (2^8)^2 = 2^27 Monte Carlo
-        # normals per batch part pass and 2049 draws do not. 8 qubits with
-        # M <= 64 needs neither a large system nor many entries.
-        experiments._resource_guard(
-            Scenario(kind="theorem1", qubits=11, m_grid=(32,), ensemble_samples=2))
+        # 32 * (2^11)^2 = 2^27 unitary entries pass and 33 settings do not;
+        # 8 qubits with M <= 64 needs neither a large system nor many entries.
+        experiments._resource_guard(Scenario(kind="theorem1", qubits=11, m_grid=(32,)))
         with pytest.raises(ValueError, match="resource-guard"):
-            experiments._resource_guard(
-                Scenario(kind="theorem1", qubits=11, m_grid=(33,), ensemble_samples=2))
-        experiments._resource_guard(Scenario(kind="theorem1", qubits=8, ensemble_samples=2048))
-        with pytest.raises(ValueError, match="resource-guard: .* 134283264 theorem-1 Monte"):
-            experiments._resource_guard(
-                Scenario(kind="theorem1", qubits=8, ensemble_samples=2049))
+            experiments._resource_guard(Scenario(kind="theorem1", qubits=11, m_grid=(33,)))
         experiments._resource_guard(Scenario(kind="rls-vs-cs", qubits=8, m_grid=(2, 64)))
         experiments._resource_guard(Scenario(kind="double-descent", qubits=8, m_grid=(2, 64)))
 
-    def test_resource_guard_counts_the_theorem1_monte_carlo(self, monkeypatch, tmp_path, capsys):
-        # 16 settings at 8 qubits are 2^20 unitary entries, but a Monte
-        # Carlo batch of 4096 draws is 2^28 normals of each part (4 GiB).
-        def no_context(*args):
-            raise AssertionError("the guard let the scenario through")
+    def test_resource_guard_binds_theorem1_at_its_trials(self, monkeypatch, tmp_path, capsys):
+        # A Monte Carlo batch holds batch * D * J kept normals and one draw
+        # chunk, so with J = 1 the trial term M*D^2 binds first: 16
+        # settings at 8 qubits (2^20 entries) pass at the default 10,000
+        # samples, while 33 settings at 11 qubits are refused.
+        reached = []
 
-        monkeypatch.setattr(experiments, "_build_context", no_context)
-        code = main(["theorem1", "--qubits", "8", "--trials", "1", "--m-grid", "16",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "268435456 theorem-1 Monte Carlo" in capsys.readouterr().err
+        def spy(scenario):
+            reached.append(scenario.qubits)
+            raise RuntimeError("the guard let the scenario through")
+
+        monkeypatch.setattr(experiments, "_build_context", spy)
+        out = str(tmp_path / "x.csv")
+        assert main(["theorem1", "--qubits", "8", "--trials", "1", "--m-grid", "16",
+                     "--out", out]) == 1
+        assert reached == [8]
+        capsys.readouterr()
+        assert main(["theorem1", "--qubits", "11", "--trials", "1", "--m-grid", "33",
+                     "--out", out]) == 2
+        assert "resource-guard: 11 qubits" in capsys.readouterr().err
+        assert reached == [8]
         assert not (tmp_path / "x.csv").exists()
 
     def test_config_round_trip(self):

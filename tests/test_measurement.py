@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -386,6 +387,45 @@ class TestTrialChunk:
                 assert np.array_equal(stack.unitaries, alone.unitaries)
                 assert np.array_equal(stack.counts, alone.counts)
                 assert not stack.unitaries.flags.writeable and not stack.counts.flags.writeable
+
+    # 100 trials of 16 settings at PLAN_STREAMS 1 (one trial a block), 7
+    # blocks' widths (7 trials, not a divisor of 100) and above the chunk
+    # (one block of every trial).
+    @pytest.mark.parametrize("streams", [1, 7 * 16, 101 * 16])
+    def test_stacks_do_not_depend_on_the_stream_bound(self, streams, monkeypatch):
+        state = DensityMatrix(random_density_matrix(4, np.random.default_rng(49)))
+        plans = [MeasurementPlan(16, shots, GlobalHaar(4)) for shots in (1, 4, 16)]
+        expected = [run_plan(state, plans, 50, trial) for trial in range(100)]
+        monkeypatch.setattr(measurement, "PLAN_STREAMS", streams)
+        for stacks, alone in zip(run_plan(state, plans, 50, range(100)), expected, strict=True):
+            for stack, lone in zip(stacks, alone, strict=True):
+                assert np.array_equal(stack.unitaries, lone.unitaries)
+                assert np.array_equal(stack.counts, lone.counts)
+
+    def test_block_streams_are_bounded_and_released(self, monkeypatch):
+        # The theorem1-d4 shape: 100 trials, 16 settings, 3 shot counts.
+        # The result holds 0.56 MiB; the streams of all 1,600 settings
+        # with their state snapshots would hold about 3.8 MiB.
+        seeded = []
+        generators = measurement.stream_generators
+
+        def counted(seed, trials, settings):
+            seeded.append(len(trials) * len(settings))
+            return generators(seed, trials, settings)
+
+        monkeypatch.setattr(measurement, "stream_generators", counted)
+        state = DensityMatrix.maximally_mixed(4)
+        plans = [MeasurementPlan(16, shots, GlobalHaar(4)) for shots in (1, 4, 16)]
+        run_plan(state, plans, 51, range(2))  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run_plan(state, plans, 51, range(100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(seeded) <= measurement.PLAN_STREAMS
+        assert peak < 2.5 * 2**20
 
     def test_single_plan_gives_one_stack_per_trial(self):
         plan = MeasurementPlan(3, 2, GlobalHaar(2))

@@ -1,5 +1,7 @@
 """Tests for the moment identities and the multishot MSE formula."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from shadowbench.measurement import MeasurementPlan, run_plan
 from shadowbench import theory
 from shadowbench.theory import (
     THEOREM1_BATCH,
+    THEOREM1_CHUNK,
     _gram_schmidt_unitaries,
     empirical_mse,
     mse_theorem1,
@@ -247,6 +250,51 @@ class TestGramSchmidtUnitaries:
         mse_theorem1(state, observables[0], GlobalHaar(dim), 4, 1, 10, stream(14))
         assert kernel_calls == [(2, 10, dim, 1)]
         assert qr_calls == []
+
+
+class TestChunkedNormals:
+    @pytest.mark.parametrize("chunk", [THEOREM1_CHUNK, 1000])
+    @pytest.mark.parametrize("dim", [8, 32])
+    @pytest.mark.parametrize("full", [False, True], ids=["J=1", "J=D"])
+    def test_estimate_has_the_bits_of_one_draw_per_batch(self, dim, full, chunk, monkeypatch):
+        # Batches of 128 unitaries and 300 samples, so the last batch is
+        # partial; at D = 8 a default chunk is 128 unitaries and at D = 32
+        # 64, and 1000 entries are 125 or 31 rows, dividing no batch.
+        state = DensityMatrix.computational_basis_state(dim, dim - 1 if full else 0)
+        obs = Observable.rank_one(np.eye(dim)[0])
+        monkeypatch.setattr(theory, "THEOREM1_BATCH", 128)
+        monkeypatch.setattr(theory, "THEOREM1_CHUNK", chunk)
+        cut = dim if full else 1
+        assert np.array_equal(theory._leading_normals(stream(18), 300, dim, cut),
+                              stream(18).standard_normal((2, 300, dim, dim))[..., :cut])
+        cuts = []
+
+        def one_draw(rng, batch, dim, cut):
+            cuts.append(cut)
+            return rng.standard_normal((2, batch, dim, dim))[..., :cut]
+
+        chunked_rng, drawn_rng = stream(19, (0, dim)), stream(19, (0, dim))
+        chunked = mse_theorem1(state, obs, GlobalHaar(dim), 8, 4, 300, chunked_rng)
+        monkeypatch.setattr(theory, "_leading_normals", one_draw)
+        drawn = mse_theorem1(state, obs, GlobalHaar(dim), 8, 4, 300, drawn_rng)
+        assert cuts == [cut] * 3
+        assert (chunked.value, chunked.std_error) == (drawn.value, drawn.std_error)
+        # Both leave the stream at the same place.
+        assert chunked_rng.bit_generator.state == drawn_rng.bit_generator.state
+
+    def test_batch_holds_its_kept_columns_and_one_chunk(self):
+        # At D = 32 and J = 1 a full batch of 4096 draws is 64 MiB of
+        # normals; kept, its first column is 2 MiB.
+        state, observables = canonical_state_and_observables(5)
+        mse_theorem1(state, observables[0], GlobalHaar(32), 16, 1, 10, stream(20))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mse_theorem1(state, observables[0], GlobalHaar(32), 16, 1, 4096, stream(20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def _theorem1_oracle(state, obs, settings, shots_grid, samples, generator):
