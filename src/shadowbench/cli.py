@@ -108,7 +108,8 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 def _check_paths(args: argparse.Namespace, out_path: str) -> None:
     """Reject, before any trial runs, a path flag that would fail only
-    after every trial ran, or two flags naming one file."""
+    after every trial ran, or a file that the run writes and another
+    flag names."""
     if args.load_records is not None and not os.path.isfile(args.load_records):
         raise ValueError(f"--load-records: no such file {args.load_records!r}")
     for flag, path in (("--out", out_path), ("--dump-records", args.dump_records)):
@@ -119,10 +120,12 @@ def _check_paths(args: argparse.Namespace, out_path: str) -> None:
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag}: the directory of {path!r} does not exist")
     paths = {"--out": out_path, "--dump-records": args.dump_records,
-             "--load-records": args.load_records}
+             "--load-records": args.load_records, "--config": args.config}
     named = [(flag, path) for flag, path in paths.items() if path is not None]
     for (flag, path), (other, other_path) in itertools.combinations(named, 2):
-        if os.path.realpath(path) == os.path.realpath(other_path):
+        # --load-records and --config are only read, so they may coincide.
+        if {flag, other} != {"--load-records", "--config"} and (
+                os.path.realpath(path) == os.path.realpath(other_path)):
             raise ValueError(f"{flag} and {other} both name {path!r}; "
                              "the run would overwrite it")
 

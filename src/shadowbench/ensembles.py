@@ -22,24 +22,16 @@ from numpy.random.bit_generator import ISeedSequence
 # theory Monte Carlo); trial indices must stay below it.
 AUX_STREAM_INDEX = 2**31 - 1
 
-# numpy's SeedSequence hash (NEP 19 keeps it stream-compatible). Its
-# entropy pool has four 32-bit words; hash step k xors a word with the
-# k-th running constant and multiplies it by the next one.
+# numpy's SeedSequence hash (NEP 19 keeps it stream-compatible). Hash
+# step k xors a 32-bit word with the k-th running constant, init * mult^k,
+# and multiplies it by the next one.
 _MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _running_constants(init: int, mult: int, steps: int) -> list[int]:
-    constants = [init]
-    for _ in range(steps):
-        constants.append(constants[-1] * mult & _MASK32)
-    return constants
-
-
 def _hashmix(value, xor, mul):
-    """One hash step of a 32-bit word, as an int or elementwise on uint32
-    arrays (one step per entry of the constants' first axis)."""
+    """One hash step of a 32-bit word, elementwise on uint32 arrays (one
+    step per entry of the constants' first axis)."""
     value = (value ^ xor) * mul & _MASK32
     return value ^ value >> 16
 
@@ -49,21 +41,17 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _hash_steps(constants: list[int], first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _hash_steps(init: int, mult: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The xor and multiply constants of ``count`` hash steps from
     ``first``, along the first of three axes (step, trial, setting)."""
-    steps = np.array(constants[first:first + count + 1], dtype=np.uint32).reshape(-1, 1, 1)
+    constants = [init * pow(mult, step, 2**32) & _MASK32 for step in range(first, first + count + 1)]
+    steps = np.array(constants, dtype=np.uint32).reshape(-1, 1, 1)
     return steps[:-1], steps[1:]
 
 
-# Pool hash steps 0-3 take the seed and its zero padding, 4-15 mix the
-# pool words together, and 16-19 and 20-23 mix the trial and the setting
-# word into each pool word. generate_state takes 8 steps for PCG64's four
+# generate_state takes 8 steps of its own constants for PCG64's four
 # 64-bit seed words.
-_POOL_CONSTANTS = _running_constants(0x43B0D7E5, 0x931E8875, 24)
-_TRIAL_STEPS = _hash_steps(_POOL_CONSTANTS, 16, _POOL_SIZE)
-_SETTING_STEPS = _hash_steps(_POOL_CONSTANTS, 20, _POOL_SIZE)
-_STATE_STEPS = _hash_steps(_running_constants(0x8B51F9DD, 0x58F38DED, 8), 0, 8)
+_STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 0, 8)
 
 
 class _StateWords(ISeedSequence):
@@ -94,41 +82,29 @@ def stream_generators(seed: int, trials, settings) -> list[np.random.Generator]:
     ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, m)))``.
     This is the only place a stream is seeded, so identical keys give
     bitwise-identical draws in any order. A seed or key that is not an
-    integer raises TypeError, a negative one ValueError.
+    integer raises TypeError, a negative one or a key above 2^32 - 1
+    ValueError.
 
-    When the seed and every key fit in one 32-bit word, SeedSequence's
-    hash runs once for all streams: the pool words that depend only on
-    the seed, then the two key words of every stream and the PCG64 seed
-    words on uint32 arrays. Otherwise each stream takes a plain
-    SeedSequence.
+    SeedSequence's hash runs once for all streams: numpy hashes the seed
+    into the pool, then the two key words of every stream and the PCG64
+    seed words are hashed on uint32 arrays.
     """
     seed = operator.index(seed)
     trials, settings = [operator.index(t) for t in trials], [operator.index(m) for m in settings]
-    if not all(0 <= word <= _MASK32 for word in (seed, *trials, *settings)):
-        return [
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, m)))
-            for t in trials
-            for m in settings
-        ]
-    # The seed is zero-padded to the pool size because a spawn key follows.
-    constants = _POOL_CONSTANTS
-    pool = [
-        _hashmix(word, constants[step], constants[step + 1])
-        for step, word in enumerate((seed,) + (0,) * (_POOL_SIZE - 1))
-    ]
-    step = _POOL_SIZE
-    for source in range(_POOL_SIZE):
-        for target in range(_POOL_SIZE):
-            if source != target:
-                hashed = _hashmix(pool[source], constants[step], constants[step + 1])
-                pool[target] = _mix(pool[target], hashed)
-                step += 1
-    # Pool words, trials and settings lie along three axes.
-    pool = np.array(pool, dtype=np.uint32).reshape(-1, 1, 1)
-    pool = _mix(pool, _hashmix(np.array(trials, dtype=np.uint32)[:, None], *_TRIAL_STEPS))
-    pool = _mix(pool, _hashmix(np.array(settings, dtype=np.uint32), *_SETTING_STEPS))
+    for key in (*trials, *settings):
+        if not 0 <= key <= _MASK32:
+            raise ValueError(f"stream keys must lie in [0, 2^32 - 1], got {key}")
+    # The pool hash takes 4 steps for the seed zero-padded to four words,
+    # 12 to mix the words and 4 for each seed word past the fourth; each
+    # key word then takes 4. Pool words, trials and settings lie along
+    # three axes.
+    pool = np.random.SeedSequence(seed).pool.reshape(-1, 1, 1)
+    seed_words = max(1, (seed.bit_length() + 31) // 32)
+    xor, mul = _hash_steps(0x43B0D7E5, 0x931E8875, 16 + 4 * max(0, seed_words - 4), 8)
+    pool = _mix(pool, _hashmix(np.array(trials, dtype=np.uint32)[:, None], xor[:4], mul[:4]))
+    pool = _mix(pool, _hashmix(np.array(settings, dtype=np.uint32), xor[4:], mul[4:]))
     # PCG64's four 64-bit words are eight 32-bit ones, little-endian pairs.
-    words = _hashmix(pool[np.arange(8) % _POOL_SIZE], *_STATE_STEPS).reshape(8, -1)
+    words = _hashmix(pool[np.arange(8) % 4], *_STATE_STEPS).reshape(8, -1)
     state = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 

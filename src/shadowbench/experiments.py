@@ -233,9 +233,10 @@ class Family:
     lists the per-trial metrics besides ``lambda-hat-i``, whose
     observables ``lambdas`` picks: "configured", "first" or "none".
     An ``eta_sweep`` family samples ``HaarMixture`` at every eta-grid
-    value, the others ``GlobalHaar`` at eta 0. ``mse_label`` names the
-    aggregated MSE of observable i, and ``theory`` adds the theorem-1
-    prediction rows. Only a ``replayable`` family takes
+    value, the others ``GlobalHaar`` at eta 0. A ``theory`` family adds
+    the theorem-1 prediction rows and names the aggregated MSE of its
+    one observable ``mse``; the others name that of observable i
+    ``mse-i``. Only a ``replayable`` family takes
     ``--load-records``. ``defaults`` are its desk-scale Scenario fields.
     """
 
@@ -244,7 +245,6 @@ class Family:
     metrics: tuple[str, ...] = ()
     lambdas: str = "configured"
     eta_sweep: bool = False
-    mse_label: str = "mse-{i}"
     theory: bool = False
     replayable: bool = False
     defaults: dict = field(default_factory=dict)
@@ -286,7 +286,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "theorem1": Family(
         methods=lambda scenario: (CS(),), plan=_fixed_settings_plan,
-        lambdas="first", mse_label="mse", theory=True,
+        lambdas="first", theory=True,
         defaults=dict(qubits=2, trials=10000, m_grid=(16,), l_grid=(1, 4, 16)),
     ),
 }
@@ -395,20 +395,14 @@ def _build_context(scenario: Scenario) -> _Context:
     )
 
 
-def _metric_rows(
-    ctx: _Context,
-    trials: range,
-    settings: int,
-    shots: int,
-    eta: float,
-    method: ShadowMethod,
-    estimates: np.ndarray,
-    records: list[RecordStack],
-) -> list[list[ResultRow]]:
-    """The rows of one grid point for each trial of a chunk, from its
-    estimate in the (T, D, D) ``estimates`` and its records."""
+def _metric_values(
+    ctx: _Context, estimates: np.ndarray, stacks: list[RecordStack], settings: int
+) -> dict[str, list[float]]:
+    """Each metric's per-trial values at one grid point, in the order of a
+    trial's rows, from the (T, D, D) ``estimates`` of T record stacks;
+    ``loglik`` reads the first ``settings`` records of each."""
     metrics = ctx.family.metrics
-    values = {}  # metric -> one value per trial
+    values = {}
     if "frobenius-error" in metrics:
         values["frobenius-error"] = [frobenius_error(matrix, ctx.state) for matrix in estimates]
     if "eig-pos" in metrics:
@@ -427,15 +421,10 @@ def _metric_rows(
         ]
     if "loglik" in metrics:
         values["loglik"] = [
-            log_likelihood(measured, project_physical(matrix)).value
-            for matrix, measured in zip(estimates, records)
+            log_likelihood(records[:settings], project_physical(matrix)).value
+            for matrix, records in zip(estimates, stacks)
         ]
-    point = (settings, shots, getattr(method, "mu", 0.0), eta, type(method).__name__)
-    return [
-        [ResultRow(ctx.scenario.kind, trial, *point, metric, column[index])
-         for metric, column in values.items()]
-        for index, trial in enumerate(trials)
-    ]
+    return values
 
 
 def _trial_chunks(ctx: _Context) -> list[range]:
@@ -463,52 +452,47 @@ def _trial_records(
 
 def _run_chunk(
     ctx: _Context, trials: range, records_override: RecordStack | None = None
-) -> list[ResultRow]:
-    """The rows of a chunk of trials, trial by trial, each in the order a
-    run of that trial alone gives. Sampling, adjoint sums, CS estimates
-    and lambda-hat values are computed for the chunk at once; LS and RLS
-    solve each trial's frame or Gram systems on its own."""
-    rows_of: list[list[ResultRow]] = [[] for _ in trials]
-    solved = [method for method in ctx.methods if not isinstance(method, CS)]
+) -> dict[tuple, list[float]]:
+    """The per-trial metric values of a chunk of trials. Each key is a
+    row key (M, L, mu, eta, method, metric), inserted in the order of one
+    trial's rows, and its value holds one value per trial of ``trials``.
+    Sampling, adjoint sums, CS estimates and lambda-hat values are
+    computed for the chunk at once; LS and RLS solve each trial's frame
+    or Gram systems on its own."""
+    columns: dict[tuple, list[float]] = {}
     for eta, ensemble in ctx.family.ensembles(ctx.scenario):
         chunk = _trial_records(ctx, trials, ensemble, records_override)
         for entry, (shots, settings_grid) in enumerate(ctx.plan):
             stacks = [records[entry] for records in chunk]
-            means = _prefix_adjoint_sums(stacks, settings_grid)
+            estimates = _estimates(ctx.methods, stacks, settings_grid)
             for point, settings in enumerate(settings_grid):
-                means[:, point] /= settings
-            solutions = _solve_trials(solved, stacks, means, settings_grid)
-            for point, settings in enumerate(settings_grid):
-                measured = [records[:settings] for records in stacks]
-                for method in ctx.methods:
-                    if isinstance(method, CS):
-                        matrices = shadow_map(method, means[:, point])
-                    else:
-                        matrices = solutions[method][:, point]
-                    point_rows = _metric_rows(
-                        ctx, trials, settings, shots, eta, method, matrices, measured
-                    )
-                    for rows, trial_rows in zip(rows_of, point_rows):
-                        rows.extend(trial_rows)
-    return [row for rows in rows_of for row in rows]
+                for method, matrices in zip(ctx.methods, estimates):
+                    key = (settings, shots, getattr(method, "mu", 0.0), eta, type(method).__name__)
+                    values = _metric_values(ctx, matrices[:, point], stacks, settings)
+                    columns.update(((*key, metric), column) for metric, column in values.items())
+    return columns
 
 
-def _solve_trials(methods, stacks: list[RecordStack], means: np.ndarray, settings_grid):
-    """For each LS or RLS method, the (T, G, D, D) estimates of each of
-    T stacks at each M of the G-point grid, from their (T, G, D, D) mean
-    adjoints. A trial's frames are built, used across its grid and
-    dropped before the next trial's are built, so the D^2 x D^2 frame
-    and eigensystem of one trial at a time are alive."""
-    solutions = {method: np.empty_like(means) for method in methods}
-    for trial, records in enumerate(stacks):
+def _estimates(methods, stacks: list[RecordStack], settings_grid) -> list[np.ndarray]:
+    """Each method's (T, G, D, D) estimates of each of T stacks at each M
+    of the G-point grid. CS maps all mean adjoints in one call. LS and
+    RLS solve trial by trial: a trial's frames are built, used across its
+    grid and dropped before the next trial's are built, so the D^2 x D^2
+    frame and eigensystem of one trial at a time are alive."""
+    means = _prefix_adjoint_sums(stacks, settings_grid)
+    for point, settings in enumerate(settings_grid):
+        means[:, point] /= settings
+    solved = {method: np.empty_like(means) for method in methods if not isinstance(method, CS)}
+    for trial, records in enumerate(stacks if solved else ()):
         frames = FramePrefix(records.unitaries, records.shots)
         for point, settings in enumerate(settings_grid):
-            for method in methods:
-                solutions[method][trial, point] = average_estimate(
+            for method, out in solved.items():
+                out[trial, point] = average_estimate(
                     method, records[:settings], means[trial, point], frames
                 )
         del frames
-    return solutions
+    return [solved[method] if method in solved else shadow_map(method, means)
+            for method in methods]
 
 
 def _prefix_adjoint_sums(stacks: list[RecordStack], settings_grid) -> np.ndarray:
@@ -536,27 +520,23 @@ def _prefix_adjoint_sums(stacks: list[RecordStack], settings_grid) -> np.ndarray
     return sums
 
 
-def _aggregate_rows(ctx: _Context, rows: list[ResultRow]) -> list[ResultRow]:
-    """Trial-aggregated MSE rows (trial index -1)."""
-    groups: dict[tuple, list[tuple[int, float]]] = {}
-    for row in rows:
-        if row.metric.startswith("lambda-hat-") or row.metric == "mse-rand":
-            key = (row.settings, row.shots, row.mu, row.eta, row.method, row.metric)
-            groups.setdefault(key, []).append((row.trial, row.value))
-
+def _aggregate_rows(ctx: _Context, columns: dict[tuple, list[float]]) -> list[ResultRow]:
+    """Trial-aggregated MSE rows (trial index -1), in row-key order, from
+    the per-trial ``lambda-hat-i`` and ``mse-rand`` columns of a run."""
+    observable = {f"lambda-hat-{i}": i for i in ctx.lambda_indices}
     stats: list[tuple[tuple, str, float]] = []  # (grid point, metric, value)
-    for key in sorted(groups):
+    for key in sorted(columns):
         *point, metric = key
-        values = [value for _, value in sorted(groups[key])]
+        values = columns[key]
         if metric == "mse-rand":
-            # Per-trial rows already hold squared errors averaged over
+            # Per-trial values already are squared errors averaged over
             # the random observable set.
             err = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
             stats += [(point, "mse-rand", float(np.mean(values))), (point, "mse-rand-se", err)]
-        elif len(values) > 1:
-            index = int(metric.rsplit("-", 1)[1])
+        elif metric in observable and len(values) > 1:
+            index = observable[metric]
             mse = empirical_mse(values, ctx.truths[index])
-            label = ctx.family.mse_label.format(i=index)
+            label = "mse" if ctx.family.theory else f"mse-{index}"
             stats += [(point, label, mse.value), (point, f"{label}-se", mse.std_error)]
     return [ResultRow(ctx.scenario.kind, AGGREGATE_TRIAL, *point, metric, value)
             for point, metric, value in stats]
@@ -671,18 +651,21 @@ def run_scenario(
 ) -> list[ResultRow]:
     """Run all trials of a scenario and return its result rows.
 
-    Rows comprise per-trial metrics plus trial-aggregated MSE rows
-    (marked with trial index -1). Trials run in order in the calling
-    thread, in chunks of consecutive trials that draw at most
-    TRIAL_CHUNK_ENTRIES unitary entries M*D^2 together (one trial when
-    it draws more); every setting keeps its stream (seed, (trial, m)), so the rows
-    are the same for any chunking. A theory family computes its
-    theorem-1 rows in one forked child while the trials run, when both
-    are large enough to pay for the fork (THEORY_FORK_SETTINGS and
-    THEORY_FORK_DRAWS), the platform has the fork start method and two
-    or more CPUs are usable; the child is joined before this returns or
-    raises, and its exception is raised here. ``workers`` must be >= 1 but has no effect: the rows
-    are the same either way, and trial chunks stay serial, because worker
+    Per-trial rows come trial by trial, each trial's in one order of
+    row keys (M, L, mu, eta, method, metric); then the trial-aggregated
+    MSE rows (trial index -1) sorted by row key; then a theory family's
+    theorem-1 rows. Trials run in order in the calling thread, in chunks
+    of consecutive trials that draw at most TRIAL_CHUNK_ENTRIES unitary
+    entries M*D^2 together (one trial when it draws more), each chunk
+    returning its metric columns; every setting keeps its stream (seed,
+    (trial, m)), so the rows are the same for any chunking. A theory
+    family computes its theorem-1 rows in one forked child while the
+    trials run, when both are large enough to pay for the fork
+    (THEORY_FORK_SETTINGS and THEORY_FORK_DRAWS), the platform has the
+    fork start method and two or more CPUs are usable; the child is
+    joined before this returns or raises, and its exception is raised
+    here. ``workers`` must be >= 1 but has no effect: the rows are the
+    same either way, and trial chunks stay serial, because worker
     processes with one BLAS thread change CSV bytes and with the
     caller's BLAS threads they oversubscribe the CPUs.
     ``dump_records_path`` receives the records trial 0 measured at the
@@ -723,12 +706,15 @@ def run_scenario(
                 f"scenario l-grid starts at {scenario.l_grid[0]}"
             )
 
-    rows: list[ResultRow] = []
+    columns: dict[tuple, list[float]] = {}
     with _theory_beside_trials(ctx) as theory_rows:
         for trials in _trial_chunks(ctx):
-            rows.extend(_run_chunk(ctx, trials, records_override))
-        rows.extend(_aggregate_rows(ctx, rows))
-        rows.extend(theory_rows())
+            for key, column in _run_chunk(ctx, trials, records_override).items():
+                columns.setdefault(key, []).extend(column)
+        rows = [ResultRow(scenario.kind, trial, *key, column[trial])
+                for trial in range(scenario.trials) for key, column in columns.items()]
+        rows += _aggregate_rows(ctx, columns)
+        rows += theory_rows()
 
     if dump_records_path is not None:
         _, ensemble = ctx.family.ensembles(scenario)[0]

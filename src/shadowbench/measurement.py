@@ -322,11 +322,12 @@ def dump_records(records: RecordStack, path, seed: int = 0) -> None:
             handle.write(" ".join(str(int(count)) for count in counts) + "\n")
 
 
-def _line_values(path, lines: list[str], index: int, kind, count: int) -> np.ndarray:
+def _line_values(path, lines: list[str], index: int, kind, count: int):
     """Line ``index`` (from 0) of a record file as exactly ``count`` finite
-    floats (``kind`` float) or 64-bit integers (``kind`` int); a missing,
-    short, non-numeric or non-finite line raises ValueError naming the
-    path and the line."""
+    floats (``kind`` float) or 64-bit integers (``kind`` np.int64) in an
+    array, or as a list of integers of any size (``kind`` int); a
+    missing, short, non-numeric, out-of-range or non-finite line raises
+    ValueError naming the path and the line."""
     where = f"{path}, line {index + 1}"
     if index >= len(lines):
         raise ValueError(f"truncated file: {where} is missing")
@@ -334,11 +335,14 @@ def _line_values(path, lines: list[str], index: int, kind, count: int) -> np.nda
     if len(tokens) != count:
         raise ValueError(f"malformed file: {where} has {len(tokens)} values, expected {count}")
     try:
-        values = np.array([kind(token) for token in tokens], dtype=kind)
+        values = [kind(token) for token in tokens]
     except (ValueError, OverflowError):
         raise ValueError(
             f"malformed file: {where} has a non-numeric or out-of-range value"
         ) from None
+    if kind is int:
+        return values
+    values = np.array(values, dtype=kind)
     if not np.isfinite(values).all():
         raise ValueError(f"malformed file: {where} has a non-finite value")
     return values
@@ -347,8 +351,8 @@ def _line_values(path, lines: list[str], index: int, kind, count: int) -> np.nda
 def load_records(path) -> tuple[RecordStack, int]:
     """Read records written by :func:`dump_records`; returns (records, seed)."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
-    header = _line_values(path, lines, 0, int, 4).tolist()
-    if min(header[:3]) < 1:
+    header = _line_values(path, lines, 0, int, 4)
+    if min(header[:3]) < 1 or header[3] < 0:
         raise ValueError(f"malformed file: {path}, line 1 header {header}")
     dim, count, shots, seed = header
     unitaries, counts = [], []
@@ -356,7 +360,7 @@ def load_records(path) -> tuple[RecordStack, int]:
     for first in range(1, 1 + count * (dim + 1), dim + 1):
         rows = [_line_values(path, lines, first + row, float, 2 * dim) for row in range(dim)]
         unitaries.append(np.stack(rows).view(complex))
-        counts.append(_line_values(path, lines, first + dim, int, dim))
+        counts.append(_line_values(path, lines, first + dim, np.int64, dim))
     for index in range(1 + count * (dim + 1), len(lines)):
         if lines[index].strip():
             raise ValueError(

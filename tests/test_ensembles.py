@@ -90,26 +90,20 @@ class TestBatchedSeeding:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.sampled_from([0, 1, WORD - 1, WORD]) | st.integers(0, 2**70),
+        st.sampled_from([WORD - 1, WORD, 2**128 - 1, 2**128, 2**476 - 1])
+        | st.integers(0, 2**600),
         TRIALS,
-        st.sampled_from([0, WORD - 1, WORD]) | st.integers(0, 2**40),
+        st.sampled_from([0, WORD - 1]) | st.integers(0, WORD - 1),
     )
-    def test_multi_word_seeds_and_keys_take_the_seed_sequence_fallback(
-        self, seed, trial, setting
-    ):
-        built = []
-        seed_sequence = np.random.SeedSequence
-
-        def counted(*args, **kwargs):
-            built.append((args, kwargs))
-            return seed_sequence(*args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np.random, "SeedSequence", counted)
-            (generator,) = stream_generators(seed, [trial], [setting])
-        one_word = max(seed, trial, setting) < WORD
-        assert len(built) == (0 if one_word else 1)
+    def test_multi_word_seeds_match_seed_sequence(self, seed, trial, setting):
+        (generator,) = stream_generators(seed, [trial], [setting])
         assert generator.bit_generator.state == seed_sequence_state(seed, (trial, setting))
+
+    @pytest.mark.parametrize("trial, setting", [(WORD, 0), (0, WORD), (0, 2**70)],
+                             ids=["trial", "setting", "setting-3-words"])
+    def test_keys_of_more_than_one_word_are_rejected(self, trial, setting):
+        with pytest.raises(ValueError, match="2\\^32 - 1"):
+            stream_generators(1, [trial], [setting])
 
     def test_block_generators_match_the_streams_of_their_keys(self):
         generators = stream_generators(5, [2, 7], range(3, 5))

@@ -621,10 +621,10 @@ class TestTrialChunks:
 
         def recording(ctx, trials, *rest):
             chunks.append(trials)
-            return []
+            return {}
 
         monkeypatch.setattr(experiments, "_run_chunk", recording)
-        monkeypatch.setattr(experiments, "_aggregate_rows", lambda ctx, rows: [])
+        monkeypatch.setattr(experiments, "_aggregate_rows", lambda ctx, columns: [])
         monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES", 100 * 4**2)
         run_scenario(tiny_scenario("multishot", trials=9, m_grid=(8, 32), l_grid=(1, 4)))
         assert chunks == [range(0, 3), range(3, 6), range(6, 9)]  # 32 settings a trial
@@ -634,6 +634,41 @@ class TestTrialChunks:
         chunks.clear()
         run_scenario(tiny_scenario("multishot", qubits=3, trials=9, m_grid=(8, 32), l_grid=(1, 4)))
         assert chunks == [range(trial, trial + 1) for trial in range(9)]  # 32 * 8^2 > 1600
+
+    @pytest.mark.parametrize("name", ["rls-vs-cs", "mismatch", "multishot", "theorem1"])
+    def test_row_layout_is_trial_major_then_aggregates_then_theory(self, monkeypatch, name):
+        # Two etas for mismatch and two L values for multishot; a chunk of
+        # two trials splits the run, so rows are built across chunks.
+        config = dict(self.SCENARIOS[name], **{"mismatch": dict(eta_grid=(0.0, 0.5)),
+                                              "multishot": dict(l_grid=(1, 4))}.get(name, {}))
+        scenario = tiny_scenario(trials=5, **config)
+        settings = max(grid[-1] for _, grid in FAMILIES[scenario.kind].plan(scenario))
+        monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES", 2 * settings * scenario.dim**2)
+        rows = run_scenario(scenario)
+
+        def key(row):
+            return (row.settings, row.shots, row.mu, row.eta, row.method, row.metric)
+
+        per_trial = [row for row in rows if row.trial != AGGREGATE_TRIAL]
+        width = len(per_trial) // scenario.trials
+        assert [row.trial for row in per_trial] == [
+            trial for trial in range(scenario.trials) for _ in range(width)
+        ]
+        first = [key(row) for row in per_trial[:width]]
+        assert len(set(first)) == width
+        for trial in range(1, scenario.trials):
+            assert [key(row) for row in per_trial[trial * width:(trial + 1) * width]] == first
+        assert rows[:len(per_trial)] == per_trial
+        tail = rows[len(per_trial):]
+        theory = [row for row in tail if row.metric.startswith("mse-theory")]
+        aggregates = tail[:len(tail) - len(theory)]
+        assert tail[len(aggregates):] == theory
+        assert (len(theory) > 0) == (name == "theorem1")
+        assert aggregates and [key(row) for row in aggregates] == sorted(map(key, aggregates))
+        assert {row.eta for row in aggregates} == set(
+            config.get("eta_grid", (0.0,)) if name == "mismatch" else (0.0,))
+        if name == "multishot":
+            assert {row.shots for row in aggregates} == {1, 4}
 
     def test_one_trial_of_frames_is_alive_at_a_time(self, monkeypatch):
         # LS and RLS solve each trial of a chunk on its own, and its
@@ -931,6 +966,24 @@ class TestCli:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-records"])
+    def test_a_written_path_naming_the_config_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                         flag):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(dict(qubits=2, trials=1, m_grid=[2])), encoding="utf-8")
+        before = config.read_bytes()
+
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_run_chunk", no_trials)
+        assert main(["rls-vs-cs", "--config", "c.json", flag, "./c.json"]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "--config" in err
+        assert config.read_bytes() == before
+        assert not (tmp_path / "rls-vs-cs.csv").exists()
 
     @pytest.mark.parametrize(
         "flags, named",

@@ -595,6 +595,26 @@ class TestRecordSerialization:
         assert np.array_equal(loaded.counts, records.counts)
         assert loaded.shots == records.shots
 
+    def test_seed_beyond_64_bits_round_trips(self, tmp_path):
+        # The header's seed is read as a Python int, not as an int64.
+        records = run_plan(DensityMatrix.maximally_mixed(2), MeasurementPlan(2, 3, GlobalHaar(2)),
+                           2**64 + 1, 0)
+        path = tmp_path / "records.txt"
+        dump_records(records, path, seed=2**64 + 1)
+        loaded, seed = load_records(path)
+        assert seed == 2**64 + 1
+        assert np.array_equal(loaded.unitaries, records.unitaries)
+        assert np.array_equal(loaded.counts, records.counts)
+
+    def test_negative_header_seed_is_rejected(self, tmp_path):
+        records = run_plan(DensityMatrix.maximally_mixed(2), MeasurementPlan(2, 3, GlobalHaar(2)),
+                           5, 0)
+        path = tmp_path / "records.txt"
+        dump_records(records, path, seed=5)
+        path.write_text(path.read_text().replace("2 2 3 5\n", "2 2 3 -5\n", 1))
+        with pytest.raises(ValueError, match="records.txt, line 1 header"):
+            load_records(path)
+
     def test_header_contents(self, tmp_path):
         plan = MeasurementPlan(2, 3, GlobalHaar(2))
         records = run_plan(DensityMatrix.maximally_mixed(2), plan, 16, 0)
