@@ -256,19 +256,33 @@ class LogLikelihoodResult(NamedTuple):
     floored_terms: int
 
 
+class ObservedOutcomes(NamedTuple):
+    """All that the log-likelihood reads of M settings: ``rows`` is the
+    (N, D) array of the rows u_k† of every outcome k with a nonzero
+    count, setting by setting and in outcome order within a setting, and
+    ``counts`` the (N,) counts of those outcomes."""
+
+    rows: np.ndarray
+    counts: np.ndarray
+    settings: int
+
+
 def log_likelihood(records, rho_phy: DensityMatrix) -> LogLikelihoodResult:
     """Average log-likelihood (1/M) sum_mk f_mk log tr(A_mk rho) of the
-    settings in a RecordStack.
+    settings in a RecordStack, or of their :class:`ObservedOutcomes`.
 
     Outcome probabilities are floored at 1e-12 before the log so that a
     physical state assigning (numerically) zero probability to an
     observed outcome yields a finite value; the number of floored terms
     is reported as a diagnostic.
     """
-    observed = records.counts > 0
+    if not isinstance(records, ObservedOutcomes):
+        observed = records.counts > 0
+        records = ObservedOutcomes(records.unitaries[observed], records.counts[observed],
+                                   len(records))
     # Only the rows of observed outcomes enter the Born product: at L = 1
     # that is one row per setting, M*D^2 work rather than M*D^3.
-    probabilities = _outcome_probabilities(records.unitaries[observed], rho_phy.matrix)
+    probabilities = _outcome_probabilities(records.rows, rho_phy.matrix)
     floored = int((probabilities < LIKELIHOOD_FLOOR).sum())
-    total = float(records.counts[observed] @ np.log(np.maximum(probabilities, LIKELIHOOD_FLOOR)))
-    return LogLikelihoodResult(total / len(records), floored)
+    total = float(records.counts @ np.log(np.maximum(probabilities, LIKELIHOOD_FLOOR)))
+    return LogLikelihoodResult(total / records.settings, floored)

@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from .ensembles import as_integer
 from .measurement import RecordStack, adjoint_map
 
 DEFAULT_RCOND = 1e-10
@@ -180,62 +181,70 @@ def _pinv_solve(eigenvalues, eigenvectors, vector: np.ndarray) -> np.ndarray:
 
 
 class FramePrefix:
-    """Frames of growing prefixes of one sequence of settings.
+    """Frames of the growing prefixes of one sequence of settings, fed to
+    it in setting order by :meth:`extend`.
 
-    This is where every frame is built. Settings enter the running sum
-    only when a frame first needs them, one syrk per block of
-    FRAME_COLUMNS // D settings, and each frame is that sum divided by M.
+    This is where every frame is built. A fed setting waits, as the view
+    of its unitary, until a frame is asked for or FRAME_COLUMNS // D
+    settings wait; the waiting settings then enter the running sum as one
+    syrk. So a syrk block starts at the previous frame's last setting and
+    spans FRAME_COLUMNS // D settings, whatever sizes were fed, and each
+    frame is the sum divided by M.
     """
 
-    def __init__(self, unitaries: np.ndarray, shots: int = 1):
-        """``unitaries`` is an (M, D, D) stack or a list of (D, D) unitaries."""
-        if len(unitaries) == 0:
-            raise ValueError("frame operator needs at least one POVM")
-        if shots < 1:
+    def __init__(self, dim: int, shots: int = 1):
+        if as_integer("dim", dim) < 1:
+            raise ValueError(f"frame prefix needs a dimension >= 1, got {dim}")
+        if as_integer("shots", shots) < 1:
             raise ValueError(f"shot count must be >= 1, got {shots}")
-        self.unitaries = np.asarray(unitaries)
-        if self.unitaries.ndim != 3 or self.unitaries.shape[1] != self.unitaries.shape[2]:
-            raise ValueError(f"dim-mismatch: settings of shape {self.unitaries.shape[1:]}")
-        self.dim = self.unitaries.shape[-1]
-        self.shots = shots
+        self.dim, self.shots = dim, shots
+        self.settings = 0  # settings fed so far
+        self._summed = 0  # settings in the running sum
+        self._waiting: list[np.ndarray] = []
         self._sum: np.ndarray | None = None
-        self._count = 0
-        self._frame: FrameOperator | None = None
 
-    def frame(self, settings: int) -> FrameOperator:
-        """Frame of the first ``settings`` settings; calls must not go back."""
-        if settings < 1:
-            raise ValueError(f"frame prefix needs at least one setting, got {settings}")
-        if not self._count <= settings <= len(self.unitaries):
+    def extend(self, unitaries) -> None:
+        """Feed the next settings, an (m, D, D) stack or a list of (D, D)
+        unitaries, which must not change until they enter the sum."""
+        unitaries = np.asarray(unitaries)
+        if unitaries.ndim != 3 or unitaries.shape[1:] != (self.dim, self.dim):
             raise ValueError(
-                f"frame prefix of {settings} settings after {self._count} "
-                f"of {len(self.unitaries)}"
+                f"dim-mismatch: settings of shape {unitaries.shape[1:]} for a "
+                f"frame of dimension {self.dim}"
             )
-        if self._count != settings:
-            # The previous frame goes before this call's buffers are made.
-            self._frame = None
-            if self._sum is None:
-                self._sum = np.zeros((self.dim**2, self.dim**2))
-            step = max(1, FRAME_COLUMNS // self.dim)
-            # One columns buffer and one product buffer serve every block.
-            buffer = np.empty((min(step, settings - self._count) * self.dim, self.dim**2))
-            product = np.empty_like(self._sum)
-            for start in range(self._count, settings, step):
-                block = self.unitaries[start:min(start + step, settings)]
-                columns = povm_operator_columns(block, out=buffer[:len(block) * self.dim])
-                np.matmul(columns, columns.T, out=product)
-                self._sum += product
-            # Free the buffers, which can outgrow the frame, before the
-            # frame below is made.
-            del buffer, product, columns
-            self._count = settings
-            # Probing each of M settings L times is equivalent to M*L
-            # single-shot settings with duplicated POVMs: the entries are
-            # unchanged, but the ridge shift mu/M divides by M*L. This keeps
-            # multishot records and their expanded one-hot form producing
-            # identical RLS shadows.
-            self._frame = FrameOperator(self._sum / settings, self.dim, settings * self.shots)
-        return self._frame
+        step = max(1, FRAME_COLUMNS // self.dim)
+        while len(unitaries):
+            room = step - (self.settings - self._summed)
+            self._waiting.append(unitaries[:room])
+            self.settings += len(self._waiting[-1])
+            unitaries = unitaries[room:]
+            if self.settings - self._summed == step:
+                self._accumulate()
+
+    def _accumulate(self) -> None:
+        """Add the waiting settings to the running sum as one syrk."""
+        if self._sum is None:
+            self._sum = np.zeros((self.dim**2, self.dim**2))
+        buffer = np.empty(((self.settings - self._summed) * self.dim, self.dim**2))
+        offset = 0
+        for block in self._waiting:
+            povm_operator_columns(block, out=buffer[offset:offset + len(block) * self.dim])
+            offset += len(block) * self.dim
+        self._waiting, self._summed = [], self.settings
+        self._sum += np.matmul(buffer.T, buffer)
+
+    def frame(self) -> FrameOperator:
+        """Frame of every setting fed so far."""
+        if self.settings < 1:
+            raise ValueError("frame prefix needs at least one setting, got 0")
+        if self._summed < self.settings:
+            self._accumulate()
+        # Probing each of M settings L times is equivalent to M*L
+        # single-shot settings with duplicated POVMs: the entries are
+        # unchanged, but the ridge shift mu/M divides by M*L. This keeps
+        # multishot records and their expanded one-hot form producing
+        # identical RLS shadows.
+        return FrameOperator(self._sum / self.settings, self.dim, self.settings * self.shots)
 
 
 def gram_ridge_solve(
@@ -348,25 +357,8 @@ def solve_route(method: ShadowMethod, settings: int, dim: int) -> str:
     """
     if isinstance(method, CS):
         return "channel"
+    _ridge_weight(method)  # refuses an unknown method
     return "gram" if settings <= dim else "frame"
-
-
-def average_estimate(
-    method: ShadowMethod, records: RecordStack, mean_adjoint: np.ndarray, frames: FramePrefix
-) -> np.ndarray:
-    """Mean shadow of ``records``, the first settings of ``frames``.
-
-    By linearity it is the shadow map of the records' mean adjoint; at
-    or below interpolation it is the equivalent Gram solve. Only the
-    "frame" route asks ``frames`` for a frame.
-    """
-    settings = len(records)
-    route = solve_route(method, settings, records.dim)
-    if route == "gram":
-        return gram_ridge_solve(
-            records.unitaries, records.frequencies, _ridge_weight(method), records.shots
-        )
-    return shadow_map(method, mean_adjoint, frames.frame(settings) if route == "frame" else None)
 
 
 def estimate(records: RecordStack, method: ShadowMethod) -> np.ndarray:
@@ -379,5 +371,7 @@ def estimate(records: RecordStack, method: ShadowMethod) -> np.ndarray:
     adjoints = adjoint_map(records.unitaries, records.frequencies)
     frame = None
     if not isinstance(method, CS):
-        frame = FramePrefix(records.unitaries, records.shots).frame(len(records))
+        frames = FramePrefix(records.dim, records.shots)
+        frames.extend(records.unitaries)
+        frame = frames.frame()
     return shadow_map(method, adjoints, frame)

@@ -12,6 +12,7 @@ sets one family apart from the others.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import numbers
 import os
@@ -23,6 +24,7 @@ import numpy as np
 from .core import (
     DensityMatrix,
     Observable,
+    ObservedOutcomes,
     eigenvalue_split,
     expectation,
     frobenius_error,
@@ -43,7 +45,7 @@ from .estimators import (
     RLS,
     FramePrefix,
     ShadowMethod,
-    average_estimate,
+    gram_ridge_solve,
     shadow_map,
     solve_route,
 )
@@ -54,6 +56,7 @@ from .measurement import (
     adjoint_map,
     dump_records,
     load_records,
+    plan_blocks,
     run_plan,
 )
 from .theory import empirical_mse, mse_theorem1
@@ -66,10 +69,13 @@ from .theory import empirical_mse, mse_theorem1
 MAX_ORDER_WITHOUT_FORCE = 4**7
 MAX_UNITARY_ENTRIES_WITHOUT_FORCE = 2**27
 
-# Trials are sampled and processed in chunks of at most this many
-# setting-unitary entries M*D^2 of one draw (one trial, when a trial alone
-# draws more): 2048 settings at D = 4, 512 at D = 8, 32 at D = 32. So a
-# chunk of several trials holds at most 512 KiB of sampled unitaries.
+# Trials are streamed and their metrics computed in chunks of at most this
+# many setting-unitary entries M*D^2 of one draw (one trial, when a trial
+# alone draws more): 2048 settings at D = 4, 512 at D = 8, 32 at D = 32.
+# A chunk keeps each trial's mean adjoints and estimates at every grid
+# point and, for loglik, its observed outcomes: at L = 1 one row of D
+# entries a setting, so at most 512 KiB / D of rows. The settings
+# themselves pass through in blocks (measurement.plan_blocks).
 TRIAL_CHUNK_ENTRIES = 2048 * 4**2
 
 # A theory family computes its theorem-1 Monte Carlo in a forked child
@@ -396,11 +402,12 @@ def _build_context(scenario: Scenario) -> _Context:
 
 
 def _metric_values(
-    ctx: _Context, estimates: np.ndarray, stacks: list[RecordStack], settings: int
+    ctx: _Context, estimates: np.ndarray, outcomes: list[ObservedOutcomes] | None
 ) -> dict[str, list[float]]:
     """Each metric's per-trial values at one grid point, in the order of a
-    trial's rows, from the (T, D, D) ``estimates`` of T record stacks;
-    ``loglik`` reads the first ``settings`` records of each."""
+    trial's rows, from the (T, D, D) ``estimates`` of T trials; ``loglik``
+    reads the observed ``outcomes`` of each trial's settings up to the
+    point."""
     metrics = ctx.family.metrics
     values = {}
     if "frobenius-error" in metrics:
@@ -421,8 +428,8 @@ def _metric_values(
         ]
     if "loglik" in metrics:
         values["loglik"] = [
-            log_likelihood(records[:settings], project_physical(matrix)).value
-            for matrix, records in zip(estimates, stacks)
+            log_likelihood(observed, project_physical(matrix)).value
+            for matrix, observed in zip(estimates, outcomes)
         ]
     return values
 
@@ -436,18 +443,123 @@ def _trial_chunks(ctx: _Context) -> list[range]:
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
 
 
-def _trial_records(
+class _EntryStream:
+    """One plan entry (shots, settings grid) of a chunk of trials, fed the
+    blocks of :func:`plan_blocks` in order. ``means`` gets each trial's
+    mean adjoint at each grid point from running sums that add one
+    setting at a time, so each has the same bits for any grid, block and
+    chunk. LS and RLS are solved as the stream passes a point: at or
+    below M = D from the group's first settings (Gram route), above it
+    from one running FramePrefix per trial, fed up to the last such
+    point. For loglik the observed outcomes are kept (``outcomes``);
+    nothing else outlives its block."""
+
+    def __init__(self, ctx: _Context, trials: int, shots: int, grid: tuple[int, ...]):
+        dim = self.dim = ctx.scenario.dim
+        self.shots, self.grid, self.methods = shots, grid, ctx.methods
+        self.means = np.empty((trials, len(grid), dim, dim), dtype=complex)
+        self.solved = {method: np.empty_like(self.means)
+                       for method in ctx.methods if not isinstance(method, CS)}
+        self._gram_until = max((m for m in grid if m <= dim), default=0) if self.solved else 0
+        self._frame_until = grid[-1] if self.solved and grid[-1] > dim else 0
+        self.loglik = "loglik" in ctx.family.metrics
+        rows = grid[-1] * min(shots, dim) if self.loglik else 0  # observed outcomes at most
+        self._rows = np.empty((trials, rows, dim), dtype=complex)
+        self._counts = np.empty((trials, rows), dtype=np.int64)
+        self._seen = np.empty((trials, grid[-1] if self.loglik else 0), dtype=np.intp)
+
+    def feed(self, trials: slice, start: int, unitaries: np.ndarray, counts: np.ndarray) -> None:
+        """Take settings start.. of a group of trials (a group starts at
+        setting 0): a block's (T, W, D, D) ``unitaries``, of which the
+        entry holds the first R, and their (T, R, D) ``counts``."""
+        width = counts.shape[1]
+        if width == 0:
+            return
+        unitaries, frequencies = unitaries[:, :width], counts / self.shots
+        if start == 0:
+            self._sum = np.zeros((len(unitaries), self.dim, self.dim), dtype=complex)
+            self._first = []
+            self._frames = [FramePrefix(self.dim, self.shots)
+                            for _ in range(len(unitaries) if self._frame_until else 0)]
+        adjoints = adjoint_map(unitaries, frequencies)
+        adjoints[:, 0] += self._sum
+        np.add.accumulate(adjoints, axis=1, out=adjoints)
+        self._sum = adjoints[:, -1].copy()  # the block's adjoints go with it
+        if start < self._gram_until:
+            kept = self._gram_until - start
+            self._first.append((unitaries[:, :kept], frequencies[:, :kept]))
+        if self.loglik:
+            observed = counts > 0
+            self._seen[trials, start:start + width] = observed.sum(axis=2)
+            for trial, seen in enumerate(observed, trials.start):
+                filled = self._seen[trial, :start].sum()
+                stop = filled + seen.sum()
+                self._rows[trial, filled:stop] = unitaries[trial - trials.start][seen]
+                self._counts[trial, filled:stop] = counts[trial - trials.start][seen]
+        for point, settings in enumerate(self.grid):
+            if start < settings <= start + width:
+                means = self.means[trials, point]
+                means[...] = adjoints[:, settings - start - 1]
+                means /= settings
+                self._solve(trials.start, start, unitaries, point, settings)
+        for trial, frames in enumerate(self._frames):
+            frames.extend(unitaries[trial, frames.settings - start:self._frame_until - start])
+        if start + width >= self._frame_until:
+            self._frames = []
+
+    def _solve(self, first: int, start: int, unitaries, point: int, settings: int) -> None:
+        """LS and RLS at one grid point for a group whose first trial is
+        trial ``first`` of the chunk."""
+        if settings <= self.dim and self.solved:
+            kept = [np.concatenate(parts, axis=1) for parts in zip(*self._first)]
+            for trial, method in itertools.product(range(len(kept[0])), self.solved):
+                self.solved[method][first + trial, point] = gram_ridge_solve(
+                    kept[0][trial, :settings], kept[1][trial, :settings],
+                    getattr(method, "mu", 0.0), self.shots)
+            if settings == self._gram_until:
+                self._first = []
+        for trial, frames in enumerate(self._frames if settings > self.dim else ()):
+            frames.extend(unitaries[trial, frames.settings - start:settings - start])
+            frame = frames.frame()
+            for method, out in self.solved.items():
+                out[first + trial, point] = shadow_map(method, self.means[first + trial, point],
+                                                       frame)
+            del frame
+
+    def estimates(self) -> list[np.ndarray]:
+        """Each method's (T, G, D, D) estimates; CS maps all mean adjoints
+        in one call."""
+        return [self.solved[method] if method in self.solved else shadow_map(method, self.means)
+                for method in self.methods]
+
+    def outcomes(self, point: int) -> list[ObservedOutcomes] | None:
+        """Each trial's observed outcomes up to a grid point, if kept."""
+        settings = self.grid[point]
+        return [ObservedOutcomes(self._rows[trial, :seen], self._counts[trial, :seen], settings)
+                for trial, seen in enumerate(self._seen[:, :settings].sum(axis=1))
+                ] if self.loglik else None
+
+
+def _stream_entries(
     ctx: _Context, trials: range, ensemble, records_override: RecordStack | None
-) -> list[list[RecordStack]]:
-    """The records each of ``trials`` measures on ``ensemble``, one stack
-    per plan entry holding its largest M: sampled for the whole chunk in
-    one call, or cut from the loaded stack."""
-    if records_override is not None:
-        return [[records_override[:grid[-1]] for _, grid in ctx.plan] for _ in trials]
-    # One call for every shot count: each setting is drawn once and
-    # feeds the counts of every plan entry that holds it.
-    plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
-    return run_plan(ctx.state, plans, ctx.scenario.seed, trials)
+) -> list[_EntryStream]:
+    """Every plan entry of ``trials`` on ``ensemble``, streamed in one pass
+    over the blocks sampled for the chunk (each setting drawn once for
+    every shot count) or over the loaded stack, in PLAN_BLOCK settings."""
+    entries = [_EntryStream(ctx, len(trials), shots, grid) for shots, grid in ctx.plan]
+    if records_override is None:
+        plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
+        blocks = plan_blocks(ctx.state, plans, ctx.scenario.seed, trials)
+    else:
+        loaded = records_override
+        blocks = ((slice(0, 1), start, loaded.unitaries[None, start:start + PLAN_BLOCK],
+                   [loaded.counts[None, start:min(start + PLAN_BLOCK, grid[-1])]
+                    for _, grid in ctx.plan])
+                  for start in range(0, max(grid[-1] for _, grid in ctx.plan), PLAN_BLOCK))
+    for block_trials, start, unitaries, counts in blocks:
+        for entry, entry_counts in zip(entries, counts):
+            entry.feed(block_trials, start, unitaries, entry_counts)
+    return entries
 
 
 def _run_chunk(
@@ -456,68 +568,19 @@ def _run_chunk(
     """The per-trial metric values of a chunk of trials. Each key is a
     row key (M, L, mu, eta, method, metric), inserted in the order of one
     trial's rows, and its value holds one value per trial of ``trials``.
-    Sampling, adjoint sums, CS estimates and lambda-hat values are
-    computed for the chunk at once; LS and RLS solve each trial's frame
-    or Gram systems on its own."""
+    Each eta's settings are streamed through every plan entry at once;
+    the metrics then run for the chunk at once."""
     columns: dict[tuple, list[float]] = {}
     for eta, ensemble in ctx.family.ensembles(ctx.scenario):
-        chunk = _trial_records(ctx, trials, ensemble, records_override)
-        for entry, (shots, settings_grid) in enumerate(ctx.plan):
-            stacks = [records[entry] for records in chunk]
-            estimates = _estimates(ctx.methods, stacks, settings_grid)
-            for point, settings in enumerate(settings_grid):
+        for entry in _stream_entries(ctx, trials, ensemble, records_override):
+            estimates = entry.estimates()
+            for point, settings in enumerate(entry.grid):
                 for method, matrices in zip(ctx.methods, estimates):
-                    key = (settings, shots, getattr(method, "mu", 0.0), eta, type(method).__name__)
-                    values = _metric_values(ctx, matrices[:, point], stacks, settings)
+                    key = (settings, entry.shots, getattr(method, "mu", 0.0), eta,
+                           type(method).__name__)
+                    values = _metric_values(ctx, matrices[:, point], entry.outcomes(point))
                     columns.update(((*key, metric), column) for metric, column in values.items())
     return columns
-
-
-def _estimates(methods, stacks: list[RecordStack], settings_grid) -> list[np.ndarray]:
-    """Each method's (T, G, D, D) estimates of each of T stacks at each M
-    of the G-point grid. CS maps all mean adjoints in one call. LS and
-    RLS solve trial by trial: a trial's frames are built, used across its
-    grid and dropped before the next trial's are built, so the D^2 x D^2
-    frame and eigensystem of one trial at a time are alive."""
-    means = _prefix_adjoint_sums(stacks, settings_grid)
-    for point, settings in enumerate(settings_grid):
-        means[:, point] /= settings
-    solved = {method: np.empty_like(means) for method in methods if not isinstance(method, CS)}
-    for trial, records in enumerate(stacks if solved else ()):
-        frames = FramePrefix(records.unitaries, records.shots)
-        for point, settings in enumerate(settings_grid):
-            for method, out in solved.items():
-                out[trial, point] = average_estimate(
-                    method, records[:settings], means[trial, point], frames
-                )
-        del frames
-    return [solved[method] if method in solved else shadow_map(method, means)
-            for method in methods]
-
-
-def _prefix_adjoint_sums(stacks: list[RecordStack], settings_grid) -> np.ndarray:
-    """(T, G, D, D): for each of T equally long stacks and each M of the
-    G-point grid, the sum of the adjoints of its first M settings, added
-    one at a time in setting order, so every sum has the same bits for
-    any grid and any chunk. The adjoints are made PLAN_BLOCK settings at
-    a time for all stacks at once."""
-    dim = stacks[0].dim
-    sums = np.empty((len(stacks), len(settings_grid), dim, dim), dtype=complex)
-    partial_sums = np.zeros((len(stacks), dim, dim), dtype=complex)
-    for start in range(0, settings_grid[-1], PLAN_BLOCK):
-        stop = min(start + PLAN_BLOCK, settings_grid[-1])
-        blocks = [records[start:stop] for records in stacks]
-        adjoints = adjoint_map(
-            np.stack([block.unitaries for block in blocks]),
-            np.stack([block.frequencies for block in blocks]),
-        )
-        adjoints[:, 0] += partial_sums
-        np.add.accumulate(adjoints, axis=1, out=adjoints)
-        for point, settings in enumerate(settings_grid):
-            if start < settings <= stop:
-                sums[:, point] = adjoints[:, settings - start - 1]
-        partial_sums = adjoints[:, -1]
-    return sums
 
 
 def _aggregate_rows(ctx: _Context, columns: dict[tuple, list[float]]) -> list[ResultRow]:
@@ -657,14 +720,17 @@ def run_scenario(
     theorem-1 rows. Trials run in order in the calling thread, in chunks
     of consecutive trials that draw at most TRIAL_CHUNK_ENTRIES unitary
     entries M*D^2 together (one trial when it draws more), each chunk
-    returning its metric columns; every setting keeps its stream (seed,
-    (trial, m)), so the rows are the same for any chunking. A theory
-    family computes its theorem-1 rows in one forked child while the
-    trials run, when both are large enough to pay for the fork
-    (THEORY_FORK_SETTINGS and THEORY_FORK_DRAWS), the platform has the
-    fork start method and two or more CPUs are usable; the child is
-    joined before this returns or raises, and its exception is raised
-    here. ``workers`` must be >= 1 but has no effect: the rows are the
+    returning its metric columns. A chunk is one pass over its blocks of
+    settings, each sampled, accumulated into every plan entry's sums and
+    frames, solved at the grid points it reaches and dropped before the
+    next is sampled, so no trial's (M, D, D) unitaries are held. Every
+    setting keeps its stream (seed, (trial, m)), so the rows are the
+    same for any chunking. A theory family computes its theorem-1 rows
+    in one forked child while the trials run, when both are large enough
+    to pay for the fork (THEORY_FORK_SETTINGS and THEORY_FORK_DRAWS), the
+    platform has the fork start method and two or more CPUs are usable;
+    the child is joined before this returns or raises, and its exception
+    is raised here. ``workers`` must be >= 1 but has no effect: the rows are the
     same either way, and trial chunks stay serial, because worker
     processes with one BLAS thread change CSV bytes and with the
     caller's BLAS threads they oversubscribe the CPUs.
@@ -718,7 +784,9 @@ def run_scenario(
 
     if dump_records_path is not None:
         _, ensemble = ctx.family.ensembles(scenario)[0]
-        trial_zero = _trial_records(ctx, range(1), ensemble, records_override)[0][0]
+        shots, grid = ctx.plan[0]
+        trial_zero = (run_plan(ctx.state, MeasurementPlan(grid[-1], shots, ensemble), scenario.seed, 0)
+                      if records_override is None else records_override[:grid[-1]])
         dump_records(trial_zero, dump_records_path, seed=dump_seed)
     return rows
 

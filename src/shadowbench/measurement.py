@@ -214,41 +214,24 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
     sequence of plans over one ensemble, giving one stack per plan.
     ``trials`` is one trial index, giving that trial's result, or a
     non-empty sequence of them (a chunk of trials), giving a list with
-    the result of each in order. Setting m of trial t is drawn from the
-    stream (seed, (t, m)) and no other, so no draw depends on the chunk,
-    and records for a smaller plan are an exact prefix of records for a
-    larger plan at the same seed and trial.
-
-    A block of at most PLAN_BLOCK settings and of as many trials as keep
-    its streams within PLAN_STREAMS (one trial at least) is sampled at a
-    time. The block's generators are seeded in one pass
-    (:func:`stream_generators`), and one :func:`sample_unitary` call draws
-    and factorizes the block's settings for any ensemble. The checks and
-    the Born probabilities then run once for the block, and its
-    generators are released before the next block's are seeded.
-    Each plan that holds setting m draws its counts from the stream's
-    state right after that setting's draw, so every stack has the same
-    bits as a separate call with its plan and trial alone. A trial's
-    stacks share one read-only unitary array.
+    the result of each in order. The blocks of :func:`plan_blocks` are
+    collected into arrays, so records for a smaller plan are an exact
+    prefix of records for a larger plan at the same seed and trial, and
+    every stack has the same bits as a separate call with its plan and
+    trial alone. A trial's stacks share one read-only unitary array.
     """
     sequence = _plan_sequence(plans, state)
     single = not isinstance(trials, Iterable)
     trials = [trials] if single else list(trials)
     if not trials:
         raise ValueError("run_plan needs at least one trial")
-    sizes = sorted((plan.settings for plan in sequence), reverse=True)
-    total = sizes[0]
-    shared = sizes[1] if len(sizes) > 1 else 0  # settings held by two plans or more
-    dim = state.dim
+    total, dim = max(plan.settings for plan in sequence), state.dim
     unitaries = np.empty((len(trials), total, dim, dim), dtype=complex)
     counts = [np.empty((len(trials), plan.settings, dim), dtype=np.int64) for plan in sequence]
-    per_block = max(1, PLAN_STREAMS // min(PLAN_BLOCK, total))  # trials per block
-    for first in range(0, len(trials), per_block):
-        rows = slice(first, first + per_block)
-        for start in range(0, total, PLAN_BLOCK):
-            settings = range(start, min(start + PLAN_BLOCK, total))
-            _sample_block(state, sequence, shared, seed, trials[rows], settings,
-                          unitaries[rows], [plan_counts[rows] for plan_counts in counts])
+    for rows, start, block, block_counts in plan_blocks(state, sequence, seed, trials):
+        unitaries[rows, start:start + block.shape[1]] = block
+        for plan_counts, plan_block in zip(counts, block_counts):
+            plan_counts[rows, start:start + plan_block.shape[1]] = plan_block
     unitaries.setflags(write=False)
     for plan_counts in counts:
         plan_counts.setflags(write=False)
@@ -262,17 +245,51 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
     return results[0] if single else results
 
 
-def _sample_block(state, sequence, shared: int, seed: int, trials, settings: range,
-                  unitaries: np.ndarray, counts: list[np.ndarray]) -> None:
-    """Draw ``settings`` of ``trials`` into the same settings of the
-    (T, M, D, D) ``unitaries`` and of each plan's (T, M_plan, D)
-    ``counts``, whose rows are those trials; the first ``shared``
-    settings are held by two plans or more. Its generators, snapshots and
-    probabilities go when it returns."""
+def plan_blocks(state: DensityMatrix, plans, seed: int, trials):
+    """Sample a sequence of ``plans`` over one ensemble for a non-empty
+    sequence of ``trials``, one block at a time, each drawn only when
+    asked for: trial group by trial group, and within a group in setting
+    order. A block is (rows, start, unitaries, counts): ``rows`` slices
+    the group out of ``trials``, ``unitaries`` is the read-only
+    (T, W, D, D) array of settings start..start+W-1, and ``counts`` holds
+    each plan's read-only (T, R, D) counts of the first R of them that
+    it holds (R may be 0). Setting m of trial t is drawn from the stream
+    (seed, (t, m)) and no other, so no draw depends on the block.
+
+    A block holds at most PLAN_BLOCK settings of as many trials as keep
+    its streams within PLAN_STREAMS (one trial at least). Its generators
+    are seeded in one pass (:func:`stream_generators`), one
+    :func:`sample_unitary` call draws and factorizes its settings for any
+    ensemble, and the checks and Born probabilities run once for it; its
+    generators are released before the next block's are seeded. Each
+    plan that holds setting m draws its counts from the stream's state
+    right after that setting's draw, as it would alone.
+    """
+    sequence = _plan_sequence(plans, state)
+    trials = list(trials)
+    if not trials:
+        raise ValueError("run_plan needs at least one trial")
+    sizes = sorted((plan.settings for plan in sequence), reverse=True)
+    total = sizes[0]
+    shared = sizes[1] if len(sizes) > 1 else 0  # settings held by two plans or more
+    per_block = max(1, PLAN_STREAMS // min(PLAN_BLOCK, total))  # trials per block
+    for first in range(0, len(trials), per_block):
+        rows = slice(first, min(first + per_block, len(trials)))
+        for start in range(0, total, PLAN_BLOCK):
+            settings = range(start, min(start + PLAN_BLOCK, total))
+            yield rows, start, *_sample_block(state, sequence, shared, seed, trials[rows], settings)
+
+
+def _sample_block(state, sequence, shared: int, seed: int, trials, settings: range):
+    """The (T, W, D, D) unitaries of ``settings`` of ``trials`` and each
+    plan's (T, R, D) counts of those settings it holds; the first
+    ``shared`` settings are held by two plans or more. Its generators,
+    snapshots and probabilities go when it returns."""
     start, stop, width, dim = settings.start, settings.stop, len(settings), state.dim
     generators = stream_generators(seed, trials, settings)
     block = sample_unitary(sequence[0].ensemble, generators).reshape(len(trials), width, dim, dim)
     _check_unitaries(block, start)
+    block.setflags(write=False)
     probabilities = born_probabilities(block, state)
     # One row of generators per trial; the first ``held`` settings of
     # the block are in two plans or more.
@@ -280,9 +297,11 @@ def _sample_block(state, sequence, shared: int, seed: int, trials, settings: ran
     held = max(min(shared, stop) - start, 0)
     snapshots = [[generator.bit_generator.state for generator in row[:held]] for row in rows_of]
     drawn = 0  # leading settings of the block whose counts were drawn
-    for plan, plan_counts in zip(sequence, counts):
-        rows = min(stop, plan.settings) - start
-        if rows <= 0:
+    counts = []
+    for plan in sequence:
+        rows = max(min(stop, plan.settings) - start, 0)
+        if rows == 0:
+            counts.append(np.empty((len(trials), 0, dim), dtype=np.int64))
             continue
         for row, states in zip(rows_of, snapshots):
             for generator, snapshot in zip(row[: min(drawn, rows)], states):
@@ -293,17 +312,10 @@ def _sample_block(state, sequence, shared: int, seed: int, trials, settings: ran
             probabilities[:, :rows].reshape(-1, dim), plan.shots, drawing
         ).reshape(len(trials), rows, dim)
         _check_counts(block_counts, plan.shots, start)
-        plan_counts[:, start:start + rows] = block_counts
-    unitaries[:, start:stop] = block
-
-
-def expand_to_single_shot(records: RecordStack) -> RecordStack:
-    """Rewrite M L-shot settings as M*L one-hot single-shot settings with
-    the same unitaries: setting by setting, then outcome by outcome."""
-    outcomes = records.counts.shape[1]
-    flat = np.repeat(np.arange(records.counts.size), records.counts.ravel())
-    settings, hits = np.divmod(flat, outcomes)
-    return RecordStack(records.unitaries[settings], np.eye(outcomes, dtype=np.int64)[hits], 1)
+        counts.append(block_counts)
+    for block_counts in counts:
+        block_counts.setflags(write=False)
+    return block, counts
 
 
 def dump_records(records: RecordStack, path, seed: int = 0) -> None:

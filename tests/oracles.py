@@ -14,6 +14,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from shadowbench.ensembles import GlobalHaar, stream_generators
+from shadowbench.estimators import FramePrefix, gram_ridge_solve, shadow_map, solve_route
+from shadowbench.measurement import RecordStack, adjoint_map
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -214,3 +216,34 @@ def random_observable_cdf(lam, dim: int):
     values = np.asarray(lam, dtype=float)
     cdf = 1.0 - (1.0 - values) ** (dim - 1)
     return float(cdf) if np.isscalar(lam) else cdf
+
+
+def expand_to_single_shot(records: RecordStack) -> RecordStack:
+    """Rewrite M L-shot settings as M*L one-hot single-shot settings with
+    the same unitaries: setting by setting, then outcome by outcome."""
+    outcomes = records.counts.shape[1]
+    flat = np.repeat(np.arange(records.counts.size), records.counts.ravel())
+    settings, hits = np.divmod(flat, outcomes)
+    return RecordStack(records.unitaries[settings], np.eye(outcomes, dtype=np.int64)[hits], 1)
+
+
+def average_estimate(method, records: RecordStack, frames: FramePrefix | None = None):
+    """The estimate of ``method`` from a whole record stack, as the
+    scenario kernel makes it from a stream: the mean of the adjoints,
+    summed one setting at a time from zero, mapped by the shadow map, or
+    at or below M = D the Gram solve. The frame route takes the frame of
+    ``frames``, which must have been fed exactly the records' settings
+    (a caller that asks it for frames at the kernel's grid points gets
+    the kernel's syrk blocks), or else of the records fed at once."""
+    total = np.zeros((records.dim, records.dim), dtype=complex)
+    for adjoint in adjoint_map(records.unitaries, records.frequencies):
+        total = total + adjoint
+    mean = total / len(records)
+    route = solve_route(method, len(records), records.dim)
+    if route == "gram":
+        return gram_ridge_solve(records.unitaries, records.frequencies,
+                                getattr(method, "mu", 0.0), records.shots)
+    if route == "frame" and frames is None:
+        frames = FramePrefix(records.dim, records.shots)
+        frames.extend(records.unitaries)
+    return shadow_map(method, mean, frames.frame() if route == "frame" else None)

@@ -34,7 +34,6 @@ from shadowbench.experiments import (
 from shadowbench.measurement import (
     MeasurementPlan,
     adjoint_map,
-    expand_to_single_shot,
     run_plan,
 )
 from shadowbench.theory import empirical_mse, mse_theorem1
@@ -43,6 +42,7 @@ from oracles import (
     canonical_vectors,
     closest_physical_state_bloch,
     dense_ls_estimate,
+    expand_to_single_shot,
     haar_unitaries,
     random_density_matrix,
     random_hermitian,
@@ -302,7 +302,9 @@ def test_criterion_11_oracle_equivalences():
     state = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
     unitaries = [haar_unitaries(dim, 1, stream(1453, (0, m)))[0] for m in range(4)]
     probabilities = [born_probabilities(unitary, state) for unitary in unitaries]
-    frame = FramePrefix(np.stack(unitaries)).frame(len(unitaries))
+    prefix = FramePrefix(dim)
+    prefix.extend(unitaries)
+    frame = prefix.frame()
     average = np.mean(
         [
             shadow_map(LS(), adjoint_map(unitary, p), frame)

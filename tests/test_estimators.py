@@ -14,25 +14,26 @@ from shadowbench.estimators import (
     LS,
     RLS,
     FramePrefix,
-    average_estimate,
     estimate,
     gram_ridge_solve,
     povm_operator_columns,
     shadow_map,
+    solve_route,
     unvec,
     vec,
 )
 from shadowbench.measurement import (
+    PLAN_BLOCK,
     MeasurementPlan,
     RecordStack,
     adjoint_map,
-    expand_to_single_shot,
     run_plan,
 )
 
 from oracles import (
     dense_ls_estimate,
     dense_ridge_solve,
+    expand_to_single_shot,
     haar_unitaries,
     hermitian_basis,
     naive_frame_matrix,
@@ -58,7 +59,9 @@ def setting_cs_shadows(records):
 
 
 def frame_of(unitaries, shots=1):
-    return FramePrefix(np.stack(unitaries), shots).frame(len(unitaries))
+    prefix = FramePrefix(np.shape(unitaries)[-1], shots)
+    prefix.extend(unitaries)
+    return prefix.frame()
 
 
 def haar_settings(dim, count, seed, trial=0):
@@ -181,9 +184,10 @@ class TestFrameOperator:
         # ridge_apply hands LAPACK the frame's transpose as the same matrix.
         settings = 2 * (FRAME_COLUMNS // dim) + 3
         unitaries = haar_unitaries(dim, settings, np.random.default_rng(dim))
-        prefix = FramePrefix(unitaries)
+        prefix = FramePrefix(dim)
         for count in (FRAME_COLUMNS // dim - 1, settings):
-            entries = prefix.frame(count).entries
+            prefix.extend(unitaries[prefix.settings:count])
+            entries = prefix.frame().entries
             assert np.array_equal(entries, entries.T)
 
     def test_ridge_solve_matches_solve_on_the_c_ordered_shifted_frame(self):
@@ -195,22 +199,24 @@ class TestFrameOperator:
         assert shifted.flags.c_contiguous
         assert np.array_equal(frame.ridge_apply(vector, 0.1), np.linalg.solve(shifted, vector))
 
-    def test_growing_prefix_reuses_one_buffer_per_call(self):
-        # Growing a D = 32 prefix from 32 to 128 settings makes two blocks
-        # in one call. Its peak holds the running sum, one product buffer,
-        # one columns buffer reused by both blocks, and under 2 MiB of
-        # chunk temporaries. Keeping the frame of 32 settings, a columns
-        # array per block, or the buffers while the new frame is made
-        # would each add at least 7 MiB.
+    def test_growing_prefix_holds_one_block_of_buffers(self):
+        # Growing a D = 32 prefix from 32 to 128 settings makes two syrk
+        # blocks, one when 64 settings wait and one when the frame is
+        # asked for. Its peak holds the running sum, one product, one
+        # block's columns, and under 2 MiB of chunk temporaries. Keeping
+        # the columns of both blocks, or a block's buffers while the
+        # frame is made, would add at least 7 MiB.
         dim, step = 32, FRAME_COLUMNS // 32
         unitaries = haar_unitaries(dim, 128, np.random.default_rng(15))
-        prefix = FramePrefix(unitaries)
+        prefix = FramePrefix(dim)
         square = dim**4 * 8
         tracemalloc.start()
         try:
-            prefix.frame(32)
+            prefix.extend(unitaries[:32])
+            prefix.frame()
             tracemalloc.reset_peak()
-            frame = prefix.frame(128)
+            prefix.extend(unitaries[32:])
+            frame = prefix.frame()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -219,9 +225,10 @@ class TestFrameOperator:
         assert peak <= square + square + columns + 2 * 2**20
 
     def test_empty_prefix_rejected(self):
-        prefix = FramePrefix(haar_unitaries(2, 3, np.random.default_rng(16)))
+        prefix = FramePrefix(2)
+        prefix.extend(np.empty((0, 2, 2)))
         with pytest.raises(ValueError, match="at least one setting, got 0"):
-            prefix.frame(0)
+            prefix.frame()
 
     def test_trace_equals_dimension(self):
         for dim in (2, 4, 8):
@@ -259,23 +266,48 @@ class TestFrameOperator:
         gap = np.abs(frame.entries - channel_matrix)
         assert np.all(gap <= 3 * np.abs(spread) + 1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            FramePrefix(np.empty((0, 2, 2)))
+    @pytest.mark.parametrize("dim, shots", [(0, 1), (2, 0)])
+    def test_bad_dimension_or_shots_rejected(self, dim, shots):
+        with pytest.raises(ValueError, match=">= 1"):
+            FramePrefix(dim, shots)
 
     def test_dim_mismatch_rejected(self):
+        prefix = FramePrefix(4)
         with pytest.raises(ValueError, match="dim-mismatch"):
-            FramePrefix(np.zeros((2, 2, 4)))
+            prefix.extend(np.zeros((2, 2, 4)))
         with pytest.raises(ValueError, match="dim-mismatch"):
-            FramePrefix(np.eye(4))  # one setting, not a stack of them
+            prefix.extend(np.eye(4))  # one setting, not a stack of them
         with pytest.raises(ValueError):
-            FramePrefix([np.eye(2), np.eye(4)])
+            prefix.extend([np.eye(2), np.eye(4)])
+        assert prefix.settings == 0
 
     def test_list_of_unitaries_matches_stack(self):
         unitaries = haar_settings(4, 3, seed=10)
-        listed = FramePrefix(unitaries, shots=2).frame(3)
-        stacked = FramePrefix(np.stack(unitaries), shots=2).frame(3)
-        assert np.array_equal(listed.entries, stacked.entries)
+        assert np.array_equal(frame_of(unitaries, shots=2).entries,
+                              frame_of(np.stack(unitaries), shots=2).entries)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_feed_sizes_do_not_change_the_bits(self, dim):
+        # A syrk block starts at the previous frame and spans
+        # FRAME_COLUMNS // D settings, however the settings are fed.
+        step = FRAME_COLUMNS // dim
+        count = 2 * step + 3
+        unitaries = haar_unitaries(dim, count, np.random.default_rng(dim + 40))
+        frames = {}
+        for feed in (1, 7, PLAN_BLOCK, step, count):
+            prefix = FramePrefix(dim)
+            entries = []
+            for stop in (step - 1, count):
+                for start in range(prefix.settings, stop, feed):
+                    prefix.extend(unitaries[start:min(start + feed, stop)])
+                entries.append(prefix.frame().entries)
+            frames[feed] = entries
+        for entries in frames.values():
+            for got, expected in zip(entries, frames[count]):
+                assert np.array_equal(got, expected)
+        # Asking for a frame at step - 1 cuts the blocks there: a
+        # prefix fed to the end at once sums them otherwise.
+        assert np.abs(frame_of(unitaries).entries - frames[count][1]).max() < 1e-14
 
 
 class TestLsShadow:
@@ -435,12 +467,11 @@ def test_unknown_method_type_rejected_on_both_routes(settings):
         DensityMatrix.maximally_mixed(4), MeasurementPlan(settings, 1, GlobalHaar(4)),
         21, 0,
     )
-    frames = FramePrefix(records.unitaries)
     mean = np.mean(adjoint_map(records.unitaries, records.frequencies), axis=0)
     with pytest.raises(TypeError, match="unknown shadow method Unknown"):
-        average_estimate(Unknown(), records, mean, frames)
+        solve_route(Unknown(), settings, 4)
     with pytest.raises(TypeError, match="unknown shadow method Unknown"):
-        shadow_map(Unknown(), mean, frames.frame(settings))
+        shadow_map(Unknown(), mean, frame_of(records.unitaries))
 
 
 class TestGramRidgeSolve:

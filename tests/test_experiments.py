@@ -15,6 +15,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -29,9 +30,9 @@ from hypothesis import strategies as st
 import shadowbench
 from shadowbench import estimators, experiments, measurement
 from shadowbench.cli import build_parser, main
-from shadowbench.core import DensityMatrix, expectation
+from shadowbench.core import DensityMatrix, expectation, log_likelihood, project_physical
 from shadowbench.ensembles import GlobalHaar
-from shadowbench.estimators import CS, LS, RLS, FramePrefix, average_estimate, estimate
+from shadowbench.estimators import CS, FRAME_COLUMNS, LS, RLS, FramePrefix, estimate
 from shadowbench.experiments import (
     AGGREGATE_TRIAL,
     CSV_HEADER,
@@ -44,8 +45,10 @@ from shadowbench.experiments import (
     emit_csv,
     run_scenario,
 )
-from shadowbench.measurement import PLAN_BLOCK, MeasurementPlan, adjoint_map, run_plan
+from shadowbench.measurement import PLAN_BLOCK, MeasurementPlan, load_records, run_plan
 from shadowbench.theory import mse_theorem1
+
+from oracles import average_estimate
 
 
 def tiny_scenario(kind, **overrides):
@@ -350,10 +353,10 @@ class TestRunScenario:
     def test_one_sampler_call_per_chunk_and_eta(
         self, monkeypatch, kind, eta_grid, chunk_trials, chunks
     ):
-        # Every shot count of every trial in a chunk shares one draw of
-        # their settings, so the Born probabilities run once per block of
-        # the chunk, not once per L or per trial.
-        calls = {"run_plan": 0, "born_probabilities": 0}
+        # Every shot count of every trial in a chunk shares one stream of
+        # blocks, so the Born probabilities run once per block of the
+        # chunk, not once per L or per trial.
+        calls = {"plan_blocks": 0, "born_probabilities": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -364,7 +367,7 @@ class TestRunScenario:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(experiments, "run_plan")
+        counted(experiments, "plan_blocks")
         counted(measurement, "born_probabilities")
         trials, settings = 3, PLAN_BLOCK + 1  # two blocks per draw
         scenario = tiny_scenario(kind, trials=trials, m_grid=(settings,), l_grid=(1, 4, 16),
@@ -372,7 +375,7 @@ class TestRunScenario:
         monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES",
                             chunk_trials * settings * scenario.dim**2)
         run_scenario(scenario)
-        assert calls == {"run_plan": chunks * len(eta_grid),
+        assert calls == {"plan_blocks": chunks * len(eta_grid),
                          "born_probabilities": 2 * chunks * len(eta_grid)}
 
     def test_cs_trace_rows_are_one(self):
@@ -670,9 +673,11 @@ class TestTrialChunks:
         if name == "multishot":
             assert {row.shots for row in aggregates} == {1, 4}
 
-    def test_one_trial_of_frames_is_alive_at_a_time(self, monkeypatch):
-        # LS and RLS solve each trial of a chunk on its own, and its
-        # D^2 x D^2 frames are dropped before the next trial's are built.
+    def test_one_sampling_group_of_frames_is_alive_at_a_time(self, monkeypatch):
+        # The trials of a sampling group advance through their settings
+        # together, each with its running frame. A group's frames are
+        # dropped after its last frame-route point, before the next
+        # group's are made: 6 trials of 64 settings are groups of 4 and 2.
         alive, peak = [0], [0]
 
         class CountedPrefix(FramePrefix):
@@ -683,10 +688,10 @@ class TestTrialChunks:
                 weakref.finalize(self, lambda: alive.__setitem__(0, alive[0] - 1))
 
         monkeypatch.setattr(experiments, "FramePrefix", CountedPrefix)
-        scenario = tiny_scenario("rls-vs-cs", trials=6, m_grid=(2, 17, 32))
+        scenario = tiny_scenario("rls-vs-cs", trials=6, m_grid=(2, 17, 64))
         assert len(experiments._trial_chunks(experiments._build_context(scenario))) == 1
         run_scenario(scenario)
-        assert peak[0] == 1 and alive[0] == 0
+        assert peak[0] == measurement.PLAN_STREAMS // PLAN_BLOCK == 4 and alive[0] == 0
 
 
 class TestEmitCsv:
@@ -1188,23 +1193,15 @@ class TestRlsRoutes:
         self, monkeypatch, qubits, shots, method
     ):
         dim = 2**qubits
-        records = run_plan(
-            DensityMatrix.computational_basis_state(dim),
-            MeasurementPlan(dim + 1, shots, GlobalHaar(dim)),
-            41, 0,
-        )
+        scenario = Scenario(kind="mu-sweep", qubits=qubits, trials=1, m_grid=(dim, dim + 1),
+                            l_grid=(shots,), mu_grid=(0.1,), seed=41)
+        ctx = replace(experiments._build_context(scenario), methods=(method,))
+        records = run_plan(ctx.state, MeasurementPlan(dim + 1, shots, GlobalHaar(dim)), 41, 0)
         # LS and RLS at M = D take the Gram route and form no frame; M = D + 1
-        # takes the primal route over all D + 1 settings in one block, the
+        # takes the frame route over all D + 1 settings in one block, the
         # summation order of estimate()'s own frame. CS never forms one.
-        grid, expected_blocks = {
-            "RLS": ((dim, dim + 1), ([], [dim + 1])),
-            "LS": ((dim, dim + 1), ([], [dim + 1])),
-            "CS": ((dim - 1, dim), ([], [])),
-        }[type(method).__name__]
-        # estimate() builds its frame from the same columns, so its
-        # references are taken before the columns are counted.
         references = []
-        for settings in grid:
+        for settings in ctx.plan[0][1]:
             shadows = estimate(records[:settings], method)
             # Every route builds each shadow Hermitian bit for bit.
             assert np.array_equal(shadows, shadows.conj().swapaxes(-1, -2))
@@ -1218,17 +1215,116 @@ class TestRlsRoutes:
             return columns(unitaries, out=out)
 
         monkeypatch.setattr(estimators, "povm_operator_columns", counted)
-        prefix = FramePrefix(records.unitaries, shots)
-        for settings, blocks, reference in zip(grid, expected_blocks, references):
-            first = records[:settings]
-            partial_mean = np.mean(
-                [adjoint_map(u, phat) for u, phat in zip(first.unitaries, first.frequencies)],
-                axis=0,
-            )
-            kernel = average_estimate(method, first, partial_mean, prefix)
-            assert np.array_equal(kernel, kernel.conj().T)
-            assert np.abs(kernel - reference).max() < 1e-10
-            assert frame_blocks == blocks
+        (entry,) = experiments._stream_entries(ctx, range(1), GlobalHaar(dim), None)
+        (kernel,) = entry.estimates()
+        for point, reference in enumerate(references):
+            assert np.array_equal(kernel[0, point], kernel[0, point].conj().T)
+            assert np.abs(kernel[0, point] - reference).max() < 1e-10
+        assert frame_blocks == ([] if isinstance(method, CS) else [dim + 1])
+
+
+def assert_stream_matches_full_stacks(scenario, trials, records_override=None):
+    """The kernel's estimates of every method at every grid point, and its
+    log-likelihood inputs, equal those made from whole run_plan stacks (or
+    the loaded stack) bit for bit, with one FramePrefix per trial asked for
+    frames at the kernel's frame-route points."""
+    ctx = experiments._build_context(scenario)
+    for _, ensemble in ctx.family.ensembles(scenario):
+        entries = experiments._stream_entries(ctx, trials, ensemble, records_override)
+        if records_override is None:
+            plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
+            chunk = run_plan(ctx.state, plans, scenario.seed, trials)
+        else:
+            chunk = [[records_override[:grid[-1]] for _, grid in ctx.plan]]
+        for index, entry in enumerate(entries):
+            estimates = entry.estimates()
+            for trial, stacks in enumerate(chunk):
+                stack = stacks[index]
+                frames = FramePrefix(scenario.dim, entry.shots)
+                for point, settings in enumerate(entry.grid):
+                    records = stack[:settings]
+                    frames.extend(stack.unitaries[frames.settings:settings])
+                    for method, streamed in zip(ctx.methods, estimates):
+                        expected = average_estimate(method, records, frames)
+                        assert np.array_equal(streamed[trial, point], expected), \
+                            (type(method).__name__, trial, settings)
+                    outcomes = entry.outcomes(point)
+                    if "loglik" in ctx.family.metrics:
+                        rho = project_physical(estimates[0][trial, point])
+                        assert log_likelihood(outcomes[trial], rho) == log_likelihood(records, rho)
+                    else:
+                        assert outcomes is None
+
+
+class TestStreamedKernel:
+    """The one-pass kernel against whole record stacks, across the edges
+    of its sampling blocks, syrk blocks and trial groups."""
+
+    @pytest.mark.parametrize("kind", ["rls-vs-cs", "double-descent"])
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_block_edges(self, qubits, kind):
+        dim = 2**qubits
+        step = FRAME_COLUMNS // dim
+        grid = tuple(sorted({1, dim, dim + 1, PLAN_BLOCK - 1, PLAN_BLOCK, PLAN_BLOCK + 1,
+                             step - 1, step, step + 1, 257}))
+        # Five trials are sampling groups of four and one.
+        scenario = tiny_scenario(kind, qubits=qubits, trials=5, m_grid=grid)
+        assert_stream_matches_full_stacks(scenario, range(5))
+
+    def test_gram_route_settings_spanning_blocks(self, monkeypatch):
+        # Where D exceeds PLAN_BLOCK (D = 128), the Gram route's settings
+        # span several sampling blocks; three-setting blocks show it at D = 4.
+        monkeypatch.setattr(measurement, "PLAN_BLOCK", 3)
+        scenario = tiny_scenario("rls-vs-cs", qubits=2, trials=5, m_grid=(1, 2, 3, 4, 5, 7))
+        assert_stream_matches_full_stacks(scenario, range(5))
+
+    def test_multishot_entries_share_their_draws(self):
+        scenario = tiny_scenario("multishot", qubits=2, trials=5, m_grid=(8, 64, 520),
+                                 l_grid=(1, 4, 8))
+        assert len(FAMILIES["multishot"].plan(scenario)) == 3
+        assert_stream_matches_full_stacks(scenario, range(5))
+
+    def test_mismatch_eta_sweep(self):
+        scenario = tiny_scenario("mismatch", qubits=3, trials=5, m_grid=(8, 9, 65),
+                                 eta_grid=(0.0, 0.3, 1.0))
+        assert_stream_matches_full_stacks(scenario, range(5))
+
+    @pytest.mark.parametrize("kind", ["rls-vs-cs", "mu-sweep", "random-obs", "double-descent"])
+    def test_load_records_replay(self, tmp_path, kind):
+        path = tmp_path / "records.txt"
+        run_scenario(tiny_scenario(kind, qubits=2, trials=1, m_grid=(3, 70)),
+                     dump_records_path=path)
+        loaded, _ = load_records(path)
+        scenario = tiny_scenario(kind, qubits=2, trials=1, m_grid=(1, 4, 5, 64, 65),
+                                 mu_grid=(0.0, 0.2) if kind == "mu-sweep" else (0.1,))
+        assert_stream_matches_full_stacks(scenario, range(1), loaded)
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("double-descent", {}),
+        ("mu-sweep", dict(mu_grid=(0.0, 0.1))),
+        ("multishot", dict(l_grid=(1, 8))),
+        ("rls-vs-cs", {}),
+    ])
+    def test_working_set_does_not_grow_with_the_largest_m(self, kind, extra):
+        # At D = 8 the largest M grows 8x, from 512 to 4096: holding each
+        # trial's (M, D, D) unitaries would add 3.5 MiB. Only rls-vs-cs
+        # keeps anything per setting, for loglik: the rows u_k† of its
+        # observed outcomes, min(L, D) of them at most, and their counts.
+        def peak(m_grid):
+            scenario = Scenario(kind=kind, qubits=3, trials=2, m_grid=m_grid, seed=3, **extra)
+            run_scenario(scenario)  # warm up numpy's caches
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                run_scenario(scenario)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        dim, settings = 8, 4096 - 512
+        growth = peak((512, 4096)) - peak((64, 512))
+        observed = settings * (dim * 16 + 8) if kind == "rls-vs-cs" else 0
+        assert growth <= observed + 2**17
 
 
 @pytest.mark.parametrize("mu", [1e-16, 1e-300])
@@ -1321,7 +1417,9 @@ def test_tracer_layers_resolve_and_run_in_every_family():
             rows = shadowbench.run_scenario(tiny_scenario(kind, **overrides))
             shadowbench.emit_csv(rows, os.devnull)
     called = {name for _, _, name, _, _ in tracer.spans}
-    assert called == set(tracing.LAYER_NAMES)
+    # The scenario kernel streams its settings from plan_blocks and calls
+    # run_plan only to dump records, so no run here reaches run_plan.
+    assert called == set(tracing.LAYER_NAMES) - {"measurement.run_plan"}
 
 
 def test_package_does_not_import_scipy(tmp_path):

@@ -22,13 +22,19 @@ from shadowbench.measurement import (
     RecordStack,
     adjoint_map,
     dump_records,
-    expand_to_single_shot,
     load_records,
+    plan_blocks,
     run_plan,
     sample_counts,
 )
 
-from oracles import haar_unitaries, random_density_matrix, reference_unitary, stream
+from oracles import (
+    expand_to_single_shot,
+    haar_unitaries,
+    random_density_matrix,
+    reference_unitary,
+    stream,
+)
 
 
 class TestSampleCounts:
@@ -426,6 +432,35 @@ class TestTrialChunk:
             tracemalloc.stop()
         assert max(seeded) <= measurement.PLAN_STREAMS
         assert peak < 2.5 * 2**20
+
+    def test_blocks_are_drawn_when_asked_for(self, monkeypatch):
+        # Trial group by trial group (4 trials of 64 settings or more keep
+        # a block within PLAN_STREAMS), then setting block by setting block.
+        drawn = []
+        sample = measurement.sample_unitary
+
+        def counted(spec, generators):
+            drawn.append(len(generators))
+            return sample(spec, generators)
+
+        monkeypatch.setattr(measurement, "sample_unitary", counted)
+        plans = [MeasurementPlan(PLAN_BLOCK + 3, 2, GlobalHaar(2)),
+                 MeasurementPlan(2, 1, GlobalHaar(2))]
+        blocks = plan_blocks(DensityMatrix.maximally_mixed(2), plans, 52, range(5))
+        assert drawn == []
+        layout = []
+        for rows, start, unitaries, counts in blocks:
+            assert len(drawn) == len(layout) + 1
+            assert not unitaries.flags.writeable
+            assert not any(plan_counts.flags.writeable for plan_counts in counts)
+            layout.append((rows, start, unitaries.shape[:2],
+                           [plan_counts.shape[1] for plan_counts in counts]))
+        assert layout == [
+            (slice(0, 4), 0, (4, PLAN_BLOCK), [PLAN_BLOCK, 2]),
+            (slice(0, 4), PLAN_BLOCK, (4, 3), [3, 0]),
+            (slice(4, 5), 0, (1, PLAN_BLOCK), [PLAN_BLOCK, 2]),
+            (slice(4, 5), PLAN_BLOCK, (1, 3), [3, 0]),
+        ]
 
     def test_single_plan_gives_one_stack_per_trial(self):
         plan = MeasurementPlan(3, 2, GlobalHaar(2))
