@@ -12,7 +12,6 @@ sets one family apart from the others.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import numbers
 import os
@@ -510,15 +509,20 @@ class _EntryStream:
     def _solve(self, first: int, start: int, unitaries, point: int, settings: int) -> None:
         """LS and RLS at one grid point for a group whose first trial is
         trial ``first`` of the chunk."""
-        if settings <= self.dim and self.solved:
-            kept = [np.concatenate(parts, axis=1) for parts in zip(*self._first)]
-            for trial, method in itertools.product(range(len(kept[0])), self.solved):
-                self.solved[method][first + trial, point] = gram_ridge_solve(
-                    kept[0][trial, :settings], kept[1][trial, :settings],
-                    getattr(method, "mu", 0.0), self.shots)
+        if not self.solved:
+            return
+        if settings <= self.dim:
+            kept_unitaries, kept_frequencies = (np.concatenate(parts, axis=1)
+                                                for parts in zip(*self._first))
+            for trial in range(len(kept_unitaries)):
+                for method, out in self.solved.items():
+                    out[first + trial, point] = gram_ridge_solve(
+                        kept_unitaries[trial, :settings], kept_frequencies[trial, :settings],
+                        getattr(method, "mu", 0.0), self.shots)
             if settings == self._gram_until:
                 self._first = []
-        for trial, frames in enumerate(self._frames if settings > self.dim else ()):
+            return
+        for trial, frames in enumerate(self._frames):
             frames.extend(unitaries[trial, frames.settings - start:settings - start])
             frame = frames.frame()
             for method, out in self.solved.items():

@@ -223,8 +223,6 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
     sequence = _plan_sequence(plans, state)
     single = not isinstance(trials, Iterable)
     trials = [trials] if single else list(trials)
-    if not trials:
-        raise ValueError("run_plan needs at least one trial")
     total, dim = max(plan.settings for plan in sequence), state.dim
     unitaries = np.empty((len(trials), total, dim, dim), dtype=complex)
     counts = [np.empty((len(trials), plan.settings, dim), dtype=np.int64) for plan in sequence]
