@@ -483,7 +483,14 @@ class _EntryStream:
         adjoints = adjoint_map(unitaries, frequencies)
         adjoints[:, 0] += self._sum
         np.add.accumulate(adjoints, axis=1, out=adjoints)
-        self._sum = adjoints[:, -1].copy()  # the block's adjoints go with it
+        points = [(point, settings) for point, settings in enumerate(self.grid)
+                  if start < settings <= start + width]
+        for point, settings in points:
+            means = self.means[trials, point]
+            means[...] = adjoints[:, settings - start - 1]
+            means /= settings
+        self._sum = adjoints[:, -1].copy()
+        del adjoints  # before any solve
         if start < self._gram_until:
             kept = self._gram_until - start
             self._first.append((unitaries[:, :kept], frequencies[:, :kept]))
@@ -495,12 +502,8 @@ class _EntryStream:
                 stop = filled + seen.sum()
                 self._rows[trial, filled:stop] = unitaries[trial - trials.start][seen]
                 self._counts[trial, filled:stop] = counts[trial - trials.start][seen]
-        for point, settings in enumerate(self.grid):
-            if start < settings <= start + width:
-                means = self.means[trials, point]
-                means[...] = adjoints[:, settings - start - 1]
-                means /= settings
-                self._solve(trials.start, start, unitaries, point, settings)
+        for point, settings in points:
+            self._solve(trials.start, start, unitaries, point, settings)
         for trial, frames in enumerate(self._frames):
             frames.extend(unitaries[trial, frames.settings - start:self._frame_until - start])
         if start + width >= self._frame_until:
@@ -512,7 +515,8 @@ class _EntryStream:
         if not self.solved:
             return
         if settings <= self.dim:
-            kept_unitaries, kept_frequencies = (np.concatenate(parts, axis=1)
+            kept_unitaries, kept_frequencies = (parts[0] if len(parts) == 1 else
+                                                np.concatenate(parts, axis=1)
                                                 for parts in zip(*self._first))
             for trial in range(len(kept_unitaries)):
                 for method, out in self.solved.items():
