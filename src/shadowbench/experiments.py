@@ -490,7 +490,7 @@ class _EntryStream:
             means[...] = adjoints[:, settings - start - 1]
             means /= settings
         self._sum = adjoints[:, -1].copy()
-        del adjoints  # before any solve
+        del adjoints  # not held through the block's solves
         if start < self._gram_until:
             kept = self._gram_until - start
             self._first.append((unitaries[:, :kept], frequencies[:, :kept]))

@@ -287,27 +287,25 @@ class TestFrameOperator:
                               frame_of(np.stack(unitaries), shots=2).entries)
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
-    def test_feed_sizes_do_not_change_the_bits(self, dim):
-        # A syrk block starts at the previous frame and spans
-        # FRAME_COLUMNS // D settings, however the settings are fed.
+    def test_syrk_blocks_start_at_the_previous_frame(self, dim):
+        # However the settings are fed, a syrk block starts where the
+        # previous frame was asked for and spans FRAME_COLUMNS // D
+        # settings: the frames equal sums over those blocks, bit for bit.
         step = FRAME_COLUMNS // dim
-        count = 2 * step + 3
+        count, cut = 2 * step + 3, step // 2 + 1
         unitaries = haar_unitaries(dim, count, np.random.default_rng(dim + 40))
-        frames = {}
+        total, expected = np.zeros((dim**2, dim**2)), []
+        for start, stop in ((0, cut), (cut, cut + step), (cut + step, count)):
+            columns = povm_operator_columns(unitaries[start:stop])
+            total += columns @ columns.T
+            if stop in (cut, count):
+                expected.append(total / stop)
         for feed in (1, 7, PLAN_BLOCK, step, count):
             prefix = FramePrefix(dim)
-            entries = []
-            for stop in (step - 1, count):
+            for stop, frame in zip((cut, count), expected):
                 for start in range(prefix.settings, stop, feed):
                     prefix.extend(unitaries[start:min(start + feed, stop)])
-                entries.append(prefix.frame().entries)
-            frames[feed] = entries
-        for entries in frames.values():
-            for got, expected in zip(entries, frames[count]):
-                assert np.array_equal(got, expected)
-        # Asking for a frame at step - 1 cuts the blocks there: a
-        # prefix fed to the end at once sums them otherwise.
-        assert np.abs(frame_of(unitaries).entries - frames[count][1]).max() < 1e-14
+                assert np.array_equal(prefix.frame().entries, frame), (feed, stop)
 
 
 class TestLsShadow:

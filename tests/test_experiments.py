@@ -1309,7 +1309,8 @@ class TestStreamedKernel:
         # At D = 8 the largest M grows 8x, from 512 to 4096: holding each
         # trial's (M, D, D) unitaries would add 3.5 MiB. Only rls-vs-cs
         # keeps anything per setting, for loglik: the rows u_k† of its
-        # observed outcomes, min(L, D) of them at most, and their counts.
+        # observed outcomes (one a setting at L = 1), their counts, and
+        # how many each setting observed.
         def peak(m_grid):
             scenario = Scenario(kind=kind, qubits=3, trials=2, m_grid=m_grid, seed=3, **extra)
             run_scenario(scenario)  # warm up numpy's caches
@@ -1323,7 +1324,7 @@ class TestStreamedKernel:
 
         dim, settings = 8, 4096 - 512
         growth = peak((512, 4096)) - peak((64, 512))
-        observed = settings * (dim * 16 + 8) if kind == "rls-vs-cs" else 0
+        observed = settings * (dim * 16 + 8 + 8) if kind == "rls-vs-cs" else 0
         assert growth <= observed + 2**17
 
 
