@@ -49,7 +49,6 @@ from .estimators import (
     solve_route,
 )
 from .measurement import (
-    PLAN_BLOCK,
     MeasurementPlan,
     RecordStack,
     adjoint_map,
@@ -448,10 +447,11 @@ class _EntryStream:
     mean adjoint at each grid point from running sums that add one
     setting at a time, so each has the same bits for any grid, block and
     chunk. LS and RLS are solved as the stream passes a point: at or
-    below M = D from the group's first settings (Gram route), above it
-    from one running FramePrefix per trial, fed up to the last such
-    point. For loglik the observed outcomes are kept (``outcomes``);
-    nothing else outlives its block."""
+    below M = D from the group's first block, which holds its first D
+    settings (Gram route), above it from one running FramePrefix per
+    trial, dropped at the last point. Across blocks only the running
+    sums, the frames and, for loglik, the observed outcomes
+    (``outcomes``) are kept."""
 
     def __init__(self, ctx: _Context, trials: int, shots: int, grid: tuple[int, ...]):
         dim = self.dim = ctx.scenario.dim
@@ -459,8 +459,6 @@ class _EntryStream:
         self.means = np.empty((trials, len(grid), dim, dim), dtype=complex)
         self.solved = {method: np.empty_like(self.means)
                        for method in ctx.methods if not isinstance(method, CS)}
-        self._gram_until = max((m for m in grid if m <= dim), default=0) if self.solved else 0
-        self._frame_until = grid[-1] if self.solved and grid[-1] > dim else 0
         self.loglik = "loglik" in ctx.family.metrics
         rows = grid[-1] * min(shots, dim) if self.loglik else 0  # observed outcomes at most
         self._rows = np.empty((trials, rows, dim), dtype=complex)
@@ -477,9 +475,9 @@ class _EntryStream:
         unitaries, frequencies = unitaries[:, :width], counts / self.shots
         if start == 0:
             self._sum = np.zeros((len(unitaries), self.dim, self.dim), dtype=complex)
-            self._first = []
+            framed = self.solved and self.grid[-1] > self.dim
             self._frames = [FramePrefix(self.dim, self.shots)
-                            for _ in range(len(unitaries) if self._frame_until else 0)]
+                            for _ in range(len(unitaries) if framed else 0)]
         adjoints = adjoint_map(unitaries, frequencies)
         adjoints[:, 0] += self._sum
         np.add.accumulate(adjoints, axis=1, out=adjoints)
@@ -491,9 +489,6 @@ class _EntryStream:
             means /= settings
         self._sum = adjoints[:, -1].copy()
         del adjoints  # not held through the block's solves
-        if start < self._gram_until:
-            kept = self._gram_until - start
-            self._first.append((unitaries[:, :kept], frequencies[:, :kept]))
         if self.loglik:
             observed = counts > 0
             self._seen[trials, start:start + width] = observed.sum(axis=2)
@@ -502,37 +497,24 @@ class _EntryStream:
                 stop = filled + seen.sum()
                 self._rows[trial, filled:stop] = unitaries[trial - trials.start][seen]
                 self._counts[trial, filled:stop] = counts[trial - trials.start][seen]
-        for point, settings in points:
-            self._solve(trials.start, start, unitaries, point, settings)
-        for trial, frames in enumerate(self._frames):
-            frames.extend(unitaries[trial, frames.settings - start:self._frame_until - start])
-        if start + width >= self._frame_until:
-            self._frames = []
-
-    def _solve(self, first: int, start: int, unitaries, point: int, settings: int) -> None:
-        """LS and RLS at one grid point for a group whose first trial is
-        trial ``first`` of the chunk."""
-        if not self.solved:
-            return
-        if settings <= self.dim:
-            kept_unitaries, kept_frequencies = (parts[0] if len(parts) == 1 else
-                                                np.concatenate(parts, axis=1)
-                                                for parts in zip(*self._first))
-            for trial in range(len(kept_unitaries)):
+        for point, settings in points if self.solved else ():
+            for index, trial in enumerate(range(trials.start, trials.stop)):
+                if settings <= self.dim:
+                    for method, out in self.solved.items():
+                        out[trial, point] = gram_ridge_solve(
+                            unitaries[index, :settings], frequencies[index, :settings],
+                            getattr(method, "mu", 0.0), self.shots)
+                    continue
+                frames = self._frames[index]
+                frames.extend(unitaries[index, frames.settings - start:settings - start])
+                frame = frames.frame()
                 for method, out in self.solved.items():
-                    out[first + trial, point] = gram_ridge_solve(
-                        kept_unitaries[trial, :settings], kept_frequencies[trial, :settings],
-                        getattr(method, "mu", 0.0), self.shots)
-            if settings == self._gram_until:
-                self._first = []
-            return
-        for trial, frames in enumerate(self._frames):
-            frames.extend(unitaries[trial, frames.settings - start:settings - start])
-            frame = frames.frame()
-            for method, out in self.solved.items():
-                out[first + trial, point] = shadow_map(method, self.means[first + trial, point],
-                                                       frame)
-            del frame
+                    out[trial, point] = shadow_map(method, self.means[trial, point], frame)
+                del frame
+        if start + width >= self.grid[-1]:
+            self._frames = []
+        for index, frames in enumerate(self._frames):
+            frames.extend(unitaries[index, frames.settings - start:])
 
     def estimates(self) -> list[np.ndarray]:
         """Each method's (T, G, D, D) estimates; CS maps all mean adjoints
@@ -553,17 +535,14 @@ def _stream_entries(
 ) -> list[_EntryStream]:
     """Every plan entry of ``trials`` on ``ensemble``, streamed in one pass
     over the blocks sampled for the chunk (each setting drawn once for
-    every shot count) or over the loaded stack, in PLAN_BLOCK settings."""
+    every shot count), or fed the loaded stack as one block."""
     entries = [_EntryStream(ctx, len(trials), shots, grid) for shots, grid in ctx.plan]
     if records_override is None:
         plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
         blocks = plan_blocks(ctx.state, plans, ctx.scenario.seed, trials)
     else:
-        loaded = records_override
-        blocks = ((slice(0, 1), start, loaded.unitaries[None, start:start + PLAN_BLOCK],
-                   [loaded.counts[None, start:min(start + PLAN_BLOCK, grid[-1])]
-                    for _, grid in ctx.plan])
-                  for start in range(0, max(grid[-1] for _, grid in ctx.plan), PLAN_BLOCK))
+        blocks = [(slice(0, 1), 0, records_override.unitaries[None],
+                   [records_override.counts[None, :grid[-1]] for _, grid in ctx.plan])]
     for block_trials, start, unitaries, counts in blocks:
         for entry, entry_counts in zip(entries, counts):
             entry.feed(block_trials, start, unitaries, entry_counts)

@@ -20,7 +20,7 @@ import numpy as np
 from .core import DensityMatrix, born_probabilities, hermitize
 from .ensembles import EnsembleSpec, as_integer, open_overwrite, sample_unitary, stream_generators
 
-PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step in run_plan
+PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step (D where D is larger)
 PLAN_STREAMS = 4 * PLAN_BLOCK  # random streams (trial, setting) alive at once in run_plan
 POVM_UNITARITY_ATOL = 1e-8
 
@@ -214,11 +214,12 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
     sequence of plans over one ensemble, giving one stack per plan.
     ``trials`` is one trial index, giving that trial's result, or a
     non-empty sequence of them (a chunk of trials), giving a list with
-    the result of each in order. The blocks of :func:`plan_blocks` are
-    collected into arrays, so records for a smaller plan are an exact
-    prefix of records for a larger plan at the same seed and trial, and
-    every stack has the same bits as a separate call with its plan and
-    trial alone. A trial's stacks share one read-only unitary array.
+    the result of each in order. The blocks of :func:`plan_blocks` (of
+    max(PLAN_BLOCK, D) settings) are collected into arrays, so records
+    for a smaller plan are an exact prefix of records for a larger plan
+    at the same seed and trial, and every stack has the same bits as a
+    separate call with its plan and trial alone, for any block width. A
+    trial's stacks share one read-only unitary array.
     """
     sequence = _plan_sequence(plans, state)
     single = not isinstance(trials, Iterable)
@@ -254,27 +255,28 @@ def plan_blocks(state: DensityMatrix, plans, seed: int, trials):
     it holds (R may be 0). Setting m of trial t is drawn from the stream
     (seed, (t, m)) and no other, so no draw depends on the block.
 
-    A block holds at most PLAN_BLOCK settings of as many trials as keep
-    its streams within PLAN_STREAMS (one trial at least). Its generators
-    are seeded in one pass (:func:`stream_generators`), one
-    :func:`sample_unitary` call draws and factorizes its settings for any
-    ensemble, and the checks and Born probabilities run once for it; its
-    generators are released before the next block's are seeded. Each
-    plan that holds setting m draws its counts from the stream's state
-    right after that setting's draw, as it would alone.
+    A block holds at most max(PLAN_BLOCK, D) settings, so a group's first
+    block holds its first D, and as many trials as keep its streams
+    within PLAN_STREAMS (one trial at least). Its generators are seeded
+    in one pass (:func:`stream_generators`), one :func:`sample_unitary`
+    call draws and factorizes its settings for any ensemble, and the
+    checks and Born probabilities run once for it; its generators are
+    released before the next block's are seeded. Each plan that holds
+    setting m draws its counts from the stream's state right after that
+    setting's draw, as it would alone.
     """
     sequence = _plan_sequence(plans, state)
     trials = list(trials)
     if not trials:
         raise ValueError("run_plan needs at least one trial")
     sizes = sorted((plan.settings for plan in sequence), reverse=True)
-    total = sizes[0]
+    total, width = sizes[0], max(PLAN_BLOCK, state.dim)
     shared = sizes[1] if len(sizes) > 1 else 0  # settings held by two plans or more
-    per_block = max(1, PLAN_STREAMS // min(PLAN_BLOCK, total))  # trials per block
+    per_block = max(1, PLAN_STREAMS // min(width, total))  # trials per block
     for first in range(0, len(trials), per_block):
         rows = slice(first, min(first + per_block, len(trials)))
-        for start in range(0, total, PLAN_BLOCK):
-            settings = range(start, min(start + PLAN_BLOCK, total))
+        for start in range(0, total, width):
+            settings = range(start, min(start + width, total))
             yield rows, start, *_sample_block(state, sequence, shared, seed, trials[rows], settings)
 
 

@@ -1271,11 +1271,22 @@ class TestStreamedKernel:
         scenario = tiny_scenario(kind, qubits=qubits, trials=5, m_grid=grid)
         assert_stream_matches_full_stacks(scenario, range(5))
 
-    def test_gram_route_settings_spanning_blocks(self, monkeypatch):
-        # Where D exceeds PLAN_BLOCK (D = 128), the Gram route's settings
-        # span several sampling blocks; three-setting blocks show it at D = 4.
+    @pytest.mark.parametrize("qubits", [2, 3])
+    def test_first_block_holds_the_gram_route_settings(self, monkeypatch, qubits):
+        # A block is max(PLAN_BLOCK, D) settings wide, so the Gram route
+        # (M <= D) solves from a group's first block. Where D exceeds
+        # PLAN_BLOCK (D = 128), blocks are D wide; three-setting blocks
+        # show it at D = 4 and 8.
         monkeypatch.setattr(measurement, "PLAN_BLOCK", 3)
-        scenario = tiny_scenario("rls-vs-cs", qubits=2, trials=5, m_grid=(1, 2, 3, 4, 5, 7))
+        dim = 2**qubits
+        grid = tuple(sorted({1, 2, 3, dim - 1, dim, dim + 1, 2 * dim + 3}))
+        scenario = tiny_scenario("rls-vs-cs", qubits=qubits, trials=5, m_grid=grid)
+        ctx = experiments._build_context(scenario)
+        plans = [MeasurementPlan(grid[-1], 1, GlobalHaar(dim))]
+        layout = [(rows, start, unitaries.shape[1]) for rows, start, unitaries, _
+                  in measurement.plan_blocks(ctx.state, plans, scenario.seed, range(5))]
+        assert layout == [(slice(0, 5), 0, dim), (slice(0, 5), dim, dim),
+                          (slice(0, 5), 2 * dim, 3)]
         assert_stream_matches_full_stacks(scenario, range(5))
 
     def test_multishot_entries_share_their_draws(self):

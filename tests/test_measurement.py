@@ -433,9 +433,24 @@ class TestTrialChunk:
         assert max(seeded) <= measurement.PLAN_STREAMS
         assert peak < 2.5 * 2**20
 
-    def test_blocks_are_drawn_when_asked_for(self, monkeypatch):
-        # Trial group by trial group (4 trials of 64 settings or more keep
-        # a block within PLAN_STREAMS), then setting block by setting block.
+    @pytest.mark.parametrize("plan_block, dim, expected", [
+        # 4 trials of 64 settings or more keep a block within PLAN_STREAMS.
+        (PLAN_BLOCK, 2, [(slice(0, 4), 0, (4, PLAN_BLOCK), [PLAN_BLOCK, 2]),
+                         (slice(0, 4), PLAN_BLOCK, (4, 3), [3, 0]),
+                         (slice(4, 5), 0, (1, PLAN_BLOCK), [PLAN_BLOCK, 2]),
+                         (slice(4, 5), PLAN_BLOCK, (1, 3), [3, 0])]),
+        # Where D exceeds PLAN_BLOCK, a block holds D settings, so a
+        # group's first block holds its first D.
+        (3, 4, [(slice(0, 5), 0, (5, 4), [4, 2]), (slice(0, 5), 4, (5, 3), [3, 0])]),
+    ], ids=["plan-block", "d-above-plan-block"])
+    def test_blocks_are_drawn_when_asked_for(self, monkeypatch, plan_block, dim, expected):
+        # Trial group by trial group, then setting block by setting block.
+        # No draw depends on the block, so the stacks equal those drawn in
+        # blocks of the default width bit for bit.
+        state = DensityMatrix.maximally_mixed(dim)
+        plans = [MeasurementPlan(max(plan_block, dim) + 3, 2, GlobalHaar(dim)),
+                 MeasurementPlan(2, 1, GlobalHaar(dim))]
+        default_width = run_plan(state, plans, 52, range(5))
         drawn = []
         sample = measurement.sample_unitary
 
@@ -444,9 +459,8 @@ class TestTrialChunk:
             return sample(spec, generators)
 
         monkeypatch.setattr(measurement, "sample_unitary", counted)
-        plans = [MeasurementPlan(PLAN_BLOCK + 3, 2, GlobalHaar(2)),
-                 MeasurementPlan(2, 1, GlobalHaar(2))]
-        blocks = plan_blocks(DensityMatrix.maximally_mixed(2), plans, 52, range(5))
+        monkeypatch.setattr(measurement, "PLAN_BLOCK", plan_block)
+        blocks = plan_blocks(state, plans, 52, range(5))
         assert drawn == []
         layout = []
         for rows, start, unitaries, counts in blocks:
@@ -455,12 +469,11 @@ class TestTrialChunk:
             assert not any(plan_counts.flags.writeable for plan_counts in counts)
             layout.append((rows, start, unitaries.shape[:2],
                            [plan_counts.shape[1] for plan_counts in counts]))
-        assert layout == [
-            (slice(0, 4), 0, (4, PLAN_BLOCK), [PLAN_BLOCK, 2]),
-            (slice(0, 4), PLAN_BLOCK, (4, 3), [3, 0]),
-            (slice(4, 5), 0, (1, PLAN_BLOCK), [PLAN_BLOCK, 2]),
-            (slice(4, 5), PLAN_BLOCK, (1, 3), [3, 0]),
-        ]
+        assert layout == expected
+        for trial, stacks in enumerate(run_plan(state, plans, 52, range(5))):
+            for stack, reference in zip(stacks, default_width[trial], strict=True):
+                assert np.array_equal(stack.unitaries, reference.unitaries)
+                assert np.array_equal(stack.counts, reference.counts)
 
     def test_single_plan_gives_one_stack_per_trial(self):
         plan = MeasurementPlan(3, 2, GlobalHaar(2))
