@@ -56,25 +56,17 @@ from .measurement import (
     load_records,
     plan_blocks,
     run_plan,
+    trial_groups,
 )
 from .theory import empirical_mse, mse_theorem1
 
-# A scenario needs an explicit opt-in when some grid point solves a dense
-# system of larger order than the frame operator at 7 qubits: the frame
-# is D^2 x D^2, real and symmetric (32 GiB at n = 8), and the Gram route's
-# system is M*D x M*D. It needs one too when a plan entry samples more
-# setting-unitary entries M*D^2 than that frame holds (2 GiB complex).
-MAX_ORDER_WITHOUT_FORCE = 4**7
+# A scenario needs an explicit opt-in when a grid point solves a dense system
+# of larger order than the 6-qubit frame (the real D^2 x D^2 frame, or the
+# M*D x M*D Gram system): at order 4^7 a frame's sum and syrk products take
+# 2 GiB each and a Gram product 4 GiB, which crashed an 8 GiB machine. So does
+# a plan entry sampling more than 2^27 setting-unitary entries M*D^2 (2 GiB).
+MAX_ORDER_WITHOUT_FORCE = 4**6
 MAX_UNITARY_ENTRIES_WITHOUT_FORCE = 2**27
-
-# Trials are streamed and their metrics computed in chunks of at most this
-# many setting-unitary entries M*D^2 of one draw (one trial, when a trial
-# alone draws more): 2048 settings at D = 4, 512 at D = 8, 32 at D = 32.
-# A chunk keeps each trial's mean adjoints and estimates at every grid
-# point and, for loglik, its observed outcomes: at L = 1 one row of D
-# entries a setting, so at most 512 KiB / D of rows. The settings
-# themselves pass through in blocks (measurement.plan_blocks).
-TRIAL_CHUNK_ENTRIES = 2048 * 4**2
 
 # A theory family computes its theorem-1 Monte Carlo in a forked child
 # beside the trials only when the trials draw at least THEORY_FORK_SETTINGS
@@ -432,26 +424,16 @@ def _metric_values(
     return values
 
 
-def _trial_chunks(ctx: _Context) -> list[range]:
-    """Consecutive ranges of trials, as many per chunk as fit in
-    TRIAL_CHUNK_ENTRIES unitary entries of one draw, and at least one."""
-    per_trial = max(grid[-1] for _, grid in ctx.plan) * ctx.scenario.dim**2
-    size = max(1, TRIAL_CHUNK_ENTRIES // per_trial)
-    trials = ctx.scenario.trials
-    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
-
-
 class _EntryStream:
-    """One plan entry (shots, settings grid) of a chunk of trials, fed the
-    blocks of :func:`plan_blocks` in order. ``means`` gets each trial's
-    mean adjoint at each grid point from running sums that add one
-    setting at a time, so each has the same bits for any grid, block and
-    chunk. LS and RLS are solved as the stream passes a point: at or
-    below M = D from the group's first block, which holds its first D
-    settings (Gram route), above it from one running FramePrefix per
-    trial, dropped at the last point. Across blocks only the running
-    sums, the frames and, for loglik, the observed outcomes
-    (``outcomes``) are kept."""
+    """One plan entry (shots, settings grid) of one trial group, fed the
+    group's blocks in setting order. ``means`` gets each trial's mean
+    adjoint at each grid point from running sums that add one setting
+    at a time, so it has the same bits for any grid, block and group.
+    LS and RLS are solved as the stream passes a point: at or below
+    M = D from the first block, which holds the first D settings (Gram
+    route), above it from one running FramePrefix per trial, dropped at
+    the last point. Only the sums, the frames and, for loglik, the
+    observed outcomes (``outcomes``) are kept across blocks."""
 
     def __init__(self, ctx: _Context, trials: int, shots: int, grid: tuple[int, ...]):
         dim = self.dim = ctx.scenario.dim
@@ -464,57 +446,54 @@ class _EntryStream:
         self._rows = np.empty((trials, rows, dim), dtype=complex)
         self._counts = np.empty((trials, rows), dtype=np.int64)
         self._seen = np.empty((trials, grid[-1] if self.loglik else 0), dtype=np.intp)
+        self._sum = np.zeros((trials, dim, dim), dtype=complex)
+        framed = self.solved and grid[-1] > dim
+        self._frames = [FramePrefix(dim, shots) for _ in range(trials if framed else 0)]
 
-    def feed(self, trials: slice, start: int, unitaries: np.ndarray, counts: np.ndarray) -> None:
-        """Take settings start.. of a group of trials (a group starts at
-        setting 0): a block's (T, W, D, D) ``unitaries``, of which the
-        entry holds the first R, and their (T, R, D) ``counts``."""
+    def feed(self, start: int, unitaries: np.ndarray, counts: np.ndarray) -> None:
+        """Take a block of the group: the (T, W, D, D) ``unitaries`` of settings
+        start.., of which the entry holds the first R, and their (T, R, D) ``counts``."""
         width = counts.shape[1]
         if width == 0:
             return
         unitaries, frequencies = unitaries[:, :width], counts / self.shots
-        if start == 0:
-            self._sum = np.zeros((len(unitaries), self.dim, self.dim), dtype=complex)
-            framed = self.solved and self.grid[-1] > self.dim
-            self._frames = [FramePrefix(self.dim, self.shots)
-                            for _ in range(len(unitaries) if framed else 0)]
         adjoints = adjoint_map(unitaries, frequencies)
         adjoints[:, 0] += self._sum
         np.add.accumulate(adjoints, axis=1, out=adjoints)
         points = [(point, settings) for point, settings in enumerate(self.grid)
                   if start < settings <= start + width]
         for point, settings in points:
-            means = self.means[trials, point]
+            means = self.means[:, point]
             means[...] = adjoints[:, settings - start - 1]
             means /= settings
         self._sum = adjoints[:, -1].copy()
         del adjoints  # not held through the block's solves
         if self.loglik:
             observed = counts > 0
-            self._seen[trials, start:start + width] = observed.sum(axis=2)
-            for trial, seen in enumerate(observed, trials.start):
+            self._seen[:, start:start + width] = observed.sum(axis=2)
+            for trial, seen in enumerate(observed):
                 filled = self._seen[trial, :start].sum()
                 stop = filled + seen.sum()
-                self._rows[trial, filled:stop] = unitaries[trial - trials.start][seen]
-                self._counts[trial, filled:stop] = counts[trial - trials.start][seen]
+                self._rows[trial, filled:stop] = unitaries[trial][seen]
+                self._counts[trial, filled:stop] = counts[trial][seen]
         for point, settings in points if self.solved else ():
-            for index, trial in enumerate(range(trials.start, trials.stop)):
+            for trial in range(len(unitaries)):
                 if settings <= self.dim:
                     for method, out in self.solved.items():
                         out[trial, point] = gram_ridge_solve(
-                            unitaries[index, :settings], frequencies[index, :settings],
+                            unitaries[trial, :settings], frequencies[trial, :settings],
                             getattr(method, "mu", 0.0), self.shots)
                     continue
-                frames = self._frames[index]
-                frames.extend(unitaries[index, frames.settings - start:settings - start])
+                frames = self._frames[trial]
+                frames.extend(unitaries[trial, frames.settings - start:settings - start])
                 frame = frames.frame()
                 for method, out in self.solved.items():
                     out[trial, point] = shadow_map(method, self.means[trial, point], frame)
                 del frame
         if start + width >= self.grid[-1]:
             self._frames = []
-        for index, frames in enumerate(self._frames):
-            frames.extend(unitaries[index, frames.settings - start:])
+        for trial, frames in enumerate(self._frames):
+            frames.extend(unitaries[trial, frames.settings - start:])
 
     def estimates(self) -> list[np.ndarray]:
         """Each method's (T, G, D, D) estimates; CS maps all mean adjoints
@@ -533,9 +512,9 @@ class _EntryStream:
 def _stream_entries(
     ctx: _Context, trials: range, ensemble, records_override: RecordStack | None
 ) -> list[_EntryStream]:
-    """Every plan entry of ``trials`` on ``ensemble``, streamed in one pass
-    over the blocks sampled for the chunk (each setting drawn once for
-    every shot count), or fed the loaded stack as one block."""
+    """Every plan entry of the trial group ``trials`` on ``ensemble``, fed
+    in one pass the group's blocks from :func:`plan_blocks` (each setting
+    drawn once for every shot count) or the loaded stack as one block."""
     entries = [_EntryStream(ctx, len(trials), shots, grid) for shots, grid in ctx.plan]
     if records_override is None:
         plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
@@ -543,20 +522,20 @@ def _stream_entries(
     else:
         blocks = [(slice(0, 1), 0, records_override.unitaries[None],
                    [records_override.counts[None, :grid[-1]] for _, grid in ctx.plan])]
-    for block_trials, start, unitaries, counts in blocks:
+    for _, start, unitaries, counts in blocks:
         for entry, entry_counts in zip(entries, counts):
-            entry.feed(block_trials, start, unitaries, entry_counts)
+            entry.feed(start, unitaries, entry_counts)
     return entries
 
 
 def _run_chunk(
     ctx: _Context, trials: range, records_override: RecordStack | None = None
 ) -> dict[tuple, list[float]]:
-    """The per-trial metric values of a chunk of trials. Each key is a
-    row key (M, L, mu, eta, method, metric), inserted in the order of one
+    """The per-trial metric values of one trial group. Each key is a row
+    key (M, L, mu, eta, method, metric), inserted in the order of one
     trial's rows, and its value holds one value per trial of ``trials``.
     Each eta's settings are streamed through every plan entry at once;
-    the metrics then run for the chunk at once."""
+    the metrics then run for the group at once."""
     columns: dict[tuple, list[float]] = {}
     for eta, ensemble in ctx.family.ensembles(ctx.scenario):
         for entry in _stream_entries(ctx, trials, ensemble, records_override):
@@ -704,23 +683,17 @@ def run_scenario(
     Per-trial rows come trial by trial, each trial's in one order of
     row keys (M, L, mu, eta, method, metric); then the trial-aggregated
     MSE rows (trial index -1) sorted by row key; then a theory family's
-    theorem-1 rows. Trials run in order in the calling thread, in chunks
-    of consecutive trials that draw at most TRIAL_CHUNK_ENTRIES unitary
-    entries M*D^2 together (one trial when it draws more), each chunk
-    returning its metric columns. A chunk is one pass over its blocks of
-    settings, each sampled, accumulated into every plan entry's sums and
-    frames, solved at the grid points it reaches and dropped before the
-    next is sampled, so no trial's (M, D, D) unitaries are held. Every
-    setting keeps its stream (seed, (trial, m)), so the rows are the
-    same for any chunking. A theory family computes its theorem-1 rows
-    in one forked child while the trials run, when both are large enough
-    to pay for the fork (THEORY_FORK_SETTINGS and THEORY_FORK_DRAWS), the
-    platform has the fork start method and two or more CPUs are usable;
-    the child is joined before this returns or raises, and its exception
-    is raised here. ``workers`` must be >= 1 but has no effect: the rows are the
-    same either way, and trial chunks stay serial, because worker
-    processes with one BLAS thread change CSV bytes and with the
-    caller's BLAS threads they oversubscribe the CPUs.
+    theorem-1 rows, which one forked child computes while the trials run
+    where that pays (:func:`_theory_beside_trials`); the child is joined
+    before this returns or raises, and its exception is raised here.
+    Trials run in order in the calling thread, one group of
+    :func:`trial_groups` at a time, each one pass over its blocks of
+    settings (:func:`_run_chunk`), so no trial's (M, D, D) unitaries are
+    held. Every setting keeps its stream (seed, (trial, m)), so the rows
+    are the same for any grouping. ``workers`` must be >= 1 but has no
+    effect: trial groups stay serial, because worker processes with one
+    BLAS thread change CSV bytes and with the caller's BLAS threads they
+    oversubscribe the CPUs.
     ``dump_records_path`` receives the records trial 0 measured at the
     first plan entry (first L, first eta) at its largest M: on a replay
     the loaded ones, under the loaded file's seed.
@@ -760,12 +733,14 @@ def run_scenario(
             )
 
     columns: dict[tuple, list[float]] = {}
+    trials = range(scenario.trials)
+    settings = max(grid[-1] for _, grid in ctx.plan)
     with _theory_beside_trials(ctx) as theory_rows:
-        for trials in _trial_chunks(ctx):
-            for key, column in _run_chunk(ctx, trials, records_override).items():
+        for group in trial_groups(len(trials), settings, scenario.dim):
+            for key, column in _run_chunk(ctx, trials[group], records_override).items():
                 columns.setdefault(key, []).extend(column)
         rows = [ResultRow(scenario.kind, trial, *key, column[trial])
-                for trial in range(scenario.trials) for key, column in columns.items()]
+                for trial in trials for key, column in columns.items()]
         rows += _aggregate_rows(ctx, columns)
         rows += theory_rows()
 

@@ -22,6 +22,7 @@ from .ensembles import EnsembleSpec, as_integer, open_overwrite, sample_unitary,
 
 PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step (D where D is larger)
 PLAN_STREAMS = 4 * PLAN_BLOCK  # random streams (trial, setting) alive at once in run_plan
+GROUP_ENTRIES = 2048 * 4**2  # setting-unitary entries M*D^2 of a trial group
 POVM_UNITARITY_ATOL = 1e-8
 
 
@@ -213,13 +214,13 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
     ``plans`` is one MeasurementPlan, giving one RecordStack, or a
     sequence of plans over one ensemble, giving one stack per plan.
     ``trials`` is one trial index, giving that trial's result, or a
-    non-empty sequence of them (a chunk of trials), giving a list with
-    the result of each in order. The blocks of :func:`plan_blocks` (of
-    max(PLAN_BLOCK, D) settings) are collected into arrays, so records
-    for a smaller plan are an exact prefix of records for a larger plan
-    at the same seed and trial, and every stack has the same bits as a
-    separate call with its plan and trial alone, for any block width. A
-    trial's stacks share one read-only unitary array.
+    non-empty sequence of them, giving a list with the result of each in
+    order. The blocks of :func:`plan_blocks` (of max(PLAN_BLOCK, D)
+    settings) are collected into arrays, so records for a smaller plan
+    are an exact prefix of records for a larger plan at the same seed
+    and trial, and every stack has the same bits as a separate call with
+    its plan and trial alone, for any block width. A trial's stacks share
+    one read-only unitary array.
     """
     sequence = _plan_sequence(plans, state)
     single = not isinstance(trials, Iterable)
@@ -244,26 +245,38 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
     return results[0] if single else results
 
 
+def trial_groups(trials: int, settings: int, dim: int) -> list[slice]:
+    """Consecutive slices of ``trials`` trials that each draw ``settings``
+    settings of dimension ``dim``, one per trial group: as many trials as
+    keep a block of max(PLAN_BLOCK, D) settings within PLAN_STREAMS
+    streams and the group within GROUP_ENTRIES unitary entries M*D^2 (a
+    scenario run keeps a group's mean adjoints, estimates and observed
+    outcomes), and one trial at least."""
+    width = min(max(PLAN_BLOCK, dim), settings)
+    size = max(1, min(PLAN_STREAMS // width, GROUP_ENTRIES // (settings * dim * dim)))
+    return [slice(first, min(first + size, trials)) for first in range(0, trials, size)]
+
+
 def plan_blocks(state: DensityMatrix, plans, seed: int, trials):
     """Sample a sequence of ``plans`` over one ensemble for a non-empty
     sequence of ``trials``, one block at a time, each drawn only when
-    asked for: trial group by trial group, and within a group in setting
-    order. A block is (rows, start, unitaries, counts): ``rows`` slices
-    the group out of ``trials``, ``unitaries`` is the read-only
-    (T, W, D, D) array of settings start..start+W-1, and ``counts`` holds
-    each plan's read-only (T, R, D) counts of the first R of them that
-    it holds (R may be 0). Setting m of trial t is drawn from the stream
-    (seed, (t, m)) and no other, so no draw depends on the block.
+    asked for: group by group of :func:`trial_groups`, and within a group
+    in setting order. A block is (rows, start, unitaries, counts):
+    ``rows`` slices the group out of ``trials``, ``unitaries`` is the
+    read-only (T, W, D, D) array of settings start..start+W-1, and
+    ``counts`` holds each plan's read-only (T, R, D) counts of the first
+    R of them that it holds (R may be 0). Setting m of trial t is drawn
+    from the stream (seed, (t, m)) and no other, so no draw depends on
+    the group or the block.
 
-    A block holds at most max(PLAN_BLOCK, D) settings, so a group's first
-    block holds its first D, and as many trials as keep its streams
-    within PLAN_STREAMS (one trial at least). Its generators are seeded
-    in one pass (:func:`stream_generators`), one :func:`sample_unitary`
-    call draws and factorizes its settings for any ensemble, and the
-    checks and Born probabilities run once for it; its generators are
-    released before the next block's are seeded. Each plan that holds
-    setting m draws its counts from the stream's state right after that
-    setting's draw, as it would alone.
+    A block holds max(PLAN_BLOCK, D) settings at most, so a group's first
+    block holds its first D. Its generators are seeded in one pass
+    (:func:`stream_generators`), one :func:`sample_unitary` call draws
+    and factorizes its settings for any ensemble, and the checks and
+    Born probabilities run once for it; its generators are released
+    before the next block's are seeded. Each plan that holds setting m
+    draws its counts from the stream's state right after that setting's
+    draw, as it would alone.
     """
     sequence = _plan_sequence(plans, state)
     trials = list(trials)
@@ -272,9 +285,7 @@ def plan_blocks(state: DensityMatrix, plans, seed: int, trials):
     sizes = sorted((plan.settings for plan in sequence), reverse=True)
     total, width = sizes[0], max(PLAN_BLOCK, state.dim)
     shared = sizes[1] if len(sizes) > 1 else 0  # settings held by two plans or more
-    per_block = max(1, PLAN_STREAMS // min(width, total))  # trials per block
-    for first in range(0, len(trials), per_block):
-        rows = slice(first, min(first + per_block, len(trials)))
+    for rows in trial_groups(len(trials), total, state.dim):
         for start in range(0, total, width):
             settings = range(start, min(start + width, total))
             yield rows, start, *_sample_block(state, sequence, shared, seed, trials[rows], settings)

@@ -4,6 +4,7 @@ import contextlib
 import filecmp
 import importlib.util
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -45,7 +46,13 @@ from shadowbench.experiments import (
     emit_csv,
     run_scenario,
 )
-from shadowbench.measurement import PLAN_BLOCK, MeasurementPlan, load_records, run_plan
+from shadowbench.measurement import (
+    PLAN_BLOCK,
+    MeasurementPlan,
+    load_records,
+    run_plan,
+    trial_groups,
+)
 from shadowbench.theory import mse_theorem1
 
 from oracles import average_estimate
@@ -235,7 +242,7 @@ class TestScenarioValidation:
 
     def test_resource_guard(self):
         # LS at 8 qubits (D = 256) and M = 128 needs a Gram system of order
-        # 32768, above the 7-qubit frame's 16384.
+        # 32768, above the 6-qubit frame's 4096.
         with pytest.raises(ValueError, match="resource-guard"):
             run_scenario(tiny_scenario("double-descent", qubits=8, m_grid=(2, 128)))
 
@@ -249,13 +256,21 @@ class TestScenarioValidation:
             run_scenario(Scenario(kind="theorem1", qubits=13, trials=1, m_grid=(16,)))
 
     def test_resource_guard_bounds_are_inclusive(self):
-        # 32 * (2^11)^2 = 2^27 unitary entries pass and 33 settings do not;
-        # 8 qubits with M <= 64 needs neither a large system nor many entries.
+        # 32 * (2^11)^2 = 2^27 unitary entries pass and 33 settings do not.
         experiments._resource_guard(Scenario(kind="theorem1", qubits=11, m_grid=(32,)))
         with pytest.raises(ValueError, match="resource-guard"):
             experiments._resource_guard(Scenario(kind="theorem1", qubits=11, m_grid=(33,)))
-        experiments._resource_guard(Scenario(kind="rls-vs-cs", qubits=8, m_grid=(2, 64)))
-        experiments._resource_guard(Scenario(kind="double-descent", qubits=8, m_grid=(2, 64)))
+        # Systems of order 4^6 = 4096 pass on both routes: the Gram system
+        # at D = 64, M = 64 and at D = 128, M = 32, and the D = 64 frame.
+        # The Gram system at D = 128, M = 33 (order 4224) and the D = 128
+        # frame (order 16384) do not.
+        for kind in ("rls-vs-cs", "double-descent"):
+            experiments._resource_guard(Scenario(kind=kind, qubits=6, m_grid=(2, 64)))
+            experiments._resource_guard(Scenario(kind=kind, qubits=6, m_grid=(2, 65)))
+            experiments._resource_guard(Scenario(kind=kind, qubits=7, m_grid=(2, 32)))
+            for grid in ((33,), (129,), (2, 4096)):
+                with pytest.raises(ValueError, match="resource-guard: 7 qubits"):
+                    experiments._resource_guard(Scenario(kind=kind, qubits=7, m_grid=grid))
 
     def test_resource_guard_binds_theorem1_at_its_trials(self, monkeypatch, tmp_path, capsys):
         # A Monte Carlo batch holds batch * D * J kept normals and one draw
@@ -348,14 +363,14 @@ class TestRunScenario:
         trials = {row.trial for row in rows if row.trial != AGGREGATE_TRIAL}
         assert trials == {0, 1, 2}
 
-    @pytest.mark.parametrize("chunk_trials, chunks", [(1, 3), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("group_trials, groups", [(1, 3), (2, 2), (3, 1)])
     @pytest.mark.parametrize("kind, eta_grid", [("theorem1", (0.0,)), ("mismatch", (0.0, 0.5))])
-    def test_one_sampler_call_per_chunk_and_eta(
-        self, monkeypatch, kind, eta_grid, chunk_trials, chunks
+    def test_one_sampler_call_per_group_and_eta(
+        self, monkeypatch, kind, eta_grid, group_trials, groups
     ):
-        # Every shot count of every trial in a chunk shares one stream of
+        # Every shot count of every trial in a group shares one stream of
         # blocks, so the Born probabilities run once per block of the
-        # chunk, not once per L or per trial.
+        # group, not once per L or per trial.
         calls = {"plan_blocks": 0, "born_probabilities": 0}
 
         def counted(module, name):
@@ -372,11 +387,11 @@ class TestRunScenario:
         trials, settings = 3, PLAN_BLOCK + 1  # two blocks per draw
         scenario = tiny_scenario(kind, trials=trials, m_grid=(settings,), l_grid=(1, 4, 16),
                                  eta_grid=eta_grid, ensemble_samples=50)
-        monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES",
-                            chunk_trials * settings * scenario.dim**2)
+        monkeypatch.setattr(measurement, "GROUP_ENTRIES",
+                            group_trials * settings * scenario.dim**2)
         run_scenario(scenario)
-        assert calls == {"plan_blocks": chunks * len(eta_grid),
-                         "born_probabilities": 2 * chunks * len(eta_grid)}
+        assert calls == {"plan_blocks": groups * len(eta_grid),
+                         "born_probabilities": 2 * groups * len(eta_grid)}
 
     def test_cs_trace_rows_are_one(self):
         rows = run_scenario(tiny_scenario("rls-vs-cs"))
@@ -439,7 +454,7 @@ class TestRunScenario:
     def test_trials_run_in_order_in_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(multiprocessing, "get_context", forbidden_fork)
-        monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES", 3 * 8 * 4**2)  # three trials a chunk
+        monkeypatch.setattr(measurement, "GROUP_ENTRIES", 3 * 8 * 4**2)  # three trials a group
         run_chunk = experiments._run_chunk
         calls = []
 
@@ -595,8 +610,8 @@ class TestTheoryBesideTrials:
         assert_no_child_left()
 
 
-class TestTrialChunks:
-    """Rows and CSV bytes do not depend on how many trials a chunk holds."""
+class TestTrialGroups:
+    """Rows and CSV bytes do not depend on how many trials a group holds."""
 
     SCENARIOS = {
         "theorem1": dict(kind="theorem1", m_grid=(16,), l_grid=(1, 4, 16), ensemble_samples=50),
@@ -606,47 +621,77 @@ class TestTrialChunks:
     }
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_chunks_of_one_seven_and_all_trials_agree(self, monkeypatch, tmp_path, name):
+    def test_groups_of_one_seven_and_all_trials_agree(self, monkeypatch, tmp_path, name):
         scenario = tiny_scenario(trials=10, **self.SCENARIOS[name])
         settings = max(grid[-1] for _, grid in FAMILIES[scenario.kind].plan(scenario))
         per_trial = settings * scenario.dim**2
         outputs = []
-        for chunk_trials in (1, 7, scenario.trials):
-            monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES", chunk_trials * per_trial)
+        for group_trials in (1, 7, scenario.trials):
+            # The entries bound sets the group; the stream bound does not bind.
+            monkeypatch.setattr(measurement, "GROUP_ENTRIES", group_trials * per_trial)
+            monkeypatch.setattr(measurement, "PLAN_STREAMS", group_trials * settings)
+            assert trial_groups(scenario.trials, settings, scenario.dim) == [
+                slice(first, min(first + group_trials, scenario.trials))
+                for first in range(0, scenario.trials, group_trials)]
             rows = run_scenario(scenario)
-            path = tmp_path / f"{chunk_trials}.csv"
+            path = tmp_path / f"{group_trials}.csv"
             emit_csv(rows, path)
             outputs.append((rows, path.read_bytes()))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_chunk_bound_counts_unitary_entries_of_one_draw(self, monkeypatch):
-        chunks = []
+    def test_group_bound_counts_unitary_entries_of_one_draw(self, monkeypatch):
+        groups = []
 
         def recording(ctx, trials, *rest):
-            chunks.append(trials)
+            groups.append(trials)
             return {}
 
         monkeypatch.setattr(experiments, "_run_chunk", recording)
         monkeypatch.setattr(experiments, "_aggregate_rows", lambda ctx, columns: [])
-        monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES", 100 * 4**2)
+        monkeypatch.setattr(measurement, "GROUP_ENTRIES", 100 * 4**2)
         run_scenario(tiny_scenario("multishot", trials=9, m_grid=(8, 32), l_grid=(1, 4)))
-        assert chunks == [range(0, 3), range(3, 6), range(6, 9)]  # 32 settings a trial
-        chunks.clear()
+        assert groups == [range(0, 3), range(3, 6), range(6, 9)]  # 32 settings a trial
+        groups.clear()
         run_scenario(tiny_scenario("rls-vs-cs", trials=2, m_grid=(2, 130)))
-        assert chunks == [range(0, 1), range(1, 2)]  # a trial alone exceeds the bound
-        chunks.clear()
+        assert groups == [range(0, 1), range(1, 2)]  # a trial alone exceeds the bound
+        groups.clear()
         run_scenario(tiny_scenario("multishot", qubits=3, trials=9, m_grid=(8, 32), l_grid=(1, 4)))
-        assert chunks == [range(trial, trial + 1) for trial in range(9)]  # 32 * 8^2 > 1600
+        assert groups == [range(trial, trial + 1) for trial in range(9)]  # 32 * 8^2 > 1600
+
+    def test_theorem1_d4_runs_one_sampling_group_per_call(self, monkeypatch):
+        # 100 trials of 16 settings at D = 4: the stream bound makes groups
+        # of PLAN_STREAMS // 16 trials, and each _run_chunk call samples
+        # exactly its own group, not a chunk of several.
+        calls, run_chunk, blocks = [], experiments._run_chunk, experiments.plan_blocks
+
+        def recording_chunk(ctx, trials, *rest):
+            calls.append((trials, []))
+            return run_chunk(ctx, trials, *rest)
+
+        def recording_blocks(state, plans, seed, trials):
+            for block in blocks(state, plans, seed, trials):
+                calls[-1][1].append((block[0], len(trials)))
+                yield block
+
+        monkeypatch.setattr(experiments, "_run_chunk", recording_chunk)
+        monkeypatch.setattr(experiments, "plan_blocks", recording_blocks)
+        run_scenario(tiny_scenario("theorem1", trials=100, m_grid=(16,), l_grid=(1, 4, 16),
+                                   ensemble_samples=50))
+        size = measurement.PLAN_STREAMS // 16
+        assert [trials for trials, _ in calls] == [
+            range(first, min(first + size, 100)) for first in range(0, 100, size)]
+        for trials, drawn in calls:
+            assert drawn == [(slice(0, len(trials)), len(trials))]  # one block of one group
 
     @pytest.mark.parametrize("name", ["rls-vs-cs", "mismatch", "multishot", "theorem1"])
     def test_row_layout_is_trial_major_then_aggregates_then_theory(self, monkeypatch, name):
-        # Two etas for mismatch and two L values for multishot; a chunk of
-        # two trials splits the run, so rows are built across chunks.
+        # Two etas for mismatch and two L values for multishot; a group of
+        # two trials splits the run, so rows are built across groups.
         config = dict(self.SCENARIOS[name], **{"mismatch": dict(eta_grid=(0.0, 0.5)),
                                               "multishot": dict(l_grid=(1, 4))}.get(name, {}))
         scenario = tiny_scenario(trials=5, **config)
         settings = max(grid[-1] for _, grid in FAMILIES[scenario.kind].plan(scenario))
-        monkeypatch.setattr(experiments, "TRIAL_CHUNK_ENTRIES", 2 * settings * scenario.dim**2)
+        monkeypatch.setattr(measurement, "GROUP_ENTRIES", 2 * settings * scenario.dim**2)
         rows = run_scenario(scenario)
 
         def key(row):
@@ -677,7 +722,8 @@ class TestTrialChunks:
         # The trials of a sampling group advance through their settings
         # together, each with its running frame. A group's frames are
         # dropped after its last frame-route point, before the next
-        # group's are made: 6 trials of 64 settings are groups of 4 and 2.
+        # group's are made: 6 trials of 64 settings are groups of 4 and 2,
+        # one _run_chunk call each.
         alive, peak = [0], [0]
 
         class CountedPrefix(FramePrefix):
@@ -689,7 +735,7 @@ class TestTrialChunks:
 
         monkeypatch.setattr(experiments, "FramePrefix", CountedPrefix)
         scenario = tiny_scenario("rls-vs-cs", trials=6, m_grid=(2, 17, 64))
-        assert len(experiments._trial_chunks(experiments._build_context(scenario))) == 1
+        assert trial_groups(6, 64, scenario.dim) == [slice(0, 4), slice(4, 6)]
         run_scenario(scenario)
         assert peak[0] == measurement.PLAN_STREAMS // PLAN_BLOCK == 4 and alive[0] == 0
 
@@ -874,15 +920,30 @@ class TestCli:
     @pytest.mark.parametrize("kind", ["rls-vs-cs", "double-descent"])
     def test_resource_guard_only_where_the_frame_is_formed(self, tmp_path, capsys, kind):
         # At 8 qubits (D = 256) LS and RLS at or below M = D and CS form no
-        # frame, so no --force is needed at M = 2. The Gram systems at
-        # M = 128 and M = 256 have orders 32768 and 65536, above the
-        # 7-qubit frame's 16384.
+        # frame, so no --force is needed at M = 2 (a Gram system of order
+        # 512). The Gram systems at M = 128 and M = 256 have orders 32768
+        # and 65536, above the 6-qubit frame's 4096.
         args = [kind, "--qubits", "8", "--trials", "1", "--out", str(tmp_path / "x.csv")]
         assert main(args + ["--m-grid", "2"]) == 0
         for grid in ("2,256", "128"):
             capsys.readouterr()
             assert main(args + ["--m-grid", grid]) == 2
             assert "resource-guard" in capsys.readouterr().err
+
+    def test_resource_guard_refuses_the_7_qubit_frame(self, monkeypatch, tmp_path, capsys):
+        # At order 4^7 = 16384 a frame's sum and each syrk product take
+        # 2 GiB, and this run crashed an 8 GiB machine when it was let
+        # through; it must stop before any compute.
+        def spy(scenario):
+            raise AssertionError("the guard let the scenario through")
+
+        monkeypatch.setattr(experiments, "_build_context", spy)
+        out = tmp_path / "x.csv"
+        assert main(["random-obs", "--qubits", "7", "--trials", "2", "--m-grid", "1,64,65,130",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "resource-guard: 7 qubits" in err and "--force" in err
+        assert not out.exists()
 
     def test_truncated_record_file_exits_two(self, tmp_path, capsys):
         args = ["rls-vs-cs", "--qubits", "2", "--trials", "1", "--m-grid", "2",
@@ -1227,18 +1288,21 @@ def assert_stream_matches_full_stacks(scenario, trials, records_override=None):
     """The kernel's estimates of every method at every grid point, and its
     log-likelihood inputs, equal those made from whole run_plan stacks (or
     the loaded stack) bit for bit, with one FramePrefix per trial asked for
-    frames at the kernel's frame-route points."""
+    frames at the kernel's frame-route points. The kernel is driven as
+    run_scenario drives it, once per trial group of ``trials``."""
     ctx = experiments._build_context(scenario)
-    for _, ensemble in ctx.family.ensembles(scenario):
-        entries = experiments._stream_entries(ctx, trials, ensemble, records_override)
+    settings = max(grid[-1] for _, grid in ctx.plan)
+    groups = [trials[group] for group in trial_groups(len(trials), settings, scenario.dim)]
+    for (_, ensemble), group in itertools.product(ctx.family.ensembles(scenario), groups):
+        entries = experiments._stream_entries(ctx, group, ensemble, records_override)
         if records_override is None:
             plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
-            chunk = run_plan(ctx.state, plans, scenario.seed, trials)
+            group_stacks = run_plan(ctx.state, plans, scenario.seed, group)
         else:
-            chunk = [[records_override[:grid[-1]] for _, grid in ctx.plan]]
+            group_stacks = [[records_override[:grid[-1]] for _, grid in ctx.plan]]
         for index, entry in enumerate(entries):
             estimates = entry.estimates()
-            for trial, stacks in enumerate(chunk):
+            for trial, stacks in enumerate(group_stacks):
                 stack = stacks[index]
                 frames = FramePrefix(scenario.dim, entry.shots)
                 for point, settings in enumerate(entry.grid):
@@ -1267,7 +1331,8 @@ class TestStreamedKernel:
         step = FRAME_COLUMNS // dim
         grid = tuple(sorted({1, dim, dim + 1, PLAN_BLOCK - 1, PLAN_BLOCK, PLAN_BLOCK + 1,
                              step - 1, step, step + 1, 257}))
-        # Five trials are sampling groups of four and one.
+        # Five trials are trial groups of four and one up to D = 4, and
+        # groups of one above it (257 * 8^2 unitary entries a trial).
         scenario = tiny_scenario(kind, qubits=qubits, trials=5, m_grid=grid)
         assert_stream_matches_full_stacks(scenario, range(5))
 

@@ -26,6 +26,7 @@ from shadowbench.measurement import (
     plan_blocks,
     run_plan,
     sample_counts,
+    trial_groups,
 )
 
 from oracles import (
@@ -395,7 +396,7 @@ class TestTrialChunk:
                 assert not stack.unitaries.flags.writeable and not stack.counts.flags.writeable
 
     # 100 trials of 16 settings at PLAN_STREAMS 1 (one trial a block), 7
-    # blocks' widths (7 trials, not a divisor of 100) and above the chunk
+    # blocks' widths (7 trials, not a divisor of 100) and above the trials
     # (one block of every trial).
     @pytest.mark.parametrize("streams", [1, 7 * 16, 101 * 16])
     def test_stacks_do_not_depend_on_the_stream_bound(self, streams, monkeypatch):
@@ -432,6 +433,17 @@ class TestTrialChunk:
             tracemalloc.stop()
         assert max(seeded) <= measurement.PLAN_STREAMS
         assert peak < 2.5 * 2**20
+
+    @pytest.mark.parametrize("trials, settings, dim, size", [
+        (100, 16, 4, 16),  # theorem1-d4: blocks of 16 settings, PLAN_STREAMS // 16 trials
+        (5, 67, 2, 4),  # blocks of PLAN_BLOCK settings
+        (40, 8, 16, 16),  # 8 * 16^2 unitary entries a trial: GROUP_ENTRIES binds
+        (9, 512, 8, 1),  # 512 * 8^2 entries, the whole GROUP_ENTRIES
+        (3, 600, 512, 1),  # a D-setting block exceeds both bounds: one trial
+    ])
+    def test_trial_groups_keep_both_bounds(self, trials, settings, dim, size):
+        assert trial_groups(trials, settings, dim) == [
+            slice(first, min(first + size, trials)) for first in range(0, trials, size)]
 
     @pytest.mark.parametrize("plan_block, dim, expected", [
         # 4 trials of 64 settings or more keep a block within PLAN_STREAMS.
