@@ -368,11 +368,9 @@ def _build_context(scenario: Scenario) -> _Context:
     random_truths = None
     if "mse-rand" in family.metrics:
         (generator,) = stream_generators(scenario.seed, [AUX_STREAM_INDEX], [0])
-        columns = [
-            sample_sphere_vector(scenario.dim, generator)
-            for _ in range(scenario.random_observables)
-        ]
-        random_vectors = np.stack(columns, axis=1)
+        random_vectors = np.empty((scenario.dim, scenario.random_observables), dtype=complex)
+        for column in random_vectors.T:
+            column[...] = sample_sphere_vector(scenario.dim, generator)
         # Ground truth tr(phi phi† rho) against rho = |0><0|.
         random_truths = np.abs(random_vectors[0, :]) ** 2
 
@@ -425,29 +423,28 @@ def _metric_values(
 
 
 class _EntryStream:
-    """One plan entry (shots, settings grid) of one trial group, fed the
-    group's blocks in setting order. ``means`` gets each trial's mean
-    adjoint at each grid point from running sums that add one setting
-    at a time, so it has the same bits for any grid, block and group.
-    LS and RLS are solved as the stream passes a point: at or below
-    M = D from the first block, which holds the first D settings (Gram
-    route), above it from one running FramePrefix per trial, dropped at
-    the last point. Only the sums, the frames and, for loglik, the
-    observed outcomes (``outcomes``) are kept across blocks."""
+    """One plan entry (shots, settings grid) at one eta of one trial
+    group, fed the group's blocks in setting order, that finishes each
+    grid point where the stream reaches it. :meth:`feed` cuts a block at
+    the grid points; each segment adds its adjoints to running sums one
+    setting at a time (so a mean adjoint has the same bits for any grid,
+    block and group), then goes to each trial's FramePrefix while a
+    frame-route point is ahead and, for loglik, to a store of observed
+    outcomes. At a point CS maps the mean adjoint, LS and RLS solve on
+    the Gram route (M <= D, in the first block, which holds the first D
+    settings) or the frame, and the metric columns go to ``columns``."""
 
-    def __init__(self, ctx: _Context, trials: int, shots: int, grid: tuple[int, ...]):
-        dim = self.dim = ctx.scenario.dim
-        self.shots, self.grid, self.methods = shots, grid, ctx.methods
-        self.means = np.empty((trials, len(grid), dim, dim), dtype=complex)
-        self.solved = {method: np.empty_like(self.means)
-                       for method in ctx.methods if not isinstance(method, CS)}
+    def __init__(self, ctx: _Context, trials: int, eta: float, shots: int, grid: tuple[int, ...]):
+        dim = ctx.scenario.dim
+        self.ctx, self.eta, self.shots, self.grid = ctx, eta, shots, grid
+        self.columns: dict[tuple, list[float]] = {}
         self.loglik = "loglik" in ctx.family.metrics
         rows = grid[-1] * min(shots, dim) if self.loglik else 0  # observed outcomes at most
         self._rows = np.empty((trials, rows, dim), dtype=complex)
         self._counts = np.empty((trials, rows), dtype=np.int64)
-        self._seen = np.empty((trials, grid[-1] if self.loglik else 0), dtype=np.intp)
+        self._filled = np.zeros(trials, dtype=np.intp)
         self._sum = np.zeros((trials, dim, dim), dtype=complex)
-        framed = self.solved and grid[-1] > dim
+        framed = grid[-1] > dim and not all(isinstance(method, CS) for method in ctx.methods)
         self._frames = [FramePrefix(dim, shots) for _ in range(trials if framed else 0)]
 
     def feed(self, start: int, unitaries: np.ndarray, counts: np.ndarray) -> None:
@@ -457,75 +454,52 @@ class _EntryStream:
         if width == 0:
             return
         unitaries, frequencies = unitaries[:, :width], counts / self.shots
-        adjoints = adjoint_map(unitaries, frequencies)
-        adjoints[:, 0] += self._sum
-        np.add.accumulate(adjoints, axis=1, out=adjoints)
-        points = [(point, settings) for point, settings in enumerate(self.grid)
-                  if start < settings <= start + width]
-        for point, settings in points:
-            means = self.means[:, point]
-            means[...] = adjoints[:, settings - start - 1]
-            means /= settings
-        self._sum = adjoints[:, -1].copy()
-        del adjoints  # not held through the block's solves
-        if self.loglik:
-            observed = counts > 0
-            self._seen[:, start:start + width] = observed.sum(axis=2)
-            for trial, seen in enumerate(observed):
-                filled = self._seen[trial, :start].sum()
-                stop = filled + seen.sum()
-                self._rows[trial, filled:stop] = unitaries[trial][seen]
-                self._counts[trial, filled:stop] = counts[trial][seen]
-        for point, settings in points if self.solved else ():
-            for trial in range(len(unitaries)):
-                if settings <= self.dim:
-                    for method, out in self.solved.items():
-                        out[trial, point] = gram_ridge_solve(
-                            unitaries[trial, :settings], frequencies[trial, :settings],
-                            getattr(method, "mu", 0.0), self.shots)
-                    continue
-                frames = self._frames[trial]
-                frames.extend(unitaries[trial, frames.settings - start:settings - start])
-                frame = frames.frame()
-                for method, out in self.solved.items():
-                    out[trial, point] = shadow_map(method, self.means[trial, point], frame)
-                del frame
-        if start + width >= self.grid[-1]:
+        stops = [settings - start for settings in self.grid if start < settings < start + width]
+        for first, stop in zip([0, *stops], [*stops, width]):
+            adjoints = adjoint_map(unitaries[:, first:stop], frequencies[:, first:stop])
+            adjoints[:, 0] += self._sum
+            np.add.accumulate(adjoints, axis=1, out=adjoints)
+            self._sum = adjoints[:, -1].copy()
+            del adjoints  # not held through a frame's syrk
+            for trial, frames in enumerate(self._frames):
+                frames.extend(unitaries[trial, first:stop])
+            for trial, seen in enumerate(counts[:, first:stop] > 0 if self.loglik else ()):
+                filled = self._filled[trial]
+                self._filled[trial] += seen.sum()
+                self._rows[trial, filled:self._filled[trial]] = unitaries[trial, first:stop][seen]
+                self._counts[trial, filled:self._filled[trial]] = counts[trial, first:stop][seen]
+            if start + stop in self.grid:
+                self._finish(start + stop, unitaries, frequencies)
+
+    def _finish(self, settings: int, unitaries: np.ndarray, frequencies: np.ndarray) -> None:
+        """Write every method's metric columns at grid point ``settings``,
+        the last setting fed, from the first block on the Gram route."""
+        ctx = self.ctx
+        means = self._sum / settings
+        solved = {method: np.empty_like(means)
+                  for method in ctx.methods if not isinstance(method, CS)}
+        for trial in range(len(means)) if solved else ():
+            if settings <= ctx.scenario.dim:
+                for method, out in solved.items():
+                    out[trial] = gram_ridge_solve(
+                        unitaries[trial, :settings], frequencies[trial, :settings],
+                        getattr(method, "mu", 0.0), self.shots)
+                continue
+            frame = self._frames[trial].frame()
+            for method, out in solved.items():
+                out[trial] = shadow_map(method, means[trial], frame)
+            del frame
+        if settings == self.grid[-1]:
             self._frames = []
-        for trial, frames in enumerate(self._frames):
-            frames.extend(unitaries[trial, frames.settings - start:])
-
-    def estimates(self) -> list[np.ndarray]:
-        """Each method's (T, G, D, D) estimates; CS maps all mean adjoints
-        in one call."""
-        return [self.solved[method] if method in self.solved else shadow_map(method, self.means)
-                for method in self.methods]
-
-    def outcomes(self, point: int) -> list[ObservedOutcomes] | None:
-        """Each trial's observed outcomes up to a grid point, if kept."""
-        settings = self.grid[point]
-        return [ObservedOutcomes(self._rows[trial, :seen], self._counts[trial, :seen], settings)
-                for trial, seen in enumerate(self._seen[:, :settings].sum(axis=1))
-                ] if self.loglik else None
-
-
-def _stream_entries(
-    ctx: _Context, trials: range, ensemble, records_override: RecordStack | None
-) -> list[_EntryStream]:
-    """Every plan entry of the trial group ``trials`` on ``ensemble``, fed
-    in one pass the group's blocks from :func:`plan_blocks` (each setting
-    drawn once for every shot count) or the loaded stack as one block."""
-    entries = [_EntryStream(ctx, len(trials), shots, grid) for shots, grid in ctx.plan]
-    if records_override is None:
-        plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
-        blocks = plan_blocks(ctx.state, plans, ctx.scenario.seed, trials)
-    else:
-        blocks = [(slice(0, 1), 0, records_override.unitaries[None],
-                   [records_override.counts[None, :grid[-1]] for _, grid in ctx.plan])]
-    for _, start, unitaries, counts in blocks:
-        for entry, entry_counts in zip(entries, counts):
-            entry.feed(start, unitaries, entry_counts)
-    return entries
+        outcomes = [ObservedOutcomes(rows[:filled], counts[:filled], settings)
+                    for rows, counts, filled in zip(self._rows, self._counts, self._filled)
+                    ] if self.loglik else None
+        for method in ctx.methods:
+            estimates = solved[method] if method in solved else shadow_map(method, means)
+            key = (settings, self.shots, getattr(method, "mu", 0.0), self.eta,
+                   type(method).__name__)
+            values = _metric_values(ctx, estimates, outcomes)
+            self.columns.update(((*key, metric), column) for metric, column in values.items())
 
 
 def _run_chunk(
@@ -534,18 +508,25 @@ def _run_chunk(
     """The per-trial metric values of one trial group. Each key is a row
     key (M, L, mu, eta, method, metric), inserted in the order of one
     trial's rows, and its value holds one value per trial of ``trials``.
-    Each eta's settings are streamed through every plan entry at once;
-    the metrics then run for the group at once."""
+    Each eta's settings pass once through every plan entry's stream, as
+    the blocks of :func:`plan_blocks` (each setting drawn once for every
+    shot count) or the loaded stack as one block; each entry finishes
+    its grid points as the stream reaches them, and the entries' columns
+    are merged in plan order."""
     columns: dict[tuple, list[float]] = {}
     for eta, ensemble in ctx.family.ensembles(ctx.scenario):
-        for entry in _stream_entries(ctx, trials, ensemble, records_override):
-            estimates = entry.estimates()
-            for point, settings in enumerate(entry.grid):
-                for method, matrices in zip(ctx.methods, estimates):
-                    key = (settings, entry.shots, getattr(method, "mu", 0.0), eta,
-                           type(method).__name__)
-                    values = _metric_values(ctx, matrices[:, point], entry.outcomes(point))
-                    columns.update(((*key, metric), column) for metric, column in values.items())
+        entries = [_EntryStream(ctx, len(trials), eta, shots, grid) for shots, grid in ctx.plan]
+        if records_override is None:
+            plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
+            blocks = plan_blocks(ctx.state, plans, ctx.scenario.seed, trials)
+        else:
+            blocks = [(0, records_override.unitaries[None],
+                       [records_override.counts[None, :grid[-1]] for _, grid in ctx.plan])]
+        for start, unitaries, counts in blocks:
+            for entry, entry_counts in zip(entries, counts):
+                entry.feed(start, unitaries, entry_counts)
+        for entry in entries:
+            columns.update(entry.columns)
     return columns
 
 
@@ -651,8 +632,9 @@ def _theory_beside_trials(ctx: _Context):
 
 def _resource_guard(scenario: Scenario) -> None:
     """Refuse a scenario whose largest dense linear system (M*D on the
-    Gram route, D^2 where the frame is formed, none for CS) or largest
-    sampled plan entry (M*D^2 unitary entries) exceeds its bound."""
+    Gram route, D^2 where the frame is formed, none for CS), largest
+    sampled plan entry (M*D^2 unitary entries) or random-observable set
+    (D*J vector entries, where a family has mse-rand) exceeds its bound."""
     dim, family = scenario.dim, FAMILIES[scenario.kind]
     plan = family.plan(scenario)
     order = max(
@@ -662,11 +644,14 @@ def _resource_guard(scenario: Scenario) -> None:
         for _, grid in plan for settings in grid for method in family.methods(scenario)
     )
     entries = dim * dim * max(grid[-1] for _, grid in plan)
-    if order > MAX_ORDER_WITHOUT_FORCE or entries > MAX_UNITARY_ENTRIES_WITHOUT_FORCE:
+    vectors = dim * scenario.random_observables if "mse-rand" in family.metrics else 0
+    if (order > MAX_ORDER_WITHOUT_FORCE
+            or max(entries, vectors) > MAX_UNITARY_ENTRIES_WITHOUT_FORCE):
         raise ValueError(
             f"resource-guard: {scenario.qubits} qubits needs a linear system of order {order} "
-            f"(bound {MAX_ORDER_WITHOUT_FORCE}) and {entries} sampled unitary entries M*D^2 "
-            f"(bound {MAX_UNITARY_ENTRIES_WITHOUT_FORCE}); force=True (--force) accepts the cost"
+            f"(bound {MAX_ORDER_WITHOUT_FORCE}), {entries} sampled unitary entries M*D^2 and "
+            f"{vectors} random-observable entries D*J (bound {MAX_UNITARY_ENTRIES_WITHOUT_FORCE} "
+            f"each); force=True (--force) accepts the cost"
         )
 
 
@@ -687,10 +672,12 @@ def run_scenario(
     where that pays (:func:`_theory_beside_trials`); the child is joined
     before this returns or raises, and its exception is raised here.
     Trials run in order in the calling thread, one group of
-    :func:`trial_groups` at a time, each one pass over its blocks of
-    settings (:func:`_run_chunk`), so no trial's (M, D, D) unitaries are
-    held. Every setting keeps its stream (seed, (trial, m)), so the rows
-    are the same for any grouping. ``workers`` must be >= 1 but has no
+    :func:`trial_groups` at a time (:func:`_run_chunk`), each one pass
+    over its blocks of settings that finishes every grid point, metrics
+    included, where the stream reaches it, so no trial's (M, D, D)
+    unitaries, and no estimate of a point already passed, are held.
+    Every setting keeps its stream (seed, (trial, m)), so the rows are
+    the same for any grouping. ``workers`` must be >= 1 but has no
     effect: trial groups stay serial, because worker processes with one
     BLAS thread change CSV bytes and with the caller's BLAS threads they
     oversubscribe the CPUs.

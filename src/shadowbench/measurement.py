@@ -83,8 +83,9 @@ class RecordStack:
     ``unitaries`` is (M, D, D) and ``counts`` (M, K); both are copied on
     construction, checked (unitarity within 1e-8, counts nonnegative and
     summing to ``shots``, with a failure naming its setting) and marked
-    read-only. Setting m is ``unitaries[m]`` and ``counts[m]``; the stack
-    itself takes only slices, each a view that shares the arrays.
+    read-only; ``shots`` is stored as an int (TypeError if not integral).
+    Setting m is ``unitaries[m]`` and ``counts[m]``; the stack itself
+    takes only slices, each a view that shares the arrays.
     """
 
     unitaries: np.ndarray
@@ -103,14 +104,16 @@ class RecordStack:
                 f"counts must have one row per setting and one entry per outcome "
                 f"{unitaries.shape[:2]}, got shape {counts.shape}"
             )
-        if self.shots < 1:
-            raise ValueError(f"shot count must be >= 1, got {self.shots}")
+        shots = as_integer("shots", self.shots)
+        if shots < 1:
+            raise ValueError(f"shot count must be >= 1, got {shots}")
         _check_unitaries(unitaries)
-        _check_counts(counts, self.shots)
+        _check_counts(counts, shots)
         unitaries.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "unitaries", unitaries)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "shots", shots)
 
     @classmethod
     def _checked(cls, unitaries: np.ndarray, counts: np.ndarray, shots: int) -> "RecordStack":
@@ -215,23 +218,27 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
     sequence of plans over one ensemble, giving one stack per plan.
     ``trials`` is one trial index, giving that trial's result, or a
     non-empty sequence of them, giving a list with the result of each in
-    order. The blocks of :func:`plan_blocks` (of max(PLAN_BLOCK, D)
+    order. The trials are drawn group by group of :func:`trial_groups`,
+    and the blocks of :func:`plan_blocks` (of max(PLAN_BLOCK, D)
     settings) are collected into arrays, so records for a smaller plan
     are an exact prefix of records for a larger plan at the same seed
     and trial, and every stack has the same bits as a separate call with
-    its plan and trial alone, for any block width. A trial's stacks share
-    one read-only unitary array.
+    its plan and trial alone, for any group or block width. A trial's
+    stacks share one read-only unitary array.
     """
     sequence = _plan_sequence(plans, state)
     single = not isinstance(trials, Iterable)
     trials = [trials] if single else list(trials)
+    if not trials:
+        raise ValueError("run_plan needs at least one trial")
     total, dim = max(plan.settings for plan in sequence), state.dim
     unitaries = np.empty((len(trials), total, dim, dim), dtype=complex)
     counts = [np.empty((len(trials), plan.settings, dim), dtype=np.int64) for plan in sequence]
-    for rows, start, block, block_counts in plan_blocks(state, sequence, seed, trials):
-        unitaries[rows, start:start + block.shape[1]] = block
-        for plan_counts, plan_block in zip(counts, block_counts):
-            plan_counts[rows, start:start + plan_block.shape[1]] = plan_block
+    for rows in trial_groups(len(trials), total, dim):
+        for start, block, block_counts in plan_blocks(state, sequence, seed, trials[rows]):
+            unitaries[rows, start:start + block.shape[1]] = block
+            for plan_counts, plan_block in zip(counts, block_counts):
+                plan_counts[rows, start:start + plan_block.shape[1]] = plan_block
     unitaries.setflags(write=False)
     for plan_counts in counts:
         plan_counts.setflags(write=False)
@@ -249,9 +256,8 @@ def trial_groups(trials: int, settings: int, dim: int) -> list[slice]:
     """Consecutive slices of ``trials`` trials that each draw ``settings``
     settings of dimension ``dim``, one per trial group: as many trials as
     keep a block of max(PLAN_BLOCK, D) settings within PLAN_STREAMS
-    streams and the group within GROUP_ENTRIES unitary entries M*D^2 (a
-    scenario run keeps a group's mean adjoints, estimates and observed
-    outcomes), and one trial at least."""
+    streams and the group within GROUP_ENTRIES unitary entries M*D^2,
+    and one trial at least."""
     width = min(max(PLAN_BLOCK, dim), settings)
     size = max(1, min(PLAN_STREAMS // width, GROUP_ENTRIES // (settings * dim * dim)))
     return [slice(first, min(first + size, trials)) for first in range(0, trials, size)]
@@ -259,18 +265,18 @@ def trial_groups(trials: int, settings: int, dim: int) -> list[slice]:
 
 def plan_blocks(state: DensityMatrix, plans, seed: int, trials):
     """Sample a sequence of ``plans`` over one ensemble for a non-empty
-    sequence of ``trials``, one block at a time, each drawn only when
-    asked for: group by group of :func:`trial_groups`, and within a group
-    in setting order. A block is (rows, start, unitaries, counts):
-    ``rows`` slices the group out of ``trials``, ``unitaries`` is the
-    read-only (T, W, D, D) array of settings start..start+W-1, and
-    ``counts`` holds each plan's read-only (T, R, D) counts of the first
-    R of them that it holds (R may be 0). Setting m of trial t is drawn
-    from the stream (seed, (t, m)) and no other, so no draw depends on
-    the group or the block.
+    sequence of ``trials``, drawn together as one trial group, one block
+    of settings at a time in setting order, each drawn only when asked
+    for. A block is (start, unitaries, counts): ``unitaries`` is the
+    read-only (T, W, D, D) array of settings start..start+W-1 of the T
+    trials, and ``counts`` holds each plan's read-only (T, R, D) counts
+    of the first R of them that it holds (R may be 0). Setting m of
+    trial t is drawn from the stream (seed, (t, m)) and no other, so no
+    draw depends on the group or the block; :func:`trial_groups` sizes
+    the groups that keep a block's streams bounded.
 
-    A block holds max(PLAN_BLOCK, D) settings at most, so a group's first
-    block holds its first D. Its generators are seeded in one pass
+    A block holds max(PLAN_BLOCK, D) settings at most, so the first
+    block holds the first D. Its generators are seeded in one pass
     (:func:`stream_generators`), one :func:`sample_unitary` call draws
     and factorizes its settings for any ensemble, and the checks and
     Born probabilities run once for it; its generators are released
@@ -281,14 +287,13 @@ def plan_blocks(state: DensityMatrix, plans, seed: int, trials):
     sequence = _plan_sequence(plans, state)
     trials = list(trials)
     if not trials:
-        raise ValueError("run_plan needs at least one trial")
+        raise ValueError("plan_blocks needs at least one trial")
     sizes = sorted((plan.settings for plan in sequence), reverse=True)
     total, width = sizes[0], max(PLAN_BLOCK, state.dim)
     shared = sizes[1] if len(sizes) > 1 else 0  # settings held by two plans or more
-    for rows in trial_groups(len(trials), total, state.dim):
-        for start in range(0, total, width):
-            settings = range(start, min(start + width, total))
-            yield rows, start, *_sample_block(state, sequence, shared, seed, trials[rows], settings)
+    for start in range(0, total, width):
+        settings = range(start, min(start + width, total))
+        yield start, *_sample_block(state, sequence, shared, seed, trials, settings)
 
 
 def _sample_block(state, sequence, shared: int, seed: int, trials, settings: range):
@@ -334,8 +339,12 @@ def dump_records(records: RecordStack, path, seed: int = 0) -> None:
 
     Header line: ``D M L seed``. Then per setting: D unitary rows as
     "re im" pairs (17 significant digits, round-trip exact), followed by
-    one line of K integer counts.
+    one line of K integer counts. A seed :func:`load_records` would
+    refuse (non-integral or negative) is refused before the file opens.
     """
+    seed = as_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     with open_overwrite(path) as handle:
         handle.write(f"{records.dim} {len(records)} {records.shots} {seed}\n")
         for unitary, counts in zip(records.unitaries, records.counts):

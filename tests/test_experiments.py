@@ -4,7 +4,6 @@ import contextlib
 import filecmp
 import importlib.util
 import io
-import itertools
 import json
 import multiprocessing
 import os
@@ -29,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shadowbench
-from shadowbench import estimators, experiments, measurement
+from shadowbench import experiments, measurement
 from shadowbench.cli import build_parser, main
 from shadowbench.core import DensityMatrix, expectation, log_likelihood, project_physical
 from shadowbench.ensembles import GlobalHaar
@@ -271,6 +270,26 @@ class TestScenarioValidation:
             for grid in ((33,), (129,), (2, 4096)):
                 with pytest.raises(ValueError, match="resource-guard: 7 qubits"):
                     experiments._resource_guard(Scenario(kind=kind, qubits=7, m_grid=grid))
+
+    def test_resource_guard_bounds_random_observable_entries(self, monkeypatch):
+        # D * J = 8 * 2^24 = 2^27 random-observable entries pass, one more
+        # vector does not, and a family without mse-rand draws none.
+        reached = []
+
+        def spy(scenario):
+            reached.append((scenario.kind, scenario.random_observables))
+            raise RuntimeError("the guard let the scenario through")
+
+        monkeypatch.setattr(experiments, "_build_context", spy)
+        edge = 2**24
+        for kind, count in (("random-obs", edge), ("multishot", edge), ("rls-vs-cs", edge + 1)):
+            with pytest.raises(RuntimeError, match="let the scenario through"):
+                run_scenario(tiny_scenario(kind, qubits=3, random_observables=count))
+        for kind in ("random-obs", "multishot"):
+            with pytest.raises(ValueError, match=f"resource-guard: 3 qubits .* {8 * (edge + 1)} "
+                                                 f"random-observable entries D\\*J"):
+                run_scenario(tiny_scenario(kind, qubits=3, random_observables=edge + 1))
+        assert reached == [("random-obs", edge), ("multishot", edge), ("rls-vs-cs", edge + 1)]
 
     def test_resource_guard_binds_theorem1_at_its_trials(self, monkeypatch, tmp_path, capsys):
         # A Monte Carlo batch holds batch * D * J kept normals and one draw
@@ -670,7 +689,7 @@ class TestTrialGroups:
 
         def recording_blocks(state, plans, seed, trials):
             for block in blocks(state, plans, seed, trials):
-                calls[-1][1].append((block[0], len(trials)))
+                calls[-1][1].append((block[0], len(block[1])))
                 yield block
 
         monkeypatch.setattr(experiments, "_run_chunk", recording_chunk)
@@ -681,7 +700,7 @@ class TestTrialGroups:
         assert [trials for trials, _ in calls] == [
             range(first, min(first + size, 100)) for first in range(0, 100, size)]
         for trials, drawn in calls:
-            assert drawn == [(slice(0, len(trials)), len(trials))]  # one block of one group
+            assert drawn == [(0, len(trials))]  # one block of the whole group
 
     @pytest.mark.parametrize("name", ["rls-vs-cs", "mismatch", "multishot", "theorem1"])
     def test_row_layout_is_trial_major_then_aggregates_then_theory(self, monkeypatch, name):
@@ -1268,20 +1287,39 @@ class TestRlsRoutes:
             assert np.array_equal(shadows, shadows.conj().swapaxes(-1, -2))
             assert shadows.flags.c_contiguous
             references.append(shadows.mean(axis=0))
-        frame_blocks = []
-        columns = estimators.povm_operator_columns
+        syrks = []
+        accumulate = FramePrefix._accumulate
 
-        def counted(unitaries, out=None):
-            frame_blocks.append(len(unitaries))
-            return columns(unitaries, out=out)
+        def counted(prefix):
+            syrks.append(prefix.settings - prefix._summed)
+            accumulate(prefix)
 
-        monkeypatch.setattr(estimators, "povm_operator_columns", counted)
-        (entry,) = experiments._stream_entries(ctx, range(1), GlobalHaar(dim), None)
-        (kernel,) = entry.estimates()
-        for point, reference in enumerate(references):
-            assert np.array_equal(kernel[0, point], kernel[0, point].conj().T)
-            assert np.abs(kernel[0, point] - reference).max() < 1e-10
-        assert frame_blocks == ([] if isinstance(method, CS) else [dim + 1])
+        monkeypatch.setattr(FramePrefix, "_accumulate", counted)
+        inputs = streamed_inputs(ctx, range(1))
+        for settings, reference in zip(ctx.plan[0][1], references):
+            kernel, _ = inputs[(settings, shots, getattr(method, "mu", 0.0), 0.0,
+                                type(method).__name__)]
+            assert np.array_equal(kernel[0], kernel[0].conj().T)
+            assert np.abs(kernel[0] - reference).max() < 1e-10
+        # The stream feeds the frame at M = D and M = D + 1, one syrk.
+        assert syrks == ([] if isinstance(method, CS) else [dim + 1])
+
+
+def streamed_inputs(ctx, trials, records_override=None):
+    """What the kernel hands _metric_values when _run_chunk runs the trial
+    group ``trials``: the (T, D, D) estimates and the observed outcomes
+    (or None) of each grid point and method, by row key without the
+    metric."""
+    recorded = []
+
+    def record(ctx, estimates, outcomes):
+        recorded.append((estimates, outcomes))
+        return {"recorded": [len(recorded) - 1] * len(estimates)}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_metric_values", record)
+        columns = experiments._run_chunk(ctx, trials, records_override)
+    return {key[:-1]: recorded[column[0]] for key, column in columns.items()}
 
 
 def assert_stream_matches_full_stacks(scenario, trials, records_override=None):
@@ -1293,31 +1331,33 @@ def assert_stream_matches_full_stacks(scenario, trials, records_override=None):
     ctx = experiments._build_context(scenario)
     settings = max(grid[-1] for _, grid in ctx.plan)
     groups = [trials[group] for group in trial_groups(len(trials), settings, scenario.dim)]
-    for (_, ensemble), group in itertools.product(ctx.family.ensembles(scenario), groups):
-        entries = experiments._stream_entries(ctx, group, ensemble, records_override)
-        if records_override is None:
-            plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
-            group_stacks = run_plan(ctx.state, plans, scenario.seed, group)
-        else:
-            group_stacks = [[records_override[:grid[-1]] for _, grid in ctx.plan]]
-        for index, entry in enumerate(entries):
-            estimates = entry.estimates()
-            for trial, stacks in enumerate(group_stacks):
-                stack = stacks[index]
-                frames = FramePrefix(scenario.dim, entry.shots)
-                for point, settings in enumerate(entry.grid):
-                    records = stack[:settings]
-                    frames.extend(stack.unitaries[frames.settings:settings])
-                    for method, streamed in zip(ctx.methods, estimates):
-                        expected = average_estimate(method, records, frames)
-                        assert np.array_equal(streamed[trial, point], expected), \
-                            (type(method).__name__, trial, settings)
-                    outcomes = entry.outcomes(point)
-                    if "loglik" in ctx.family.metrics:
-                        rho = project_physical(estimates[0][trial, point])
-                        assert log_likelihood(outcomes[trial], rho) == log_likelihood(records, rho)
-                    else:
-                        assert outcomes is None
+    for group in groups:
+        inputs = streamed_inputs(ctx, group, records_override)
+        for eta, ensemble in ctx.family.ensembles(scenario):
+            if records_override is None:
+                plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
+                group_stacks = run_plan(ctx.state, plans, scenario.seed, group)
+            else:
+                group_stacks = [[records_override[:grid[-1]] for _, grid in ctx.plan]]
+            for index, (shots, grid) in enumerate(ctx.plan):
+                for trial, stacks in enumerate(group_stacks):
+                    stack = stacks[index]
+                    frames = FramePrefix(scenario.dim, shots)
+                    for settings in grid:
+                        records = stack[:settings]
+                        frames.extend(stack.unitaries[frames.settings:settings])
+                        for method in ctx.methods:
+                            streamed, outcomes = inputs[(settings, shots, getattr(method, "mu", 0.0),
+                                                         eta, type(method).__name__)]
+                            expected = average_estimate(method, records, frames)
+                            assert np.array_equal(streamed[trial], expected), \
+                                (type(method).__name__, trial, settings)
+                            if "loglik" in ctx.family.metrics:
+                                rho = project_physical(streamed[trial])
+                                assert (log_likelihood(outcomes[trial], rho)
+                                        == log_likelihood(records, rho))
+                            else:
+                                assert outcomes is None
 
 
 class TestStreamedKernel:
@@ -1348,10 +1388,10 @@ class TestStreamedKernel:
         scenario = tiny_scenario("rls-vs-cs", qubits=qubits, trials=5, m_grid=grid)
         ctx = experiments._build_context(scenario)
         plans = [MeasurementPlan(grid[-1], 1, GlobalHaar(dim))]
-        layout = [(rows, start, unitaries.shape[1]) for rows, start, unitaries, _
+        assert trial_groups(5, grid[-1], dim) == [slice(0, 5)]
+        layout = [(start, unitaries.shape[:2]) for start, unitaries, _
                   in measurement.plan_blocks(ctx.state, plans, scenario.seed, range(5))]
-        assert layout == [(slice(0, 5), 0, dim), (slice(0, 5), dim, dim),
-                          (slice(0, 5), 2 * dim, 3)]
+        assert layout == [(0, (5, dim)), (dim, (5, dim)), (2 * dim, (5, 3))]
         assert_stream_matches_full_stacks(scenario, range(5))
 
     def test_multishot_entries_share_their_draws(self):
@@ -1374,6 +1414,29 @@ class TestStreamedKernel:
         scenario = tiny_scenario(kind, qubits=2, trials=1, m_grid=(1, 4, 5, 64, 65),
                                  mu_grid=(0.0, 0.2) if kind == "mu-sweep" else (0.1,))
         assert_stream_matches_full_stacks(scenario, range(1), loaded)
+
+    def test_each_point_finishes_before_the_next_block_is_drawn(self, monkeypatch):
+        # Blocks of PLAN_BLOCK settings at D = 4: M = 3 and 64 finish in
+        # the first block, M = 65 in the second and M = 130 in the third,
+        # each before the next block is drawn.
+        events, blocks, metric_values = [], experiments.plan_blocks, experiments._metric_values
+
+        def recording_blocks(*args):
+            for block in blocks(*args):
+                events.append(("block", block[0]))
+                yield block
+
+        def recording_metrics(ctx, estimates, outcomes):
+            events.append(("point", outcomes[0].settings))  # once per method
+            return metric_values(ctx, estimates, outcomes)
+
+        monkeypatch.setattr(experiments, "plan_blocks", recording_blocks)
+        monkeypatch.setattr(experiments, "_metric_values", recording_metrics)
+        run_scenario(tiny_scenario("rls-vs-cs", trials=2, m_grid=(3, 64, 65, 130)))
+        assert list(dict.fromkeys(events)) == [
+            ("block", 0), ("point", 3), ("point", 64), ("block", PLAN_BLOCK), ("point", 65),
+            ("block", 2 * PLAN_BLOCK), ("point", 130)]
+        assert len(events) == 3 + 2 * 4
 
     @pytest.mark.parametrize("kind, extra", [
         ("double-descent", {}),

@@ -456,8 +456,9 @@ class TestTrialChunk:
         (3, 4, [(slice(0, 5), 0, (5, 4), [4, 2]), (slice(0, 5), 4, (5, 3), [3, 0])]),
     ], ids=["plan-block", "d-above-plan-block"])
     def test_blocks_are_drawn_when_asked_for(self, monkeypatch, plan_block, dim, expected):
-        # Trial group by trial group, then setting block by setting block.
-        # No draw depends on the block, so the stacks equal those drawn in
+        # plan_blocks draws the trials it is given as one group, setting
+        # block by setting block, as run_plan calls it group by group. No
+        # draw depends on the block, so the stacks equal those drawn in
         # blocks of the default width bit for bit.
         state = DensityMatrix.maximally_mixed(dim)
         plans = [MeasurementPlan(max(plan_block, dim) + 3, 2, GlobalHaar(dim)),
@@ -472,15 +473,16 @@ class TestTrialChunk:
 
         monkeypatch.setattr(measurement, "sample_unitary", counted)
         monkeypatch.setattr(measurement, "PLAN_BLOCK", plan_block)
-        blocks = plan_blocks(state, plans, 52, range(5))
-        assert drawn == []
         layout = []
-        for rows, start, unitaries, counts in blocks:
-            assert len(drawn) == len(layout) + 1
-            assert not unitaries.flags.writeable
-            assert not any(plan_counts.flags.writeable for plan_counts in counts)
-            layout.append((rows, start, unitaries.shape[:2],
-                           [plan_counts.shape[1] for plan_counts in counts]))
+        for rows in trial_groups(5, plans[0].settings, dim):
+            blocks = plan_blocks(state, plans, 52, range(5)[rows])
+            assert len(drawn) == len(layout)
+            for start, unitaries, counts in blocks:
+                assert len(drawn) == len(layout) + 1
+                assert not unitaries.flags.writeable
+                assert not any(plan_counts.flags.writeable for plan_counts in counts)
+                layout.append((rows, start, unitaries.shape[:2],
+                               [plan_counts.shape[1] for plan_counts in counts]))
         assert layout == expected
         for trial, stacks in enumerate(run_plan(state, plans, 52, range(5))):
             for stack, reference in zip(stacks, default_width[trial], strict=True):
@@ -600,6 +602,24 @@ class TestRecordStack:
         with pytest.raises(ValueError, match=match):
             RecordStack(unitaries, counts, 1)
 
+    @pytest.mark.parametrize("shots", [2.0, np.float64(2.0), "2"],
+                             ids=["float", "numpy-float", "string"])
+    def test_non_integral_shot_count_rejected(self, shots):
+        with pytest.raises(TypeError, match="shots must be an integer"):
+            RecordStack(np.eye(2)[None], [[2, 0]], shots)
+
+    @pytest.mark.parametrize("shots, stored", [(np.int64(2), 2), (True, 1)],
+                             ids=["numpy-int", "bool"])
+    def test_integral_shot_count_is_stored_as_an_int_that_round_trips(
+        self, tmp_path, shots, stored
+    ):
+        stack = RecordStack(np.eye(2)[None], [[stored, 0]], shots)
+        assert type(stack.shots) is int and stack.shots == stored
+        path = tmp_path / "records.txt"
+        dump_records(stack, path)
+        loaded, _ = load_records(path)
+        assert loaded.shots == stored and np.array_equal(loaded.counts, stack.counts)
+
     def test_counts_shape_must_match(self):
         with pytest.raises(ValueError, match="one entry per outcome"):
             RecordStack(np.stack([np.eye(2)]), [[1, 0, 0]], 1)
@@ -674,6 +694,22 @@ class TestRecordSerialization:
         path.write_text(path.read_text().replace("2 2 3 5\n", "2 2 3 -5\n", 1))
         with pytest.raises(ValueError, match="records.txt, line 1 header"):
             load_records(path)
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError),
+                                             (np.float64(2.0), TypeError)],
+                             ids=["negative", "float", "numpy-float"])
+    def test_seed_the_loader_refuses_is_refused_before_the_file_opens(
+        self, tmp_path, seed, error
+    ):
+        records = run_plan(DensityMatrix.maximally_mixed(2), MeasurementPlan(2, 3, GlobalHaar(2)),
+                           5, 0)
+        path = tmp_path / "records.txt"
+        path.write_text("kept\n")
+        with pytest.raises(error, match="seed"):
+            dump_records(records, path, seed=seed)
+        assert path.read_text() == "kept\n"
+        dump_records(records, path, seed=np.int64(7))
+        assert load_records(path)[1] == 7
 
     def test_header_contents(self, tmp_path):
         plan = MeasurementPlan(2, 3, GlobalHaar(2))
