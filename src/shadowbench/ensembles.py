@@ -69,11 +69,14 @@ class _StateWords(ISeedSequence):
 
 def as_integer(name: str, value) -> int:
     """``value`` as an int by ``operator.index``, so numpy integers pass;
-    any other value (2.5, say) raises a TypeError that names ``name``."""
+    a bool or any other value (2.5, say) raises a TypeError that names
+    ``name``."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def stream_generators(seed: int, trials, settings) -> list[np.random.Generator]:
@@ -82,15 +85,16 @@ def stream_generators(seed: int, trials, settings) -> list[np.random.Generator]:
     ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, m)))``.
     This is the only place a stream is seeded, so identical keys give
     bitwise-identical draws in any order. A seed or key that is not an
-    integer raises TypeError, a negative one or a key above 2^32 - 1
-    ValueError.
+    integer (a bool included) raises TypeError, a negative one or a key
+    above 2^32 - 1 ValueError.
 
     SeedSequence's hash runs once for all streams: numpy hashes the seed
     into the pool, then the two key words of every stream and the PCG64
     seed words are hashed on uint32 arrays.
     """
-    seed = operator.index(seed)
-    trials, settings = [operator.index(t) for t in trials], [operator.index(m) for m in settings]
+    seed = as_integer("seed", seed)
+    trials = [as_integer("trial key", t) for t in trials]
+    settings = [as_integer("setting key", m) for m in settings]
     for key in (*trials, *settings):
         if not 0 <= key <= _MASK32:
             raise ValueError(f"stream keys must lie in [0, 2^32 - 1], got {key}")

@@ -193,11 +193,11 @@ class FramePrefix:
     """
 
     def __init__(self, dim: int, shots: int = 1):
-        if as_integer("dim", dim) < 1:
+        self.dim, self.shots = as_integer("dim", dim), as_integer("shots", shots)
+        if self.dim < 1:
             raise ValueError(f"frame prefix needs a dimension >= 1, got {dim}")
-        if as_integer("shots", shots) < 1:
+        if self.shots < 1:
             raise ValueError(f"shot count must be >= 1, got {shots}")
-        self.dim, self.shots = dim, shots
         self.settings = 0  # settings fed so far
         self._summed = 0  # settings in the running sum
         self._waiting: list[np.ndarray] = []

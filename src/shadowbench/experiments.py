@@ -68,19 +68,6 @@ from .theory import empirical_mse, mse_theorem1
 MAX_ORDER_WITHOUT_FORCE = 4**6
 MAX_UNITARY_ENTRIES_WITHOUT_FORCE = 2**27
 
-# A theory family computes its theorem-1 Monte Carlo in a forked child
-# beside the trials only when the trials draw at least THEORY_FORK_SETTINGS
-# settings (trials * largest M) and the Monte Carlo at least
-# THEORY_FORK_DRAWS unitaries (ensemble samples * plan entries). On 2
-# vCPUs a fork with its pipe and join costs 7-12 ms, against about 50 us
-# per trial setting and 1 us per Haar draw at D = 4: a theorem1 run of 2
-# trials of 16 settings ran about 10 ms slower forked. At 100 trials of
-# 16 settings (median of 31 runs each way) the fork lost 2-6 ms at
-# 3 x 1,000 and 3 x 2,000 draws, won 2-4 ms at 3 x 3,000 and 3 x 4,000,
-# and about 20 ms at 3 x 10,000 (theorem1-d4).
-THEORY_FORK_SETTINGS = 1024
-THEORY_FORK_DRAWS = 8192
-
 AGGREGATE_TRIAL = -1  # trial index marking rows aggregated over all trials
 
 CSV_HEADER = "scenario,trial,M,L,mu,eta,method,metric,value"
@@ -431,8 +418,9 @@ class _EntryStream:
     block and group), then goes to each trial's FramePrefix while a
     frame-route point is ahead and, for loglik, to a store of observed
     outcomes. At a point CS maps the mean adjoint, LS and RLS solve on
-    the Gram route (M <= D, in the first block, which holds the first D
-    settings) or the frame, and the metric columns go to ``columns``."""
+    the route :func:`solve_route` names, Gram (M <= D, in the first
+    block, which holds the first D settings) or frame, and the metric
+    columns go to ``columns``."""
 
     def __init__(self, ctx: _Context, trials: int, eta: float, shots: int, grid: tuple[int, ...]):
         dim = ctx.scenario.dim
@@ -444,7 +432,7 @@ class _EntryStream:
         self._counts = np.empty((trials, rows), dtype=np.int64)
         self._filled = np.zeros(trials, dtype=np.intp)
         self._sum = np.zeros((trials, dim, dim), dtype=complex)
-        framed = grid[-1] > dim and not all(isinstance(method, CS) for method in ctx.methods)
+        framed = any(solve_route(method, grid[-1], dim) == "frame" for method in ctx.methods)
         self._frames = [FramePrefix(dim, shots) for _ in range(trials if framed else 0)]
 
     def feed(self, start: int, unitaries: np.ndarray, counts: np.ndarray) -> None:
@@ -476,18 +464,18 @@ class _EntryStream:
         the last setting fed, from the first block on the Gram route."""
         ctx = self.ctx
         means = self._sum / settings
+        routes = {method: solve_route(method, settings, ctx.scenario.dim) for method in ctx.methods}
         solved = {method: np.empty_like(means)
-                  for method in ctx.methods if not isinstance(method, CS)}
+                  for method, route in routes.items() if route != "channel"}
         for trial in range(len(means)) if solved else ():
-            if settings <= ctx.scenario.dim:
-                for method, out in solved.items():
+            frame = self._frames[trial].frame() if "frame" in routes.values() else None
+            for method, out in solved.items():
+                if routes[method] == "gram":
                     out[trial] = gram_ridge_solve(
                         unitaries[trial, :settings], frequencies[trial, :settings],
                         getattr(method, "mu", 0.0), self.shots)
-                continue
-            frame = self._frames[trial].frame()
-            for method, out in solved.items():
-                out[trial] = shadow_map(method, means[trial], frame)
+                else:
+                    out[trial] = shadow_map(method, means[trial], frame)
             del frame
         if settings == self.grid[-1]:
             self._frames = []
@@ -555,8 +543,6 @@ def _aggregate_rows(ctx: _Context, columns: dict[tuple, list[float]]) -> list[Re
 def _theory_rows(ctx: _Context) -> list[ResultRow]:
     """The semi-analytic theorem-1 MSE rows (with standard errors) of a
     theory family, from the stream (AUX, 1), which no trial draws from."""
-    if not ctx.family.theory:
-        return []
     sc, rows = ctx.scenario, []
     (generator,) = stream_generators(sc.seed, [AUX_STREAM_INDEX], [1])
     for shots, (settings,) in ctx.plan:
@@ -571,29 +557,26 @@ def _theory_rows(ctx: _Context) -> list[ResultRow]:
 @contextlib.contextmanager
 def _theory_beside_trials(ctx: _Context):
     """Yield a function returning ``_theory_rows(ctx)``. A family with
-    theory rows, whose trials reach THEORY_FORK_SETTINGS and whose Monte
-    Carlo reaches THEORY_FORK_DRAWS, on a platform with the fork start
-    method and two or more usable CPUs, forks one child that computes
-    them while the caller runs the trials; the function then waits for
-    the child's rows or raises its exception. The child is terminated if
-    the caller raises, and joined in any case, so it never outlives the
-    block. Otherwise the function computes the rows when called."""
-    sc = ctx.scenario
-    settings = sc.trials * max(grid[-1] for _, grid in ctx.plan)
-    draws = sc.ensemble_samples * len(ctx.plan)
-    usable_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    if not (ctx.family.theory and settings >= THEORY_FORK_SETTINGS
-            and draws >= THEORY_FORK_DRAWS and usable_cpus >= 2):
-        yield lambda: _theory_rows(ctx)
+    theory rows, in a process that can fork (the fork start method, not
+    a daemonic process, two or more usable CPUs), forks one child that
+    computes them while the caller runs the trials; the function then
+    waits for the child's rows or raises its exception. The child is
+    terminated if the caller raises, and joined in any case, so it never
+    outlives the block. Otherwise the function computes the rows when
+    called."""
+    if not ctx.family.theory:
+        yield lambda: []
         return
     import multiprocessing
 
+    usable_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     # Not spawn: a fresh interpreter imports numpy and the package
     # (about 0.2 s), more than the Monte Carlo takes at desk scale. A
-    # daemonic process may not start children.
+    # daemonic process may not start children, and on one usable CPU
+    # the child only takes turns with the trials.
     if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
+            or multiprocessing.current_process().daemon or usable_cpus < 2):
         yield lambda: _theory_rows(ctx)
         return
     context = multiprocessing.get_context("fork")
@@ -669,8 +652,9 @@ def run_scenario(
     row keys (M, L, mu, eta, method, metric); then the trial-aggregated
     MSE rows (trial index -1) sorted by row key; then a theory family's
     theorem-1 rows, which one forked child computes while the trials run
-    where that pays (:func:`_theory_beside_trials`); the child is joined
-    before this returns or raises, and its exception is raised here.
+    wherever the process can fork (:func:`_theory_beside_trials`); the
+    child is joined before this returns or raises, and its exception is
+    raised here.
     Trials run in order in the calling thread, one group of
     :func:`trial_groups` at a time (:func:`_run_chunk`), each one pass
     over its blocks of settings that finishes every grid point, metrics
@@ -678,9 +662,9 @@ def run_scenario(
     unitaries, and no estimate of a point already passed, are held.
     Every setting keeps its stream (seed, (trial, m)), so the rows are
     the same for any grouping. ``workers`` must be >= 1 but has no
-    effect: trial groups stay serial, because worker processes with one
-    BLAS thread change CSV bytes and with the caller's BLAS threads they
-    oversubscribe the CPUs.
+    effect (the command line has no such option): trial groups stay
+    serial, because worker processes with one BLAS thread change CSV
+    bytes and with the caller's BLAS threads they oversubscribe the CPUs.
     ``dump_records_path`` receives the records trial 0 measured at the
     first plan entry (first L, first eta) at its largest M: on a replay
     the loaded ones, under the loaded file's seed.

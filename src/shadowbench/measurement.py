@@ -28,17 +28,19 @@ POVM_UNITARITY_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class MeasurementPlan:
-    """M settings from an ensemble, each probed with L shots."""
+    """M settings from an ensemble, each probed with L shots; both are
+    stored as ints."""
 
     settings: int
     shots: int
     ensemble: EnsembleSpec
 
     def __post_init__(self):
-        if as_integer("settings", self.settings) < 1:
-            raise ValueError(f"plan needs at least one setting, got {self.settings}")
-        if as_integer("shots", self.shots) < 1:
-            raise ValueError(f"plan needs at least one shot, got {self.shots}")
+        for name in ("settings", "shots"):
+            value = as_integer(name, getattr(self, name))
+            if value < 1:
+                raise ValueError(f"plan needs at least one {name[:-1]}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 class RecordError(ValueError):

@@ -1,5 +1,6 @@
 """Tests for scenario execution, CSV emission, and the CLI."""
 
+import argparse
 import contextlib
 import filecmp
 import importlib.util
@@ -507,17 +508,14 @@ def usable_cpus(monkeypatch, count):
 
 
 class TestTheoryBesideTrials:
-    """Given trials of THEORY_FORK_SETTINGS and a Monte Carlo of
-    THEORY_FORK_DRAWS, two usable CPUs and the fork start method, one
-    forked child computes a theorem1 run's mse-theory rows while the
-    trials run; it never outlives the run, and ``workers`` changes
-    nothing."""
+    """Given two usable CPUs and the fork start method, in a process that
+    is not daemonic, one forked child computes a theorem1 run's
+    mse-theory rows while the trials run, whatever the run's size; it
+    never outlives the run, and ``workers`` changes nothing."""
 
     @staticmethod
-    def counted_forks(monkeypatch, fork_settings=1, fork_draws=1):
+    def counted_forks(monkeypatch):
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(experiments, "THEORY_FORK_SETTINGS", fork_settings)
-        monkeypatch.setattr(experiments, "THEORY_FORK_DRAWS", fork_draws)
         forks = []
         get_context = multiprocessing.get_context
 
@@ -537,7 +535,8 @@ class TestTheoryBesideTrials:
                                  l_grid=(1, 4, 16), ensemble_samples=ensemble_samples)
         with monkeypatch.context() as serial_run:
             serial_run.setattr(multiprocessing, "get_context", forbidden_fork)
-            serial = run_scenario(scenario)  # below both fork bounds
+            usable_cpus(serial_run, 1)
+            serial = run_scenario(scenario)
         emit_csv(serial, tmp_path / "serial.csv")
         forks = self.counted_forks(monkeypatch)
         parent_calls = []
@@ -591,27 +590,17 @@ class TestTheoryBesideTrials:
         assert len(forks) == 1
         assert_no_child_left()
 
-    @pytest.mark.parametrize("trials, ensemble_samples, forked", [
-        (64, 4096, True),  # 64 * 16 settings, 4096 * 2 draws
-        (63, 4096, False),
-        (64, 4095, False),
-    ])
-    def test_forks_when_trials_and_monte_carlo_reach_the_bound(
-        self, monkeypatch, trials, ensemble_samples, forked
-    ):
-        forks = self.counted_forks(monkeypatch, experiments.THEORY_FORK_SETTINGS,
-                                   experiments.THEORY_FORK_DRAWS)
-        assert (experiments.THEORY_FORK_SETTINGS, experiments.THEORY_FORK_DRAWS) == (1024, 8192)
-        run_scenario(tiny_scenario("theorem1", trials=trials, m_grid=(16,), l_grid=(1, 2),
-                                   ensemble_samples=ensemble_samples))
-        assert forks == (["fork"] if forked else [])
+    def test_two_trial_run_forks(self, monkeypatch):
+        # The smallest runs fork too: no run size keeps the rows inline.
+        forks = self.counted_forks(monkeypatch)
+        run_scenario(tiny_scenario("theorem1", trials=2, m_grid=(16,), l_grid=(1, 4),
+                                   ensemble_samples=200))
+        assert forks == ["fork"]
         assert_no_child_left()
 
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     def test_forks_only_for_theory_rows_on_two_usable_cpus(self, monkeypatch, kind):
         monkeypatch.setattr(multiprocessing, "get_context", forbidden_fork)
-        monkeypatch.setattr(experiments, "THEORY_FORK_SETTINGS", 1)
-        monkeypatch.setattr(experiments, "THEORY_FORK_DRAWS", 1)
         overrides = dict(trials=2, m_grid=(8,), l_grid=(1, 2), ensemble_samples=50,
                          random_observables=5)
         if kind == "theorem1":
@@ -1025,8 +1014,6 @@ class TestCli:
         [
             (["rls-vs-cs", "--mu", "nan"], "mu-grid"),
             (["mismatch", "--eta-grid", "0,inf"], "eta-grid"),
-            (["rls-vs-cs", "--workers", "0"], "workers"),
-            (["rls-vs-cs", "--workers", "-1"], "workers"),
             (["theorem1", "--l-grid", "1,1"], "l-grid"),
             (["mu-sweep", "--mu", "0.1,0.1"], "mu-grid"),
             (["mismatch", "--eta-grid", "0,0"], "eta-grid"),
@@ -1198,6 +1185,21 @@ class TestCli:
         for command in commands:
             parser.parse_args(command[1:])
 
+    def test_readme_common_flags_are_each_subcommands_options(self):
+        # The prose list of common flags must name exactly the options
+        # every subcommand takes, so it cannot advertise a removed flag.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (sentence,) = re.findall(r"^Common flags: (.*?)\.(?: |$)", readme,
+                                 flags=re.MULTILINE | re.DOTALL)
+        listed = {flag for quoted in re.findall(r"`([^`]*)`", sentence)
+                  for flag in re.findall(r"--[a-z-]+", quoted)}
+        (subparsers,) = [action for action in build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        for kind, sub in subparsers.choices.items():
+            options = {option for action in sub._actions for option in action.option_strings
+                       if option.startswith("--") and option != "--help"}
+            assert listed == options, kind
+
     def test_readme_library_block_runs(self, capsys):
         # The README's one python block is the library example; it must
         # run as written against the exported names.
@@ -1249,20 +1251,15 @@ class TestCli:
         assert "lambda-hat-0" in metrics and "lambda-hat-2" in metrics
         assert "lambda-hat-1" not in metrics
 
-    def test_workers_flag_byte_identical(self, tmp_path):
-        args = [
-            "mismatch",
-            "--qubits", "2",
-            "--trials", "3",
-            "--m-grid", "8",
-            "--eta-grid", "0,0.25",
-            "--seed", "11",
-        ]
-        first = tmp_path / "w1.csv"
-        second = tmp_path / "w4.csv"
-        assert main(args + ["--workers", "1", "--out", str(first)]) == 0
-        assert main(args + ["--workers", "4", "--out", str(second)]) == 0
-        assert filecmp.cmp(first, second, shallow=False)
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_workers_flag_is_refused(self, tmp_path, capsys, kind):
+        # Trials run in one thread whatever was asked, so the command
+        # line offers no worker count.
+        with pytest.raises(SystemExit) as exit_info:
+            main([kind, "--qubits", "2", "--trials", "1", "--out", str(tmp_path / "x.csv"),
+                  "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestRlsRoutes:
@@ -1530,7 +1527,7 @@ def test_family_csv_matches_golden_bytes(kind, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / f"{kind}.csv").read_bytes()
 
 
-def test_tracer_layers_resolve_and_run_in_every_family():
+def test_tracer_layers_resolve_and_run_in_every_family(monkeypatch):
     # The benchmark's tracer patches its layer functions and
     # FrameOperator.__post_init__ by name. A deleted or renamed one fails
     # here, named, and not only in a traced benchmark run; a layer no
@@ -1554,6 +1551,11 @@ def test_tracer_layers_resolve_and_run_in_every_family():
             if kind == "double-descent":
                 # LS forms and diagonalizes the frame only above M = D = 4.
                 overrides.update(m_grid=(2, 4, 5))
+            if kind == "theorem1":
+                # On one usable CPU the Monte Carlo runs in this process,
+                # where the tracer sees the theory.mse_theorem1 span, and
+                # not in a forked child.
+                usable_cpus(monkeypatch, 1)
             rows = shadowbench.run_scenario(tiny_scenario(kind, **overrides))
             shadowbench.emit_csv(rows, os.devnull)
     called = {name for _, _, name, _, _ in tracer.spans}

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from shadowbench import measurement
 from shadowbench.core import DensityMatrix, born_probabilities
-from shadowbench.ensembles import GlobalHaar, HaarMixture, open_overwrite
+from shadowbench.ensembles import GlobalHaar, HaarMixture, open_overwrite, stream_generators
+from shadowbench.estimators import FramePrefix
 from shadowbench.experiments import ResultRow, emit_csv
 from shadowbench.measurement import (
     PLAN_BLOCK,
@@ -602,14 +603,13 @@ class TestRecordStack:
         with pytest.raises(ValueError, match=match):
             RecordStack(unitaries, counts, 1)
 
-    @pytest.mark.parametrize("shots", [2.0, np.float64(2.0), "2"],
-                             ids=["float", "numpy-float", "string"])
+    @pytest.mark.parametrize("shots", [2.0, np.float64(2.0), "2", True],
+                             ids=["float", "numpy-float", "string", "bool"])
     def test_non_integral_shot_count_rejected(self, shots):
         with pytest.raises(TypeError, match="shots must be an integer"):
-            RecordStack(np.eye(2)[None], [[2, 0]], shots)
+            RecordStack(np.eye(2)[None], [[int(shots), 0]], shots)
 
-    @pytest.mark.parametrize("shots, stored", [(np.int64(2), 2), (True, 1)],
-                             ids=["numpy-int", "bool"])
+    @pytest.mark.parametrize("shots, stored", [(np.int64(2), 2)], ids=["numpy-int"])
     def test_integral_shot_count_is_stored_as_an_int_that_round_trips(
         self, tmp_path, shots, stored
     ):
@@ -630,6 +630,38 @@ class TestRecordStack:
         plan = MeasurementPlan(3, 1, GlobalHaar(2))
         with pytest.raises(RecordError, match="setting 2: non-unitary"):
             run_plan(DensityMatrix.maximally_mixed(2), plan, 38, 0)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: MeasurementPlan(True, 1, GlobalHaar(2)), "settings"),
+        (lambda: MeasurementPlan(1, True, GlobalHaar(2)), "shots"),
+        (lambda: RecordStack(np.eye(2)[None], [[1, 0]], True), "shots"),
+        (lambda: FramePrefix(True), "dim"),
+        (lambda: FramePrefix(2, True), "shots"),
+        (lambda: sample_counts(np.array([0.5, 0.5]), True, stream(0)), "shots"),
+        (lambda: dump_records(RecordStack(np.eye(2)[None], [[1, 0]], 1), os.devnull,
+                              seed=True), "seed"),
+        (lambda: stream_generators(True, [0], [0]), "seed"),
+        (lambda: stream_generators(1, [False], [0]), "trial key"),
+        (lambda: stream_generators(1, [0], [True]), "setting key"),
+    ],
+    ids=["plan-settings", "plan-shots", "stack-shots", "frame-dim", "frame-shots",
+         "sample-shots", "dump-seed", "stream-seed", "stream-trial", "stream-setting"],
+)
+def test_bool_is_refused_where_an_integer_is_needed(build, name):
+    # True and False are ints to Python, but a bool count or seed is a
+    # mistake; Scenario refuses one in every integer field too.
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got (True|False)$"):
+        build()
+
+
+def test_plan_and_frame_prefix_store_their_counts_as_ints():
+    plan = MeasurementPlan(np.int64(2), np.int64(3), GlobalHaar(2))
+    frames = FramePrefix(np.int64(2), np.int64(3))
+    assert [type(value) for value in (plan.settings, plan.shots, frames.dim, frames.shots)] == [
+        int, int, int, int]
 
 
 def loop_expanded(records):
