@@ -49,13 +49,13 @@ from .estimators import (
     solve_route,
 )
 from .measurement import (
+    PLAN_BLOCK,
     MeasurementPlan,
     RecordStack,
+    _write_records,
     adjoint_map,
-    dump_records,
     load_records,
     plan_blocks,
-    run_plan,
     trial_groups,
 )
 from .theory import empirical_mse, mse_theorem1
@@ -64,7 +64,7 @@ from .theory import empirical_mse, mse_theorem1
 # of larger order than the 6-qubit frame (the real D^2 x D^2 frame, or the
 # M*D x M*D Gram system): at order 4^7 a frame's sum and syrk products take
 # 2 GiB each and a Gram product 4 GiB, which crashed an 8 GiB machine. So does
-# a plan entry sampling more than 2^27 setting-unitary entries M*D^2 (2 GiB).
+# a trial's sampling block or observed-outcome store of more than 2^27 entries.
 MAX_ORDER_WITHOUT_FORCE = 4**6
 MAX_UNITARY_ENTRIES_WITHOUT_FORCE = 2**27
 
@@ -126,6 +126,8 @@ class Scenario:
                 raise ValueError(f"{name} entries must be finite, got {list(grid)}")
         if min(self.m_grid) < 1 or min(self.l_grid) < 1:
             raise ValueError("m-grid and l-grid entries must be >= 1")
+        if max(self.m_grid) > 2**32:  # setting m draws from the 32-bit stream key m
+            raise ValueError(f"m-grid entries must be <= 2^32, got {max(self.m_grid)}")
         if min(self.mu_grid) < 0:
             raise ValueError("mu values must be >= 0")
         if min(self.eta_grid) < 0 or max(self.eta_grid) > 1:
@@ -491,7 +493,7 @@ class _EntryStream:
 
 
 def _run_chunk(
-    ctx: _Context, trials: range, records_override: RecordStack | None = None
+    ctx: _Context, trials: range, records_override: RecordStack | None = None, dump=None
 ) -> dict[tuple, list[float]]:
     """The per-trial metric values of one trial group. Each key is a row
     key (M, L, mu, eta, method, metric), inserted in the order of one
@@ -500,7 +502,8 @@ def _run_chunk(
     the blocks of :func:`plan_blocks` (each setting drawn once for every
     shot count) or the loaded stack as one block; each entry finishes
     its grid points as the stream reaches them, and the entries' columns
-    are merged in plan order."""
+    are merged in plan order. A ``dump`` handle takes the records of the
+    first trial, eta and plan entry."""
     columns: dict[tuple, list[float]] = {}
     for eta, ensemble in ctx.family.ensembles(ctx.scenario):
         entries = [_EntryStream(ctx, len(trials), eta, shots, grid) for shots, grid in ctx.plan]
@@ -511,8 +514,11 @@ def _run_chunk(
             blocks = [(0, records_override.unitaries[None],
                        [records_override.counts[None, :grid[-1]] for _, grid in ctx.plan])]
         for start, unitaries, counts in blocks:
+            if dump is not None:
+                _write_records(dump, unitaries[0, :counts[0].shape[1]], counts[0][0])
             for entry, entry_counts in zip(entries, counts):
                 entry.feed(start, unitaries, entry_counts)
+        dump = None  # the records of the first eta only
         for entry in entries:
             columns.update(entry.columns)
     return columns
@@ -615,9 +621,9 @@ def _theory_beside_trials(ctx: _Context):
 
 def _resource_guard(scenario: Scenario) -> None:
     """Refuse a scenario whose largest dense linear system (M*D on the
-    Gram route, D^2 where the frame is formed, none for CS), largest
-    sampled plan entry (M*D^2 unitary entries) or random-observable set
-    (D*J vector entries, where a family has mse-rand) exceeds its bound."""
+    Gram route, D^2 where the frame is formed, none for CS) exceeds its
+    bound, or whose largest array does: a trial's sampling block, its
+    loglik outcome store or the mse-rand vector set."""
     dim, family = scenario.dim, FAMILIES[scenario.kind]
     plan = family.plan(scenario)
     order = max(
@@ -626,15 +632,17 @@ def _resource_guard(scenario: Scenario) -> None:
         ]
         for _, grid in plan for settings in grid for method in family.methods(scenario)
     )
-    entries = dim * dim * max(grid[-1] for _, grid in plan)
+    block = dim * dim * min(max(grid[-1] for _, grid in plan), max(PLAN_BLOCK, dim))
+    store = (sum(grid[-1] * min(shots, dim) * dim for shots, grid in plan)
+             if "loglik" in family.metrics else 0)
     vectors = dim * scenario.random_observables if "mse-rand" in family.metrics else 0
     if (order > MAX_ORDER_WITHOUT_FORCE
-            or max(entries, vectors) > MAX_UNITARY_ENTRIES_WITHOUT_FORCE):
+            or max(block, store, vectors) > MAX_UNITARY_ENTRIES_WITHOUT_FORCE):
         raise ValueError(
             f"resource-guard: {scenario.qubits} qubits needs a linear system of order {order} "
-            f"(bound {MAX_ORDER_WITHOUT_FORCE}), {entries} sampled unitary entries M*D^2 and "
-            f"{vectors} random-observable entries D*J (bound {MAX_UNITARY_ENTRIES_WITHOUT_FORCE} "
-            f"each); force=True (--force) accepts the cost"
+            f"(bound {MAX_ORDER_WITHOUT_FORCE}), {block} sampled unitary entries per block, "
+            f"{store} observed-outcome entries and {vectors} random-observable entries D*J (bound "
+            f"{MAX_UNITARY_ENTRIES_WITHOUT_FORCE} each); force=True (--force) accepts the cost"
         )
 
 
@@ -651,10 +659,8 @@ def run_scenario(
     Per-trial rows come trial by trial, each trial's in one order of
     row keys (M, L, mu, eta, method, metric); then the trial-aggregated
     MSE rows (trial index -1) sorted by row key; then a theory family's
-    theorem-1 rows, which one forked child computes while the trials run
-    wherever the process can fork (:func:`_theory_beside_trials`); the
-    child is joined before this returns or raises, and its exception is
-    raised here.
+    theorem-1 rows (:func:`_theory_beside_trials`), whose forked child's
+    exception is raised here.
     Trials run in order in the calling thread, one group of
     :func:`trial_groups` at a time (:func:`_run_chunk`), each one pass
     over its blocks of settings that finishes every grid point, metrics
@@ -665,9 +671,11 @@ def run_scenario(
     effect (the command line has no such option): trial groups stay
     serial, because worker processes with one BLAS thread change CSV
     bytes and with the caller's BLAS threads they oversubscribe the CPUs.
-    ``dump_records_path`` receives the records trial 0 measured at the
-    first plan entry (first L, first eta) at its largest M: on a replay
-    the loaded ones, under the loaded file's seed.
+    ``dump_records_path`` receives, block by block as trial 0's group
+    streams them, the records trial 0 measured at the first plan entry
+    (first L, first eta) at its largest M, or on a replay the loaded
+    ones under the loaded file's seed; a run that raises once its trials
+    start leaves the file empty.
     """
     scenario.validate()
     if workers < 1:
@@ -706,26 +714,21 @@ def run_scenario(
     columns: dict[tuple, list[float]] = {}
     trials = range(scenario.trials)
     settings = max(grid[-1] for _, grid in ctx.plan)
-    with _theory_beside_trials(ctx) as theory_rows:
+    dump_file = (contextlib.nullcontext() if dump_records_path is None
+                 else open_overwrite(dump_records_path))
+    # Opened after the theorem-1 child forks, so no child holds buffered text.
+    with _theory_beside_trials(ctx) as theory_rows, dump_file as dump:
+        if dump is not None:
+            dump.write(f"{scenario.dim} {ctx.plan[0][1][-1]} {ctx.plan[0][0]} {dump_seed}\n")
         for group in trial_groups(len(trials), settings, scenario.dim):
-            for key, column in _run_chunk(ctx, trials[group], records_override).items():
+            for key, column in _run_chunk(ctx, trials[group], records_override, dump).items():
                 columns.setdefault(key, []).extend(column)
+            dump = None  # trial 0 is in the first group
         rows = [ResultRow(scenario.kind, trial, *key, column[trial])
                 for trial in trials for key, column in columns.items()]
         rows += _aggregate_rows(ctx, columns)
         rows += theory_rows()
-
-    if dump_records_path is not None:
-        _, ensemble = ctx.family.ensembles(scenario)[0]
-        shots, grid = ctx.plan[0]
-        trial_zero = (run_plan(ctx.state, MeasurementPlan(grid[-1], shots, ensemble), scenario.seed, 0)
-                      if records_override is None else records_override[:grid[-1]])
-        dump_records(trial_zero, dump_records_path, seed=dump_seed)
     return rows
-
-
-def _format_value(value: float) -> str:
-    return format(value, ".17g")
 
 
 def emit_csv(rows: Sequence[ResultRow], path) -> None:
@@ -747,13 +750,11 @@ def emit_csv(rows: Sequence[ResultRow], path) -> None:
             row.eta,
         ),
     )
-    lines = [CSV_HEADER]
-    for row in ordered:
-        lines.append(
-            f"{row.scenario},{row.trial},{row.settings},{row.shots},"
-            f"{_format_value(row.mu)},{_format_value(row.eta)},"
-            f"{row.method},{row.metric},{_format_value(row.value)}"
-        )
+    lines = [CSV_HEADER] + [
+        f"{row.scenario},{row.trial},{row.settings},{row.shots},{row.mu:.17g},{row.eta:.17g},"
+        f"{row.method},{row.metric},{row.value:.17g}"
+        for row in ordered
+    ]
     try:
         with open_overwrite(path) as handle:
             handle.write("\n".join(lines) + "\n")

@@ -21,7 +21,7 @@ from .core import DensityMatrix, born_probabilities, hermitize
 from .ensembles import EnsembleSpec, as_integer, open_overwrite, sample_unitary, stream_generators
 
 PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step (D where D is larger)
-PLAN_STREAMS = 4 * PLAN_BLOCK  # random streams (trial, setting) alive at once in run_plan
+PLAN_STREAMS = 4 * PLAN_BLOCK  # random streams (trial, setting) of one plan_blocks block
 GROUP_ENTRIES = 2048 * 4**2  # setting-unitary entries M*D^2 of a trial group
 POVM_UNITARITY_ATOL = 1e-8
 
@@ -204,10 +204,10 @@ def _plan_sequence(plans, state: DensityMatrix) -> tuple[MeasurementPlan, ...]:
     state's dimension, or a ValueError naming what is wrong."""
     plans = (plans,) if isinstance(plans, MeasurementPlan) else tuple(plans)
     if not plans:
-        raise ValueError("run_plan needs at least one plan")
+        raise ValueError("sampling needs at least one plan")
     ensemble = plans[0].ensemble
     if any(plan.ensemble != ensemble for plan in plans):
-        raise ValueError("plans of one run_plan call must share one ensemble")
+        raise ValueError("plans sampled together must share one ensemble")
     if ensemble.dim != state.dim:
         raise ValueError(f"dim-mismatch: ensemble dim {ensemble.dim} != state dim {state.dim}")
     return plans
@@ -349,11 +349,15 @@ def dump_records(records: RecordStack, path, seed: int = 0) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
     with open_overwrite(path) as handle:
         handle.write(f"{records.dim} {len(records)} {records.shots} {seed}\n")
-        for unitary, counts in zip(records.unitaries, records.counts):
-            for row in unitary:
-                pairs = (f"{value.real:.17g} {value.imag:.17g}" for value in row)
-                handle.write(" ".join(pairs) + "\n")
-            handle.write(" ".join(str(int(count)) for count in counts) + "\n")
+        _write_records(handle, records.unitaries, records.counts)
+
+
+def _write_records(handle, unitaries: np.ndarray, counts: np.ndarray) -> None:
+    """Write M settings' (M, D, D) unitaries and (M, D) counts as :func:`dump_records` does."""
+    dim = unitaries.shape[-1]
+    setting = (" ".join(["%.17g %.17g"] * dim) + "\n") * dim + " ".join(["%d"] * dim) + "\n"
+    for unitary, setting_counts in zip(np.ascontiguousarray(unitaries).view(float), counts):
+        handle.write(setting % (*unitary.ravel().tolist(), *setting_counts.tolist()))
 
 
 def _line_values(path, lines: list[str], index: int, kind, count: int):

@@ -49,6 +49,7 @@ from shadowbench.experiments import (
 from shadowbench.measurement import (
     PLAN_BLOCK,
     MeasurementPlan,
+    dump_records,
     load_records,
     run_plan,
     trial_groups,
@@ -218,6 +219,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="m-grid"):
             tiny_scenario("rls-vs-cs", m_grid=()).validate()
 
+    def test_m_grid_fits_the_setting_stream_keys(self):
+        # Setting m draws from the stream key m, at most 2^32 - 1; the
+        # resource guard no longer bounds M where a run holds no M-sized array.
+        tiny_scenario("theorem1", m_grid=(2**32,)).validate()
+        with pytest.raises(ValueError, match="m-grid entries must be <= 2\\^32, got 4294967297"):
+            tiny_scenario("theorem1", m_grid=(2**32 + 1,)).validate()
+
     def test_bad_eta(self):
         with pytest.raises(ValueError, match="eta"):
             tiny_scenario("mismatch", eta_grid=(0.0, 2.0)).validate()
@@ -314,6 +322,29 @@ class TestScenarioValidation:
         assert "resource-guard: 11 qubits" in capsys.readouterr().err
         assert reached == [8]
         assert not (tmp_path / "x.csv").exists()
+
+    def test_resource_guard_bounds_what_a_run_holds(self, monkeypatch):
+        # A run holds one sampling block of min(M, max(64, D)) settings per
+        # trial, not its M settings: theorem1 at D = 4 and M = 2^26 holds
+        # 64 * 16 entries. rls-vs-cs keeps M*min(L, D)*D observed-outcome
+        # entries for loglik: 2^27 at D = 64, L = 64 and M = 2^15, and
+        # 4096 more at one setting more.
+        reached = []
+
+        def spy(scenario):
+            reached.append((scenario.kind, scenario.m_grid))
+            raise RuntimeError("the guard let the scenario through")
+
+        monkeypatch.setattr(experiments, "_build_context", spy)
+        for kind, qubits, settings, shots in (("theorem1", 2, 2**26, 1),
+                                               ("rls-vs-cs", 6, 2**15, 64)):
+            with pytest.raises(RuntimeError, match="let the scenario through"):
+                run_scenario(Scenario(kind=kind, qubits=qubits, trials=1,
+                                      m_grid=(settings,), l_grid=(shots,)))
+        with pytest.raises(ValueError, match=f"resource-guard: 6 qubits .* {2**27 + 4096} observed"):
+            run_scenario(Scenario(kind="rls-vs-cs", qubits=6, trials=1,
+                                  m_grid=(2**15 + 1,), l_grid=(64,)))
+        assert reached == [("theorem1", (2**26,)), ("rls-vs-cs", (2**15,))]
 
     def test_config_round_trip(self):
         scenario = default_scenario("mismatch")
@@ -871,6 +902,114 @@ class TestRecordFlags:
         bad = tiny_scenario("multishot", trials=1, m_grid=(4,), l_grid=(1,))
         with pytest.raises(ValueError, match="not supported"):
             run_scenario(bad, load_records_path=path)
+
+    # Grids that cross block boundaries at D = 4; a first eta and a first
+    # L that are not the smallest.
+    DUMP_CASES = {
+        "double-descent": dict(m_grid=(2, 70)),
+        "mu-sweep": dict(m_grid=(3, 130), mu_grid=(0.0, 0.2)),
+        "rls-vs-cs": dict(m_grid=(70,), l_grid=(3,)),
+        "random-obs": dict(m_grid=(2, 4, 65), random_observables=5),
+        "mismatch": dict(m_grid=(70,), eta_grid=(0.3, 0.0, 1.0)),
+        "multishot": dict(m_grid=(64, 130, 260), l_grid=(2, 1, 4), random_observables=5),
+        "theorem1": dict(m_grid=(70,), l_grid=(4, 1), ensemble_samples=200),
+    }
+
+    @staticmethod
+    def dump_oracle(scenario, path):
+        """Trial 0's records at the first plan entry and the first eta,
+        drawn by run_plan and written by dump_records."""
+        family = FAMILIES[scenario.kind]
+        shots, grid = family.plan(scenario)[0]
+        _, ensemble = family.ensembles(scenario)[0]
+        state, _ = canonical_state_and_observables(scenario.qubits)
+        records = run_plan(state, MeasurementPlan(grid[-1], shots, ensemble), scenario.seed, 0)
+        dump_records(records, path, seed=scenario.seed)
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_dump_is_trial_zero_at_the_first_plan_entry(self, monkeypatch, tmp_path, kind):
+        # theorem1 writes its dump while its forked child runs.
+        forks = TestTheoryBesideTrials.counted_forks(monkeypatch)
+        scenario = tiny_scenario(kind, trials=3, **self.DUMP_CASES[kind])
+        run_scenario(scenario, dump_records_path=tmp_path / "dump.txt")
+        assert forks == (["fork"] if kind == "theorem1" else [])
+        assert_no_child_left()
+        self.dump_oracle(scenario, tmp_path / "oracle.txt")
+        assert (tmp_path / "dump.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["double-descent", "mu-sweep", "rls-vs-cs", "random-obs"])
+    def test_replay_dumps_the_records_it_loaded(self, tmp_path, kind):
+        scenario = tiny_scenario(kind, trials=1, m_grid=(3, 130))
+        first, again, cut = (tmp_path / name for name in ("first.txt", "again.txt", "cut.txt"))
+        direct = run_scenario(scenario, dump_records_path=first)
+        assert run_scenario(scenario, dump_records_path=again, load_records_path=first) == direct
+        assert again.read_bytes() == first.read_bytes()
+        # A smaller grid cuts the loaded stack, under the loaded seed.
+        smaller = replace(scenario, m_grid=(3, 70), seed=5)
+        run_scenario(smaller, dump_records_path=cut, load_records_path=first)
+        loaded, seed = load_records(first)
+        dump_records(loaded[:70], tmp_path / "oracle.txt", seed=seed)
+        assert cut.read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+    def test_a_dump_draws_no_setting_twice(self, monkeypatch, tmp_path):
+        # Nine trials at M = 130 and D = 4 are groups of 4, 4 and 1 trials
+        # of three blocks each; only the first group writes the dump.
+        calls = []
+        sample = measurement.sample_unitary
+        monkeypatch.setattr(measurement, "sample_unitary",
+                            lambda *args: calls.append(args) or sample(*args))
+        scenario = tiny_scenario("rls-vs-cs", trials=9, m_grid=(3, 130))
+        rows = run_scenario(scenario)
+        assert len(calls) == 9
+        assert run_scenario(scenario, dump_records_path=tmp_path / "dump.txt") == rows
+        assert len(calls) == 18
+        self.dump_oracle(scenario, tmp_path / "oracle.txt")
+        assert (tmp_path / "dump.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+    def test_a_dump_holds_no_stack(self, tmp_path):
+        # At D = 16 one trial's (M, D, D) unitaries at M = 4096 are 16 MiB;
+        # the dump writes them block by block instead.
+        scenario = Scenario(kind="multishot", qubits=4, trials=1, m_grid=(64, 512, 4096),
+                            l_grid=(1, 8), random_observables=5)
+        run_scenario(scenario)  # warm up numpy's caches
+
+        def peak(**dump):
+            tracemalloc.start()
+            try:
+                run_scenario(scenario, **dump)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(dump_records_path=tmp_path / "dump.txt") <= peak() + 2**20
+
+    def test_a_failed_run_leaves_the_dump_empty(self, monkeypatch, tmp_path):
+        path = tmp_path / "dump.txt"
+        path.write_text("old records\n", encoding="utf-8")
+        # A run refused before its trials start does not open the file.
+        with pytest.raises(ValueError, match="resource-guard"):
+            run_scenario(tiny_scenario("double-descent", qubits=8, m_grid=(2, 128)),
+                         dump_records_path=path)
+        assert path.read_text(encoding="utf-8") == "old records\n"
+
+        def failing(*args):
+            raise RuntimeError("metrics failed")
+
+        # Raising after the first block was written cuts the file to length 0.
+        with monkeypatch.context() as patched:
+            patched.setattr(experiments, "_metric_values", failing)
+            with pytest.raises(RuntimeError, match="metrics failed"):
+                run_scenario(tiny_scenario("rls-vs-cs", m_grid=(70,)), dump_records_path=path)
+        assert path.read_bytes() == b""
+        # So does a theorem-1 child that raises: its error reaches the run after the trials.
+        run_scenario(tiny_scenario("theorem1", m_grid=(16,)), dump_records_path=path)
+        assert path.stat().st_size > 0
+        forks = TestTheoryBesideTrials.counted_forks(monkeypatch)
+        TestTheoryBesideTrials.refuse_theory(monkeypatch)
+        with pytest.raises(ValueError, match="^theory refused$"):
+            run_scenario(tiny_scenario("theorem1", m_grid=(16,)), dump_records_path=path)
+        assert forks == ["fork"] and path.read_bytes() == b""
+        assert_no_child_left()
 
 
 class TestCli:
@@ -1559,8 +1698,8 @@ def test_tracer_layers_resolve_and_run_in_every_family(monkeypatch):
             rows = shadowbench.run_scenario(tiny_scenario(kind, **overrides))
             shadowbench.emit_csv(rows, os.devnull)
     called = {name for _, _, name, _, _ in tracer.spans}
-    # The scenario kernel streams its settings from plan_blocks and calls
-    # run_plan only to dump records, so no run here reaches run_plan.
+    # The scenario kernel streams its settings from plan_blocks, and a
+    # dump writes those blocks, so nothing in the package calls run_plan.
     assert called == set(tracing.LAYER_NAMES) - {"measurement.run_plan"}
 
 
