@@ -8,7 +8,6 @@ configuration, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import os
@@ -16,13 +15,7 @@ import sys
 import traceback
 
 from . import __version__
-from .experiments import (
-    SCENARIO_KINDS,
-    Scenario,
-    default_scenario,
-    emit_csv,
-    run_scenario,
-)
+from .experiments import SCENARIO_KINDS, Scenario, emit_csv, run_scenario
 
 
 def _int_grid(text: str) -> tuple[int, ...]:
@@ -61,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--l-grid", type=_int_grid, default=None)
         sub.add_argument(
             "--mu",
+            dest="mu_grid",
             type=_float_grid,
             default=None,
             help="ridge weight(s); mu-sweep runs all values, other scenarios use the first",
@@ -76,29 +70,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    scenario = default_scenario(args.command)
+    """The family defaults, then the --config fields, then the flags given."""
+    data = {"kind": args.command}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
         if not isinstance(config, dict):
             raise ValueError(f"scenario config {args.config} must hold a JSON object")
-        if config.setdefault("kind", args.command) != args.command:
+        if config.get("kind", args.command) != args.command:
             raise ValueError(
                 f"config kind {config['kind']!r} does not match subcommand {args.command!r}"
             )
-        scenario = Scenario.from_dict(config)
-    overrides = dict(
-        qubits=args.qubits,
-        trials=args.trials,
-        m_grid=args.m_grid,
-        l_grid=args.l_grid,
-        mu_grid=args.mu,
-        eta_grid=args.eta_grid,
-        seed=args.seed,
-    )
-    scenario = dataclasses.replace(
-        scenario, **{key: value for key, value in overrides.items() if value is not None}
-    )
+        data.update(config)
+    # Each scenario flag's dest is its Scenario field.
+    data.update((key, value) for key, value in vars(args).items()
+                if key in Scenario.__dataclass_fields__ and value is not None)
+    scenario = Scenario.from_dict(data)
     scenario.validate()
     return scenario
 

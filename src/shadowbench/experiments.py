@@ -15,7 +15,7 @@ import contextlib
 import math
 import numbers
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,9 +49,9 @@ from .estimators import (
     solve_route,
 )
 from .measurement import (
-    PLAN_BLOCK,
     MeasurementPlan,
     RecordStack,
+    _block_width,
     _write_records,
     adjoint_map,
     load_records,
@@ -148,16 +148,18 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """A scenario from JSON-style data: lists become tuples and
-        integers widen to floats; any other type mismatch raises a
-        ValueError naming the field."""
+        """The family's :func:`default_scenario` with the fields of
+        JSON-style ``data`` over it: lists become tuples and integers
+        widen to floats; any other type mismatch raises a ValueError
+        naming the field."""
         defaults = {f.name: f.default for f in fields(cls)}
         unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
         if "kind" not in data:
             raise ValueError("scenario config needs a kind")
-        return cls(**{key: _coerce(key, value, defaults[key]) for key, value in data.items()})
+        given = {key: _coerce(key, value, defaults[key]) for key, value in data.items()}
+        return replace(default_scenario(given["kind"]), **given)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -166,7 +168,8 @@ class Scenario:
 def _coerce(name: str, value, default):
     """``value`` as the type of field ``name``, read from its ``default``
     (a string where there is none): lists become tuples, and integers of
-    any type become ``int``, or ``float`` for a float field."""
+    any type become ``int``, or ``float`` for a float field, where -0.0
+    becomes 0.0 (the same run, so the same CSV bytes)."""
     if isinstance(default, tuple):
         if isinstance(value, (list, tuple)):
             return tuple(_coerce(name, item, default[0]) for item in value)
@@ -175,7 +178,7 @@ def _coerce(name: str, value, default):
         wanted = str if default is MISSING else type(default)
         accepted = {int: numbers.Integral, float: numbers.Real}.get(wanted, wanted)
         if isinstance(value, accepted) and not isinstance(value, bool):
-            return wanted(value)
+            return wanted(value) + 0.0 if wanted is float else wanted(value)
         expected = wanted.__name__
     raise ValueError(f"{name} must be {expected}, got {value!r}")
 
@@ -632,7 +635,7 @@ def _resource_guard(scenario: Scenario) -> None:
         ]
         for _, grid in plan for settings in grid for method in family.methods(scenario)
     )
-    block = dim * dim * min(max(grid[-1] for _, grid in plan), max(PLAN_BLOCK, dim))
+    block = dim * dim * _block_width(max(grid[-1] for _, grid in plan), dim)
     store = (sum(grid[-1] * min(shots, dim) * dim for shots, grid in plan)
              if "loglik" in family.metrics else 0)
     vectors = dim * scenario.random_observables if "mse-rand" in family.metrics else 0

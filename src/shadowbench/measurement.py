@@ -22,7 +22,7 @@ from .ensembles import EnsembleSpec, as_integer, open_overwrite, sample_unitary,
 
 PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step (D where D is larger)
 PLAN_STREAMS = 4 * PLAN_BLOCK  # random streams (trial, setting) of one plan_blocks block
-GROUP_ENTRIES = 2048 * 4**2  # setting-unitary entries M*D^2 of a trial group
+GROUP_ENTRIES = 2048 * 4**2  # caps a trial group at GROUP_ENTRIES // (M*D^2) trials
 POVM_UNITARITY_ATOL = 1e-8
 
 
@@ -254,14 +254,21 @@ def run_plan(state: DensityMatrix, plans, seed: int, trials):
     return results[0] if single else results
 
 
+def _block_width(settings: int, dim: int) -> int:
+    """The settings of the widest block of a draw of ``settings`` settings
+    of dimension ``dim``: max(PLAN_BLOCK, D), or all of them if fewer."""
+    return min(max(PLAN_BLOCK, dim), settings)
+
+
 def trial_groups(trials: int, settings: int, dim: int) -> list[slice]:
     """Consecutive slices of ``trials`` trials that each draw ``settings``
     settings of dimension ``dim``, one per trial group: as many trials as
-    keep a block of max(PLAN_BLOCK, D) settings within PLAN_STREAMS
-    streams and the group within GROUP_ENTRIES unitary entries M*D^2,
-    and one trial at least."""
-    width = min(max(PLAN_BLOCK, dim), settings)
-    size = max(1, min(PLAN_STREAMS // width, GROUP_ENTRIES // (settings * dim * dim)))
+    keep a block (:func:`_block_width`) within PLAN_STREAMS streams and
+    M*D^2 times the trial count within GROUP_ENTRIES, and one trial at
+    least. In a scenario run that last cap bounds the running sums, frames
+    and observed-outcome stores of a group's trials, alive at once."""
+    size = max(1, min(PLAN_STREAMS // _block_width(settings, dim),
+                      GROUP_ENTRIES // (settings * dim * dim)))
     return [slice(first, min(first + size, trials)) for first in range(0, trials, size)]
 
 
@@ -277,9 +284,9 @@ def plan_blocks(state: DensityMatrix, plans, seed: int, trials):
     draw depends on the group or the block; :func:`trial_groups` sizes
     the groups that keep a block's streams bounded.
 
-    A block holds max(PLAN_BLOCK, D) settings at most, so the first
-    block holds the first D. Its generators are seeded in one pass
-    (:func:`stream_generators`), one :func:`sample_unitary` call draws
+    A block holds max(PLAN_BLOCK, D) settings at most (:func:`_block_width`),
+    so the first block holds the first D. Its generators are seeded in one
+    pass (:func:`stream_generators`), one :func:`sample_unitary` call draws
     and factorizes its settings for any ensemble, and the checks and
     Born probabilities run once for it; its generators are released
     before the next block's are seeded. Each plan that holds setting m
@@ -291,7 +298,7 @@ def plan_blocks(state: DensityMatrix, plans, seed: int, trials):
     if not trials:
         raise ValueError("plan_blocks needs at least one trial")
     sizes = sorted((plan.settings for plan in sequence), reverse=True)
-    total, width = sizes[0], max(PLAN_BLOCK, state.dim)
+    total, width = sizes[0], _block_width(sizes[0], state.dim)
     shared = sizes[1] if len(sizes) > 1 else 0  # settings held by two plans or more
     for start in range(0, total, width):
         settings = range(start, min(start + width, total))

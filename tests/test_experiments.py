@@ -6,6 +6,7 @@ import filecmp
 import importlib.util
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -29,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shadowbench
-from shadowbench import experiments, measurement
+from shadowbench import cli, experiments, measurement
 from shadowbench.cli import build_parser, main
 from shadowbench.core import DensityMatrix, expectation, log_likelihood, project_physical
 from shadowbench.ensembles import GlobalHaar
@@ -263,6 +264,23 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="resource-guard: 13 qubits .* 1073741824 sampled"):
             run_scenario(Scenario(kind="theorem1", qubits=13, trials=1, m_grid=(16,)))
 
+    @pytest.mark.parametrize("qubits, settings", [(2, 20), (2, 2), (3, 20)])
+    def test_resource_guard_prices_the_blocks_plan_blocks_draws(self, monkeypatch, qubits,
+                                                                settings):
+        # With three-setting blocks a block is D wide, or M where M is
+        # fewer; the guard's sampling term follows measurement's width.
+        monkeypatch.setattr(measurement, "PLAN_BLOCK", 3)
+        monkeypatch.setattr(experiments, "MAX_UNITARY_ENTRIES_WITHOUT_FORCE", 0)
+        scenario = tiny_scenario("rls-vs-cs", qubits=qubits, trials=1, m_grid=(settings,))
+        with pytest.raises(ValueError, match="resource-guard") as refused:
+            experiments._resource_guard(scenario)
+        priced = re.search(r"(\d+) sampled unitary entries per block", str(refused.value))
+        ctx = experiments._build_context(scenario)
+        plans = [MeasurementPlan(settings, 1, GlobalHaar(scenario.dim))]
+        widths = [unitaries.shape[1] for _, unitaries, _
+                  in measurement.plan_blocks(ctx.state, plans, scenario.seed, range(1))]
+        assert int(priced[1]) == max(widths) * scenario.dim**2
+
     def test_resource_guard_bounds_are_inclusive(self):
         # 32 * (2^11)^2 = 2^27 unitary entries pass and 33 settings do not.
         experiments._resource_guard(Scenario(kind="theorem1", qubits=11, m_grid=(32,)))
@@ -358,6 +376,21 @@ class TestScenarioValidation:
     def test_unknown_config_key(self):
         with pytest.raises(ValueError, match="unknown scenario config"):
             Scenario.from_dict({"kind": "mismatch", "bogus": 1})
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_from_dict_starts_from_the_family_defaults(self, kind):
+        assert Scenario.from_dict({"kind": kind}) == default_scenario(kind)
+
+    def test_from_dict_refuses_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown scenario kind 'bogus'"):
+            Scenario.from_dict({"kind": "bogus"})
+
+    def test_from_dict_stores_negative_zero_as_zero(self):
+        scenario = Scenario.from_dict({"kind": "mismatch", "mu_grid": [-0.0, 1],
+                                       "eta_grid": [-0.0, 0.5]})
+        assert scenario.mu_grid == (0.0, 1.0) and scenario.eta_grid == (0.0, 0.5)
+        assert all(math.copysign(1.0, value) == 1.0
+                   for value in (*scenario.mu_grid, *scenario.eta_grid))
 
     # The pinned examples sit between the global (M > D) and local (M >= 3^n)
     # rank thresholds, where an RLS(0) solve on a local-setting frame fails.
@@ -967,10 +1000,12 @@ class TestRecordFlags:
         assert (tmp_path / "dump.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
 
     def test_a_dump_holds_no_stack(self, tmp_path):
-        # At D = 16 one trial's (M, D, D) unitaries at M = 4096 are 16 MiB;
-        # the dump writes them block by block instead.
-        scenario = Scenario(kind="multishot", qubits=4, trials=1, m_grid=(64, 512, 4096),
+        # At D = 4 one trial's (M, D, D) unitaries at M = 4096 are 1 MiB;
+        # the dump writes them block by block instead. A small D keeps both
+        # the run's own peak and the dump's formatting under tracemalloc low.
+        scenario = Scenario(kind="multishot", qubits=2, trials=1, m_grid=(64, 512, 4096),
                             l_grid=(1, 8), random_observables=5)
+        stack = 4096 * 4**2 * np.dtype(complex).itemsize
         run_scenario(scenario)  # warm up numpy's caches
 
         def peak(**dump):
@@ -981,7 +1016,7 @@ class TestRecordFlags:
             finally:
                 tracemalloc.stop()
 
-        assert peak(dump_records_path=tmp_path / "dump.txt") <= peak() + 2**20
+        assert peak(dump_records_path=tmp_path / "dump.txt") <= peak() + stack // 4
 
     def test_a_failed_run_leaves_the_dump_empty(self, monkeypatch, tmp_path):
         path = tmp_path / "dump.txt"
@@ -1052,6 +1087,49 @@ class TestCli:
         assert trials == {"0"}
         settings = {line.split(",")[2] for line in body}
         assert settings == {"2", "4"}
+
+    @staticmethod
+    def built_scenario(monkeypatch, tmp_path, argv):
+        """The scenario the CLI hands to run_scenario for ``argv``."""
+        built = []
+        monkeypatch.setattr(cli, "run_scenario", lambda scenario, **_: built.append(scenario) or [])
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+        return built[0]
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_partial_config_keeps_the_family_defaults(self, monkeypatch, tmp_path, kind):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"seed": 5}), encoding="utf-8")
+        assert self.built_scenario(monkeypatch, tmp_path, [kind]) == default_scenario(kind)
+        assert self.built_scenario(monkeypatch, tmp_path, [kind, "--config", str(config)]) == (
+            replace(default_scenario(kind), seed=5))
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_flags_override_the_config(self, monkeypatch, tmp_path, kind):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"kind": kind, "seed": 5, "trials": 7, "mu_grid": [2.0]}),
+                          encoding="utf-8")
+        built = self.built_scenario(monkeypatch, tmp_path,
+                                    [kind, "--config", str(config), "--trials", "2", "--mu", "0.5"])
+        assert built == replace(default_scenario(kind), seed=5, trials=2, mu_grid=(0.5,))
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_config_of_another_kind_exits_two(self, tmp_path, capsys, kind):
+        other = SCENARIO_KINDS[SCENARIO_KINDS.index(kind) - 1]
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"kind": other}), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main([kind, "--config", str(config), "--out", str(out)]) == 2
+        assert f"config kind {other!r} does not match subcommand {kind!r}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flag", [("rls-vs-cs", "--mu"), ("mismatch", "--eta-grid")])
+    def test_negative_zero_writes_the_bytes_of_zero(self, tmp_path, kind, flag):
+        args = [kind, "--qubits", "2", "--trials", "2", "--m-grid", "2,5"]
+        for value in ("0", "-0"):
+            assert main([*args, f"{flag}={value}", "--out", str(tmp_path / f"{value}.csv")]) == 0
+        assert (tmp_path / "-0.csv").read_bytes() == (tmp_path / "0.csv").read_bytes()
 
     def test_invalid_configuration_exits_two(self, tmp_path, capsys):
         code = main(["rls-vs-cs", "--qubits", "0", "--out", str(tmp_path / "x.csv")])
