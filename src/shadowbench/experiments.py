@@ -34,6 +34,7 @@ from .ensembles import (
     AUX_STREAM_INDEX,
     GlobalHaar,
     HaarMixture,
+    as_integer,
     open_overwrite,
     sample_sphere_vector,
     stream_generators,
@@ -95,11 +96,13 @@ class Scenario:
     ensemble_samples: int = 10000
     seed: int = 1
 
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _coerce(f.name, getattr(self, f.name), f.default))
+
     def validate(self) -> None:
         """Raise a ValueError naming the field unless every grid point
         of this scenario can run."""
-        for f in fields(self):
-            _coerce(f.name, getattr(self, f.name), f.default)
         if self.kind not in FAMILIES:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.qubits < 1:
@@ -149,17 +152,13 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         """The family's :func:`default_scenario` with the fields of
-        JSON-style ``data`` over it: lists become tuples and integers
-        widen to floats; any other type mismatch raises a ValueError
-        naming the field."""
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = set(data) - set(defaults)
+        JSON-style ``data`` over it, converted as the constructor does."""
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
         if "kind" not in data:
             raise ValueError("scenario config needs a kind")
-        given = {key: _coerce(key, value, defaults[key]) for key, value in data.items()}
-        return replace(default_scenario(given["kind"]), **given)
+        return replace(default_scenario(data["kind"]), **data)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -284,7 +283,7 @@ SCENARIO_KINDS = tuple(FAMILIES)
 
 def default_scenario(kind: str) -> Scenario:
     """The family's desk-scale defaults."""
-    if kind not in FAMILIES:
+    if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}")
     return Scenario(kind=kind, **FAMILIES[kind].defaults)
 
@@ -414,6 +413,11 @@ def _metric_values(
     return values
 
 
+def _observed_rows(settings: int, shots: int, dim: int) -> int:
+    """A loglik store's rows: M settings of L shots observe M*min(L, D) outcomes at most."""
+    return settings * min(shots, dim)
+
+
 class _EntryStream:
     """One plan entry (shots, settings grid) at one eta of one trial
     group, fed the group's blocks in setting order, that finishes each
@@ -432,7 +436,7 @@ class _EntryStream:
         self.ctx, self.eta, self.shots, self.grid = ctx, eta, shots, grid
         self.columns: dict[tuple, list[float]] = {}
         self.loglik = "loglik" in ctx.family.metrics
-        rows = grid[-1] * min(shots, dim) if self.loglik else 0  # observed outcomes at most
+        rows = _observed_rows(grid[-1], shots, dim) if self.loglik else 0
         self._rows = np.empty((trials, rows, dim), dtype=complex)
         self._counts = np.empty((trials, rows), dtype=np.int64)
         self._filled = np.zeros(trials, dtype=np.intp)
@@ -636,7 +640,7 @@ def _resource_guard(scenario: Scenario) -> None:
         for _, grid in plan for settings in grid for method in family.methods(scenario)
     )
     block = dim * dim * _block_width(max(grid[-1] for _, grid in plan), dim)
-    store = (sum(grid[-1] * min(shots, dim) * dim for shots, grid in plan)
+    store = (sum(_observed_rows(grid[-1], shots, dim) * dim for shots, grid in plan)
              if "loglik" in family.metrics else 0)
     vectors = dim * scenario.random_observables if "mse-rand" in family.metrics else 0
     if (order > MAX_ORDER_WITHOUT_FORCE
@@ -670,10 +674,10 @@ def run_scenario(
     included, where the stream reaches it, so no trial's (M, D, D)
     unitaries, and no estimate of a point already passed, are held.
     Every setting keeps its stream (seed, (trial, m)), so the rows are
-    the same for any grouping. ``workers`` must be >= 1 but has no
-    effect (the command line has no such option): trial groups stay
-    serial, because worker processes with one BLAS thread change CSV
-    bytes and with the caller's BLAS threads they oversubscribe the CPUs.
+    the same for any grouping. ``workers`` must be an integer >= 1
+    (``as_integer``: a bool or 2.5 raises a TypeError) but has no effect:
+    trial groups stay serial, because worker processes with one BLAS thread
+    change CSV bytes and with the caller's BLAS threads oversubscribe the CPUs.
     ``dump_records_path`` receives, block by block as trial 0's group
     streams them, the records trial 0 measured at the first plan entry
     (first L, first eta) at its largest M, or on a replay the loaded
@@ -681,7 +685,7 @@ def run_scenario(
     start leaves the file empty.
     """
     scenario.validate()
-    if workers < 1:
+    if as_integer("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not force:
         _resource_guard(scenario)

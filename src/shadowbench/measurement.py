@@ -159,7 +159,7 @@ def sample_counts(probabilities: np.ndarray, shots: int, rng) -> np.ndarray:
     probabilities = np.asarray(probabilities, dtype=float)
     if as_integer("shots", shots) < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
-    if probabilities.min() < 0.0:
+    if probabilities.min(initial=0.0) < 0.0:
         raise ValueError(f"negative probability {probabilities.min():.3e}")
     totals = probabilities.sum(axis=-1, keepdims=True)
     # Negated so that a NaN total fails too.
@@ -289,9 +289,9 @@ def plan_blocks(state: DensityMatrix, plans, seed: int, trials):
     pass (:func:`stream_generators`), one :func:`sample_unitary` call draws
     and factorizes its settings for any ensemble, and the checks and
     Born probabilities run once for it; its generators are released
-    before the next block's are seeded. Each plan that holds setting m
-    draws its counts from the stream's state right after that setting's
-    draw, as it would alone.
+    before the next block's are seeded. Every plan draws its counts from
+    the states its streams had right after the unitary draw, saved once
+    for the settings two plans hold, so each draws as it would alone.
     """
     sequence = _plan_sequence(plans, state)
     trials = list(trials)
@@ -307,39 +307,33 @@ def plan_blocks(state: DensityMatrix, plans, seed: int, trials):
 
 def _sample_block(state, sequence, shared: int, seed: int, trials, settings: range):
     """The (T, W, D, D) unitaries of ``settings`` of ``trials`` and each
-    plan's (T, R, D) counts of those settings it holds; the first
-    ``shared`` settings are held by two plans or more. Its generators,
-    snapshots and probabilities go when it returns."""
+    plan's (T, R, D) counts of those it holds. The streams of the first
+    ``shared`` settings, held by two plans or more, are saved once and
+    restored before each later plan; the saved states go on return."""
     start, stop, width, dim = settings.start, settings.stop, len(settings), state.dim
     generators = stream_generators(seed, trials, settings)
     block = sample_unitary(sequence[0].ensemble, generators).reshape(len(trials), width, dim, dim)
     _check_unitaries(block, start)
     block.setflags(write=False)
     probabilities = born_probabilities(block, state)
-    # One row of generators per trial; the first ``held`` settings of
-    # the block are in two plans or more.
+    # One row of generators per trial; the block's first ``held`` settings are shared.
     rows_of = [generators[index:index + width] for index in range(0, len(generators), width)]
     held = max(min(shared, stop) - start, 0)
-    snapshots = [[generator.bit_generator.state for generator in row[:held]] for row in rows_of]
-    drawn = 0  # leading settings of the block whose counts were drawn
+    saved = [[generator.bit_generator.state for generator in row[:held]] for row in rows_of]
     counts = []
     for plan in sequence:
         rows = max(min(stop, plan.settings) - start, 0)
-        if rows == 0:
-            counts.append(np.empty((len(trials), 0, dim), dtype=np.int64))
-            continue
-        for row, states in zip(rows_of, snapshots):
-            for generator, snapshot in zip(row[: min(drawn, rows)], states):
-                generator.bit_generator.state = snapshot
-        drawn = max(drawn, rows)
+        if counts:  # a plan after the first: restore the saved states it draws from
+            for row, saved_row in zip(rows_of, saved):
+                for generator, snapshot in zip(row[:rows], saved_row):
+                    generator.bit_generator.state = snapshot
         drawing = [generator for row in rows_of for generator in row[:rows]]
         block_counts = sample_counts(
             probabilities[:, :rows].reshape(-1, dim), plan.shots, drawing
         ).reshape(len(trials), rows, dim)
         _check_counts(block_counts, plan.shots, start)
-        counts.append(block_counts)
-    for block_counts in counts:
         block_counts.setflags(write=False)
+        counts.append(block_counts)
     return block, counts
 
 

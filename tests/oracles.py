@@ -5,10 +5,14 @@ route than the code under test: Bloch-vector optimization instead of
 eigenvalue truncation, SVD-based least squares instead of the frame
 pseudoinverse, naive loop constructions instead of vectorized
 einsum kernels, and one setting at a time with ``np.kron`` instead of
-the batched ensemble sampler. The closed-form multinomial moments and
-Haar overlap density are what sampled counts and overlaps are tested
+the batched ensemble sampler. The closed-form multinomial moments, Haar
+overlap density and theorem-1 MSE (exact at rho = Lambda = |0><0|) are
+what sampled counts, overlaps and the theorem-1 Monte Carlo are tested
 against.
 """
+
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -195,6 +199,32 @@ def multinomial_moments(
     cross = (1.0 - 1.0 / shots) * np.outer(p, p)
     np.fill_diagonal(cross, second)
     return second, cross
+
+
+def theorem1_mse_exact(dim: int, settings: int, shots: int) -> Fraction:
+    """Theorem 1's MSE of the CS estimate of tr(Lambda rho) for
+    rho = Lambda = |0><0|, exactly, with no Haar average sampled.
+
+    The Born probabilities x_k = |U_k0|^2 of a Haar setting are uniform on
+    the simplex, Dirichlet(1, ..., 1), with E[x_1^a x_2^b] =
+    (D-1)! a! b! / (D-1+a+b)!, and t_k = (D+1) x_k - 1. By symmetry over k,
+
+        MSE = (D/(ML)) E[(x_1 + (L-1) x_1^2) t_1^2]
+              + (1 - 1/L) (D(D-1)/M) E[x_1 t_1 x_2 t_2] - 1/M.
+    """
+
+    def moment(a: int, b: int = 0) -> Fraction:
+        return Fraction(factorial(dim - 1) * factorial(a) * factorial(b),
+                        factorial(dim - 1 + a + b))
+
+    c = dim + 1
+    # x^j t^2 = c^2 x^(j+2) - 2c x^(j+1) + x^j, and x t = c x^2 - x.
+    x_t2 = c * c * moment(3) - 2 * c * moment(2) + moment(1)
+    x2_t2 = c * c * moment(4) - 2 * c * moment(3) + moment(2)
+    xt_xt = c * c * moment(2, 2) - 2 * c * moment(2, 1) + moment(1, 1)
+    single = Fraction(dim, settings * shots) * (x_t2 + (shots - 1) * x2_t2)
+    pairs = (1 - Fraction(1, shots)) * Fraction(dim * (dim - 1), settings) * xt_xt
+    return single + pairs - Fraction(1, settings)
 
 
 def random_observable_pdf(lam, dim: int):

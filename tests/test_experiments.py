@@ -244,9 +244,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             tiny_scenario("mismatch", **overrides).validate()
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers"):
+    @pytest.mark.parametrize("workers, error", [
+        (0, ValueError), (-2, ValueError), (True, TypeError), (2.5, TypeError),
+        (np.float64(2.0), TypeError),
+    ])
+    def test_workers_below_one_rejected(self, workers, error):
+        # workers is checked as every other count is: a bool or a float is no count.
+        with pytest.raises(error, match="workers"):
             run_scenario(tiny_scenario("rls-vs-cs"), workers=workers)
 
     def test_resource_guard(self):
@@ -384,6 +388,10 @@ class TestScenarioValidation:
     def test_from_dict_refuses_an_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown scenario kind 'bogus'"):
             Scenario.from_dict({"kind": "bogus"})
+        # A kind of another type, unhashable too, is refused the same way.
+        for kind in (5, ["bogus"]):
+            with pytest.raises(ValueError, match="unknown scenario kind"):
+                Scenario.from_dict({"kind": kind})
 
     def test_from_dict_stores_negative_zero_as_zero(self):
         scenario = Scenario.from_dict({"kind": "mismatch", "mu_grid": [-0.0, 1],
@@ -391,6 +399,25 @@ class TestScenarioValidation:
         assert scenario.mu_grid == (0.0, 1.0) and scenario.eta_grid == (0.0, 0.5)
         assert all(math.copysign(1.0, value) == 1.0
                    for value in (*scenario.mu_grid, *scenario.eta_grid))
+
+    def test_constructor_stores_negative_zero_as_zero(self, tmp_path):
+        # A directly built scenario is coerced as from_dict's is, so its CSV
+        # writes 0, not -0.
+        paths = []
+        for zero in (-0.0, 0.0):
+            scenario = Scenario(kind="mismatch", qubits=2, trials=1, m_grid=(3,),
+                                mu_grid=(zero,), eta_grid=(zero,))
+            assert [math.copysign(1.0, value) for value in (*scenario.mu_grid,
+                                                            *scenario.eta_grid)] == [1.0, 1.0]
+            paths.append(tmp_path / f"{zero}.csv")
+            emit_csv(run_scenario(scenario), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_constructor_stores_lists_as_tuples(self):
+        scenario = Scenario(kind="rls-vs-cs", m_grid=[2, 4])
+        assert scenario == Scenario(kind="rls-vs-cs", m_grid=(2, 4))
+        assert hash(scenario) == hash(Scenario(kind="rls-vs-cs", m_grid=(2, 4)))
+        assert scenario.m_grid == (2, 4) and type(scenario.qubits) is int
 
     # The pinned examples sit between the global (M > D) and local (M >= 3^n)
     # rank thresholds, where an RLS(0) solve on a local-setting frame fails.

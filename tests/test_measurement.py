@@ -294,6 +294,8 @@ class TestStackedSampler:
         stacked = sample_counts(probabilities, 7, [stream(35, (0, m)) for m in range(3)])
         for m, row in enumerate(probabilities):
             assert np.array_equal(stacked[m], sample_counts(row, 7, stream(35, (0, m))))
+        # A plan with no settings in a block draws an empty stack with no generators.
+        assert sample_counts(probabilities[:0], 7, []).shape == (0, 2)
         with pytest.raises(ValueError, match="longer"):
             sample_counts(probabilities, 7, [stream(35)])
 

@@ -1,6 +1,7 @@
 """Tests for the moment identities and the multishot MSE formula."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 
 from shadowbench.core import DensityMatrix, Observable, expectation
 from shadowbench.ensembles import (
+    AUX_STREAM_INDEX,
     GlobalHaar,
     HaarMixture,
     haar_from_normals,
@@ -34,6 +36,7 @@ from oracles import (
     random_observable_cdf,
     random_observable_pdf,
     stream,
+    theorem1_mse_exact,
 )
 
 
@@ -93,6 +96,25 @@ def _single_shot_reduction_oracle(state, obs, settings, samples, generator):
 
 
 class TestMseTheorem1:
+    @pytest.mark.parametrize("dim, scaled", [(2, Fraction(1, 2)), (4, 1), (8, Fraction(7, 5))])
+    def test_exact_oracle_at_one_shot(self, dim, scaled):
+        # At L = 1 the MSE is (D E[x t^2] - 1)/M, whatever M.
+        for settings in (1, 16, 64):
+            assert settings * theorem1_mse_exact(dim, settings, 1) == scaled
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_monte_carlo_matches_the_exact_value(self, dim):
+        # The points drawn one after another from the theory stream (AUX, 1),
+        # as a theorem1 run draws its plan entries.
+        state = DensityMatrix.computational_basis_state(dim)
+        obs = Observable.rank_one(np.eye(dim)[0])
+        generator = stream(7, (AUX_STREAM_INDEX, 1))
+        for settings, shots in ((16, 1), (16, 4), (64, 8)):
+            predicted = mse_theorem1(state, obs, GlobalHaar(dim), settings, shots, 100_000,
+                                     generator)
+            exact = float(theorem1_mse_exact(dim, settings, shots))
+            assert abs(predicted.value - exact) < 3 * predicted.std_error, (settings, shots)
+
     def test_single_shot_reduces_to_simple_form(self):
         state = DensityMatrix.computational_basis_state(4)
         obs = Observable.rank_one([1.0, 0, 0, 0])
