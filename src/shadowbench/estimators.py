@@ -133,6 +133,9 @@ class FrameOperator:
             raise ValueError(
                 f"frame entries must be {expected}x{expected}, got {entries.shape}"
             )
+        self.settings = as_integer("settings", self.settings)
+        if self.settings < 1:
+            raise ValueError(f"frame needs a settings count >= 1, got {self.settings}")
         self.entries = entries
         self._eigenvalues: np.ndarray | None = None
         self._eigenvectors: np.ndarray | None = None
@@ -154,8 +157,8 @@ class FrameOperator:
         eigenvalue is 1: a shift mu/M at or below DEFAULT_RCOND applies
         the pseudoinverse, and a larger one is a direct LU solve.
         """
-        if mu < 0.0:
-            raise ValueError(f"ridge parameter must be >= 0, got {mu}")
+        if not 0.0 <= mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {mu}")
         if mu / self.settings <= DEFAULT_RCOND:
             return self.pinv_apply(vector)
         shifted = self.entries.copy()
@@ -192,12 +195,10 @@ class FramePrefix:
     frame is the sum divided by M.
     """
 
-    def __init__(self, dim: int, shots: int = 1):
-        self.dim, self.shots = as_integer("dim", dim), as_integer("shots", shots)
+    def __init__(self, dim: int):
+        self.dim = as_integer("dim", dim)
         if self.dim < 1:
             raise ValueError(f"frame prefix needs a dimension >= 1, got {dim}")
-        if self.shots < 1:
-            raise ValueError(f"shot count must be >= 1, got {shots}")
         self.settings = 0  # settings fed so far
         self._summed = 0  # settings in the running sum
         self._waiting: list[np.ndarray] = []
@@ -233,18 +234,20 @@ class FramePrefix:
         self._waiting, self._summed = [], self.settings
         self._sum += np.matmul(buffer.T, buffer)
 
-    def frame(self) -> FrameOperator:
-        """Frame of every setting fed so far."""
+    def frame(self, shots: int = 1) -> FrameOperator:
+        """Frame of every setting fed so far, each probed ``shots`` times."""
+        if as_integer("shots", shots) < 1:
+            raise ValueError(f"shot count must be >= 1, got {shots}")
         if self.settings < 1:
             raise ValueError("frame prefix needs at least one setting, got 0")
         if self._summed < self.settings:
             self._accumulate()
         # Probing each of M settings L times is equivalent to M*L
-        # single-shot settings with duplicated POVMs: the entries are
-        # unchanged, but the ridge shift mu/M divides by M*L. This keeps
-        # multishot records and their expanded one-hot form producing
-        # identical RLS shadows.
-        return FrameOperator(self._sum / self.settings, self.dim, self.settings * self.shots)
+        # single-shot settings with duplicated POVMs: the entries do not
+        # depend on L, so one prefix serves every shot count, but the ridge
+        # shift mu/M divides by M*L. So multishot records and their
+        # expanded one-hot form give identical RLS shadows.
+        return FrameOperator(self._sum / self.settings, self.dim, self.settings * shots)
 
 
 def gram_ridge_solve(
@@ -261,8 +264,10 @@ def gram_ridge_solve(
     is mu/(M L) of that, as on the frame; at or below DEFAULT_RCOND the
     pseudoinverse of G is applied.
     """
-    if mu < 0.0:
-        raise ValueError(f"ridge parameter must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    if as_integer("shots", shots) < 1:
+        raise ValueError(f"shot count must be >= 1, got {shots}")
     unitaries = np.asarray(unitaries)
     rows = unitaries.reshape(-1, unitaries.shape[-1])
     phat = np.asarray(frequencies, dtype=float).reshape(-1)
@@ -371,7 +376,7 @@ def estimate(records: RecordStack, method: ShadowMethod) -> np.ndarray:
     adjoints = adjoint_map(records.unitaries, records.frequencies)
     frame = None
     if not isinstance(method, CS):
-        frames = FramePrefix(records.dim, records.shots)
+        frames = FramePrefix(records.dim)
         frames.extend(records.unitaries)
-        frame = frames.frame()
+        frame = frames.frame(records.shots)
     return shadow_map(method, adjoints, frame)

@@ -420,16 +420,15 @@ def _observed_rows(settings: int, shots: int, dim: int) -> int:
 
 class _EntryStream:
     """One plan entry (shots, settings grid) at one eta of one trial
-    group, fed the group's blocks in setting order, that finishes each
-    grid point where the stream reaches it. :meth:`feed` cuts a block at
-    the grid points; each segment adds its adjoints to running sums one
-    setting at a time (so a mean adjoint has the same bits for any grid,
-    block and group), then goes to each trial's FramePrefix while a
-    frame-route point is ahead and, for loglik, to a store of observed
-    outcomes. At a point CS maps the mean adjoint, LS and RLS solve on
-    the route :func:`solve_route` names, Gram (M <= D, in the first
-    block, which holds the first D settings) or frame, and the metric
-    columns go to ``columns``."""
+    group, fed by :func:`_run_chunk` the segments of the group's blocks
+    in setting order, that finishes each grid point where the stream
+    reaches it. A segment adds its adjoints to running sums one setting
+    at a time (so a mean adjoint has the same bits for any grid, block
+    and group) and, for loglik, its observed outcomes to a store. At a
+    point CS maps the mean adjoint, LS and RLS solve on the route
+    :func:`solve_route` names, Gram (M <= D, in the first block, which
+    holds the first D settings) or frame, from the trial's shared
+    FramePrefix at L shots, and the metric columns go to ``columns``."""
 
     def __init__(self, ctx: _Context, trials: int, eta: float, shots: int, grid: tuple[int, ...]):
         dim = ctx.scenario.dim
@@ -441,34 +440,27 @@ class _EntryStream:
         self._counts = np.empty((trials, rows), dtype=np.int64)
         self._filled = np.zeros(trials, dtype=np.intp)
         self._sum = np.zeros((trials, dim, dim), dtype=complex)
-        framed = any(solve_route(method, grid[-1], dim) == "frame" for method in ctx.methods)
-        self._frames = [FramePrefix(dim, shots) for _ in range(trials if framed else 0)]
 
-    def feed(self, start: int, unitaries: np.ndarray, counts: np.ndarray) -> None:
-        """Take a block of the group: the (T, W, D, D) ``unitaries`` of settings
-        start.., of which the entry holds the first R, and their (T, R, D) ``counts``."""
-        width = counts.shape[1]
-        if width == 0:
-            return
-        unitaries, frequencies = unitaries[:, :width], counts / self.shots
-        stops = [settings - start for settings in self.grid if start < settings < start + width]
-        for first, stop in zip([0, *stops], [*stops, width]):
-            adjoints = adjoint_map(unitaries[:, first:stop], frequencies[:, first:stop])
-            adjoints[:, 0] += self._sum
-            np.add.accumulate(adjoints, axis=1, out=adjoints)
-            self._sum = adjoints[:, -1].copy()
-            del adjoints  # not held through a frame's syrk
-            for trial, frames in enumerate(self._frames):
-                frames.extend(unitaries[trial, first:stop])
-            for trial, seen in enumerate(counts[:, first:stop] > 0 if self.loglik else ()):
-                filled = self._filled[trial]
-                self._filled[trial] += seen.sum()
-                self._rows[trial, filled:self._filled[trial]] = unitaries[trial, first:stop][seen]
-                self._counts[trial, filled:self._filled[trial]] = counts[trial, first:stop][seen]
-            if start + stop in self.grid:
-                self._finish(start + stop, unitaries, frequencies)
+    def feed(self, start: int, first: int, stop: int, unitaries: np.ndarray, counts: np.ndarray,
+             frames: list[FramePrefix]) -> None:
+        """Take segment first..stop of a block: the (T, W, D, D) ``unitaries`` of settings
+        start.., of which the entry holds the first R >= stop, and their (T, R, D) ``counts``."""
+        segment, hits = unitaries[:, first:stop], counts[:, first:stop]
+        adjoints = adjoint_map(segment, hits / self.shots)
+        adjoints[:, 0] += self._sum
+        np.add.accumulate(adjoints, axis=1, out=adjoints)
+        self._sum = adjoints[:, -1].copy()
+        del adjoints  # not held through a frame's syrk
+        for trial, seen in enumerate(hits > 0 if self.loglik else ()):
+            filled = self._filled[trial]
+            self._filled[trial] += seen.sum()
+            self._rows[trial, filled:self._filled[trial]] = segment[trial][seen]
+            self._counts[trial, filled:self._filled[trial]] = hits[trial][seen]
+        if start + stop in self.grid:
+            self._finish(start + stop, unitaries, counts, frames)
 
-    def _finish(self, settings: int, unitaries: np.ndarray, frequencies: np.ndarray) -> None:
+    def _finish(self, settings: int, unitaries: np.ndarray, counts: np.ndarray,
+                frames: list[FramePrefix]) -> None:
         """Write every method's metric columns at grid point ``settings``,
         the last setting fed, from the first block on the Gram route."""
         ctx = self.ctx
@@ -477,19 +469,17 @@ class _EntryStream:
         solved = {method: np.empty_like(means)
                   for method, route in routes.items() if route != "channel"}
         for trial in range(len(means)) if solved else ():
-            frame = self._frames[trial].frame() if "frame" in routes.values() else None
+            frame = frames[trial].frame(self.shots) if "frame" in routes.values() else None
             for method, out in solved.items():
                 if routes[method] == "gram":
                     out[trial] = gram_ridge_solve(
-                        unitaries[trial, :settings], frequencies[trial, :settings],
+                        unitaries[trial, :settings], counts[trial, :settings] / self.shots,
                         getattr(method, "mu", 0.0), self.shots)
                 else:
                     out[trial] = shadow_map(method, means[trial], frame)
             del frame
-        if settings == self.grid[-1]:
-            self._frames = []
-        outcomes = [ObservedOutcomes(rows[:filled], counts[:filled], settings)
-                    for rows, counts, filled in zip(self._rows, self._counts, self._filled)
+        outcomes = [ObservedOutcomes(rows[:filled], hits[:filled], settings)
+                    for rows, hits, filled in zip(self._rows, self._counts, self._filled)
                     ] if self.loglik else None
         for method in ctx.methods:
             estimates = solved[method] if method in solved else shadow_map(method, means)
@@ -505,26 +495,38 @@ def _run_chunk(
     """The per-trial metric values of one trial group. Each key is a row
     key (M, L, mu, eta, method, metric), inserted in the order of one
     trial's rows, and its value holds one value per trial of ``trials``.
-    Each eta's settings pass once through every plan entry's stream, as
-    the blocks of :func:`plan_blocks` (each setting drawn once for every
-    shot count) or the loaded stack as one block; each entry finishes
-    its grid points as the stream reaches them, and the entries' columns
+    Each eta's settings pass once, as the blocks of :func:`plan_blocks`
+    (each setting drawn once for every shot count) or the loaded stack,
+    cut at the union of the entries' grid points; each segment extends
+    one FramePrefix per trial, shared by every entry, if a point is on the
+    frame route, then feeds every entry's stream, and the entries' columns
     are merged in plan order. A ``dump`` handle takes the records of the
     first trial, eta and plan entry."""
     columns: dict[tuple, list[float]] = {}
+    points = sorted({settings for _, grid in ctx.plan for settings in grid})
+    framed = any(solve_route(method, points[-1], ctx.scenario.dim) == "frame"
+                 for method in ctx.methods)
     for eta, ensemble in ctx.family.ensembles(ctx.scenario):
         entries = [_EntryStream(ctx, len(trials), eta, shots, grid) for shots, grid in ctx.plan]
+        frames = [FramePrefix(ctx.scenario.dim) for _ in trials if framed]  # one for every L
         if records_override is None:
             plans = [MeasurementPlan(grid[-1], shots, ensemble) for shots, grid in ctx.plan]
             blocks = plan_blocks(ctx.state, plans, ctx.scenario.seed, trials)
         else:
-            blocks = [(0, records_override.unitaries[None],
+            blocks = [(0, records_override.unitaries[None, :points[-1]],
                        [records_override.counts[None, :grid[-1]] for _, grid in ctx.plan])]
         for start, unitaries, counts in blocks:
             if dump is not None:
                 _write_records(dump, unitaries[0, :counts[0].shape[1]], counts[0][0])
-            for entry, entry_counts in zip(entries, counts):
-                entry.feed(start, unitaries, entry_counts)
+            width = unitaries.shape[1]
+            stops = [settings - start for settings in points if start < settings < start + width]
+            for first, stop in zip([0, *stops], [*stops, width]):
+                for prefix, trial_unitaries in zip(frames, unitaries):
+                    prefix.extend(trial_unitaries[first:stop])
+                for entry, entry_counts in zip(entries, counts):
+                    # An entry's last setting is a cut: it holds all of a segment or none.
+                    if first < entry_counts.shape[1]:
+                        entry.feed(start, first, stop, unitaries, entry_counts, frames)
         dump = None  # the records of the first eta only
         for entry in entries:
             columns.update(entry.columns)

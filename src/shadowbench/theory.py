@@ -6,6 +6,7 @@ Monte Carlo over the unitary ensemble) and empirical MSE aggregation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,10 @@ class MseEstimate:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"sample count must be >= 1, got {self.samples}")
-        if self.std_error < 0.0:
-            raise ValueError(f"standard error must be >= 0, got {self.std_error}")
+        if not -math.inf < self.value < math.inf:
+            raise ValueError(f"MSE value must be finite, got {self.value}")
+        if not 0.0 <= self.std_error < math.inf:
+            raise ValueError(f"standard error must be finite and >= 0, got {self.std_error}")
 
 
 def mse_theorem1(
@@ -172,6 +175,10 @@ def empirical_mse(estimates, truth: float) -> MseEstimate:
     values = np.asarray(estimates, dtype=float)
     if values.size < 2:
         raise ValueError(f"need >= 2 estimates, got {values.size}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"estimates must be finite, got {values[~np.isfinite(values)][0]}")
+    if not -math.inf < truth < math.inf:
+        raise ValueError(f"truth must be finite, got {truth}")
     squared = (values - truth) ** 2
     std_error = float(squared.std(ddof=1) / np.sqrt(squared.size))
     return MseEstimate(float(squared.mean()), std_error, int(squared.size))

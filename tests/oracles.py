@@ -262,9 +262,10 @@ def average_estimate(method, records: RecordStack, frames: FramePrefix | None = 
     scenario kernel makes it from a stream: the mean of the adjoints,
     summed one setting at a time from zero, mapped by the shadow map, or
     at or below M = D the Gram solve. The frame route takes the frame of
-    ``frames``, which must have been fed exactly the records' settings
-    (a caller that asks it for frames at the kernel's grid points gets
-    the kernel's syrk blocks), or else of the records fed at once."""
+    ``frames`` at the records' shot count, which must have been fed
+    exactly the records' settings (a caller that asks it for frames at
+    the kernel's frame-route points gets the kernel's syrk blocks), or
+    else of the records fed at once."""
     total = np.zeros((records.dim, records.dim), dtype=complex)
     for adjoint in adjoint_map(records.unitaries, records.frequencies):
         total = total + adjoint
@@ -274,6 +275,6 @@ def average_estimate(method, records: RecordStack, frames: FramePrefix | None = 
         return gram_ridge_solve(records.unitaries, records.frequencies,
                                 getattr(method, "mu", 0.0), records.shots)
     if route == "frame" and frames is None:
-        frames = FramePrefix(records.dim, records.shots)
+        frames = FramePrefix(records.dim)
         frames.extend(records.unitaries)
-    return shadow_map(method, mean, frames.frame() if route == "frame" else None)
+    return shadow_map(method, mean, frames.frame(records.shots) if route == "frame" else None)

@@ -13,6 +13,7 @@ from shadowbench.estimators import (
     FRAME_COLUMNS,
     LS,
     RLS,
+    FrameOperator,
     FramePrefix,
     estimate,
     gram_ridge_solve,
@@ -59,9 +60,9 @@ def setting_cs_shadows(records):
 
 
 def frame_of(unitaries, shots=1):
-    prefix = FramePrefix(np.shape(unitaries)[-1], shots)
+    prefix = FramePrefix(np.shape(unitaries)[-1])
     prefix.extend(unitaries)
-    return prefix.frame()
+    return prefix.frame(shots)
 
 
 def haar_settings(dim, count, seed, trial=0):
@@ -266,10 +267,18 @@ class TestFrameOperator:
         gap = np.abs(frame.entries - channel_matrix)
         assert np.all(gap <= 3 * np.abs(spread) + 1e-12)
 
-    @pytest.mark.parametrize("dim, shots", [(0, 1), (2, 0)])
-    def test_bad_dimension_or_shots_rejected(self, dim, shots):
-        with pytest.raises(ValueError, match=">= 1"):
-            FramePrefix(dim, shots)
+    def test_bad_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            FramePrefix(0)
+
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_bad_shots_rejected_when_the_frame_is_asked_for(self, shots):
+        prefix = FramePrefix(2)
+        prefix.extend(np.eye(2)[None])
+        with pytest.raises(ValueError, match="shot count must be >= 1"):
+            prefix.frame(shots)
+        with pytest.raises(TypeError, match="shots must be an integer"):
+            prefix.frame(2.5)
 
     def test_dim_mismatch_rejected(self):
         prefix = FramePrefix(4)
@@ -428,6 +437,20 @@ class TestRlsShadow:
         with pytest.raises(ValueError, match=">= 0"):
             frame.ridge_apply(vec(np.eye(2) / 2), -0.5)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_mu_rejected(self, mu):
+        # NaN fails every comparison and an infinite shift solved to zeros.
+        frame = frame_of(haar_settings(2, 4, seed=15))
+        with pytest.raises(ValueError, match="mu must be finite and >= 0"):
+            frame.ridge_apply(vec(np.eye(2) / 2), mu)
+
+    @pytest.mark.parametrize("settings, error", [
+        (0, ValueError), (-3, ValueError), (True, TypeError), (2.5, TypeError)])
+    def test_settings_count_must_be_an_integer_of_at_least_one(self, settings, error):
+        # 0 divided by zero in ridge_apply and -3 dropped the ridge.
+        with pytest.raises(error, match="settings"):
+            FrameOperator(np.eye(4), 2, settings)
+
     def test_shift_above_the_cutoff_needs_no_eigendecomposition(self, monkeypatch):
         unitaries = haar_settings(4, 6, seed=16)
         frame = frame_of(unitaries)
@@ -528,6 +551,20 @@ class TestGramRidgeSolve:
         unitaries = np.stack(haar_settings(4, 2, seed=19))
         with pytest.raises(ValueError, match=">= 0"):
             gram_ridge_solve(unitaries, np.full((2, 4), 0.25), -1.0)
+
+    @pytest.mark.parametrize("mu, shots, error, message", [
+        (float("nan"), 1, ValueError, "mu must be finite and >= 0"),
+        (float("inf"), 1, ValueError, "mu must be finite and >= 0"),
+        (0.1, 0, ValueError, "shot count must be >= 1"),
+        (0.1, -1, ValueError, "shot count must be >= 1"),
+        (0.1, 2.5, TypeError, "shots must be an integer"),
+        (0.1, True, TypeError, "shots must be an integer"),
+    ])
+    def test_bad_ridge_weight_or_shot_count_rejected(self, mu, shots, error, message):
+        # Shots 0 divided by zero and -1 took the pseudoinverse route.
+        unitaries = np.stack(haar_settings(4, 2, seed=19))
+        with pytest.raises(error, match=message):
+            gram_ridge_solve(unitaries, np.full((2, 4), 0.25), mu, shots)
 
 
 class TestCsShadow:

@@ -1566,12 +1566,13 @@ def streamed_inputs(ctx, trials, records_override=None):
 def assert_stream_matches_full_stacks(scenario, trials, records_override=None):
     """The kernel's estimates of every method at every grid point, and its
     log-likelihood inputs, equal those made from whole run_plan stacks (or
-    the loaded stack) bit for bit, with one FramePrefix per trial asked for
-    frames at the kernel's frame-route points. The kernel is driven as
-    run_scenario drives it, once per trial group of ``trials``."""
+    the loaded stack) bit for bit, with one FramePrefix per trial and eta,
+    shared by every plan entry, asked for frames at the union of the
+    entries' frame-route points. The kernel is driven as run_scenario
+    drives it, once per trial group of ``trials``."""
     ctx = experiments._build_context(scenario)
-    settings = max(grid[-1] for _, grid in ctx.plan)
-    groups = [trials[group] for group in trial_groups(len(trials), settings, scenario.dim)]
+    points = sorted({settings for _, grid in ctx.plan for settings in grid})
+    groups = [trials[group] for group in trial_groups(len(trials), points[-1], scenario.dim)]
     for group in groups:
         inputs = streamed_inputs(ctx, group, records_override)
         for eta, ensemble in ctx.family.ensembles(scenario):
@@ -1580,19 +1581,21 @@ def assert_stream_matches_full_stacks(scenario, trials, records_override=None):
                 group_stacks = run_plan(ctx.state, plans, scenario.seed, group)
             else:
                 group_stacks = [[records_override[:grid[-1]] for _, grid in ctx.plan]]
-            for index, (shots, grid) in enumerate(ctx.plan):
-                for trial, stacks in enumerate(group_stacks):
-                    stack = stacks[index]
-                    frames = FramePrefix(scenario.dim, shots)
-                    for settings in grid:
+            for trial, stacks in enumerate(group_stacks):
+                widest = max(stacks, key=len)
+                frames = FramePrefix(scenario.dim)
+                for settings in points:
+                    frames.extend(widest.unitaries[frames.settings:settings])
+                    for (shots, grid), stack in zip(ctx.plan, stacks):
+                        if settings not in grid:
+                            continue
                         records = stack[:settings]
-                        frames.extend(stack.unitaries[frames.settings:settings])
                         for method in ctx.methods:
                             streamed, outcomes = inputs[(settings, shots, getattr(method, "mu", 0.0),
                                                          eta, type(method).__name__)]
                             expected = average_estimate(method, records, frames)
                             assert np.array_equal(streamed[trial], expected), \
-                                (type(method).__name__, trial, settings)
+                                (type(method).__name__, trial, settings, shots)
                             if "loglik" in ctx.family.metrics:
                                 rho = project_physical(streamed[trial])
                                 assert (log_likelihood(outcomes[trial], rho)
@@ -1640,6 +1643,26 @@ class TestStreamedKernel:
                                  l_grid=(1, 4, 8))
         assert len(FAMILIES["multishot"].plan(scenario)) == 3
         assert_stream_matches_full_stacks(scenario, range(5))
+
+    def test_multishot_sums_each_setting_into_one_frame_per_trial_and_eta(self, monkeypatch):
+        # Frame entries do not depend on L, so the entries L = 1, 8 and 64
+        # share each trial's running frame sum: the D outcome columns of
+        # every setting up to the largest M enter one sum once, not once
+        # per shot count.
+        columns: dict[FramePrefix, int] = {}  # outcome columns each prefix sums
+        accumulate = FramePrefix._accumulate
+
+        def counted(prefix):
+            taken = (prefix.settings - prefix._summed) * prefix.dim
+            columns[prefix] = columns.get(prefix, 0) + taken
+            accumulate(prefix)
+
+        monkeypatch.setattr(FramePrefix, "_accumulate", counted)
+        scenario = replace(default_scenario("multishot"), trials=2, l_grid=(1, 8, 64))
+        assert scenario.qubits == 3 and len(scenario.eta_grid) == 1
+        run_scenario(scenario)
+        largest = max(scenario.m_grid) * scenario.dim
+        assert sorted(columns.values()) == [largest] * scenario.trials
 
     def test_mismatch_eta_sweep(self):
         scenario = tiny_scenario("mismatch", qubits=3, trials=5, m_grid=(8, 9, 65),

@@ -641,7 +641,7 @@ class TestRecordStack:
         (lambda: MeasurementPlan(1, True, GlobalHaar(2)), "shots"),
         (lambda: RecordStack(np.eye(2)[None], [[1, 0]], True), "shots"),
         (lambda: FramePrefix(True), "dim"),
-        (lambda: FramePrefix(2, True), "shots"),
+        (lambda: FramePrefix(2).frame(True), "shots"),
         (lambda: sample_counts(np.array([0.5, 0.5]), True, stream(0)), "shots"),
         (lambda: dump_records(RecordStack(np.eye(2)[None], [[1, 0]], 1), os.devnull,
                               seed=True), "seed"),
@@ -661,9 +661,12 @@ def test_bool_is_refused_where_an_integer_is_needed(build, name):
 
 def test_plan_and_frame_prefix_store_their_counts_as_ints():
     plan = MeasurementPlan(np.int64(2), np.int64(3), GlobalHaar(2))
-    frames = FramePrefix(np.int64(2), np.int64(3))
-    assert [type(value) for value in (plan.settings, plan.shots, frames.dim, frames.shots)] == [
+    frames = FramePrefix(np.int64(2))
+    frames.extend(np.eye(2)[None])
+    frame = frames.frame(np.int64(3))
+    assert [type(value) for value in (plan.settings, plan.shots, frames.dim, frame.settings)] == [
         int, int, int, int]
+    assert frame.settings == 3
 
 
 def loop_expanded(records):

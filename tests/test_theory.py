@@ -24,6 +24,7 @@ from shadowbench import theory
 from shadowbench.theory import (
     THEOREM1_BATCH,
     THEOREM1_CHUNK,
+    MseEstimate,
     _gram_schmidt_unitaries,
     empirical_mse,
     mse_theorem1,
@@ -443,3 +444,22 @@ class TestEmpiricalMse:
     def test_single_estimate_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
             empirical_mse([1.0], 1.0)
+
+    @pytest.mark.parametrize("estimates, truth, name", [
+        ([float("nan"), 1.0], 0.0, "estimates"),
+        ([1.0, float("inf")], 0.0, "estimates"),
+        ([1.0, 2.0], float("nan"), "truth"),
+        ([1.0, 2.0], -float("inf"), "truth"),
+    ])
+    def test_non_finite_input_rejected(self, estimates, truth, name):
+        # A NaN gave MseEstimate(nan, nan, 2) instead of an error.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            empirical_mse(estimates, truth)
+
+    @pytest.mark.parametrize("value, std_error", [
+        (float("nan"), 0.1), (float("inf"), 0.1), (1.0, float("nan")), (1.0, float("inf")),
+        (1.0, -0.1),
+    ])
+    def test_estimate_refuses_a_non_finite_value_or_standard_error(self, value, std_error):
+        with pytest.raises(ValueError, match="must be finite"):
+            MseEstimate(value, std_error, 2)
