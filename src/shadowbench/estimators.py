@@ -127,15 +127,16 @@ class FrameOperator:
     settings: int
 
     def __post_init__(self):
+        self.dim = as_integer("dim", self.dim)
+        self.settings = as_integer("settings", self.settings)
+        if self.dim < 1 or self.settings < 1:
+            raise ValueError(f"frame needs dim and settings >= 1, got {self.dim}, {self.settings}")
         entries = np.asarray(self.entries, dtype=float)
         expected = self.dim * self.dim
         if entries.shape != (expected, expected):
             raise ValueError(
                 f"frame entries must be {expected}x{expected}, got {entries.shape}"
             )
-        self.settings = as_integer("settings", self.settings)
-        if self.settings < 1:
-            raise ValueError(f"frame needs a settings count >= 1, got {self.settings}")
         self.entries = entries
         self._eigenvalues: np.ndarray | None = None
         self._eigenvectors: np.ndarray | None = None

@@ -131,6 +131,8 @@ class Scenario:
             raise ValueError("m-grid and l-grid entries must be >= 1")
         if max(self.m_grid) > 2**32:  # setting m draws from the 32-bit stream key m
             raise ValueError(f"m-grid entries must be <= 2^32, got {max(self.m_grid)}")
+        if max(self.l_grid) > np.iinfo(np.int64).max:  # numpy's multinomial draws int64 counts
+            raise ValueError(f"l-grid entries must be <= 2^63 - 1, got {max(self.l_grid)}")
         if min(self.mu_grid) < 0:
             raise ValueError("mu values must be >= 0")
         if min(self.eta_grid) < 0 or max(self.eta_grid) > 1:
@@ -632,7 +634,8 @@ def _resource_guard(scenario: Scenario) -> None:
     """Refuse a scenario whose largest dense linear system (M*D on the
     Gram route, D^2 where the frame is formed, none for CS) exceeds its
     bound, or whose largest array does: a trial's sampling block, its
-    loglik outcome store or the mse-rand vector set."""
+    loglik outcome store, the mse-rand vector set or the theorem-1
+    Monte Carlo's per-sample values."""
     dim, family = scenario.dim, FAMILIES[scenario.kind]
     plan = family.plan(scenario)
     order = max(
@@ -645,13 +648,15 @@ def _resource_guard(scenario: Scenario) -> None:
     store = (sum(_observed_rows(grid[-1], shots, dim) * dim for shots, grid in plan)
              if "loglik" in family.metrics else 0)
     vectors = dim * scenario.random_observables if "mse-rand" in family.metrics else 0
+    samples = scenario.ensemble_samples if family.theory else 0
     if (order > MAX_ORDER_WITHOUT_FORCE
-            or max(block, store, vectors) > MAX_UNITARY_ENTRIES_WITHOUT_FORCE):
+            or max(block, store, vectors, samples) > MAX_UNITARY_ENTRIES_WITHOUT_FORCE):
         raise ValueError(
             f"resource-guard: {scenario.qubits} qubits needs a linear system of order {order} "
             f"(bound {MAX_ORDER_WITHOUT_FORCE}), {block} sampled unitary entries per block, "
-            f"{store} observed-outcome entries and {vectors} random-observable entries D*J (bound "
-            f"{MAX_UNITARY_ENTRIES_WITHOUT_FORCE} each); force=True (--force) accepts the cost"
+            f"{store} observed-outcome entries, {vectors} random-observable entries D*J and "
+            f"{samples} ensemble_samples (bound {MAX_UNITARY_ENTRIES_WITHOUT_FORCE} each); "
+            f"force=True (--force) accepts the cost"
         )
 
 

@@ -41,6 +41,8 @@ class MeasurementPlan:
             if value < 1:
                 raise ValueError(f"plan needs at least one {name[:-1]}, got {value}")
             object.__setattr__(self, name, value)
+        if self.shots > np.iinfo(np.int64).max:  # numpy's multinomial draws int64 counts
+            raise ValueError(f"plan shots must be <= 2^63 - 1, got {self.shots}")
 
 
 class RecordError(ValueError):

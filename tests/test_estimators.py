@@ -451,6 +451,14 @@ class TestRlsShadow:
         with pytest.raises(error, match="settings"):
             FrameOperator(np.eye(4), 2, settings)
 
+    @pytest.mark.parametrize("dim, error", [
+        (0, ValueError), (-2, ValueError), (True, TypeError), (2.0, TypeError), (2.5, TypeError)])
+    def test_dim_must_be_an_integer_of_at_least_one(self, dim, error):
+        # A float 2.0 passed the entries' shape check: (4.0, 4.0) == (4, 4).
+        with pytest.raises(error, match="dim"):
+            FrameOperator(np.eye(4), dim, 1)
+        assert type(FrameOperator(np.eye(4), np.int64(2), 1).dim) is int
+
     def test_shift_above_the_cutoff_needs_no_eigendecomposition(self, monkeypatch):
         unitaries = haar_settings(4, 6, seed=16)
         frame = frame_of(unitaries)

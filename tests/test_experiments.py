@@ -244,6 +244,27 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             tiny_scenario("mismatch", **overrides).validate()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_shot_count_numpy_cannot_draw_exits_2(self, tmp_path, capsys, source):
+        # numpy's multinomial draws int64 counts: a larger l-grid entry
+        # raised an OverflowError (exit 1) once the trials had started.
+        out = tmp_path / "x.csv"
+        argv = ["theorem1", "--qubits", "2", "--trials", "2", "--out", str(out)]
+        if source == "flag":
+            argv += ["--l-grid", "99999999999999999999"]
+        else:
+            (tmp_path / "config.json").write_text(json.dumps({"l_grid": [2**64]}))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 2
+        assert "l-grid entries must be <= 2^63 - 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_shot_count_numpy_draws_runs(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["theorem1", "--qubits", "2", "--trials", "2", "--out", str(out),
+                     "--l-grid", str(2**63 - 1)]) == 0
+        assert "wrote 6 rows" in capsys.readouterr().out
+
     @pytest.mark.parametrize("workers, error", [
         (0, ValueError), (-2, ValueError), (True, TypeError), (2.5, TypeError),
         (np.float64(2.0), TypeError),
@@ -323,8 +344,8 @@ class TestScenarioValidation:
         assert reached == [("random-obs", edge), ("multishot", edge), ("rls-vs-cs", edge + 1)]
 
     def test_resource_guard_binds_theorem1_at_its_trials(self, monkeypatch, tmp_path, capsys):
-        # A Monte Carlo batch holds batch * D * J kept normals and one draw
-        # chunk, so with J = 1 the trial term M*D^2 binds first: 16
+        # A Monte Carlo batch holds batch * D kept normals and one draw
+        # chunk, so the trial term M*D^2 binds first: 16
         # settings at 8 qubits (2^20 entries) pass at the default 10,000
         # samples, while 33 settings at 11 qubits are refused.
         reached = []
@@ -344,6 +365,42 @@ class TestScenarioValidation:
         assert "resource-guard: 11 qubits" in capsys.readouterr().err
         assert reached == [8]
         assert not (tmp_path / "x.csv").exists()
+
+    def test_resource_guard_bounds_theorem1_ensemble_samples(self, monkeypatch):
+        # mse_theorem1 holds one value per ensemble sample, 8 TiB at 2^40:
+        # 2^27 samples pass, one more does not, and a family without
+        # theory rows draws none.
+        reached = []
+
+        def spy(scenario):
+            reached.append((scenario.kind, scenario.ensemble_samples))
+            raise RuntimeError("the guard let the scenario through")
+
+        monkeypatch.setattr(experiments, "_build_context", spy)
+        edge = experiments.MAX_UNITARY_ENTRIES_WITHOUT_FORCE
+        for kind, samples in (("theorem1", edge), ("rls-vs-cs", 2**40)):
+            with pytest.raises(RuntimeError, match="let the scenario through"):
+                run_scenario(tiny_scenario(kind, ensemble_samples=samples))
+        for samples in (edge + 1, 2**40):
+            with pytest.raises(ValueError, match=f"resource-guard: 2 qubits .* {samples} "
+                                                 f"ensemble_samples"):
+                run_scenario(tiny_scenario("theorem1", ensemble_samples=samples))
+        assert reached == [("theorem1", edge), ("rls-vs-cs", 2**40)]
+
+    def test_force_accepts_theorem1_ensemble_samples_above_the_bound(self, monkeypatch):
+        reached = []
+
+        def spy(scenario):
+            reached.append(scenario.ensemble_samples)
+            raise RuntimeError("the guard let the scenario through")
+
+        monkeypatch.setattr(experiments, "_build_context", spy)
+        scenario = tiny_scenario("theorem1", ensemble_samples=2**40)
+        with pytest.raises(ValueError, match="resource-guard"):
+            experiments._resource_guard(scenario)
+        with pytest.raises(RuntimeError, match="let the scenario through"):
+            run_scenario(scenario, force=True)
+        assert reached == [2**40]
 
     def test_resource_guard_bounds_what_a_run_holds(self, monkeypatch):
         # A run holds one sampling block of min(M, max(64, D)) settings per

@@ -659,6 +659,14 @@ def test_bool_is_refused_where_an_integer_is_needed(build, name):
         build()
 
 
+def test_plan_refuses_shots_numpy_cannot_draw():
+    # numpy's multinomial draws int64 counts: 2^63 shots raised an
+    # OverflowError inside sample_counts.
+    with pytest.raises(ValueError, match=r"shots must be <= 2\^63 - 1, got 9223372036854775808"):
+        MeasurementPlan(4, 2**63, GlobalHaar(4))
+    assert MeasurementPlan(4, 2**63 - 1, GlobalHaar(4)).shots == 2**63 - 1
+
+
 def test_plan_and_frame_prefix_store_their_counts_as_ints():
     plan = MeasurementPlan(np.int64(2), np.int64(3), GlobalHaar(2))
     frames = FramePrefix(np.int64(2))

@@ -15,7 +15,6 @@ from shadowbench.ensembles import (
     AUX_STREAM_INDEX,
     GlobalHaar,
     HaarMixture,
-    haar_from_normals,
 )
 from shadowbench.estimators import CS, estimate
 from shadowbench.experiments import canonical_state_and_observables
@@ -25,7 +24,6 @@ from shadowbench.theory import (
     THEOREM1_BATCH,
     THEOREM1_CHUNK,
     MseEstimate,
-    _gram_schmidt_unitaries,
     empirical_mse,
     mse_theorem1,
 )
@@ -142,7 +140,7 @@ class TestMseTheorem1:
         assert abs(empirical.value - predicted.value) < 3 * combined
 
     def test_inverse_scaling_in_settings(self):
-        state = DensityMatrix.computational_basis_state(4)
+        state = DensityMatrix.computational_basis_state(4, 1)
         obs = Observable.rank_one([0.0, 1.0, 0.0, 0.0])
         small = mse_theorem1(state, obs, GlobalHaar(4), 8, 2, 2000, stream(5, (0, 0)))
         large = mse_theorem1(state, obs, GlobalHaar(4), 16, 2, 2000, stream(5, (0, 0)))
@@ -176,6 +174,22 @@ class TestMseTheorem1:
             combined = np.hypot(results[1].std_error, results[shots].std_error)
             assert results[1].value <= results[shots].value + 3 * combined
 
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32])
+    def test_makes_no_qr_call_at_every_dimension(self, dim, monkeypatch):
+        # p and t read the first column of U alone, which its normals'
+        # norm fixes: LAPACK is not called.
+        qr_calls = []
+        qr = np.linalg.qr
+
+        def counted_qr(matrices, *args, **kwargs):
+            qr_calls.append(matrices.shape)
+            return qr(matrices, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        state, observables = canonical_state_and_observables(dim.bit_length() - 1)
+        mse_theorem1(state, observables[0], GlobalHaar(dim), 4, 1, 10, stream(14))
+        assert qr_calls == []
+
     def test_unsupported_ensemble_rejected(self):
         state = DensityMatrix.computational_basis_state(4)
         obs = Observable.rank_one([1.0, 0, 0, 0])
@@ -201,113 +215,37 @@ class TestMseTheorem1:
             mse_theorem1(state, obs, GlobalHaar(2), 4, 1, 100, stream(9))
 
 
-def _unitarity_error(unitaries):
-    dim = unitaries.shape[-1]
-    gram = np.einsum("bki,bkj->bij", unitaries.conj(), unitaries)
-    return np.abs(gram - np.eye(dim)).max()
-
-
-class TestGramSchmidtUnitaries:
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
-    def test_matches_lapack_route_on_the_same_normals(self, dim):
-        # The kernel's cost per full matrix grows as D^3, so 200 matrices
-        # above D = 8.
-        count = 2000 if dim <= 8 else 200
-        normals = stream(12, (0, dim)).standard_normal((2, count, dim, dim))
-        lapack = haar_from_normals(normals)
-        kernel = _gram_schmidt_unitaries(normals).transpose(2, 0, 1)
-        assert np.abs(kernel - lapack).max() <= 1e-13
-        assert _unitarity_error(kernel) <= 1e-14
-
-    @pytest.mark.parametrize("dim", [2, 4, 8])
-    def test_nearly_rank_deficient_draw_stays_unitary(self, dim):
-        # A = Q0 R0 with R0 = I except a last column of ones above the
-        # diagonal entry delta: the last column of A lies within delta of
-        # the span of the others, and cond(A) = cond(R0) is about 1e8. One
-        # Gram-Schmidt pass would leave it orthogonal to about 1e-8 only.
-        delta = dim * 1e-8
-        r0 = np.eye(dim)
-        r0[:, -1] = 1.0
-        r0[-1, -1] = delta
-        assert 5e7 < np.linalg.cond(r0) < 2e8
-        q0 = haar_unitaries(dim, 64, stream(13, (0, dim)))
-        matrices = q0 @ r0
-        normals = np.stack([matrices.real, matrices.imag])
-        kernel = _gram_schmidt_unitaries(normals).transpose(2, 0, 1)
-        lapack = haar_from_normals(normals)
-        assert _unitarity_error(kernel) <= 1e-14
-        assert np.abs(kernel[..., :-1] - lapack[..., :-1]).max() <= 1e-13
-        # The last column is fixed by the others up to its phase, and that
-        # phase only to about cond * eps, by either route: both stay that
-        # close to the exact factor Q0.
-        phase_overlap = np.abs(np.einsum("bk,bk->b", kernel[..., -1].conj(), lapack[..., -1]))
-        assert np.abs(phase_overlap - 1.0).max() <= 1e-13
-        assert np.abs(kernel - q0).max() <= 1e-7
-        assert np.abs(lapack - q0).max() <= 1e-7
-
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
-    def test_leading_columns_have_the_bits_of_the_full_unitaries(self, dim):
-        normals = stream(16, (0, dim)).standard_normal((2, 300 if dim <= 16 else 200, dim, dim))
-        full = _gram_schmidt_unitaries(normals)
-        for cut in range(1, dim + 1):
-            assert np.array_equal(_gram_schmidt_unitaries(normals[..., :cut]), full[:, :cut])
-
-    @pytest.mark.parametrize("dim", [4, 8, 16, 32])
-    def test_kernel_alone_orthonormalizes_at_every_dimension(self, dim, monkeypatch):
-        # rho = Lambda = |0><0| touches the first column of U only, so the
-        # kernel orthonormalizes that column alone and LAPACK is not called.
-        kernel_calls, qr_calls = [], []
-        qr = np.linalg.qr
-
-        def counted_qr(matrices, *args, **kwargs):
-            qr_calls.append(matrices.shape)
-            return qr(matrices, *args, **kwargs)
-
-        def counted_kernel(normals):
-            kernel_calls.append(normals.shape)
-            return _gram_schmidt_unitaries(normals)
-
-        monkeypatch.setattr(np.linalg, "qr", counted_qr)
-        monkeypatch.setattr(theory, "_gram_schmidt_unitaries", counted_kernel)
-        state, observables = canonical_state_and_observables(dim.bit_length() - 1)
-        mse_theorem1(state, observables[0], GlobalHaar(dim), 4, 1, 10, stream(14))
-        assert kernel_calls == [(2, 10, dim, 1)]
-        assert qr_calls == []
-
-
 class TestChunkedNormals:
     @pytest.mark.parametrize("chunk", [THEOREM1_CHUNK, 1000])
     @pytest.mark.parametrize("dim", [8, 32])
-    @pytest.mark.parametrize("full", [False, True], ids=["J=1", "J=D"])
-    def test_estimate_has_the_bits_of_one_draw_per_batch(self, dim, full, chunk, monkeypatch):
+    def test_estimate_has_the_bits_of_one_draw_per_batch(self, dim, chunk, monkeypatch):
         # Batches of 128 unitaries and 300 samples, so the last batch is
         # partial; at D = 8 a default chunk is 128 unitaries and at D = 32
         # 64, and 1000 entries are 125 or 31 rows, dividing no batch.
-        state = DensityMatrix.computational_basis_state(dim, dim - 1 if full else 0)
+        state = DensityMatrix.computational_basis_state(dim)
         obs = Observable.rank_one(np.eye(dim)[0])
         monkeypatch.setattr(theory, "THEOREM1_BATCH", 128)
         monkeypatch.setattr(theory, "THEOREM1_CHUNK", chunk)
-        cut = dim if full else 1
-        assert np.array_equal(theory._leading_normals(stream(18), 300, dim, cut),
-                              stream(18).standard_normal((2, 300, dim, dim))[..., :cut])
-        cuts = []
+        assert np.array_equal(theory._leading_normals(stream(18), 300, dim),
+                              stream(18).standard_normal((2, 300, dim, dim))[..., 0])
+        batches = []
 
-        def one_draw(rng, batch, dim, cut):
-            cuts.append(cut)
-            return rng.standard_normal((2, batch, dim, dim))[..., :cut]
+        def one_draw(rng, batch, dim):
+            batches.append(batch)
+            return rng.standard_normal((2, batch, dim, dim))[..., 0]
 
         chunked_rng, drawn_rng = stream(19, (0, dim)), stream(19, (0, dim))
         chunked = mse_theorem1(state, obs, GlobalHaar(dim), 8, 4, 300, chunked_rng)
         monkeypatch.setattr(theory, "_leading_normals", one_draw)
         drawn = mse_theorem1(state, obs, GlobalHaar(dim), 8, 4, 300, drawn_rng)
-        assert cuts == [cut] * 3
+        assert batches == [128, 128, 44]
         assert (chunked.value, chunked.std_error) == (drawn.value, drawn.std_error)
         # Both leave the stream at the same place.
         assert chunked_rng.bit_generator.state == drawn_rng.bit_generator.state
 
     def test_batch_holds_its_kept_columns_and_one_chunk(self):
-        # At D = 32 and J = 1 a full batch of 4096 draws is 64 MiB of
-        # normals; kept, its first column is 2 MiB.
+        # At D = 32 a full batch of 4096 draws is 64 MiB of normals; kept,
+        # its first column is 2 MiB.
         state, observables = canonical_state_and_observables(5)
         mse_theorem1(state, observables[0], GlobalHaar(32), 16, 1, 10, stream(20))
         tracemalloc.start()
@@ -361,27 +299,37 @@ class TestMseTheorem1Oracle:
             assert result.std_error == pytest.approx(std_error, rel=1e-12)
 
     @pytest.mark.parametrize("dim", [4, 16])
-    @pytest.mark.parametrize("state_index, obs_index", [(2, 1), (1, 2), (None, 0)])
-    def test_matches_oracle_when_rho_or_lambda_reach_later_columns(
-        self, dim, state_index, obs_index
-    ):
-        # mse_theorem1 orthonormalizes only the columns up to the last one
-        # at which rho or Lambda has a nonzero row or column: the third
-        # for |1><1| and |2><2| either way round, every column for a
-        # full-rank mixed state (state_index None).
+    @pytest.mark.parametrize("case, state_index, obs_index", [
+        ("observable-not-state", 2, 1), ("observable-not-state", 0, 2),
+        ("mixed-state", None, None),
+    ])
+    def test_refuses_other_rho_or_lambda_before_any_draw(self, dim, case, state_index,
+                                                          obs_index):
+        # rho != Lambda, or a full-rank mixed rho = Lambda.
         if state_index is None:
             state = DensityMatrix(random_density_matrix(dim, np.random.default_rng(dim)))
+            obs = Observable(state.matrix)
         else:
             state = DensityMatrix.computational_basis_state(dim, state_index)
-        obs = Observable.rank_one(np.eye(dim)[obs_index])
-        samples, shots_grid = 600, (1, 4)
-        oracle = _theorem1_oracle(state, obs, 8, shots_grid, samples, stream(17, (0, dim)))
-        for shots in shots_grid:
-            result = mse_theorem1(state, obs, GlobalHaar(dim), 8, shots, samples,
-                                  stream(17, (0, dim)))
-            value, std_error = oracle[shots]
-            assert result.value == pytest.approx(value, rel=1e-12)
-            assert result.std_error == pytest.approx(std_error, rel=1e-12)
+            obs = Observable.rank_one(np.eye(dim)[obs_index])
+        generator = stream(17, (0, dim))
+        before = generator.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{case}: theorem-1 evaluation needs"):
+            mse_theorem1(state, obs, GlobalHaar(dim), 8, 4, 600, generator)
+        assert generator.bit_generator.state == before
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_pure_state_has_the_bits_of_the_first_basis_state(self, dim):
+        # U|psi> has the law of U|0>, so every pure psi = Lambda takes the
+        # draws of |0>.
+        psi = np.array([1.0, 1j]) @ stream(21, (0, dim)).standard_normal((2, dim))
+        state, obs = DensityMatrix.pure(psi), Observable.rank_one(psi)
+        zero = DensityMatrix.computational_basis_state(dim)
+        for shots in (1, 4):
+            pure = mse_theorem1(state, obs, GlobalHaar(dim), 8, shots, 600, stream(17, (0, dim)))
+            basis = mse_theorem1(zero, Observable(zero.matrix), GlobalHaar(dim), 8, shots, 600,
+                                 stream(17, (0, dim)))
+            assert (pure.value, pure.std_error) == (basis.value, basis.std_error)
 
 
 class TestRandomObservablePdf:
@@ -463,3 +411,12 @@ class TestEmpiricalMse:
     def test_estimate_refuses_a_non_finite_value_or_standard_error(self, value, std_error):
         with pytest.raises(ValueError, match="must be finite"):
             MseEstimate(value, std_error, 2)
+
+    @pytest.mark.parametrize("samples", [True, 2.5, 2.0, "2"])
+    def test_estimate_refuses_a_non_integral_sample_count(self, samples):
+        with pytest.raises(TypeError, match="samples must be an integer"):
+            MseEstimate(1.0, 0.1, samples)
+
+    def test_estimate_stores_its_sample_count_as_an_int(self):
+        estimate = MseEstimate(1.0, 0.1, np.int64(3))
+        assert type(estimate.samples) is int and estimate.samples == 3
