@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .ensembles import as_integer
-from .measurement import RecordStack, adjoint_map
+from .measurement import RecordStack, adjoint_map, as_frequencies, as_shots
 
 DEFAULT_RCOND = 1e-10
 DEFAULT_MU = 0.1
@@ -80,34 +80,28 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return real + 1j * (imaginary - imaginary.swapaxes(-1, -2))
 
 
-def povm_operator_columns(unitaries, out: np.ndarray | None = None) -> np.ndarray:
+def povm_operator_columns(unitaries) -> np.ndarray:
     """The real (D^2, m*D) matrix whose columns are vec(u_k u_k†) for every
     outcome k of every setting in ``unitaries``: one (D, D) unitary, or an
     (m, D, D) stack of unitaries.
 
-    The result is a transposed view of one (m*D, D^2) array: ``out`` if
-    given, which must be C-contiguous of that shape, else a new one. It
-    is filled FRAME_CHUNK_ENTRIES outer-product entries at a time, so the
-    complex outer products held beside it stay near 1 MiB at any D rather
-    than twice the result's size. Each column has the same bits whether
-    its setting is stacked or not.
+    The result is a transposed view of a new C-contiguous (m*D, D^2)
+    array, so ``columns @ columns.T`` is one syrk. It is filled
+    FRAME_CHUNK_ENTRIES outer-product entries at a time, so the complex
+    outer products held beside it stay near 1 MiB at any D rather than
+    twice the result's size. Each column has the same bits whether its
+    setting is stacked or not.
     """
     unitaries = np.asarray(unitaries)
     dim = unitaries.shape[-1]
     rows = unitaries.reshape(-1, dim)
-    if out is None:
-        out = np.empty((len(rows), dim * dim))
-    elif out.shape != (len(rows), dim * dim) or not out.flags.c_contiguous:
-        raise ValueError(
-            f"columns buffer must be C-contiguous {(len(rows), dim * dim)}, got {out.shape}"
-        )
-    columns = out.reshape(len(rows), dim, dim)
+    columns = np.empty((len(rows), dim, dim))
     step = max(1, FRAME_CHUNK_ENTRIES // (dim * dim))
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
         # Row r of U gives the element u u† with entries conj(U_ri) U_rj.
         _vec_into(chunk.conj()[:, :, None] * chunk[:, None, :], columns[start:start + step])
-    return out.T
+    return columns.reshape(len(rows), dim * dim).T
 
 
 @dataclass(eq=False)
@@ -134,9 +128,7 @@ class FrameOperator:
         entries = np.asarray(self.entries, dtype=float)
         expected = self.dim * self.dim
         if entries.shape != (expected, expected):
-            raise ValueError(
-                f"frame entries must be {expected}x{expected}, got {entries.shape}"
-            )
+            raise ValueError(f"frame entries must be {expected}x{expected}, got {entries.shape}")
         self.entries = entries
         self._eigenvalues: np.ndarray | None = None
         self._eigenvectors: np.ndarray | None = None
@@ -162,12 +154,16 @@ class FrameOperator:
             raise ValueError(f"mu must be finite and >= 0, got {mu}")
         if mu / self.settings <= DEFAULT_RCOND:
             return self.pinv_apply(vector)
-        shifted = self.entries.copy()
-        shifted[np.diag_indices_from(shifted)] += mu / self.settings
-        # The frame is symmetric bit for bit (numpy mirrors each syrk), so
-        # its transpose is the same matrix in LAPACK's column-major order,
-        # which solve copies without transposing.
-        return np.linalg.solve(shifted.T, vector)
+        return _shifted_solve(self.entries.copy(), mu / self.settings, vector)
+
+
+def _shifted_solve(matrix: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (matrix + shift I) x = rhs by LU, shifting ``matrix`` in place.
+    The frame is symmetric bit for bit (numpy mirrors each syrk) and the
+    Gram matrix to rounding, so the transpose is the same matrix in
+    LAPACK's column-major order, which solve copies without transposing."""
+    matrix[np.diag_indices_from(matrix)] += shift
+    return np.linalg.solve(matrix.T, rhs)
 
 
 def _pinv_solve(eigenvalues, eigenvectors, vector: np.ndarray) -> np.ndarray:
@@ -190,10 +186,11 @@ class FramePrefix:
 
     This is where every frame is built. A fed setting waits, as the view
     of its unitary, until a frame is asked for or FRAME_COLUMNS // D
-    settings wait; the waiting settings then enter the running sum as one
-    syrk. So a syrk block starts at the previous frame's last setting and
-    spans FRAME_COLUMNS // D settings, whatever sizes were fed, and each
-    frame is the sum divided by M.
+    settings wait; the waiting settings are then stacked into one copy
+    (1 MiB at D = 32), and one :func:`povm_operator_columns` call and one
+    syrk add them to the running sum. So a syrk block starts at the
+    previous frame's last setting and spans FRAME_COLUMNS // D settings,
+    whatever sizes were fed, and each frame is the sum divided by M.
     """
 
     def __init__(self, dim: int):
@@ -227,18 +224,13 @@ class FramePrefix:
         """Add the waiting settings to the running sum as one syrk."""
         if self._sum is None:
             self._sum = np.zeros((self.dim**2, self.dim**2))
-        buffer = np.empty(((self.settings - self._summed) * self.dim, self.dim**2))
-        offset = 0
-        for block in self._waiting:
-            povm_operator_columns(block, out=buffer[offset:offset + len(block) * self.dim])
-            offset += len(block) * self.dim
+        columns = povm_operator_columns(np.concatenate(self._waiting))
         self._waiting, self._summed = [], self.settings
-        self._sum += np.matmul(buffer.T, buffer)
+        self._sum += columns @ columns.T
 
     def frame(self, shots: int = 1) -> FrameOperator:
         """Frame of every setting fed so far, each probed ``shots`` times."""
-        if as_integer("shots", shots) < 1:
-            raise ValueError(f"shot count must be >= 1, got {shots}")
+        shots = as_shots(shots)
         if self.settings < 1:
             raise ValueError("frame prefix needs at least one setting, got 0")
         if self._summed < self.settings:
@@ -263,24 +255,20 @@ def gram_ridge_solve(
     so the D^2 x D^2 frame is neither formed nor solved. G shares the
     nonzero spectrum of A†A, whose largest eigenvalue is M, so its shift
     is mu/(M L) of that, as on the frame; at or below DEFAULT_RCOND the
-    pseudoinverse of G is applied.
+    pseudoinverse of G is applied. ``frequencies`` are shaped as for
+    :func:`adjoint_map`, and a (D, D) unitary counts as one setting.
     """
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    if as_integer("shots", shots) < 1:
-        raise ValueError(f"shot count must be >= 1, got {shots}")
+    shots = as_shots(shots)
     unitaries = np.asarray(unitaries)
+    phat = as_frequencies(unitaries, frequencies).reshape(-1)
     rows = unitaries.reshape(-1, unitaries.shape[-1])
-    phat = np.asarray(frequencies, dtype=float).reshape(-1)
     gram = np.abs(rows @ rows.conj().T) ** 2
-    if mu / (len(unitaries) * shots) <= DEFAULT_RCOND:
+    if mu / (len(rows) // rows.shape[1] * shots) <= DEFAULT_RCOND:
         weights = _pinv_solve(*np.linalg.eigh(gram), phat)
     else:
-        gram[np.diag_indices_from(gram)] += mu / shots
-        # G is symmetric (bit for bit in almost every draw, to rounding in
-        # all), so G.T is G in LAPACK's column-major order, which solve
-        # copies without transposing.
-        weights = np.linalg.solve(gram.T, phat)
+        weights = _shifted_solve(gram, mu / shots, phat)
     return adjoint_map(rows, weights)
 
 

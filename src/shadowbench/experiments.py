@@ -50,6 +50,7 @@ from .estimators import (
     solve_route,
 )
 from .measurement import (
+    MAX_SHOTS,
     MeasurementPlan,
     RecordStack,
     _block_width,
@@ -131,7 +132,7 @@ class Scenario:
             raise ValueError("m-grid and l-grid entries must be >= 1")
         if max(self.m_grid) > 2**32:  # setting m draws from the 32-bit stream key m
             raise ValueError(f"m-grid entries must be <= 2^32, got {max(self.m_grid)}")
-        if max(self.l_grid) > np.iinfo(np.int64).max:  # numpy's multinomial draws int64 counts
+        if max(self.l_grid) > MAX_SHOTS:
             raise ValueError(f"l-grid entries must be <= 2^63 - 1, got {max(self.l_grid)}")
         if min(self.mu_grid) < 0:
             raise ValueError("mu values must be >= 0")

@@ -24,25 +24,33 @@ PLAN_BLOCK = 64  # settings per batched draw, QR, Born and counts step (D where 
 PLAN_STREAMS = 4 * PLAN_BLOCK  # random streams (trial, setting) of one plan_blocks block
 GROUP_ENTRIES = 2048 * 4**2  # caps a trial group at GROUP_ENTRIES // (M*D^2) trials
 POVM_UNITARITY_ATOL = 1e-8
+MAX_SHOTS = 2**63 - 1  # numpy's multinomial draws int64 counts
+
+
+def as_shots(value) -> int:
+    """``value`` as the shot count of any entry point: an int in [1, MAX_SHOTS]."""
+    shots = as_integer("shots", value)
+    if not 1 <= shots <= MAX_SHOTS:
+        rule = "shot count must be >= 1" if shots < 1 else "shots must be <= 2^63 - 1"
+        raise ValueError(f"{rule}, got {shots}")
+    return shots
 
 
 @dataclass(frozen=True)
 class MeasurementPlan:
-    """M settings from an ensemble, each probed with L shots; both are
-    stored as ints."""
+    """M settings from an ensemble, each probed with L shots
+    (:func:`as_shots`); both are stored as ints."""
 
     settings: int
     shots: int
     ensemble: EnsembleSpec
 
     def __post_init__(self):
-        for name in ("settings", "shots"):
-            value = as_integer(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"plan needs at least one {name[:-1]}, got {value}")
-            object.__setattr__(self, name, value)
-        if self.shots > np.iinfo(np.int64).max:  # numpy's multinomial draws int64 counts
-            raise ValueError(f"plan shots must be <= 2^63 - 1, got {self.shots}")
+        settings = as_integer("settings", self.settings)
+        if settings < 1:
+            raise ValueError(f"plan needs at least one setting, got {settings}")
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "shots", as_shots(self.shots))
 
 
 class RecordError(ValueError):
@@ -87,7 +95,7 @@ class RecordStack:
     ``unitaries`` is (M, D, D) and ``counts`` (M, K); both are copied on
     construction, checked (unitarity within 1e-8, counts nonnegative and
     summing to ``shots``, with a failure naming its setting) and marked
-    read-only; ``shots`` is stored as an int (TypeError if not integral).
+    read-only; ``shots`` passes :func:`as_shots` and is stored as an int.
     Setting m is ``unitaries[m]`` and ``counts[m]``; the stack itself
     takes only slices, each a view that shares the arrays.
     """
@@ -108,9 +116,7 @@ class RecordStack:
                 f"counts must have one row per setting and one entry per outcome "
                 f"{unitaries.shape[:2]}, got shape {counts.shape}"
             )
-        shots = as_integer("shots", self.shots)
-        if shots < 1:
-            raise ValueError(f"shot count must be >= 1, got {shots}")
+        shots = as_shots(self.shots)
         _check_unitaries(unitaries)
         _check_counts(counts, shots)
         unitaries.setflags(write=False)
@@ -154,13 +160,12 @@ def sample_counts(probabilities: np.ndarray, shots: int, rng) -> np.ndarray:
     generator ``rng``, or for each row of an (M, K) probability stack
     with ``rng`` a sequence of M generators, one per row.
 
-    For a single shot the result is one-hot. Sampling is delegated to
-    numpy's generator, which implements the sequential conditional
+    ``shots`` passes :func:`as_shots` before any draw; one shot gives a
+    one-hot result. numpy's generator draws by the sequential conditional
     binomial scheme (exact, O(K), robust for tiny probabilities).
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    if as_integer("shots", shots) < 1:
-        raise ValueError(f"shot count must be >= 1, got {shots}")
+    shots = as_shots(shots)
     if probabilities.min(initial=0.0) < 0.0:
         raise ValueError(f"negative probability {probabilities.min():.3e}")
     totals = probabilities.sum(axis=-1, keepdims=True)
@@ -177,6 +182,16 @@ def sample_counts(probabilities: np.ndarray, shots: int, rng) -> np.ndarray:
     return counts
 
 
+def as_frequencies(unitaries: np.ndarray, phat) -> np.ndarray:
+    """``phat`` as floats, one per outcome of ``unitaries``, else a dim-mismatch ValueError."""
+    phat = np.asarray(phat, dtype=float)
+    if phat.shape != unitaries.shape[:-1]:
+        raise ValueError(
+            f"dim-mismatch: frequency shape {phat.shape} != POVM outcomes {unitaries.shape[:-1]}"
+        )
+    return phat
+
+
 def adjoint_map(unitaries, phat: np.ndarray) -> np.ndarray:
     """The weighted POVM sum A†(p̂) = sum_k p̂_k u_k u_k† = U† diag(p̂) U.
 
@@ -190,13 +205,8 @@ def adjoint_map(unitaries, phat: np.ndarray) -> np.ndarray:
     products per setting. Hermitian and PSD with trace equal to sum(p̂);
     for a one-hot p̂ this is the rank-1 projector (U† p̂)(U† p̂)†.
     """
-    phat = np.asarray(phat, dtype=float)
     unitaries = np.asarray(unitaries)
-    if phat.shape != unitaries.shape[:-1]:
-        raise ValueError(
-            f"dim-mismatch: frequency shape {phat.shape} != POVM outcomes "
-            f"{unitaries.shape[:-1]}"
-        )
+    phat = as_frequencies(unitaries, phat)
     weighted = unitaries.conj().swapaxes(-1, -2) * phat[..., None, :]
     return hermitize(weighted @ unitaries)
 
@@ -393,7 +403,7 @@ def load_records(path) -> tuple[RecordStack, int]:
     """Read records written by :func:`dump_records`; returns (records, seed)."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     header = _line_values(path, lines, 0, int, 4)
-    if min(header[:3]) < 1 or header[3] < 0:
+    if min(header[:3]) < 1 or header[2] > MAX_SHOTS or header[3] < 0:
         raise ValueError(f"malformed file: {path}, line 1 header {header}")
     dim, count, shots, seed = header
     unitaries, counts = [], []

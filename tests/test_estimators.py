@@ -153,26 +153,6 @@ class TestFrameOperator:
         assert columns.nbytes == 16 * 2**20
         assert peak <= 1.25 * columns.nbytes
 
-    def test_columns_fill_a_given_buffer_in_place(self):
-        # With out= the columns are a view of the caller's buffer, with the
-        # same bits, and only the 1 MiB chunk temporaries are allocated.
-        unitaries = np.stack([haar_unitaries(32, 1, stream(12, (0, m)))[0] for m in range(5)])
-        expected = povm_operator_columns(unitaries)
-        buffer = np.full((5 * 32, 32 * 32), np.nan)
-        tracemalloc.start()
-        try:
-            columns = povm_operator_columns(unitaries, out=buffer)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert columns.base is buffer
-        assert np.array_equal(columns, expected)
-        assert peak <= 1.5 * 2**20
-        with pytest.raises(ValueError, match="columns buffer"):
-            povm_operator_columns(unitaries, out=buffer[:-1])
-        with pytest.raises(ValueError, match="columns buffer"):
-            povm_operator_columns(unitaries, out=np.empty((32 * 32, 5 * 32)).T)
-
     def test_blocked_accumulation_matches_naive_across_blocks(self):
         # Two full blocks of FRAME_COLUMNS // D settings at D = 2 and a
         # partial third.
@@ -573,6 +553,25 @@ class TestGramRidgeSolve:
         unitaries = np.stack(haar_settings(4, 2, seed=19))
         with pytest.raises(error, match=message):
             gram_ridge_solve(unitaries, np.full((2, 4), 0.25), mu, shots)
+
+    def test_one_unitary_counts_as_one_setting(self):
+        # mu = 3e-10 is above the cutoff for one setting. A (D, D) unitary
+        # was counted as D settings, so it took the pseudoinverse while its
+        # (1, D, D) stack took the LU solve, 1.0e-10 apart here.
+        (unitary,) = haar_settings(4, 1, seed=20)
+        frequencies = np.array([0.5, 0.25, 0.25, 0.0])
+        single = gram_ridge_solve(unitary, frequencies, 3e-10)
+        assert np.array_equal(single, gram_ridge_solve(unitary[None], frequencies[None], 3e-10))
+
+    @pytest.mark.parametrize("cut", [np.transpose, lambda frequencies: frequencies[:, :3]],
+                             ids=["transposed", "short"])
+    def test_frequencies_not_shaped_as_the_outcomes_rejected(self, cut):
+        # A transposed (D, M) array was reshaped and solved, moving the
+        # estimate by 0.27 here; a short one failed inside numpy's solve.
+        unitaries = np.stack(haar_settings(4, 2, seed=19))
+        frequencies = np.array([[0.5, 0.25, 0.25, 0.0], [0.0, 0.125, 0.375, 0.5]])
+        with pytest.raises(ValueError, match=r"^dim-mismatch: frequency shape"):
+            gram_ridge_solve(unitaries, cut(frequencies), 0.1)
 
 
 class TestCsShadow:

@@ -1,6 +1,7 @@
 """Tests for shot sampling, records, and the adjoint map."""
 
 import os
+import re
 import tempfile
 import tracemalloc
 from collections.abc import Sequence
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from shadowbench import measurement
 from shadowbench.core import DensityMatrix, born_probabilities
 from shadowbench.ensembles import GlobalHaar, HaarMixture, open_overwrite, stream_generators
-from shadowbench.estimators import FramePrefix
+from shadowbench.estimators import FramePrefix, gram_ridge_solve
 from shadowbench.experiments import ResultRow, emit_csv
 from shadowbench.measurement import (
     PLAN_BLOCK,
@@ -667,6 +668,47 @@ def test_plan_refuses_shots_numpy_cannot_draw():
     assert MeasurementPlan(4, 2**63 - 1, GlobalHaar(4)).shots == 2**63 - 1
 
 
+@pytest.mark.parametrize("probabilities", [np.array([0.5, 0.5]), np.full((2, 2), 0.5)],
+                         ids=["row", "stack"])
+def test_sample_counts_refuses_shots_above_the_bound_before_any_draw(probabilities):
+    # 2^63 shots raised numpy's OverflowError inside multinomial.
+    generators = [stream(0, (0, m)) for m in range(len(np.atleast_2d(probabilities)))]
+    rng = generators[0] if probabilities.ndim == 1 else generators
+    states = [generator.bit_generator.state for generator in generators]
+    with pytest.raises(ValueError, match=r"^shots must be <= 2\^63 - 1, got 9223372036854775808$"):
+        sample_counts(probabilities, 2**63, rng)
+    assert [generator.bit_generator.state for generator in generators] == states
+    counts = sample_counts(probabilities, 2**63 - 1, rng)
+    assert all(sum(map(int, row)) == 2**63 - 1 for row in np.atleast_2d(counts))
+
+
+def _one_setting_prefix() -> FramePrefix:
+    prefix = FramePrefix(2)
+    prefix.extend(np.eye(2)[None])
+    return prefix
+
+
+SHOT_ENTRY_POINTS = {
+    "plan": lambda shots: MeasurementPlan(2, shots, GlobalHaar(2)),
+    "sample-counts": lambda shots: sample_counts(np.array([0.5, 0.5]), shots, stream(0)),
+    "record-stack": lambda shots: RecordStack(np.eye(2)[None], [[1, 0]], shots),
+    "frame": lambda shots: _one_setting_prefix().frame(shots),
+    "gram": lambda shots: gram_ridge_solve(np.eye(2)[None], np.array([[1.0, 0.0]]), 0.1, shots),
+}
+
+
+@pytest.mark.parametrize("entry", SHOT_ENTRY_POINTS)
+@pytest.mark.parametrize("shots, error, message", [
+    (0, ValueError, "shot count must be >= 1, got 0"),
+    (True, TypeError, "shots must be an integer, got True"),
+    (2.5, TypeError, "shots must be an integer, got 2.5"),
+    (2**63, ValueError, "shots must be <= 2^63 - 1, got 9223372036854775808"),
+], ids=["zero", "bool", "float", "above-int64"])
+def test_every_entry_point_refuses_a_bad_shot_count_alike(entry, shots, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        SHOT_ENTRY_POINTS[entry](shots)
+
+
 def test_plan_and_frame_prefix_store_their_counts_as_ints():
     plan = MeasurementPlan(np.int64(2), np.int64(3), GlobalHaar(2))
     frames = FramePrefix(np.int64(2))
@@ -738,6 +780,14 @@ class TestRecordSerialization:
         dump_records(records, path, seed=5)
         path.write_text(path.read_text().replace("2 2 3 5\n", "2 2 3 -5\n", 1))
         with pytest.raises(ValueError, match="records.txt, line 1 header"):
+            load_records(path)
+
+    def test_header_shots_above_the_bound_name_line_1(self, tmp_path):
+        # Such a header was reported as a bad counts line ("counts sum").
+        path = tmp_path / "records.txt"
+        dump_records(RecordStack(np.eye(2)[None], [[3, 0]], 3), path, seed=5)
+        path.write_text(path.read_text().replace("2 1 3 5\n", f"2 1 {2**63} 5\n", 1))
+        with pytest.raises(ValueError, match=r"line 1 header \[2, 1, 9223372036854775808, 5\]"):
             load_records(path)
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError),
