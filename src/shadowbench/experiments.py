@@ -564,8 +564,7 @@ def _theory_rows(ctx: _Context) -> list[ResultRow]:
     sc, rows = ctx.scenario, []
     (generator,) = stream_generators(sc.seed, [AUX_STREAM_INDEX], [1])
     for shots, (settings,) in ctx.plan:
-        predicted = mse_theorem1(ctx.state, ctx.observables[0], GlobalHaar(sc.dim),
-                                 settings, shots, sc.ensemble_samples, generator)
+        predicted = mse_theorem1(sc.dim, settings, shots, sc.ensemble_samples, generator)
         point = (sc.kind, AGGREGATE_TRIAL, settings, shots, 0.0, 0.0, "CS")
         rows += [ResultRow(*point, "mse-theory", predicted.value),
                  ResultRow(*point, "mse-theory-se", predicted.std_error)]
@@ -689,27 +688,25 @@ def run_scenario(
     ``dump_records_path`` receives, block by block as trial 0's group
     streams them, the records trial 0 measured at the first plan entry
     (first L, first eta) at its largest M, or on a replay the loaded
-    ones under the loaded file's seed; a run that raises once its trials
-    start leaves the file empty.
+    ones; a run that raises once its trials start leaves the file empty.
+    A replay runs under the loaded file's seed, not ``scenario.seed``.
     """
     scenario.validate()
     if as_integer("workers", workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not force:
         _resource_guard(scenario)
-    ctx = _build_context(scenario)
 
     records_override = None
-    dump_seed = scenario.seed
     if load_records_path is not None:
-        if not ctx.family.replayable:
+        if not FAMILIES[scenario.kind].replayable:
             raise ValueError(
                 f"load-records is not supported for the {scenario.kind} family "
                 f"(records vary within a trial)"
             )
         if scenario.trials != 1:
             raise ValueError("load-records requires exactly one trial")
-        records_override, dump_seed = load_records(load_records_path)
+        records_override, seed = load_records(load_records_path)
         if records_override.dim != scenario.dim:
             raise ValueError(
                 f"dim-mismatch: loaded records have dim {records_override.dim}, "
@@ -725,6 +722,8 @@ def run_scenario(
                 f"loaded records have {records_override.shots} shots, "
                 f"scenario l-grid starts at {scenario.l_grid[0]}"
             )
+        scenario = replace(scenario, seed=seed)  # the random observables of the dumping run
+    ctx = _build_context(scenario)
 
     columns: dict[tuple, list[float]] = {}
     trials = range(scenario.trials)
@@ -734,7 +733,7 @@ def run_scenario(
     # Opened after the theorem-1 child forks, so no child holds buffered text.
     with _theory_beside_trials(ctx) as theory_rows, dump_file as dump:
         if dump is not None:
-            dump.write(f"{scenario.dim} {ctx.plan[0][1][-1]} {ctx.plan[0][0]} {dump_seed}\n")
+            dump.write(f"{scenario.dim} {ctx.plan[0][1][-1]} {ctx.plan[0][0]} {scenario.seed}\n")
         for group in trial_groups(len(trials), settings, scenario.dim):
             for key, column in _run_chunk(ctx, trials[group], records_override, dump).items():
                 columns.setdefault(key, []).extend(column)

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STATE_EIGENVALUE_ATOL, STATE_HERMITICITY_ATOL, DensityMatrix, Observable
-from .ensembles import EnsembleSpec, GlobalHaar, as_integer
+from .ensembles import as_integer
 
 # Unitaries per Monte Carlo batch in mse_theorem1. Each batch draws its
 # normals as one stream, real parts of the whole batch before imaginary
@@ -41,17 +40,10 @@ class MseEstimate:
             raise ValueError(f"standard error must be finite and >= 0, got {self.std_error}")
 
 
-def mse_theorem1(
-    state: DensityMatrix,
-    obs: Observable,
-    spec: EnsembleSpec,
-    settings: int,
-    shots: int,
-    ensemble_samples: int,
-    rng: np.random.Generator,
-) -> MseEstimate:
-    """MSE of the CS estimate of tr(Lambda rho) for M settings x L shots,
-    at a pure rho = Lambda = |psi><psi|.
+def mse_theorem1(dim: int, settings: int, shots: int, ensemble_samples: int,
+                 rng: np.random.Generator) -> MseEstimate:
+    """MSE of the CS estimate of tr(Lambda rho) for M global-Haar settings
+    x L shots in dimension D, at any pure rho = Lambda = |psi><psi|.
 
     Evaluates the exact per-unitary expression
 
@@ -65,31 +57,19 @@ def mse_theorem1(
     double sum is folded into (sum p t)^2 - sum p^2 t^2 for O(K) cost.
 
     At rho = Lambda = |psi><psi|, p_k = |<k|U|psi>|^2, t_k = (D+1) p_k - 1
-    and tr(Lambda rho) = 1; U|psi> has the law of U|0>, so every pure psi
-    takes the draws of |0>. Each batch of ``THEOREM1_BATCH`` unitaries
-    keeps column 0 of the normals of ``rng.standard_normal((2, batch, D,
-    D))`` (:func:`_leading_normals`) and normalizes it: the first column
-    of :func:`ensembles.haar_from_normals` up to rounding, with no QR.
-
-    Only global-Haar ensembles are supported: the analytic channel
-    inverse baked into t_k is specific to that ensemble. Any other rho
-    or Lambda raises a ValueError before the first draw.
+    and tr(Lambda rho) = 1; U|psi> has the law of U|0>, so the MSE is a
+    function of D, M and L alone and takes the draws of |0>. Each batch
+    of ``THEOREM1_BATCH`` unitaries keeps column 0 of the normals of
+    ``rng.standard_normal((2, batch, D, D))`` (:func:`_leading_normals`)
+    and normalizes it: the first column of
+    :func:`ensembles.haar_from_normals` up to rounding, with no QR.
     """
-    if not isinstance(spec, GlobalHaar):
-        raise ValueError(f"unsupported-ensemble: theorem-1 evaluation needs GlobalHaar, "
-                         f"got {type(spec).__name__}")
-    if spec.dim != state.dim or obs.dim != state.dim:
-        raise ValueError(f"dim-mismatch: ensemble {spec.dim}, state {state.dim}, "
-                         f"observable {obs.dim}")
-    if np.abs(obs.matrix - state.matrix).max() > STATE_HERMITICITY_ATOL:
-        raise ValueError("observable-not-state: theorem-1 evaluation needs Lambda = rho")
-    purity = np.vdot(state.matrix, state.matrix).real
-    if abs(purity - 1.0) > STATE_EIGENVALUE_ATOL:
-        raise ValueError(f"mixed-state: theorem-1 evaluation needs a pure rho = Lambda, "
-                         f"got tr(rho^2) = {purity:.12g}")
+    dim = as_integer("dim", dim)
     settings, shots = as_integer("settings", settings), as_integer("shots", shots)
     if as_integer("ensemble_samples", ensemble_samples) < 2:
         raise ValueError(f"need >= 2 ensemble samples, got {ensemble_samples}")
+    if dim < 2:
+        raise ValueError(f"dimension must be >= 2, got {dim}")
     if settings < 1 or shots < 1:
         raise ValueError("settings and shots must both be >= 1")
 
@@ -97,12 +77,12 @@ def mse_theorem1(
     filled = 0
     while filled < ensemble_samples:
         batch = min(THEOREM1_BATCH, ensemble_samples - filled)
-        column = _leading_normals(rng, batch, state.dim)
+        column = _leading_normals(rng, batch, dim)
         column = np.ascontiguousarray((column[0] + 1j * column[1]).T)
         column /= np.sqrt(np.einsum("kb,kb->b", column.real, column.real)
                           + np.einsum("kb,kb->b", column.imag, column.imag))
         p = column.real * column.real + column.imag * column.imag
-        t = (state.dim + 1) * p - 1.0
+        t = (dim + 1) * p - 1.0
 
         weighted = (p + (shots - 1) * p * p) * t * t
         first = weighted.sum(axis=0) / (settings * shots)

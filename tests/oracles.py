@@ -6,9 +6,9 @@ eigenvalue truncation, SVD-based least squares instead of the frame
 pseudoinverse, naive loop constructions instead of vectorized
 einsum kernels, and one setting at a time with ``np.kron`` instead of
 the batched ensemble sampler. The closed-form multinomial moments, Haar
-overlap density and theorem-1 MSE (exact at rho = Lambda = |0><0|) are
-what sampled counts, overlaps and the theorem-1 Monte Carlo are tested
-against.
+overlap density, theorem-1 MSE (exact at rho = Lambda = |0><0|) and
+single-shot CS MSE of a rank-one probe are what sampled counts, overlaps,
+the theorem-1 Monte Carlo and the families' CS rows are tested against.
 """
 
 from fractions import Fraction
@@ -225,6 +225,23 @@ def theorem1_mse_exact(dim: int, settings: int, shots: int) -> Fraction:
     single = Fraction(dim, settings * shots) * (x_t2 + (shots - 1) * x2_t2)
     pairs = (1 - Fraction(1, shots)) * Fraction(dim * (dim - 1), settings) * xt_xt
     return single + pairs - Fraction(1, settings)
+
+
+def cs_mse_exact(dim: int, settings: int, overlap) -> Fraction:
+    """The MSE of the single-shot CS estimate of tr(Lambda rho) for M
+    global-Haar settings, rho = |psi><psi| and Lambda = |phi><phi| with
+    c = |<psi|phi>|^2 = ``overlap``, exactly.
+
+    A setting's estimate at outcome k is (D+1) q_k - 1, drawn with
+    probability p_k, where p_k = |<k|U|psi>|^2 and q_k = |<k|U|phi>|^2,
+    so its second moment is D E[x ((D+1) q - 1)^2] for one Haar vector.
+    E[(u u^dagger)^(x3)] = sum_pi P_pi / (D(D+1)(D+2)) over the six
+    permutations pi, which give 2 + 4c against psi (x) phi (x) phi, so
+
+        M MSE = (D+1)(2+4c)/(D+2) - 1 - 2c - c^2.
+    """
+    c = Fraction(overlap)
+    return ((dim + 1) * (2 + 4 * c) / (dim + 2) - 1 - 2 * c - c * c) / settings
 
 
 def random_observable_pdf(lam, dim: int):

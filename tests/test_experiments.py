@@ -20,6 +20,7 @@ import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -57,7 +58,7 @@ from shadowbench.measurement import (
 )
 from shadowbench.theory import mse_theorem1
 
-from oracles import average_estimate
+from oracles import average_estimate, cs_mse_exact
 
 
 def tiny_scenario(kind, **overrides):
@@ -1005,6 +1006,17 @@ class TestRecordFlags:
         loaded = run_scenario(scenario, load_records_path=path)
         assert direct == loaded
 
+    def test_replay_runs_under_the_loaded_seed(self, tmp_path):
+        # random-obs draws its observables from the seed's AUX stream, so
+        # a replay under another seed flag must still take the dumped seed.
+        scenario = tiny_scenario("random-obs", trials=1, m_grid=(4, 8), seed=5)
+        path, redumped = tmp_path / "records.txt", tmp_path / "redumped.txt"
+        direct = run_scenario(scenario, dump_records_path=path)
+        replayed = run_scenario(replace(scenario, seed=1), load_records_path=path,
+                                dump_records_path=redumped)
+        assert replayed == direct
+        assert redumped.read_bytes() == path.read_bytes()
+
     def test_load_requires_single_trial(self, tmp_path):
         scenario = tiny_scenario("rls-vs-cs", trials=1)
         path = tmp_path / "records.txt"
@@ -1888,6 +1900,35 @@ def test_tracer_layers_resolve_and_run_in_every_family(monkeypatch):
     assert called == set(tracing.LAYER_NAMES) - {"measurement.run_plan"}
 
 
+class TestCsRowsAgainstExactMse:
+    # The canonical probes overlap the state by 1, 1/2 and 0.
+    OVERLAPS = (1, Fraction(1, 2), 0)
+
+    @staticmethod
+    def cs_rows(kind, **fields):
+        """The CS lambda-hat-i and mse-i rows of a run at D = 4, by key."""
+        rows = run_scenario(tiny_scenario(kind, seed=37, **fields))
+        return {(row.trial, row.settings, row.shots, row.eta, row.metric): row.value
+                for row in rows
+                if row.method == "CS" and re.fullmatch(r"lambda-hat-\d|mse-\d(-se)?", row.metric)}
+
+    def test_mismatch_at_eta_zero_is_the_exact_single_shot_mse(self):
+        rows = self.cs_rows("mismatch", trials=2000, m_grid=(8,), eta_grid=(0.0,))
+        for index, overlap in enumerate(self.OVERLAPS):
+            key = (AGGREGATE_TRIAL, 8, 1, 0.0, f"mse-{index}")
+            error = rows[key[:-1] + (f"mse-{index}-se",)]
+            assert abs(rows[key] - float(cs_mse_exact(4, 8, overlap))) < 3 * error, index
+
+    def test_rls_vs_cs_and_multishot_share_the_mismatch_rows(self):
+        # At one seed and grid, every trial of these families draws the
+        # same settings and outcomes at L = 1 and eta = 0.
+        fields = dict(trials=4, m_grid=(3, 8, 20))
+        mismatch = self.cs_rows("mismatch", eta_grid=(0.0,), **fields)
+        assert len(mismatch) == 3 * 3 * (4 + 2)  # (M, i) with 4 trial rows, an MSE and its SE
+        for kind, extra in (("rls-vs-cs", {}), ("multishot", {"l_grid": (1,)})):
+            assert self.cs_rows(kind, **fields, **extra) == mismatch, kind
+
+
 def test_package_does_not_import_scipy(tmp_path):
     # scipy's own OpenBLAS adds start-up time and resident memory to
     # every run, so neither the package nor a scenario run may load it.
@@ -1908,6 +1949,30 @@ def test_package_does_not_import_scipy(tmp_path):
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["theorem1", "--qubits", "2", "--trials", "20", "--m-grid", "16"],
+    ["multishot", "--qubits", "3", "--trials", "2", "--m-grid", "16,64", "--l-grid", "1,4"],
+    ["rls-vs-cs", "--qubits", "3", "--trials", "3", "--m-grid", "4,16,40"],
+])
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, args):
+    # Every system solved at D <= 8 has order <= 64, below the order at
+    # which LAPACK's factorizations change bits with the thread count, so
+    # worker processes pinned to one BLAS thread would write these bytes.
+    source_root = str(Path(shadowbench.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=source_root, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "shadowbench", *args, "--seed", "3", "--out", str(out)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_public_names_are_the_exported_set():

@@ -11,11 +11,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from shadowbench.core import DensityMatrix, Observable, expectation
-from shadowbench.ensembles import (
-    AUX_STREAM_INDEX,
-    GlobalHaar,
-    HaarMixture,
-)
+from shadowbench.ensembles import AUX_STREAM_INDEX, GlobalHaar
 from shadowbench.estimators import CS, estimate
 from shadowbench.experiments import canonical_state_and_observables
 from shadowbench.measurement import MeasurementPlan, run_plan
@@ -29,9 +25,9 @@ from shadowbench.theory import (
 )
 
 from oracles import (
+    cs_mse_exact,
     haar_unitaries,
     multinomial_moments,
-    random_density_matrix,
     random_observable_cdf,
     random_observable_pdf,
     stream,
@@ -105,19 +101,16 @@ class TestMseTheorem1:
     def test_monte_carlo_matches_the_exact_value(self, dim):
         # The points drawn one after another from the theory stream (AUX, 1),
         # as a theorem1 run draws its plan entries.
-        state = DensityMatrix.computational_basis_state(dim)
-        obs = Observable.rank_one(np.eye(dim)[0])
         generator = stream(7, (AUX_STREAM_INDEX, 1))
         for settings, shots in ((16, 1), (16, 4), (64, 8)):
-            predicted = mse_theorem1(state, obs, GlobalHaar(dim), settings, shots, 100_000,
-                                     generator)
+            predicted = mse_theorem1(dim, settings, shots, 100_000, generator)
             exact = float(theorem1_mse_exact(dim, settings, shots))
             assert abs(predicted.value - exact) < 3 * predicted.std_error, (settings, shots)
 
     def test_single_shot_reduces_to_simple_form(self):
         state = DensityMatrix.computational_basis_state(4)
         obs = Observable.rank_one([1.0, 0, 0, 0])
-        full = mse_theorem1(state, obs, GlobalHaar(4), 8, 1, 4000, stream(2, (0, 0)))
+        full = mse_theorem1(4, 8, 1, 4000, stream(2, (0, 0)))
         reduced_value, _ = _single_shot_reduction_oracle(
             state, obs, 8, 4000, stream(2, (0, 0))
         )
@@ -133,41 +126,25 @@ class TestMseTheorem1:
         stacks = run_plan(state, MeasurementPlan(settings, 1, GlobalHaar(dim)), 3, range(trials))
         estimates = [expectation(obs, estimate(records, CS()).mean(axis=0)) for records in stacks]
         empirical = empirical_mse(estimates, truth)
-        predicted = mse_theorem1(
-            state, obs, GlobalHaar(dim), settings, 1, 10_000, stream(4)
-        )
+        predicted = mse_theorem1(dim, settings, 1, 10_000, stream(4))
         combined = np.hypot(empirical.std_error, predicted.std_error)
         assert abs(empirical.value - predicted.value) < 3 * combined
 
     def test_inverse_scaling_in_settings(self):
-        state = DensityMatrix.computational_basis_state(4, 1)
-        obs = Observable.rank_one([0.0, 1.0, 0.0, 0.0])
-        small = mse_theorem1(state, obs, GlobalHaar(4), 8, 2, 2000, stream(5, (0, 0)))
-        large = mse_theorem1(state, obs, GlobalHaar(4), 16, 2, 2000, stream(5, (0, 0)))
+        small = mse_theorem1(4, 8, 2, 2000, stream(5, (0, 0)))
+        large = mse_theorem1(4, 16, 2, 2000, stream(5, (0, 0)))
         # Same draws: every term carries exactly 1/M.
         assert large.value == pytest.approx(small.value / 2, rel=1e-12)
 
     def test_nonnegative_when_resolved(self):
-        state = DensityMatrix.computational_basis_state(4)
-        obs = Observable.rank_one([1.0, 0, 0, 0])
-        result = mse_theorem1(state, obs, GlobalHaar(4), 4, 2, 20_000, stream(6))
+        result = mse_theorem1(4, 4, 2, 20_000, stream(6))
         assert result.value > 3 * result.std_error
         assert result.value > 0.0
 
     def test_larger_shots_never_beat_single_shot_at_fixed_budget(self):
         dim, budget = 4, 64
-        state = DensityMatrix.computational_basis_state(dim)
-        obs = Observable.rank_one([1.0, 0, 0, 0])
         results = {
-            shots: mse_theorem1(
-                state,
-                obs,
-                GlobalHaar(dim),
-                budget // shots,
-                shots,
-                40_000,
-                stream(7, (0, shots)),
-            )
+            shots: mse_theorem1(dim, budget // shots, shots, 40_000, stream(7, (0, shots)))
             for shots in (1, 8, 64)
         }
         for shots in (8, 64):
@@ -186,33 +163,35 @@ class TestMseTheorem1:
             return qr(matrices, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
-        state, observables = canonical_state_and_observables(dim.bit_length() - 1)
-        mse_theorem1(state, observables[0], GlobalHaar(dim), 4, 1, 10, stream(14))
+        mse_theorem1(dim, 4, 1, 10, stream(14))
         assert qr_calls == []
 
-    def test_unsupported_ensemble_rejected(self):
-        state = DensityMatrix.computational_basis_state(4)
-        obs = Observable.rank_one([1.0, 0, 0, 0])
-        with pytest.raises(ValueError, match="unsupported-ensemble"):
-            mse_theorem1(state, obs, HaarMixture(2, 1.0), 4, 1, 100, stream(8))
-
     def test_too_few_samples_rejected(self):
-        state = DensityMatrix.computational_basis_state(2)
-        obs = Observable.rank_one([1.0, 0.0])
         with pytest.raises(ValueError, match=">= 2"):
-            mse_theorem1(state, obs, GlobalHaar(2), 4, 1, 1, stream(9))
+            mse_theorem1(2, 4, 1, 1, stream(9))
+
+    @pytest.mark.parametrize("counts, message", [
+        ((1, 4, 1, 100), "dimension must be >= 2, got 1"),
+        ((0, 4, 1, 100), "dimension must be >= 2, got 0"),
+        ((2, 0, 1, 100), "settings and shots must both be >= 1"),
+        ((2, 4, 0, 100), "settings and shots must both be >= 1"),
+    ])
+    def test_out_of_range_counts_rejected_before_any_draw(self, counts, message):
+        generator = stream(9)
+        before = generator.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mse_theorem1(*counts, generator)
+        assert generator.bit_generator.state == before
 
     @pytest.mark.parametrize("name, counts", [
-        ("settings", (1.5, 1, 100)), ("shots", (4, 1.5, 100)), ("ensemble_samples", (4, 1, 1.5)),
+        ("dim", (1.5, 4, 1, 100)), ("settings", (2, 1.5, 1, 100)), ("shots", (2, 4, 1.5, 100)),
+        ("ensemble_samples", (2, 4, 1, 1.5)),
     ])
     def test_non_integral_counts_rejected(self, name, counts):
-        state = DensityMatrix.computational_basis_state(2)
-        obs = Observable.rank_one([1.0, 0.0])
         with pytest.raises(TypeError, match=f"{name} must be an integer, got 1.5"):
-            mse_theorem1(state, obs, GlobalHaar(2), *counts, stream(9))
-        numpy_counts = [np.int64(count) for count in (4, 1, 100)]
-        assert mse_theorem1(state, obs, GlobalHaar(2), *numpy_counts, stream(9)) == \
-            mse_theorem1(state, obs, GlobalHaar(2), 4, 1, 100, stream(9))
+            mse_theorem1(*counts, stream(9))
+        numpy_counts = [np.int64(count) for count in (2, 4, 1, 100)]
+        assert mse_theorem1(*numpy_counts, stream(9)) == mse_theorem1(2, 4, 1, 100, stream(9))
 
 
 class TestChunkedNormals:
@@ -222,8 +201,6 @@ class TestChunkedNormals:
         # Batches of 128 unitaries and 300 samples, so the last batch is
         # partial; at D = 8 a default chunk is 128 unitaries and at D = 32
         # 64, and 1000 entries are 125 or 31 rows, dividing no batch.
-        state = DensityMatrix.computational_basis_state(dim)
-        obs = Observable.rank_one(np.eye(dim)[0])
         monkeypatch.setattr(theory, "THEOREM1_BATCH", 128)
         monkeypatch.setattr(theory, "THEOREM1_CHUNK", chunk)
         assert np.array_equal(theory._leading_normals(stream(18), 300, dim),
@@ -235,9 +212,9 @@ class TestChunkedNormals:
             return rng.standard_normal((2, batch, dim, dim))[..., 0]
 
         chunked_rng, drawn_rng = stream(19, (0, dim)), stream(19, (0, dim))
-        chunked = mse_theorem1(state, obs, GlobalHaar(dim), 8, 4, 300, chunked_rng)
+        chunked = mse_theorem1(dim, 8, 4, 300, chunked_rng)
         monkeypatch.setattr(theory, "_leading_normals", one_draw)
-        drawn = mse_theorem1(state, obs, GlobalHaar(dim), 8, 4, 300, drawn_rng)
+        drawn = mse_theorem1(dim, 8, 4, 300, drawn_rng)
         assert batches == [128, 128, 44]
         assert (chunked.value, chunked.std_error) == (drawn.value, drawn.std_error)
         # Both leave the stream at the same place.
@@ -246,12 +223,11 @@ class TestChunkedNormals:
     def test_batch_holds_its_kept_columns_and_one_chunk(self):
         # At D = 32 a full batch of 4096 draws is 64 MiB of normals; kept,
         # its first column is 2 MiB.
-        state, observables = canonical_state_and_observables(5)
-        mse_theorem1(state, observables[0], GlobalHaar(32), 16, 1, 10, stream(20))
+        mse_theorem1(32, 16, 1, 10, stream(20))
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            mse_theorem1(state, observables[0], GlobalHaar(32), 16, 1, 4096, stream(20))
+            mse_theorem1(32, 16, 1, 4096, stream(20))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -291,45 +267,43 @@ class TestMseTheorem1Oracle:
             state, observables[0], 16, shots_grid, samples, stream(15, (0, qubits))
         )
         for shots in shots_grid:
-            result = mse_theorem1(state, observables[0], GlobalHaar(state.dim), 16, shots,
-                                  samples, stream(15, (0, qubits)))
+            result = mse_theorem1(state.dim, 16, shots, samples, stream(15, (0, qubits)))
             value, std_error = oracle[shots]
             assert result.samples == samples
             assert result.value == pytest.approx(value, rel=1e-12)
             assert result.std_error == pytest.approx(std_error, rel=1e-12)
 
-    @pytest.mark.parametrize("dim", [4, 16])
-    @pytest.mark.parametrize("case, state_index, obs_index", [
-        ("observable-not-state", 2, 1), ("observable-not-state", 0, 2),
-        ("mixed-state", None, None),
-    ])
-    def test_refuses_other_rho_or_lambda_before_any_draw(self, dim, case, state_index,
-                                                          obs_index):
-        # rho != Lambda, or a full-rank mixed rho = Lambda.
-        if state_index is None:
-            state = DensityMatrix(random_density_matrix(dim, np.random.default_rng(dim)))
-            obs = Observable(state.matrix)
-        else:
-            state = DensityMatrix.computational_basis_state(dim, state_index)
-            obs = Observable.rank_one(np.eye(dim)[obs_index])
-        generator = stream(17, (0, dim))
-        before = generator.bit_generator.state
-        with pytest.raises(ValueError, match=f"^{case}: theorem-1 evaluation needs"):
-            mse_theorem1(state, obs, GlobalHaar(dim), 8, 4, 600, generator)
-        assert generator.bit_generator.state == before
 
-    @pytest.mark.parametrize("dim", [4, 16])
-    def test_pure_state_has_the_bits_of_the_first_basis_state(self, dim):
-        # U|psi> has the law of U|0>, so every pure psi = Lambda takes the
-        # draws of |0>.
-        psi = np.array([1.0, 1j]) @ stream(21, (0, dim)).standard_normal((2, dim))
-        state, obs = DensityMatrix.pure(psi), Observable.rank_one(psi)
-        zero = DensityMatrix.computational_basis_state(dim)
-        for shots in (1, 4):
-            pure = mse_theorem1(state, obs, GlobalHaar(dim), 8, shots, 600, stream(17, (0, dim)))
-            basis = mse_theorem1(zero, Observable(zero.matrix), GlobalHaar(dim), 8, shots, 600,
-                                 stream(17, (0, dim)))
-            assert (pure.value, pure.std_error) == (basis.value, basis.std_error)
+class TestCsMseExact:
+    @pytest.mark.parametrize("dim", [2, 4, 8, 32])
+    def test_equals_theorem1_at_full_overlap(self, dim):
+        for settings in (1, 16, 64):
+            assert cs_mse_exact(dim, settings, 1) == theorem1_mse_exact(dim, settings, 1)
+
+    @pytest.mark.parametrize("dim, scaled", [
+        (8, (Fraction(7, 5), Fraction(27, 20), Fraction(4, 5))),
+        (32, (Fraction(31, 17), Fraction(111, 68), Fraction(16, 17))),
+    ])
+    def test_canonical_probe_values(self, dim, scaled):
+        # The canonical probes overlap the state by 1, 1/2 and 0.
+        for overlap, value in zip((1, Fraction(1, 2), 0), scaled):
+            assert 8 * cs_mse_exact(dim, 8, overlap) == value
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_matches_haar_monte_carlo(self, dim):
+        # One shot of setting U at outcome k, drawn with probability
+        # p_k = |U_k0|^2, estimates (D+1) q_k - 1, q_k = |<k|U|phi>|^2.
+        samples = 20_000
+        unitaries = haar_unitaries(dim, samples, stream(22, (0, dim)))
+        p = np.abs(unitaries[:, :, 0]) ** 2
+        for overlap in (0.0, 0.5, 1.0):
+            phi = np.zeros(dim)
+            phi[0], phi[1] = np.sqrt(overlap), np.sqrt(1.0 - overlap)
+            q = np.abs(unitaries @ phi) ** 2
+            scaled = (p * ((dim + 1) * q - 1.0) ** 2).sum(axis=1) - overlap**2
+            error = scaled.std(ddof=1) / np.sqrt(samples)
+            exact = float(cs_mse_exact(dim, 1, overlap))
+            assert abs(scaled.mean() - exact) < 3 * error, overlap
 
 
 class TestRandomObservablePdf:
